@@ -9,10 +9,15 @@
 //! bench_runner gate-fused REPORT [--threshold 0.05]
 //! bench_runner gate-batch REPORT [--threshold 0.05]
 //! bench_runner gate-schedule REPORT [--threshold 0.05]
+//! bench_runner gate-default REPORT [--threshold 0.05]
 //! ```
 //!
 //! The declared suite covers the paper's axes: GEMM at 256 (power of
-//! two) and 513 (worst-case padding), a truncation sweep
+//! two) and 513 (worst-case padding) under the default configuration,
+//! plus `modgemm_513_paper` under [`ModgemmConfig::paper`] (the staged
+//! `Blocked` pipeline), which the `gate-default` subcommand turns into
+//! CI's assertion that the default never falls back below the paper's
+//! kernel on min-time GFLOP/s, a truncation sweep
 //! (`strassen_min` 16/64), conversion cost (Morton pack/unpack fraction),
 //! parallel speedup (`parallel_depth 2`), plan amortization (a
 //! `GemmPlan` built once and executed 32 times per repetition, the
@@ -48,8 +53,11 @@
 //! depth-capped standard schedule at the same budget.
 //! The `service_mixed_256_513` case drives the [`GemmService`] front-end
 //! with mixed 256/513 traffic from two client threads; its per-request
-//! latencies feed `secs_*`, and a `service` object in the report carries
-//! p50/p99 latency, the rejection rate, and the plan-cache hit rate.
+//! latencies feed `secs_*`, its GFLOP/s divide the mean effective flops
+//! of the completed requests by that latency, and a `service` object in
+//! the report carries p50/p99 latency, the rejection rate, and the
+//! plan-cache hit rate. Batch cases count the flops of every item in the
+//! timed batch.
 //! `--kernel <naive|blocked|micro|packed|auto>` forces that leaf kernel
 //! into every MODGEMM case and restricts the sweep to it — the quick way
 //! to A/B one kernel. `--threads <n>` likewise forces the pool worker
@@ -57,9 +65,9 @@
 //! declared counts). `--tuning profile` sets `TuningMode::Profile` on
 //! every MODGEMM/plan-reuse case so plan selection consults the loaded
 //! tuning profile (`MODGEMM_PROFILE` / `~/.cache/modgemm/profile.json`,
-//! recorded by `modgemm-tune`), and switches the default leaf kernel to
-//! `Auto` on non-sweep cases so the profile's kernel choice can take
-//! effect; the `kernel_*` sweep cases stay fully untuned — they isolate
+//! recorded by `modgemm-tune`); the default `Auto` leaf kernel lets the
+//! profile's kernel choice take effect. The `kernel_*` sweep cases and
+//! the `_paper` control stay fully untuned — they isolate
 //! the kernel axis under the static schedule, which a profile's
 //! schedule knobs would wreck. `--tunable-only` restricts the suite to
 //! the cases a profile can steer (plus the score reference); CI's
@@ -77,6 +85,7 @@ use modgemm_baselines::conventional_gemm_with_sink;
 use modgemm_bench::report::{
     compare_reports, median, CompareMetric, SCHEMA_VERSION, SCORE_REFERENCE_CASE,
 };
+use modgemm_core::counts::conventional_flops;
 use modgemm_core::metrics::{CollectingSink, MetricsSink};
 use modgemm_core::{
     try_modgemm_with_metrics, GemmContext, GemmError, GemmRequest, GemmService, ModgemmConfig,
@@ -128,10 +137,11 @@ enum Algo {
         /// Items per batch.
         items: usize,
     },
-    /// The `GemmService` front-end under mixed-shape traffic from
-    /// concurrent client threads. Reported times are per-request
-    /// latencies (submit → result), and the case carries a `service`
-    /// metrics object instead of meaningful GFLOP/s.
+    /// The `GemmService` front-end under mixed-shape traffic
+    /// ([`SERVICE_SIZES`]) from concurrent client threads. Reported times
+    /// are per-request latencies (submit → result); GFLOP/s divide the
+    /// completed requests' mean effective flops by them, and the case
+    /// carries a `service` metrics object.
     Service {
         /// Requests issued per timed repetition (split across clients).
         requests: u32,
@@ -153,6 +163,7 @@ fn suite_cases(
     let mut cases = vec![
         case("modgemm_256", 256, Algo::Modgemm(base)),
         case("modgemm_513", 513, Algo::Modgemm(base)),
+        case("modgemm_513_paper", 513, Algo::Modgemm(ModgemmConfig::paper())),
         case(SCORE_REFERENCE_CASE, 256, Algo::Conventional),
         case("modgemm_256_trunc16", 256, Algo::Modgemm(trunc(16))),
         case("modgemm_256_trunc64", 256, Algo::Modgemm(trunc(64))),
@@ -289,20 +300,22 @@ fn suite_cases(
     // profile recorded with the winning kernel would mutate the
     // schedule knobs (e.g. the Strassen cutoff) under every pinned
     // kernel, wrecking the sweep's comparability — and the CI
-    // tuned-vs-untuned gate with it. Cases running the default kernel
-    // switch to Auto so the profile's kernel choice can land.
+    // tuned-vs-untuned gate with it. Cases running the default `Auto`
+    // kernel take the profile's kernel choice.
     if tuned {
         for c in &mut cases {
-            // The fused_vs_staged_* and batch_* pairs isolate the fusion
-            // and batch-scheduling axes the same way kernel_* isolates
-            // the kernel axis: all stay untuned so a profile's schedule
-            // knobs cannot skew the within-pair comparison.
+            // The fused_vs_staged_*, batch_* and *_paper controls isolate
+            // the fusion, batch-scheduling and default-config axes the
+            // same way kernel_* isolates the kernel axis: all stay
+            // untuned so a profile's schedule knobs cannot skew the
+            // within-pair comparison.
             if c.name.starts_with("kernel_")
                 || c.name.starts_with("fused_vs_staged_")
                 || c.name.starts_with("batch_")
                 || c.name.starts_with("schedule_")
                 || c.name.starts_with("budget_sweep_")
                 || c.name.starts_with("sched_gate_")
+                || c.name.ends_with("_paper")
                 || kernel.is_some()
             {
                 continue;
@@ -310,9 +323,6 @@ fn suite_cases(
             match &mut c.algo {
                 Algo::Modgemm(cfg) | Algo::PlanReuse { cfg, .. } => {
                     cfg.tuning = modgemm_core::TuningMode::Profile;
-                    if cfg.leaf_kernel == KernelKind::Blocked {
-                        cfg.leaf_kernel = KernelKind::Auto;
-                    }
                 }
                 Algo::Conventional
                 | Algo::Service { .. }
@@ -337,6 +347,7 @@ fn suite_cases(
                     && !c.name.starts_with("schedule_")
                     && !c.name.starts_with("budget_sweep_")
                     && !c.name.starts_with("sched_gate_")
+                    && !c.name.ends_with("_paper")
             }
             Algo::Service { .. } | Algo::Batch { .. } | Algo::BatchSerial { .. } => false,
         });
@@ -344,12 +355,30 @@ fn suite_cases(
     cases
 }
 
-/// Drives the long-running [`GemmService`] with mixed 256/513 square
-/// requests from `clients` threads. Returns per-request latencies in
-/// seconds (so the shared `secs_*` statistics read as latency) and the
-/// `service` report object: p50/p99 latency, rejection rate, plan-cache
-/// hit rate, and the raw admission counters.
-fn run_service_case(requests: u32, clients: u32, reps: u32) -> (Vec<f64>, Value) {
+/// Square sizes the service case's clients alternate between: a power
+/// of two and the paper's worst case for padding.
+const SERVICE_SIZES: [usize; 2] = [256, 513];
+
+/// What one case measured.
+struct Measured {
+    /// Seconds per timed sample (a call, a batch, a plan execution, or
+    /// a service request's latency).
+    secs: Vec<f64>,
+    /// Effective flops (`2·m·k·n` per multiply) one timed sample covers.
+    flops: f64,
+    /// Metrics snapshot of the last repetition.
+    metrics: modgemm_core::ExecMetrics,
+    /// The service case's extra report object.
+    service: Option<Value>,
+}
+
+/// Drives the long-running [`GemmService`] with square requests of the
+/// given `sizes` (alternating) from `clients` threads. Returns
+/// per-request latencies in seconds (so the shared `secs_*` statistics
+/// read as latency), the mean effective flops of the completed timed
+/// requests, and the `service` report object: p50/p99 latency, rejection
+/// rate, plan-cache hit rate, and the raw admission counters.
+fn run_service_case(sizes: &[usize], requests: u32, clients: u32, reps: u32) -> Measured {
     use std::sync::Arc;
     let svc = Arc::new(GemmService::<f64>::start(ServiceConfig {
         queue_capacity: 16,
@@ -359,12 +388,10 @@ fn run_service_case(requests: u32, clients: u32, reps: u32) -> (Vec<f64>, Value)
     // Operands are generated once and cloned per request, so the clients
     // measure service latency rather than RNG throughput.
     let inputs: Arc<Vec<(Matrix<f64>, Matrix<f64>)>> = Arc::new(
-        [256usize, 513]
-            .iter()
-            .map(|&n| (random_matrix(n, n, 11), random_matrix(n, n, 13)))
-            .collect(),
+        sizes.iter().map(|&n| (random_matrix(n, n, 11), random_matrix(n, n, 13))).collect(),
     );
     let mut latencies: Vec<f64> = Vec::new();
+    let mut completed_flops = 0.0;
     // Rep 0 is the untimed warmup, matching the other cases' protocol: it
     // fills the plan cache and sizes the dispatcher contexts.
     for rep in 0..=reps {
@@ -375,12 +402,14 @@ fn run_service_case(requests: u32, clients: u32, reps: u32) -> (Vec<f64>, Value)
                 std::thread::spawn(move || {
                     let mut lats = Vec::new();
                     for i in 0..(requests / clients.max(1)).max(1) {
-                        let (a, b) = &inputs[((ci + i) % 2) as usize];
+                        let (a, b) = &inputs[(ci + i) as usize % inputs.len()];
                         let t0 = Instant::now();
                         match svc.submit(GemmRequest::new(a.clone(), b.clone())) {
                             Ok(ticket) => {
                                 ticket.wait().expect("service bench request failed");
-                                lats.push(t0.elapsed().as_secs_f64());
+                                let n = a.rows();
+                                let flops = conventional_flops(n, n, n) as f64;
+                                lats.push((t0.elapsed().as_secs_f64(), flops));
                             }
                             // Overload is measured behaviour (it feeds the
                             // rejection rate), not a bench failure.
@@ -395,7 +424,10 @@ fn run_service_case(requests: u32, clients: u32, reps: u32) -> (Vec<f64>, Value)
         for worker in workers {
             let lats = worker.join().expect("service bench client panicked");
             if rep > 0 {
-                latencies.extend(lats);
+                for (secs, flops) in lats {
+                    latencies.push(secs);
+                    completed_flops += flops;
+                }
             }
         }
     }
@@ -417,7 +449,12 @@ fn run_service_case(requests: u32, clients: u32, reps: u32) -> (Vec<f64>, Value)
         .with("completed", stats.completed)
         .with("rejected_overload", stats.rejected_overload)
         .with("peak_bytes_in_use", stats.peak_bytes_in_use);
-    (latencies, service_json)
+    Measured {
+        flops: completed_flops / latencies.len().max(1) as f64,
+        secs: latencies,
+        metrics: CollectingSink::new().into_metrics(),
+        service: Some(service_json),
+    }
 }
 
 /// Drives one batch case: `items` same-shape `n × n × n` multiplies per
@@ -425,17 +462,15 @@ fn run_service_case(requests: u32, clients: u32, reps: u32) -> (Vec<f64>, Value)
 /// [`modgemm_core::BatchPlan`] DAG (`batched`) or through a per-item
 /// loop over one reused `GemmPlan` (the serial control). Operand/output
 /// windows are strided through contiguous slabs, so both sides move
-/// identical bytes. Per-rep seconds cover the whole batch and both
-/// sides normalize by the same effective flop count, so GFLOP/s is
-/// directly comparable within the pair (though not against single-GEMM
-/// cases — see EXPERIMENTS.md).
+/// identical bytes. Per-rep seconds cover the whole batch, and so do the
+/// flops: `items` multiplies' worth.
 fn run_batch_case(
     cfg: &ModgemmConfig,
     n: usize,
     items: usize,
     reps: u32,
     batched: bool,
-) -> (Vec<f64>, modgemm_core::ExecMetrics) {
+) -> Measured {
     use modgemm_core::{BatchPlan, StridedBatch};
     use modgemm_mat::{MatMut, MatRef};
     let a: Matrix<f64> = random_matrix(n, n * items, 11);
@@ -494,24 +529,26 @@ fn run_batch_case(
         }
         last = sink;
     }
-    (secs, last.into_metrics())
+    let metrics = last.into_metrics();
+    Measured {
+        secs,
+        flops: (metrics.effective_flops() * items as u64) as f64,
+        metrics,
+        service: None,
+    }
 }
 
-/// Runs one case `reps` times; returns per-rep seconds, the metrics
-/// snapshot of the last repetition, and (for service cases only) the
-/// extra `service` report object.
-fn run_case(case: &Case, reps: u32) -> (Vec<f64>, modgemm_core::ExecMetrics, Option<Value>) {
+/// Runs one case `reps` times (after one untimed warmup).
+fn run_case(case: &Case, reps: u32) -> Measured {
     if let Algo::Service { requests, clients } = case.algo {
         // The service case has its own driver: latency samples come from
         // client threads, and the execution metrics (which belong to the
         // dispatcher contexts) are reported via the service object.
-        let (secs, service) = run_service_case(requests, clients, reps);
-        return (secs, CollectingSink::new().into_metrics(), Some(service));
+        return run_service_case(&SERVICE_SIZES, requests, clients, reps);
     }
     if let Algo::Batch { cfg, items } | Algo::BatchSerial { cfg, items } = &case.algo {
         let batched = matches!(case.algo, Algo::Batch { .. });
-        let (secs, metrics) = run_batch_case(cfg, case.n, *items, reps, batched);
-        return (secs, metrics, None);
+        return run_batch_case(cfg, case.n, *items, reps, batched);
     }
     let n = case.n;
     let a: Matrix<f64> = random_matrix(n, n, 11);
@@ -601,7 +638,8 @@ fn run_case(case: &Case, reps: u32) -> (Vec<f64>, modgemm_core::ExecMetrics, Opt
         }
         last = sink;
     }
-    (secs, last.into_metrics(), None)
+    let metrics = last.into_metrics();
+    Measured { secs, flops: metrics.effective_flops() as f64, metrics, service: None }
 }
 
 fn metrics_json(m: &modgemm_core::ExecMetrics) -> Value {
@@ -677,14 +715,13 @@ fn run_suite(
     let mut measured = Vec::new();
     for case in &cases {
         eprint!("  {} (n={}) ... ", case.name, case.n);
-        let (secs, metrics, service) = run_case(case, reps);
-        let flops = metrics.effective_flops() as f64;
+        let Measured { secs, flops, metrics, service } = run_case(case, reps);
         let secs_median = median(&secs);
         let secs_min = secs.iter().cloned().fold(f64::INFINITY, f64::min);
+        let gflops_median = flops / secs_median / 1e9;
         if service.is_some() {
-            eprintln!("{:.1} ms p50 latency", secs_median * 1e3);
+            eprintln!("{:.1} ms p50 latency, {gflops_median:.2} GFLOP/s", secs_median * 1e3);
         } else {
-            let gflops_median = flops / secs_median / 1e9;
             eprintln!("{gflops_median:.2} GFLOP/s");
         }
         measured.push((case, secs_min, secs_median, flops, metrics, service));
@@ -805,175 +842,63 @@ fn run_compare(args: &[String]) -> ExitCode {
     }
 }
 
-/// `gate-fused REPORT [--threshold T]`: asserts the
-/// `fused_vs_staged_512_fused` case's min-time GFLOP/s is no worse than
-/// `fused_vs_staged_512_staged`'s, modulo a run-to-run noise floor.
-/// Within one report both cases ran minutes apart on the same machine,
-/// so a real shortfall means operand fusion costs more than the staged
-/// temporaries it eliminates — exactly what the gate exists to catch.
-fn run_gate_fused(args: &[String]) -> ExitCode {
-    let mut path = None;
-    let mut threshold = 0.05f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => threshold = t,
-                _ => return usage("--threshold needs a number in [0, 1)"),
-            },
-            p if !p.starts_with("--") && path.is_none() => path = Some(p.to_string()),
-            other => return usage(&format!("unknown gate-fused option {other}")),
-        }
-    }
-    let Some(path) = path else {
-        return usage("gate-fused needs a report path");
-    };
-    let report = match load(&path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_runner gate-fused: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let gflops_min_of = |name: &str| -> Result<f64, String> {
-        report
-            .get("cases")
-            .and_then(Value::as_array)
-            .and_then(|cases| {
-                cases.iter().find(|c| c.get("name").and_then(Value::as_str) == Some(name))
-            })
-            .and_then(|c| c.get("gflops_min").and_then(Value::as_f64))
-            .ok_or_else(|| format!("report lacks a `{name}` case with gflops_min"))
-    };
-    let staged = gflops_min_of("fused_vs_staged_512_staged");
-    let fused = gflops_min_of("fused_vs_staged_512_fused");
-    match (staged, fused) {
-        (Ok(staged), Ok(fused)) => {
-            let floor = staged * (1.0 - threshold);
-            println!(
-                "gate-fused: staged {staged:.4} GFLOP/s, fused {fused:.4} GFLOP/s \
-                 (floor {floor:.4}, threshold {threshold})"
-            );
-            if fused >= floor {
-                ExitCode::SUCCESS
-            } else {
-                println!("gate-fused: FUSED REGRESSION — fused min-time GFLOP/s below staged");
-                ExitCode::FAILURE
-            }
-        }
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench_runner gate-fused: {e}");
-            ExitCode::from(2)
-        }
-    }
+/// A baseline-free `gate-*` subcommand: for each `(control, candidate)`
+/// case pair of one report, asserts the candidate's min-time GFLOP/s is
+/// no worse than the control's, modulo a run-to-run noise floor. Both
+/// cases of a pair ran minutes apart on the same machine, so a real
+/// shortfall means the candidate's mechanism costs more than it buys.
+struct Gate {
+    /// Subcommand name.
+    cmd: &'static str,
+    /// `(control, candidate)` case names.
+    pairs: &'static [(&'static str, &'static str)],
+    /// What a failed pair means.
+    failure: &'static str,
 }
 
-/// `gate-batch REPORT [--threshold T]`: asserts, for every `batch_*` /
-/// `batch_*_serial` pair, that the whole-batch DAG's min-time GFLOP/s is
-/// no worse than the per-item loop's, modulo a run-to-run noise floor.
-/// On a one-core runner both cases execute the identical serial loop
-/// (the DAG needs ≥ 2 workers), so the gate passes trivially there; on
-/// multi-core runners a shortfall means whole-batch scheduling costs
-/// more than the conversion/compute overlap it buys — exactly what the
-/// gate exists to catch.
-fn run_gate_batch(args: &[String]) -> ExitCode {
-    let mut path = None;
-    let mut threshold = 0.05f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => threshold = t,
-                _ => return usage("--threshold needs a number in [0, 1)"),
-            },
-            p if !p.starts_with("--") && path.is_none() => path = Some(p.to_string()),
-            other => return usage(&format!("unknown gate-batch option {other}")),
-        }
-    }
-    let Some(path) = path else {
-        return usage("gate-batch needs a report path");
-    };
-    let report = match load(&path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_runner gate-batch: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let gflops_min_of = |name: &str| -> Result<f64, String> {
-        report
-            .get("cases")
-            .and_then(Value::as_array)
-            .and_then(|cases| {
-                cases.iter().find(|c| c.get("name").and_then(Value::as_str) == Some(name))
-            })
-            .and_then(|c| c.get("gflops_min").and_then(Value::as_f64))
-            .ok_or_else(|| format!("report lacks a `{name}` case with gflops_min"))
-    };
-    let mut failed = false;
-    for pair in ["batch_64x64x64_n64", "batch_256_n8"] {
-        let serial_name = format!("{pair}_serial");
-        match (gflops_min_of(&serial_name), gflops_min_of(pair)) {
-            (Ok(serial), Ok(batched)) => {
-                let floor = serial * (1.0 - threshold);
-                println!(
-                    "gate-batch: {pair}: serial {serial:.4} GFLOP/s, batched {batched:.4} \
-                     GFLOP/s (floor {floor:.4}, threshold {threshold})"
-                );
-                if batched < floor {
-                    println!(
-                        "gate-batch: BATCH REGRESSION — {pair} batched min-time GFLOP/s below \
-                         the serial loop"
-                    );
-                    failed = true;
-                }
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("bench_runner gate-batch: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
+const GATES: [Gate; 4] = [
+    // Operand fusion must never cost throughput versus the staged
+    // schedule it replaces.
+    Gate {
+        cmd: "gate-fused",
+        pairs: &[("fused_vs_staged_512_staged", "fused_vs_staged_512_fused")],
+        failure: "fused min-time GFLOP/s below staged",
+    },
+    // Lowering the whole batch into one task DAG must never lose to
+    // looping the per-item plan. On a one-core runner both sides run the
+    // identical serial loop (the DAG needs ≥ 2 workers), so the gate
+    // passes trivially there and bites on multi-core runners.
+    Gate {
+        cmd: "gate-batch",
+        pairs: &[
+            ("batch_64x64x64_n64_serial", "batch_64x64x64_n64"),
+            ("batch_256_n8_serial", "batch_256_n8"),
+        ],
+        failure: "batched min-time GFLOP/s below the serial loop",
+    },
+    // Both cases run under one budget sized to the in-place tier's
+    // full-depth arena: in-place keeps full Strassen depth, pinned
+    // standard must shed recursion levels. The memory-policy ladder's
+    // premise is that a cheaper schedule beats a shallower recursion.
+    Gate {
+        cmd: "gate-schedule",
+        pairs: &[("sched_gate_512_standard", "sched_gate_512_inplace")],
+        failure: "in-place min-time GFLOP/s below the depth-capped standard schedule at the \
+                  same budget",
+    },
+    // The default configuration must never fall back below the paper's
+    // staged Blocked pipeline.
+    Gate {
+        cmd: "gate-default",
+        pairs: &[("modgemm_513_paper", "modgemm_513")],
+        failure: "default-config min-time GFLOP/s below the paper configuration",
+    },
+];
 
-/// `gate-schedule REPORT [--threshold T]`: asserts the
-/// `sched_gate_512_inplace` case's min-time GFLOP/s is no worse than
-/// `sched_gate_512_standard`'s, modulo a run-to-run noise floor. Both
-/// cases ran under the *same* workspace budget (sized to the in-place
-/// tier's full-depth arena): the in-place schedule keeps full Strassen
-/// depth inside it while the pinned standard schedule must shed
-/// recursion levels, so a shortfall means the low-memory tier's extra
-/// operand restores cost more than the recursion depth they preserve —
-/// exactly the trade the memory-policy ladder exists to win.
-fn run_gate_schedule(args: &[String]) -> ExitCode {
-    let mut path = None;
-    let mut threshold = 0.05f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => threshold = t,
-                _ => return usage("--threshold needs a number in [0, 1)"),
-            },
-            p if !p.starts_with("--") && path.is_none() => path = Some(p.to_string()),
-            other => return usage(&format!("unknown gate-schedule option {other}")),
-        }
-    }
-    let Some(path) = path else {
-        return usage("gate-schedule needs a report path");
-    };
-    let report = match load(&path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_runner gate-schedule: {e}");
-            return ExitCode::from(2);
-        }
-    };
+/// Evaluates `gate` on `report`: one line per pair (each side's min-time
+/// GFLOP/s and Strassen levels, and the floor) and whether it passed.
+/// Errors when a named case or its `gflops_min` is missing.
+fn check_gate(gate: &Gate, report: &Value, threshold: f64) -> Result<Vec<(String, bool)>, String> {
     let case_of = |name: &str| -> Result<(f64, f64), String> {
         let c = report
             .get("cases")
@@ -993,26 +918,61 @@ fn run_gate_schedule(args: &[String]) -> ExitCode {
             .unwrap_or(0.0);
         Ok((gflops, levels))
     };
-    match (case_of("sched_gate_512_standard"), case_of("sched_gate_512_inplace")) {
-        (Ok((standard, std_levels)), Ok((inplace, ip_levels))) => {
-            let floor = standard * (1.0 - threshold);
-            println!(
-                "gate-schedule: standard {standard:.4} GFLOP/s at {std_levels} level(s), \
-                 in-place {inplace:.4} GFLOP/s at {ip_levels} level(s) \
-                 (floor {floor:.4}, threshold {threshold})"
+    gate.pairs
+        .iter()
+        .map(|&(control, candidate)| {
+            let (base, base_levels) = case_of(control)?;
+            let (cand, cand_levels) = case_of(candidate)?;
+            let floor = base * (1.0 - threshold);
+            let line = format!(
+                "{control} {base:.4} GFLOP/s at {base_levels} level(s), {candidate} {cand:.4} \
+                 GFLOP/s at {cand_levels} level(s) (floor {floor:.4}, threshold {threshold})"
             );
-            if inplace >= floor {
-                ExitCode::SUCCESS
-            } else {
-                println!(
-                    "gate-schedule: SCHEDULE REGRESSION — in-place min-time GFLOP/s below the \
-                     depth-capped standard schedule at the same budget"
-                );
+            Ok((line, cand >= floor))
+        })
+        .collect()
+}
+
+/// `gate-* REPORT [--threshold T]` (default 5 %): runs [`check_gate`]
+/// and exits 0 when every pair passed, 1 on a shortfall, 2 on a usage,
+/// I/O or missing-case error.
+fn run_gate(gate: &Gate, args: &[String]) -> ExitCode {
+    let cmd = gate.cmd;
+    let mut path = None;
+    let mut threshold = 0.05f64;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--threshold" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
+                Some(t) if (0.0..1.0).contains(&t) => threshold = t,
+                _ => return usage("--threshold needs a number in [0, 1)"),
+            },
+            p if !p.starts_with("--") && path.is_none() => path = Some(p.to_string()),
+            other => return usage(&format!("unknown {cmd} option {other}")),
+        }
+    }
+    let Some(path) = path else {
+        return usage(&format!("{cmd} needs a report path"));
+    };
+    let checked = load(&path).and_then(|report| check_gate(gate, &report, threshold));
+    match checked {
+        Ok(lines) => {
+            let mut failed = false;
+            for (line, ok) in lines {
+                println!("{cmd}: {line}");
+                if !ok {
+                    println!("{cmd}: REGRESSION — {}", gate.failure);
+                    failed = true;
+                }
+            }
+            if failed {
                 ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
             }
         }
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench_runner gate-schedule: {e}");
+        Err(e) => {
+            eprintln!("bench_runner {cmd}: {e}");
             ExitCode::from(2)
         }
     }
@@ -1023,9 +983,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage: bench_runner [--quick] [--out PATH] [--kernel naive|blocked|micro|packed|auto] [--threads N] [--tuning off|profile] [--tunable-only]\n       \
          bench_runner compare OLD NEW [--threshold 0.25] [--metric gflops|score]\n       \
-         bench_runner gate-fused REPORT [--threshold 0.05]\n       \
-         bench_runner gate-batch REPORT [--threshold 0.05]\n       \
-         bench_runner gate-schedule REPORT [--threshold 0.05]"
+         bench_runner gate-fused|gate-batch|gate-schedule|gate-default REPORT [--threshold 0.05]"
     );
     ExitCode::from(2)
 }
@@ -1035,14 +993,8 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("compare") {
         return run_compare(&args[1..]);
     }
-    if args.first().map(String::as_str) == Some("gate-fused") {
-        return run_gate_fused(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("gate-batch") {
-        return run_gate_batch(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("gate-schedule") {
-        return run_gate_schedule(&args[1..]);
+    if let Some(gate) = GATES.iter().find(|g| args.first().map(String::as_str) == Some(g.cmd)) {
+        return run_gate(gate, &args[1..]);
     }
     let mut quick = false;
     let mut out = None;
@@ -1077,4 +1029,58 @@ fn main() -> ExitCode {
         }
     }
     run_suite(quick, out, kernel, threads, tuned, tunable_only)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn batch_cases_count_every_item_flops() {
+        let (n, items) = (16usize, 4usize);
+        let cfg = ModgemmConfig { parallel_depth: 2, ..ModgemmConfig::default() };
+        for batched in [true, false] {
+            let run = run_batch_case(&cfg, n, items, 1, batched);
+            assert_eq!(run.flops, (items as u64 * conventional_flops(n, n, n)) as f64);
+            assert_eq!(run.secs.len(), 1);
+        }
+    }
+
+    #[test]
+    fn service_case_rate_comes_from_completed_requests() {
+        // Two clients, two requests each, alternating sizes: two requests
+        // of each size complete, so the mean is exact.
+        let run = run_service_case(&[16, 24], 4, 2, 1);
+        assert_eq!(run.secs.len(), 4);
+        let mean = (conventional_flops(16, 16, 16) + conventional_flops(24, 24, 24)) as f64 / 2.0;
+        assert_eq!(run.flops, mean);
+        assert!(run.flops / median(&run.secs) > 0.0, "the service case reports a rate");
+        assert!(run.service.is_some());
+    }
+
+    fn report(cases: &[(&str, f64)]) -> Value {
+        let cases: Vec<Value> = cases
+            .iter()
+            .map(|&(name, gflops_min)| {
+                Value::object().with("name", name).with("gflops_min", gflops_min)
+            })
+            .collect();
+        Value::object().with("cases", cases)
+    }
+
+    #[test]
+    fn gate_default_fails_when_the_default_falls_below_paper() {
+        let gate = GATES.iter().find(|g| g.cmd == "gate-default").unwrap();
+        let verdict = |default: f64| {
+            let r = report(&[("modgemm_513", default), ("modgemm_513_paper", 10.0)]);
+            let lines = check_gate(gate, &r, 0.05).unwrap();
+            assert_eq!(lines.len(), 1);
+            lines[0].1
+        };
+        assert!(verdict(20.0), "faster default passes");
+        assert!(verdict(9.6), "inside the 5% noise floor passes");
+        assert!(!verdict(9.0), "a default slower than the paper config fails");
+        let missing = report(&[("modgemm_513", 20.0)]);
+        assert!(check_gate(gate, &missing, 0.05).is_err(), "a missing control is an error");
+    }
 }

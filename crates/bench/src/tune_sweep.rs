@@ -296,9 +296,9 @@ fn time_candidate_batched(
 /// Evaluates one candidate under the deterministic cache-simulator
 /// objective: total misses across the hierarchy for an `n_sim`-sized
 /// run of the candidate's schedule, conversion included. The choice's
-/// schedule knobs are materialized directly into the configuration —
-/// the traced executor plans from the config fields, not through
-/// `GemmPlan`.
+/// schedule knobs are materialized directly into the paper
+/// configuration (the traced executor mirrors only its staged `Blocked`
+/// pipeline and plans from the config fields, not through `GemmPlan`).
 fn simulate_candidate(n_sim: usize, choice: TunedChoice) -> Result<u64, GemmError> {
     let cfg = ModgemmConfig {
         truncation: modgemm_core::Truncation::MinPadding(TileRange {
@@ -306,7 +306,7 @@ fn simulate_candidate(n_sim: usize, choice: TunedChoice) -> Result<u64, GemmErro
             max: choice.tile_max,
         }),
         strassen_min: choice.strassen_min,
-        ..ModgemmConfig::default()
+        ..ModgemmConfig::paper()
     };
     cfg.validate()?;
     if cfg.plan(n_sim, n_sim, n_sim).is_none() {

@@ -1057,7 +1057,7 @@ mod tests {
     fn small_cfg() -> ModgemmConfig {
         ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
-            ..Default::default()
+            ..ModgemmConfig::paper()
         }
     }
 

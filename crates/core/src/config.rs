@@ -62,9 +62,12 @@ pub enum FuseDepth {
     /// Fuse while the packed kernel is eligible for the planned leaf
     /// tile (the combined-pack path is a bandwidth win only when the
     /// panels feed a packing kernel): [`crate::fuse::AUTO_FUSE`] levels,
-    /// the depth that never loses to the staged schedule. Plans that
-    /// resolve to a non-packing kernel stay staged; deeper fusion takes
-    /// `Fixed`, a tuning profile, or memory-budget pressure.
+    /// the depth that never loses to the staged schedule, less any level
+    /// a requested [`ModgemmConfig::parallel_depth`] needs staged for the
+    /// task DAG (decided from the config alone, so the fused levels, and
+    /// the float bits, do not depend on the resolved thread count).
+    /// Plans that resolve to a non-packing kernel stay staged; deeper
+    /// fusion takes `Fixed`, a tuning profile, or memory-budget pressure.
     #[default]
     Auto,
     /// Exactly this many fused levels (clamped to the recursion depth
@@ -174,17 +177,18 @@ pub struct ModgemmConfig {
     /// pipeline always had. Ignored when [`Self::verify`] is `Off`.
     pub verify_retries: u32,
     /// Leaf-multiply kernel selected at plan time (see
-    /// [`modgemm_mat::kernel`]). `Blocked` reproduces the paper;
-    /// `Packed` adds Goto-style panel packing with runtime-dispatched
-    /// SIMD microkernels (panel buffers carved from the plan arena);
-    /// `Auto` picks `Packed` or `Blocked` from the detected CPU features
-    /// and the planned leaf tile, resolved once per plan.
+    /// [`modgemm_mat::kernel`]). `Auto` (default) picks `Packed` or
+    /// `Blocked` from the detected CPU features and the planned leaf
+    /// tile, resolved once per plan; `Packed` adds Goto-style panel
+    /// packing with runtime-dispatched SIMD microkernels (panel buffers
+    /// carved from the plan arena); `Blocked` reproduces the paper (see
+    /// [`Self::paper`]).
     pub leaf_kernel: modgemm_mat::KernelKind,
     /// How many innermost Strassen levels run fused (no S/T arena
     /// temporaries; see [`FuseDepth`] and [`crate::fuse`]). `Auto`
     /// (default) fuses [`crate::fuse::AUTO_FUSE`] level whenever
-    /// the plan resolves to the packed kernel; with the default
-    /// `Blocked` leaf kernel the pipeline therefore stays fully staged,
+    /// the plan resolves to the packed kernel; with a `Blocked` leaf
+    /// kernel (as in [`Self::paper`]) the pipeline stays fully staged,
     /// preserving the paper's layout.
     pub fuse_depth: FuseDepth,
     /// Whether plan compilation consults a measured tuning profile
@@ -226,7 +230,7 @@ impl Default for ModgemmConfig {
             non_finite: NonFinitePolicy::Propagate,
             verify: VerifyMode::Off,
             verify_retries: 1,
-            leaf_kernel: modgemm_mat::KernelKind::Blocked,
+            leaf_kernel: modgemm_mat::KernelKind::Auto,
             fuse_depth: FuseDepth::Auto,
             tuning: crate::tune::TuningMode::Off,
             schedule: SchedulePolicy::Auto,
@@ -236,9 +240,14 @@ impl Default for ModgemmConfig {
 }
 
 impl ModgemmConfig {
-    /// The configuration used for the paper's headline experiments.
+    /// The configuration used for the paper's headline experiments: the
+    /// default with the leaf kernel pinned to `Blocked`, so `FuseDepth::Auto`
+    /// resolves to zero fused levels and every Strassen level runs the
+    /// staged schedule the paper describes. The figure drivers and the
+    /// cache-simulator mirror in `modgemm-cachesim` run it;
+    /// [`Self::default`] is the measured fast path.
     pub fn paper() -> Self {
-        Self::default()
+        Self { leaf_kernel: modgemm_mat::KernelKind::Blocked, ..Self::default() }
     }
 
     /// Checks the configuration for self-contradictions. Every `try_*`
@@ -322,7 +331,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_the_paper_setting() {
+    fn default_keeps_the_paper_tiling_and_serial_execution() {
         let c = ModgemmConfig::default();
         assert_eq!(c.truncation, Truncation::MinPadding(TileRange::PAPER));
         assert_eq!(c.strassen_min, 0);
@@ -361,15 +370,38 @@ mod tests {
         assert!(c.plan(10000, 3, 10000).is_some());
     }
 
+    /// Plan-time `(kernel, fused levels)` of a 512³ `f64` multiply.
+    fn resolved_512(cfg: &ModgemmConfig) -> (modgemm_mat::KernelKind, usize) {
+        let layouts = crate::layouts_of(&cfg.plan(512, 512, 512).unwrap());
+        let policy = crate::gemm::capped_policy::<f64>(layouts, cfg);
+        (policy.kernel, policy.fuse)
+    }
+
     #[test]
-    fn default_policies_preserve_paper_behavior() {
+    fn default_is_the_measured_fast_path() {
         let c = ModgemmConfig::default();
+        assert_eq!(c.leaf_kernel, modgemm_mat::KernelKind::Auto);
+        assert_eq!(c.fuse_depth, FuseDepth::Auto);
+        let (kernel, fused) = resolved_512(&c);
+        if modgemm_mat::simd::has_vector_unit() {
+            assert_eq!(kernel, modgemm_mat::KernelKind::Packed);
+            assert_eq!(fused, crate::fuse::AUTO_FUSE);
+        } else {
+            assert_eq!((kernel, fused), (modgemm_mat::KernelKind::Blocked, 0));
+        }
+    }
+
+    #[test]
+    fn paper_policies_preserve_paper_behavior() {
+        let c = ModgemmConfig::paper();
+        assert_eq!(c, ModgemmConfig { leaf_kernel: c.leaf_kernel, ..ModgemmConfig::default() });
         assert_eq!(c.memory_budget, MemoryBudget::Unlimited);
         assert_eq!(c.non_finite, NonFinitePolicy::Propagate);
         assert_eq!(c.verify, VerifyMode::Off);
         assert_eq!(c.leaf_kernel, modgemm_mat::KernelKind::Blocked);
         assert_eq!(c.fuse_depth, FuseDepth::Auto);
         assert_eq!(c.schedule, SchedulePolicy::Auto);
+        assert_eq!(resolved_512(&c), (modgemm_mat::KernelKind::Blocked, 0));
         assert!(c.validate().is_ok());
         for n in 0..=crate::fuse::MAX_FUSE {
             let c = ModgemmConfig { fuse_depth: FuseDepth::Fixed(n), ..Default::default() };

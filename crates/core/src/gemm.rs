@@ -527,16 +527,20 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     // combined packs and scatter epilogue are its bandwidth win), and
     // only one level — the depth that is a pure win (see
     // [`crate::fuse::AUTO_FUSE`]); Fixed pins the level count on any
-    // kernel. Clamped to the levels the recursion actually takes so
-    // plan facts stay honest.
+    // kernel. Auto leaves staged the levels a requested `parallel_depth`
+    // lowers to the DAG; the rule reads the config, never the resolved
+    // thread count, so float bits match at every `MODGEMM_THREADS`.
+    // Clamped to the levels the recursion actually takes so plan facts
+    // stay honest.
+    let levels = crate::counts::strassen_levels(layouts, base);
     base.fuse = match cfg.fuse_depth {
         crate::config::FuseDepth::Auto if kernel == modgemm_mat::KernelKind::Packed => {
-            crate::fuse::AUTO_FUSE
+            crate::fuse::AUTO_FUSE.min(levels.saturating_sub(cfg.parallel_depth))
         }
         crate::config::FuseDepth::Auto => 0,
         crate::config::FuseDepth::Fixed(n) => n.min(crate::fuse::MAX_FUSE),
     }
-    .min(crate::counts::strassen_levels(layouts, base));
+    .min(levels);
     let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
     let mut policy = budget_capped_policy_with_tier_cap(layouts, base, budget, max_sched);
     // Schedule-and-fuse before par-depth: the serial ladder above only
@@ -1166,10 +1170,36 @@ mod tests {
     }
 
     #[test]
+    fn auto_fuse_leaves_the_requested_dag_levels_staged() {
+        // Packed 48×48 leaves: Auto fuses AUTO_FUSE levels unless the
+        // requested parallel depth needs them staged, whatever the
+        // thread count resolves to.
+        let fused_at = |depth: usize, parallel_depth: usize, threads: usize| {
+            let l = modgemm_morton::MortonLayout::new(48, 48, depth);
+            let cfg = ModgemmConfig {
+                leaf_kernel: modgemm_mat::KernelKind::Packed,
+                parallel_depth,
+                threads,
+                ..ModgemmConfig::default()
+            };
+            capped_policy::<f64>(NodeLayouts::new(l, l, l), &cfg).fuse
+        };
+        for threads in [1, 4] {
+            assert_eq!(fused_at(1, 0, threads), crate::fuse::AUTO_FUSE);
+            assert_eq!(fused_at(1, 1, threads), 0, "the one level feeds the DAG");
+            assert_eq!(fused_at(1, 2, threads), 0);
+            assert_eq!(fused_at(3, 2, threads), crate::fuse::AUTO_FUSE.min(1));
+            assert_eq!(fused_at(2, 2, threads), 0);
+        }
+    }
+
+    #[test]
     fn parallel_config_matches_serial() {
         let n = 200;
         let (a, b, _): (Matrix<f64>, _, _) = random_problem(n, n, n, 120);
-        let serial = ModgemmConfig::default();
+        // Like with like: the serial side requests the same DAG depth on
+        // one worker, so both plans fuse and stage the same levels.
+        let serial = ModgemmConfig { parallel_depth: 2, threads: 1, ..Default::default() };
         let par = ModgemmConfig { parallel_depth: 2, parallel_convert: true, ..Default::default() };
         let mut c1: Matrix<f64> = Matrix::zeros(n, n);
         let mut c2: Matrix<f64> = Matrix::zeros(n, n);

@@ -1674,7 +1674,8 @@ mod tests {
                 assert!(pool.tasks_executed > 0);
             }
 
-            // And the result still matches the serial one-shot path bitwise.
+            // And the result still matches the serial one-shot path of the
+            // same config on one worker bitwise.
             let mut serial: Matrix<f64> = Matrix::zeros(m, n);
             modgemm(
                 1.0,
@@ -1684,7 +1685,7 @@ mod tests {
                 b.view(),
                 0.0,
                 serial.view_mut(),
-                &ModgemmConfig::default(),
+                &ModgemmConfig { threads: 1, ..cfg },
             );
             assert_eq!(c, serial, "threads = {threads}");
         }
@@ -1720,8 +1721,8 @@ mod tests {
             .unwrap();
             (sink.into_metrics(), c)
         };
-        let (serial, c_serial) = run(&ModgemmConfig::default());
         let pooled_cfg = ModgemmConfig { parallel_depth: 2, threads: 4, ..Default::default() };
+        let (serial, c_serial) = run(&ModgemmConfig { threads: 1, ..pooled_cfg });
         let (pooled, c_pooled) = run(&pooled_cfg);
 
         assert_eq!(c_serial, c_pooled, "pooled result must be bitwise serial");

@@ -1022,15 +1022,15 @@ mod tests {
             batch_window: 6,
             schedule: crate::schedule::Schedule::LowMem,
         };
-        // Default config: every knob consults the choice (except kernel,
-        // which only Auto delegates).
+        // Default config: every knob consults the choice, the kernel
+        // included (the default kernel is Auto, which delegates).
         let d = ModgemmConfig::default();
         let eff = choice.apply_to(&d, 256, 256, 256);
         assert_eq!(eff.truncation, Truncation::MinPadding(TileRange { min: 8, max: 32 }));
         assert_eq!(eff.strassen_min, 48);
         assert_eq!(eff.parallel_depth, 2);
         assert_eq!(eff.threads, 4);
-        assert_eq!(eff.leaf_kernel, KernelKind::Blocked, "pinned Blocked default wins");
+        assert_eq!(eff.leaf_kernel, KernelKind::Packed, "the Auto default takes the hint");
         assert_eq!(eff.fuse_depth, FuseDepth::Fixed(1), "Auto fuse_depth consults the profile");
         assert_eq!(eff.batch_window, 6, "auto batch_window consults the profile");
         assert_eq!(
@@ -1046,9 +1046,9 @@ mod tests {
         assert_eq!(eff.schedule, crate::config::SchedulePolicy::Auto);
         assert!(eff.validate().is_ok(), "profile application must never create an invalid config");
 
-        // Auto delegates kernel selection to the choice.
-        let auto = ModgemmConfig { leaf_kernel: KernelKind::Auto, ..Default::default() };
-        assert_eq!(choice.apply_to(&auto, 256, 256, 256).leaf_kernel, KernelKind::Packed);
+        // An explicitly pinned Blocked kernel (the paper's) wins.
+        let paper = ModgemmConfig::paper();
+        assert_eq!(choice.apply_to(&paper, 256, 256, 256).leaf_kernel, KernelKind::Blocked);
 
         // Explicitly pinned knobs win over the profile.
         let pinned = ModgemmConfig {

@@ -58,6 +58,7 @@ fn chaos_soak_every_request_resolves_typed() {
         memory_budget: MemoryBudget::MaxWorkspaceBytes(64 << 20),
         plan_cache_capacity: 16,
         gemm,
+        ..ServiceConfig::default()
     }));
 
     let clients: Vec<_> = (0..CLIENTS)

@@ -87,7 +87,8 @@ impl<S: Scalar> LeafKernel<S> for Naive {
 }
 
 /// The cache-blocked, register-tiled kernel ([`blocked_mul_add`]) — the
-/// default leaf multiply, standing in for the paper's vendor BLAS kernel.
+/// paper configuration's leaf multiply, standing in for the paper's
+/// vendor BLAS kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Blocked;
 
@@ -177,7 +178,8 @@ pub enum KernelKind {
     /// The triple-loop reference kernel ([`Naive`]).
     Naive,
     /// The cache-blocked, register-tiled kernel ([`Blocked`]) — the
-    /// default, matching the paper's setup.
+    /// enum's default (a concrete kind, matching the paper's setup; the
+    /// library's default configuration selects [`KernelKind::Auto`]).
     #[default]
     Blocked,
     /// The unrolled column-major axpy kernel ([`Micro`]).

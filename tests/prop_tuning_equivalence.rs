@@ -80,8 +80,8 @@ proptest! {
             mode_sel, tile_lo, tile_width, strassen_min, kernel_sel, parallel_depth, threads,
             fuse_depth,
         );
-        // Both the delegating posture (Auto, where the profile's kernel
-        // choice lands) and the pinned default (Blocked, where it must
+        // Both the delegating default (Auto, where the profile's kernel
+        // choice lands) and the paper's pinned Blocked (where it must
         // not) are covered.
         let leaf_kernel = if auto_kernel { KernelKind::Auto } else { KernelKind::Blocked };
         let cfg = ModgemmConfig { tuning, leaf_kernel, ..Default::default() };
