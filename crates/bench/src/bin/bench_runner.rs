@@ -52,12 +52,11 @@
 //! in-place schedule at full Strassen depth is no slower than the
 //! depth-capped standard schedule at the same budget.
 //! The `service_mixed_256_513` case drives the [`GemmService`] front-end
-//! with mixed 256/513 traffic from two client threads; its per-request
-//! latencies feed `secs_*`, its GFLOP/s divide the mean effective flops
-//! of the completed requests by that latency, and a `service` object in
-//! the report carries p50/p99 latency, the rejection rate, and the
-//! plan-cache hit rate. Batch cases count the flops of every item in the
-//! timed batch.
+//! with mixed 256/513 traffic from two client threads; its `secs_*` are
+//! per-repetition wall times, its GFLOP/s the throughput of the completed
+//! requests, and a `service` object in the report carries per-request
+//! p50/p99 latency, the rejection rate, and the plan-cache hit rate.
+//! Batch cases count the flops of every item in the timed batch.
 //! `--kernel <naive|blocked|micro|packed|auto>` forces that leaf kernel
 //! into every MODGEMM case and restricts the sweep to it — the quick way
 //! to A/B one kernel. `--threads <n>` likewise forces the pool worker
@@ -139,9 +138,9 @@ enum Algo {
     },
     /// The `GemmService` front-end under mixed-shape traffic
     /// ([`SERVICE_SIZES`]) from concurrent client threads. Reported times
-    /// are per-request latencies (submit → result); GFLOP/s divide the
-    /// completed requests' mean effective flops by them, and the case
-    /// carries a `service` metrics object.
+    /// are per-repetition wall times and GFLOP/s the completed requests'
+    /// throughput; per-request latencies (submit → result) go to the
+    /// case's `service` metrics object.
     Service {
         /// Requests issued per timed repetition (split across clients).
         requests: u32,
@@ -362,7 +361,7 @@ const SERVICE_SIZES: [usize; 2] = [256, 513];
 /// What one case measured.
 struct Measured {
     /// Seconds per timed sample (a call, a batch, a plan execution, or
-    /// a service request's latency).
+    /// one service repetition).
     secs: Vec<f64>,
     /// Effective flops (`2·m·k·n` per multiply) one timed sample covers.
     flops: f64,
@@ -373,11 +372,12 @@ struct Measured {
 }
 
 /// Drives the long-running [`GemmService`] with square requests of the
-/// given `sizes` (alternating) from `clients` threads. Returns
-/// per-request latencies in seconds (so the shared `secs_*` statistics
-/// read as latency), the mean effective flops of the completed timed
-/// requests, and the `service` report object: p50/p99 latency, rejection
-/// rate, plan-cache hit rate, and the raw admission counters.
+/// given `sizes` (alternating) from `clients` threads. Each timed sample
+/// is one repetition's wall time, and its flops are the effective flops
+/// of the requests completed in it, so GFLOP/s is the service's
+/// throughput. The `service` report object carries the per-request
+/// p50/p99 latency, rejection rate, plan-cache hit rate, and the raw
+/// admission counters.
 fn run_service_case(sizes: &[usize], requests: u32, clients: u32, reps: u32) -> Measured {
     use std::sync::Arc;
     let svc = Arc::new(GemmService::<f64>::start(ServiceConfig {
@@ -391,10 +391,12 @@ fn run_service_case(sizes: &[usize], requests: u32, clients: u32, reps: u32) -> 
         sizes.iter().map(|&n| (random_matrix(n, n, 11), random_matrix(n, n, 13))).collect(),
     );
     let mut latencies: Vec<f64> = Vec::new();
+    let mut secs = Vec::with_capacity(reps as usize);
     let mut completed_flops = 0.0;
     // Rep 0 is the untimed warmup, matching the other cases' protocol: it
     // fills the plan cache and sizes the dispatcher contexts.
     for rep in 0..=reps {
+        let t0 = Instant::now();
         let workers: Vec<_> = (0..clients)
             .map(|ci| {
                 let svc = Arc::clone(&svc);
@@ -424,11 +426,14 @@ fn run_service_case(sizes: &[usize], requests: u32, clients: u32, reps: u32) -> 
         for worker in workers {
             let lats = worker.join().expect("service bench client panicked");
             if rep > 0 {
-                for (secs, flops) in lats {
-                    latencies.push(secs);
+                for (lat, flops) in lats {
+                    latencies.push(lat);
                     completed_flops += flops;
                 }
             }
+        }
+        if rep > 0 {
+            secs.push(t0.elapsed().as_secs_f64());
         }
     }
     let stats = svc.stats();
@@ -450,8 +455,8 @@ fn run_service_case(sizes: &[usize], requests: u32, clients: u32, reps: u32) -> 
         .with("rejected_overload", stats.rejected_overload)
         .with("peak_bytes_in_use", stats.peak_bytes_in_use);
     Measured {
-        flops: completed_flops / latencies.len().max(1) as f64,
-        secs: latencies,
+        flops: completed_flops / reps.max(1) as f64,
+        secs,
         metrics: CollectingSink::new().into_metrics(),
         service: Some(service_json),
     }
@@ -719,11 +724,7 @@ fn run_suite(
         let secs_median = median(&secs);
         let secs_min = secs.iter().cloned().fold(f64::INFINITY, f64::min);
         let gflops_median = flops / secs_median / 1e9;
-        if service.is_some() {
-            eprintln!("{:.1} ms p50 latency, {gflops_median:.2} GFLOP/s", secs_median * 1e3);
-        } else {
-            eprintln!("{gflops_median:.2} GFLOP/s");
-        }
+        eprintln!("{gflops_median:.2} GFLOP/s");
         measured.push((case, secs_min, secs_median, flops, metrics, service));
     }
 
@@ -1048,12 +1049,12 @@ mod tests {
 
     #[test]
     fn service_case_rate_comes_from_completed_requests() {
-        // Two clients, two requests each, alternating sizes: two requests
-        // of each size complete, so the mean is exact.
-        let run = run_service_case(&[16, 24], 4, 2, 1);
-        assert_eq!(run.secs.len(), 4);
-        let mean = (conventional_flops(16, 16, 16) + conventional_flops(24, 24, 24)) as f64 / 2.0;
-        assert_eq!(run.flops, mean);
+        // Two clients, two requests each, alternating sizes: every timed
+        // repetition completes two requests of each size.
+        let run = run_service_case(&[16, 24], 4, 2, 2);
+        assert_eq!(run.secs.len(), 2);
+        let per_rep = 2 * (conventional_flops(16, 16, 16) + conventional_flops(24, 24, 24));
+        assert_eq!(run.flops, per_rep as f64);
         assert!(run.flops / median(&run.secs) > 0.0, "the service case reports a rate");
         assert!(run.service.is_some());
     }
