@@ -546,7 +546,7 @@ fn build_dag<S: Scalar>(item: &GemmPlan<S>, batch: usize, window: usize) -> Opti
     let slot_a = layouts.a.len();
     let slot_b = layouts.b.len();
     let slot_c = layouts.c.len();
-    let slot_slab = crate::parallel::parallel_slab_len(layouts, tp.policy, depth);
+    let slot_slab = crate::plan::parallel_slab_len(layouts, tp.policy, depth);
     let tiles_a = slot_a / layouts.a.tile_len();
     let tiles_b = slot_b / layouts.b.tile_len();
     let grid_c = layouts.c.grid();

@@ -94,9 +94,9 @@ pub enum SchedulePolicy {
     /// it. Only [`crate::schedule::Variant::Winograd`] has the low-mem
     /// and in-place linearizations; pinning a non-standard tier with the
     /// Strassen variant is rejected by [`ModgemmConfig::validate`].
-    /// Shared-reference entry points (`modgemm_premorton` and the
-    /// one-shot `try_strassen_mul`) cannot run the input-overwriting
-    /// tier and clamp a pinned `InPlace` to low-mem.
+    /// `modgemm_premorton` borrows its operands shared, cannot run the
+    /// input-overwriting tier, and so clamps a pinned `InPlace` to
+    /// low-mem; every other entry point runs it.
     Fixed(crate::schedule::Schedule),
 }
 

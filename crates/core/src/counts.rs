@@ -19,7 +19,7 @@ pub fn conventional_flops(m: usize, k: usize, n: usize) -> u64 {
 
 /// Flops performed by the Morton Strassen-Winograd executor on padded
 /// dimensions described by `layouts`, truncated per `policy`. Mirrors
-/// [`crate::exec::strassen_mul`] exactly.
+/// the compiled compute stage ([`mod@crate::plan`]) exactly.
 pub fn strassen_flops(layouts: NodeLayouts, policy: ExecPolicy) -> u64 {
     if !layouts.uses_strassen(policy) {
         let (m, k, n) = layouts.dims();
@@ -122,7 +122,7 @@ pub fn packed_bytes(layouts: NodeLayouts, policy: ExecPolicy, elem_bytes: usize)
 
 /// Elements one batch item's in-flight window slot occupies across the
 /// whole-batch DAG executor's arenas: packed A + packed B + Morton C
-/// plus the item's compute slab ([`crate::parallel::parallel_slab_len`]
+/// plus the item's compute slab ([`crate::plan::parallel_slab_len`]
 /// at `item_depth`, which equals the serial [`crate::exec::workspace_len`]
 /// when `item_depth == 0`). The batch arena closed form is then simply
 /// `window · batch_slot_elems` — admitting *w* items' workspaces instead
@@ -131,7 +131,7 @@ pub fn batch_slot_elems(layouts: NodeLayouts, policy: ExecPolicy, item_depth: us
     layouts.a.len()
         + layouts.b.len()
         + layouts.c.len()
-        + crate::parallel::parallel_slab_len(layouts, policy, item_depth)
+        + crate::plan::parallel_slab_len(layouts, policy, item_depth)
 }
 
 /// The [`crate::config::MemoryBudget`]-driven in-flight window: the
@@ -295,7 +295,7 @@ mod tests {
         assert_eq!(slot0, 3 * l.a.len() + serial);
         // A deeper item DAG swaps the serial arena for the parallel slab.
         let slot1 = batch_slot_elems(l, p, 1);
-        assert_eq!(slot1, 3 * l.a.len() + crate::parallel::parallel_slab_len(l, p, 1));
+        assert_eq!(slot1, 3 * l.a.len() + crate::plan::parallel_slab_len(l, p, 1));
         assert!(slot1 > slot0);
 
         // Window capping: unlimited admits the request, a tight budget

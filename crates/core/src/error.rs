@@ -7,15 +7,15 @@
 //! the conventional algorithm (Huang et al., arXiv:1605.01078), and, in
 //! this implementation, worker threads whose panics must not poison the
 //! caller. Every fallible entry point (`try_gemm`, `try_dgemm`,
-//! [`crate::gemm::try_modgemm`], [`crate::exec::try_strassen_mul`], …)
-//! reports through [`GemmError`]; the panicking entry points are thin
+//! [`crate::gemm::try_modgemm`], [`crate::plan::GemmPlan::try_execute`],
+//! …) reports through [`GemmError`]; the panicking entry points are thin
 //! wrappers that unwrap it.
 //!
 //! ```
 //! use modgemm_core::{GemmError, Operand};
 //!
-//! let e = GemmError::WorkspaceTooSmall { needed: 64, got: 10 };
-//! assert!(e.to_string().contains("workspace too small"));
+//! let e = GemmError::SliceTooShort { operand: Operand::B, needed: 100, got: 9 };
+//! assert!(e.to_string().contains("too short"));
 //! let e = GemmError::BadLeadingDim { operand: Operand::A, ld: 9, min: 10 };
 //! assert!(e.to_string().contains("leading dimension"));
 //! ```
@@ -103,14 +103,6 @@ pub enum GemmError {
         /// Required length in elements.
         needed: usize,
         /// Actual slice length.
-        got: usize,
-    },
-    /// The provided Strassen workspace is smaller than
-    /// [`crate::exec::workspace_len`] requires.
-    WorkspaceTooSmall {
-        /// Required length in elements.
-        needed: usize,
-        /// Provided length.
         got: usize,
     },
     /// A Morton operand buffer does not match its layout's length.
@@ -234,9 +226,6 @@ impl fmt::Display for GemmError {
             GemmError::SliceTooShort { operand, needed, got } => {
                 write!(f, "slice for {operand} too short: need {needed} elements, got {got}")
             }
-            GemmError::WorkspaceTooSmall { needed, got } => {
-                write!(f, "workspace too small: need {needed} elements, got {got}")
-            }
             GemmError::BufferLenMismatch { operand, needed, got } => {
                 write!(f, "{operand} buffer length mismatch: layout needs {needed}, got {got}")
             }
@@ -332,12 +321,11 @@ mod tests {
     fn display_messages_carry_the_legacy_substrings() {
         // The panicking wrappers format these errors; keep the substrings
         // older should_panic tests and downstream log-scrapers match on.
-        let cases: [(GemmError, &str); 13] = [
+        let cases: [(GemmError, &str); 12] = [
             (GemmError::InnerDimMismatch { a_cols: 5, b_rows: 6 }, "inner dimensions"),
             (GemmError::OutputDimMismatch { expected: (4, 3), got: (4, 4) }, "C must be 4x3"),
             (GemmError::BadLeadingDim { operand: Operand::A, ld: 9, min: 10 }, "leading dimension"),
             (GemmError::SliceTooShort { operand: Operand::B, needed: 100, got: 9 }, "too short"),
-            (GemmError::WorkspaceTooSmall { needed: 64, got: 10 }, "workspace too small"),
             (
                 GemmError::BufferLenMismatch { operand: Operand::A, needed: 64, got: 63 },
                 "A buffer length mismatch",

@@ -10,10 +10,14 @@
 //!   recursion bottoms out in [`modgemm_mat::blocked`] with `ld == rows` —
 //!   the stable, self-interference-free configuration of Figure 3.
 //!
-//! The recursion interprets the selected variant's schedule
+//! This module holds the execution policy, the node layouts, the
+//! closed-form workspace model with its memory-budget ladder, and the
+//! conventional Morton recursion below the truncation point. The
+//! Strassen recursion itself runs from a compiled [`mod@crate::plan`]: it
+//! interprets the selected variant's schedule
 //! ([`crate::schedule::WINOGRAD_SCHEDULE`] by default); the four C
 //! quadrants serve as product scratch (sound because Morton quadrants
-//! never alias), plus four workspace temporaries per level
+//! never alias), plus up to four workspace temporaries per level
 //! (`TS`, `TT`, `TP`, `TQ`). Workspace is allocated once, sized by
 //! [`workspace_len`], and consumed stack-wise down the recursion.
 
@@ -22,8 +26,6 @@ use modgemm_mat::{KernelKind, LeafKernel, Scalar};
 use modgemm_morton::MortonLayout;
 
 use crate::error::{GemmError, Operand};
-use crate::metrics::{MetricsSink, NoopSink, PlanFacts};
-use crate::plan::{fill_levels, LevelPlan, MAX_LEVELS};
 use crate::schedule::{Schedule, Step, Variant};
 
 /// Controls where the Strassen recursion hands over to the conventional
@@ -178,8 +180,8 @@ pub fn fused_tail_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
     }
 }
 
-/// Workspace (in elements) needed by [`strassen_mul`] for `layouts` under
-/// `policy`: the schedule tier's per-level temporary slots
+/// Workspace (in elements) the serial schedule interpreter needs for
+/// `layouts` under `policy`: the schedule tier's per-level temporary slots
 /// ([`Schedule::level_temp_elems`] — `|TS| + |TT| + |TP| + |TQ|` for the
 /// standard tier, `|TS| + |TT| + |TP|` for low-mem, `|TP|` alone for
 /// in-place), summed down the recursion (children run sequentially, so
@@ -240,10 +242,9 @@ pub fn budget_capped_policy(
 }
 
 /// [`budget_capped_policy`] with the schedule-tier rung clamped to
-/// `max_sched`. Shared-reference entry points (the one-shot
-/// [`try_strassen_mul`] wrapper, `modgemm_premorton`) cannot run the
-/// input-overwriting tier, so they cap the ladder at
-/// [`Schedule::LowMem`].
+/// `max_sched`. `modgemm_premorton` holds its operands behind shared
+/// references and cannot run the input-overwriting tier, so it caps the
+/// ladder at [`Schedule::LowMem`].
 pub fn budget_capped_policy_with_tier_cap(
     layouts: NodeLayouts,
     base: ExecPolicy,
@@ -311,9 +312,10 @@ fn tile_ref<'t, S: Scalar>(buf: &'t [S], l: &MortonLayout) -> MatRef<'t, S> {
     MatRef::from_slice(buf, l.tile_rows, l.tile_cols, l.tile_rows)
 }
 
-/// [`morton_mul_add_with`] on a caller-provided leaf packing workspace —
-/// the allocation-free form the plan interpreter calls with the arena's
-/// tail slot. `ws` must hold at least the kernel's
+/// `C += A·B` by quadrant recursion over Morton buffers with an explicit
+/// leaf kernel, on a caller-provided leaf packing workspace — the form
+/// the plan interpreter calls with the arena's tail slot and its
+/// plan-time [`KernelKind`]. `ws` must hold at least the kernel's
 /// [`modgemm_mat::KernelKind::pack_len`] for the leaf tile shape (zero
 /// for non-packing kernels); its contents are clobbered. The leaves run
 /// sequentially, so one slot is reused by every leaf of the subtree.
@@ -362,48 +364,16 @@ pub fn morton_mul_add_with_ws<S: Scalar>(
     morton_mul_add_with_ws(aq(2), bq(0), c21, ch, kernel, ws); // C21 += A21·B11
 }
 
-/// [`morton_mul_add`] with an explicit leaf kernel — the form the
-/// plan/execute machinery threads its plan-time [`KernelKind`] through.
-/// One-shot form: allocates the leaf packing slot itself when the kernel
-/// needs one (planned execution uses [`morton_mul_add_with_ws`] on the
-/// arena tail instead).
-pub fn morton_mul_add_with<S: Scalar>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    kernel: KernelKind,
-) {
-    let mut pack =
-        vec![
-            S::ZERO;
-            kernel.pack_len(layouts.a.tile_rows, layouts.a.tile_cols, layouts.b.tile_cols)
-        ];
-    morton_mul_add_with_ws(a, b, c, layouts, kernel, &mut pack);
-}
-
 /// `C += A·B` by quadrant recursion over Morton buffers with the default
 /// blocked leaf kernel — the conventional-arithmetic multiply used below
 /// the truncation point.
 pub fn morton_mul_add<S: Scalar>(a: &[S], b: &[S], c: &mut [S], layouts: NodeLayouts) {
-    morton_mul_add_with(a, b, c, layouts, KernelKind::Blocked);
+    // The blocked kernel packs nothing, so it needs no workspace.
+    morton_mul_add_with_ws(a, b, c, layouts, KernelKind::Blocked, &mut []);
 }
 
-/// [`morton_mul`] with an explicit leaf kernel (allocates the leaf
-/// packing slot itself when the kernel needs one).
-pub fn morton_mul_with<S: Scalar>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    kernel: KernelKind,
-) {
-    c.fill(S::ZERO);
-    morton_mul_add_with(a, b, c, layouts, kernel);
-}
-
-/// [`morton_mul_with`] on a caller-provided leaf packing workspace (see
-/// [`morton_mul_add_with_ws`]) — the allocation-free overwrite form.
+/// `C = A·B` (overwrite) on a caller-provided leaf packing workspace (see
+/// [`morton_mul_add_with_ws`]).
 pub fn morton_mul_with_ws<S: Scalar>(
     a: &[S],
     b: &[S],
@@ -418,157 +388,7 @@ pub fn morton_mul_with_ws<S: Scalar>(
 
 /// `C = A·B` (overwrite) by conventional quadrant recursion.
 pub fn morton_mul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], layouts: NodeLayouts) {
-    morton_mul_with(a, b, c, layouts, KernelKind::Blocked);
-}
-
-/// Fallible core of [`strassen_mul`]: `C = A·B` over Morton buffers with
-/// the Strassen-Winograd recursion truncated per `policy`, reporting
-/// malformed buffers as typed errors instead of panicking.
-///
-/// `ws` must have at least [`workspace_len`] elements
-/// ([`GemmError::WorkspaceTooSmall`] otherwise); its contents are
-/// clobbered.
-pub fn try_strassen_mul<S: Scalar>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    ws: &mut [S],
-    policy: ExecPolicy,
-) -> Result<(), GemmError> {
-    try_strassen_mul_with_sink(a, b, c, layouts, ws, policy, &mut NoopSink)
-}
-
-/// [`try_strassen_mul`] reporting execution metrics through `sink`
-/// (see [`crate::metrics`]): plan facts (modeled flops, levels taken),
-/// the workspace reservation, and exclusive per-level wall time. With
-/// [`NoopSink`] the instrumentation compiles out entirely and the
-/// product is bit-identical.
-///
-/// Internally this flattens the per-level schedule into a stack-held
-/// [`LevelPlan`] list and runs the shared [`mod@crate::plan`] interpreter —
-/// the same code path a precompiled [`crate::GemmPlan`] executes.
-pub fn try_strassen_mul_with_sink<S: Scalar, K: MetricsSink>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    ws: &mut [S],
-    policy: ExecPolicy,
-    sink: &mut K,
-) -> Result<(), GemmError> {
-    if policy.sched().overwrites_inputs() {
-        return Err(GemmError::InvalidConfig {
-            reason: "the in-place schedule overwrites its operands; \
-                     use try_strassen_mul_mut (or a planned execution)",
-        });
-    }
-    check_buffers(a.len(), b.len(), c.len(), layouts)?;
-    let needed = workspace_len(layouts, policy);
-    if ws.len() < needed {
-        return Err(GemmError::WorkspaceTooSmall { needed, got: ws.len() });
-    }
-    record_entry_facts::<S, K>(layouts, policy, needed, sink);
-    let mut buf = [LevelPlan::EMPTY; MAX_LEVELS];
-    let count = fill_levels(&mut buf, layouts, policy);
-    let peak = crate::plan::exec_levels(
-        a,
-        b,
-        c,
-        layouts,
-        &buf[..count],
-        0,
-        &mut ws[..needed],
-        policy,
-        sink,
-    );
-    debug_assert_eq!(peak, needed, "measured workspace high-water mark vs closed form");
-    if K::ENABLED {
-        sink.record_workspace_used(peak, peak * core::mem::size_of::<S>());
-    }
-    Ok(())
-}
-
-/// [`try_strassen_mul`] over *mutable* A/B operands — the entry point
-/// that supports every schedule tier, including the input-overwriting
-/// [`Schedule::InPlace`] (whose restores leave `a`/`b` holding their
-/// original values on return: bit-exact on integers, within rounding
-/// error on floats).
-pub fn try_strassen_mul_mut<S: Scalar>(
-    a: &mut [S],
-    b: &mut [S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    ws: &mut [S],
-    policy: ExecPolicy,
-) -> Result<(), GemmError> {
-    try_strassen_mul_mut_with_sink(a, b, c, layouts, ws, policy, &mut NoopSink)
-}
-
-/// [`try_strassen_mul_mut`] reporting execution metrics through `sink`.
-pub fn try_strassen_mul_mut_with_sink<S: Scalar, K: MetricsSink>(
-    a: &mut [S],
-    b: &mut [S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    ws: &mut [S],
-    policy: ExecPolicy,
-    sink: &mut K,
-) -> Result<(), GemmError> {
-    check_buffers(a.len(), b.len(), c.len(), layouts)?;
-    let needed = workspace_len(layouts, policy);
-    if ws.len() < needed {
-        return Err(GemmError::WorkspaceTooSmall { needed, got: ws.len() });
-    }
-    record_entry_facts::<S, K>(layouts, policy, needed, sink);
-    let mut buf = [LevelPlan::EMPTY; MAX_LEVELS];
-    let count = fill_levels(&mut buf, layouts, policy);
-    let peak = crate::plan::exec_levels_mut(
-        a,
-        b,
-        c,
-        layouts,
-        &buf[..count],
-        0,
-        &mut ws[..needed],
-        policy,
-        sink,
-    );
-    debug_assert_eq!(peak, needed, "measured workspace high-water mark vs closed form");
-    if K::ENABLED {
-        sink.record_workspace_used(peak, peak * core::mem::size_of::<S>());
-    }
-    Ok(())
-}
-
-/// Records the plan-level facts every one-shot entry point reports.
-fn record_entry_facts<S: Scalar, K: MetricsSink>(
-    layouts: NodeLayouts,
-    policy: ExecPolicy,
-    needed: usize,
-    sink: &mut K,
-) {
-    if !K::ENABLED {
-        return;
-    }
-    let (m, k, n) = layouts.dims();
-    sink.record_plan(PlanFacts {
-        padded: (m, k, n),
-        depth: layouts.a.depth,
-        strassen_levels: crate::counts::strassen_levels(layouts, policy),
-        fused_levels: fused_levels(layouts, policy),
-        schedule: policy.sched(),
-        flops: crate::counts::strassen_flops(layouts, policy),
-        conventional_flops: crate::counts::conventional_flops(m, k, n),
-    });
-    sink.record_workspace(needed, needed * core::mem::size_of::<S>());
-    let (tm, tk, tn) = (layouts.a.tile_rows, layouts.a.tile_cols, layouts.b.tile_cols);
-    sink.record_kernel(policy.kernel.resolve(tm, tk, tn));
-    sink.record_bytes_packed(crate::counts::packed_bytes(
-        layouts,
-        policy,
-        core::mem::size_of::<S>(),
-    ));
+    morton_mul_with_ws(a, b, c, layouts, KernelKind::Blocked, &mut []);
 }
 
 /// Validates the three Morton buffer lengths against `layouts`.
@@ -590,31 +410,13 @@ pub(crate) fn check_buffers(
     Ok(())
 }
 
-/// `C = A·B` over Morton buffers with the Strassen-Winograd recursion
-/// truncated per `policy`.
-///
-/// `ws` must have at least [`workspace_len`] elements; its contents are
-/// clobbered.
-///
-/// # Panics
-/// On the conditions [`try_strassen_mul`] reports as errors.
-#[track_caller]
-pub fn strassen_mul<S: Scalar>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    ws: &mut [S],
-    policy: ExecPolicy,
-) {
-    if let Err(e) = try_strassen_mul(a, b, c, layouts, ws, policy) {
-        panic!("{e}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ModgemmConfig;
+    use crate::metrics::NoopSink;
+    use crate::plan::{Operands, TiledPlan};
+    use crate::pool::PoolScratch;
     use modgemm_mat::gen::random_matrix;
     use modgemm_mat::naive::naive_product;
     use modgemm_mat::norms::assert_matrix_eq;
@@ -622,7 +424,30 @@ mod tests {
     use modgemm_mat::Matrix;
     use modgemm_morton::convert::{from_morton, to_morton};
 
-    /// Runs strassen_mul on exact-fit Morton layouts and unpacks.
+    /// Compiles `policy` for one worker (the serial interpreter) and runs
+    /// it over the given Morton buffers on a fresh arena.
+    fn run_serial<S: Scalar>(
+        a: &mut [S],
+        b: &mut [S],
+        c: &mut [S],
+        layouts: NodeLayouts,
+        policy: ExecPolicy,
+    ) -> Result<(), GemmError> {
+        let cfg = ModgemmConfig { threads: 1, ..ModgemmConfig::paper() };
+        let tp = TiledPlan::new::<S>(layouts, policy, &cfg);
+        assert!(tp.par.is_none());
+        let mut ws = vec![S::ZERO; tp.ws_len()];
+        // Both operand borrows: only the in-place tier needs exclusive ones.
+        let ops = if policy.sched().overwrites_inputs() {
+            Operands::Exclusive(a, b)
+        } else {
+            Operands::Shared(a, b)
+        };
+        tp.run(ops, c, &mut ws, &mut PoolScratch::default(), None, &mut NoopSink)
+    }
+
+    /// Runs the compiled compute stage on exact-fit Morton layouts and
+    /// unpacks.
     fn run<S: Scalar>(
         a: &Matrix<S>,
         b: &Matrix<S>,
@@ -641,10 +466,8 @@ mod tests {
         let mut cb = vec![S::ZERO; lc.len()];
         to_morton(a.view(), Op::NoTrans, &la, &mut ab);
         to_morton(b.view(), Op::NoTrans, &lb, &mut bb);
-        let mut ws = vec![S::ZERO; workspace_len(layouts, policy)];
-        // The mut entry point supports every schedule tier (including
-        // in-place); shared-ref tiers go through the same interpreter.
-        try_strassen_mul_mut(&mut ab, &mut bb, &mut cb, layouts, &mut ws, policy).unwrap();
+        // Exclusive operands admit every schedule tier, in-place included.
+        run_serial(&mut ab, &mut bb, &mut cb, layouts, policy).unwrap();
         let mut out = Matrix::zeros(a.rows(), b.cols());
         from_morton(&cb, &lc, out.view_mut());
         out
@@ -798,29 +621,9 @@ mod tests {
         to_morton(b.view(), Op::NoTrans, &la, &mut bb);
         let (a0, b0) = (ab.clone(), bb.clone());
         let policy = ExecPolicy { schedule: Schedule::InPlace, ..Default::default() };
-        let mut ws = vec![0i64; workspace_len(layouts, policy)];
-        try_strassen_mul_mut(&mut ab, &mut bb, &mut cb, layouts, &mut ws, policy).unwrap();
+        run_serial(&mut ab, &mut bb, &mut cb, layouts, policy).unwrap();
         assert_eq!(ab, a0, "A not restored");
         assert_eq!(bb, b0, "B not restored");
-    }
-
-    #[test]
-    fn shared_ref_entry_rejects_in_place_schedule() {
-        let l = MortonLayout::new(4, 4, 1);
-        let layouts = NodeLayouts::new(l, l, l);
-        let a = vec![0.0f64; l.len()];
-        let b = vec![0.0f64; l.len()];
-        let mut c = vec![0.0f64; l.len()];
-        let policy = ExecPolicy { schedule: Schedule::InPlace, ..Default::default() };
-        let mut ws = vec![0.0f64; workspace_len(layouts, policy)];
-        assert!(matches!(
-            try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, policy),
-            Err(GemmError::InvalidConfig { .. })
-        ));
-        // The low-mem tier preserves inputs, so the shared entry runs it.
-        let policy = ExecPolicy { schedule: Schedule::LowMem, ..Default::default() };
-        let mut ws = vec![0.0f64; workspace_len(layouts, policy)];
-        assert_eq!(try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, policy), Ok(()));
     }
 
     #[test]
@@ -892,43 +695,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "workspace too small")]
-    fn rejects_undersized_workspace() {
+    fn tiled_run_reports_buffer_mismatch() {
         let l = MortonLayout::new(4, 4, 1);
         let layouts = NodeLayouts::new(l, l, l);
-        let a = vec![0.0f64; l.len()];
-        let b = vec![0.0f64; l.len()];
+        let mut a = vec![0.0f64; l.len()];
+        let mut b = vec![0.0f64; l.len()];
         let mut c = vec![0.0f64; l.len()];
-        let mut ws = vec![0.0f64; 10];
-        strassen_mul(&a, &b, &mut c, layouts, &mut ws, ExecPolicy::default());
-    }
-
-    #[test]
-    fn try_strassen_mul_reports_typed_errors() {
-        let l = MortonLayout::new(4, 4, 1);
-        let layouts = NodeLayouts::new(l, l, l);
-        let a = vec![0.0f64; l.len()];
-        let b = vec![0.0f64; l.len()];
-        let mut c = vec![0.0f64; l.len()];
-        let mut ws = vec![0.0f64; 10];
+        let mut short_a = vec![0.0f64; l.len() - 1];
         assert_eq!(
-            try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, ExecPolicy::default()),
-            Err(GemmError::WorkspaceTooSmall { needed: 64, got: 10 })
-        );
-        let short_a = vec![0.0f64; l.len() - 1];
-        let mut ws = vec![0.0f64; 64];
-        assert_eq!(
-            try_strassen_mul(&short_a, &b, &mut c, layouts, &mut ws, ExecPolicy::default()),
+            run_serial(&mut short_a, &mut b, &mut c, layouts, ExecPolicy::default()),
             Err(GemmError::BufferLenMismatch {
                 operand: Operand::A,
                 needed: l.len(),
                 got: l.len() - 1
             })
         );
-        assert_eq!(
-            try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, ExecPolicy::default()),
-            Ok(())
-        );
+        assert_eq!(run_serial(&mut a, &mut b, &mut c, layouts, ExecPolicy::default()), Ok(()));
     }
 
     #[test]

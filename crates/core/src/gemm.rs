@@ -26,15 +26,10 @@ use modgemm_morton::MortonLayout;
 
 use crate::config::{ModgemmConfig, SchedulePolicy};
 use crate::error::try_grow;
-use crate::exec::{
-    budget_capped_policy_with_tier_cap, strassen_mul, workspace_len, ExecPolicy, NodeLayouts,
-};
+use crate::exec::{budget_capped_policy_with_tier_cap, workspace_len, ExecPolicy, NodeLayouts};
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::parallel::{
-    effective_par_depth, parallel_slab_len, try_strassen_mul_parallel_in_threads,
-};
-use crate::plan::GemmPlan;
-use crate::pool::resolve_threads;
+use crate::plan::{effective_par_depth, parallel_slab_len, GemmPlan, Operands, TiledPlan};
+use crate::pool::{resolve_threads, PoolScratch};
 use crate::schedule::{Schedule, Variant};
 
 pub use crate::error::GemmError;
@@ -247,7 +242,8 @@ pub(crate) fn buffer_needs<S: Scalar>(
         // otherwise — and never less than the serial arena, which the
         // degradation path reuses.
         let serial = workspace_len(layouts, policy);
-        let ws = match effective_par_depth::<S>(layouts, policy, cfg) {
+        let threads = resolve_threads(cfg.threads);
+        let ws = match effective_par_depth::<S>(layouts, policy, cfg, threads) {
             Some(depth) => serial.max(parallel_slab_len(layouts, policy, depth)),
             None => serial,
         };
@@ -349,11 +345,11 @@ impl<S: Scalar> GemmContext<S> {
     }
 
     /// Elements held by the Strassen workspace arena alone — the part of
-    /// [`Self::footprint`] that [`crate::config::MemoryBudget`] caps on
-    /// the serial path (the three Morton conversion buffers are sized by
-    /// the operands and are not subject to the budget; the parallel
-    /// executor's slab pool lives here too and may exceed the budget,
-    /// exactly like the per-node temporaries it replaced).
+    /// [`Self::footprint`] that [`crate::config::MemoryBudget`] caps (the
+    /// three Morton conversion buffers are sized by the operands and are
+    /// not subject to the budget). The task DAG's slab lives here too and
+    /// stays within the budget: a plan steps its DAG depth down until the
+    /// slab fits, and runs serially when no DAG level does.
     pub fn workspace_footprint(&self) -> usize {
         self.ws.capacity()
     }
@@ -497,8 +493,8 @@ pub(crate) fn capped_policy<S: Scalar>(layouts: NodeLayouts, cfg: &ModgemmConfig
 }
 
 /// [`capped_policy`] with the schedule-tier ladder clamped to `cap` —
-/// shared-reference entry points (which cannot hand the executor mutable
-/// operands) pass [`Schedule::LowMem`]; planned execution, which owns
+/// [`modgemm_premorton`], which holds its operands behind shared
+/// references, passes [`Schedule::LowMem`]; planned execution, which owns
 /// its packed Morton buffers, permits every tier.
 pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     layouts: NodeLayouts,
@@ -550,7 +546,7 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     // schedule tier is tried first (it shrinks every leaf subtree's
     // arena share while keeping all the arithmetic), then fusing
     // another innermost level, before
-    // [`crate::parallel::effective_par_depth`] sacrifices a DAG level.
+    // [`crate::plan::effective_par_depth`] sacrifices a DAG level.
     // The climb stops as soon as degrading stops buying DAG depth, so
     // an unconstrained budget never over-degrades.
     if cfg.parallel_depth > 0 && resolve_threads(cfg.threads) >= 2 {
@@ -589,48 +585,19 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     policy
 }
 
-/// Runs the Morton core (`D ← A·B`) with the configured execution policy
-/// (memory budget applied).
-pub(crate) fn run_core<S: Scalar>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    cfg: &ModgemmConfig,
-) {
-    // This entry holds `a`/`b` behind shared references, so the
-    // input-overwriting tier is off the table: the ladder (and a pinned
-    // `SchedulePolicy::Fixed(InPlace)`) clamp at low-mem here.
-    let policy = capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::LowMem);
-    match effective_par_depth::<S>(layouts, policy, cfg) {
-        Some(depth) => {
-            let mut slab = vec![S::ZERO; parallel_slab_len(layouts, policy, depth)];
-            if let Err(e) = try_strassen_mul_parallel_in_threads(
-                a,
-                b,
-                c,
-                layouts,
-                policy,
-                depth,
-                resolve_threads(cfg.threads),
-                &mut slab,
-            ) {
-                panic!("{e}");
-            }
-        }
-        None => {
-            let mut ws = vec![S::ZERO; workspace_len(layouts, policy)];
-            strassen_mul(a, b, c, layouts, &mut ws, policy);
-        }
-    }
-}
-
 /// Figure 8 mode: multiply operands that are *already* in Morton order,
 /// skipping all conversion. Computes `C ← A·B` (α = 1, β = 0).
 ///
+/// Compiles the compute stage for the operands' own layouts under `cfg`
+/// and runs it serially or on the task DAG, like a [`GemmPlan`] would.
+/// `A` and `B` are borrowed shared, so the schedule ladder (and a pinned
+/// `SchedulePolicy::Fixed(Schedule::InPlace)`) stops at
+/// [`Schedule::LowMem`]: this entry never writes its operands.
+///
 /// # Panics
-/// If the layouts are incompatible (depths differ or tile dimensions do
-/// not chain) or logical dimensions do not chain.
+/// On an invalid configuration (as [`modgemm`] does), if the layouts are
+/// incompatible (depths differ or tile dimensions do not chain), if
+/// logical dimensions do not chain, or if a pool worker panics.
 #[track_caller]
 pub fn modgemm_premorton<S: Scalar>(
     a: &MortonMatrix<S>,
@@ -638,10 +605,20 @@ pub fn modgemm_premorton<S: Scalar>(
     c: &mut MortonMatrix<S>,
     cfg: &ModgemmConfig,
 ) {
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
     assert_eq!(a.cols, b.rows, "logical inner dimensions differ");
     assert_eq!((c.rows, c.cols), (a.rows, b.cols), "C logical dims mismatch");
     let layouts = NodeLayouts::new(a.layout, b.layout, c.layout);
-    run_core(&a.buf, &b.buf, &mut c.buf, layouts, cfg);
+    let policy = capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::LowMem);
+    let tp = TiledPlan::new::<S>(layouts, policy, cfg);
+    let mut ws = vec![S::ZERO; tp.ws_len()];
+    let ops = Operands::Shared(&a.buf, &b.buf);
+    let mut scratch = PoolScratch::default();
+    if let Err(e) = tp.run(ops, &mut c.buf, &mut ws, &mut scratch, None, &mut NoopSink) {
+        panic!("{e}");
+    }
 }
 
 #[cfg(test)]
@@ -823,6 +800,44 @@ mod tests {
         modgemm_premorton(&am, &bm, &mut cm, &cfg);
         let got = cm.to_matrix();
         assert_matrix_eq(got.view(), naive_product(&a, &b).view(), n);
+    }
+
+    #[test]
+    #[should_panic(expected = "fuse_depth")]
+    fn premorton_validates_the_config() {
+        let cfg = ModgemmConfig {
+            fuse_depth: crate::config::FuseDepth::Fixed(7),
+            ..ModgemmConfig::paper()
+        };
+        let layouts = layouts_of(&cfg.plan(64, 64, 64).unwrap());
+        let am = MortonMatrix::<f64>::zeros(64, 64, layouts.a);
+        let bm = MortonMatrix::<f64>::zeros(64, 64, layouts.b);
+        let mut cm = MortonMatrix::zeros(64, 64, layouts.c);
+        modgemm_premorton(&am, &bm, &mut cm, &cfg);
+    }
+
+    #[test]
+    fn premorton_clamps_in_place_and_leaves_operands_unchanged() {
+        // Shared operands cap the schedule ladder at low-mem: a pinned
+        // in-place tier runs as low-mem and never writes A or B.
+        let tier =
+            |s| ModgemmConfig { schedule: SchedulePolicy::Fixed(s), ..ModgemmConfig::paper() };
+        let n = 160;
+        let (a, b, _): (Matrix<f64>, _, _) = random_problem(n, n, n, 101);
+        let layouts = layouts_of(&tier(Schedule::InPlace).plan(n, n, n).unwrap());
+        let am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
+        let bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
+        let (a0, b0) = (am.as_slice().to_vec(), bm.as_slice().to_vec());
+        let mut cm = MortonMatrix::zeros(n, n, layouts.c);
+        modgemm_premorton(&am, &bm, &mut cm, &tier(Schedule::InPlace));
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(am.as_slice()), bits(&a0), "A was written");
+        assert_eq!(bits(bm.as_slice()), bits(&b0), "B was written");
+
+        let mut lowmem: Matrix<f64> = Matrix::zeros(n, n);
+        let cfg = tier(Schedule::LowMem);
+        modgemm(1.0, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0.0, lowmem.view_mut(), &cfg);
+        assert_eq!(bits(cm.to_matrix().as_slice()), bits(lowmem.as_slice()));
     }
 
     #[test]

@@ -22,12 +22,16 @@
 //!   breakdown (Figure 7).
 //! * [`gemm::modgemm_premorton`] — operands already in Morton order
 //!   (Figure 8).
-//! * [`exec::strassen_mul`] / [`exec::morton_mul`] — the raw Morton-buffer
-//!   executors.
 //! * [`plan::plan`] / [`plan::execute`] — the plan/execute split: compile
 //!   a [`plan::GemmPlan`] once (truncation search, layout tree, flattened
 //!   schedule, arena offsets), then execute it repeatedly with zero hot-path
 //!   allocations on a warm [`gemm::GemmContext`].
+//! * [`exec::morton_mul`] — the conventional Morton quadrant recursion
+//!   below the truncation point.
+//!
+//! Every entry point reaches the Strassen recursion through one compiled
+//! compute stage in [`mod@plan`]: the serial schedule interpreter or, with
+//! `parallel_depth > 0`, a task DAG on the work-stealing [`pool`].
 //!
 //! The Winograd recursion step itself lives in [`schedule`] *as data*,
 //! shared by this crate's executor, the DGEFMM baseline, and the
@@ -44,7 +48,6 @@ pub mod faults;
 pub mod fuse;
 pub mod gemm;
 pub mod metrics;
-pub mod parallel;
 pub mod plan;
 pub mod pool;
 pub mod rect;
@@ -58,10 +61,7 @@ pub use config::{
     FuseDepth, MemoryBudget, ModgemmConfig, NonFinitePolicy, SchedulePolicy, Truncation, VerifyMode,
 };
 pub use error::{GemmError, Operand};
-pub use exec::{
-    budget_capped_policy, strassen_mul, try_strassen_mul, try_strassen_mul_with_sink,
-    workspace_len, ExecPolicy, NodeLayouts,
-};
+pub use exec::{budget_capped_policy, workspace_len, ExecPolicy, NodeLayouts};
 pub use faults::{FaultSite, FaultSpec};
 pub use gemm::{
     layouts_of, modgemm, modgemm_premorton, modgemm_timed, modgemm_with_ctx, try_modgemm,
@@ -71,12 +71,7 @@ pub use metrics::{
     CacheTotals, CollectingSink, ExecMetrics, MetricsSink, NoopSink, PlanFacts, PoolStats,
     ServiceStats,
 };
-pub use parallel::{
-    parallel_slab_len, strassen_mul_parallel, try_strassen_mul_parallel,
-    try_strassen_mul_parallel_in, try_strassen_mul_parallel_in_threads,
-    try_strassen_mul_parallel_with_sink,
-};
-pub use plan::{execute, plan, GemmPlan, LevelPlan};
+pub use plan::{execute, parallel_slab_len, plan, GemmPlan, LevelPlan};
 pub use pool::{
     resolve_threads, try_resolve_threads, CancelToken, ThreadPool, MODGEMM_THREADS_ENV,
 };
@@ -88,3 +83,7 @@ pub use tune::{
     PROFILE_SCHEMA_VERSION,
 };
 pub use verify::{verify_gemm, verify_product};
+
+/// Pooled-versus-serial equivalence tests of the compute stage.
+#[cfg(test)]
+mod parallel;

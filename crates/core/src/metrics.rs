@@ -16,9 +16,10 @@
 //!   overhead, the conversion/compute breakdown, and — when fed from a
 //!   `modgemm-cachesim` traced run — cache hit/miss totals.
 //!
-//! Entry points accepting a sink: [`crate::exec::try_strassen_mul_with_sink`],
-//! [`crate::parallel::try_strassen_mul_parallel_with_sink`], and
-//! [`crate::gemm::try_modgemm_with_metrics`]. The baselines mirror them in
+//! Entry points accepting a sink: [`crate::gemm::try_modgemm_with_metrics`],
+//! [`crate::plan::GemmPlan::try_execute_with_metrics`] and the batch and
+//! service front ends built on them. Serial and pooled executions of a
+//! plan report the same vocabulary. The baselines mirror them in
 //! `modgemm-baselines::instrumented`.
 
 use std::time::Duration;

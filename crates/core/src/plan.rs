@@ -19,11 +19,12 @@
 //! [`GemmPlan::execute`] then runs the compiled recipe against a
 //! [`GemmContext`]: on a warm context the hot path performs **zero** heap
 //! allocations (asserted via the temp-allocation accounting — see
-//! `ExecMetrics::temp_alloc_bytes`). The legacy one-shot entry points
-//! ([`crate::gemm::try_modgemm_with_metrics`] and friends) are thin
-//! wrappers that build a throwaway plan per call, so both paths execute
-//! the same interpreter (`exec_levels`) and produce bit-identical
-//! results.
+//! `ExecMetrics::temp_alloc_bytes`). The one-shot entry points
+//! ([`crate::gemm::try_modgemm_with_metrics`] and friends) build a
+//! throwaway plan per call, and [`crate::gemm::modgemm_premorton`]
+//! compiles only the compute stage (`TiledPlan`), so every path runs the
+//! same interpreter (`exec_levels_raw`) or task DAG and produces
+//! bit-identical results.
 
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
@@ -45,17 +46,15 @@ use crate::gemm::{
     capped_policy, has_non_finite, layouts_of, scale_in_place, GemmBreakdown, GemmContext,
 };
 use crate::metrics::{MetricsSink, NoopSink, PlanFacts};
-use crate::parallel::{effective_par_depth, parallel_slab_len};
-use crate::pool::{CancelToken, PoolTiles, ThreadPool};
+use crate::pool::{resolve_threads, run_graph, CancelToken, PoolScratch, PoolTiles, ThreadPool};
 use crate::rect;
-use crate::schedule::{ASlot, AddKind, BSlot, Schedule, Step};
+use crate::schedule::{ASlot, AddKind, BSlot, Schedule, Step, Variant};
 use crate::verify::verify_gemm;
 
 /// Upper bound on Strassen levels a plan can hold in stack storage.
 ///
 /// Padded dimensions are `tile << depth`, so `depth < usize::BITS` and 64
-/// levels can never be reached on any address width; the one-shot path
-/// uses this to keep its [`LevelPlan`] list off the heap.
+/// levels can never be reached on any address width.
 pub const MAX_LEVELS: usize = 64;
 
 /// Cap on the Freivalds round count the verified-retry escalation can
@@ -145,68 +144,6 @@ pub(crate) fn fill_levels(
         "flattened level count disagrees with counts::staged_levels"
     );
     count
-}
-
-/// The shared-reference entry to the schedule interpreter, for
-/// non-overwriting tiers (standard / low-mem): the A/B operands are
-/// borrowed shared and are never written. Returns the measured peak
-/// arena occupancy in elements (see [`exec_levels_raw`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_levels<S: Scalar, K: MetricsSink>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    levels: &[LevelPlan],
-    li: usize,
-    arena: &mut [S],
-    policy: ExecPolicy,
-    sink: &mut K,
-) -> usize {
-    debug_assert!(
-        !policy.sched().overwrites_inputs(),
-        "the in-place tier needs mutable operands (exec_levels_mut)"
-    );
-    // SAFETY: a non-overwriting schedule never takes an A/B quadrant as
-    // an addition destination (proved by the schedule-module tests and
-    // re-asserted per step in debug builds), so the interpreter only ever
-    // reads through these pointers — the `*mut` casts are never written.
-    unsafe {
-        exec_levels_raw(
-            a.as_ptr() as *mut S,
-            b.as_ptr() as *mut S,
-            c,
-            layouts,
-            levels,
-            li,
-            arena,
-            policy,
-            sink,
-        )
-    }
-}
-
-/// The mutable-operand entry to the schedule interpreter, required by the
-/// in-place tier (whose schedule overwrites — and restores — the A/B
-/// quadrants) and legal for every tier. Returns the measured peak arena
-/// occupancy in elements.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_levels_mut<S: Scalar, K: MetricsSink>(
-    a: &mut [S],
-    b: &mut [S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    levels: &[LevelPlan],
-    li: usize,
-    arena: &mut [S],
-    policy: ExecPolicy,
-    sink: &mut K,
-) -> usize {
-    let (ap, bp) = (a.as_mut_ptr(), b.as_mut_ptr());
-    // SAFETY: `a`/`b` are exclusive borrows of the full operand buffers,
-    // held across the call; the interpreter partitions them into disjoint
-    // quadrants.
-    unsafe { exec_levels_raw(ap, bp, c, layouts, levels, li, arena, policy, sink) }
 }
 
 /// The schedule interpreter: executes `levels[li..]` over the Morton
@@ -507,7 +444,7 @@ pub(crate) enum TaskKind {
     /// The node's combination suffix (the `U` passes), gated on all
     /// seven product completions.
     Post,
-    /// A serial subtree at the handover depth: `exec_levels` on the
+    /// A serial subtree at the handover depth: `exec_levels_raw` on the
     /// subtree's own slab share.
     Leaf,
     /// Batch DAGs: pack a Morton tile range of one item's A operand into
@@ -755,6 +692,55 @@ impl DagBuilder {
     }
 }
 
+/// Closed-form size (in elements) of the slab the task DAG carves for a
+/// node of `layouts` under `policy` with `par_depth` parallel levels: per
+/// parallel Winograd level, 8 operand temporaries (`S1..S4` of `qa`
+/// elements, `T1..T4` of `qb`) plus 3 product temporaries (`P1`, `P2`,
+/// `P5` of `qc`), then seven child slabs; at the serial handover, one
+/// [`workspace_len`] arena per subtree.
+pub fn parallel_slab_len(layouts: NodeLayouts, policy: ExecPolicy, par_depth: usize) -> usize {
+    if par_depth == 0 || !staged_step(layouts, policy) || policy.variant != Variant::Winograd {
+        return workspace_len(layouts, policy);
+    }
+    let per_node =
+        4 * layouts.a.quadrant_len() + 4 * layouts.b.quadrant_len() + 3 * layouts.c.quadrant_len();
+    per_node + 7 * parallel_slab_len(layouts.child(), policy, par_depth - 1)
+}
+
+/// The parallel DAG depth a plan will actually execute with under `cfg`
+/// on `threads` resolved workers — `None` means "run serially".
+///
+/// This is where the memory budget meets the parallel slab: the serial
+/// recursion depth was already budget-capped by
+/// [`crate::exec::budget_capped_policy`] against [`workspace_len`], but
+/// parallel execution multiplies workspace across concurrent subtrees
+/// ([`parallel_slab_len`]). A tight budget therefore caps the *DAG
+/// depth* (worker parallelism) first, stepping `par_depth` down until
+/// the slab fits, and only falls back to fully-serial execution — never
+/// to a shallower Strassen recursion — when even one parallel level is
+/// too big.
+pub(crate) fn effective_par_depth<S: Scalar>(
+    layouts: NodeLayouts,
+    policy: ExecPolicy,
+    cfg: &ModgemmConfig,
+    threads: usize,
+) -> Option<usize> {
+    if cfg.parallel_depth == 0 || threads < 2 {
+        return None;
+    }
+    if policy.variant != Variant::Winograd || !staged_step(layouts, policy) {
+        return None;
+    }
+    let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
+    // Only the *staged* levels lower to DAG nodes: a fused subtree runs
+    // sequentially inside its Leaf task.
+    let mut depth = cfg.parallel_depth.min(crate::counts::staged_levels(layouts, policy));
+    while depth > 0 && parallel_slab_len(layouts, policy, depth) > budget {
+        depth -= 1;
+    }
+    (depth > 0).then_some(depth)
+}
+
 /// Lowers `depth` parallel Winograd levels of `layouts` under `policy`
 /// into a [`TaskGraph`] whose slab places match [`parallel_slab_len`]'s
 /// carving exactly.
@@ -767,22 +753,34 @@ pub(crate) fn lower_dag(layouts: NodeLayouts, policy: ExecPolicy, depth: usize) 
     graph
 }
 
-/// The parallel half of a [`TiledPlan`]: the effective DAG depth (the
-/// memory budget may cap it below `cfg.parallel_depth` — worker
-/// parallelism degrades before recursion depth does), the compiled task
-/// graph, and the slab it partitions.
+/// The parallel half of a [`TiledPlan`]: the compiled task graph (whose
+/// `slab_len` is [`parallel_slab_len`] at the effective DAG depth — the
+/// memory budget may cap it below `cfg.parallel_depth`, since worker
+/// parallelism degrades before recursion depth does) and the layouts of
+/// its levels.
 #[derive(Clone, Debug)]
 pub(crate) struct ParPlan {
     pub(crate) graph: TaskGraph,
-    /// Slab elements ([`parallel_slab_len`] at the effective depth).
-    pub(crate) slab_len: usize,
     /// Layouts per DAG level, indexed by [`NodeDesc::level`].
     pub(crate) level_layouts: Vec<NodeLayouts>,
 }
 
-/// The tiled (non-split) execution strategy of a [`GemmPlan`]: the fixed
-/// layout tree, budget-capped policy, flattened level list, and the arena
-/// sizes the executors will carve.
+/// The A/B Morton operands of a [`TiledPlan::run`]. The borrow kind
+/// carries the operand-provenance rule: only exclusive borrows may back a
+/// plan whose schedule overwrites (and restores) its inputs.
+pub(crate) enum Operands<'x, S> {
+    /// Shared borrows, for plans whose schedule never writes A or B.
+    Shared(&'x [S], &'x [S]),
+    /// Exclusive borrows, legal for every schedule tier.
+    Exclusive(&'x mut [S], &'x mut [S]),
+}
+
+/// The compiled compute stage of a tiled (non-split) problem: the fixed
+/// layout tree, budget-capped policy, flattened level list, the arena
+/// sizes, and the task DAG when the plan runs on the pool. Every
+/// single-GEMM path from Morton buffers to the interpreter or the DAG
+/// goes through [`TiledPlan::new`] and [`TiledPlan::run`]; whole-batch
+/// DAGs ([`crate::batch`]) are lowered from its fields.
 #[derive(Clone, Debug)]
 pub(crate) struct TiledPlan {
     pub(crate) layouts: NodeLayouts,
@@ -798,6 +796,167 @@ pub(crate) struct TiledPlan {
     /// budget that only admits the serial arena).
     pub(crate) par: Option<ParPlan>,
     pub(crate) facts: PlanFacts,
+}
+
+impl TiledPlan {
+    /// Compiles the compute stage for `layouts` under `policy` (already
+    /// budget-capped and tier-capped by the caller): flattens the staged
+    /// levels, sizes the serial arena, and lowers the task DAG when `cfg`
+    /// asks for one and its budget admits the slab.
+    pub(crate) fn new<S: Scalar>(
+        layouts: NodeLayouts,
+        policy: ExecPolicy,
+        cfg: &ModgemmConfig,
+    ) -> Self {
+        let mut levels = vec![LevelPlan::EMPTY; MAX_LEVELS];
+        let count = fill_levels(&mut levels, layouts, policy);
+        levels.truncate(count);
+        let threads = resolve_threads(cfg.threads);
+        let par = effective_par_depth::<S>(layouts, policy, cfg, threads).map(|depth| {
+            let graph = lower_dag(layouts, policy, depth);
+            let mut level_layouts = Vec::with_capacity(depth + 1);
+            let mut l = layouts;
+            for i in 0..=depth {
+                level_layouts.push(l);
+                if i < depth {
+                    // Never step past the leaf (depth can reach it).
+                    l = l.child();
+                }
+            }
+            ParPlan { graph, level_layouts }
+        });
+        let (pm, pk, pn) = layouts.dims();
+        let facts = PlanFacts {
+            padded: (pm, pk, pn),
+            depth: layouts.a.depth,
+            strassen_levels: crate::counts::strassen_levels(layouts, policy),
+            fused_levels: fused_levels(layouts, policy),
+            schedule: policy.sched(),
+            flops: crate::counts::strassen_flops(layouts, policy),
+            conventional_flops: crate::counts::conventional_flops(pm, pk, pn),
+        };
+        TiledPlan {
+            layouts,
+            policy,
+            levels,
+            arena_len: workspace_len(layouts, policy),
+            threads,
+            par,
+            facts,
+        }
+    }
+
+    /// Workspace elements [`Self::run`] carves: the serial arena, or the
+    /// DAG slab when the plan runs on the pool (never less than the
+    /// serial arena).
+    pub(crate) fn ws_len(&self) -> usize {
+        self.arena_len.max(self.par.as_ref().map_or(0, |p| p.graph.slab_len))
+    }
+
+    /// The compute stage: `C = A·B` over Morton buffers, on the serial
+    /// interpreter or, when the plan compiled a DAG, the work-stealing
+    /// pool. `ws` must hold at least [`Self::ws_len`] elements; its
+    /// contents are clobbered and need not be zeroed.
+    ///
+    /// Reports the plan facts, the workspace reservation and its measured
+    /// occupancy, the kernel, packing traffic and per-level times through
+    /// `sink` (plus the pool counters on the DAG). The serial interpreter
+    /// checks `cancel` once, before computing; the DAG checks it at every
+    /// task dequeue and drains fully before returning. A panicking task
+    /// surfaces as [`GemmError::WorkerPanic`]; on any error `c` holds
+    /// garbage.
+    pub(crate) fn run<S: Scalar, K: MetricsSink>(
+        &self,
+        operands: Operands<'_, S>,
+        c: &mut [S],
+        ws: &mut [S],
+        scratch: &mut PoolScratch,
+        cancel: Option<&CancelToken>,
+        sink: &mut K,
+    ) -> Result<(), GemmError> {
+        let (a, b, a_len, b_len) = match operands {
+            Operands::Shared(a, b) => {
+                // A shared borrow must never be written through.
+                assert!(
+                    !self.policy.sched().overwrites_inputs(),
+                    "the in-place schedule needs exclusive operands"
+                );
+                (a.as_ptr().cast_mut(), b.as_ptr().cast_mut(), a.len(), b.len())
+            }
+            Operands::Exclusive(a, b) => (a.as_mut_ptr(), b.as_mut_ptr(), a.len(), b.len()),
+        };
+        check_buffers(a_len, b_len, c.len(), self.layouts)?;
+        let elem = core::mem::size_of::<S>();
+        if K::ENABLED {
+            let ws_len = self.ws_len();
+            sink.record_plan(self.facts);
+            sink.record_workspace(ws_len, ws_len * elem);
+            // Auto was resolved at plan time; the stored kind is concrete.
+            sink.record_kernel(self.policy.kernel);
+            sink.record_bytes_packed(crate::counts::packed_bytes(self.layouts, self.policy, elem));
+        }
+        // SAFETY (both arms): `a`/`b` span the full operand buffers
+        // (checked above) and stay borrowed, unaliased, for the call. They
+        // carry write-capable provenance whenever the schedule overwrites
+        // its inputs: the `Shared` arm rejected that case.
+        let used = match &self.par {
+            Some(pp) => {
+                // Pooled tasks report the serial interpreter's per-level
+                // time vocabulary (merged per level at the join) plus the
+                // pool counters.
+                let slab = &mut ws[..pp.graph.slab_len];
+                unsafe {
+                    run_graph(
+                        &pp.graph,
+                        &self.levels,
+                        &pp.level_layouts,
+                        self.policy,
+                        self.threads,
+                        a,
+                        b,
+                        c,
+                        slab,
+                        scratch,
+                        cancel,
+                        sink,
+                    )
+                }?;
+                // The DAG partitions its whole slab by construction.
+                pp.graph.slab_len
+            }
+            None => {
+                // The serial interpreter is not interruptible
+                // mid-recursion; its cancellation granularity is the whole
+                // compute.
+                if let Some(token) = cancel {
+                    token.check()?;
+                }
+                let arena = &mut ws[..self.arena_len];
+                let peak = unsafe {
+                    exec_levels_raw(
+                        a,
+                        b,
+                        c,
+                        self.layouts,
+                        &self.levels,
+                        0,
+                        arena,
+                        self.policy,
+                        sink,
+                    )
+                };
+                debug_assert_eq!(
+                    peak, self.arena_len,
+                    "measured peak workspace disagrees with the planned arena"
+                );
+                peak
+            }
+        };
+        if K::ENABLED {
+            sink.record_workspace_used(used, used * elem);
+        }
+        Ok(())
+    }
 }
 
 /// A precompiled MODGEMM execution plan for one `m × k × n` problem
@@ -859,7 +1018,7 @@ impl<S: Scalar> GemmPlan<S> {
         // Resolve workers fallibly up front so a malformed
         // `MODGEMM_THREADS` surfaces as `InvalidConfig` here instead of
         // being silently ignored deep in the executor.
-        let threads = crate::pool::try_resolve_threads(eff.threads)?;
+        crate::pool::try_resolve_threads(eff.threads)?;
         let strategy = if m == 0 || k == 0 || n == 0 {
             // Degenerate problems never reach an executor; the early-outs
             // in `try_execute_with_metrics` handle them.
@@ -867,35 +1026,7 @@ impl<S: Scalar> GemmPlan<S> {
         } else {
             eff.plan(m, k, n).map(|tiling| {
                 let layouts = layouts_of(&tiling);
-                let policy = capped_policy::<S>(layouts, &eff);
-                let mut levels = vec![LevelPlan::EMPTY; MAX_LEVELS];
-                let count = fill_levels(&mut levels, layouts, policy);
-                levels.truncate(count);
-                let arena_len = workspace_len(layouts, policy);
-                let par = effective_par_depth::<S>(layouts, policy, &eff).map(|depth| {
-                    let graph = lower_dag(layouts, policy, depth);
-                    let mut level_layouts = Vec::with_capacity(depth + 1);
-                    let mut l = layouts;
-                    for i in 0..=depth {
-                        level_layouts.push(l);
-                        if i < depth {
-                            // Never step past the leaf (depth can reach it).
-                            l = l.child();
-                        }
-                    }
-                    ParPlan { slab_len: graph.slab_len, graph, level_layouts }
-                });
-                let (pm, pk, pn) = layouts.dims();
-                let facts = PlanFacts {
-                    padded: (pm, pk, pn),
-                    depth: layouts.a.depth,
-                    strassen_levels: crate::counts::strassen_levels(layouts, policy),
-                    fused_levels: fused_levels(layouts, policy),
-                    schedule: policy.sched(),
-                    flops: crate::counts::strassen_flops(layouts, policy),
-                    conventional_flops: crate::counts::conventional_flops(pm, pk, pn),
-                };
-                TiledPlan { layouts, policy, levels, arena_len, threads, par, facts }
+                TiledPlan::new::<S>(layouts, capped_policy::<S>(layouts, &eff), &eff)
             })
         };
         Ok(Self { m, k, n, cfg: *cfg, strategy, profile_hit, _marker: PhantomData })
@@ -931,10 +1062,7 @@ impl<S: Scalar> GemmPlan<S> {
     /// context: the serial arena, or the parallel slab when
     /// `parallel_depth > 0`. Zero for split or degenerate plans.
     pub fn arena_len(&self) -> usize {
-        match &self.strategy {
-            Some(tp) => tp.arena_len.max(tp.par.as_ref().map_or(0, |p| p.slab_len)),
-            None => 0,
-        }
+        self.strategy.as_ref().map_or(0, TiledPlan::ws_len)
     }
 
     /// Effective parallel recursion depth the compiled plan will execute
@@ -1283,7 +1411,6 @@ impl<S: Scalar> GemmPlan<S> {
         sink: &mut K,
     ) -> Result<GemmBreakdown, GemmError> {
         let layouts = tp.layouts;
-        let ws_need = tp.par.as_ref().map_or(tp.arena_len, |p| p.slab_len.max(tp.arena_len));
         // Conversion tiling runs on the same pool as the compute DAG,
         // under the same resolved thread count.
         let pooled_convert = cfg.parallel_convert && tp.threads >= 2;
@@ -1304,62 +1431,9 @@ impl<S: Scalar> GemmPlan<S> {
 
         let t1 = Instant::now();
         let cbuf = try_grow(&mut ctx.c_buf, layouts.c.len())?;
-        let ws = try_grow(&mut ctx.ws, ws_need)?;
-        check_buffers(abuf.len(), bbuf.len(), cbuf.len(), layouts)?;
-        if K::ENABLED {
-            sink.record_plan(tp.facts);
-            sink.record_workspace(ws_need, ws_need * core::mem::size_of::<S>());
-            // Auto was resolved at plan time; the stored kind is concrete.
-            sink.record_kernel(tp.policy.kernel);
-            sink.record_bytes_packed(crate::counts::packed_bytes(
-                layouts,
-                tp.policy,
-                core::mem::size_of::<S>(),
-            ));
-        }
-        if let Some(pp) = &tp.par {
-            // The pooled executor reports the same per-level time
-            // vocabulary as the serial interpreter (each worker books its
-            // tasks' exclusive times, merged per level at the join), plus
-            // the pool counters — no coarser-than-serial caveat. The
-            // mutable-operand entry is required by the in-place tier
-            // (leaf subtrees overwrite and restore their raw quadrants)
-            // and equivalent for the others.
-            crate::pool::run_graph_mut(
-                &pp.graph,
-                &tp.levels,
-                &pp.level_layouts,
-                tp.policy,
-                tp.threads,
-                abuf,
-                bbuf,
-                cbuf,
-                &mut ws[..pp.slab_len],
-                &mut ctx.pool,
-                cancel,
-                sink,
-            )?;
-            if K::ENABLED {
-                // The DAG partitions its whole slab by construction; the
-                // measured occupancy is the slab itself.
-                sink.record_workspace_used(pp.slab_len, pp.slab_len * core::mem::size_of::<S>());
-            }
-        } else {
-            // The serial interpreter is not interruptible mid-recursion;
-            // its cancellation granularity is the whole compute.
-            if let Some(token) = cancel {
-                token.check()?;
-            }
-            let peak =
-                exec_levels_mut(abuf, bbuf, cbuf, layouts, &tp.levels, 0, ws, tp.policy, sink);
-            debug_assert_eq!(
-                peak, tp.arena_len,
-                "measured peak workspace disagrees with the planned arena"
-            );
-            if K::ENABLED {
-                sink.record_workspace_used(peak, peak * core::mem::size_of::<S>());
-            }
-        }
+        let ws = try_grow(&mut ctx.ws, tp.ws_len())?;
+        // The context owns its packed buffers, so every tier may run.
+        tp.run(Operands::Exclusive(abuf, bbuf), cbuf, ws, &mut ctx.pool, cancel, sink)?;
         let compute = t1.elapsed();
 
         if K::ENABLED {
@@ -1768,7 +1842,7 @@ mod tests {
             let l = MortonLayout::new(16, 16, 3); // 128 = 16·2^3
             let layouts = NodeLayouts::new(l, l, l);
             let policy = crate::gemm::capped_policy::<f64>(layouts, &cfg0);
-            crate::parallel::parallel_slab_len(layouts, policy, 1)
+            crate::plan::parallel_slab_len(layouts, policy, 1)
         };
         let cfg1 = ModgemmConfig {
             memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(slab1 * 8),
@@ -1831,11 +1905,11 @@ mod tests {
         assert_eq!(policy0.schedule, Schedule::Standard, "unlimited budget keeps standard");
         let at =
             |schedule: Schedule, fuse: usize| crate::exec::ExecPolicy { schedule, fuse, ..policy0 };
-        let slab2 = |p| crate::parallel::parallel_slab_len(layouts, p, 2);
+        let slab2 = |p| crate::plan::parallel_slab_len(layouts, p, 2);
         let slab2_lm = slab2(at(Schedule::LowMem, 1));
         let slab2_ip = slab2(at(Schedule::InPlace, 1));
         let slab2_f2 = slab2(at(Schedule::Standard, 2));
-        let slab1_std = crate::parallel::parallel_slab_len(layouts, policy0, 1);
+        let slab1_std = crate::plan::parallel_slab_len(layouts, policy0, 1);
         let ws_ip = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 1));
         let ws_ip_f2 = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 2));
         assert!(slab2_lm < slab2(policy0), "low-mem must shrink the DAG slab");

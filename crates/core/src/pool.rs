@@ -751,10 +751,9 @@ impl<S: Scalar> GraphJob<S> {
 
     /// Resolves an operand place to a raw pointer for
     /// [`exec_levels_raw`]. The `*mut` cast is only ever written through
-    /// when the policy runs the in-place schedule — and that tier is
-    /// reachable solely via [`run_graph_mut`], whose operand views carry
-    /// write-capable (`&mut`-derived) provenance. Slab regions always
-    /// have it.
+    /// when the policy runs the in-place schedule — and [`run_graph`]'s
+    /// contract requires write-capable (`&mut`-derived) operand pointers
+    /// for that tier. Slab regions always have it.
     ///
     /// SAFETY: region disjointness per the DAG's edges.
     unsafe fn src_ptr(&self, base: &RawView<S>, p: Place, len: usize) -> *mut S {
@@ -1078,94 +1077,30 @@ impl<S: Scalar> Job for GraphJob<S> {
     }
 }
 
-/// Executes a compiled [`TaskGraph`] on the global pool for `threads`
-/// workers, resetting `scratch` in place (zero allocations on a warm
-/// scratch apart from the job handle itself). Merges the per-worker
+/// Executes a single GEMM's compiled [`TaskGraph`] on the global pool for
+/// `threads` workers, resetting `scratch` in place (zero allocations on a
+/// warm scratch apart from the job handle itself). Merges the per-worker
 /// metric shards into `sink` after the join: per-level wall times
 /// (summed across workers, so parallel and serial runs report the same
 /// vocabulary) and the aggregate [`PoolStats`].
+///
+/// # Safety
+/// `a` and `b` must point to the root Morton operand buffers
+/// (`level_layouts[0].a.len()` / `.b.len()` elements), valid for reads
+/// for the duration of the call, with no other access to them while it
+/// runs. When `policy.sched().overwrites_inputs()` they must also be
+/// valid for writes (`&mut`-derived): the in-place tier's leaf subtrees
+/// scribble on and restore their raw quadrants, and the DAG's SPre/TPre
+/// edges sequence every other reader before them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_graph<S: Scalar, K: MetricsSink>(
+pub(crate) unsafe fn run_graph<S: Scalar, K: MetricsSink>(
     graph: &TaskGraph,
     levels: &[LevelPlan],
     level_layouts: &[NodeLayouts],
     policy: ExecPolicy,
     threads: usize,
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    slab: &mut [S],
-    scratch: &mut PoolScratch,
-    cancel: Option<&CancelToken>,
-    sink: &mut K,
-) -> Result<(), GemmError> {
-    debug_assert!(
-        !policy.sched().overwrites_inputs(),
-        "the in-place schedule needs mutable operands (run_graph_mut)"
-    );
-    run_graph_with_views(
-        graph,
-        levels,
-        level_layouts,
-        policy,
-        threads,
-        RawView::new(a),
-        RawView::new(b),
-        c,
-        slab,
-        scratch,
-        cancel,
-        sink,
-    )
-}
-
-/// As [`run_graph`], for mutable operands: the only entry that may run
-/// the in-place schedule tier, whose leaf subtrees scribble on their raw
-/// A/B quadrants (the DAG's SPre/TPre edges sequence every other reader
-/// before the scribbling child). The operand views are built from `&mut`
-/// so the leaves' writes go through write-capable provenance.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_graph_mut<S: Scalar, K: MetricsSink>(
-    graph: &TaskGraph,
-    levels: &[LevelPlan],
-    level_layouts: &[NodeLayouts],
-    policy: ExecPolicy,
-    threads: usize,
-    a: &mut [S],
-    b: &mut [S],
-    c: &mut [S],
-    slab: &mut [S],
-    scratch: &mut PoolScratch,
-    cancel: Option<&CancelToken>,
-    sink: &mut K,
-) -> Result<(), GemmError> {
-    let av = RawViewMut::new(a);
-    let bv = RawViewMut::new(b);
-    run_graph_with_views(
-        graph,
-        levels,
-        level_layouts,
-        policy,
-        threads,
-        RawView { ptr: av.ptr.cast_const(), len: av.len },
-        RawView { ptr: bv.ptr.cast_const(), len: bv.len },
-        c,
-        slab,
-        scratch,
-        cancel,
-        sink,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_graph_with_views<S: Scalar, K: MetricsSink>(
-    graph: &TaskGraph,
-    levels: &[LevelPlan],
-    level_layouts: &[NodeLayouts],
-    policy: ExecPolicy,
-    threads: usize,
-    a: RawView<S>,
-    b: RawView<S>,
+    a: *mut S,
+    b: *mut S,
     c: &mut [S],
     slab: &mut [S],
     scratch: &mut PoolScratch,
@@ -1175,12 +1110,13 @@ fn run_graph_with_views<S: Scalar, K: MetricsSink>(
     debug_assert!(threads >= 2, "threads < 2 must take the serial path");
     debug_assert!(graph.slab_len <= slab.len(), "slab smaller than the graph's model");
     scratch.reset(graph, threads);
+    let root = level_layouts[0];
     let job: Arc<GraphJob<S>> = Arc::new(GraphJob {
         graph: RawView { ptr: graph, len: 1 },
         levels: RawView::new(levels),
         level_layouts: RawView::new(level_layouts),
-        a,
-        b,
+        a: RawView { ptr: a.cast_const(), len: root.a.len() },
+        b: RawView { ptr: b.cast_const(), len: root.b.len() },
         c: RawViewMut::new(c),
         slab: RawViewMut::new(slab),
         deps: RawView { ptr: scratch.deps.as_ptr(), len: scratch.deps.len() },

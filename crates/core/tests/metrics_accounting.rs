@@ -6,16 +6,15 @@
 //!   and a `CollectingSink` run produce bit-identical products.
 
 use modgemm_core::counts::{conventional_flops, strassen_flops, strassen_levels};
-use modgemm_core::exec::{
-    strassen_mul, try_strassen_mul_with_sink, workspace_len, ExecPolicy, NodeLayouts,
+use modgemm_core::exec::{workspace_len, ExecPolicy, NodeLayouts};
+use modgemm_core::metrics::{CollectingSink, MetricsSink, NoopSink};
+use modgemm_core::{
+    try_modgemm_with_ctx, try_modgemm_with_metrics, GemmContext, GemmPlan, ModgemmConfig,
+    Truncation,
 };
-use modgemm_core::metrics::CollectingSink;
-use modgemm_core::parallel::{try_strassen_mul_parallel, try_strassen_mul_parallel_with_sink};
-use modgemm_core::{try_modgemm_with_ctx, try_modgemm_with_metrics, GemmContext, ModgemmConfig};
 use modgemm_mat::gen::random_matrix;
 use modgemm_mat::view::Op;
 use modgemm_mat::Matrix;
-use modgemm_morton::convert::to_morton;
 use modgemm_morton::MortonLayout;
 
 fn layouts(tile: usize, depth: usize) -> NodeLayouts {
@@ -23,14 +22,42 @@ fn layouts(tile: usize, depth: usize) -> NodeLayouts {
     NodeLayouts::new(l, l, l)
 }
 
-fn morton_operands(layouts: NodeLayouts, seed: u64) -> (Vec<f64>, Vec<f64>) {
-    let a: Matrix<f64> = random_matrix(layouts.a.rows(), layouts.a.cols(), seed);
-    let b: Matrix<f64> = random_matrix(layouts.b.rows(), layouts.b.cols(), seed + 1);
-    let mut ab = vec![0.0; layouts.a.len()];
-    let mut bb = vec![0.0; layouts.b.len()];
-    to_morton(a.view(), Op::NoTrans, &layouts.a, &mut ab);
-    to_morton(b.view(), Op::NoTrans, &layouts.b, &mut bb);
-    (ab, bb)
+/// A plan over exact-fit `tile` leaves of an `n × n × n` problem, with the
+/// paper's staged Blocked pipeline: its policy is exactly
+/// `ExecPolicy { strassen_min, ..Default::default() }`. `threads > 1`
+/// lowers the top Strassen level to the pooled DAG.
+fn tiled_plan(n: usize, tile: usize, strassen_min: usize, threads: usize) -> GemmPlan<f64> {
+    let cfg = ModgemmConfig {
+        truncation: Truncation::Fixed(tile),
+        strassen_min,
+        parallel_depth: 1,
+        threads,
+        ..ModgemmConfig::paper()
+    };
+    GemmPlan::try_new(n, n, n, &cfg).unwrap()
+}
+
+/// `C = A·B` through `plan` on a fresh context, reporting into `sink`.
+fn run<K: MetricsSink>(
+    plan: &GemmPlan<f64>,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    sink: &mut K,
+) -> Matrix<f64> {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    plan.try_execute_with_metrics(
+        1.0,
+        Op::NoTrans,
+        a.view(),
+        Op::NoTrans,
+        b.view(),
+        0.0,
+        c.view_mut(),
+        &mut GemmContext::new(),
+        sink,
+    )
+    .unwrap();
+    c
 }
 
 #[test]
@@ -44,22 +71,34 @@ fn recorded_flops_match_counts_across_policies() {
         ExecPolicy { strassen_min: 32, ..Default::default() }, // two
         ExecPolicy { strassen_min: 1 << 20, ..Default::default() }, // pure conventional
     ];
-    let (ab, bb) = morton_operands(layouts, 1);
+    let a: Matrix<f64> = random_matrix(64, 64, 1);
+    let b: Matrix<f64> = random_matrix(64, 64, 2);
     for policy in policies {
-        let mut cb = vec![0.0; layouts.c.len()];
-        let mut ws = vec![0.0; workspace_len(layouts, policy)];
-        let mut sink = CollectingSink::new();
-        try_strassen_mul_with_sink(&ab, &bb, &mut cb, layouts, &mut ws, policy, &mut sink).unwrap();
-        let m = sink.into_metrics();
-        let (pm, pk, pn) = layouts.dims();
-        assert_eq!(m.flops, strassen_flops(layouts, policy), "policy {policy:?}");
-        assert_eq!(m.conventional_flops, conventional_flops(pm, pk, pn), "policy {policy:?}");
-        assert_eq!(m.strassen_levels, strassen_levels(layouts, policy), "policy {policy:?}");
-        assert_eq!(m.peak_workspace_elems, ws.len(), "policy {policy:?}");
-        // Per-level timing covers exactly the visited levels: one slot
-        // per Strassen level plus the handover level (the leaf tile when
-        // Strassen runs all the way down).
-        assert_eq!(m.level_times.len(), m.strassen_levels + 1, "policy {policy:?}");
+        // The serial interpreter and the pooled DAG (when the policy
+        // stages a level to lower) report the same plan facts.
+        for threads in [1, 3] {
+            let plan = tiled_plan(64, 8, policy.strassen_min, threads);
+            let pooled = plan.parallel_depth() > 0;
+            assert_eq!(pooled, threads > 1 && policy.strassen_min < 64, "policy {policy:?}");
+            let mut sink = CollectingSink::new();
+            run(&plan, &a, &b, &mut sink);
+            let m = sink.into_metrics();
+            let (pm, pk, pn) = layouts.dims();
+            let ctx = format!("policy {policy:?} threads {threads}");
+            assert_eq!(m.padded_volume, (pm * pk * pn) as u128, "{ctx}");
+            assert_eq!(m.flops, strassen_flops(layouts, policy), "{ctx}");
+            assert_eq!(m.conventional_flops, conventional_flops(pm, pk, pn), "{ctx}");
+            assert_eq!(m.strassen_levels, strassen_levels(layouts, policy), "{ctx}");
+            assert_eq!(m.peak_workspace_elems, plan.arena_len(), "{ctx}");
+            if !pooled {
+                assert_eq!(m.peak_workspace_elems, workspace_len(layouts, policy), "{ctx}");
+            }
+            assert_eq!(m.pool.is_some(), pooled, "{ctx}");
+            // Per-level timing covers exactly the visited levels: one slot
+            // per Strassen level plus the handover level (the leaf tile
+            // when Strassen runs all the way down).
+            assert_eq!(m.level_times.len(), m.strassen_levels + 1, "{ctx}");
+        }
     }
     // Sanity on the ordering the closed forms promise: more Strassen
     // levels, fewer flops.
@@ -117,30 +156,21 @@ fn pipeline_metrics_flops_match_counts() {
 
 #[test]
 fn noop_and_collecting_runs_are_bit_identical() {
-    // Executor level.
-    let layouts = layouts(8, 3);
-    let policy = ExecPolicy { strassen_min: 16, ..Default::default() };
-    let (ab, bb) = morton_operands(layouts, 21);
-    let mut c_noop = vec![0.0; layouts.c.len()];
-    let mut ws = vec![0.0; workspace_len(layouts, policy)];
-    strassen_mul(&ab, &bb, &mut c_noop, layouts, &mut ws, policy);
-
-    let mut c_inst = vec![0.0; layouts.c.len()];
-    let mut ws = vec![0.0; workspace_len(layouts, policy)];
-    let mut sink = CollectingSink::new();
-    try_strassen_mul_with_sink(&ab, &bb, &mut c_inst, layouts, &mut ws, policy, &mut sink).unwrap();
-    assert!(sink.metrics.flops > 0);
-    assert_bits_eq(&c_noop, &c_inst);
-
-    // Parallel executor.
-    let mut c_noop = vec![0.0; layouts.c.len()];
-    try_strassen_mul_parallel(&ab, &bb, &mut c_noop, layouts, policy, 1).unwrap();
-    let mut c_inst = vec![0.0; layouts.c.len()];
-    let mut sink = CollectingSink::new();
-    try_strassen_mul_parallel_with_sink(&ab, &bb, &mut c_inst, layouts, policy, 1, &mut sink)
-        .unwrap();
-    assert!(sink.metrics.temp_allocations > 0);
-    assert_bits_eq(&c_noop, &c_inst);
+    // Compiled compute stage on exact-fit tiles, on the serial
+    // interpreter and on the pooled DAG. A fresh context grows its
+    // buffers, which the instrumented run reports.
+    let a: Matrix<f64> = random_matrix(64, 64, 21);
+    let b: Matrix<f64> = random_matrix(64, 64, 22);
+    for threads in [1, 2] {
+        let plan = tiled_plan(64, 8, 16, threads);
+        assert_eq!(plan.parallel_depth() > 0, threads > 1);
+        let c_noop = run(&plan, &a, &b, &mut NoopSink);
+        let mut sink = CollectingSink::new();
+        let c_inst = run(&plan, &a, &b, &mut sink);
+        assert!(sink.metrics.flops > 0);
+        assert!(sink.metrics.temp_allocations > 0);
+        assert_bits_eq(c_noop.as_slice(), c_inst.as_slice());
+    }
 
     // Full pipeline, odd size (padding + conversion in play).
     let n = 97;

@@ -1,5 +1,5 @@
 //! Property tests for the fallible (`try_*`) entry points: malformed
-//! shapes, leading dimensions, slice lengths, workspaces, and non-finite
+//! shapes, leading dimensions, slice lengths, and non-finite
 //! operands must surface as typed [`GemmError`]s — never as panics — and
 //! the degradation policies (memory budget, conventional fallback) must
 //! still produce correct products.
@@ -11,14 +11,14 @@
 
 use modgemm::core::blas::{try_dgemm, try_gemm, try_gemm_batch};
 use modgemm::core::{
-    layouts_of, try_modgemm, try_strassen_mul, ExecPolicy, GemmError, MemoryBudget, ModgemmConfig,
-    NonFinitePolicy, Operand, Truncation, Variant, VerifyMode,
+    try_modgemm, GemmError, MemoryBudget, ModgemmConfig, NonFinitePolicy, Operand, Truncation,
+    VerifyMode,
 };
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::naive::naive_gemm;
 use modgemm::mat::view::required_len;
 use modgemm::mat::{Matrix, Op};
-use modgemm::morton::tiling::{choose_joint_tiling, TileRange};
+use modgemm::morton::tiling::TileRange;
 use proptest::prelude::*;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -161,47 +161,6 @@ proptest! {
                         c_bad.view_mut(), &small_cfg()),
             Err(GemmError::OutputDimMismatch { expected: (m, n), got: (m + skew, n) })
         );
-    }
-
-    /// Raw executor: an undersized workspace (or skewed Morton buffers)
-    /// is a typed error, and a sufficient workspace succeeds.
-    #[test]
-    fn try_strassen_mul_workspace_and_buffer_errors(
-        dim in 1usize..30,
-        shortfall in 1usize..64,
-        seed in 0u64..1000,
-    ) {
-        let plan = choose_joint_tiling(dim, dim, dim, TileRange::new(4, 16))
-            .expect("square problems always admit a joint tiling");
-        let layouts = layouts_of(&plan);
-        let policy =
-            ExecPolicy { strassen_min: 8, variant: Variant::Winograd, ..ExecPolicy::default() };
-        let need = modgemm::core::workspace_len(layouts, policy);
-        let a = fill(layouts.a.len(), seed);
-        let b = fill(layouts.b.len(), seed + 1);
-        let mut c = vec![0.0f64; layouts.c.len()];
-
-        if need > 0 {
-            let mut ws = vec![0.0f64; need.saturating_sub(shortfall)];
-            if ws.len() < need {
-                prop_assert_eq!(
-                    try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, policy),
-                    Err(GemmError::WorkspaceTooSmall { needed: need, got: ws.len() })
-                );
-            }
-        }
-        let mut short_a = a.clone();
-        short_a.pop();
-        let mut ws = vec![0.0f64; need];
-        prop_assert_eq!(
-            try_strassen_mul(&short_a, &b, &mut c, layouts, &mut ws, policy),
-            Err(GemmError::BufferLenMismatch {
-                operand: Operand::A,
-                needed: layouts.a.len(),
-                got: layouts.a.len() - 1,
-            })
-        );
-        prop_assert_eq!(try_strassen_mul(&a, &b, &mut c, layouts, &mut ws, policy), Ok(()));
     }
 
     /// Any memory budget — including zero — degrades recursion depth but

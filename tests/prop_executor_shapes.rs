@@ -1,12 +1,13 @@
-//! Property tests driving the raw Morton executor across arbitrary tile
-//! shapes and recursion depths (the `modgemm` interface only ever uses
-//! planner-chosen shapes; these reach the rest of the space).
+//! Property tests driving the Morton-order compute stage across
+//! arbitrary (rectangular) tile shapes and recursion depths through
+//! `modgemm_premorton`, which runs on the operands' own layouts (the
+//! planned `modgemm` interface only ever uses planner-chosen shapes;
+//! these reach the rest of the space).
 
-use modgemm::core::{strassen_mul, workspace_len, ExecPolicy, NodeLayouts, Variant};
+use modgemm::core::{modgemm_premorton, ModgemmConfig, MortonMatrix, Variant};
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::naive::naive_product;
 use modgemm::mat::{Matrix, Op};
-use modgemm::morton::convert::{from_morton, to_morton};
 use modgemm::morton::MortonLayout;
 use proptest::prelude::*;
 
@@ -17,22 +18,13 @@ fn run_exec(
     tk: usize,
     tn: usize,
     depth: usize,
-    policy: ExecPolicy,
+    cfg: &ModgemmConfig,
 ) -> Matrix<i64> {
-    let la = MortonLayout::new(tm, tk, depth);
-    let lb = MortonLayout::new(tk, tn, depth);
-    let lc = MortonLayout::new(tm, tn, depth);
-    let layouts = NodeLayouts::new(la, lb, lc);
-    let mut ab = vec![0i64; la.len()];
-    let mut bb = vec![0i64; lb.len()];
-    let mut cb = vec![0i64; lc.len()];
-    to_morton(a.view(), Op::NoTrans, &la, &mut ab);
-    to_morton(b.view(), Op::NoTrans, &lb, &mut bb);
-    let mut ws = vec![0i64; workspace_len(layouts, policy)];
-    strassen_mul(&ab, &bb, &mut cb, layouts, &mut ws, policy);
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    from_morton(&cb, &lc, out.view_mut());
-    out
+    let am = MortonMatrix::pack(a.view(), Op::NoTrans, MortonLayout::new(tm, tk, depth));
+    let bm = MortonMatrix::pack(b.view(), Op::NoTrans, MortonLayout::new(tk, tn, depth));
+    let mut cm = MortonMatrix::zeros(a.rows(), b.cols(), MortonLayout::new(tm, tn, depth));
+    modgemm_premorton(&am, &bm, &mut cm, cfg);
+    cm.to_matrix()
 }
 
 proptest! {
@@ -60,12 +52,13 @@ proptest! {
 
         let a: Matrix<i64> = random_matrix(m, k, seed);
         let b: Matrix<i64> = random_matrix(k, n, seed + 1);
-        let policy = ExecPolicy {
+        // The paper configuration: Blocked leaves, fully staged.
+        let cfg = ModgemmConfig {
             strassen_min,
             variant: if winograd { Variant::Winograd } else { Variant::Strassen },
-            ..ExecPolicy::default()
+            ..ModgemmConfig::paper()
         };
-        let got = run_exec(&a, &b, tm, tk, tn, depth, policy);
+        let got = run_exec(&a, &b, tm, tk, tn, depth, &cfg);
         prop_assert_eq!(got, naive_product(&a, &b));
     }
 }

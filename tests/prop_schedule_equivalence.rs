@@ -125,9 +125,9 @@ proptest! {
         }
     }
 
-    /// The one-shot shared-reference pipeline cannot run the
-    /// input-overwriting tier, but standard and low-mem flow through it;
-    /// both must match the planned standard product exactly.
+    /// The one-shot `try_modgemm` pipeline (a throwaway plan per call)
+    /// runs every pinned tier; each must match the standard product
+    /// exactly.
     #[test]
     fn shared_reference_pipeline_runs_the_borrowable_tiers(
         m in 1usize..48,
@@ -151,8 +151,8 @@ proptest! {
                 c.view_mut(), &cfg).unwrap();
             prop_assert_eq!(&c, &c_std, "one-shot tier {:?} must be bitwise standard", sched);
         }
-        // A pinned in-place tier is *clamped* (not refused) on the
-        // shared-reference path: it still computes the exact product.
+        // The plan owns its packed operands, so a pinned in-place tier
+        // runs as pinned and still computes the exact product.
         let cfg = ModgemmConfig { schedule: SchedulePolicy::Fixed(Schedule::InPlace), ..base };
         let mut c: Matrix<i64> = Matrix::zeros(m, n);
         modgemm::core::try_modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
