@@ -102,7 +102,15 @@ fn bench_morton_conventional(c: &mut Criterion) {
     to_morton(b.view(), Op::NoTrans, &l, &mut bb);
     g.bench_function("morton_recursive_512", |bch| {
         bch.iter(|| {
-            modgemm_core::exec::morton_mul(&ab, &bb, &mut cb, layouts);
+            cb.fill(0.0);
+            modgemm_core::exec::morton_mul_add_with_ws(
+                &ab,
+                &bb,
+                &mut cb,
+                layouts,
+                modgemm_mat::KernelKind::Blocked,
+                &mut [],
+            );
             black_box(&cb);
         })
     });
@@ -116,11 +124,7 @@ fn bench_parallel(c: &mut Criterion) {
     let mut cm: Matrix<f64> = Matrix::zeros(n, n);
     g.throughput(Throughput::Elements(2 * (n as u64).pow(3)));
     for depth in [0usize, 1, 2] {
-        let cfg = ModgemmConfig {
-            parallel_depth: depth,
-            parallel_convert: depth > 0,
-            ..ModgemmConfig::paper()
-        };
+        let cfg = ModgemmConfig { parallel_depth: depth, ..ModgemmConfig::paper() };
         g.bench_with_input(BenchmarkId::new("parallel_depth", depth), &depth, |bch, _| {
             bch.iter(|| {
                 modgemm(
@@ -223,7 +227,7 @@ fn bench_schedule_sweep(c: &mut Criterion) {
             schedule: modgemm_core::SchedulePolicy::Fixed(sched),
             ..ModgemmConfig::paper()
         };
-        let plan = modgemm_core::plan::<f64>(n, n, n, &cfg);
+        let plan = modgemm_core::GemmPlan::<f64>::try_new(n, n, n, &cfg).expect("valid config");
         let mut ctx = modgemm_core::GemmContext::new();
         g.bench_function(BenchmarkId::new(sched.name(), n), |bch| {
             bch.iter(|| {

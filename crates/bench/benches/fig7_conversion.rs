@@ -1,12 +1,14 @@
-//! Figure 7: the cost of column-major ⇄ Morton conversion, serial and
-//! parallel, including the transpose-fused pack.
+//! Figure 7: the cost of column-major ⇄ Morton conversion, including the
+//! transpose-fused pack. (Pooled conversion runs as chunk tasks of the
+//! GEMM task DAG; see the `threads_*` and `batch_*` cases of
+//! `bench_runner`.)
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use modgemm_bench::criterion;
 use modgemm_mat::gen::random_matrix;
 use modgemm_mat::{Matrix, Op};
 use modgemm_morton::tiling::{choose_dim_tiling, TileRange};
-use modgemm_morton::{from_morton, par_from_morton, par_to_morton, to_morton, MortonLayout};
+use modgemm_morton::{from_morton, to_morton, MortonLayout};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig7_conversion");
@@ -33,18 +35,6 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("from_morton", n), &n, |bch, _| {
             bch.iter(|| {
                 from_morton(&buf, &layout, out.view_mut());
-                black_box(out.as_slice());
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("par_to_morton", n), &n, |bch, _| {
-            bch.iter(|| {
-                par_to_morton(a.view(), Op::NoTrans, &layout, &mut buf);
-                black_box(&buf);
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("par_from_morton", n), &n, |bch, _| {
-            bch.iter(|| {
-                par_from_morton(&buf, &layout, out.view_mut());
                 black_box(out.as_slice());
             })
         });

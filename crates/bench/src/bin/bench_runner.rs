@@ -221,7 +221,9 @@ fn suite_cases(
     // full-depth workspace. The degradation ladder absorbs the pressure
     // (schedule tier first, then fusion, then parallel/recursion depth),
     // so the four cases chart throughput versus admitted workspace.
-    let std_ws_bytes = modgemm_core::plan::plan::<f64>(1024, 1024, 1024, &base).arena_len()
+    let std_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(1024, 1024, 1024, &base)
+        .expect("valid config")
+        .arena_len()
         * std::mem::size_of::<f64>();
     for (tag, budget) in [
         ("full", modgemm_core::MemoryBudget::Unlimited),
@@ -244,7 +246,9 @@ fn suite_cases(
         schedule: modgemm_core::SchedulePolicy::Fixed(modgemm_core::Schedule::InPlace),
         ..ModgemmConfig::default()
     };
-    let ip_ws_bytes = modgemm_core::plan::plan::<f64>(512, 512, 512, &ip_full_depth).arena_len()
+    let ip_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(512, 512, 512, &ip_full_depth)
+        .expect("valid config")
+        .arena_len()
         * std::mem::size_of::<f64>();
     for sched in [modgemm_core::Schedule::InPlace, modgemm_core::Schedule::Standard] {
         let cfg = ModgemmConfig {
@@ -484,7 +488,7 @@ fn run_batch_case(
     let mut ctx = GemmContext::new();
     let bplan =
         BatchPlan::<f64>::try_new(n, n, n, items, cfg).expect("batch bench plan must compile");
-    let iplan = modgemm_core::plan::plan::<f64>(n, n, n, cfg);
+    let iplan = modgemm_core::GemmPlan::<f64>::try_new(n, n, n, cfg).expect("valid config");
     let one = n * n;
     let desc = StridedBatch {
         alpha: 1.0,
@@ -564,7 +568,9 @@ fn run_case(case: &Case, reps: u32) -> Measured {
     let mut last = CollectingSink::new();
     // PlanReuse cases compile their plan once, outside the timed loop.
     let plan = match &case.algo {
-        Algo::PlanReuse { cfg, .. } => Some(modgemm_core::plan::plan::<f64>(n, n, n, cfg)),
+        Algo::PlanReuse { cfg, .. } => {
+            Some(modgemm_core::GemmPlan::<f64>::try_new(n, n, n, cfg).expect("valid config"))
+        }
         Algo::Modgemm(_) | Algo::Conventional => None,
         Algo::Service { .. } | Algo::Batch { .. } | Algo::BatchSerial { .. } => {
             unreachable!("handled above")

@@ -383,7 +383,7 @@ fn flat_as_tile_mut<'x>(f: &'x mut FlatMut<'_>, l: &MortonLayout) -> ViewMut<'x>
 }
 
 /// Traced `C += A·B` by Morton quadrant recursion (mirrors
-/// `modgemm_core::exec::morton_mul_add`, including the Frens-Wise call
+/// `modgemm_core::exec::morton_mul_add_with_ws`, including the Frens-Wise call
 /// order).
 fn t_morton_mul_add(
     a: &Flat<'_>,

@@ -20,7 +20,10 @@
 //! and the subgraphs share nothing except the *window slots* they cycle
 //! through, so item `i+1`'s conversion chunks fill worker deques while
 //! item `i` is still multiplying — conversion/compute overlap falls out
-//! of ordinary work stealing instead of a bespoke pipeline.
+//! of ordinary work stealing instead of a bespoke pipeline. This is the
+//! only task-DAG lowering: a pooled single [`GemmPlan`] holds the DAG of
+//! a batch of one (window 1), so its conversion and unpack chunks run on
+//! the pool alongside its compute tasks.
 //!
 //! Memory is admitted by an in-flight **window** `w`, not by the batch
 //! size: the arenas hold `w` slots of `(A, B, C, slab)` (closed form in
@@ -41,8 +44,10 @@ use crate::error::{try_grow, GemmError, Operand};
 use crate::exec::{ExecPolicy, NodeLayouts};
 use crate::gemm::GemmContext;
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::plan::{BatchChunk, DagBuilder, GemmPlan, LevelPlan, Place, TaskGraph, TaskKind};
-use crate::pool::{run_batch_graph, BatchGeom, BatchInput, CancelToken, ItemIo};
+use crate::plan::{
+    BatchChunk, DagBuilder, GemmPlan, LevelPlan, Place, TaskGraph, TaskKind, TiledPlan,
+};
+use crate::pool::{run_graph, BatchGeom, BatchInput, CancelToken, ItemIo};
 
 /// Target elements per conversion/epilogue chunk task. Small enough that
 /// converts interleave with compute on worker deques, large enough that a
@@ -84,21 +89,126 @@ pub struct StridedBatch<'x, S> {
     pub stride_c: usize,
 }
 
-/// The batch DAG and its window geometry — only built when the plan is
-/// tiled, the pool has ≥ 2 workers, and the batch has ≥ 2 items (anything
-/// else gains nothing from overlap and takes the serial per-item loop).
+/// A compiled task DAG over `items` same-shape GEMMs and its window
+/// geometry — only built for a tiled plan on ≥ 2 workers. [`BatchPlan`]
+/// builds one for ≥ 2 items (fewer gain nothing from overlap and take the
+/// serial per-item loop); a pooled [`GemmPlan`] builds one for a single
+/// item with window 1.
 #[derive(Clone, Debug)]
-struct BatchDag {
+pub(crate) struct BatchDag {
     graph: TaskGraph,
     levels: Vec<LevelPlan>,
     level_layouts: Vec<NodeLayouts>,
     policy: ExecPolicy,
     threads: usize,
+    items: usize,
+    window: usize,
     /// Per-window-slot arena spans, in elements.
     slot_a: usize,
     slot_b: usize,
     slot_c: usize,
     slot_slab: usize,
+}
+
+impl BatchDag {
+    /// Tasks in the DAG.
+    pub(crate) fn tasks(&self) -> usize {
+        self.graph.tasks.len()
+    }
+
+    /// Workspace elements the DAG carves from the context: `window`
+    /// slot slabs.
+    pub(crate) fn slab_len(&self) -> usize {
+        self.window * self.slot_slab
+    }
+
+    /// Runs the DAG on the pool: grows the context's packed arenas and
+    /// slab to `window` slots, converts, multiplies and unpacks every
+    /// item of `input` (`dims` is the logical `m × k × n`), and reports
+    /// the executor's facts through `sink` — the per-item plan facts,
+    /// workspace reservation and use, kernel, packing traffic, per-level
+    /// times and pool counters, context growth, and the batch's items,
+    /// window and conversion/compute overlap. The caller records the
+    /// problem, tuning and plan-execution events.
+    ///
+    /// # Safety
+    ///
+    /// Every item of `input` must address operands of `dims` (under
+    /// `op_a`/`op_b`) with valid leading dimensions, live for the whole
+    /// call, with all `c` windows mutually disjoint and disjoint from
+    /// every `a`/`b`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn run<S: Scalar, K: MetricsSink>(
+        &self,
+        tp: &TiledPlan,
+        (m, k, n): (usize, usize, usize),
+        op_a: Op,
+        op_b: Op,
+        alpha: S,
+        beta: S,
+        input: BatchInput<'_, S>,
+        ctx: &mut GemmContext<S>,
+        cancel: Option<&CancelToken>,
+        sink: &mut K,
+    ) -> Result<(), GemmError> {
+        let w = self.window;
+        let slab = self.slab_len();
+        let elem = size_of::<S>();
+        if K::ENABLED {
+            // One plan-facts record per item: aggregate flop/padding
+            // accounting scales with the work actually done.
+            for _ in 0..self.items {
+                sink.record_plan(tp.facts);
+            }
+            sink.record_workspace(slab, slab * elem);
+            sink.record_kernel(self.policy.kernel);
+            sink.record_bytes_packed(
+                crate::counts::packed_bytes(tp.layouts, self.policy, elem) * self.items as u64,
+            );
+        }
+        let old_lens = ctx.lens();
+        let a_arena = try_grow(&mut ctx.a_buf, w * self.slot_a)?;
+        let b_arena = try_grow(&mut ctx.b_buf, w * self.slot_b)?;
+        let c_arena = try_grow(&mut ctx.c_buf, w * self.slot_c)?;
+        let ws = try_grow(&mut ctx.ws, slab)?;
+        let geom = BatchGeom {
+            m,
+            k,
+            n,
+            op_a,
+            op_b,
+            slot_a: self.slot_a,
+            slot_b: self.slot_b,
+            slot_c: self.slot_c,
+        };
+        let (convert_nanos, overlap_nanos) = run_graph(
+            &self.graph,
+            &self.levels,
+            &self.level_layouts,
+            self.policy,
+            self.threads,
+            input,
+            geom,
+            alpha,
+            beta,
+            a_arena,
+            b_arena,
+            c_arena,
+            ws,
+            &mut ctx.pool,
+            cancel,
+            sink,
+        )?;
+        if K::ENABLED {
+            ctx.record_growth(old_lens, sink);
+            // The DAG partitions its whole slab by construction.
+            sink.record_workspace_used(slab, slab * elem);
+            let fraction =
+                if convert_nanos == 0 { 0.0 } else { overlap_nanos as f64 / convert_nanos as f64 };
+            sink.record_batch(self.items, w, fraction);
+        }
+        Ok(())
+    }
 }
 
 /// A precompiled whole-batch execution plan for `batch` GEMMs of one
@@ -132,7 +242,6 @@ struct BatchDag {
 pub struct BatchPlan<S> {
     item: GemmPlan<S>,
     batch: usize,
-    window: usize,
     dag: Option<BatchDag>,
 }
 
@@ -158,9 +267,11 @@ impl<S: Scalar> BatchPlan<S> {
         // profile may pin `batch_window` per shape — while the plan
         // itself stores the caller's config, same split as `GemmPlan`.
         let (eff, _) = crate::tune::effective_config(item.config(), m, k, n)?;
-        let window = resolve_window::<S>(&eff, &item, batch);
-        let dag = build_dag(&item, batch, window);
-        Ok(BatchPlan { item, batch, window, dag })
+        let dag = item
+            .tiled()
+            .filter(|_| batch >= 2)
+            .and_then(|tp| build_dag(tp, batch, resolve_window::<S>(&eff, tp, batch)));
+        Ok(BatchPlan { item, batch, dag })
     }
 
     /// The per-item plan the batch was compiled around.
@@ -176,17 +287,13 @@ impl<S: Scalar> BatchPlan<S> {
     /// The in-flight window: how many items' workspaces are admitted
     /// concurrently. 1 when the DAG path is unavailable.
     pub fn window(&self) -> usize {
-        if self.dag.is_some() {
-            self.window
-        } else {
-            1
-        }
+        self.dag.as_ref().map_or(1, |d| d.window)
     }
 
     /// Tasks in the whole-batch DAG (0 when execution falls back to the
     /// serial per-item loop). Drives cancellation sweep tests.
     pub fn parallel_tasks(&self) -> usize {
-        self.dag.as_ref().map_or(0, |d| d.graph.tasks.len())
+        self.dag.as_ref().map_or(0, BatchDag::tasks)
     }
 
     /// Executes the batch: `C_i ← α·op(A_i)·op(B_i) + β·C_i` for every
@@ -336,7 +443,10 @@ impl<S: Scalar> BatchPlan<S> {
             ldc: d.ldc,
             stride_c: d.stride_c,
         };
-        self.run_dag(input, d.op_a, d.op_b, d.alpha, d.beta, ctx, cancel, sink)
+        // SAFETY: `try_execute_impl` validated every item's window inside
+        // the borrowed slices, and `c`'s windows are disjoint; an
+        // exclusive `c` aliases neither `a` nor `b`.
+        unsafe { self.run_dag(input, d.op_a, d.op_b, d.alpha, d.beta, ctx, cancel, sink) }
     }
 
     /// Executes the batch DAG over an explicit per-item pointer table —
@@ -376,11 +486,18 @@ impl<S: Scalar> BatchPlan<S> {
         if let Some(token) = cancel {
             token.check()?;
         }
-        self.run_dag(BatchInput::Items(items), op_a, op_b, alpha, beta, ctx, cancel, sink)
+        // SAFETY: the caller's contract is `run_dag`'s.
+        unsafe {
+            self.run_dag(BatchInput::Items(items), op_a, op_b, alpha, beta, ctx, cancel, sink)
+        }
     }
 
+    /// Records the per-batch events and runs the DAG.
+    ///
+    /// # Safety
+    /// As [`BatchDag::run`].
     #[allow(clippy::too_many_arguments)]
-    fn run_dag<K: MetricsSink>(
+    unsafe fn run_dag<K: MetricsSink>(
         &self,
         input: BatchInput<'_, S>,
         op_a: Op,
@@ -392,78 +509,15 @@ impl<S: Scalar> BatchPlan<S> {
         sink: &mut K,
     ) -> Result<(), GemmError> {
         let dag = self.dag.as_ref().expect("run_dag requires a compiled batch DAG");
+        let tp = self.item.tiled().expect("a batch DAG implies a tiled plan");
         let (m, k, n) = self.item.dims();
-        let w = self.window;
-        let slab_need = w * dag.slot_slab;
-        let old_lens = [ctx.a_buf.len(), ctx.b_buf.len(), ctx.c_buf.len(), ctx.ws.len()];
         if K::ENABLED {
-            let tp = self.item.tiled().expect("a batch DAG implies a tiled plan");
             sink.record_problem(m, k, n);
             sink.record_tuning(self.item.profile_hit());
-            // One planned-execution record per batch, one plan-facts
-            // record per item: aggregate flop/padding accounting scales
-            // with the work actually done.
-            sink.record_plan_execution((slab_need * size_of::<S>()) as u64);
-            for _ in 0..self.batch {
-                sink.record_plan(tp.facts);
-            }
-            sink.record_workspace(slab_need, slab_need * size_of::<S>());
-            sink.record_kernel(dag.policy.kernel);
-            sink.record_bytes_packed(
-                crate::counts::packed_bytes(tp.layouts, dag.policy, size_of::<S>())
-                    * self.batch as u64,
-            );
+            // One planned-execution record per batch.
+            sink.record_plan_execution((dag.slab_len() * size_of::<S>()) as u64);
         }
-        let a_arena = try_grow(&mut ctx.a_buf, w * dag.slot_a)?;
-        let b_arena = try_grow(&mut ctx.b_buf, w * dag.slot_b)?;
-        let c_arena = try_grow(&mut ctx.c_buf, w * dag.slot_c)?;
-        let ws = try_grow(&mut ctx.ws, slab_need)?;
-        let geom = BatchGeom {
-            m,
-            k,
-            n,
-            op_a,
-            op_b,
-            slot_a: dag.slot_a,
-            slot_b: dag.slot_b,
-            slot_c: dag.slot_c,
-        };
-        let (convert_nanos, overlap_nanos) = run_batch_graph(
-            &dag.graph,
-            &dag.levels,
-            &dag.level_layouts,
-            dag.policy,
-            dag.threads,
-            input,
-            geom,
-            alpha,
-            beta,
-            a_arena,
-            b_arena,
-            c_arena,
-            ws,
-            &mut ctx.pool,
-            cancel,
-            sink,
-        )?;
-        if K::ENABLED {
-            let new_lens = [ctx.a_buf.len(), ctx.b_buf.len(), ctx.c_buf.len(), ctx.ws.len()];
-            let mut count = 0u64;
-            let mut elems = 0u64;
-            for (old, new) in old_lens.into_iter().zip(new_lens) {
-                if new > old {
-                    count += 1;
-                    elems += (new - old) as u64;
-                }
-            }
-            if count > 0 {
-                sink.record_temp_allocs(count, elems, elems * size_of::<S>() as u64);
-            }
-            let fraction =
-                if convert_nanos == 0 { 0.0 } else { overlap_nanos as f64 / convert_nanos as f64 };
-            sink.record_batch(self.batch, w, fraction);
-        }
-        Ok(())
+        dag.run(tp, (m, k, n), op_a, op_b, alpha, beta, input, ctx, cancel, sink)
     }
 }
 
@@ -471,24 +525,15 @@ impl<S: Scalar> BatchPlan<S> {
 /// when auto), then budget-capped so `w` slots of packed operands plus
 /// slab fit the [`crate::config::MemoryBudget`] — window admission
 /// degrades toward 1 before the item plan loses recursion depth.
-fn resolve_window<S: Scalar>(eff: &ModgemmConfig, item: &GemmPlan<S>, batch: usize) -> usize {
-    let Some(tp) = item.tiled() else {
-        return 1;
-    };
+fn resolve_window<S: Scalar>(eff: &ModgemmConfig, tp: &TiledPlan, batch: usize) -> usize {
     let requested = if eff.batch_window > 0 { eff.batch_window } else { (2 * tp.threads).max(2) };
     let requested = requested.min(batch.max(1));
-    let per_slot = crate::counts::batch_slot_elems(tp.layouts, tp.policy, item_depth(item));
+    let per_slot = crate::counts::batch_slot_elems(tp.layouts, tp.policy, tp.par_depth);
     crate::counts::batch_window_cap(
         requested,
         per_slot,
         eff.memory_budget.max_elements(size_of::<S>()),
     )
-}
-
-/// Parallel recursion depth of the item's compute subtree (0 = the whole
-/// item is one `Leaf` task).
-fn item_depth<S: Scalar>(item: &GemmPlan<S>) -> usize {
-    item.tiled().and_then(|tp| tp.par.as_ref()).map_or(0, |p| p.level_layouts.len() - 1)
 }
 
 /// Splits `units` work units into `chunks` near-equal half-open ranges.
@@ -533,16 +578,15 @@ fn convert_gate(
     }
 }
 
-/// Lowers the whole batch into one task DAG (or `None` when overlap can't
-/// pay: untiled/degenerate plans, a single worker, or fewer than two
-/// items).
-fn build_dag<S: Scalar>(item: &GemmPlan<S>, batch: usize, window: usize) -> Option<BatchDag> {
-    let tp = item.tiled()?;
-    if tp.threads < 2 || batch < 2 {
+/// Lowers `batch` items of `tp` with an in-flight `window` into one task
+/// DAG whose item compute subtrees take `tp.par_depth` parallel levels
+/// (0 = each item is one `Leaf` task), or `None` on a single worker.
+pub(crate) fn build_dag(tp: &TiledPlan, batch: usize, window: usize) -> Option<BatchDag> {
+    if tp.threads < 2 {
         return None;
     }
     let layouts = tp.layouts;
-    let depth = item_depth(item);
+    let depth = tp.par_depth;
     let slot_a = layouts.a.len();
     let slot_b = layouts.b.len();
     let slot_c = layouts.c.len();
@@ -595,16 +639,20 @@ fn build_dag<S: Scalar>(item: &GemmPlan<S>, batch: usize, window: usize) -> Opti
     }
     let mut graph = b.finish();
     graph.slab_len = window * slot_slab;
-    let level_layouts = match &tp.par {
-        Some(p) => p.level_layouts.clone(),
-        None => vec![layouts],
-    };
+    // Layouts per DAG level, indexed by `NodeDesc::level`.
+    let mut level_layouts = vec![layouts];
+    for _ in 0..depth {
+        let l = *level_layouts.last().expect("non-empty");
+        level_layouts.push(l.child());
+    }
     Some(BatchDag {
         graph,
         levels: tp.levels.clone(),
         level_layouts,
         policy: tp.policy,
         threads: tp.threads,
+        items: batch,
+        window,
         slot_a,
         slot_b,
         slot_c,

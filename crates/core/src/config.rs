@@ -160,8 +160,6 @@ pub struct ModgemmConfig {
     /// (see [`crate::pool::resolve_threads`]). Takes effect only when
     /// `parallel_depth > 0`; a resolved count of 1 runs serially.
     pub threads: usize,
-    /// Use multi-threaded Morton conversion.
-    pub parallel_convert: bool,
     /// Cap on the Strassen workspace; recursion depth degrades to fit.
     pub memory_budget: MemoryBudget,
     /// Handling of `NaN`/`Inf` operand values on the fallible path.
@@ -225,7 +223,6 @@ impl Default for ModgemmConfig {
             strassen_min: 0,
             parallel_depth: 0,
             threads: 0,
-            parallel_convert: false,
             memory_budget: MemoryBudget::Unlimited,
             non_finite: NonFinitePolicy::Propagate,
             verify: VerifyMode::Off,

@@ -35,7 +35,7 @@ use crate::schedule::{Schedule, Step, Variant};
 pub struct ExecPolicy {
     /// Apply the Strassen step only while `min(m, k, n)` of the current
     /// node strictly exceeds this; below it, the Morton-aware conventional
-    /// recursion ([`morton_mul`]) takes over. `0` reproduces the paper:
+    /// recursion ([`morton_mul_add_with_ws`]) takes over. `0` reproduces the paper:
     /// Strassen at every quadrant division down to single tiles.
     pub strassen_min: usize,
     /// Winograd (the paper's choice) or original Strassen recurrences.
@@ -364,33 +364,6 @@ pub fn morton_mul_add_with_ws<S: Scalar>(
     morton_mul_add_with_ws(aq(2), bq(0), c21, ch, kernel, ws); // C21 += A21·B11
 }
 
-/// `C += A·B` by quadrant recursion over Morton buffers with the default
-/// blocked leaf kernel — the conventional-arithmetic multiply used below
-/// the truncation point.
-pub fn morton_mul_add<S: Scalar>(a: &[S], b: &[S], c: &mut [S], layouts: NodeLayouts) {
-    // The blocked kernel packs nothing, so it needs no workspace.
-    morton_mul_add_with_ws(a, b, c, layouts, KernelKind::Blocked, &mut []);
-}
-
-/// `C = A·B` (overwrite) on a caller-provided leaf packing workspace (see
-/// [`morton_mul_add_with_ws`]).
-pub fn morton_mul_with_ws<S: Scalar>(
-    a: &[S],
-    b: &[S],
-    c: &mut [S],
-    layouts: NodeLayouts,
-    kernel: KernelKind,
-    ws: &mut [S],
-) {
-    c.fill(S::ZERO);
-    morton_mul_add_with_ws(a, b, c, layouts, kernel, ws);
-}
-
-/// `C = A·B` (overwrite) by conventional quadrant recursion.
-pub fn morton_mul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], layouts: NodeLayouts) {
-    morton_mul_with_ws(a, b, c, layouts, KernelKind::Blocked, &mut []);
-}
-
 /// Validates the three Morton buffer lengths against `layouts`.
 pub(crate) fn check_buffers(
     a_len: usize,
@@ -416,7 +389,6 @@ mod tests {
     use crate::config::ModgemmConfig;
     use crate::metrics::NoopSink;
     use crate::plan::{Operands, TiledPlan};
-    use crate::pool::PoolScratch;
     use modgemm_mat::gen::random_matrix;
     use modgemm_mat::naive::naive_product;
     use modgemm_mat::norms::assert_matrix_eq;
@@ -435,15 +407,14 @@ mod tests {
     ) -> Result<(), GemmError> {
         let cfg = ModgemmConfig { threads: 1, ..ModgemmConfig::paper() };
         let tp = TiledPlan::new::<S>(layouts, policy, &cfg);
-        assert!(tp.par.is_none());
-        let mut ws = vec![S::ZERO; tp.ws_len()];
+        let mut ws = vec![S::ZERO; tp.arena_len];
         // Both operand borrows: only the in-place tier needs exclusive ones.
         let ops = if policy.sched().overwrites_inputs() {
             Operands::Exclusive(a, b)
         } else {
             Operands::Shared(a, b)
         };
-        tp.run(ops, c, &mut ws, &mut PoolScratch::default(), None, &mut NoopSink)
+        tp.run(ops, c, &mut ws, None, &mut NoopSink)
     }
 
     /// Runs the compiled compute stage on exact-fit Morton layouts and
@@ -549,7 +520,8 @@ mod tests {
         let mut cb = vec![0; lc.len()];
         to_morton(a.view(), Op::NoTrans, &la, &mut ab);
         to_morton(b.view(), Op::NoTrans, &lb, &mut bb);
-        morton_mul(&ab, &bb, &mut cb, layouts);
+        // The blocked kernel packs nothing, so it needs no workspace.
+        morton_mul_add_with_ws(&ab, &bb, &mut cb, layouts, KernelKind::Blocked, &mut []);
         let mut out = Matrix::zeros(lc.rows(), lc.cols());
         from_morton(&cb, &lc, out.view_mut());
         assert_eq!(out, naive_product(&a, &b));

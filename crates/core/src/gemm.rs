@@ -26,10 +26,10 @@ use modgemm_morton::MortonLayout;
 
 use crate::config::{ModgemmConfig, SchedulePolicy};
 use crate::error::try_grow;
-use crate::exec::{budget_capped_policy_with_tier_cap, workspace_len, ExecPolicy, NodeLayouts};
+use crate::exec::{budget_capped_policy_with_tier_cap, ExecPolicy, NodeLayouts};
 use crate::metrics::{MetricsSink, NoopSink};
 use crate::plan::{effective_par_depth, parallel_slab_len, GemmPlan, Operands, TiledPlan};
-use crate::pool::{resolve_threads, PoolScratch};
+use crate::pool::resolve_threads;
 use crate::schedule::{Schedule, Variant};
 
 pub use crate::error::GemmError;
@@ -216,14 +216,18 @@ pub struct GemmContext<S> {
     pub(crate) pool: crate::pool::PoolScratch,
 }
 
-/// Buffer sizes (`a`, `b`, `c`, workspace, in elements) an `m × k × n`
-/// problem under `cfg` will carve from a context, or `None` for
-/// degenerate or split problems (which size themselves per sub-product).
-/// The service front-end uses this as its admission-time memory estimate.
+/// Buffer sizes (`a`, `b`, `c`, workspace, in elements) `batch`
+/// executions of an `m × k × n` problem under `cfg` will carve from a
+/// context, or `None` for degenerate or split problems (which size
+/// themselves per sub-product). A single GEMM (`batch = 1`) carves one
+/// set — the serial arena, or the task DAG's slab when it runs on the
+/// pool; a whole-batch DAG carves `window` slots of each. The service
+/// front-end uses this as its admission-time memory estimate.
 pub(crate) fn buffer_needs<S: Scalar>(
     m: usize,
     k: usize,
     n: usize,
+    batch: usize,
     cfg: &ModgemmConfig,
 ) -> Option<(usize, usize, usize, usize)> {
     if m == 0 || k == 0 || n == 0 {
@@ -234,52 +238,27 @@ pub(crate) fn buffer_needs<S: Scalar>(
     // A profile that fails to load here falls back to the untuned sizing
     // (plan compilation will surface the typed error).
     let cfg = &crate::tune::effective_config(cfg, m, k, n).map(|(c, _)| c).unwrap_or(*cfg);
-    cfg.plan(m, k, n).map(|plan| {
-        let layouts = layouts_of(&plan);
-        let policy = capped_policy::<S>(layouts, cfg);
-        // Mirror plan arena sizing exactly: the pooled slab when the DAG
-        // executor will run (budget-capped depth), the serial arena
-        // otherwise — and never less than the serial arena, which the
-        // degradation path reuses.
-        let serial = workspace_len(layouts, policy);
-        let threads = resolve_threads(cfg.threads);
-        let ws = match effective_par_depth::<S>(layouts, policy, cfg, threads) {
-            Some(depth) => serial.max(parallel_slab_len(layouts, policy, depth)),
-            None => serial,
-        };
-        (layouts.a.len(), layouts.b.len(), layouts.c.len(), ws)
-    })
-}
-
-/// Buffer sizes a `batch`-item [`crate::batch::BatchPlan`] execution will
-/// carve from a context: `batch_window`-many window slots of `(a, b, c,
-/// slab)` when the whole-batch DAG runs, the single-item sizes otherwise.
-/// The service front-end uses this as its admission-time estimate when
-/// coalescing requests.
-pub(crate) fn batch_buffer_needs<S: Scalar>(
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    cfg: &ModgemmConfig,
-) -> Option<(usize, usize, usize, usize)> {
-    let (a, b, c, ws) = buffer_needs::<S>(m, k, n, cfg)?;
-    let threads = crate::pool::resolve_threads(cfg.threads);
+    let plan = cfg.plan(m, k, n)?;
+    let layouts = layouts_of(&plan);
+    let policy = capped_policy::<S>(layouts, cfg);
+    // Mirror plan arena sizing exactly: the DAG slab at the budget-capped
+    // depth when the pool runs it (never smaller than the serial arena),
+    // the serial arena otherwise.
+    let threads = resolve_threads(cfg.threads);
+    let depth = effective_par_depth::<S>(layouts, policy, cfg, threads);
+    let (a, b, c) = (layouts.a.len(), layouts.b.len(), layouts.c.len());
+    let ws = parallel_slab_len(layouts, policy, depth);
     if batch < 2 || threads < 2 {
         return Some((a, b, c, ws));
     }
     // Mirror `BatchPlan`'s window resolution: requested (or 2·threads),
     // capped to the batch, then budget-capped via the per-slot closed
-    // form. The slab term uses the same `ws` the single-item estimate
-    // chose (serial-arena floor included), so `w = 1` degenerates to the
-    // per-item sizing exactly.
-    let eff = crate::tune::effective_config(cfg, m, k, n).map(|(c, _)| c).unwrap_or(*cfg);
-    let requested = if eff.batch_window > 0 { eff.batch_window } else { (2 * threads).max(2) };
-    let per_slot = a + b + c + ws;
+    // form.
+    let requested = if cfg.batch_window > 0 { cfg.batch_window } else { (2 * threads).max(2) };
     let w = crate::counts::batch_window_cap(
         requested.min(batch),
-        per_slot,
-        eff.memory_budget.max_elements(core::mem::size_of::<S>()),
+        a + b + c + ws,
+        cfg.memory_budget.max_elements(core::mem::size_of::<S>()),
     );
     Some((w * a, w * b, w * c, w * ws))
 }
@@ -313,7 +292,7 @@ impl<S: Scalar> GemmContext<S> {
         n: usize,
         cfg: &ModgemmConfig,
     ) -> Result<(), GemmError> {
-        if let Some((a, b, c, ws)) = buffer_needs::<S>(m, k, n, cfg) {
+        if let Some((a, b, c, ws)) = buffer_needs::<S>(m, k, n, 1, cfg) {
             try_grow(&mut self.a_buf, a)?;
             try_grow(&mut self.b_buf, b)?;
             try_grow(&mut self.c_buf, c)?;
@@ -328,7 +307,7 @@ impl<S: Scalar> GemmContext<S> {
     /// shapes to small ones. Degenerate or split shapes release
     /// everything (sub-products of a split re-grow on demand).
     pub fn shrink_to(&mut self, m: usize, k: usize, n: usize, cfg: &ModgemmConfig) {
-        let (a, b, c, ws) = buffer_needs::<S>(m, k, n, cfg).unwrap_or((0, 0, 0, 0));
+        let (a, b, c, ws) = buffer_needs::<S>(m, k, n, 1, cfg).unwrap_or((0, 0, 0, 0));
         for (buf, need) in
             [(&mut self.a_buf, a), (&mut self.b_buf, b), (&mut self.c_buf, c), (&mut self.ws, ws)]
         {
@@ -352,6 +331,31 @@ impl<S: Scalar> GemmContext<S> {
     /// slab fits, and runs serially when no DAG level does.
     pub fn workspace_footprint(&self) -> usize {
         self.ws.capacity()
+    }
+
+    /// Lengths of the four buffers, the baseline for
+    /// [`Self::record_growth`].
+    pub(crate) fn lens(&self) -> [usize; 4] {
+        [self.a_buf.len(), self.b_buf.len(), self.c_buf.len(), self.ws.len()]
+    }
+
+    /// Records every buffer that grew since `before` as a temp allocation
+    /// — cold-path accounting: growth is heap traffic the plan could not
+    /// avoid, so a warm context records nothing.
+    pub(crate) fn record_growth<K: MetricsSink>(&self, before: [usize; 4], sink: &mut K) {
+        if !K::ENABLED {
+            return;
+        }
+        let (mut count, mut elems) = (0u64, 0u64);
+        for (new, old) in self.lens().into_iter().zip(before) {
+            if new > old {
+                count += 1;
+                elems += (new - old) as u64;
+            }
+        }
+        if count > 0 {
+            sink.record_temp_allocs(count, elems, elems * core::mem::size_of::<S>() as u64);
+        }
     }
 }
 
@@ -589,15 +593,17 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
 /// skipping all conversion. Computes `C ← A·B` (α = 1, β = 0).
 ///
 /// Compiles the compute stage for the operands' own layouts under `cfg`
-/// and runs it serially or on the task DAG, like a [`GemmPlan`] would.
+/// and runs it on the serial interpreter whatever the worker count: with
+/// operands already in Morton order there is no conversion for a task
+/// DAG to overlap.
 /// `A` and `B` are borrowed shared, so the schedule ladder (and a pinned
 /// `SchedulePolicy::Fixed(Schedule::InPlace)`) stops at
 /// [`Schedule::LowMem`]: this entry never writes its operands.
 ///
 /// # Panics
 /// On an invalid configuration (as [`modgemm`] does), if the layouts are
-/// incompatible (depths differ or tile dimensions do not chain), if
-/// logical dimensions do not chain, or if a pool worker panics.
+/// incompatible (depths differ or tile dimensions do not chain), or if
+/// logical dimensions do not chain.
 #[track_caller]
 pub fn modgemm_premorton<S: Scalar>(
     a: &MortonMatrix<S>,
@@ -613,10 +619,9 @@ pub fn modgemm_premorton<S: Scalar>(
     let layouts = NodeLayouts::new(a.layout, b.layout, c.layout);
     let policy = capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::LowMem);
     let tp = TiledPlan::new::<S>(layouts, policy, cfg);
-    let mut ws = vec![S::ZERO; tp.ws_len()];
+    let mut ws = vec![S::ZERO; tp.arena_len];
     let ops = Operands::Shared(&a.buf, &b.buf);
-    let mut scratch = PoolScratch::default();
-    if let Err(e) = tp.run(ops, &mut c.buf, &mut ws, &mut scratch, None, &mut NoopSink) {
+    if let Err(e) = tp.run(ops, &mut c.buf, &mut ws, None, &mut NoopSink) {
         panic!("{e}");
     }
 }
@@ -1110,6 +1115,57 @@ mod tests {
     }
 
     #[test]
+    fn reservation_covers_pooled_single_and_batch_dags() {
+        // One sizing rule: a reserved context runs both the batch of one
+        // a pooled GemmPlan holds and a window-1 whole-batch DAG without
+        // growing.
+        let (n, items) = (256usize, 4usize);
+        let cfg =
+            ModgemmConfig { parallel_depth: 1, threads: 2, batch_window: 1, ..Default::default() };
+        let plan = GemmPlan::<f64>::try_new(n, n, n, &cfg).unwrap();
+        let batch = crate::batch::BatchPlan::<f64>::try_new(n, n, n, items, &cfg).unwrap();
+        assert!(plan.parallel_tasks() > 0 && batch.parallel_tasks() > 0);
+        let mut ctx = GemmContext::<f64>::new();
+        ctx.try_reserve_for(n, n, n, &cfg).unwrap();
+        let reserved = ctx.footprint();
+
+        let a: Matrix<f64> = random_matrix(n, n * items, 1);
+        let b: Matrix<f64> = random_matrix(n, n * items, 2);
+        let mut c: Matrix<f64> = Matrix::zeros(n, n * items);
+        let mut sink = crate::metrics::CollectingSink::new();
+        plan.try_execute_with_metrics(
+            1.0,
+            Op::NoTrans,
+            a.view().submatrix(0, 0, n, n),
+            Op::NoTrans,
+            b.view().submatrix(0, 0, n, n),
+            0.0,
+            c.view_mut().submatrix_mut(0, 0, n, n),
+            &mut ctx,
+            &mut sink,
+        )
+        .unwrap();
+        let desc = crate::batch::StridedBatch {
+            alpha: 1.0,
+            op_a: Op::NoTrans,
+            a: a.as_slice(),
+            lda: n,
+            stride_a: n * n,
+            op_b: Op::NoTrans,
+            b: b.as_slice(),
+            ldb: n,
+            stride_b: n * n,
+            beta: 0.0,
+            ldc: n,
+            stride_c: n * n,
+        };
+        batch.try_execute_with_metrics(&desc, c.as_mut_slice(), &mut ctx, &mut sink).unwrap();
+        assert_eq!(sink.metrics.temp_allocations, 0, "reserved context must not grow");
+        assert_eq!(ctx.footprint(), reserved);
+        assert_eq!(sink.metrics.batch_items, 1 + items as u64);
+    }
+
+    #[test]
     fn shrink_to_releases_stale_capacity_and_context_stays_reusable() {
         let cfg = ModgemmConfig::default();
         let mut ctx = GemmContext::<f64>::new();
@@ -1215,7 +1271,7 @@ mod tests {
         // Like with like: the serial side requests the same DAG depth on
         // one worker, so both plans fuse and stage the same levels.
         let serial = ModgemmConfig { parallel_depth: 2, threads: 1, ..Default::default() };
-        let par = ModgemmConfig { parallel_depth: 2, parallel_convert: true, ..Default::default() };
+        let par = ModgemmConfig { parallel_depth: 2, ..Default::default() };
         let mut c1: Matrix<f64> = Matrix::zeros(n, n);
         let mut c2: Matrix<f64> = Matrix::zeros(n, n);
         modgemm(1.0, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0.0, c1.view_mut(), &serial);

@@ -22,16 +22,18 @@
 //!   breakdown (Figure 7).
 //! * [`gemm::modgemm_premorton`] — operands already in Morton order
 //!   (Figure 8).
-//! * [`plan::plan`] / [`plan::execute`] — the plan/execute split: compile
-//!   a [`plan::GemmPlan`] once (truncation search, layout tree, flattened
-//!   schedule, arena offsets), then execute it repeatedly with zero hot-path
-//!   allocations on a warm [`gemm::GemmContext`].
-//! * [`exec::morton_mul`] — the conventional Morton quadrant recursion
-//!   below the truncation point.
+//! * [`plan::GemmPlan::try_new`] / [`plan::GemmPlan::try_execute`] — the
+//!   plan/execute split: compile a [`plan::GemmPlan`] once (truncation
+//!   search, layout tree, flattened schedule, arena offsets), then execute
+//!   it repeatedly with zero hot-path allocations on a warm
+//!   [`gemm::GemmContext`].
+//! * [`exec::morton_mul_add_with_ws`] — the conventional Morton quadrant
+//!   recursion below the truncation point.
 //!
 //! Every entry point reaches the Strassen recursion through one compiled
 //! compute stage in [`mod@plan`]: the serial schedule interpreter or, with
-//! `parallel_depth > 0`, a task DAG on the work-stealing [`pool`].
+//! `parallel_depth > 0`, the task DAG of [`batch`] on the work-stealing
+//! [`pool`] — a pooled single GEMM is a batch of one.
 //!
 //! The Winograd recursion step itself lives in [`schedule`] *as data*,
 //! shared by this crate's executor, the DGEFMM baseline, and the
@@ -71,7 +73,7 @@ pub use metrics::{
     CacheTotals, CollectingSink, ExecMetrics, MetricsSink, NoopSink, PlanFacts, PoolStats,
     ServiceStats,
 };
-pub use plan::{execute, parallel_slab_len, plan, GemmPlan, LevelPlan};
+pub use plan::{parallel_slab_len, GemmPlan, LevelPlan};
 pub use pool::{
     resolve_threads, try_resolve_threads, CancelToken, ThreadPool, MODGEMM_THREADS_ENV,
 };
@@ -84,6 +86,6 @@ pub use tune::{
 };
 pub use verify::{verify_gemm, verify_product};
 
-/// Pooled-versus-serial equivalence tests of the compute stage.
+/// Pooled-versus-serial equivalence tests of single GEMMs.
 #[cfg(test)]
 mod parallel;

@@ -1,56 +1,93 @@
-//! The compute stage on the work-stealing pool: a compiled
-//! `TiledPlan` whose task DAG runs the top `parallel_depth` Strassen
-//! levels must produce the serial interpreter's product **bit for bit**
-//! (same products, same kernels, same associativity; only the evaluation
-//! order across independent buffers changes), at any worker count and on
-//! a dirty slab.
+//! A pooled single GEMM runs as a task DAG of one item: Morton conversion
+//! chunks, the compute subtree over the top `parallel_depth` Strassen
+//! levels, and α/β unpack chunks. It must produce the serial
+//! interpreter's product **bit for bit** (same products, same kernels,
+//! same associativity; only the evaluation order across independent
+//! buffers changes), at any worker count and on a context whose buffers
+//! hold sentinels.
 
 mod tests {
-    use crate::config::ModgemmConfig;
-    use crate::error::{GemmError, Operand};
+    use crate::config::{FuseDepth, ModgemmConfig, SchedulePolicy, Truncation};
+    use crate::error::GemmError;
     use crate::exec::{workspace_len, ExecPolicy, NodeLayouts};
+    use crate::gemm::{capped_policy, layouts_of, GemmContext};
     use crate::metrics::{CollectingSink, MetricsSink, NoopSink};
-    use crate::plan::{parallel_slab_len, Operands, TiledPlan};
-    use crate::pool::PoolScratch;
+    use crate::plan::{parallel_slab_len, GemmPlan};
     use crate::schedule::Schedule;
     use modgemm_mat::gen::random_matrix;
     use modgemm_mat::naive::naive_product;
     use modgemm_mat::view::Op;
     use modgemm_mat::{KernelKind, Matrix, Scalar};
-    use modgemm_morton::convert::{from_morton, to_morton};
-    use modgemm_morton::MortonLayout;
+    use modgemm_morton::convert::to_morton;
+    use modgemm_morton::{MortonLayout, TileRange};
 
-    /// Compiles `policy` on `layouts` for `threads` workers (`0` = the
-    /// machine default) and a DAG of `par_depth` levels.
-    fn compile<S: Scalar>(
-        layouts: NodeLayouts,
-        policy: ExecPolicy,
-        par_depth: usize,
-        threads: usize,
-    ) -> TiledPlan {
-        let cfg = ModgemmConfig { parallel_depth: par_depth, threads, ..ModgemmConfig::paper() };
-        TiledPlan::new::<S>(layouts, policy, &cfg)
+    /// The paper's fully staged pipeline on exact-fit `tile` leaves: an
+    /// `n = tile << depth` problem recurses `depth` levels with no
+    /// padding, and its top `par_depth` levels run on `threads` workers
+    /// (`0` = the machine default).
+    fn cfg(tile: usize, par_depth: usize, threads: usize) -> ModgemmConfig {
+        ModgemmConfig {
+            truncation: Truncation::Fixed(tile),
+            fuse_depth: FuseDepth::Fixed(0),
+            parallel_depth: par_depth,
+            threads,
+            ..ModgemmConfig::paper()
+        }
     }
 
-    /// Runs `tp` on copies of the operands over a workspace filled with
-    /// `dirt`, reporting through `sink`, and returns C.
-    fn run_with<S: Scalar, K: MetricsSink>(
-        tp: &TiledPlan,
-        a: &[S],
-        b: &[S],
-        dirt: S,
+    fn plan<S: Scalar>(m: usize, k: usize, n: usize, cfg: &ModgemmConfig) -> GemmPlan<S> {
+        GemmPlan::try_new(m, k, n, cfg).unwrap()
+    }
+
+    /// Grows `ctx` to what `plan` carves and fills the packed operand and
+    /// result buffers with `c_dirt` and the workspace with `ws_dirt`: a
+    /// Morton C tile the DAG never writes, or a temporary read before its
+    /// producer ran, leaves a sentinel-sized error behind.
+    fn soil<S: Scalar>(ctx: &mut GemmContext<S>, plan: &GemmPlan<S>, c_dirt: S, ws_dirt: S) {
+        let (m, k, n) = plan.dims();
+        ctx.try_reserve_for(m, k, n, plan.config()).unwrap();
+        for buf in [&mut ctx.a_buf, &mut ctx.b_buf, &mut ctx.c_buf] {
+            buf.fill(c_dirt);
+        }
+        ctx.ws.fill(ws_dirt);
+    }
+
+    /// `C = A·B` through `plan` on `ctx`, into an output holding `c_dirt`
+    /// (β = 0 never reads it), reporting through `sink`.
+    fn exec<S: Scalar, K: MetricsSink>(
+        plan: &GemmPlan<S>,
+        a: &Matrix<S>,
+        b: &Matrix<S>,
+        ctx: &mut GemmContext<S>,
+        c_dirt: S,
         sink: &mut K,
-    ) -> Result<Vec<S>, GemmError> {
-        let (mut a, mut b) = (a.to_vec(), b.to_vec());
-        let mut c = vec![dirt; tp.layouts.c.len()];
-        let mut ws = vec![dirt; tp.ws_len()];
-        let ops = Operands::Exclusive(&mut a, &mut b);
-        tp.run(ops, &mut c, &mut ws, &mut PoolScratch::default(), None, sink)?;
+    ) -> Result<Matrix<S>, GemmError> {
+        let mut c = Matrix::from_fn(a.rows(), b.cols(), |_, _| c_dirt);
+        plan.try_execute_with_metrics(
+            S::ONE,
+            Op::NoTrans,
+            a.view(),
+            Op::NoTrans,
+            b.view(),
+            S::ZERO,
+            c.view_mut(),
+            ctx,
+            sink,
+        )?;
         Ok(c)
     }
 
-    fn run<S: Scalar>(tp: &TiledPlan, a: &[S], b: &[S], dirt: S) -> Vec<S> {
-        run_with(tp, a, b, dirt, &mut NoopSink).unwrap()
+    /// Runs `plan` on a freshly soiled context.
+    fn run_dirty<S: Scalar>(
+        plan: &GemmPlan<S>,
+        a: &Matrix<S>,
+        b: &Matrix<S>,
+        c_dirt: S,
+        ws_dirt: S,
+    ) -> Matrix<S> {
+        let mut ctx = GemmContext::new();
+        soil(&mut ctx, plan, c_dirt, ws_dirt);
+        exec(plan, a, b, &mut ctx, c_dirt, &mut NoopSink).unwrap()
     }
 
     fn square(tile: usize, depth: usize) -> NodeLayouts {
@@ -58,35 +95,23 @@ mod tests {
         NodeLayouts::new(l, l, l)
     }
 
-    fn morton_operands<S: Scalar>(layouts: NodeLayouts, seed: u64) -> (Matrix<S>, Vec<S>, Vec<S>) {
-        let a: Matrix<S> = random_matrix(layouts.a.rows(), layouts.a.cols(), seed);
-        let b: Matrix<S> = random_matrix(layouts.b.rows(), layouts.b.cols(), seed + 1);
-        let mut ab = vec![S::ZERO; layouts.a.len()];
-        let mut bb = vec![S::ZERO; layouts.b.len()];
-        to_morton(a.view(), Op::NoTrans, &layouts.a, &mut ab);
-        to_morton(b.view(), Op::NoTrans, &layouts.b, &mut bb);
-        let expect = naive_product(&a, &b);
-        (expect, ab, bb)
-    }
-
     fn run_par(n: usize, tile: usize, depth: usize, par_depth: usize, seed: u64) {
-        let layouts = square(tile, depth);
-        let policy = ExecPolicy::default();
-        let (expect, ab, bb) = morton_operands::<f64>(layouts, seed);
-        let c_ser = run(&compile::<f64>(layouts, policy, par_depth, 1), &ab, &bb, 0.0);
+        assert_eq!(n, tile << depth);
+        let a: Matrix<f64> = random_matrix(n, n, seed);
+        let b: Matrix<f64> = random_matrix(n, n, seed + 1);
+        let c_ser = run_dirty(&plan(n, n, n, &cfg(tile, par_depth, 1)), &a, &b, 0.0, 0.0);
 
-        // The pooled DAG at several explicit worker counts, on a dirty slab,
-        // must be bitwise identical whatever the machine's own parallelism.
+        // The pooled DAG at several explicit worker counts, on a dirty
+        // context, must be bitwise identical whatever the machine's own
+        // parallelism.
         for threads in [2, 3, 7] {
-            let tp = compile::<f64>(layouts, policy, par_depth, threads);
-            assert_eq!(tp.par.is_some(), par_depth > 0, "threads = {threads}");
-            let c_pool = run(&tp, &ab, &bb, f64::NAN);
+            let p = plan(n, n, n, &cfg(tile, par_depth, threads));
+            assert_eq!(p.parallel_depth() > 0, par_depth > 0, "threads = {threads}");
+            assert_eq!(p.parallel_tasks() > 0, par_depth > 0, "threads = {threads}");
+            let c_pool = run_dirty(&p, &a, &b, f64::NAN, f64::NAN);
             assert_eq!(c_pool, c_ser, "n = {n} par_depth = {par_depth} threads = {threads}");
         }
-
-        let mut out = Matrix::zeros(n, n);
-        from_morton(&c_ser, &layouts.c, out.view_mut());
-        modgemm_mat::norms::assert_matrix_eq(out.view(), expect.view(), n);
+        modgemm_mat::norms::assert_matrix_eq(c_ser.view(), naive_product(&a, &b).view(), n);
     }
 
     #[test]
@@ -111,101 +136,123 @@ mod tests {
 
     #[test]
     fn parallel_packed_kernel_matches_serial_and_reports_it() {
-        let layouts = square(16, 2);
-        let policy = ExecPolicy { kernel: KernelKind::Packed, ..Default::default() };
-        let (_, ab, bb) = morton_operands::<f64>(layouts, 51);
+        let n = 64; // 16 << 2
+        let packed =
+            |threads| ModgemmConfig { leaf_kernel: KernelKind::Packed, ..cfg(16, 1, threads) };
+        let a: Matrix<f64> = random_matrix(n, n, 51);
+        let b: Matrix<f64> = random_matrix(n, n, 52);
 
         // Each worker's slab share carries its own packing slot, so the
-        // parallel run must be bitwise identical to the serial one.
+        // pooled run must be bitwise identical to the serial one.
+        let pooled = plan(n, n, n, &packed(2));
+        assert_eq!(pooled.parallel_depth(), 1);
+        let mut ctx = GemmContext::new();
+        soil(&mut ctx, &pooled, f64::NAN, f64::NAN);
         let mut sink = CollectingSink::new();
-        let c_par =
-            run_with(&compile::<f64>(layouts, policy, 1, 2), &ab, &bb, 0.0, &mut sink).unwrap();
-        let c_ser = run(&compile::<f64>(layouts, policy, 1, 1), &ab, &bb, 0.0);
+        let c_par = exec(&pooled, &a, &b, &mut ctx, f64::NAN, &mut sink).unwrap();
+        let c_ser = run_dirty(&plan(n, n, n, &packed(1)), &a, &b, 0.0, 0.0);
         assert_eq!(c_par, c_ser);
 
         let m = sink.into_metrics();
+        let policy = ExecPolicy { kernel: KernelKind::Packed, ..Default::default() };
         assert_eq!(m.kernel_selected, Some(KernelKind::Packed));
-        assert_eq!(m.bytes_packed, crate::counts::packed_bytes(layouts, policy, 8));
+        assert_eq!(m.bytes_packed, crate::counts::packed_bytes(square(16, 2), policy, 8));
         assert!(m.bytes_packed > 0);
         assert!(m.pool.is_some(), "the pooled run reports pool counters");
     }
 
     #[test]
     fn pooled_parallel_with_fused_leaves_matches_staged_serial() {
-        // Depth 3 with fuse 2 leaves exactly one *staged* level for the DAG;
-        // each Leaf task then runs a two-level fused subtree. The pooled run
-        // must agree bit-for-bit (i64) with both the serial fused plan and
-        // the fully staged oracle, at every worker count — this is the test
-        // the TSan job drives to race-check fused execution under real
-        // concurrency.
-        let layouts = square(8, 3);
-        let (_, ab, bb) = morton_operands::<i64>(layouts, 61);
-        let staged = ExecPolicy { kernel: KernelKind::Packed, ..Default::default() };
-        let fused = ExecPolicy { fuse: 2, ..staged };
-        let c_oracle = run(&compile::<i64>(layouts, staged, 0, 1), &ab, &bb, 0);
-        let c_fused = run(&compile::<i64>(layouts, fused, 0, 1), &ab, &bb, 0);
+        // Depth 3 with fuse 2 leaves exactly one *staged* level for the
+        // DAG; each Leaf task then runs a two-level fused subtree. The
+        // pooled run must agree bit-for-bit (i64) with both the serial
+        // fused plan and the fully staged oracle, at every worker count —
+        // this is the test the TSan job drives to race-check fused
+        // execution under real concurrency.
+        let n = 64; // 8 << 3
+        let staged = |par_depth, threads| ModgemmConfig {
+            leaf_kernel: KernelKind::Packed,
+            ..cfg(8, par_depth, threads)
+        };
+        let fused = |par_depth, threads| ModgemmConfig {
+            fuse_depth: FuseDepth::Fixed(2),
+            ..staged(par_depth, threads)
+        };
+        let a: Matrix<i64> = random_matrix(n, n, 61);
+        let b: Matrix<i64> = random_matrix(n, n, 62);
+        let c_oracle = run_dirty(&plan(n, n, n, &staged(0, 1)), &a, &b, 0, 0);
+        let c_fused = run_dirty(&plan(n, n, n, &fused(0, 1)), &a, &b, 0, 0);
         assert_eq!(c_fused, c_oracle, "serial fused vs staged oracle");
 
         for threads in [2, 4] {
-            let tp = compile::<i64>(layouts, fused, 1, threads);
-            assert!(tp.par.is_some());
-            assert_eq!(run(&tp, &ab, &bb, i64::MAX), c_oracle, "threads = {threads}");
+            let p = plan(n, n, n, &fused(1, threads));
+            assert_eq!((p.parallel_depth(), p.fused_levels()), (1, 2));
+            let c_pool = run_dirty(&p, &a, &b, i64::MAX, i64::MAX);
+            assert_eq!(c_pool, c_oracle, "threads = {threads}");
         }
     }
 
     #[test]
     fn every_tier_pooled_is_bitwise_serial_and_restores_inputs() {
-        // The in-place tier's leaf subtrees write and then restore their raw
-        // A/B quadrants while sibling tasks run; the DAG's SPre/TPre edges
-        // must order every other reader first.
-        let layouts = square(4, 3);
-        let (expect, ab, bb) = morton_operands::<i64>(layouts, 71);
+        // The in-place tier's leaf subtrees write and then restore their
+        // packed A/B quadrants while sibling tasks run; the DAG's SPre/TPre
+        // edges must order every other reader first.
+        let n = 32; // 4 << 3
+        let a: Matrix<i64> = random_matrix(n, n, 71);
+        let b: Matrix<i64> = random_matrix(n, n, 72);
+        let expect = naive_product(&a, &b);
         for schedule in Schedule::ALL {
-            let policy = ExecPolicy { schedule, ..Default::default() };
-            let c_ser = run(&compile::<i64>(layouts, policy, 2, 1), &ab, &bb, 0);
+            let tier = |threads| ModgemmConfig {
+                schedule: SchedulePolicy::Fixed(schedule),
+                ..cfg(4, 2, threads)
+            };
+            let layouts = layouts_of(&tier(1).plan(n, n, n).unwrap());
+            let mut ab = vec![0; layouts.a.len()];
+            let mut bb = vec![0; layouts.b.len()];
+            to_morton(a.view(), Op::NoTrans, &layouts.a, &mut ab);
+            to_morton(b.view(), Op::NoTrans, &layouts.b, &mut bb);
+            let c_ser = run_dirty(&plan(n, n, n, &tier(1)), &a, &b, 0, 0);
+            assert_eq!(c_ser, expect, "{schedule}");
             for threads in [2, 5] {
-                let tp = compile::<i64>(layouts, policy, 2, threads);
-                assert!(tp.par.is_some());
-                let (mut a, mut b) = (ab.clone(), bb.clone());
-                let mut c = vec![i64::MIN; layouts.c.len()];
-                let mut ws = vec![i64::MAX; tp.ws_len()];
-                let ops = Operands::Exclusive(&mut a, &mut b);
-                tp.run(ops, &mut c, &mut ws, &mut PoolScratch::default(), None, &mut NoopSink)
-                    .unwrap();
+                let p = plan(n, n, n, &tier(threads));
+                assert_eq!((p.parallel_depth(), p.schedule()), (2, schedule));
+                let mut ctx = GemmContext::new();
+                soil(&mut ctx, &p, i64::MIN, i64::MAX);
+                let c = exec(&p, &a, &b, &mut ctx, i64::MIN, &mut NoopSink).unwrap();
                 assert_eq!(c, c_ser, "{schedule} threads = {threads}");
-                assert!(a == ab && b == bb, "{schedule}: operands not restored");
+                assert!(
+                    ctx.a_buf[..ab.len()] == ab[..] && ctx.b_buf[..bb.len()] == bb[..],
+                    "{schedule}: packed operands not restored"
+                );
             }
-            let mut out = Matrix::zeros(32, 32);
-            from_morton(&c_ser, &layouts.c, out.view_mut());
-            assert_eq!(out, expect, "{schedule}");
         }
     }
 
     #[test]
     fn every_kernel_pooled_on_dirty_buffers_is_bitwise_serial() {
-        // C starts as i64::MIN and the slab as i64::MAX on every pooled
-        // run: a C quadrant the DAG never writes, or a temporary read
-        // before its producer ran, leaves a sentinel-sized error behind.
-        let rect = NodeLayouts::new(
-            MortonLayout::new(3, 5, 2),
-            MortonLayout::new(5, 4, 2),
-            MortonLayout::new(3, 4, 2),
-        );
-        for (layouts, par_depth) in [(square(4, 3), 2), (square(5, 2), 1), (rect, 2)] {
-            let (_, ab, bb) = morton_operands::<i64>(layouts, 81);
+        // Morton C (and the packed operands) start as i64::MIN and the
+        // slab as i64::MAX on every pooled run: a C quadrant the DAG
+        // never writes, or a temporary read before its producer ran,
+        // leaves a sentinel-sized error behind. The ragged shape pads,
+        // so its convert chunks must zero the pad.
+        let ragged = ModgemmConfig {
+            truncation: Truncation::MinPadding(TileRange::new(3, 6)),
+            ..cfg(1, 2, 1)
+        };
+        for ((m, k, n), base) in
+            [((32, 32, 32), cfg(4, 2, 1)), ((20, 20, 20), cfg(5, 1, 1)), ((11, 19, 14), ragged)]
+        {
+            let a: Matrix<i64> = random_matrix(m, k, 81);
+            let b: Matrix<i64> = random_matrix(k, n, 82);
             for kernel in KernelKind::ALL {
-                let policy = ExecPolicy { kernel, ..Default::default() };
-                let c_ser = run(&compile::<i64>(layouts, policy, par_depth, 1), &ab, &bb, 0);
+                let at = |threads| ModgemmConfig { leaf_kernel: kernel, threads, ..base };
+                let c_ser = run_dirty(&plan(m, k, n, &at(1)), &a, &b, 0, 0);
+                assert_eq!(c_ser, naive_product(&a, &b), "{kernel:?} {m}x{k}x{n}");
                 for threads in [2, 3, 7] {
-                    let tp = compile::<i64>(layouts, policy, par_depth, threads);
-                    assert!(tp.par.is_some());
-                    let (mut a, mut b) = (ab.clone(), bb.clone());
-                    let mut c = vec![i64::MIN; layouts.c.len()];
-                    let mut ws = vec![i64::MAX; tp.ws_len()];
-                    let ops = Operands::Exclusive(&mut a, &mut b);
-                    tp.run(ops, &mut c, &mut ws, &mut PoolScratch::default(), None, &mut NoopSink)
-                        .unwrap();
-                    assert_eq!(c, c_ser, "{kernel:?} {layouts:?} threads = {threads}");
+                    let p = plan(m, k, n, &at(threads));
+                    assert!(p.parallel_depth() > 0, "{kernel:?} {m}x{k}x{n}");
+                    let c_pool = run_dirty(&p, &a, &b, i64::MIN, i64::MAX);
+                    assert_eq!(c_pool, c_ser, "{kernel:?} {m}x{k}x{n} threads = {threads}");
                 }
             }
         }
@@ -213,38 +260,42 @@ mod tests {
 
     #[test]
     fn try_parallel_reports_buffer_mismatch() {
-        let layouts = square(4, 2);
-        let tp = compile::<f64>(layouts, ExecPolicy::default(), 1, 2);
-        assert!(tp.par.is_some());
-        let a = vec![0.0f64; layouts.a.len()];
-        let b = vec![0.0f64; layouts.b.len() + 3];
+        // A pooled plan takes only operands of its own shape, rejected
+        // typed before any buffer or output is touched.
+        let p = plan::<f64>(16, 16, 16, &cfg(4, 1, 2));
+        assert!(p.parallel_depth() > 0);
+        let mut ctx = GemmContext::new();
+        let a: Matrix<f64> = Matrix::zeros(16, 16);
+        let b: Matrix<f64> = Matrix::zeros(19, 16);
         assert_eq!(
-            run_with(&tp, &a, &b, 0.0, &mut NoopSink),
-            Err(GemmError::BufferLenMismatch {
-                operand: Operand::B,
-                needed: layouts.b.len(),
-                got: layouts.b.len() + 3
-            })
+            exec(&p, &a, &b, &mut ctx, f64::NAN, &mut NoopSink),
+            Err(GemmError::InnerDimMismatch { a_cols: 16, b_rows: 19 })
         );
+        let small: Matrix<f64> = Matrix::zeros(8, 8);
+        assert_eq!(
+            exec(&p, &small, &small, &mut ctx, f64::NAN, &mut NoopSink),
+            Err(GemmError::PlanShapeMismatch { planned: (16, 16, 16), got: (8, 8, 8) })
+        );
+        assert_eq!(ctx.footprint(), 0, "a rejected call must not size the context");
     }
 
     #[test]
     fn dirty_oversized_slab_matches_a_clean_one() {
+        let n = 32; // 8 << 2
+        let p = plan::<f64>(n, n, n, &cfg(8, 1, 2));
         let layouts = square(8, 2);
-        let policy = ExecPolicy::default();
-        let tp = compile::<f64>(layouts, policy, 1, 2);
-        assert_eq!(tp.ws_len(), parallel_slab_len(layouts, policy, 1));
-        let (_, ab, bb) = morton_operands::<f64>(layouts, 41);
-        let clean = run(&tp, &ab, &bb, 0.0);
+        let policy = capped_policy::<f64>(layouts, p.config());
+        assert_eq!(p.arena_len(), parallel_slab_len(layouts, policy, 1));
+        let a: Matrix<f64> = random_matrix(n, n, 41);
+        let b: Matrix<f64> = random_matrix(n, n, 42);
+        let clean = exec(&p, &a, &b, &mut GemmContext::new(), 0.0, &mut NoopSink).unwrap();
 
         // Every temporary is fully written before it is read, so a dirty,
         // oversized slab gives the bitwise result.
-        let (mut a, mut b) = (ab.clone(), bb.clone());
-        let mut c = vec![f64::NAN; layouts.c.len()];
-        let mut dirty = vec![f64::NAN; tp.ws_len() + 13];
-        let ops = Operands::Exclusive(&mut a, &mut b);
-        tp.run(ops, &mut c, &mut dirty, &mut PoolScratch::default(), None, &mut NoopSink).unwrap();
-        assert_eq!(c, clean);
+        let mut ctx = GemmContext::new();
+        soil(&mut ctx, &p, f64::NAN, f64::NAN);
+        ctx.ws = vec![f64::NAN; p.arena_len() + 13];
+        assert_eq!(exec(&p, &a, &b, &mut ctx, f64::NAN, &mut NoopSink).unwrap(), clean);
     }
 
     #[test]
@@ -268,26 +319,25 @@ mod tests {
     fn try_parallel_succeeds_and_matches_serial() {
         // The machine-default worker count (`MODGEMM_THREADS` or the CPU
         // count): pooled when it resolves to two or more, serial otherwise.
-        let layouts = square(8, 2);
-        let policy = ExecPolicy::default();
-        let (_, ab, bb) = morton_operands::<f64>(layouts, 21);
-        let c_par = run(&compile::<f64>(layouts, policy, 1, 0), &ab, &bb, 0.0);
-        let c_ser = run(&compile::<f64>(layouts, policy, 1, 1), &ab, &bb, 0.0);
+        let n = 32; // 8 << 2
+        let a: Matrix<f64> = random_matrix(n, n, 21);
+        let b: Matrix<f64> = random_matrix(n, n, 22);
+        let c_par = run_dirty(&plan(n, n, n, &cfg(8, 1, 0)), &a, &b, f64::NAN, f64::NAN);
+        let c_ser = run_dirty(&plan(n, n, n, &cfg(8, 1, 1)), &a, &b, 0.0, 0.0);
         assert_eq!(c_par, c_ser);
     }
 
     #[test]
     fn integers_stay_exact_in_parallel() {
-        let layouts = square(4, 3);
-        let (expect, ab, bb) = morton_operands::<i64>(layouts, 9);
-        let cb = run(&compile::<i64>(layouts, ExecPolicy::default(), 2, 0), &ab, &bb, 0);
-        let mut out = Matrix::zeros(32, 32);
-        from_morton(&cb, &layouts.c, out.view_mut());
-        assert_eq!(out, expect);
+        let n = 32; // 4 << 3
+        let a: Matrix<i64> = random_matrix(n, n, 9);
+        let b: Matrix<i64> = random_matrix(n, n, 10);
+        let c = run_dirty(&plan(n, n, n, &cfg(4, 2, 0)), &a, &b, i64::MIN, i64::MAX);
+        assert_eq!(c, naive_product(&a, &b));
 
         // Pooled DAG execution stays exact (and bitwise serial-equal) at a
         // worker count well above one level's task count.
-        let c_pool = run(&compile::<i64>(layouts, ExecPolicy::default(), 2, 16), &ab, &bb, 0);
-        assert_eq!(c_pool, cb);
+        let c_pool = run_dirty(&plan(n, n, n, &cfg(4, 2, 16)), &a, &b, i64::MIN, i64::MAX);
+        assert_eq!(c_pool, c);
     }
 }

@@ -23,8 +23,11 @@
 //! ([`crate::gemm::try_modgemm_with_metrics`] and friends) build a
 //! throwaway plan per call, and [`crate::gemm::modgemm_premorton`]
 //! compiles only the compute stage (`TiledPlan`), so every path runs the
-//! same interpreter (`exec_levels_raw`) or task DAG and produces
-//! bit-identical results.
+//! same interpreter (`exec_levels_raw`) and produces bit-identical
+//! results. A plan that runs on the pool holds a whole-batch task DAG
+//! ([`crate::batch`]) for a batch of one, whose conversion chunks,
+//! compute tasks and α/β unpack chunks run as one dependency-counted
+//! graph.
 
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
@@ -34,19 +37,19 @@ use modgemm_mat::naive::naive_gemm;
 use modgemm_mat::view::{MatMut, MatRef, Op};
 use modgemm_mat::{Matrix, Scalar};
 use modgemm_morton::convert::{from_morton, from_morton_axpby, to_morton};
-use modgemm_morton::par_convert::{par_from_morton_with, par_to_morton_with};
 
+use crate::batch::{build_dag, BatchDag};
 use crate::config::{ModgemmConfig, NonFinitePolicy, VerifyMode};
 use crate::error::{try_grow, try_zeroed_vec, GemmError, Operand};
 use crate::exec::{
-    check_buffers, fused_levels, fused_tail_len, morton_mul_with_ws, staged_step, workspace_len,
-    ExecPolicy, NodeLayouts,
+    check_buffers, fused_levels, fused_tail_len, morton_mul_add_with_ws, staged_step,
+    workspace_len, ExecPolicy, NodeLayouts,
 };
 use crate::gemm::{
     capped_policy, has_non_finite, layouts_of, scale_in_place, GemmBreakdown, GemmContext,
 };
 use crate::metrics::{MetricsSink, NoopSink, PlanFacts};
-use crate::pool::{resolve_threads, run_graph, CancelToken, PoolScratch, PoolTiles, ThreadPool};
+use crate::pool::{resolve_threads, BatchInput, CancelToken, ItemIo};
 use crate::rect;
 use crate::schedule::{ASlot, AddKind, BSlot, Schedule, Step, Variant};
 use crate::verify::verify_gemm;
@@ -205,7 +208,8 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
             if f > 0 {
                 crate::fuse::fused_mul_with_ws(av, bv, c, layouts, f, policy.kernel, arena);
             } else {
-                morton_mul_with_ws(av, bv, c, layouts, policy.kernel, arena);
+                c.fill(S::ZERO);
+                morton_mul_add_with_ws(av, bv, c, layouts, policy.kernel, arena);
             }
         };
         if K::ENABLED {
@@ -431,10 +435,10 @@ pub(crate) struct Place {
     pub off: usize,
 }
 
-/// The task flavors of the lowered DAG. The first four are the compute
-/// tasks of one GEMM's Winograd recursion; the last four only appear in
-/// batch DAGs ([`crate::batch`]), where conversion and epilogue work are
-/// ordinary dependency-counted tasks that overlap with compute.
+/// The task flavors of the lowered DAG ([`crate::batch`]). The first four
+/// are the compute tasks of one GEMM's Winograd recursion; the last four
+/// make conversion and epilogue work ordinary dependency-counted tasks
+/// that overlap with compute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TaskKind {
     /// `S1..S4` operand pre-additions of one Winograd node.
@@ -447,23 +451,23 @@ pub(crate) enum TaskKind {
     /// A serial subtree at the handover depth: `exec_levels_raw` on the
     /// subtree's own slab share.
     Leaf,
-    /// Batch DAGs: pack a Morton tile range of one item's A operand into
-    /// its window slot. `TaskDesc::node` indexes [`TaskGraph::chunks`].
+    /// Pack a Morton tile range of one item's A operand into its window
+    /// slot. `TaskDesc::node` indexes [`TaskGraph::chunks`].
     ConvertA,
-    /// Batch DAGs: pack a Morton tile range of one item's B operand.
+    /// Pack a Morton tile range of one item's B operand.
     ConvertB,
-    /// Batch DAGs: scatter a tile-column range of one item's Morton C
-    /// result back to the strided output (with the α/β epilogue).
+    /// Scatter a tile-column range of one item's Morton C result back to
+    /// the strided output (with the α/β epilogue).
     Unpack,
-    /// Batch DAGs: a zero-work join node (fan-in barrier) — e.g. "all of
-    /// item *i*'s A-convert chunks are done" or "item *i* fully retired,
-    /// its window slot may be reused".
+    /// A zero-work join node (fan-in barrier) — e.g. "all of item *i*'s
+    /// A-convert chunks are done" or "item *i* fully retired, its window
+    /// slot may be reused".
     Gate,
 }
 
-/// One unit of batch conversion/epilogue work: a contiguous range of one
+/// One unit of conversion/epilogue work: a contiguous range of one
 /// item's tiles (pack) or tile columns (unpack), bound to the window
-/// slot the item occupies. Referenced by the batch-only [`TaskKind`]s
+/// slot the item occupies. Referenced by the conversion [`TaskKind`]s
 /// through `TaskDesc::node`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BatchChunk {
@@ -482,7 +486,7 @@ pub(crate) struct BatchChunk {
 pub(crate) struct TaskDesc {
     pub kind: TaskKind,
     /// Index into [`TaskGraph::nodes`] for compute kinds, into
-    /// [`TaskGraph::chunks`] for the batch-only kinds.
+    /// [`TaskGraph::chunks`] for the conversion kinds.
     pub node: u32,
     /// Tasks that must complete before this one may run (the refcount
     /// the executor counts down).
@@ -509,10 +513,11 @@ pub(crate) struct NodeDesc {
     pub ws_len: usize,
 }
 
-/// A [`GemmPlan`]'s flattened schedule lowered into dependency-counted
-/// tasks spanning every parallel recursion level — the unit the
-/// work-stealing pool executes. Compiled once at plan time; execution
-/// only resets refcounts.
+/// A batch of GEMMs lowered into dependency-counted tasks: conversion
+/// chunks, every parallel recursion level of each item's flattened
+/// schedule, and unpack chunks — the unit the work-stealing pool
+/// executes. Compiled once at plan time; execution only resets
+/// refcounts.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TaskGraph {
     pub tasks: Vec<TaskDesc>,
@@ -521,11 +526,11 @@ pub(crate) struct TaskGraph {
     pub dependents: Vec<u32>,
     /// Tasks with no dependencies, in deterministic (DFS) order.
     pub roots: Vec<u32>,
-    /// Slab elements the graph's places span ([`parallel_slab_len`];
-    /// `window · per-slot` for batch DAGs).
+    /// Slab elements the graph's places span (`window ·`
+    /// [`parallel_slab_len`]).
     pub slab_len: usize,
-    /// Conversion/epilogue work units of a batch DAG (empty for
-    /// single-GEMM DAGs), indexed by batch-kind tasks' `node` field.
+    /// Conversion/epilogue work units, indexed by conversion-kind tasks'
+    /// `node` field.
     pub chunks: Vec<BatchChunk>,
 }
 
@@ -561,8 +566,8 @@ impl DagBuilder {
         id
     }
 
-    /// A batch-only task over conversion/epilogue work unit `chunk`
-    /// (same dependency semantics as [`Self::task`], but `node` indexes
+    /// A conversion-kind task over work unit `chunk` (same dependency
+    /// semantics as [`Self::task`], but `node` indexes
     /// [`TaskGraph::chunks`]).
     pub(crate) fn chunk_task(
         &mut self,
@@ -576,9 +581,9 @@ impl DagBuilder {
     }
 
     /// Lowers the subtree at `layouts` with `rem` parallel levels left.
-    /// `a_ready`/`b_ready` gate the operand regions (None = ready at
-    /// submit, e.g. the packed root operands); returns the task whose
-    /// completion means the subtree's `c` region holds its product.
+    /// `a_ready`/`b_ready` gate the operand regions (the item's convert
+    /// gates at the root); returns the task whose completion means the
+    /// subtree's `c` region holds its product.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build_node(
         &mut self,
@@ -708,7 +713,7 @@ pub fn parallel_slab_len(layouts: NodeLayouts, policy: ExecPolicy, par_depth: us
 }
 
 /// The parallel DAG depth a plan will actually execute with under `cfg`
-/// on `threads` resolved workers — `None` means "run serially".
+/// on `threads` resolved workers — `0` means "run serially".
 ///
 /// This is where the memory budget meets the parallel slab: the serial
 /// recursion depth was already budget-capped by
@@ -724,12 +729,12 @@ pub(crate) fn effective_par_depth<S: Scalar>(
     policy: ExecPolicy,
     cfg: &ModgemmConfig,
     threads: usize,
-) -> Option<usize> {
+) -> usize {
     if cfg.parallel_depth == 0 || threads < 2 {
-        return None;
+        return 0;
     }
     if policy.variant != Variant::Winograd || !staged_step(layouts, policy) {
-        return None;
+        return 0;
     }
     let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
     // Only the *staged* levels lower to DAG nodes: a fused subtree runs
@@ -738,31 +743,7 @@ pub(crate) fn effective_par_depth<S: Scalar>(
     while depth > 0 && parallel_slab_len(layouts, policy, depth) > budget {
         depth -= 1;
     }
-    (depth > 0).then_some(depth)
-}
-
-/// Lowers `depth` parallel Winograd levels of `layouts` under `policy`
-/// into a [`TaskGraph`] whose slab places match [`parallel_slab_len`]'s
-/// carving exactly.
-pub(crate) fn lower_dag(layouts: NodeLayouts, policy: ExecPolicy, depth: usize) -> TaskGraph {
-    let mut b = DagBuilder::new(policy);
-    let buffer = Place { in_slab: false, off: 0 };
-    b.build_node(layouts, 0, depth, buffer, buffer, buffer, 0, None, None);
-    let mut graph = b.finish();
-    graph.slab_len = parallel_slab_len(layouts, policy, depth);
-    graph
-}
-
-/// The parallel half of a [`TiledPlan`]: the compiled task graph (whose
-/// `slab_len` is [`parallel_slab_len`] at the effective DAG depth — the
-/// memory budget may cap it below `cfg.parallel_depth`, since worker
-/// parallelism degrades before recursion depth does) and the layouts of
-/// its levels.
-#[derive(Clone, Debug)]
-pub(crate) struct ParPlan {
-    pub(crate) graph: TaskGraph,
-    /// Layouts per DAG level, indexed by [`NodeDesc::level`].
-    pub(crate) level_layouts: Vec<NodeLayouts>,
+    depth
 }
 
 /// The A/B Morton operands of a [`TiledPlan::run`]. The borrow kind
@@ -776,11 +757,11 @@ pub(crate) enum Operands<'x, S> {
 }
 
 /// The compiled compute stage of a tiled (non-split) problem: the fixed
-/// layout tree, budget-capped policy, flattened level list, the arena
-/// sizes, and the task DAG when the plan runs on the pool. Every
-/// single-GEMM path from Morton buffers to the interpreter or the DAG
-/// goes through [`TiledPlan::new`] and [`TiledPlan::run`]; whole-batch
-/// DAGs ([`crate::batch`]) are lowered from its fields.
+/// layout tree, budget-capped policy, flattened level list, the serial
+/// arena size, and the DAG depth the pool runs it at. [`TiledPlan::run`]
+/// is the serial path from Morton buffers to the interpreter; pooled
+/// plans lower a task DAG from these fields
+/// ([`crate::batch::build_dag`]).
 #[derive(Clone, Debug)]
 pub(crate) struct TiledPlan {
     pub(crate) layouts: NodeLayouts,
@@ -789,20 +770,21 @@ pub(crate) struct TiledPlan {
     /// Serial workspace arena, in elements ([`workspace_len`]).
     pub(crate) arena_len: usize,
     /// Resolved worker count ([`crate::pool::resolve_threads`] at plan
-    /// time) — drives both the compute DAG and pooled conversion.
+    /// time).
     pub(crate) threads: usize,
-    /// The compiled task DAG; `None` when the plan executes serially
+    /// Parallel recursion levels the task DAG lowers
+    /// ([`effective_par_depth`]); `0` when a single GEMM runs serially
     /// (`parallel_depth == 0`, one thread, a non-Winograd schedule, or a
     /// budget that only admits the serial arena).
-    pub(crate) par: Option<ParPlan>,
+    pub(crate) par_depth: usize,
     pub(crate) facts: PlanFacts,
 }
 
 impl TiledPlan {
     /// Compiles the compute stage for `layouts` under `policy` (already
     /// budget-capped and tier-capped by the caller): flattens the staged
-    /// levels, sizes the serial arena, and lowers the task DAG when `cfg`
-    /// asks for one and its budget admits the slab.
+    /// levels, sizes the serial arena, and fixes the DAG depth `cfg`'s
+    /// budget admits.
     pub(crate) fn new<S: Scalar>(
         layouts: NodeLayouts,
         policy: ExecPolicy,
@@ -812,19 +794,7 @@ impl TiledPlan {
         let count = fill_levels(&mut levels, layouts, policy);
         levels.truncate(count);
         let threads = resolve_threads(cfg.threads);
-        let par = effective_par_depth::<S>(layouts, policy, cfg, threads).map(|depth| {
-            let graph = lower_dag(layouts, policy, depth);
-            let mut level_layouts = Vec::with_capacity(depth + 1);
-            let mut l = layouts;
-            for i in 0..=depth {
-                level_layouts.push(l);
-                if i < depth {
-                    // Never step past the leaf (depth can reach it).
-                    l = l.child();
-                }
-            }
-            ParPlan { graph, level_layouts }
-        });
+        let par_depth = effective_par_depth::<S>(layouts, policy, cfg, threads);
         let (pm, pk, pn) = layouts.dims();
         let facts = PlanFacts {
             padded: (pm, pk, pn),
@@ -841,36 +811,24 @@ impl TiledPlan {
             levels,
             arena_len: workspace_len(layouts, policy),
             threads,
-            par,
+            par_depth,
             facts,
         }
     }
 
-    /// Workspace elements [`Self::run`] carves: the serial arena, or the
-    /// DAG slab when the plan runs on the pool (never less than the
-    /// serial arena).
-    pub(crate) fn ws_len(&self) -> usize {
-        self.arena_len.max(self.par.as_ref().map_or(0, |p| p.graph.slab_len))
-    }
-
-    /// The compute stage: `C = A·B` over Morton buffers, on the serial
-    /// interpreter or, when the plan compiled a DAG, the work-stealing
-    /// pool. `ws` must hold at least [`Self::ws_len`] elements; its
-    /// contents are clobbered and need not be zeroed.
+    /// The serial compute stage: `C = A·B` over Morton buffers on the
+    /// schedule interpreter. `ws` must hold at least `arena_len`
+    /// elements; its contents are clobbered and need not be zeroed.
     ///
     /// Reports the plan facts, the workspace reservation and its measured
     /// occupancy, the kernel, packing traffic and per-level times through
-    /// `sink` (plus the pool counters on the DAG). The serial interpreter
-    /// checks `cancel` once, before computing; the DAG checks it at every
-    /// task dequeue and drains fully before returning. A panicking task
-    /// surfaces as [`GemmError::WorkerPanic`]; on any error `c` holds
-    /// garbage.
+    /// `sink`. The interpreter is not interruptible mid-recursion: it
+    /// checks `cancel` once, before computing.
     pub(crate) fn run<S: Scalar, K: MetricsSink>(
         &self,
         operands: Operands<'_, S>,
         c: &mut [S],
         ws: &mut [S],
-        scratch: &mut PoolScratch,
         cancel: Option<&CancelToken>,
         sink: &mut K,
     ) -> Result<(), GemmError> {
@@ -888,72 +846,29 @@ impl TiledPlan {
         check_buffers(a_len, b_len, c.len(), self.layouts)?;
         let elem = core::mem::size_of::<S>();
         if K::ENABLED {
-            let ws_len = self.ws_len();
             sink.record_plan(self.facts);
-            sink.record_workspace(ws_len, ws_len * elem);
+            sink.record_workspace(self.arena_len, self.arena_len * elem);
             // Auto was resolved at plan time; the stored kind is concrete.
             sink.record_kernel(self.policy.kernel);
             sink.record_bytes_packed(crate::counts::packed_bytes(self.layouts, self.policy, elem));
         }
-        // SAFETY (both arms): `a`/`b` span the full operand buffers
-        // (checked above) and stay borrowed, unaliased, for the call. They
-        // carry write-capable provenance whenever the schedule overwrites
-        // its inputs: the `Shared` arm rejected that case.
-        let used = match &self.par {
-            Some(pp) => {
-                // Pooled tasks report the serial interpreter's per-level
-                // time vocabulary (merged per level at the join) plus the
-                // pool counters.
-                let slab = &mut ws[..pp.graph.slab_len];
-                unsafe {
-                    run_graph(
-                        &pp.graph,
-                        &self.levels,
-                        &pp.level_layouts,
-                        self.policy,
-                        self.threads,
-                        a,
-                        b,
-                        c,
-                        slab,
-                        scratch,
-                        cancel,
-                        sink,
-                    )
-                }?;
-                // The DAG partitions its whole slab by construction.
-                pp.graph.slab_len
-            }
-            None => {
-                // The serial interpreter is not interruptible
-                // mid-recursion; its cancellation granularity is the whole
-                // compute.
-                if let Some(token) = cancel {
-                    token.check()?;
-                }
-                let arena = &mut ws[..self.arena_len];
-                let peak = unsafe {
-                    exec_levels_raw(
-                        a,
-                        b,
-                        c,
-                        self.layouts,
-                        &self.levels,
-                        0,
-                        arena,
-                        self.policy,
-                        sink,
-                    )
-                };
-                debug_assert_eq!(
-                    peak, self.arena_len,
-                    "measured peak workspace disagrees with the planned arena"
-                );
-                peak
-            }
+        if let Some(token) = cancel {
+            token.check()?;
+        }
+        let arena = &mut ws[..self.arena_len];
+        // SAFETY: `a`/`b` span the full operand buffers (checked above)
+        // and stay borrowed, unaliased, for the call. They carry
+        // write-capable provenance whenever the schedule overwrites its
+        // inputs: the `Shared` arm rejected that case.
+        let peak = unsafe {
+            exec_levels_raw(a, b, c, self.layouts, &self.levels, 0, arena, self.policy, sink)
         };
+        debug_assert_eq!(
+            peak, self.arena_len,
+            "measured peak workspace disagrees with the planned arena"
+        );
         if K::ENABLED {
-            sink.record_workspace_used(used, used * elem);
+            sink.record_workspace_used(peak, peak * elem);
         }
         Ok(())
     }
@@ -962,8 +877,8 @@ impl TiledPlan {
 /// A precompiled MODGEMM execution plan for one `m × k × n` problem
 /// shape under one [`ModgemmConfig`].
 ///
-/// Build once with [`plan`] / [`GemmPlan::try_new`], execute repeatedly
-/// with [`GemmPlan::execute`] / [`GemmPlan::try_execute`]: planning runs
+/// Build once with [`GemmPlan::try_new`], execute repeatedly with
+/// [`GemmPlan::execute`] / [`GemmPlan::try_execute`]: planning runs
 /// the truncation-point search, fixes the layout tree, flattens the
 /// schedule, and sizes the workspace arena; execution against a warm
 /// [`GemmContext`] is then allocation-free on the hot path. The type
@@ -980,6 +895,9 @@ pub struct GemmPlan<S> {
     /// rectangular for a joint tiling; execution then early-outs or runs
     /// the §3.5 submatrix split (each sub-product planning itself).
     strategy: Option<TiledPlan>,
+    /// The pooled task DAG, a batch of one: present when the strategy's
+    /// DAG depth is at least 1 (which implies two or more workers).
+    dag: Option<BatchDag>,
     /// True when a tuning profile (or forced choice) drove plan
     /// selection — reported through [`MetricsSink::record_tuning`] on
     /// every execution.
@@ -987,23 +905,11 @@ pub struct GemmPlan<S> {
     _marker: PhantomData<fn() -> S>,
 }
 
-/// Builds a [`GemmPlan`] for an `m × k × n` problem under `cfg` — the
-/// plan half of the plan/execute split.
-///
-/// # Panics
-/// On an invalid configuration; [`GemmPlan::try_new`] reports it.
-#[track_caller]
-pub fn plan<S: Scalar>(m: usize, k: usize, n: usize, cfg: &ModgemmConfig) -> GemmPlan<S> {
-    match GemmPlan::try_new(m, k, n, cfg) {
-        Ok(p) => p,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 impl<S: Scalar> GemmPlan<S> {
-    /// Fallible [`plan`]: validates `cfg`, runs the truncation-point
-    /// search, and compiles the layout tree, flattened schedule, and
-    /// arena offsets.
+    /// Builds a plan for an `m × k × n` problem under `cfg` — the plan
+    /// half of the plan/execute split: validates `cfg`, runs the
+    /// truncation-point search, and compiles the layout tree, flattened
+    /// schedule, arena offsets and, for a pooled plan, the task DAG.
     pub fn try_new(m: usize, k: usize, n: usize, cfg: &ModgemmConfig) -> Result<Self, GemmError> {
         cfg.validate()?;
         // Tuning resolves here, at the single plan-compilation choke
@@ -1029,7 +935,9 @@ impl<S: Scalar> GemmPlan<S> {
                 TiledPlan::new::<S>(layouts, capped_policy::<S>(layouts, &eff), &eff)
             })
         };
-        Ok(Self { m, k, n, cfg: *cfg, strategy, profile_hit, _marker: PhantomData })
+        let dag =
+            strategy.as_ref().filter(|tp| tp.par_depth > 0).and_then(|tp| build_dag(tp, 1, 1));
+        Ok(Self { m, k, n, cfg: *cfg, strategy, dag, profile_hit, _marker: PhantomData })
     }
 
     /// True when a tuning profile entry (or a
@@ -1059,10 +967,14 @@ impl<S: Scalar> GemmPlan<S> {
     }
 
     /// Elements of the workspace arena an execution will carve from the
-    /// context: the serial arena, or the parallel slab when
+    /// context: the serial arena, or the task DAG's slab when
     /// `parallel_depth > 0`. Zero for split or degenerate plans.
     pub fn arena_len(&self) -> usize {
-        self.strategy.as_ref().map_or(0, TiledPlan::ws_len)
+        match (&self.dag, &self.strategy) {
+            (Some(dag), _) => dag.slab_len(),
+            (None, Some(tp)) => tp.arena_len,
+            (None, None) => 0,
+        }
     }
 
     /// Effective parallel recursion depth the compiled plan will execute
@@ -1071,10 +983,7 @@ impl<S: Scalar> GemmPlan<S> {
     /// memory budget caps the parallel slab (worker parallelism degrades
     /// before recursion depth does) or when only one thread is resolved.
     pub fn parallel_depth(&self) -> usize {
-        self.strategy
-            .as_ref()
-            .and_then(|tp| tp.par.as_ref())
-            .map_or(0, |p| p.level_layouts.len().saturating_sub(1))
+        self.strategy.as_ref().map_or(0, |tp| tp.par_depth)
     }
 
     /// Worker count the plan resolved at compile time
@@ -1108,13 +1017,14 @@ impl<S: Scalar> GemmPlan<S> {
         self.strategy.as_ref().map_or(crate::schedule::Schedule::Standard, |tp| tp.facts.schedule)
     }
 
-    /// Task count of the compiled parallel DAG — the cooperative
-    /// cancellation granularity: a [`CancelToken`] is observed at every
-    /// task-dequeue boundary, so a cancel or deadline expiry is noticed
-    /// within one task's work. `0` when the plan executes serially (the
-    /// serial interpreter checks the token once, before computing).
+    /// Task count of the compiled parallel DAG (conversion and unpack
+    /// chunks included) — the cooperative cancellation granularity: a
+    /// [`CancelToken`] is observed at every task-dequeue boundary, so a
+    /// cancel or deadline expiry is noticed within one task's work. `0`
+    /// when the plan executes serially (the serial interpreter checks the
+    /// token once, before computing).
     pub fn parallel_tasks(&self) -> usize {
-        self.strategy.as_ref().and_then(|tp| tp.par.as_ref()).map_or(0, |p| p.graph.tasks.len())
+        self.dag.as_ref().map_or(0, BatchDag::tasks)
     }
 
     fn arena_bytes(&self) -> u64 {
@@ -1311,7 +1221,6 @@ impl<S: Scalar> GemmPlan<S> {
             Some(tp) => {
                 let bd = self.execute_tiled(
                     tp,
-                    &inner_cfg,
                     alpha,
                     op_a,
                     a,
@@ -1390,15 +1299,16 @@ impl<S: Scalar> GemmPlan<S> {
         Ok(bd)
     }
 
-    /// The tiled fast path: pack, run the compiled level list (or the
-    /// parallel executor on its slab), unpack. All buffers come from
+    /// The tiled fast path. A pooled plan runs its task DAG on a
+    /// one-entry item table (conversion chunks, compute, α/β unpack
+    /// chunks), reporting the DAG's wall time as `compute`; a serial plan
+    /// packs, runs the interpreter, and unpacks. All buffers come from
     /// `ctx`; any growth is recorded as temp allocations, so a warm
     /// context records none — the allocation-free hot path.
     #[allow(clippy::too_many_arguments)]
     fn execute_tiled<K: MetricsSink>(
         &self,
         tp: &TiledPlan,
-        cfg: &ModgemmConfig,
         alpha: S,
         op_a: Op,
         a: MatRef<'_, S>,
@@ -1410,59 +1320,58 @@ impl<S: Scalar> GemmPlan<S> {
         cancel: Option<&CancelToken>,
         sink: &mut K,
     ) -> Result<GemmBreakdown, GemmError> {
+        if let Some(dag) = &self.dag {
+            let item = [ItemIo {
+                a: a.as_ptr(),
+                lda: a.ld(),
+                b: b.as_ptr(),
+                ldb: b.ld(),
+                c: c.as_mut_ptr(),
+                ldc: c.ld(),
+            }];
+            let t0 = Instant::now();
+            // SAFETY: the views are the validated operands of this plan's
+            // shape, borrowed for the whole call; `c` is an exclusive
+            // borrow, so it aliases neither `a` nor `b`.
+            unsafe {
+                dag.run(
+                    tp,
+                    self.dims(),
+                    op_a,
+                    op_b,
+                    alpha,
+                    beta,
+                    BatchInput::Items(&item),
+                    ctx,
+                    cancel,
+                    sink,
+                )
+            }?;
+            return Ok(GemmBreakdown { compute: t0.elapsed(), ..GemmBreakdown::default() });
+        }
         let layouts = tp.layouts;
-        // Conversion tiling runs on the same pool as the compute DAG,
-        // under the same resolved thread count.
-        let pooled_convert = cfg.parallel_convert && tp.threads >= 2;
-        let old_lens = [ctx.a_buf.len(), ctx.b_buf.len(), ctx.c_buf.len(), ctx.ws.len()];
+        let old_lens = ctx.lens();
 
         let t0 = Instant::now();
         let abuf = try_grow(&mut ctx.a_buf, layouts.a.len())?;
         let bbuf = try_grow(&mut ctx.b_buf, layouts.b.len())?;
-        if pooled_convert {
-            let tiles = PoolTiles(ThreadPool::global(tp.threads));
-            par_to_morton_with(&tiles, tp.threads, a, op_a, &layouts.a, abuf);
-            par_to_morton_with(&tiles, tp.threads, b, op_b, &layouts.b, bbuf);
-        } else {
-            to_morton(a, op_a, &layouts.a, abuf);
-            to_morton(b, op_b, &layouts.b, bbuf);
-        }
+        to_morton(a, op_a, &layouts.a, abuf);
+        to_morton(b, op_b, &layouts.b, bbuf);
         let convert_in = t0.elapsed();
 
         let t1 = Instant::now();
         let cbuf = try_grow(&mut ctx.c_buf, layouts.c.len())?;
-        let ws = try_grow(&mut ctx.ws, tp.ws_len())?;
+        let ws = try_grow(&mut ctx.ws, tp.arena_len)?;
         // The context owns its packed buffers, so every tier may run.
-        tp.run(Operands::Exclusive(abuf, bbuf), cbuf, ws, &mut ctx.pool, cancel, sink)?;
+        tp.run(Operands::Exclusive(abuf, bbuf), cbuf, ws, cancel, sink)?;
         let compute = t1.elapsed();
-
-        if K::ENABLED {
-            // Cold-path accounting: every element the context buffers grew
-            // by during this call was a heap allocation the plan could not
-            // avoid. A warm context records nothing here.
-            let new_lens = [ctx.a_buf.len(), ctx.b_buf.len(), ctx.c_buf.len(), ctx.ws.len()];
-            let grown: Vec<u64> = new_lens
-                .iter()
-                .zip(old_lens)
-                .map(|(&new, old)| new.saturating_sub(old) as u64)
-                .collect();
-            let count = grown.iter().filter(|&&g| g > 0).count() as u64;
-            if count > 0 {
-                let elems: u64 = grown.iter().sum();
-                sink.record_temp_allocs(count, elems, elems * core::mem::size_of::<S>() as u64);
-            }
-        }
+        ctx.record_growth(old_lens, sink);
 
         crate::faults::maybe_poison(&mut ctx.c_buf[..layouts.c.len()]);
         let cbuf = &ctx.c_buf[..layouts.c.len()];
         let t2 = Instant::now();
         if alpha == S::ONE && beta == S::ZERO {
-            if pooled_convert {
-                let tiles = PoolTiles(ThreadPool::global(tp.threads));
-                par_from_morton_with(&tiles, tp.threads, cbuf, &layouts.c, c);
-            } else {
-                from_morton(cbuf, &layouts.c, c);
-            }
+            from_morton(cbuf, &layouts.c, c);
         } else {
             from_morton_axpby(cbuf, &layouts.c, alpha, beta, c.reborrow());
         }
@@ -1470,22 +1379,6 @@ impl<S: Scalar> GemmPlan<S> {
 
         Ok(GemmBreakdown { convert_in, compute, convert_out })
     }
-}
-
-/// Free-function form of [`GemmPlan::execute`]: `C = A·B` through a
-/// prebuilt plan (`α = 1`, `β = 0`, untransposed operands).
-///
-/// # Panics
-/// On the conditions [`GemmPlan::try_execute`] reports as errors.
-#[track_caller]
-pub fn execute<S: Scalar>(
-    plan: &GemmPlan<S>,
-    a: MatRef<'_, S>,
-    b: MatRef<'_, S>,
-    c: MatMut<'_, S>,
-    ctx: &mut GemmContext<S>,
-) {
-    plan.execute(a, b, c, ctx);
 }
 
 #[cfg(test)]
@@ -1567,7 +1460,7 @@ mod tests {
         {
             let a: Matrix<i64> = random_matrix(m, k, seed);
             let b: Matrix<i64> = random_matrix(k, n, seed + 10);
-            let p: GemmPlan<i64> = plan(m, k, n, &cfg);
+            let p: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
             let mut ctx = GemmContext::new();
             let mut c_planned: Matrix<i64> = Matrix::zeros(m, n);
             p.execute(a.view(), b.view(), c_planned.view_mut(), &mut ctx);
@@ -1589,7 +1482,7 @@ mod tests {
             let (m, k, n) = (150usize, 150usize, 150usize);
             let a: Matrix<f64> = random_matrix(m, k, 5);
             let b: Matrix<f64> = random_matrix(k, n, 6);
-            let p: GemmPlan<f64> = plan(m, k, n, &cfg);
+            let p: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
             let mut ctx = GemmContext::new();
             let mut c: Matrix<f64> = Matrix::zeros(m, n);
 
@@ -1675,7 +1568,7 @@ mod tests {
         let (m, k, n) = (150usize, 150usize, 150usize);
         let a: Matrix<f64> = random_matrix(m, k, 5);
         let b: Matrix<f64> = random_matrix(k, n, 6);
-        let p: GemmPlan<f64> = plan(m, k, n, &cfg);
+        let p: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
         assert!(p.profile_hit(), "a forced choice must count as a profile hit");
         let mut ctx = GemmContext::new();
         let mut c: Matrix<f64> = Matrix::zeros(m, n);
@@ -1705,7 +1598,7 @@ mod tests {
             "the forced kernel choice must drive plan-time selection"
         );
         // An untuned plan of the same shape reports no hit.
-        let untuned: GemmPlan<f64> = plan(m, k, n, &ModgemmConfig::default());
+        let untuned: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &ModgemmConfig::default()).unwrap();
         assert!(!untuned.profile_hit());
     }
 
@@ -1720,7 +1613,7 @@ mod tests {
             let (m, k, n) = (96usize, 96usize, 96usize);
             let a: Matrix<f64> = random_matrix(m, k, 7);
             let b: Matrix<f64> = random_matrix(k, n, 8);
-            let p: GemmPlan<f64> = plan(m, k, n, &cfg);
+            let p: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
             let mut ctx = GemmContext::new();
             let mut c: Matrix<f64> = Matrix::zeros(m, n);
             p.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
@@ -1776,7 +1669,7 @@ mod tests {
         let a: Matrix<f64> = random_matrix(m, k, 31);
         let b: Matrix<f64> = random_matrix(k, n, 32);
         let run = |cfg: &ModgemmConfig| {
-            let p: GemmPlan<f64> = plan(m, k, n, cfg);
+            let p: GemmPlan<f64> = GemmPlan::try_new(m, k, n, cfg).unwrap();
             let mut ctx = GemmContext::new();
             let mut c: Matrix<f64> = Matrix::zeros(m, n);
             let mut sink = CollectingSink::new();
@@ -1832,7 +1725,7 @@ mod tests {
             ..Default::default()
         };
         let (m, k, n) = (128usize, 128usize, 128usize);
-        let free: GemmPlan<f64> = plan(m, k, n, &cfg0);
+        let free: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg0).unwrap();
         assert_eq!(free.parallel_depth(), 2, "unlimited budget keeps the configured depth");
         let full_levels = free.strassen_levels();
         assert!(full_levels >= 2);
@@ -1848,7 +1741,7 @@ mod tests {
             memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(slab1 * 8),
             ..cfg0
         };
-        let capped: GemmPlan<f64> = plan(m, k, n, &cfg1);
+        let capped: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg1).unwrap();
         assert_eq!(capped.parallel_depth(), 1, "budget must cap the DAG depth first");
         assert_eq!(
             capped.strassen_levels(),
@@ -1927,7 +1820,7 @@ mod tests {
         };
 
         // Rung 0 — unlimited: parallel, full depth, standard schedule.
-        let free: GemmPlan<f64> = plan(m, k, n, &cfg0);
+        let free: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg0).unwrap();
         assert_eq!(
             facts(&free),
             (2, 4, 1, Schedule::Standard),
@@ -1937,7 +1830,7 @@ mod tests {
         // Rung 1 — the depth-2 slab no longer fits at standard but does
         // at low-mem: the schedule tier degrades FIRST, before fuse
         // depth, par-depth, recursion depth, or the kernel.
-        let lowmem: GemmPlan<f64> = plan(m, k, n, &budgeted(slab2_lm * 8));
+        let lowmem: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_lm * 8)).unwrap();
         assert_eq!(
             facts(&lowmem),
             (2, 4, 1, Schedule::LowMem),
@@ -1946,7 +1839,7 @@ mod tests {
 
         // Rung 2 — only the in-place depth-2 slab fits: the tier walks
         // down again, still before fuse/par-depth/recursion/kernel.
-        let inplace: GemmPlan<f64> = plan(m, k, n, &budgeted(slab2_ip * 8));
+        let inplace: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_ip * 8)).unwrap();
         assert_eq!(
             facts(&inplace),
             (2, 4, 1, Schedule::InPlace),
@@ -1957,7 +1850,7 @@ mod tests {
         // depth climb. (At full fusion no staged levels remain below the
         // DAG, so the slab is tier-independent and the climb keeps the
         // fastest schedule that fits — standard.)
-        let fused: GemmPlan<f64> = plan(m, k, n, &budgeted(slab2_f2 * 8));
+        let fused: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_f2 * 8)).unwrap();
         assert_eq!(
             facts(&fused),
             (2, 4, 2, Schedule::Standard),
@@ -1967,7 +1860,7 @@ mod tests {
         // Rung 4 — no (schedule, fuse) combination buys back DAG depth
         // 2: worker parallelism is sacrificed, and with the slab
         // pressure gone the plan keeps the fastest schedule.
-        let par1: GemmPlan<f64> = plan(m, k, n, &budgeted(slab1_std * 8));
+        let par1: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab1_std * 8)).unwrap();
         assert_eq!(
             facts(&par1),
             (1, 4, 1, Schedule::Standard),
@@ -1978,7 +1871,7 @@ mod tests {
         // serial in-place workspace. The schedule-only ladder keeps full
         // Strassen depth AND the packed kernel, where the old ladder
         // (schedule capped at standard) had to sacrifice recursion depth.
-        let serial: GemmPlan<f64> = plan(m, k, n, &budgeted(ws_ip * 8));
+        let serial: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(ws_ip * 8)).unwrap();
         assert_eq!(
             facts(&serial),
             (0, 4, 1, Schedule::InPlace),
@@ -2008,7 +1901,7 @@ mod tests {
             KernelKind::Packed,
             "rung 6 (recursion depth): kernel survives the depth rung"
         );
-        let shallow: GemmPlan<f64> = plan(m, k, n, &shallow_cfg);
+        let shallow: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &shallow_cfg).unwrap();
         assert!(
             shallow.strassen_levels() < 4,
             "rung 6 (recursion depth): depth must drop below every tier's workspace"
@@ -2018,7 +1911,7 @@ mod tests {
         // swapped for the workspace-free blocked fallback, last.
         let floor_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(1));
         assert_eq!(floor_policy.kernel, KernelKind::Blocked, "rung 7 (kernel): the last rung");
-        let floor: GemmPlan<f64> = plan(m, k, n, &budgeted(1));
+        let floor: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(1)).unwrap();
         assert_eq!((floor.strassen_levels(), floor.fused_levels()), (0, 0));
 
         // Every rung still multiplies correctly — including the pooled
@@ -2041,7 +1934,7 @@ mod tests {
     #[test]
     fn plan_rejects_mismatched_operands() {
         let cfg = ModgemmConfig::default();
-        let p: GemmPlan<f64> = plan(64, 64, 64, &cfg);
+        let p: GemmPlan<f64> = GemmPlan::try_new(64, 64, 64, &cfg).unwrap();
         let a: Matrix<f64> = Matrix::zeros(32, 32);
         let b: Matrix<f64> = Matrix::zeros(32, 32);
         let mut c: Matrix<f64> = Matrix::zeros(32, 32);
@@ -2066,7 +1959,7 @@ mod tests {
         let cfg = ModgemmConfig::default();
         // Too rectangular for a joint tiling: the plan records the split
         // verdict and execution runs the §3.5 decomposition.
-        let p: GemmPlan<f64> = plan(600, 70, 600, &cfg);
+        let p: GemmPlan<f64> = GemmPlan::try_new(600, 70, 600, &cfg).unwrap();
         assert!(p.is_split());
         assert_eq!(p.arena_len(), 0);
         let a: Matrix<f64> = random_matrix(600, 70, 20);
@@ -2077,7 +1970,7 @@ mod tests {
         modgemm_mat::norms::assert_matrix_eq(c.view(), naive_product(&a, &b).view(), 70);
 
         // k = 0 degenerates to C ← β·C.
-        let p: GemmPlan<f64> = plan(4, 0, 5, &cfg);
+        let p: GemmPlan<f64> = GemmPlan::try_new(4, 0, 5, &cfg).unwrap();
         assert!(!p.is_split());
         let a: Matrix<f64> = Matrix::zeros(4, 0);
         let b: Matrix<f64> = Matrix::zeros(0, 5);
@@ -2103,7 +1996,7 @@ mod tests {
     #[test]
     fn plan_accessors_reflect_the_compilation() {
         let cfg = ModgemmConfig { truncation: Truncation::Fixed(32), ..Default::default() };
-        let p: GemmPlan<f64> = plan(256, 256, 256, &cfg);
+        let p: GemmPlan<f64> = GemmPlan::try_new(256, 256, 256, &cfg).unwrap();
         assert_eq!(p.dims(), (256, 256, 256));
         assert_eq!(p.config(), &cfg);
         assert!(!p.is_split());
@@ -2117,7 +2010,7 @@ mod tests {
         let (m, k, n) = (96usize, 64usize, 80usize);
         let a: Matrix<i64> = random_matrix(m, k, 30);
         let b: Matrix<i64> = random_matrix(k, n, 31);
-        let p: GemmPlan<i64> = plan(m, k, n, &cfg);
+        let p: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
         let mut ctx = GemmContext::new();
         let mut c: Matrix<i64> = Matrix::zeros(m, n);
         p.execute(a.view(), b.view(), c.view_mut(), &mut ctx);

@@ -8,13 +8,14 @@
 //! parked on a condvar between jobs, and reused across `execute()` calls
 //! and whole [`crate::blas::try_gemm_batch`] batches.
 //!
-//! Jobs are whole task DAGs compiled from a [`crate::GemmPlan`]'s
-//! flattened schedule ([`crate::plan`](mod@crate::plan)'s lowering): every S/T
-//! pre-addition pass, every one of the seven quadrant products at
-//! *every* parallel recursion level, and every post-addition merge pass
-//! is a dependency-counted task. Workers pull from their own LIFO deque
-//! and steal FIFO from siblings, so sibling subtrees overlap across all
-//! levels instead of capping out at seven-way parallelism.
+//! Jobs are whole task DAGs compiled by [`crate::batch`]'s lowering (a
+//! pooled single GEMM is a batch of one): every Morton conversion chunk,
+//! every S/T pre-addition pass, every one of the seven quadrant products
+//! at *every* parallel recursion level, every post-addition merge pass,
+//! and every α/β unpack chunk is a dependency-counted task. Workers pull
+//! from their own LIFO deque and steal FIFO from siblings, so sibling
+//! subtrees overlap across all levels instead of capping out at
+//! seven-way parallelism.
 //!
 //! Design notes:
 //!
@@ -46,6 +47,7 @@ use std::time::{Duration, Instant};
 
 use modgemm_mat::addsub::{add_assign_flat, add_flat, sub_flat};
 use modgemm_mat::{MatRef, Op, Scalar};
+use modgemm_morton::{pack_tile_range, unpack_tile_cols_raw};
 
 use crate::error::{panic_message, GemmError};
 use crate::exec::{ExecPolicy, NodeLayouts};
@@ -555,7 +557,7 @@ impl<T> RawViewMut<T> {
 
 /// Per-item operand/output pointers of one batched GEMM — the
 /// [`crate::service::GemmService`] feeds gathered (non-strided) batches
-/// through this table.
+/// through this table, and a pooled single GEMM is a one-entry table.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ItemIo<S> {
     pub a: *const S,
@@ -567,7 +569,7 @@ pub(crate) struct ItemIo<S> {
 }
 
 /// Borrowed description of where a batch's items live, handed to
-/// [`run_batch_graph`]. `Strided` is the `gemm_batch_strided` layout
+/// [`run_graph`]. `Strided` is the `gemm_batch_strided` layout
 /// (item `i` at offset `i·stride` in each operand); `Items` is an
 /// explicit per-item pointer table.
 pub(crate) enum BatchInput<'x, S> {
@@ -651,9 +653,9 @@ pub(crate) struct BatchGeom {
     pub slot_c: usize,
 }
 
-/// The batch extension of a [`GraphJob`]: how the batch-only task kinds
-/// resolve item operands, plus the conversion/compute overlap accounting
-/// behind `ExecMetrics::conversion_overlap_fraction`.
+/// The item I/O of a [`GraphJob`]: how the conversion/epilogue task
+/// kinds resolve item operands, plus the conversion/compute overlap
+/// accounting behind `ExecMetrics::conversion_overlap_fraction`.
 struct BatchIo<S> {
     input: BatchInputRaw<S>,
     geom: BatchGeom,
@@ -694,9 +696,9 @@ struct GraphJob<S> {
     workers: usize,
     policy: ExecPolicy,
     metrics_on: bool,
-    /// `Some` for whole-batch DAGs ([`run_batch_graph`]): resolves the
-    /// batch-only task kinds and carries the overlap counters.
-    batch: Option<BatchIo<S>>,
+    /// Resolves the conversion/epilogue task kinds and carries the
+    /// overlap counters.
+    io: BatchIo<S>,
     /// External cancellation (deadline / caller cancel), consulted at
     /// every task-dequeue boundary; `None` costs one branch per task.
     cancel: Option<CancelToken>,
@@ -751,9 +753,9 @@ impl<S: Scalar> GraphJob<S> {
 
     /// Resolves an operand place to a raw pointer for
     /// [`exec_levels_raw`]. The `*mut` cast is only ever written through
-    /// when the policy runs the in-place schedule — and [`run_graph`]'s
-    /// contract requires write-capable (`&mut`-derived) operand pointers
-    /// for that tier. Slab regions always have it.
+    /// when the policy runs the in-place schedule; the operand views
+    /// derive from [`run_graph`]'s exclusive arena borrows, so they are
+    /// write-capable, as slab regions are.
     ///
     /// SAFETY: region disjointness per the DAG's edges.
     unsafe fn src_ptr(&self, base: &RawView<S>, p: Place, len: usize) -> *mut S {
@@ -827,7 +829,7 @@ impl<S: Scalar> GraphJob<S> {
         let graph = self.graph();
         let task = graph.tasks[task_ix as usize];
         match task.kind {
-            // Batch-only kinds index `graph.chunks`, not `graph.nodes`.
+            // Conversion kinds index `graph.chunks`, not `graph.nodes`.
             TaskKind::Gate => return,
             TaskKind::ConvertA | TaskKind::ConvertB | TaskKind::Unpack => {
                 return self.run_batch_chunk(task.kind, graph.chunks[task.node as usize]);
@@ -883,6 +885,11 @@ impl<S: Scalar> GraphJob<S> {
                 add_assign_flat(c21, c11); // U4 = U3 + P7       → C21 done
                 add_assign_flat(c22, c11); // U5 = U3 + P3       → C22 done
                 add_flat(c11, p1, p2); // U1 = P1 + P2           → C11 done
+                if node.level == 0 {
+                    // The item's root task: it still owns the whole result
+                    // that its Unpack chunks are about to read.
+                    crate::faults::maybe_poison(c);
+                }
             }
             TaskKind::Leaf => {
                 let a = self.src_ptr(&self.a, node.a, layouts.a.len());
@@ -898,14 +905,18 @@ impl<S: Scalar> GraphJob<S> {
                     let mut sink = crate::metrics::NoopSink;
                     exec_levels_raw(a, b, c, layouts, levels, li, ws, self.policy, &mut sink);
                 }
+                if li == 0 {
+                    // A whole item as one Leaf: poison as Post does.
+                    crate::faults::maybe_poison(c);
+                }
             }
             TaskKind::ConvertA | TaskKind::ConvertB | TaskKind::Unpack | TaskKind::Gate => {
-                unreachable!("batch kinds dispatched before the node lookup")
+                unreachable!("conversion kinds dispatched before the node lookup")
             }
         }
     }
 
-    /// Runs one batch conversion/epilogue chunk.
+    /// Runs one conversion/epilogue chunk.
     ///
     /// SAFETY: as [`Self::run_body`] — the DAG's edges make the touched
     /// regions exclusive: a convert chunk owns its tile range of its
@@ -914,7 +925,7 @@ impl<S: Scalar> GraphJob<S> {
     /// occupant's retire gate), and an unpack chunk owns its tile-column
     /// range of the item's C output (items' C windows are disjoint).
     unsafe fn run_batch_chunk(&self, kind: TaskKind, chunk: BatchChunk) {
-        let io = self.batch.as_ref().expect("batch task in a non-batch graph");
+        let io = &self.io;
         let root = self.level_layouts.get(0, self.level_layouts.len)[0];
         let g = io.geom;
         let (item, slot) = (chunk.item as usize, chunk.slot as usize);
@@ -933,14 +944,12 @@ impl<S: Scalar> GraphJob<S> {
                 let src = MatRef::from_raw_parts(ptr, rows, cols, ld);
                 let tile_len = layout.tile_len();
                 let dst = pack.get_mut(slot * slot_len + r0 * tile_len, (r1 - r0) * tile_len);
-                modgemm_morton::pack_tile_range(src, op, layout, dst, r0, r1);
+                pack_tile_range(src, op, layout, dst, r0, r1);
             }
             TaskKind::Unpack => {
                 let src = self.c.get(slot * g.slot_c, root.c.len());
                 let (ptr, ldc) = io.input.c(item);
-                modgemm_morton::unpack_tile_cols_raw(
-                    src, &root.c, io.alpha, io.beta, ptr, ldc, g.m, g.n, r0, r1,
-                );
+                unpack_tile_cols_raw(src, &root.c, io.alpha, io.beta, ptr, ldc, g.m, g.n, r0, r1);
             }
             _ => unreachable!(),
         }
@@ -964,30 +973,30 @@ impl<S: Scalar> GraphJob<S> {
             }
         }
         if !self.cancelled.load(Ordering::Relaxed) {
-            // Add-pass timing books into the per-level shard; batch kinds
-            // never index `graph.nodes`, so they are excluded here and
-            // accounted through the overlap counters instead.
-            let timed = self.metrics_on
-                && matches!(task.kind, TaskKind::SPre | TaskKind::TPre | TaskKind::Post);
+            // Add-pass timing books into the per-level shard; conversion
+            // kinds never index `graph.nodes`, so they are excluded here
+            // and accounted through the overlap counters instead.
+            let metrics = self.metrics_on;
+            let timed =
+                metrics && matches!(task.kind, TaskKind::SPre | TaskKind::TPre | TaskKind::Post);
             let is_chunk =
                 matches!(task.kind, TaskKind::ConvertA | TaskKind::ConvertB | TaskKind::Unpack);
             let is_compute = !is_chunk && task.kind != TaskKind::Gate;
-            let overlap = self.metrics_on && self.batch.is_some();
-            if overlap && is_compute {
-                self.batch.as_ref().unwrap().active_compute.fetch_add(1, Ordering::Relaxed);
+            let io = &self.io;
+            if metrics && is_compute {
+                io.active_compute.fetch_add(1, Ordering::Relaxed);
             }
             // A chunk counts as overlapped when compute was in flight at
             // either end of its body (sampling both ends catches compute
             // that started mid-chunk).
-            let compute_at_start = overlap
-                && is_chunk
-                && self.batch.as_ref().unwrap().active_compute.load(Ordering::Relaxed) > 0;
-            let t0 = if timed || (overlap && is_chunk) { Some(Instant::now()) } else { None };
+            let compute_at_start =
+                metrics && is_chunk && io.active_compute.load(Ordering::Relaxed) > 0;
+            let t0 = if timed || (metrics && is_chunk) { Some(Instant::now()) } else { None };
             // SAFETY: `task_ix` was popped from a deque exactly once and
             // its dependency count reached zero.
             let body = catch_unwind(AssertUnwindSafe(|| unsafe { self.run_body(task_ix, shard) }));
-            if overlap && is_compute {
-                self.batch.as_ref().unwrap().active_compute.fetch_sub(1, Ordering::Relaxed);
+            if metrics && is_compute {
+                io.active_compute.fetch_sub(1, Ordering::Relaxed);
             }
             if let Some(t0) = t0 {
                 let nanos = t0.elapsed().as_nanos() as u64;
@@ -995,7 +1004,6 @@ impl<S: Scalar> GraphJob<S> {
                     let level = graph.nodes[task.node as usize].level as usize;
                     shard.level_nanos[level.min(MAX_LEVELS)] += nanos;
                 } else {
-                    let io = self.batch.as_ref().unwrap();
                     io.convert_nanos.fetch_add(nanos, Ordering::Relaxed);
                     if compute_at_start || io.active_compute.load(Ordering::Relaxed) > 0 {
                         io.overlap_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -1077,75 +1085,6 @@ impl<S: Scalar> Job for GraphJob<S> {
     }
 }
 
-/// Executes a single GEMM's compiled [`TaskGraph`] on the global pool for
-/// `threads` workers, resetting `scratch` in place (zero allocations on a
-/// warm scratch apart from the job handle itself). Merges the per-worker
-/// metric shards into `sink` after the join: per-level wall times
-/// (summed across workers, so parallel and serial runs report the same
-/// vocabulary) and the aggregate [`PoolStats`].
-///
-/// # Safety
-/// `a` and `b` must point to the root Morton operand buffers
-/// (`level_layouts[0].a.len()` / `.b.len()` elements), valid for reads
-/// for the duration of the call, with no other access to them while it
-/// runs. When `policy.sched().overwrites_inputs()` they must also be
-/// valid for writes (`&mut`-derived): the in-place tier's leaf subtrees
-/// scribble on and restore their raw quadrants, and the DAG's SPre/TPre
-/// edges sequence every other reader before them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn run_graph<S: Scalar, K: MetricsSink>(
-    graph: &TaskGraph,
-    levels: &[LevelPlan],
-    level_layouts: &[NodeLayouts],
-    policy: ExecPolicy,
-    threads: usize,
-    a: *mut S,
-    b: *mut S,
-    c: &mut [S],
-    slab: &mut [S],
-    scratch: &mut PoolScratch,
-    cancel: Option<&CancelToken>,
-    sink: &mut K,
-) -> Result<(), GemmError> {
-    debug_assert!(threads >= 2, "threads < 2 must take the serial path");
-    debug_assert!(graph.slab_len <= slab.len(), "slab smaller than the graph's model");
-    scratch.reset(graph, threads);
-    let root = level_layouts[0];
-    let job: Arc<GraphJob<S>> = Arc::new(GraphJob {
-        graph: RawView { ptr: graph, len: 1 },
-        levels: RawView::new(levels),
-        level_layouts: RawView::new(level_layouts),
-        a: RawView { ptr: a.cast_const(), len: root.a.len() },
-        b: RawView { ptr: b.cast_const(), len: root.b.len() },
-        c: RawViewMut::new(c),
-        slab: RawViewMut::new(slab),
-        deps: RawView { ptr: scratch.deps.as_ptr(), len: scratch.deps.len() },
-        queues: RawView { ptr: scratch.queues.as_ptr(), len: scratch.queues.len() },
-        shards: RawView { ptr: scratch.shards.as_ptr(), len: scratch.shards.len() },
-        workers: threads,
-        policy,
-        metrics_on: K::ENABLED,
-        batch: None,
-        cancel: cancel.cloned(),
-        pending: AtomicUsize::new(graph.tasks.len()),
-        ready: AtomicUsize::new(graph.roots.len()),
-        cancelled: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
-        error: Mutex::new(None),
-        sync: Mutex::new(()),
-        cv: Condvar::new(),
-    });
-    ThreadPool::global(threads).run(job.clone());
-    let result = match job.take_error() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    };
-    if K::ENABLED {
-        merge_shards(scratch, threads, sink);
-    }
-    result
-}
-
 /// Merges the per-worker metric shards into `sink` after a join.
 fn merge_shards<K: MetricsSink>(scratch: &mut PoolScratch, threads: usize, sink: &mut K) {
     let mut stats =
@@ -1168,16 +1107,22 @@ fn merge_shards<K: MetricsSink>(scratch: &mut PoolScratch, threads: usize, sink:
     sink.record_pool(stats);
 }
 
-/// Executes a whole-batch [`TaskGraph`] ([`crate::batch`]'s lowering) on
-/// the global pool: per-item conversion, compute, and epilogue tasks all
-/// drain through one dependency-counted DAG, so conversion of item *k+1*
+/// Executes a compiled [`TaskGraph`] ([`crate::batch`]'s lowering; a
+/// pooled single GEMM is a batch of one) on the global pool for `threads`
+/// workers: per-item conversion, compute, and epilogue tasks all drain
+/// through one dependency-counted DAG, so conversion of item *k+1*
 /// overlaps with compute of item *k*. The packed A/B/C arenas and the
 /// slab hold `window` slots; `input` resolves each item's column-major
-/// operands. Returns `(convert_nanos, overlapped_nanos)` — total wall
-/// time of conversion/epilogue chunk bodies and the portion that ran
-/// concurrently with compute (both zero with a disabled sink).
+/// operands. `scratch` is reset in place (zero allocations on a warm
+/// scratch apart from the job handle itself), and the per-worker metric
+/// shards merge into `sink` after the join: per-level wall times (summed
+/// across workers, so pooled and serial runs report the same vocabulary)
+/// and the aggregate [`PoolStats`]. Returns `(convert_nanos,
+/// overlapped_nanos)` — total wall time of conversion/epilogue chunk
+/// bodies and the portion that ran concurrently with compute (both zero
+/// with a disabled sink).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch_graph<S: Scalar, K: MetricsSink>(
+pub(crate) fn run_graph<S: Scalar, K: MetricsSink>(
     graph: &TaskGraph,
     levels: &[LevelPlan],
     level_layouts: &[NodeLayouts],
@@ -1195,8 +1140,8 @@ pub(crate) fn run_batch_graph<S: Scalar, K: MetricsSink>(
     cancel: Option<&CancelToken>,
     sink: &mut K,
 ) -> Result<(u64, u64), GemmError> {
-    debug_assert!(threads >= 2, "threads < 2 must take the serial batch path");
-    debug_assert!(graph.slab_len <= slab.len(), "slab smaller than the batch graph's model");
+    debug_assert!(threads >= 2, "threads < 2 must take the serial path");
+    debug_assert!(graph.slab_len <= slab.len(), "slab smaller than the graph's model");
     scratch.reset(graph, threads);
     // The packed operand arenas are read by compute tasks (through the
     // job's `a`/`b` views) *and* written by convert tasks (through the
@@ -1237,7 +1182,7 @@ pub(crate) fn run_batch_graph<S: Scalar, K: MetricsSink>(
         workers: threads,
         policy,
         metrics_on: K::ENABLED,
-        batch: Some(BatchIo {
+        io: BatchIo {
             input,
             geom,
             alpha,
@@ -1247,7 +1192,7 @@ pub(crate) fn run_batch_graph<S: Scalar, K: MetricsSink>(
             active_compute: AtomicUsize::new(0),
             convert_nanos: AtomicU64::new(0),
             overlap_nanos: AtomicU64::new(0),
-        }),
+        },
         cancel: cancel.cloned(),
         pending: AtomicUsize::new(graph.tasks.len()),
         ready: AtomicUsize::new(graph.roots.len()),
@@ -1265,125 +1210,10 @@ pub(crate) fn run_batch_graph<S: Scalar, K: MetricsSink>(
     if K::ENABLED {
         merge_shards(scratch, threads, sink);
     }
-    let io = job.batch.as_ref().expect("batch job");
+    let io = &job.io;
     result.map(|()| {
         (io.convert_nanos.load(Ordering::Relaxed), io.overlap_nanos.load(Ordering::Relaxed))
     })
-}
-
-// ---------------------------------------------------------------------------
-// Parallel-for (Morton conversion tiling)
-// ---------------------------------------------------------------------------
-
-/// A self-scheduling parallel-for job: workers race on an atomic index
-/// until `jobs` bodies have run. Used to tile the column-major ↔ Morton
-/// conversion across the same pool as the compute DAG.
-struct ForJob<'a> {
-    body: &'a (dyn Fn(usize) + Sync),
-    jobs: usize,
-    next: AtomicUsize,
-    pending: AtomicUsize,
-    panic: Mutex<Option<String>>,
-    active: AtomicUsize,
-    sync: Mutex<()>,
-    cv: Condvar,
-}
-
-// SAFETY: `body` is `Sync`, everything else is synchronization state.
-unsafe impl Send for ForJob<'_> {}
-unsafe impl Sync for ForJob<'_> {}
-
-impl Job for ForJob<'_> {
-    fn work(&self, _worker: usize) {
-        self.active.fetch_add(1, Ordering::AcqRel);
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.jobs {
-                break;
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(i))) {
-                let mut slot = lock(&self.panic);
-                if slot.is_none() {
-                    *slot = Some(panic_message(payload.as_ref()));
-                }
-            }
-            if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                drop(lock(&self.sync));
-                self.cv.notify_all();
-            }
-        }
-        // Wait for stragglers: `work(0)` must not return to the caller
-        // while another worker is still inside a body.
-        let mut guard = lock(&self.sync);
-        while self.pending.load(Ordering::Acquire) != 0 {
-            guard = self.cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-        }
-        drop(guard);
-        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            drop(lock(&self.sync));
-            self.cv.notify_all();
-        }
-    }
-
-    fn quiesce(&self) {
-        let mut guard = lock(&self.sync);
-        while self.active.load(Ordering::Acquire) != 0 {
-            guard = self.cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-}
-
-impl ThreadPool {
-    /// Invokes `body(i)` for every `i in 0..jobs` across the pool (the
-    /// caller participates). A panicking body is caught, the remaining
-    /// bodies still run, and the first panic is re-raised on the caller
-    /// after the join — mirroring scoped-thread behavior.
-    pub fn for_each(&self, jobs: usize, body: &(dyn Fn(usize) + Sync)) {
-        if jobs == 0 {
-            return;
-        }
-        if jobs == 1 || self.spawned == 0 {
-            for i in 0..jobs {
-                body(i);
-            }
-            return;
-        }
-        // Lifetime erasure: `body` only borrows for this call, and
-        // `run` quiesces the job before returning.
-        let job: Arc<ForJob<'_>> = Arc::new(ForJob {
-            body,
-            jobs,
-            next: AtomicUsize::new(0),
-            pending: AtomicUsize::new(jobs),
-            panic: Mutex::new(None),
-            active: AtomicUsize::new(0),
-            sync: Mutex::new(()),
-            cv: Condvar::new(),
-        });
-        // SAFETY: ForJob borrows `body` for 'a < 'static; ThreadPool::run
-        // quiesces the job before returning, and stale workers that
-        // attach later observe `next >= jobs` and never call `body`.
-        let erased: Arc<dyn Job + 'static> = unsafe {
-            std::mem::transmute::<Arc<dyn Job + '_>, Arc<dyn Job + 'static>>(
-                job.clone() as Arc<dyn Job + '_>
-            )
-        };
-        self.run(erased);
-        let message = lock(&job.panic).take();
-        if let Some(message) = message {
-            panic!("pooled conversion worker panicked: {message}");
-        }
-    }
-}
-
-/// [`modgemm_morton::TileExecutor`] adapter for [`ThreadPool`], letting
-/// the Morton conversion tiling run on the compute pool.
-pub(crate) struct PoolTiles(pub Arc<ThreadPool>);
-
-impl modgemm_morton::TileExecutor for PoolTiles {
-    fn for_each(&self, jobs: usize, body: &(dyn Fn(usize) + Sync)) {
-        self.0.for_each(jobs, body);
-    }
 }
 
 #[cfg(test)]

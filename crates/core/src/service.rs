@@ -50,7 +50,7 @@ use modgemm_mat::{Matrix, Scalar};
 use crate::batch::BatchPlan;
 use crate::config::{MemoryBudget, ModgemmConfig};
 use crate::error::{try_zeroed_vec, GemmError};
-use crate::gemm::{batch_buffer_needs, buffer_needs, GemmContext};
+use crate::gemm::{buffer_needs, GemmContext};
 use crate::metrics::{NoopSink, ServiceStats};
 use crate::plan::GemmPlan;
 use crate::pool::{CancelToken, ItemIo};
@@ -707,7 +707,7 @@ impl<S: Scalar + 'static> GemmService<S> {
         // Ledger admission over the *windowed* batch estimate — the same
         // sizing the DAG executor grows the context to — plus outputs.
         let elem = core::mem::size_of::<S>() as u64;
-        let workspace: u64 = batch_buffer_needs::<S>(m, k, n, items.len(), &cfg)
+        let workspace: u64 = buffer_needs::<S>(m, k, n, items.len(), &cfg)
             .map(|(a, b, c, ws)| (a + b + c + ws) as u64)
             .unwrap_or(0);
         let bytes = (workspace + (m as u64) * (n as u64) * (items.len() as u64)) * elem;
@@ -786,7 +786,7 @@ impl<S: Scalar + 'static> GemmService<S> {
         // 3. Ledger admission over the request's workspace estimate —
         //    the same sizing execution will use — plus its output.
         let elem = core::mem::size_of::<S>() as u64;
-        let workspace: u64 = buffer_needs::<S>(m, k, n, &cfg)
+        let workspace: u64 = buffer_needs::<S>(m, k, n, 1, &cfg)
             .map(|(a, b, c, ws)| (a + b + c + ws) as u64)
             .unwrap_or(0);
         let bytes = (workspace + (m as u64) * (n as u64)) * elem;

@@ -86,12 +86,19 @@ pub fn verify_gemm<S: Scalar>(
         op_gemv(b, op_b, &x, &mut bx);
         op_gemv(a, op_a, &bx, &mut abx);
         op_gemv(c, Op::NoTrans, &x, &mut cx);
-        op_gemv(c0, Op::NoTrans, &x, &mut c0x);
+        // β = 0 never reads C₀ (BLAS semantics): garbage there, NaN
+        // included, must not leak into the reference.
+        if beta != S::ZERO {
+            op_gemv(c0, Op::NoTrans, &x, &mut c0x);
+        }
 
         for i in 0..m {
             let want = alpha * abx[i] + beta * c0x[i];
             let diff = (cx[i] - want).abs_val().to_f64();
-            if diff > tol {
+            // A NaN in C·x that the reference does not share (a NaN
+            // difference against a finite reference) is a mismatch too;
+            // `diff > tol` alone lets it through.
+            if diff > tol || (diff.is_nan() && want.abs_val().to_f64().is_finite()) {
                 return false;
             }
         }
@@ -170,6 +177,18 @@ mod tests {
             8,
             101
         ));
+    }
+
+    #[test]
+    fn rejects_nan_entries_of_a_finite_product() {
+        // A NaN difference compares false against any tolerance; the
+        // check must still reject it when the reference is finite.
+        let n = 60;
+        let a: Matrix<f64> = random_matrix(n, n, 5);
+        let b: Matrix<f64> = random_matrix(n, n, 6);
+        let mut c = naive_product(&a, &b);
+        c.set(17, 42, f64::NAN);
+        assert!(!verify_product(a.view(), b.view(), c.view(), 8, 101));
     }
 
     #[test]

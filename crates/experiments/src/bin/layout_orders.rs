@@ -12,7 +12,7 @@
 //!    `C` tiles that share `tr` reuse the `A` panel, sharing `tc` reuses
 //!    the `B` panel — so the ordering directly sets the operand traffic.
 //!    This is the access structure behind Frens & Wise's recursive
-//!    multiply (cited in §5.2) and behind `morton_mul_add`'s call order.
+//!    multiply (cited in §5.2) and behind `morton_mul_add_with_ws`'s call order.
 //!
 //! Morton's quadrant contiguity is what Strassen's recursion needs
 //! (§3.3); this study quantifies its locality cost relative to the

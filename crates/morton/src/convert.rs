@@ -33,7 +33,7 @@ pub fn to_morton<S: Scalar>(src: MatRef<'_, S>, op: Op, layout: &MortonLayout, d
 }
 
 /// Packs Morton tiles `[z0, z1)` of `op(src)` — the task-granular unit
-/// the pooled conversion paths and the batch DAG schedule. `dst_range`
+/// the GEMM task DAG schedules. `dst_range`
 /// is exactly those tiles of the full Morton buffer (length
 /// `(z1 - z0) · tile_len`); concurrent callers covering disjoint tile
 /// ranges therefore write disjoint memory.
@@ -185,6 +185,73 @@ pub fn from_morton_axpby<S: Scalar>(
     }
 }
 
+/// Unpacks tile columns `[tc0, tc1)` of the Morton buffer `src` into a
+/// raw column-major destination, applying `dst ← α·src + β·dst` over the
+/// live region (`β = 0` writes without reading `dst` — BLAS semantics).
+/// This is the task-granular unpack unit of the GEMM task DAG: each task
+/// owns a disjoint tile-column range, hence a disjoint destination
+/// column block.
+///
+/// `lr × lc` are the logical destination dimensions; `ld` its leading
+/// dimension (column stride).
+///
+/// # Safety
+/// `dst` must be valid for writes of an `lr × lc` column-major matrix
+/// with leading dimension `ld ≥ lr`, and concurrent callers over the
+/// same destination must cover disjoint tile-column ranges.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn unpack_tile_cols_raw<S: Scalar>(
+    src: &[S],
+    layout: &MortonLayout,
+    alpha: S,
+    beta: S,
+    dst: *mut S,
+    ld: usize,
+    lr: usize,
+    lc: usize,
+    tc0: usize,
+    tc1: usize,
+) {
+    debug_assert_eq!(src.len(), layout.len());
+    debug_assert!(lr <= layout.rows() && lc <= layout.cols());
+    debug_assert!(tc0 <= tc1 && tc1 <= layout.grid());
+    let (tm, tn) = (layout.tile_rows, layout.tile_cols);
+    let grid = layout.grid();
+    for tc in tc0..tc1 {
+        let col0 = tc * tn;
+        if col0 >= lc {
+            break;
+        }
+        let live_c = (lc - col0).min(tn);
+        for tr in 0..grid {
+            let row0 = tr * tm;
+            if row0 >= lr {
+                break;
+            }
+            let live_r = (lr - row0).min(tm);
+            let tile0 = layout.tile_offset(tr, tc);
+            for jj in 0..live_c {
+                let src_col = &src[tile0 + jj * tm..tile0 + jj * tm + live_r];
+                // SAFETY (caller contract): this task owns destination
+                // columns `[tc0·tn, tc1·tn)` — a disjoint column block.
+                let p = dst.add((col0 + jj) * ld + row0);
+                if alpha == S::ONE && beta == S::ZERO {
+                    std::ptr::copy_nonoverlapping(src_col.as_ptr(), p, live_r);
+                } else {
+                    let dst_col = std::slice::from_raw_parts_mut(p, live_r);
+                    if beta == S::ZERO {
+                        for (d, &s) in dst_col.iter_mut().zip(src_col) {
+                            *d = alpha * s;
+                        }
+                    } else {
+                        modgemm_mat::addsub::axpby_flat(alpha, src_col, beta, dst_col);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Reads the logical element `(i, j)` of a Morton buffer (slow; for tests
 /// and diagnostics).
 #[track_caller]
@@ -304,6 +371,131 @@ mod tests {
         let mut out: Matrix<f64> = Matrix::zeros(37, 53);
         from_morton(&buf, &layout, out.view_mut());
         assert_eq!(out, m);
+    }
+
+    /// Splits `units` into `parts` contiguous half-open ranges, the way a
+    /// task DAG hands tiles or tile columns to its conversion chunks.
+    fn chunks(units: usize, parts: usize) -> Vec<(usize, usize)> {
+        let per = units.div_ceil(parts);
+        (0..units).step_by(per).map(|r0| (r0, (r0 + per).min(units))).collect()
+    }
+
+    /// Packs `op(m)` into a dirty buffer one tile range at a time, last
+    /// range first when `reverse`.
+    fn pack_in_ranges(
+        m: &Matrix<f64>,
+        op: Op,
+        layout: &MortonLayout,
+        parts: usize,
+        reverse: bool,
+    ) -> Vec<f64> {
+        let tile_len = layout.tile_len();
+        let mut buf = vec![1.0; layout.len()];
+        let mut ranges = chunks(layout.len() / tile_len, parts);
+        if reverse {
+            ranges.reverse();
+        }
+        for (z0, z1) in ranges {
+            let dst = &mut buf[z0 * tile_len..z1 * tile_len];
+            pack_tile_range(m.view(), op, layout, dst, z0, z1);
+        }
+        buf
+    }
+
+    /// Unpacks `buf` tile-column range by tile-column range into `out`.
+    fn unpack_in_ranges(buf: &[f64], layout: &MortonLayout, out: &mut Matrix<f64>, parts: usize) {
+        let (lr, lc) = (out.rows(), out.cols());
+        let mut view = out.view_mut();
+        let ld = view.ld();
+        for (tc0, tc1) in chunks(layout.grid(), parts).into_iter().rev() {
+            // SAFETY: `out` is an `lr × lc` matrix with leading dimension
+            // `ld`, and the ranges are disjoint.
+            unsafe {
+                unpack_tile_cols_raw(buf, layout, 1.0, 0.0, view.as_mut_ptr(), ld, lr, lc, tc0, tc1)
+            };
+        }
+    }
+
+    #[test]
+    fn tile_range_pack_matches_serial() {
+        let m: Matrix<f64> = coordinate_matrix(600, 600);
+        let layout = MortonLayout::new(38, 38, 4); // 608x608 padded.
+        let mut serial = vec![0.0; layout.len()];
+        to_morton(m.view(), Op::NoTrans, &layout, &mut serial);
+        assert_eq!(pack_in_ranges(&m, Op::NoTrans, &layout, 7, false), serial);
+    }
+
+    #[test]
+    fn tile_range_pack_with_transpose() {
+        let m: Matrix<f64> = coordinate_matrix(500, 600);
+        let layout = MortonLayout::new(38, 32, 4); // 608x512 padded, holds 600x500.
+        let mut serial = vec![0.0; layout.len()];
+        to_morton(m.view(), Op::Trans, &layout, &mut serial);
+        assert_eq!(pack_in_ranges(&m, Op::Trans, &layout, 5, false), serial);
+    }
+
+    #[test]
+    fn tile_column_unpack_matches_serial() {
+        let m: Matrix<f64> = coordinate_matrix(600, 600);
+        let layout = MortonLayout::new(38, 38, 4);
+        let mut buf = vec![0.0; layout.len()];
+        to_morton(m.view(), Op::NoTrans, &layout, &mut buf);
+        let mut out: Matrix<f64> = Matrix::zeros(600, 600);
+        unpack_in_ranges(&buf, &layout, &mut out, 3);
+        assert_eq!(out, m);
+    }
+
+    #[test]
+    fn ranges_in_any_order_and_count_match_serial() {
+        // Chunks write disjoint memory, so neither their number nor the
+        // order they run in may change the result.
+        let m: Matrix<f64> = coordinate_matrix(600, 555);
+        let layout = MortonLayout::new(38, 38, 4); // 608x608, ragged columns.
+        let mut serial = vec![0.0; layout.len()];
+        to_morton(m.view(), Op::NoTrans, &layout, &mut serial);
+        for parts in [1, 2, 3, 16] {
+            assert_eq!(pack_in_ranges(&m, Op::NoTrans, &layout, parts, true), serial, "{parts}");
+            let mut out: Matrix<f64> = Matrix::zeros(600, 555);
+            unpack_in_ranges(&serial, &layout, &mut out, parts);
+            assert_eq!(out, m, "unpack parts = {parts}");
+        }
+    }
+
+    #[test]
+    fn tile_column_unpack_applies_alpha_beta() {
+        // The α/β epilogue matches `from_morton_axpby` bit for bit,
+        // including β = 0 ignoring NaN garbage in the destination.
+        let m: Matrix<f64> = random_matrix(37, 53, 6);
+        let layout = MortonLayout::new(10, 14, 2);
+        let mut buf = vec![0.0; layout.len()];
+        to_morton(m.view(), Op::NoTrans, &layout, &mut buf);
+        for (alpha, beta, init) in [(2.5, -0.5, 3.0), (0.5, 0.0, f64::NAN), (1.0, 0.0, f64::NAN)] {
+            let mut want = Matrix::from_fn(37, 53, |_, _| init);
+            from_morton_axpby(&buf, &layout, alpha, beta, want.view_mut());
+            let mut got = Matrix::from_fn(37, 53, |_, _| init);
+            let mut view = got.view_mut();
+            let ld = view.ld();
+            for (tc0, tc1) in chunks(layout.grid(), 3) {
+                // SAFETY: as in `unpack_in_ranges`.
+                unsafe {
+                    unpack_tile_cols_raw(
+                        &buf,
+                        &layout,
+                        alpha,
+                        beta,
+                        view.as_mut_ptr(),
+                        ld,
+                        37,
+                        53,
+                        tc0,
+                        tc1,
+                    )
+                };
+            }
+            let bits =
+                |x: &Matrix<f64>| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "alpha {alpha} beta {beta}");
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   (tile numbering exactly as the paper's Figure 1).
 //! * [`convert`] — column-major ⇄ Morton conversion, with transposition
 //!   folded into the ingest direction (§3.5) and zero-filled padding.
-//! * [`par_convert`] — multi-threaded conversion (the conversion cost is
-//!   5–15% of total time in Figure 7; parallelizing it is a natural
-//!   extension).
+//!   Tiles are independent (Figure 7 puts conversion at 5–15% of a
+//!   call), so the pack works on tile ranges and the unpack on tile
+//!   columns: the units the GEMM task DAG schedules as tasks.
 //! * [`hilbert`] — a Hilbert-curve tile ordering for layout studies: the
 //!   locality-optimal alternative whose *lack of self-similarity* is
 //!   exactly why the paper's algorithm needs Morton order (see the module
@@ -30,13 +30,10 @@
 pub mod convert;
 pub mod hilbert;
 pub mod layout;
-pub mod par_convert;
 pub mod tiling;
 
-pub use convert::{from_morton, from_morton_axpby, pack_tile_range, to_morton};
-pub use layout::MortonLayout;
-pub use par_convert::{
-    par_from_morton, par_from_morton_with, par_to_morton, par_to_morton_with, unpack_tile_cols_raw,
-    TileExecutor,
+pub use convert::{
+    from_morton, from_morton_axpby, pack_tile_range, to_morton, unpack_tile_cols_raw,
 };
+pub use layout::MortonLayout;
 pub use tiling::{choose_dim_tiling, choose_joint_tiling, DimTiling, JointTiling, TileRange};

@@ -45,7 +45,7 @@ fn main() {
     println!("serial          : {:>8.1} ms", t_serial.as_secs_f64() * 1e3);
 
     for depth in [1usize, 2] {
-        let cfg = ModgemmConfig { parallel_depth: depth, parallel_convert: true, ..serial_cfg };
+        let cfg = ModgemmConfig { parallel_depth: depth, ..serial_cfg };
         let t = time_once(&a, &b, &mut c, &cfg);
         // Same products, same kernels ⇒ bitwise identical to serial.
         assert_eq!(c, serial_result, "parallel result must be bitwise identical");
@@ -58,8 +58,7 @@ fn main() {
 
     // Pin the pool to explicit worker counts (0 above = auto).
     for threads in [1usize, 2, 4] {
-        let cfg =
-            ModgemmConfig { parallel_depth: 2, parallel_convert: true, threads, ..serial_cfg };
+        let cfg = ModgemmConfig { parallel_depth: 2, threads, ..serial_cfg };
         let t = time_once(&a, &b, &mut c, &cfg);
         assert_eq!(c, serial_result, "pooled result must be bitwise identical");
         println!(

@@ -54,7 +54,7 @@ pub mod prelude {
         try_zgemm,
     };
     pub use modgemm_core::{
-        execute, modgemm, modgemm_premorton, modgemm_timed, modgemm_with_ctx, plan, try_modgemm,
+        modgemm, modgemm_premorton, modgemm_timed, modgemm_with_ctx, try_modgemm,
         try_modgemm_with_ctx, try_modgemm_with_metrics, BatchPlan, CollectingSink, ExecMetrics,
         GemmContext, GemmError, GemmPlan, MemoryBudget, MetricsSink, ModgemmConfig, MortonMatrix,
         NonFinitePolicy, NoopSink, Operand, StridedBatch, Truncation, Variant, VerifyMode,
