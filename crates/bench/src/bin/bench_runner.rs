@@ -13,8 +13,9 @@
 //! ```
 //!
 //! The declared suite covers the paper's axes: GEMM at 256 (power of
-//! two) and 513 (worst-case padding) under the default configuration,
-//! plus `modgemm_513_paper` under [`ModgemmConfig::paper`] (the staged
+//! two), 513 and 1025 (worst-case padding, 33-wide leaves) under the
+//! default configuration, plus `modgemm_513_paper` and
+//! `modgemm_1025_paper` under [`ModgemmConfig::paper`] (the staged
 //! `Blocked` pipeline), which the `gate-default` subcommand turns into
 //! CI's assertion that the default never falls back below the paper's
 //! kernel on min-time GFLOP/s, a truncation sweep
@@ -163,6 +164,8 @@ fn suite_cases(
         case("modgemm_256", 256, Algo::Modgemm(base)),
         case("modgemm_513", 513, Algo::Modgemm(base)),
         case("modgemm_513_paper", 513, Algo::Modgemm(ModgemmConfig::paper())),
+        case("modgemm_1025", 1025, Algo::Modgemm(base)),
+        case("modgemm_1025_paper", 1025, Algo::Modgemm(ModgemmConfig::paper())),
         case(SCORE_REFERENCE_CASE, 256, Algo::Conventional),
         case("modgemm_256_trunc16", 256, Algo::Modgemm(trunc(16))),
         case("modgemm_256_trunc64", 256, Algo::Modgemm(trunc(64))),
@@ -894,10 +897,11 @@ const GATES: [Gate; 4] = [
                   same budget",
     },
     // The default configuration must never fall back below the paper's
-    // staged Blocked pipeline.
+    // staged Blocked pipeline, including at the padding worst cases whose
+    // 33-wide leaves end in ragged register tiles.
     Gate {
         cmd: "gate-default",
-        pairs: &[("modgemm_513_paper", "modgemm_513")],
+        pairs: &[("modgemm_513_paper", "modgemm_513"), ("modgemm_1025_paper", "modgemm_1025")],
         failure: "default-config min-time GFLOP/s below the paper configuration",
     },
 ];
@@ -1078,16 +1082,26 @@ mod tests {
     #[test]
     fn gate_default_fails_when_the_default_falls_below_paper() {
         let gate = GATES.iter().find(|g| g.cmd == "gate-default").unwrap();
-        let verdict = |default: f64| {
-            let r = report(&[("modgemm_513", default), ("modgemm_513_paper", 10.0)]);
+        // Either pair may carry the candidate under test; the other one
+        // is a comfortable pass.
+        let verdict = |default: f64, at_1025: bool| {
+            let (d513, d1025) = if at_1025 { (20.0, default) } else { (default, 20.0) };
+            let r = report(&[
+                ("modgemm_513", d513),
+                ("modgemm_513_paper", 10.0),
+                ("modgemm_1025", d1025),
+                ("modgemm_1025_paper", 10.0),
+            ]);
             let lines = check_gate(gate, &r, 0.05).unwrap();
-            assert_eq!(lines.len(), 1);
-            lines[0].1
+            assert_eq!(lines.len(), 2);
+            lines.iter().all(|(_, ok)| *ok)
         };
-        assert!(verdict(20.0), "faster default passes");
-        assert!(verdict(9.6), "inside the 5% noise floor passes");
-        assert!(!verdict(9.0), "a default slower than the paper config fails");
-        let missing = report(&[("modgemm_513", 20.0)]);
-        assert!(check_gate(gate, &missing, 0.05).is_err(), "a missing control is an error");
+        for at_1025 in [false, true] {
+            assert!(verdict(20.0, at_1025), "faster default passes");
+            assert!(verdict(9.6, at_1025), "inside the 5% noise floor passes");
+            assert!(!verdict(9.0, at_1025), "a default slower than the paper config fails");
+        }
+        let missing = report(&[("modgemm_513", 20.0), ("modgemm_513_paper", 10.0)]);
+        assert!(check_gate(gate, &missing, 0.05).is_err(), "a missing 1025 pair is an error");
     }
 }

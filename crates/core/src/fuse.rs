@@ -277,7 +277,7 @@ fn fused_leaf<S: Scalar>(
                 (&mut [][..], false)
             }
         });
-        packed_mul_scatter_in(&at[..ac.n as usize], &bt[..bc.n as usize], &mut dests[..nc], ws);
+        packed_mul_scatter_in(&at[..ac.n as usize], &bt[..bc.n as usize], &mut dests[..nc], tm, ws);
         return;
     }
     // Non-packing kernels: materialize the combined operands in the

@@ -20,11 +20,11 @@
 //!   what register-level unrolling alone buys, the counterpoint to
 //!   [`Blocked`]'s `MC/KC/NC` loop nest.
 //! * [`Packed`] — the Goto/BLIS-style packed kernel ([`crate::pack`]):
-//!   copies A and B into MR/NR panel buffers, then drives a runtime-
-//!   dispatched register-tile microkernel ([`crate::simd`]) over the
-//!   packed panels. The only kernel that needs workspace, which the
-//!   planned executors carve from the plan arena via
-//!   [`LeafKernel::mul_add_in`].
+//!   copies A and B into MR/NR panel buffers, then drives one runtime-
+//!   dispatched register-tile microkernel body ([`crate::simd`]) over
+//!   every tile of the packed panels, ragged edge tiles included. The
+//!   only kernel that needs workspace, which the planned executors carve
+//!   from the plan arena via [`LeafKernel::mul_add_in`].
 //!
 //! [`KernelKind::Auto`] additionally selects between `Packed` and
 //! `Blocked` from the detected vector features and the leaf tile size —
@@ -149,6 +149,11 @@ impl<S: Scalar> LeafKernel<S> for Micro {
 /// The Goto/BLIS-style packed kernel: operands are copied into MR/NR
 /// panel buffers ([`crate::pack`]) and multiplied by a register-tile
 /// microkernel, vectorized when the host supports it ([`crate::simd`]).
+/// Edge tiles of a ragged leaf (e.g. 33 = 4·8 + 1 rows) run the same
+/// body into a local `MR × NR` buffer and add out only the live window,
+/// so every tile runs at the body's speed. It is the one-destination
+/// case of [`crate::pack::packed_mul_scatter_in`], the fused leaf's
+/// driver.
 ///
 /// [`LeafKernel::mul_add_in`] is the intended entry point — the planned
 /// executors hand it an arena slice, so the hot path never allocates.

@@ -24,11 +24,14 @@
 //! * [`kernel`] — the [`LeafKernel`] trait and the [`KernelKind`] selector
 //!   that let executors choose the leaf multiply (naive / blocked / micro /
 //!   packed, or `Auto`) at plan time instead of hard-wiring it.
-//! * [`pack`] / [`simd`] — the Goto/BLIS-style panel packing and the
-//!   runtime-dispatched SIMD microkernels behind
-//!   [`kernel::Packed`]. Packing buffers are sized in closed form
-//!   ([`pack::packed_len`]) so planned executions carve them from the
-//!   workspace arena instead of allocating.
+//! * [`pack`] / [`simd`] — the Goto/BLIS-style panel packing, the one
+//!   packed driver ([`pack::packed_mul_scatter_in`]) and the
+//!   runtime-dispatched SIMD microkernel bodies behind
+//!   [`kernel::Packed`] and the fused Strassen leaf. Every register tile,
+//!   ragged edges included, runs the host's vector body; `i64`, Miri and
+//!   hosts without SIMD run the portable body. Packing buffers are sized
+//!   in closed form ([`pack::packed_len`]) so planned executions carve
+//!   them from the workspace arena instead of allocating.
 //! * [`addsub`] — elementwise add/sub kernels, in both two-loop (strided
 //!   view) and single-loop (contiguous buffer) forms. The single-loop form
 //!   is the "secondary benefit" of Morton storage noted in §3.3 of the

@@ -19,13 +19,24 @@
 //! of the original leading dimensions — the same argument the paper makes
 //! for Morton leaves, applied one level deeper.
 //!
+//! One driver, [`packed_mul_scatter_in`], sweeps every leaf product with
+//! one microkernel body: the host's vector body from [`crate::simd`], or
+//! the portable [`microkernel_scatter_generic`] for `i64`, under Miri and
+//! on hosts without SIMD. Interior tiles go straight into `C`. Edge tiles
+//! (the ragged last row or column panel, e.g. 13 of the 45 tiles of a
+//! 33-wide leaf) run the same body into a local `MR × NR` buffer, whose
+//! live `mb × nb` window one out-of-line helper adds to each destination.
+//! A plain `C += A·B` ([`packed_mul_add_in`]) is the driver's
+//! one-destination case.
+//!
 //! Buffer sizes ([`packed_a_len`] / [`packed_b_len`] / [`packed_len`])
 //! are closed-form in the tile dimensions and deliberately
 //! **scalar-type-independent** (element counts, not bytes), so the
 //! plan-arena sizing in `modgemm-core` stays non-generic.
 
 use crate::scalar::Scalar;
-use crate::view::{MatMut, MatRef};
+use crate::simd::ScatterMicroKernelFn;
+use crate::view::{required_len, MatMut, MatRef};
 
 /// Rows per packed A panel — the microkernel's register-tile height.
 /// `8` fills one AVX2 register pair (or four NEON registers) of `f64`.
@@ -259,127 +270,119 @@ pub fn pack_b_sum<S: Scalar>(terms: &[(MatRef<'_, S>, bool)], buf: &mut [S]) {
     }
 }
 
-/// The portable microkernel: accumulates the `MR × NR` product of one A
-/// panel and one B panel into `PACK_MR · PACK_NR` local accumulators and
-/// writes back only the logical `mb × nb` window of `c` (a column-major
-/// slice starting at the tile's top-left element, leading dimension
-/// `ldc`). The compiler unrolls the fixed-size accumulator loops; this is
-/// also the body Miri exercises and the reference the SIMD bodies are
-/// tested against.
-///
-/// # Panics
-/// In debug builds, on undersized panels; out-of-bounds `c` indexing
-/// panics in all builds (the slice bounds are the safety boundary).
-pub fn microkernel_generic<S: Scalar>(
-    k: usize,
-    a_panel: &[S],
-    b_panel: &[S],
-    c: &mut [S],
-    ldc: usize,
-    mb: usize,
-    nb: usize,
-) {
-    debug_assert!(a_panel.len() >= PACK_MR * k);
-    debug_assert!(b_panel.len() >= PACK_NR * k);
-    debug_assert!(mb <= PACK_MR && nb <= PACK_NR && mb > 0 && nb > 0);
-    let mut acc = [[S::ZERO; PACK_MR]; PACK_NR];
-    for p in 0..k {
-        let ac = &a_panel[p * PACK_MR..(p + 1) * PACK_MR];
-        let br = &b_panel[p * PACK_NR..(p + 1) * PACK_NR];
-        for (col, &bv) in acc.iter_mut().zip(br) {
-            for (x, &av) in col.iter_mut().zip(ac) {
-                *x = av.madd(bv, *x);
-            }
+/// Adds (`neg == false`) or subtracts `src` into `dst`, elementwise over
+/// the shorter of the two.
+#[inline(always)]
+fn add_signed<S: Scalar>(dst: &mut [S], src: &[S], neg: bool) {
+    if neg {
+        for (x, &v) in dst.iter_mut().zip(src) {
+            *x -= v;
         }
-    }
-    for (j, col) in acc.iter().take(nb).enumerate() {
-        let cj = &mut c[j * ldc..j * ldc + mb];
-        for (x, &v) in cj.iter_mut().zip(col) {
+    } else {
+        for (x, &v) in dst.iter_mut().zip(src) {
             *x += v;
         }
     }
 }
 
-/// The portable *scatter* microkernel: accumulates one `MR × NR`
-/// product tile exactly like [`microkernel_generic`], then writes the
-/// logical `mb × nb` window ± into **each** destination — the fused
-/// Strassen post-merge, with the product computed once and never
-/// materialized outside the register-resident accumulators.
+/// The portable microkernel body, a [`ScatterMicroKernelFn`]: accumulates
+/// the `MR × NR` product of one A panel and one B panel into
+/// `PACK_MR · PACK_NR` local accumulators, then adds it ± into each full
+/// `MR × NR` destination window. The compiler unrolls the fixed-size
+/// accumulator loops. It is the body for scalars without a vector body
+/// (`i64`, complex), for hosts without a vector unit and under Miri, and
+/// the reference the SIMD bodies are tested against.
 ///
-/// Each destination in `dests` is a full column-major tile slice with
-/// leading dimension `ldc`; the window written starts at linear offset
-/// `off` (i.e. element `(i0, j0)` of the tile). `dests[d].1 == true`
-/// subtracts the product there instead of adding.
-///
-/// # Panics
-/// When `dests` is empty or exceeds [`MAX_FUSE_TERMS`]; in debug builds
-/// on undersized panels; out-of-bounds destination indexing panics in
-/// all builds (the slice bounds are the safety boundary).
-#[allow(clippy::too_many_arguments)]
-pub fn microkernel_scatter_generic<S: Scalar>(
+/// # Safety
+/// The [`ScatterMicroKernelFn`] contract; it needs no CPU feature.
+pub unsafe fn microkernel_scatter_generic<S: Scalar>(
     k: usize,
-    a_panel: &[S],
-    b_panel: &[S],
-    dests: &mut [(&mut [S], bool)],
-    off: usize,
+    a: *const S,
+    b: *const S,
+    dests: *const *mut S,
+    ndests: usize,
+    neg_mask: u32,
     ldc: usize,
-    mb: usize,
-    nb: usize,
 ) {
-    assert!(
-        !dests.is_empty() && dests.len() <= MAX_FUSE_TERMS,
-        "scatter takes 1..={MAX_FUSE_TERMS} destinations, got {}",
-        dests.len()
-    );
-    debug_assert!(a_panel.len() >= PACK_MR * k);
-    debug_assert!(b_panel.len() >= PACK_NR * k);
-    debug_assert!(mb <= PACK_MR && nb <= PACK_NR && mb > 0 && nb > 0);
+    let a = core::slice::from_raw_parts(a, PACK_MR * k);
+    let b = core::slice::from_raw_parts(b, PACK_NR * k);
     let mut acc = [[S::ZERO; PACK_MR]; PACK_NR];
-    for p in 0..k {
-        let ac = &a_panel[p * PACK_MR..(p + 1) * PACK_MR];
-        let br = &b_panel[p * PACK_NR..(p + 1) * PACK_NR];
+    for (ac, br) in a.chunks_exact(PACK_MR).zip(b.chunks_exact(PACK_NR)) {
         for (col, &bv) in acc.iter_mut().zip(br) {
             for (x, &av) in col.iter_mut().zip(ac) {
                 *x = av.madd(bv, *x);
             }
         }
     }
-    for (d, neg) in dests.iter_mut() {
-        for (j, col) in acc.iter().take(nb).enumerate() {
-            let cj = &mut d[off + j * ldc..off + j * ldc + mb];
-            if *neg {
-                for (x, &v) in cj.iter_mut().zip(col) {
-                    *x -= v;
-                }
-            } else {
-                for (x, &v) in cj.iter_mut().zip(col) {
-                    *x += v;
-                }
-            }
+    for d in 0..ndests {
+        let base = *dests.add(d);
+        for (j, col) in acc.iter().enumerate() {
+            let cj = core::slice::from_raw_parts_mut(base.add(j * ldc), PACK_MR);
+            add_signed(cj, col, neg_mask & (1 << d) != 0);
         }
     }
 }
 
-/// One fused leaf product through the packed pipeline:
-/// `(Σ ±Aᵢ)·(Σ ±Bⱼ)` packed by [`pack_a_sum`] / [`pack_b_sum`] into
-/// `ws`, then scatter-accumulated ± into every destination tile by one
-/// microkernel sweep (the vectorized scatter body from [`crate::simd`]
-/// on full interior tiles when the host has one, the portable
-/// [`microkernel_scatter_generic`] on ragged edges and everywhere else).
+/// Runs `body` on one edge tile and writes back only its live window.
+/// The panels are zero-padded, so the body computes the full `MR × NR`
+/// tile, here into a local buffer; the live `mb × nb` part of that
+/// buffer is then added ± into each destination. Kept out of line so the
+/// driver's interior loop stays small.
 ///
-/// Every destination is a **contiguous** column-major `m × n` tile
-/// (leading dimension `m`) of at least `m·n` elements. `ws` needs
-/// [`packed_len`]`(m, k, n)` elements — the same packing slot a plain
-/// [`packed_mul_add_in`] leaf uses; fusion adds no workspace.
+/// # Safety
+/// `a`, `b` and `body` meet the [`ScatterMicroKernelFn`] contract; each
+/// `dests[d]` addresses a writable column-major `mb × nb` window with
+/// leading dimension `ldc ≥ mb`, the windows are pairwise disjoint, and
+/// bit `d` of `neg_mask` is destination `d`'s sign.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn edge_tile<S: Scalar>(
+    body: ScatterMicroKernelFn<S>,
+    k: usize,
+    a: *const S,
+    b: *const S,
+    dests: &[*mut S],
+    neg_mask: u32,
+    ldc: usize,
+    mb: usize,
+    nb: usize,
+) {
+    debug_assert!(mb <= PACK_MR && nb <= PACK_NR);
+    let mut tile = [S::ZERO; PACK_MR * PACK_NR];
+    let tp = tile.as_mut_ptr();
+    body(k, a, b, &tp, 1, 0, PACK_MR);
+    for (d, &base) in dests.iter().enumerate() {
+        for (j, col) in tile.chunks_exact(PACK_MR).take(nb).enumerate() {
+            let cj = core::slice::from_raw_parts_mut(base.add(j * ldc), mb);
+            add_signed(cj, col, neg_mask & (1 << d) != 0);
+        }
+    }
+}
+
+/// One leaf product through the packed pipeline: `(Σ ±Aᵢ)·(Σ ±Bⱼ)` is
+/// packed by [`pack_a_sum`] / [`pack_b_sum`] into `ws`, then added ± into
+/// every destination by one microkernel sweep. The sweep runs the host's
+/// vector body from [`crate::simd`] when the scalar has one, and the
+/// portable [`microkernel_scatter_generic`] otherwise. Interior tiles run
+/// the body straight into the destinations; edge tiles run it into a
+/// local `MR × NR` buffer and add out only their live window. One term
+/// and one destination is a plain `C += A·B` ([`packed_mul_add_in`]);
+/// more are the fused Strassen leaf.
+///
+/// Every destination is a column-major `m × n` window with leading
+/// dimension `ldc ≥ m`, at least [`required_len`]`(m, n, ldc)` elements
+/// long. `ws` needs [`packed_len`]`(m, k, n)` elements — the same packing
+/// slot a plain leaf uses; fusion adds no workspace.
 ///
 /// # Panics
 /// On term/destination counts outside `1..=`[`MAX_FUSE_TERMS`], shape
-/// mismatches, undersized destinations, or an undersized `ws`.
+/// mismatches, `ldc < m`, undersized destinations, or an undersized `ws`.
 #[track_caller]
 pub fn packed_mul_scatter_in<S: Scalar>(
     a_terms: &[(MatRef<'_, S>, bool)],
     b_terms: &[(MatRef<'_, S>, bool)],
     dests: &mut [(&mut [S], bool)],
+    ldc: usize,
     ws: &mut [S],
 ) {
     assert!(!a_terms.is_empty() && !b_terms.is_empty(), "fused product needs operand terms");
@@ -391,8 +394,10 @@ pub fn packed_mul_scatter_in<S: Scalar>(
     let (m, k) = a_terms[0].0.dims();
     let (kb, n) = b_terms[0].0.dims();
     assert_eq!(k, kb, "inner dimension mismatch");
+    assert!(ldc >= m.max(1), "leading dimension {ldc} < rows {m}");
+    let need_c = required_len(m, n, ldc);
     for (d, _) in dests.iter() {
-        assert!(d.len() >= m * n, "destination tile too small: {} < {}", d.len(), m * n);
+        assert!(d.len() >= need_c, "destination tile too small: {} < {need_c}", d.len());
     }
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -404,51 +409,45 @@ pub fn packed_mul_scatter_in<S: Scalar>(
     pack_a_sum(a_terms, abuf);
     pack_b_sum(b_terms, bbuf);
 
-    let mk = S::packed_scatter_microkernel();
-    let ldc = m;
+    let body = S::packed_scatter_microkernel().unwrap_or(microkernel_scatter_generic::<S>);
+    let nd = dests.len();
     let mut dptrs = [core::ptr::null_mut::<S>(); MAX_FUSE_TERMS];
     let mut neg_mask = 0u32;
     for (i, (dest, neg)) in dests.iter_mut().enumerate() {
         dptrs[i] = dest.as_mut_ptr();
-        if *neg {
-            neg_mask |= 1 << i;
-        }
+        neg_mask |= u32::from(*neg) << i;
     }
+    let mut wptrs = [core::ptr::null_mut::<S>(); MAX_FUSE_TERMS];
     for pj in 0..n.div_ceil(PACK_NR) {
         let j0 = pj * PACK_NR;
         let nb = PACK_NR.min(n - j0);
-        let bp = &bbuf[pj * PACK_NR * k..(pj + 1) * PACK_NR * k];
+        let bp = bbuf[pj * PACK_NR * k..].as_ptr();
         for pi in 0..m.div_ceil(PACK_MR) {
             let i0 = pi * PACK_MR;
             let mb = PACK_MR.min(m - i0);
-            let ap = &abuf[pi * PACK_MR * k..(pi + 1) * PACK_MR * k];
-            match mk {
-                // SAFETY: full interior tile — each destination was
-                // validated to cover the m×n tile, so the MR×NR window
-                // at (i0, j0) with stride ldc = m stays in bounds; the
-                // panels are exactly MR·k / NR·k elements and `f` came
-                // from the runtime feature detector. The window pointers
-                // are derived per call from live exclusive borrows.
-                Some(f) if mb == PACK_MR && nb == PACK_NR => unsafe {
-                    let mut wptrs = [core::ptr::null_mut::<S>(); MAX_FUSE_TERMS];
-                    for (w, d) in wptrs.iter_mut().zip(&dptrs[..dests.len()]) {
-                        *w = d.add(i0 + j0 * ldc);
-                    }
-                    f(k, ap.as_ptr(), bp.as_ptr(), wptrs.as_ptr(), dests.len(), neg_mask, ldc);
-                },
-                _ => {
-                    microkernel_scatter_generic(k, ap, bp, dests, i0 + j0 * ldc, ldc, mb, nb);
+            let ap = abuf[pi * PACK_MR * k..].as_ptr();
+            // SAFETY: each destination was checked to hold the m×n window
+            // with leading dimension ldc ≥ m, so the tile's window at
+            // (i0, j0) — MR×NR inside, mb×nb at an edge — lies within it.
+            // The destinations are distinct exclusive borrows, the panels
+            // at `ap`/`bp` are MR·k / NR·k elements, and a vector `body`
+            // came from the runtime feature detector.
+            unsafe {
+                for (w, d) in wptrs.iter_mut().zip(&dptrs[..nd]) {
+                    *w = d.add(i0 + j0 * ldc);
+                }
+                if mb == PACK_MR && nb == PACK_NR {
+                    body(k, ap, bp, wptrs.as_ptr(), nd, neg_mask, ldc);
+                } else {
+                    edge_tile(body, k, ap, bp, &wptrs[..nd], neg_mask, ldc, mb, nb);
                 }
             }
         }
     }
 }
 
-/// `C += A·B` through the packed pipeline: pack both operands into `ws`,
-/// then drive the register-tile microkernel (the vectorized body from
-/// [`crate::simd`] on full interior tiles when the host has one, the
-/// portable [`microkernel_generic`] on ragged edges and everywhere else)
-/// over the panels.
+/// `C += A·B` through the packed pipeline: the one-term, one-destination
+/// case of [`packed_mul_scatter_in`], writing the strided view `c`.
 ///
 /// `ws` must hold at least [`packed_len`]`(m, k, n)` elements; its
 /// contents are clobbered. Callers on the planned hot path hand in an
@@ -463,55 +462,17 @@ pub fn packed_mul_add_in<S: Scalar>(
     mut c: MatMut<'_, S>,
     ws: &mut [S],
 ) {
-    let (m, k) = a.dims();
-    let (kb, n) = b.dims();
-    assert_eq!(k, kb, "inner dimension mismatch");
+    let (m, n) = (a.rows(), b.cols());
+    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
     assert_eq!(c.dims(), (m, n), "output dimension mismatch");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let need = packed_len(m, k, n);
-    assert!(ws.len() >= need, "packing workspace too small: {} < {need}", ws.len());
-    let (abuf, rest) = ws.split_at_mut(packed_a_len(m, k));
-    let bbuf = &mut rest[..packed_b_len(k, n)];
-    pack_a(a, abuf);
-    pack_b(b, bbuf);
-
-    let mk = S::packed_microkernel();
     let ldc = c.ld();
-    let cp = c.as_mut_ptr();
-    for pj in 0..n.div_ceil(PACK_NR) {
-        let j0 = pj * PACK_NR;
-        let nb = PACK_NR.min(n - j0);
-        let bp = &bbuf[pj * PACK_NR * k..(pj + 1) * PACK_NR * k];
-        for pi in 0..m.div_ceil(PACK_MR) {
-            let i0 = pi * PACK_MR;
-            let mb = PACK_MR.min(m - i0);
-            let ap = &abuf[pi * PACK_MR * k..(pi + 1) * PACK_MR * k];
-            match mk {
-                // SAFETY: a full interior tile — the MR×NR window at
-                // (i0, j0) lies inside the validated m×n view of `c`
-                // (stride ldc ≥ m ≥ i0 + MR), the panels are exactly
-                // MR·k / NR·k elements, and `mk` was handed out by the
-                // runtime feature detector.
-                Some(f) if mb == PACK_MR && nb == PACK_NR => unsafe {
-                    f(k, ap.as_ptr(), bp.as_ptr(), cp.add(i0 + j0 * ldc), ldc);
-                },
-                _ => {
-                    // Ragged edge (or no vector body): the portable
-                    // kernel accumulates the padded tile locally and
-                    // writes back only mb × nb.
-                    // SAFETY: the window starts inside `c`'s buffer and
-                    // `(nb-1)·ldc + mb` elements from (i0, j0) stay
-                    // within `required_len(m, n, ldc)`.
-                    let cw = unsafe {
-                        core::slice::from_raw_parts_mut(cp.add(i0 + j0 * ldc), (nb - 1) * ldc + mb)
-                    };
-                    microkernel_generic(k, ap, bp, cw, ldc, mb, nb);
-                }
-            }
-        }
-    }
+    // SAFETY: the slice runs from the first to the last element of `c`'s
+    // m×n window (leading dimension ldc), all inside the buffer `c`
+    // points into. It lives for this call only, and the packed sweep
+    // reads and writes only the window's own elements, which `c` borrows
+    // exclusively; the rows between its columns are never touched.
+    let cs = unsafe { core::slice::from_raw_parts_mut(c.as_mut_ptr(), required_len(m, n, ldc)) };
+    packed_mul_scatter_in(&[(a, false)], &[(b, false)], &mut [(cs, false)], ldc, ws);
 }
 
 #[cfg(test)]
@@ -679,50 +640,202 @@ mod tests {
         assert_eq!(sum, plain);
     }
 
-    #[test]
-    fn scatter_generic_matches_staged_add_sub() {
-        // One microkernel tile scattered ± into up to four destinations
-        // must equal computing the product tile once and staging the
-        // adds/subtracts — exactly, on i64.
-        let k = 6;
+    /// One packed A panel and one packed B panel of small integers,
+    /// and their exact `MR × NR` product tile (column-major, ld MR).
+    fn panels_and_tile(k: usize) -> (Vec<i64>, Vec<i64>, Vec<i64>) {
         let a: Vec<i64> = (0..PACK_MR * k).map(|i| (i as i64 * 3 + 1) % 11 - 5).collect();
         let b: Vec<i64> = (0..PACK_NR * k).map(|i| (i as i64 * 7 + 2) % 13 - 6).collect();
+        let tile = (0..PACK_MR * PACK_NR)
+            .map(|t| {
+                let (i, j) = (t % PACK_MR, t / PACK_MR);
+                (0..k).map(|p| a[p * PACK_MR + i] * b[p * PACK_NR + j]).sum()
+            })
+            .collect();
+        (a, b, tile)
+    }
+
+    /// Checks `got` (one buffer per destination, leading dimension `ldc`)
+    /// against `init ± tile` inside the `mb × nb` window and `init`
+    /// everywhere else.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_window(
+        got: &[Vec<i64>],
+        init: &[Vec<i64>],
+        tile: &[i64],
+        negs: &[bool],
+        ldc: usize,
+        mb: usize,
+        nb: usize,
+    ) {
+        for (d, (g, w0)) in got.iter().zip(init).enumerate() {
+            for (idx, (&gv, &w)) in g.iter().zip(w0).enumerate() {
+                let (i, j) = (idx % ldc, idx / ldc);
+                let want = match (i < mb && j < nb, negs[d]) {
+                    (false, _) => w,
+                    (true, false) => w + tile[i + j * PACK_MR],
+                    (true, true) => w - tile[i + j * PACK_MR],
+                };
+                assert_eq!(gv, want, "{mb}x{nb} window, dest {d} ({i},{j})");
+            }
+        }
+    }
+
+    /// `ndests` pre-filled destination buffers of `ldc · NR` elements.
+    fn prefilled(ndests: usize, ldc: usize) -> Vec<Vec<i64>> {
+        (0..ndests).map(|d| (0..ldc * PACK_NR).map(|i| (i + d) as i64 % 9).collect()).collect()
+    }
+
+    #[test]
+    fn scatter_generic_matches_staged_add_sub() {
+        // The portable body scattering one full tile ± into up to four
+        // destinations must equal computing the product tile once and
+        // staging the adds/subtracts — exactly, on i64 — and must leave
+        // the rows between ldc-strided columns alone.
+        let k = 6;
+        let (a, b, tile) = panels_and_tile(k);
         let ldc = PACK_MR + 2;
-        let (mb, nb) = (PACK_MR - 1, PACK_NR - 1); // ragged window
+        let negs = [false, true, false, true];
         for ndests in 1..=MAX_FUSE_TERMS {
-            let negs = [false, true, false, true];
-            let init: Vec<Vec<i64>> = (0..ndests)
-                .map(|d| (0..ldc * PACK_NR).map(|i| (i + d) as i64 % 9).collect())
-                .collect();
-
+            let init = prefilled(ndests, ldc);
             let mut got = init.clone();
-            let mut dests: Vec<(&mut [i64], bool)> =
-                got.iter_mut().enumerate().map(|(d, g)| (g.as_mut_slice(), negs[d])).collect();
-            microkernel_scatter_generic(k, &a, &b, &mut dests, 0, ldc, mb, nb);
+            let ptrs: Vec<*mut i64> = got.iter_mut().map(|g| g.as_mut_ptr()).collect();
+            let neg_mask = (0..ndests).fold(0u32, |m, d| m | u32::from(negs[d]) << d);
+            // SAFETY: panels are MR·k / NR·k long; each destination is its
+            // own MR×NR window with ldc ≥ MR.
+            unsafe {
+                microkernel_scatter_generic(
+                    k,
+                    a.as_ptr(),
+                    b.as_ptr(),
+                    ptrs.as_ptr(),
+                    ndests,
+                    neg_mask,
+                    ldc,
+                )
+            };
+            assert_window(&got, &init, &tile, &negs, ldc, PACK_MR, PACK_NR);
+        }
+    }
 
-            let mut tile = vec![0i64; ldc * PACK_NR];
-            microkernel_generic(k, &a, &b, &mut tile, ldc, mb, nb);
-            for (d, (g, w0)) in got.iter().zip(&init).enumerate() {
-                for j in 0..nb {
-                    for i in 0..mb {
-                        let idx = i + j * ldc;
-                        let want = if negs[d] { w0[idx] - tile[idx] } else { w0[idx] + tile[idx] };
-                        assert_eq!(g[idx], want, "ndests {ndests} dest {d} ({i},{j})");
-                    }
+    #[test]
+    fn edge_tile_adds_only_the_live_window() {
+        // The edge write-back with the portable body, on every (mb, nb)
+        // an edge tile can have and 1..=4 ± destinations: inside the
+        // window each destination gets exactly ± the product tile,
+        // outside it nothing changes. Under Miri this is the coverage of
+        // the raw-pointer window write-back.
+        let k = 5;
+        let (a, b, tile) = panels_and_tile(k);
+        let ldc = PACK_MR + 2;
+        let negs = [true, false, false, true];
+        for mb in 1..=PACK_MR {
+            for nb in 1..=PACK_NR {
+                for ndests in 1..=MAX_FUSE_TERMS {
+                    let init = prefilled(ndests, ldc);
+                    let mut got = init.clone();
+                    let ptrs: Vec<*mut i64> = got.iter_mut().map(|g| g.as_mut_ptr()).collect();
+                    let neg_mask = (0..ndests).fold(0u32, |m, d| m | u32::from(negs[d]) << d);
+                    // SAFETY: panels are MR·k / NR·k long; each destination
+                    // is its own buffer holding an mb×nb window at ldc ≥ mb.
+                    unsafe {
+                        edge_tile(
+                            microkernel_scatter_generic::<i64>,
+                            k,
+                            a.as_ptr(),
+                            b.as_ptr(),
+                            &ptrs,
+                            neg_mask,
+                            ldc,
+                            mb,
+                            nb,
+                        )
+                    };
+                    assert_window(&got, &init, &tile, &negs, ldc, mb, nb);
                 }
             }
-            // Outside the mb×nb window nothing may be written.
-            for (d, (g, w0)) in got.iter().zip(&init).enumerate() {
-                for j in 0..PACK_NR {
-                    for i in 0..PACK_MR {
-                        if i >= mb || j >= nb {
-                            let idx = i + j * ldc;
-                            assert_eq!(g[idx], w0[idx], "dest {d} wrote outside window");
+        }
+    }
+
+    /// Integer-valued operands in `[-4, 4]`: every product and partial
+    /// sum of a leaf is exact in `f32` and `f64`, with or without FMA.
+    fn int_valued<S: Scalar>(rows: usize, cols: usize, seed: usize) -> Matrix<S> {
+        Matrix::from_fn(rows, cols, |i, j| S::from_f64(((i * 7 + j * 13 + seed) % 9) as f64 - 4.0))
+    }
+
+    /// Every edge remainder of the register tile (`m` in 1..=2·MR+1, `n`
+    /// in 1..=2·NR+1) through `Packed::mul_add_in` on a strided `C` and
+    /// through the scatter driver into 1..=4 ± destinations, bitwise
+    /// against `naive_product`. On a SIMD host this drives the vector
+    /// body on interior and edge tiles alike.
+    fn vector_path_is_exact<S: Scalar>() {
+        use crate::kernel::{LeafKernel, Packed};
+        let bits = |x: S| x.to_f64().to_bits();
+        let negs = [false, true, true, false];
+        for k in [1, 7, 33] {
+            for m in 1..=2 * PACK_MR + 1 {
+                for n in 1..=2 * PACK_NR + 1 {
+                    let a: Matrix<S> = int_valued(m, k, 1);
+                    let b: Matrix<S> = int_valued(k, n, 2);
+                    let p = naive_product(&a, &b);
+                    let ldc = m + 3;
+                    let init = |d: usize| -> Vec<S> {
+                        (0..ldc * n).map(|i| S::from_f64(((i + 3 * d) % 5) as f64)).collect()
+                    };
+                    let check = |got: &[S], d: usize, neg: bool| {
+                        for (idx, (&g, w0)) in got.iter().zip(init(d)).enumerate() {
+                            let (i, j) = (idx % ldc, idx / ldc);
+                            let want = match (i < m, neg) {
+                                (false, _) => w0,
+                                (true, false) => w0 + p.get(i, j),
+                                (true, true) => w0 - p.get(i, j),
+                            };
+                            assert_eq!(bits(g), bits(want), "{m}x{k}x{n} dest {d} ({i},{j})");
+                        }
+                    };
+                    let mut ws = vec![S::ZERO; packed_len(m, k, n)];
+
+                    let mut c = init(0);
+                    Packed.mul_add_in(
+                        a.view(),
+                        b.view(),
+                        MatMut::from_slice(&mut c, m, n, ldc),
+                        &mut ws,
+                    );
+                    check(&c, 0, false);
+
+                    for ndests in 1..=MAX_FUSE_TERMS {
+                        let mut bufs: Vec<Vec<S>> = (0..ndests).map(init).collect();
+                        let mut dests: Vec<(&mut [S], bool)> = bufs
+                            .iter_mut()
+                            .zip(negs)
+                            .map(|(buf, neg)| (buf.as_mut_slice(), neg))
+                            .collect();
+                        packed_mul_scatter_in(
+                            &[(a.view(), false)],
+                            &[(b.view(), false)],
+                            &mut dests,
+                            ldc,
+                            &mut ws,
+                        );
+                        for (d, buf) in bufs.iter().enumerate() {
+                            check(buf, d, negs[d]);
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri forces the portable body, which edge_tile_* covers")]
+    fn vector_path_is_exact_on_integer_valued_f64() {
+        vector_path_is_exact::<f64>();
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri forces the portable body, which edge_tile_* covers")]
+    fn vector_path_is_exact_on_integer_valued_f32() {
+        vector_path_is_exact::<f32>();
     }
 
     #[test]
@@ -746,6 +859,7 @@ mod tests {
                 &[(a1.view(), false), (a2.view(), true)],
                 &[(b1.view(), false), (b2.view(), false)],
                 &mut dests,
+                m,
                 &mut ws,
             );
 
@@ -793,6 +907,7 @@ mod tests {
             &[(a1.view(), false), (a2.view(), true)],
             &[(b1.view(), false), (b2.view(), true)],
             &mut dests,
+            m,
             &mut ws,
         );
 
@@ -823,7 +938,7 @@ mod tests {
         let mut dests: Vec<(&mut [i64], bool)> =
             bufs.iter_mut().map(|b| (b.as_mut_slice(), false)).collect();
         let mut ws = vec![0i64; packed_len(4, 4, 4)];
-        packed_mul_scatter_in(&[(a.view(), false)], &[(b.view(), false)], &mut dests, &mut ws);
+        packed_mul_scatter_in(&[(a.view(), false)], &[(b.view(), false)], &mut dests, 4, &mut ws);
     }
 
     #[test]

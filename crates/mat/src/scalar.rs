@@ -8,6 +8,11 @@
 //! * `i64` — an exact arithmetic instance used by the test suite to verify
 //!   that the Strassen-Winograd *schedules* compute exactly `A·B` with no
 //!   tolerance fudging.
+//!
+//! A scalar may also supply a vectorized body for the packed kernel
+//! ([`Scalar::packed_scatter_microkernel`]). `f32` and `f64` do on SIMD
+//! hosts; `i64` always runs the portable body, so integer results are
+//! exact and identical on every host.
 
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -59,23 +64,13 @@ pub trait Scalar:
     /// tolerances in [`crate::norms`].
     fn epsilon_f64() -> f64;
 
-    /// The vectorized packed-panel microkernel for this scalar on the
-    /// current host, or `None` when only the portable fallback applies
-    /// (exact types, complex, or hosts without a detected vector unit).
-    /// The default is `None`; `f32`/`f64` override it with the runtime
-    /// selectors in [`crate::simd`]. Detection is cached process-wide, so
-    /// calling this per leaf multiply costs one atomic load.
-    #[inline]
-    fn packed_microkernel() -> Option<crate::simd::MicroKernelFn<Self>> {
-        None
-    }
-
-    /// The vectorized multi-destination *scatter* microkernel (fused
-    /// Strassen post-merge) for this scalar on the current host, or
-    /// `None` when only the portable
-    /// [`crate::pack::microkernel_scatter_generic`] applies. Mirrors
-    /// [`Scalar::packed_microkernel`] exactly, including the cached
-    /// runtime detection.
+    /// The vectorized packed-panel microkernel body for this scalar on
+    /// the current host, or `None` when only the portable
+    /// [`crate::pack::microkernel_scatter_generic`] applies (exact types,
+    /// complex, or hosts without a detected vector unit). The default is
+    /// `None`; `f32`/`f64` override it with the runtime selectors in
+    /// [`crate::simd`]. Detection is cached process-wide, so the packed
+    /// driver's lookup on every leaf multiply costs one atomic load.
     #[inline]
     fn packed_scatter_microkernel() -> Option<crate::simd::ScatterMicroKernelFn<Self>> {
         None
@@ -106,11 +101,6 @@ impl Scalar for f64 {
     }
 
     #[inline]
-    fn packed_microkernel() -> Option<crate::simd::MicroKernelFn<Self>> {
-        crate::simd::microkernel_f64()
-    }
-
-    #[inline]
     fn packed_scatter_microkernel() -> Option<crate::simd::ScatterMicroKernelFn<Self>> {
         crate::simd::scatter_microkernel_f64()
     }
@@ -137,11 +127,6 @@ impl Scalar for f32 {
 
     fn epsilon_f64() -> f64 {
         f32::EPSILON as f64
-    }
-
-    #[inline]
-    fn packed_microkernel() -> Option<crate::simd::MicroKernelFn<Self>> {
-        crate::simd::microkernel_f32()
     }
 
     #[inline]
