@@ -25,10 +25,11 @@
 //! amortized counterpart of the one-shot cases at the same sizes), and a
 //! leaf-kernel sweep (`kernel_<name>_512` for every [`KernelKind`] at
 //! n = 512, isolating the kernel axis from the schedule axes), and the
-//! operand-fusion pair (`fused_vs_staged_512_{staged,fused}`: the packed
-//! kernel at n = 512 with `fuse_depth` 0 versus Auto's depth, which the
-//! `gate-fused` subcommand turns into CI's fused ≥ staged assertion on
-//! min-time GFLOP/s).
+//! operand-fusion pair (`fused_vs_staged_513_{staged,fused}`: the packed
+//! kernel at n = 513, whose 33-wide leaves end in ragged tiles, with
+//! `fuse_depth` 0 versus the one fused level, which the `gate-fused`
+//! subcommand turns into CI's fused ≥ staged assertion on min-time
+//! GFLOP/s).
 //! The whole-batch scheduling pairs (`batch_64x64x64_n64` and
 //! `batch_256_n8`, each with a `_serial` control) run the same set of
 //! same-shape multiplies through one `BatchPlan` task DAG versus a
@@ -182,20 +183,22 @@ fn suite_cases(
             cases.push(case(&format!("kernel_{kind}_512"), 512, Algo::Modgemm(cfg)));
         }
     }
-    // The operand-fusion pair: the packed kernel at n = 512 with the
-    // innermost Strassen levels staged (fuse_depth 0) versus fused into
-    // packing and the scatter epilogue (fuse_depth AUTO_FUSE — the depth
-    // `Auto` resolves to on a packing kernel). Same schedule, same
-    // kernel — only the fusion axis varies, and the `gate-fused`
+    // The operand-fusion pair: the packed kernel at n = 513 with the
+    // innermost Strassen level staged (fuse_depth 0) versus fused into
+    // packing and the scatter epilogue (fuse_depth MAX_FUSE — the level
+    // `Auto` fuses on a packing kernel). 513 pads to 33-wide leaves with
+    // ragged edge tiles, the sizes fusion is for; at 512 every leaf is
+    // whole 8×4 tiles and the two sides barely differ. Same schedule,
+    // same kernel — only the fusion axis varies, and the `gate-fused`
     // subcommand asserts the fused case's min-time GFLOP/s does not
     // fall below the staged case's.
-    for (suffix, fuse) in [("staged", 0usize), ("fused", modgemm_core::fuse::AUTO_FUSE)] {
+    for (suffix, fuse) in [("staged", 0usize), ("fused", modgemm_core::fuse::MAX_FUSE)] {
         let cfg = ModgemmConfig {
             leaf_kernel: KernelKind::Packed,
             fuse_depth: modgemm_core::FuseDepth::Fixed(fuse),
             ..ModgemmConfig::default()
         };
-        cases.push(case(&format!("fused_vs_staged_512_{suffix}"), 512, Algo::Modgemm(cfg)));
+        cases.push(case(&format!("fused_vs_staged_513_{suffix}"), 513, Algo::Modgemm(cfg)));
     }
     // The thread sweep: the pooled DAG executor at fixed worker counts,
     // n = 1024, parallel_depth 2. `threads_1` degrades to the serial
@@ -222,7 +225,8 @@ fn suite_cases(
     // The budget sweep: the default configuration at n = 1024 under an
     // unbounded budget and 1/2, 1/4, 1/8 of the standard schedule's
     // full-depth workspace. The degradation ladder absorbs the pressure
-    // (schedule tier first, then fusion, then parallel/recursion depth),
+    // (schedule tier first, then the fused level, then parallel/recursion
+    // depth),
     // so the four cases chart throughput versus admitted workspace.
     let std_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(1024, 1024, 1024, &base)
         .expect("valid config")
@@ -871,7 +875,7 @@ const GATES: [Gate; 4] = [
     // schedule it replaces.
     Gate {
         cmd: "gate-fused",
-        pairs: &[("fused_vs_staged_512_staged", "fused_vs_staged_512_fused")],
+        pairs: &[("fused_vs_staged_513_staged", "fused_vs_staged_513_fused")],
         failure: "fused min-time GFLOP/s below staged",
     },
     // Lowering the whole batch into one task DAG must never lose to

@@ -115,7 +115,7 @@ pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
     };
     let fuse_depths: &[usize] = match suite {
         Suite::Smoke => &[0, 1],
-        Suite::Full => &[0, 1, 2],
+        Suite::Full => &[0, 1],
     };
     // The whole-batch in-flight window only matters to the batch DAG,
     // which needs a multi-worker pool — so the axis is swept only for
@@ -175,14 +175,6 @@ pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
                                 continue;
                             }
                             for &schedule in schedules {
-                                // A fully-fused recursion has no staged
-                                // levels, so the tier changes nothing:
-                                // sweep only the distinct points.
-                                if schedule != modgemm_core::Schedule::Standard
-                                    && fuse_depth >= modgemm_core::fuse::MAX_FUSE
-                                {
-                                    continue;
-                                }
                                 out.push(TunedChoice {
                                     tile_min,
                                     tile_max,
@@ -396,6 +388,21 @@ mod tests {
             assert_eq!(c.kernel, KernelKind::Auto);
             assert_eq!(c.parallel_depth, 0);
             assert_eq!(c.threads, 0);
+        }
+    }
+
+    #[test]
+    fn frugal_tiers_are_swept_at_the_fused_level() {
+        // Fusing the innermost level leaves the levels above it staged,
+        // so the schedule tier still matters there: both grids must
+        // offer the in-place tier with one fused level.
+        for suite in [Suite::Smoke, Suite::Full] {
+            assert!(
+                candidates(suite, false)
+                    .iter()
+                    .any(|c| c.fuse_depth == 1 && c.schedule == modgemm_core::Schedule::InPlace),
+                "{suite:?} grid lacks (fuse_depth 1, InPlace)"
+            );
         }
     }
 

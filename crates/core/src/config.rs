@@ -61,18 +61,22 @@ impl MemoryBudget {
 pub enum FuseDepth {
     /// Fuse while the packed kernel is eligible for the planned leaf
     /// tile (the combined-pack path is a bandwidth win only when the
-    /// panels feed a packing kernel): [`crate::fuse::AUTO_FUSE`] levels,
-    /// the depth that never loses to the staged schedule, less any level
-    /// a requested [`ModgemmConfig::parallel_depth`] needs staged for the
-    /// task DAG (decided from the config alone, so the fused levels, and
-    /// the float bits, do not depend on the resolved thread count).
-    /// Plans that resolve to a non-packing kernel stay staged; deeper
-    /// fusion takes `Fixed`, a tuning profile, or memory-budget pressure.
+    /// panels feed a packing kernel): the one level
+    /// ([`crate::fuse::MAX_FUSE`]) that never loses to the staged
+    /// schedule, unless a requested [`ModgemmConfig::parallel_depth`]
+    /// needs it staged for the task DAG (decided from the config alone,
+    /// so the fused level, and the float bits, do not depend on the
+    /// resolved thread count).
+    /// Plans that resolve to a non-packing kernel stay staged; fusing
+    /// them takes `Fixed(1)`, a tuning profile, or memory-budget
+    /// pressure.
     #[default]
     Auto,
     /// Exactly this many fused levels (clamped to the recursion depth
-    /// actually taken), on every kernel. `Fixed(0)` pins the fully
-    /// staged pipeline — the bit-exact oracle.
+    /// actually taken), on every kernel: `0` or `1`
+    /// ([`crate::fuse::MAX_FUSE`]); [`ModgemmConfig::validate`] rejects
+    /// more. `Fixed(0)` pins the fully staged pipeline — the bit-exact
+    /// oracle.
     Fixed(usize),
 }
 
@@ -184,7 +188,7 @@ pub struct ModgemmConfig {
     pub leaf_kernel: modgemm_mat::KernelKind,
     /// How many innermost Strassen levels run fused (no S/T arena
     /// temporaries; see [`FuseDepth`] and [`crate::fuse`]). `Auto`
-    /// (default) fuses [`crate::fuse::AUTO_FUSE`] level whenever
+    /// (default) fuses [`crate::fuse::MAX_FUSE`] level whenever
     /// the plan resolves to the packed kernel; with a `Blocked` leaf
     /// kernel (as in [`Self::paper`]) the pipeline stays fully staged,
     /// preserving the paper's layout.
@@ -278,7 +282,11 @@ impl ModgemmConfig {
         if let FuseDepth::Fixed(n) = self.fuse_depth {
             if n > crate::fuse::MAX_FUSE {
                 return Err(GemmError::InvalidConfig {
-                    reason: "fuse_depth exceeds the supported maximum of 2 levels",
+                    reason: concat!(
+                        "fuse_depth exceeds the supported maximum of ",
+                        crate::fuse::max_fuse!(),
+                        " fused level"
+                    ),
                 });
             }
         }
@@ -382,7 +390,7 @@ mod tests {
         let (kernel, fused) = resolved_512(&c);
         if modgemm_mat::simd::has_vector_unit() {
             assert_eq!(kernel, modgemm_mat::KernelKind::Packed);
-            assert_eq!(fused, crate::fuse::AUTO_FUSE);
+            assert_eq!(fused, crate::fuse::MAX_FUSE);
         } else {
             assert_eq!((kernel, fused), (modgemm_mat::KernelKind::Blocked, 0));
         }

@@ -266,7 +266,7 @@ mod tests {
             assert_eq!(staged_levels(l, p) + f, strassen_levels(l, p));
         }
         // Conventional policies fuse nothing.
-        let conv = ExecPolicy { fuse: 2, strassen_min: usize::MAX, ..Default::default() };
+        let conv = ExecPolicy { fuse: 1, strassen_min: usize::MAX, ..Default::default() };
         assert_eq!(fused_levels(l, conv), 0);
 
         // The fused arena closed form, pinned against the workspace
@@ -328,13 +328,13 @@ mod tests {
 
         // Fused levels always run the standard fold: with every level
         // fused, the tier no longer changes the flop count.
-        let l2 = square(4, 2);
-        let fused_all = ExecPolicy { fuse: 2, ..std };
-        let fused_all_ip = ExecPolicy { fuse: 2, ..inplace };
-        assert_eq!(fused_levels(l2, fused_all), 2);
-        assert_eq!(strassen_flops(l2, fused_all_ip), strassen_flops(l2, fused_all));
+        let fused_all = ExecPolicy { fuse: 1, ..std };
+        let fused_all_ip = ExecPolicy { fuse: 1, ..inplace };
+        assert_eq!(fused_levels(l, fused_all), 1);
+        assert_eq!(strassen_flops(l, fused_all_ip), strassen_flops(l, fused_all));
         // With one staged + one fused level, only the staged level pays
         // the in-place surcharge: (24 − 15) · qc of the outer level.
+        let l2 = square(4, 2);
         let half = ExecPolicy { fuse: 1, ..std };
         let half_ip = ExecPolicy { fuse: 1, ..inplace };
         let outer_q = l2.c.quadrant_len() as u64;

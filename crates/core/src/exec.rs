@@ -47,7 +47,8 @@ pub struct ExecPolicy {
     /// into operand packing, post-merges scattered from the microkernel
     /// epilogue — no S/T arena slots; see [`crate::fuse`]). Clamped to the
     /// levels the recursion actually takes and to
-    /// [`crate::fuse::MAX_FUSE`]. `0` keeps the fully staged pipeline.
+    /// [`crate::fuse::MAX_FUSE`] (one). `0` keeps the fully staged
+    /// pipeline.
     pub fuse: usize,
     /// Memory tier of the staged recursion step's linearization (Boyer et
     /// al.): [`Schedule::Standard`], [`Schedule::LowMem`] or
@@ -150,15 +151,15 @@ pub fn leaf_pack_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
 
 /// Number of *innermost* Strassen levels of `layouts` that run fused
 /// under `policy`: the requested [`ExecPolicy::fuse`], clamped to the
-/// levels the recursion actually takes and to the depth the fused
-/// operand tables cover ([`crate::fuse::MAX_FUSE`]).
+/// levels the recursion actually takes and to the one level the fused
+/// operand table covers ([`crate::fuse::MAX_FUSE`]).
 pub fn fused_levels(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
     policy.fuse.min(crate::counts::strassen_levels(layouts, policy)).min(crate::fuse::MAX_FUSE)
 }
 
 /// True when this node runs a *staged* Strassen step — S/T temporaries
-/// materialized in the arena. The innermost [`fused_levels`] levels do
-/// not stage: they execute inside the fused terminal
+/// materialized in the arena. The innermost [`fused_levels`] level does
+/// not stage: it executes inside the fused terminal
 /// ([`crate::fuse::fused_mul_with_ws`]) instead.
 pub fn staged_step(layouts: NodeLayouts, policy: ExecPolicy) -> bool {
     layouts.uses_strassen(policy)
@@ -217,11 +218,11 @@ pub fn workspace_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
 /// 1. **Degrade the schedule tier** (standard → low-mem → in-place, up
 ///    to `max_sched`). A cheaper Boyer et al. linearization shrinks
 ///    every staged level's temporaries while keeping the full Strassen
-///    arithmetic, every fused level, the parallel shape, *and* the
+///    arithmetic, the fused level, the parallel shape, *and* the
 ///    kernel — the paper's memory/speed trade at its cheapest.
-/// 2. **Fuse more levels.** Fusing an innermost level removes its staged
-///    S/T slots without giving up any Strassen arithmetic, so it is
-///    always tried before dropping depth.
+/// 2. **Fuse the innermost level** (fuse 0 → 1). Fusing it removes its
+///    staged S/T slots without giving up any Strassen arithmetic, so it
+///    is always tried before dropping depth.
 /// 3. **Raise `strassen_min`** one padded recursion level at a time, so
 ///    one more level of the tree runs the workspace-free conventional
 ///    Morton recursion instead of the (staged) Strassen step; the
@@ -270,19 +271,18 @@ pub fn budget_capped_policy_with_tier_cap(
         }
     }
     // Rungs 2+ degrade from the most memory-frugal schedule the caller
-    // permits: keeping the cheap tier while fuse climbs and depth drops
+    // permits: keeping the cheap tier while the level fuses and depth drops
     // preserves the most Strassen arithmetic per byte.
     let base = ExecPolicy { schedule: deepest_sched, ..base };
-    // Rung 2: fuse additional innermost levels before sacrificing depth.
-    let max_fuse = crate::fuse::MAX_FUSE.min(crate::counts::strassen_levels(layouts, base));
-    for fuse in (base.fuse + 1)..=max_fuse {
-        let policy = ExecPolicy { fuse, ..base };
-        if workspace_len(layouts, policy) <= max_ws_elems {
-            return policy;
-        }
+    // Rung 2: fuse the innermost level before sacrificing depth.
+    let fuse =
+        base.fuse.max(crate::fuse::MAX_FUSE.min(crate::counts::strassen_levels(layouts, base)));
+    let fused = ExecPolicy { fuse, ..base };
+    if fuse > base.fuse && workspace_len(layouts, fused) <= max_ws_elems {
+        return fused;
     }
-    // Rungs 3+ degrade from the maximally fused shape.
-    let base = ExecPolicy { fuse: base.fuse.max(max_fuse), ..base };
+    // Rungs 3+ degrade from the fused shape.
+    let base = fused;
     let (m, k, n) = layouts.dims();
     let dmin = m.min(k).min(n);
     // Permitting exactly `lv` Strassen levels: the node at level `j` has
@@ -689,7 +689,10 @@ mod tests {
     fn budget_capping_drops_levels_until_it_fits() {
         let l = MortonLayout::new(4, 4, 3); // 32x32 of 4x4 tiles
         let layouts = NodeLayouts::new(l, l, l);
-        let base = ExecPolicy::default();
+        // Packed: a fused leaf reuses the packing slot, so fusing the
+        // innermost level frees its in-place TP slot (a non-packing
+        // kernel's fused leaf needs more than that slot frees).
+        let base = ExecPolicy { kernel: KernelKind::Packed, ..Default::default() };
         let full = workspace_len(layouts, base);
         let lowmem = workspace_len(layouts, ExecPolicy { schedule: Schedule::LowMem, ..base });
         let inplace = workspace_len(layouts, ExecPolicy { schedule: Schedule::InPlace, ..base });
@@ -706,14 +709,14 @@ mod tests {
         let capped = budget_capped_policy(layouts, base, lowmem - 1);
         assert_eq!(capped, ExecPolicy { schedule: Schedule::InPlace, ..base }, "schedule rung");
 
-        // Below the in-place footprint the ladder starts fusing
-        // innermost levels, keeping the cheap tier and the full depth.
+        // Below the in-place footprint the ladder fuses the innermost
+        // level, keeping the cheap tier and the full depth.
         let capped = budget_capped_policy(layouts, base, inplace - 1);
         assert_eq!(capped.schedule, Schedule::InPlace, "fuse rung keeps the cheap tier");
         assert!(capped.fuse > base.fuse, "fuse rung");
         assert_eq!(capped.strassen_min, base.strassen_min, "fuse rung keeps the depth");
 
-        // Below the maximally fused in-place footprint the ladder must
+        // Below the fused in-place footprint the ladder must
         // start raising strassen_min while keeping fuse and tier.
         let fused_floor = workspace_len(
             layouts,
@@ -784,7 +787,7 @@ mod tests {
                 prev = ws;
             }
         }
-        // The closed form: each fused level removes its qa+qb+2qc staged
+        // The closed form: the fused level removes its qa+qb+2qc staged
         // slots; a fused Packed terminal reuses the same packing slot.
         let l = MortonLayout::new(8, 8, 2);
         let layouts = NodeLayouts::new(l, l, l);
@@ -798,8 +801,11 @@ mod tests {
             workspace_len(layouts, ExecPolicy { fuse: 1, ..packed }),
             staged_slots(1) + leaf_pack_len(layouts, packed)
         );
+        // With its only level fused, no staged slot remains.
+        let l = MortonLayout::new(8, 8, 1);
+        let layouts = NodeLayouts::new(l, l, l);
         assert_eq!(
-            workspace_len(layouts, ExecPolicy { fuse: 2, ..packed }),
+            workspace_len(layouts, ExecPolicy { fuse: 1, ..packed }),
             leaf_pack_len(layouts, packed)
         );
     }

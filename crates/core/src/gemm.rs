@@ -524,18 +524,18 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
         schedule: sched0,
     };
     // Auto fuses only when the plan resolved to the packed kernel (the
-    // combined packs and scatter epilogue are its bandwidth win), and
-    // only one level — the depth that is a pure win (see
-    // [`crate::fuse::AUTO_FUSE`]); Fixed pins the level count on any
-    // kernel. Auto leaves staged the levels a requested `parallel_depth`
-    // lowers to the DAG; the rule reads the config, never the resolved
-    // thread count, so float bits match at every `MODGEMM_THREADS`.
+    // combined packs and scatter epilogue are its bandwidth win), at the
+    // one level the fused table covers ([`crate::fuse::MAX_FUSE`]);
+    // Fixed pins the level count on any kernel. Auto leaves staged the
+    // levels a requested `parallel_depth` lowers to the DAG; the rule
+    // reads the config, never the resolved thread count, so float bits
+    // match at every `MODGEMM_THREADS`.
     // Clamped to the levels the recursion actually takes so plan facts
     // stay honest.
     let levels = crate::counts::strassen_levels(layouts, base);
     base.fuse = match cfg.fuse_depth {
         crate::config::FuseDepth::Auto if kernel == modgemm_mat::KernelKind::Packed => {
-            crate::fuse::AUTO_FUSE.min(levels.saturating_sub(cfg.parallel_depth))
+            crate::fuse::MAX_FUSE.min(levels.saturating_sub(cfg.parallel_depth))
         }
         crate::config::FuseDepth::Auto => 0,
         crate::config::FuseDepth::Fixed(n) => n.min(crate::fuse::MAX_FUSE),
@@ -548,8 +548,8 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     // parallel run multiplies workspace across concurrent subtrees.
     // When the slab at the requested DAG depth doesn't fit, a cheaper
     // schedule tier is tried first (it shrinks every leaf subtree's
-    // arena share while keeping all the arithmetic), then fusing
-    // another innermost level, before
+    // arena share while keeping all the arithmetic), then fusing the
+    // innermost level (fuse 0 → 1), before
     // [`crate::plan::effective_par_depth`] sacrifices a DAG level.
     // The climb stops as soon as degrading stops buying DAG depth, so
     // an unconstrained budget never over-degrades.
@@ -811,7 +811,7 @@ mod tests {
     #[should_panic(expected = "fuse_depth")]
     fn premorton_validates_the_config() {
         let cfg = ModgemmConfig {
-            fuse_depth: crate::config::FuseDepth::Fixed(7),
+            fuse_depth: crate::config::FuseDepth::Fixed(2),
             ..ModgemmConfig::paper()
         };
         let layouts = layouts_of(&cfg.plan(64, 64, 64).unwrap());
@@ -1242,7 +1242,7 @@ mod tests {
 
     #[test]
     fn auto_fuse_leaves_the_requested_dag_levels_staged() {
-        // Packed 48×48 leaves: Auto fuses AUTO_FUSE levels unless the
+        // Packed 48×48 leaves: Auto fuses MAX_FUSE levels unless the
         // requested parallel depth needs them staged, whatever the
         // thread count resolves to.
         let fused_at = |depth: usize, parallel_depth: usize, threads: usize| {
@@ -1256,10 +1256,10 @@ mod tests {
             capped_policy::<f64>(NodeLayouts::new(l, l, l), &cfg).fuse
         };
         for threads in [1, 4] {
-            assert_eq!(fused_at(1, 0, threads), crate::fuse::AUTO_FUSE);
+            assert_eq!(fused_at(1, 0, threads), crate::fuse::MAX_FUSE);
             assert_eq!(fused_at(1, 1, threads), 0, "the one level feeds the DAG");
             assert_eq!(fused_at(1, 2, threads), 0);
-            assert_eq!(fused_at(3, 2, threads), crate::fuse::AUTO_FUSE.min(1));
+            assert_eq!(fused_at(3, 2, threads), crate::fuse::MAX_FUSE);
             assert_eq!(fused_at(2, 2, threads), 0);
         }
     }

@@ -163,8 +163,9 @@ mod tests {
 
     #[test]
     fn pooled_parallel_with_fused_leaves_matches_staged_serial() {
-        // Depth 3 with fuse 2 leaves exactly one *staged* level for the
-        // DAG; each Leaf task then runs a two-level fused subtree. The
+        // Depth 3 with fuse 1 leaves two *staged* levels, both lowered to
+        // the DAG (par-depth 2); each Leaf task then runs a fused
+        // subtree. The
         // pooled run must agree bit-for-bit (i64) with both the serial
         // fused plan and the fully staged oracle, at every worker count —
         // this is the test the TSan job drives to race-check fused
@@ -175,7 +176,7 @@ mod tests {
             ..cfg(8, par_depth, threads)
         };
         let fused = |par_depth, threads| ModgemmConfig {
-            fuse_depth: FuseDepth::Fixed(2),
+            fuse_depth: FuseDepth::Fixed(1),
             ..staged(par_depth, threads)
         };
         let a: Matrix<i64> = random_matrix(n, n, 61);
@@ -185,8 +186,8 @@ mod tests {
         assert_eq!(c_fused, c_oracle, "serial fused vs staged oracle");
 
         for threads in [2, 4] {
-            let p = plan(n, n, n, &fused(1, threads));
-            assert_eq!((p.parallel_depth(), p.fused_levels()), (1, 2));
+            let p = plan(n, n, n, &fused(2, threads));
+            assert_eq!((p.parallel_depth(), p.fused_levels()), (2, 1));
             let c_pool = run_dirty(&p, &a, &b, i64::MAX, i64::MAX);
             assert_eq!(c_pool, c_oracle, "threads = {threads}");
         }

@@ -155,7 +155,7 @@ pub(crate) fn fill_levels(
 /// `TS/TT/TP` low-mem, `TP` in-place) and handing the tail to the
 /// recursion. Past the last flattened level the terminal takes over: the
 /// fused executor ([`crate::fuse::fused_mul_with_ws`]) when
-/// [`ExecPolicy::fuse`] covers the remaining Strassen levels, else the
+/// [`ExecPolicy::fuse`] covers the remaining Strassen level, else the
 /// conventional Morton recursion with the plan's leaf kernel — what
 /// remains of the arena at that point is exactly the [`fused_tail_len`]
 /// tail (the packing slot or the fused leaf working set; non-packing
@@ -203,10 +203,10 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
         // terminal only reads them.
         let av = unsafe { core::slice::from_raw_parts(a as *const S, layouts.a.len()) };
         let bv = unsafe { core::slice::from_raw_parts(b as *const S, layouts.b.len()) };
-        let f = fused_levels(layouts, policy);
+        let fused = fused_levels(layouts, policy) > 0;
         let run = |c: &mut [S], arena: &mut [S]| {
-            if f > 0 {
-                crate::fuse::fused_mul_with_ws(av, bv, c, layouts, f, policy.kernel, arena);
+            if fused {
+                crate::fuse::fused_mul_with_ws(av, bv, c, layouts, policy.kernel, arena);
             } else {
                 c.fill(S::ZERO);
                 morton_mul_add_with_ws(av, bv, c, layouts, policy.kernel, arena);
@@ -1773,7 +1773,7 @@ mod tests {
     #[test]
     fn budget_ladder_schedule_then_fuse_then_par_depth_then_recursion_then_kernel() {
         // The full degradation ladder, pinned end to end: schedule tier
-        // (standard → low-mem → in-place) → fuse depth → par-depth →
+        // (standard → low-mem → in-place) → fuse 0 → 1 → par-depth →
         // recursion depth → kernel. The schedule rungs come first because
         // they are free in arithmetic: every tier multiplies the same
         // seven products, only the temporary-buffer linearization
@@ -1781,34 +1781,36 @@ mod tests {
         // Strassen depth, the packed kernel) are sacrificed only after
         // the cheapest tier still doesn't fit.
         let cfg0 = ModgemmConfig {
-            truncation: Truncation::Fixed(16),
+            truncation: Truncation::Fixed(32),
             leaf_kernel: KernelKind::Packed,
+            fuse_depth: crate::config::FuseDepth::Fixed(0),
             parallel_depth: 2,
             threads: 4,
             ..Default::default()
         };
-        // 256 = 16·2^4: four Strassen levels, of which Auto fuses the
-        // innermost one, leaving three staged levels for the parallel
-        // DAG (capped at the requested depth 2).
+        // 256 = 32·2^3: three Strassen levels, all staged (Fixed(0)
+        // starts the fuse rung at zero); the parallel DAG takes the top
+        // two, so each leaf subtree keeps one staged level whose
+        // temporaries the tier rungs shrink and the fuse rung removes.
         let (m, k, n) = (256usize, 256usize, 256usize);
-        let l = MortonLayout::new(16, 16, 4);
+        let l = MortonLayout::new(32, 32, 3);
         let layouts = NodeLayouts::new(l, l, l);
         let policy0 = crate::gemm::capped_policy::<f64>(layouts, &cfg0);
-        assert_eq!(policy0.fuse, crate::fuse::AUTO_FUSE, "Auto + Packed fuses the speed depth");
+        assert_eq!(policy0.fuse, 0, "Fixed(0) keeps every level staged");
         assert_eq!(policy0.schedule, Schedule::Standard, "unlimited budget keeps standard");
         let at =
             |schedule: Schedule, fuse: usize| crate::exec::ExecPolicy { schedule, fuse, ..policy0 };
         let slab2 = |p| crate::plan::parallel_slab_len(layouts, p, 2);
-        let slab2_lm = slab2(at(Schedule::LowMem, 1));
-        let slab2_ip = slab2(at(Schedule::InPlace, 1));
-        let slab2_f2 = slab2(at(Schedule::Standard, 2));
+        let slab2_lm = slab2(at(Schedule::LowMem, 0));
+        let slab2_ip = slab2(at(Schedule::InPlace, 0));
+        let slab2_f1 = slab2(at(Schedule::Standard, 1));
         let slab1_std = crate::plan::parallel_slab_len(layouts, policy0, 1);
-        let ws_ip = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 1));
-        let ws_ip_f2 = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 2));
+        let ws_ip = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 0));
+        let ws_ip_f1 = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 1));
         assert!(slab2_lm < slab2(policy0), "low-mem must shrink the DAG slab");
         assert!(slab2_ip < slab2_lm, "in-place must shrink it further");
-        assert!(slab2_f2 < slab2_ip, "full fusion shrinks below every tier's staged slab");
-        assert!(slab1_std < slab2_f2, "one DAG level must cost less than two at any tier");
+        assert!(slab2_f1 < slab2_ip, "fusing the last staged level beats every tier's slab");
+        assert!(slab1_std < slab2_f1, "one DAG level must cost less than two at any tier");
         assert!(ws_ip < slab1_std, "serial in-place is the cheapest full-depth shape");
 
         let budgeted = |bytes: usize| ModgemmConfig {
@@ -1823,7 +1825,7 @@ mod tests {
         let free: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg0).unwrap();
         assert_eq!(
             facts(&free),
-            (2, 4, 1, Schedule::Standard),
+            (2, 3, 0, Schedule::Standard),
             "rung 0 (unlimited budget): nothing may degrade"
         );
 
@@ -1833,7 +1835,7 @@ mod tests {
         let lowmem: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_lm * 8)).unwrap();
         assert_eq!(
             facts(&lowmem),
-            (2, 4, 1, Schedule::LowMem),
+            (2, 3, 0, Schedule::LowMem),
             "rung 1 (schedule → low-mem): tier drops before any speed-bearing knob"
         );
 
@@ -1842,18 +1844,18 @@ mod tests {
         let inplace: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_ip * 8)).unwrap();
         assert_eq!(
             facts(&inplace),
-            (2, 4, 1, Schedule::InPlace),
+            (2, 3, 0, Schedule::InPlace),
             "rung 2 (schedule → in-place): tier exhausts before fuse depth moves"
         );
 
-        // Rung 3 — no tier fits at one fused level: only now does fuse
-        // depth climb. (At full fusion no staged levels remain below the
-        // DAG, so the slab is tier-independent and the climb keeps the
-        // fastest schedule that fits — standard.)
-        let fused: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_f2 * 8)).unwrap();
+        // Rung 3 — no tier fits with every level staged: only now does
+        // the innermost level fuse (0 → 1). (Then no staged levels
+        // remain below the DAG, so the slab is tier-independent and the
+        // climb keeps the fastest schedule that fits — standard.)
+        let fused: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_f1 * 8)).unwrap();
         assert_eq!(
             facts(&fused),
-            (2, 4, 2, Schedule::Standard),
+            (2, 3, 1, Schedule::Standard),
             "rung 3 (fuse depth): fusion deepens only after the schedule rungs"
         );
 
@@ -1863,7 +1865,7 @@ mod tests {
         let par1: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab1_std * 8)).unwrap();
         assert_eq!(
             facts(&par1),
-            (1, 4, 1, Schedule::Standard),
+            (1, 3, 0, Schedule::Standard),
             "rung 4 (par-depth): DAG width drops only after schedule and fuse climbs fail"
         );
 
@@ -1874,7 +1876,7 @@ mod tests {
         let serial: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(ws_ip * 8)).unwrap();
         assert_eq!(
             facts(&serial),
-            (0, 4, 1, Schedule::InPlace),
+            (0, 3, 0, Schedule::InPlace),
             "rung 5 (serial in-place): full depth survives on the cheapest tier"
         );
         let serial_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(ws_ip * 8));
@@ -1886,7 +1888,7 @@ mod tests {
             Schedule::Standard,
         );
         assert!(
-            crate::counts::strassen_levels(layouts, old_ladder) < 4
+            crate::counts::strassen_levels(layouts, old_ladder) < 3
                 || old_ladder.kernel != KernelKind::Packed,
             "without the schedule rungs this budget forced a depth or kernel loss"
         );
@@ -1894,7 +1896,7 @@ mod tests {
         // Rung 6 — below every tier's full-depth workspace: recursion
         // depth is sacrificed next, on the cheapest tier, with the
         // kernel still packed.
-        let shallow_cfg = budgeted(ws_ip_f2 * 8 - 8);
+        let shallow_cfg = budgeted(ws_ip_f1 * 8 - 8);
         let shallow_policy = crate::gemm::capped_policy::<f64>(layouts, &shallow_cfg);
         assert_eq!(
             shallow_policy.kernel,
@@ -1903,7 +1905,7 @@ mod tests {
         );
         let shallow: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &shallow_cfg).unwrap();
         assert!(
-            shallow.strassen_levels() < 4,
+            shallow.strassen_levels() < 3,
             "rung 6 (recursion depth): depth must drop below every tier's workspace"
         );
 
@@ -1929,6 +1931,37 @@ mod tests {
             modgemm_mat::norms::assert_matrix_eq(c.view(), expect.view(), k);
             let _ = rung;
         }
+    }
+
+    #[test]
+    fn quarter_budget_at_513_keeps_in_place_and_one_fused_level() {
+        // A blas_budget shape: 513³ under a quarter of the unbudgeted
+        // plan's arena. The ladder walks the tier down to in-place,
+        // fuses the innermost level and drops one Strassen level (of
+        // four) to fit; the product stays bitwise the unbudgeted one.
+        let (m, k, n) = (513usize, 513usize, 513usize);
+        let cfg = ModgemmConfig { leaf_kernel: KernelKind::Packed, ..Default::default() };
+        let free: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
+        assert_eq!(free.strassen_levels(), 4);
+        let budget = free.arena_len() * 8 / 4;
+        let cfg_q = ModgemmConfig {
+            memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(budget),
+            ..cfg
+        };
+        let quarter: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg_q).unwrap();
+        assert_eq!(quarter.schedule(), Schedule::InPlace);
+        assert_eq!(quarter.fused_levels(), 1);
+        assert_eq!(quarter.strassen_levels(), 3);
+        assert!(quarter.arena_len() * 8 <= budget, "{} > {budget}", quarter.arena_len() * 8);
+
+        let a: Matrix<i64> = random_matrix(m, k, 51);
+        let b: Matrix<i64> = random_matrix(k, n, 52);
+        let mut ctx = GemmContext::new();
+        let mut c_free: Matrix<i64> = Matrix::zeros(m, n);
+        free.execute(a.view(), b.view(), c_free.view_mut(), &mut ctx);
+        let mut c_quarter: Matrix<i64> = Matrix::zeros(m, n);
+        quarter.execute(a.view(), b.view(), c_quarter.view_mut(), &mut ctx);
+        assert_eq!(c_quarter, c_free);
     }
 
     #[test]

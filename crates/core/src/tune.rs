@@ -842,7 +842,7 @@ mod tests {
                         kernel: KernelKind::Packed,
                         parallel_depth: 0,
                         threads: 1,
-                        fuse_depth: 2,
+                        fuse_depth: 1,
                         batch_window: 0,
                         schedule: crate::schedule::Schedule::Standard,
                     },
@@ -932,7 +932,7 @@ mod tests {
             // Entry recording a fuse depth beyond MAX_FUSE.
             "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
              \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":9,\"batch_window\":0,\"schedule\":\"standard\",\
+             \"threads\":0,\"fuse_depth\":2,\"batch_window\":0,\"schedule\":\"standard\",\
              \"score\":1.0}]}"
                 .into(),
         ];
@@ -1057,7 +1057,7 @@ mod tests {
             parallel_depth: 1,
             threads: 2,
             leaf_kernel: KernelKind::Micro,
-            fuse_depth: FuseDepth::Fixed(2),
+            fuse_depth: FuseDepth::Fixed(0),
             batch_window: 3,
             ..Default::default()
         };
@@ -1067,7 +1067,7 @@ mod tests {
         assert_eq!(eff.parallel_depth, 1);
         assert_eq!(eff.threads, 2);
         assert_eq!(eff.leaf_kernel, KernelKind::Micro);
-        assert_eq!(eff.fuse_depth, FuseDepth::Fixed(2), "explicit fuse_depth wins");
+        assert_eq!(eff.fuse_depth, FuseDepth::Fixed(0), "explicit fuse_depth wins");
         assert_eq!(eff.batch_window, 3, "explicit batch_window wins");
         let pinned_sched = ModgemmConfig {
             schedule: crate::config::SchedulePolicy::Fixed(crate::schedule::Schedule::InPlace),

@@ -47,10 +47,11 @@ pub const PACK_NR: usize = 4;
 
 /// Most ± source terms one combined pack ([`pack_a_sum`] /
 /// [`pack_b_sum`]) and most ± destinations one scatter epilogue
-/// ([`microkernel_scatter_generic`]) support. Two fused Strassen levels
-/// compose at most `2 × 2` quadrant terms per operand and per
-/// destination, so four is the ceiling the fused executor needs.
-pub const MAX_FUSE_TERMS: usize = 4;
+/// ([`microkernel_scatter_generic`]) support. A fused Strassen level
+/// reads at most two quadrant terms per operand and scatters into at
+/// most two destinations, so two is the ceiling the fused executor
+/// needs.
+pub const MAX_FUSE_TERMS: usize = 2;
 
 /// Elements of the packed form of an `m × k` A operand:
 /// `ceil(m / MR) · MR · k` (ragged row panels are zero-padded).
@@ -571,8 +572,8 @@ mod tests {
     #[test]
     fn pack_a_sum_matches_pack_a_of_combined_operand() {
         // Ragged shape (one padded row panel) over a strided view, with
-        // 1..=4 ± terms: the combined pack must equal packing the
-        // explicitly combined matrix.
+        // 1..=MAX_FUSE_TERMS ± terms: the combined pack must equal
+        // packing the explicitly combined matrix.
         let base: Matrix<i64> = random_matrix(14, 9, 17);
         let views: Vec<_> = (0..MAX_FUSE_TERMS)
             .map(|t| base.view().submatrix(t % 3, t % 2, 11, 7)) // ld = 14
@@ -687,10 +688,10 @@ mod tests {
 
     #[test]
     fn scatter_generic_matches_staged_add_sub() {
-        // The portable body scattering one full tile ± into up to four
-        // destinations must equal computing the product tile once and
-        // staging the adds/subtracts — exactly, on i64 — and must leave
-        // the rows between ldc-strided columns alone.
+        // The portable body scattering one full tile ± into up to
+        // MAX_FUSE_TERMS destinations must equal computing the product
+        // tile once and staging the adds/subtracts — exactly, on i64 —
+        // and must leave the rows between ldc-strided columns alone.
         let k = 6;
         let (a, b, tile) = panels_and_tile(k);
         let ldc = PACK_MR + 2;
@@ -720,10 +721,10 @@ mod tests {
     #[test]
     fn edge_tile_adds_only_the_live_window() {
         // The edge write-back with the portable body, on every (mb, nb)
-        // an edge tile can have and 1..=4 ± destinations: inside the
-        // window each destination gets exactly ± the product tile,
-        // outside it nothing changes. Under Miri this is the coverage of
-        // the raw-pointer window write-back.
+        // an edge tile can have and 1..=MAX_FUSE_TERMS ± destinations:
+        // inside the window each destination gets exactly ± the product
+        // tile, outside it nothing changes. Under Miri this is the
+        // coverage of the raw-pointer window write-back.
         let k = 5;
         let (a, b, tile) = panels_and_tile(k);
         let ldc = PACK_MR + 2;
@@ -764,9 +765,9 @@ mod tests {
 
     /// Every edge remainder of the register tile (`m` in 1..=2·MR+1, `n`
     /// in 1..=2·NR+1) through `Packed::mul_add_in` on a strided `C` and
-    /// through the scatter driver into 1..=4 ± destinations, bitwise
-    /// against `naive_product`. On a SIMD host this drives the vector
-    /// body on interior and edge tiles alike.
+    /// through the scatter driver into 1..=MAX_FUSE_TERMS ± destinations,
+    /// bitwise against `naive_product`. On a SIMD host this drives the
+    /// vector body on interior and edge tiles alike.
     fn vector_path_is_exact<S: Scalar>() {
         use crate::kernel::{LeafKernel, Packed};
         let bits = |x: S| x.to_f64().to_bits();

@@ -7,7 +7,7 @@
 //! unpack racing a convert, or a broadcast operand read after a
 //! neighbour's epilogue all show up as an exact mismatch.
 //!
-//! The sweep covers every leaf kernel, fuse depths 0..=2 and Auto,
+//! The sweep covers every leaf kernel, fuse depths 0..=1 and Auto,
 //! thread counts {1, 2, 7} (serial degradation, minimal pool, more
 //! workers than one item's top-level products), ragged shapes, strided
 //! and broadcast operands, and budget-capped in-flight windows.
@@ -103,7 +103,7 @@ proptest! {
         alpha in -3i64..4,
         beta in -3i64..4,
         kernel_ix in 0usize..KernelKind::ALL.len(),
-        fuse_sel in 0usize..4,
+        fuse_sel in 0usize..3,
         threads_ix in 0usize..THREADS.len(),
         par_depth in 1usize..3,
         pad_a in 0usize..3,

@@ -75,7 +75,7 @@ proptest! {
         k in 1usize..72,
         n in 1usize..72,
         kernel_ix in 0usize..KernelKind::ALL.len(),
-        fuse in 0usize..3,
+        fuse in 0usize..2,
         threads_ix in 0usize..THREADS.len(),
         par_depth in 0usize..3,
         seed in 0u64..1000,
@@ -85,7 +85,7 @@ proptest! {
         let base = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
             leaf_kernel: KernelKind::ALL[kernel_ix],
-            fuse_depth: modgemm::core::FuseDepth::Fixed(fuse.min(modgemm::core::fuse::MAX_FUSE)),
+            fuse_depth: modgemm::core::FuseDepth::Fixed(fuse),
             parallel_depth: par_depth,
             threads: THREADS[threads_ix],
             ..ModgemmConfig::paper()
