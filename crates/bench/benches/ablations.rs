@@ -190,15 +190,12 @@ fn bench_context_reuse(c: &mut Criterion) {
     let mut ctx = modgemm_core::GemmContext::new();
     g.bench_function("reused_context", |bch| {
         bch.iter(|| {
-            modgemm_core::modgemm_with_ctx(
-                1.0,
-                Op::NoTrans,
+            // Planned per call, like alloc_per_call: only the buffers are
+            // reused.
+            modgemm_core::GemmPlan::try_new(n, n, n, &cfg).expect("valid config").execute(
                 a.view(),
-                Op::NoTrans,
                 b.view(),
-                0.0,
                 cm.view_mut(),
-                &cfg,
                 &mut ctx,
             );
             black_box(cm.as_slice());

@@ -87,12 +87,11 @@ use modgemm_bench::report::{
     compare_reports, median, CompareMetric, SCHEMA_VERSION, SCORE_REFERENCE_CASE,
 };
 use modgemm_core::counts::conventional_flops;
+use modgemm_core::json::{parse, Value};
 use modgemm_core::metrics::{CollectingSink, MetricsSink};
 use modgemm_core::{
-    try_modgemm_with_metrics, GemmContext, GemmError, GemmRequest, GemmService, ModgemmConfig,
-    ServiceConfig,
+    GemmContext, GemmError, GemmPlan, GemmRequest, GemmService, ModgemmConfig, ServiceConfig,
 };
-use modgemm_experiments::json::{parse, Value};
 use modgemm_mat::gen::random_matrix;
 use modgemm_mat::view::Op;
 use modgemm_mat::{KernelKind, Matrix};
@@ -576,7 +575,7 @@ fn run_case(case: &Case, reps: u32) -> Measured {
     // PlanReuse cases compile their plan once, outside the timed loop.
     let plan = match &case.algo {
         Algo::PlanReuse { cfg, .. } => {
-            Some(modgemm_core::GemmPlan::<f64>::try_new(n, n, n, cfg).expect("valid config"))
+            Some(GemmPlan::<f64>::try_new(n, n, n, cfg).expect("valid config"))
         }
         Algo::Modgemm(_) | Algo::Conventional => None,
         Algo::Service { .. } | Algo::Batch { .. } | Algo::BatchSerial { .. } => {
@@ -595,7 +594,11 @@ fn run_case(case: &Case, reps: u32) -> Measured {
         let t0 = Instant::now();
         match &case.algo {
             Algo::Modgemm(cfg) => {
-                try_modgemm_with_metrics(
+                // One-shot: compile inside the timed rep, so every rep
+                // records one plan built and one execution.
+                let plan = GemmPlan::<f64>::try_new(n, n, n, cfg).expect("valid config");
+                sink.record_plan_built();
+                plan.try_execute_with_metrics(
                     1.0,
                     Op::NoTrans,
                     a.view(),
@@ -603,7 +606,6 @@ fn run_case(case: &Case, reps: u32) -> Measured {
                     b.view(),
                     0.0,
                     c.view_mut(),
-                    cfg,
                     &mut ctx,
                     &mut sink,
                 )

@@ -27,7 +27,7 @@
 //! GFLOP/s divided by the `conventional_256` case's — a machine-portable
 //! ratio that CI can gate on across runner generations.
 
-use modgemm_experiments::json::{index_by, Value};
+use modgemm_core::json::{index_by, Value};
 
 /// The schema version this crate emits and understands.
 pub const SCHEMA_VERSION: u64 = 1;

@@ -12,9 +12,10 @@
 //! 4. the result is unpacked with a fused `C ← α·D + β·C` (skipped in the
 //!    common α=1, β=0 case, where the unpack writes `C` directly).
 //!
-//! [`modgemm_timed`] exposes the conversion/compute split of Figure 7;
-//! [`MortonMatrix`] plus [`modgemm_premorton`] expose the "matrices
-//! already in Morton order" mode of Figure 8.
+//! [`GemmPlan::try_execute`] returns the conversion/compute split of
+//! Figure 7 as a [`GemmBreakdown`]; [`MortonMatrix`] plus
+//! [`modgemm_premorton`] expose the "matrices already in Morton order"
+//! mode of Figure 8.
 
 use std::time::Duration;
 
@@ -162,7 +163,8 @@ pub fn layouts_of(plan: &JointTiling) -> NodeLayouts {
 /// ```
 ///
 /// # Panics
-/// On dimension mismatches between `op(A)`, `op(B)`, and `C`.
+/// On the conditions [`try_modgemm`] reports as errors, such as
+/// dimension mismatches between `op(A)`, `op(B)`, and `C`.
 #[allow(clippy::too_many_arguments)]
 #[track_caller]
 pub fn modgemm<S: Scalar>(
@@ -175,7 +177,9 @@ pub fn modgemm<S: Scalar>(
     c: MatMut<'_, S>,
     cfg: &ModgemmConfig,
 ) {
-    let _ = modgemm_timed(alpha, op_a, a, op_b, b, beta, c, cfg);
+    if let Err(e) = try_modgemm(alpha, op_a, a, op_b, b, beta, c, cfg) {
+        panic!("{e}");
+    }
 }
 
 /// Fallible variant of [`modgemm`]: every illegal argument, resource
@@ -183,6 +187,18 @@ pub fn modgemm<S: Scalar>(
 /// back as a typed [`GemmError`] instead of a panic, and the configured
 /// [`crate::config::MemoryBudget`] degrades the recursion depth
 /// gracefully instead of failing.
+///
+/// Order of operations: configuration validation, dimension checks,
+/// degenerate-case early outs, the [`crate::config::NonFinitePolicy`]
+/// operand scan, the budget-capped fast computation (planned, or split
+/// when the operands are too rectangular), and finally the
+/// [`crate::config::VerifyMode`] Freivalds check with one
+/// conventional-recompute retry.
+///
+/// Each call plans and allocates afresh. Callers that reuse buffers,
+/// want the [`GemmBreakdown`], or report metrics build a [`GemmPlan`]
+/// and call [`GemmPlan::try_execute`] or
+/// [`GemmPlan::try_execute_with_metrics`] with a [`GemmContext`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_modgemm<S: Scalar>(
     alpha: S,
@@ -195,7 +211,8 @@ pub fn try_modgemm<S: Scalar>(
     cfg: &ModgemmConfig,
 ) -> Result<(), GemmError> {
     let mut ctx = GemmContext::new();
-    try_modgemm_with_ctx(alpha, op_a, a, op_b, b, beta, c, cfg, &mut ctx).map(|_| ())
+    try_modgemm_with_metrics(alpha, op_a, a, op_b, b, beta, c, cfg, &mut ctx, &mut NoopSink)
+        .map(|_| ())
 }
 
 /// Reusable buffers for repeated MODGEMM calls: the two Morton operand
@@ -359,48 +376,6 @@ impl<S: Scalar> GemmContext<S> {
     }
 }
 
-/// [`modgemm`] returning the conversion/compute wall-clock breakdown
-/// (the Figure 7 measurement).
-#[track_caller]
-#[allow(clippy::too_many_arguments)]
-pub fn modgemm_timed<S: Scalar>(
-    alpha: S,
-    op_a: Op,
-    a: MatRef<'_, S>,
-    op_b: Op,
-    b: MatRef<'_, S>,
-    beta: S,
-    c: MatMut<'_, S>,
-    cfg: &ModgemmConfig,
-) -> GemmBreakdown {
-    let mut ctx = GemmContext::new();
-    modgemm_with_ctx(alpha, op_a, a, op_b, b, beta, c, cfg, &mut ctx)
-}
-
-/// [`modgemm`] reusing the buffers of `ctx` (allocation-free once the
-/// context has warmed up to the problem size).
-///
-/// # Panics
-/// On the conditions [`try_modgemm_with_ctx`] reports as errors.
-#[track_caller]
-#[allow(clippy::too_many_arguments)]
-pub fn modgemm_with_ctx<S: Scalar>(
-    alpha: S,
-    op_a: Op,
-    a: MatRef<'_, S>,
-    op_b: Op,
-    b: MatRef<'_, S>,
-    beta: S,
-    c: MatMut<'_, S>,
-    cfg: &ModgemmConfig,
-    ctx: &mut GemmContext<S>,
-) -> GemmBreakdown {
-    match try_modgemm_with_ctx(alpha, op_a, a, op_b, b, beta, c, cfg, ctx) {
-        Ok(bd) => bd,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// True when some stored entry of `x` is `NaN` or `±Inf` (by magnitude,
 /// so one scan covers real and complex scalars; exact integer types can
 /// never trip it).
@@ -408,41 +383,18 @@ pub(crate) fn has_non_finite<S: Scalar>(x: MatRef<'_, S>) -> bool {
     (0..x.cols()).any(|j| x.col(j).iter().any(|v| !v.abs_val().to_f64().is_finite()))
 }
 
-/// The fallible pipeline behind every entry point.
+/// The one-shot pipeline behind [`try_modgemm`] and the §3.5 split
+/// ([`crate::rect::split_gemm`]): builds a throwaway [`GemmPlan`] and
+/// executes it on `ctx`, reporting through `sink` (see
+/// [`crate::metrics`]). Each call records one plan built and one
+/// execution; with [`NoopSink`] the instrumentation compiles out and the
+/// product is bit-identical.
 ///
-/// Order of operations: configuration validation, dimension checks,
-/// degenerate-case early outs, the [`crate::config::NonFinitePolicy`] operand scan, the
-/// budget-capped fast computation (planned, or split when the operands
-/// are too rectangular), and finally the [`crate::config::VerifyMode`] Freivalds check
-/// with one conventional-recompute retry.
+/// Errors come in the order `InvalidConfig` (plan construction
+/// validates the configuration), `InnerDimMismatch`, then
+/// `OutputDimMismatch` (checked by execution).
 #[allow(clippy::too_many_arguments)]
-pub fn try_modgemm_with_ctx<S: Scalar>(
-    alpha: S,
-    op_a: Op,
-    a: MatRef<'_, S>,
-    op_b: Op,
-    b: MatRef<'_, S>,
-    beta: S,
-    c: MatMut<'_, S>,
-    cfg: &ModgemmConfig,
-    ctx: &mut GemmContext<S>,
-) -> Result<GemmBreakdown, GemmError> {
-    try_modgemm_with_metrics(alpha, op_a, a, op_b, b, beta, c, cfg, ctx, &mut NoopSink)
-}
-
-/// [`try_modgemm_with_ctx`] reporting execution metrics through `sink`
-/// (see [`crate::metrics`]): the logical problem, per-plan facts (flops,
-/// padding, levels taken), the workspace reservation, per-level times
-/// from the executor, plan-reuse counters, and the conversion/compute
-/// breakdown. With [`NoopSink`] this *is* `try_modgemm_with_ctx` — the
-/// instrumentation compiles out and the product is bit-identical.
-///
-/// This one-shot entry point builds a throwaway [`GemmPlan`] per call
-/// (each call records one plan built and one execution); callers with
-/// repeated traffic of one shape should build the plan once and call
-/// [`GemmPlan::try_execute_with_metrics`] instead.
-#[allow(clippy::too_many_arguments)]
-pub fn try_modgemm_with_metrics<S: Scalar, K: MetricsSink>(
+pub(crate) fn try_modgemm_with_metrics<S: Scalar, K: MetricsSink>(
     alpha: S,
     op_a: Op,
     a: MatRef<'_, S>,
@@ -456,10 +408,6 @@ pub fn try_modgemm_with_metrics<S: Scalar, K: MetricsSink>(
 ) -> Result<GemmBreakdown, GemmError> {
     let (m, ka) = op_a.apply_dims(a.rows(), a.cols());
     let (kb, n) = op_b.apply_dims(b.rows(), b.cols());
-    // Plan construction validates the configuration; the inner-dimension
-    // check stays ahead of execution so the error order of the legacy
-    // pipeline is preserved (InvalidConfig, then InnerDimMismatch, then
-    // OutputDimMismatch).
     let plan = GemmPlan::<S>::try_new(m, ka, n, cfg)?;
     if ka != kb {
         return Err(GemmError::InnerDimMismatch { a_cols: ka, b_rows: kb });
@@ -774,7 +722,7 @@ mod tests {
         let cfg = ModgemmConfig::default();
         let (a, b, _): (Matrix<f64>, _, _) = random_problem(300, 300, 300, 90);
         let mut c: Matrix<f64> = Matrix::zeros(300, 300);
-        let bd = modgemm_timed(
+        let bd = try_modgemm_with_metrics(
             1.0,
             Op::NoTrans,
             a.view(),
@@ -783,7 +731,10 @@ mod tests {
             0.0,
             c.view_mut(),
             &cfg,
-        );
+            &mut GemmContext::new(),
+            &mut NoopSink,
+        )
+        .unwrap();
         assert!(bd.compute > Duration::ZERO);
         assert!(bd.convert_in > Duration::ZERO);
         assert!(bd.total() >= bd.compute);
@@ -932,7 +883,7 @@ mod tests {
         let a: Matrix<f64> = random_matrix(200, 200, 140);
         let b: Matrix<f64> = random_matrix(200, 200, 141);
         let mut c: Matrix<f64> = Matrix::zeros(200, 200);
-        modgemm_with_ctx(
+        try_modgemm_with_metrics(
             1.0,
             Op::NoTrans,
             a.view(),
@@ -942,7 +893,9 @@ mod tests {
             c.view_mut(),
             &cfg,
             &mut ctx,
-        );
+            &mut NoopSink,
+        )
+        .unwrap();
         assert!(ctx.ws.len() * core::mem::size_of::<f64>() <= 4 * 1024);
         assert_matrix_eq(c.view(), naive_product(&a, &b).view(), 200);
     }
@@ -1056,7 +1009,7 @@ mod tests {
             let a: Matrix<f64> = random_matrix(m, k, seed);
             let b: Matrix<f64> = random_matrix(k, n, seed + 10);
             let mut with_ctx: Matrix<f64> = Matrix::zeros(m, n);
-            modgemm_with_ctx(
+            try_modgemm_with_metrics(
                 1.0,
                 Op::NoTrans,
                 a.view(),
@@ -1066,7 +1019,9 @@ mod tests {
                 with_ctx.view_mut(),
                 &cfg,
                 &mut ctx,
-            );
+                &mut NoopSink,
+            )
+            .unwrap();
             let mut fresh: Matrix<f64> = Matrix::zeros(m, n);
             modgemm(1.0, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0.0, fresh.view_mut(), &cfg);
             assert_eq!(with_ctx, fresh, "{m}x{k}x{n}");
@@ -1076,7 +1031,7 @@ mod tests {
         let a: Matrix<f64> = random_matrix(150, 150, 9);
         let b: Matrix<f64> = random_matrix(150, 150, 10);
         let mut c: Matrix<f64> = Matrix::zeros(150, 150);
-        modgemm_with_ctx(
+        try_modgemm_with_metrics(
             1.0,
             Op::NoTrans,
             a.view(),
@@ -1086,7 +1041,9 @@ mod tests {
             c.view_mut(),
             &cfg,
             &mut ctx,
-        );
+            &mut NoopSink,
+        )
+        .unwrap();
         assert_eq!(ctx.footprint(), before);
     }
 
@@ -1100,7 +1057,7 @@ mod tests {
         let a: Matrix<f64> = random_matrix(200, 200, 1);
         let b: Matrix<f64> = random_matrix(200, 200, 2);
         let mut c: Matrix<f64> = Matrix::zeros(200, 200);
-        modgemm_with_ctx(
+        try_modgemm_with_metrics(
             1.0,
             Op::NoTrans,
             a.view(),
@@ -1110,7 +1067,9 @@ mod tests {
             c.view_mut(),
             &cfg,
             &mut ctx,
-        );
+            &mut NoopSink,
+        )
+        .unwrap();
         assert_eq!(ctx.footprint(), reserved, "reservation must cover the run");
     }
 
@@ -1179,7 +1138,7 @@ mod tests {
         let b: Matrix<f64> = random_matrix(64, 64, 12);
         let mut c: Matrix<f64> = Matrix::zeros(64, 64);
         let run = |ctx: &mut GemmContext<f64>, c: &mut Matrix<f64>| {
-            modgemm_with_ctx(
+            try_modgemm_with_metrics(
                 1.0,
                 Op::NoTrans,
                 a.view(),
@@ -1189,7 +1148,9 @@ mod tests {
                 c.view_mut(),
                 &cfg,
                 ctx,
-            );
+                &mut NoopSink,
+            )
+            .unwrap();
         };
         run(&mut ctx, &mut c);
         assert_eq!(ctx.footprint(), big, "small traffic must not hide the stale reservation");
@@ -1209,7 +1170,7 @@ mod tests {
         let a2: Matrix<f64> = random_matrix(300, 300, 13);
         let b2: Matrix<f64> = random_matrix(300, 300, 14);
         let mut c2: Matrix<f64> = Matrix::zeros(300, 300);
-        modgemm_with_ctx(
+        try_modgemm_with_metrics(
             1.0,
             Op::NoTrans,
             a2.view(),
@@ -1219,7 +1180,9 @@ mod tests {
             c2.view_mut(),
             &cfg,
             &mut ctx,
-        );
+            &mut NoopSink,
+        )
+        .unwrap();
         assert!(ctx.footprint() > small, "large traffic must re-grow the context");
         assert_matrix_eq(c2.view(), naive_product(&a2, &b2).view(), 300);
 

@@ -1,11 +1,12 @@
 //! A minimal JSON value, emitter, and parser.
 //!
-//! The build environment vendors no serde, so the bench harness and the
-//! experiment drivers carry their own tiny JSON layer. It covers exactly
-//! what the machine-readable artifacts need: objects with ordered keys,
+//! The build environment vendors no serde, so the workspace carries its
+//! own tiny JSON layer, shared by the tuning profile ([`crate::tune`]),
+//! the bench harness and the experiment drivers. It covers exactly what
+//! the machine-readable artifacts need: objects with ordered keys,
 //! arrays, strings, f64 numbers, booleans, and null — emitted
 //! deterministically (stable key order, shortest-roundtrip floats) and
-//! parsed back for `bench-compare`.
+//! parsed back for `bench-compare` and the profile loader.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -221,9 +222,15 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap turns a hostile `[[[[…` into an `Err`
+/// instead of a stack overflow; the workspace's own files nest about 5
+/// levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -236,6 +243,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -277,11 +286,21 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other.map(|b| b as char), self.pos)),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -455,6 +474,12 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"abc").is_err());
+        // Nesting past MAX_DEPTH is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).is_err());
     }
 
     #[test]

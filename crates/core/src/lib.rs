@@ -16,17 +16,20 @@
 //!    zero-filled, and multiplied through rather than branched around.
 //!
 //! Entry points:
-//! * [`gemm::modgemm`] — the Level-3 BLAS-compatible interface
-//!   (`C ← α·op(A)·op(B) + β·C`).
-//! * [`gemm::modgemm_timed`] — same, reporting the conversion/compute
-//!   breakdown (Figure 7).
+//! * [`gemm::modgemm`] / [`gemm::try_modgemm`] — the Level-3
+//!   BLAS-compatible interface (`C ← α·op(A)·op(B) + β·C`), one call per
+//!   product; [`blas`] holds the raw-slice `dgemm`-style entry points.
 //! * [`gemm::modgemm_premorton`] — operands already in Morton order
 //!   (Figure 8).
 //! * [`plan::GemmPlan::try_new`] / [`plan::GemmPlan::try_execute`] — the
 //!   plan/execute split: compile a [`plan::GemmPlan`] once (truncation
 //!   search, layout tree, flattened schedule, arena offsets), then execute
 //!   it repeatedly with zero hot-path allocations on a warm
-//!   [`gemm::GemmContext`].
+//!   [`gemm::GemmContext`]. Each execution returns the conversion/compute
+//!   breakdown (Figure 7); [`plan::GemmPlan::try_execute_with_metrics`]
+//!   also reports through a [`metrics::MetricsSink`].
+//! * [`batch::BatchPlan`] and [`service::GemmService`] — whole batches
+//!   and a queued, memory-admitted service front end.
 //! * [`exec::morton_mul_add_with_ws`] — the conventional Morton quadrant
 //!   recursion below the truncation point.
 //!
@@ -49,6 +52,7 @@ pub mod exec;
 pub mod faults;
 pub mod fuse;
 pub mod gemm;
+pub mod json;
 pub mod metrics;
 pub mod plan;
 pub mod pool;
@@ -66,8 +70,7 @@ pub use error::{GemmError, Operand};
 pub use exec::{budget_capped_policy, workspace_len, ExecPolicy, NodeLayouts};
 pub use faults::{FaultSite, FaultSpec};
 pub use gemm::{
-    layouts_of, modgemm, modgemm_premorton, modgemm_timed, modgemm_with_ctx, try_modgemm,
-    try_modgemm_with_ctx, try_modgemm_with_metrics, GemmBreakdown, GemmContext, MortonMatrix,
+    layouts_of, modgemm, modgemm_premorton, try_modgemm, GemmBreakdown, GemmContext, MortonMatrix,
 };
 pub use metrics::{
     CacheTotals, CollectingSink, ExecMetrics, MetricsSink, NoopSink, PlanFacts, PoolStats,

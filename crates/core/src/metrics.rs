@@ -16,9 +16,9 @@
 //!   overhead, the conversion/compute breakdown, and — when fed from a
 //!   `modgemm-cachesim` traced run — cache hit/miss totals.
 //!
-//! Entry points accepting a sink: [`crate::gemm::try_modgemm_with_metrics`],
+//! Entry points accepting a sink:
 //! [`crate::plan::GemmPlan::try_execute_with_metrics`] and the batch and
-//! service front ends built on them. Serial and pooled executions of a
+//! service front ends built on it. Serial and pooled executions of a
 //! plan report the same vocabulary. The baselines mirror them in
 //! `modgemm-baselines::instrumented`.
 

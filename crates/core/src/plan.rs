@@ -20,7 +20,7 @@
 //! [`GemmContext`]: on a warm context the hot path performs **zero** heap
 //! allocations (asserted via the temp-allocation accounting — see
 //! `ExecMetrics::temp_alloc_bytes`). The one-shot entry points
-//! ([`crate::gemm::try_modgemm_with_metrics`] and friends) build a
+//! ([`crate::gemm::try_modgemm`] and the BLAS calls built on it) build a
 //! throwaway plan per call, and [`crate::gemm::modgemm_premorton`]
 //! compiles only the compute stage (`TiledPlan`), so every path runs the
 //! same interpreter (`exec_levels_raw`) and produces bit-identical

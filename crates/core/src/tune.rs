@@ -66,6 +66,7 @@ use modgemm_morton::tiling::TileRange;
 
 use crate::config::{FuseDepth, ModgemmConfig, Truncation};
 use crate::error::GemmError;
+use crate::json::{self, Value};
 
 /// The profile schema version this build emits and understands. Loading
 /// a profile with a *newer* version fails typed (forward compatibility
@@ -350,46 +351,39 @@ impl TuningProfile {
     /// Serializes the profile as pretty-printed JSON (stable key order,
     /// so committed profiles diff cleanly).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        s.push_str(&format!("  \"created_unix\": {},\n", self.created_unix));
-        s.push_str(&format!(
-            "  \"machine\": {{\"os\": {}, \"arch\": {}, \"num_cpus\": {}}},\n",
-            json_str(&self.os),
-            json_str(&self.arch),
-            self.num_cpus
-        ));
-        s.push_str(&format!("  \"objective\": {},\n", json_str(&self.objective)));
-        s.push_str("  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"m\": {}, \"k\": {}, \"n\": {}, \"tile_min\": {}, \"tile_max\": {}, \
-                 \"strassen_min\": {}, \"kernel\": {}, \"parallel_depth\": {}, \"threads\": {}, \
-                 \"fuse_depth\": {}, \"batch_window\": {}, \"schedule\": {}, \"score\": {}}}",
-                e.m,
-                e.k,
-                e.n,
-                e.choice.tile_min,
-                e.choice.tile_max,
-                e.choice.strassen_min,
-                json_str(&e.choice.kernel.to_string()),
-                e.choice.parallel_depth,
-                e.choice.threads,
-                e.choice.fuse_depth,
-                e.choice.batch_window,
-                json_str(e.choice.schedule.name()),
-                json_num(e.score),
-            ));
-        }
-        if !self.entries.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
+        let entries: Vec<Value> = self
+            .entries
+            .iter()
+            .map(|e| {
+                Value::object()
+                    .with("m", e.m)
+                    .with("k", e.k)
+                    .with("n", e.n)
+                    .with("tile_min", e.choice.tile_min)
+                    .with("tile_max", e.choice.tile_max)
+                    .with("strassen_min", e.choice.strassen_min)
+                    .with("kernel", e.choice.kernel.to_string())
+                    .with("parallel_depth", e.choice.parallel_depth)
+                    .with("threads", e.choice.threads)
+                    .with("fuse_depth", e.choice.fuse_depth)
+                    .with("batch_window", e.choice.batch_window)
+                    .with("schedule", e.choice.schedule.name())
+                    .with("score", e.score)
+            })
+            .collect();
+        Value::object()
+            .with("schema_version", self.schema_version)
+            .with("created_unix", self.created_unix)
+            .with(
+                "machine",
+                Value::object()
+                    .with("os", self.os.as_str())
+                    .with("arch", self.arch.as_str())
+                    .with("num_cpus", self.num_cpus),
+            )
+            .with("objective", self.objective.as_str())
+            .with("entries", entries)
+            .to_json_pretty()
     }
 
     /// Parses a profile from JSON text. Corrupt or truncated input, a
@@ -399,12 +393,14 @@ impl TuningProfile {
     pub fn from_json_str(text: &str) -> Result<Self, GemmError> {
         const BAD_JSON: GemmError =
             GemmError::InvalidConfig { reason: "tuning profile is not valid JSON" };
-        let root = Jv::parse(text).map_err(|_| BAD_JSON)?;
-        let obj = root.as_obj().ok_or(BAD_JSON)?;
-        let num = |v: &Jv| v.as_f64();
-        let version = get(obj, "schema_version").and_then(num).ok_or(GemmError::InvalidConfig {
-            reason: "tuning profile lacks a numeric schema_version",
-        })? as u64;
+        let root = json::parse(text).map_err(|_| BAD_JSON)?;
+        if !matches!(root, Value::Obj(_)) {
+            return Err(BAD_JSON);
+        }
+        let version =
+            root.get("schema_version").and_then(Value::as_f64).ok_or(GemmError::InvalidConfig {
+                reason: "tuning profile lacks a numeric schema_version",
+            })? as u64;
         if version > PROFILE_SCHEMA_VERSION {
             return Err(GemmError::InvalidConfig {
                 reason: "tuning profile schema version is newer than this library understands",
@@ -418,26 +414,24 @@ impl TuningProfile {
         }
         const BAD_ENTRY: GemmError =
             GemmError::InvalidConfig { reason: "tuning profile entry is malformed" };
-        let machine = get(obj, "machine").and_then(Jv::as_obj);
+        let machine = root.get("machine");
         let mstr = |key: &str| -> String {
-            machine
-                .and_then(|m| get(m, key))
-                .and_then(Jv::as_str)
-                .map(str::to_string)
-                .unwrap_or_default()
+            machine.and_then(|m| m.get(key)).and_then(Value::as_str).unwrap_or_default().to_string()
         };
         let mut entries = Vec::new();
-        for e in get(obj, "entries").and_then(Jv::as_arr).ok_or(BAD_JSON)? {
-            let eo = e.as_obj().ok_or(BAD_ENTRY)?;
+        for e in root.get("entries").and_then(Value::as_array).ok_or(BAD_JSON)? {
+            if !matches!(e, Value::Obj(_)) {
+                return Err(BAD_ENTRY);
+            }
             let u = |key: &str| -> Result<usize, GemmError> {
-                get(eo, key).and_then(num).map(|x| x as usize).ok_or(BAD_ENTRY)
+                e.get(key).and_then(Value::as_f64).and_then(count).ok_or(BAD_ENTRY)
             };
-            let kernel: KernelKind = get(eo, "kernel")
-                .and_then(Jv::as_str)
-                .and_then(|s| s.parse().ok())
-                .ok_or(GemmError::InvalidConfig {
-                    reason: "tuning profile entry names an unknown kernel",
-                })?;
+            let kernel: KernelKind =
+                e.get("kernel").and_then(Value::as_str).and_then(|s| s.parse().ok()).ok_or(
+                    GemmError::InvalidConfig {
+                        reason: "tuning profile entry names an unknown kernel",
+                    },
+                )?;
             let entry = ProfileEntry {
                 m: u("m")?,
                 k: u("k")?,
@@ -451,15 +445,19 @@ impl TuningProfile {
                     threads: u("threads")?,
                     fuse_depth: u("fuse_depth")?,
                     batch_window: u("batch_window")?,
-                    schedule: get(eo, "schedule")
-                        .and_then(Jv::as_str)
+                    schedule: e
+                        .get("schedule")
+                        .and_then(Value::as_str)
                         .and_then(|s| s.parse().ok())
                         .ok_or(GemmError::InvalidConfig {
                             reason: "tuning profile entry names an unknown schedule tier",
                         })?,
                 },
-                score: get(eo, "score").and_then(num).unwrap_or(0.0),
+                score: e.get("score").and_then(Value::as_f64).unwrap_or(0.0),
             };
+            if !entry.score.is_finite() {
+                return Err(BAD_ENTRY);
+            }
             if entry.m == 0 || entry.k == 0 || entry.n == 0 {
                 return Err(GemmError::InvalidConfig {
                     reason: "tuning profile entry has a zero problem dimension",
@@ -479,15 +477,19 @@ impl TuningProfile {
         }
         Ok(Self {
             schema_version: version,
-            created_unix: get(obj, "created_unix").and_then(num).unwrap_or(0.0) as u64,
+            created_unix: root.get("created_unix").and_then(Value::as_f64).unwrap_or(0.0) as u64,
             os: mstr("os"),
             arch: mstr("arch"),
             num_cpus: machine
-                .and_then(|m| get(m, "num_cpus"))
-                .and_then(num)
+                .and_then(|m| m.get("num_cpus"))
+                .and_then(Value::as_f64)
                 .map(|x| x as usize)
                 .unwrap_or(0),
-            objective: get(obj, "objective").and_then(Jv::as_str).unwrap_or("min-time").to_string(),
+            objective: root
+                .get("objective")
+                .and_then(Value::as_str)
+                .unwrap_or("min-time")
+                .to_string(),
             entries,
         })
     }
@@ -576,245 +578,13 @@ pub fn global_profile() -> Result<Option<&'static TuningProfile>, GemmError> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// A minimal JSON reader (the workspace vendors no serde; the experiments
-// crate's JSON layer sits *above* core in the dependency graph, so the
-// profile loader carries its own ~100-line subset parser)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-enum Jv {
-    Null,
-    // Parsed for JSON completeness; no profile field is boolean, so the
-    // value itself is never consulted.
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Jv>),
-    Obj(Vec<(String, Jv)>),
-}
-
-fn get<'v>(obj: &'v [(String, Jv)], key: &str) -> Option<&'v Jv> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-impl Jv {
-    fn as_obj(&self) -> Option<&[(String, Jv)]> {
-        match self {
-            Jv::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Jv]> {
-        match self {
-            Jv::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Jv::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Jv::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn parse(text: &str) -> Result<Jv, ()> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(()); // trailing garbage
-        }
-        Ok(v)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ()> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
+/// A profile entry's JSON number as a `usize`: finite, non-negative,
+/// integral, and at most 2^53 (past which `f64` skips integers).
+fn count(x: f64) -> Option<usize> {
+    if x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0 {
+        usize::try_from(x as u64).ok()
     } else {
-        Err(())
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Jv, ()> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut obj = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Jv::Obj(obj));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                obj.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Jv::Obj(obj));
-                    }
-                    _ => return Err(()),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Jv::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Jv::Arr(arr));
-                    }
-                    _ => return Err(()),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos).map(Jv::Str),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Jv::Bool)
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Jv::Bool)
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Jv::Null)
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            *pos += 1;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .filter(|x| x.is_finite())
-                .map(Jv::Num)
-                .ok_or(())
-        }
-        _ => Err(()),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ()> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(());
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err(()), // truncated mid-string
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or(())?;
-                        let code =
-                            u32::from_str_radix(std::str::from_utf8(hex).map_err(|_| ())?, 16)
-                                .map_err(|_| ())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(()),
-                }
-                *pos += 1;
-            }
-            Some(&c) => {
-                // Multi-byte UTF-8 sequences pass through untouched.
-                let len = utf8_len(c);
-                let bytes = b.get(*pos..*pos + len).ok_or(())?;
-                out.push_str(std::str::from_utf8(bytes).map_err(|_| ())?);
-                *pos += len;
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        if s.contains('.') || s.contains('e') || s.contains('-') || x.fract() != 0.0 {
-            s
-        } else {
-            format!("{x:.1}")
-        }
-    } else {
-        "0.0".to_string()
+        None
     }
 }
 
@@ -935,7 +705,33 @@ mod tests {
              \"threads\":0,\"fuse_depth\":2,\"batch_window\":0,\"schedule\":\"standard\",\
              \"score\":1.0}]}"
                 .into(),
+            // Nesting far past the parser's depth cap.
+            format!("{{\"schema_version\": 4, \"entries\": {}", "[".repeat(200_000)),
         ];
+        // Entry numbers out of range for their usize fields (fractional,
+        // negative, past 2^53) and a non-finite score.
+        let entry = "{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\"tile_max\":64,\
+                     \"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
+                     \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"standard\",\
+                     \"score\":1.0}";
+        for (field, value) in [
+            ("\"m\":8", "\"m\":64.9"),
+            ("\"m\":8", "\"m\":9007199254740994"),
+            ("\"strassen_min\":0", "\"strassen_min\":-5"),
+            ("\"fuse_depth\":0", "\"fuse_depth\":-1"),
+            ("\"tile_max\":64", "\"tile_max\":1e30"),
+            ("\"threads\":0", "\"threads\":1e30"),
+            ("\"parallel_depth\":0", "\"parallel_depth\":1e30"),
+            ("\"strassen_min\":0", "\"strassen_min\":1e30"),
+            ("\"score\":1.0", "\"score\":1e999"),
+        ] {
+            let edited = entry.replacen(field, value, 1);
+            assert_ne!(edited, entry, "{field} must occur in the template entry");
+            bad.push(format!("{{\"schema_version\": 4, \"entries\": [{edited}]}}"));
+        }
+        // The unedited template entry loads.
+        let good = format!("{{\"schema_version\": 4, \"entries\": [{entry}]}}");
+        assert!(TuningProfile::from_json_str(&good).is_ok());
         // Truncate the valid serialization at many byte offsets: every
         // prefix must fail typed (or parse, only for the degenerate
         // full-length case, which the loop excludes).

@@ -8,10 +8,7 @@
 use modgemm_core::counts::{conventional_flops, strassen_flops, strassen_levels};
 use modgemm_core::exec::{workspace_len, ExecPolicy, NodeLayouts};
 use modgemm_core::metrics::{CollectingSink, MetricsSink, NoopSink};
-use modgemm_core::{
-    try_modgemm_with_ctx, try_modgemm_with_metrics, GemmContext, GemmPlan, ModgemmConfig,
-    Truncation,
-};
+use modgemm_core::{GemmContext, GemmPlan, ModgemmConfig, Truncation};
 use modgemm_mat::gen::random_matrix;
 use modgemm_mat::view::Op;
 use modgemm_mat::Matrix;
@@ -123,19 +120,20 @@ fn pipeline_metrics_flops_match_counts() {
         let mut c: Matrix<f64> = Matrix::zeros(n, n);
         let mut ctx = GemmContext::new();
         let mut sink = CollectingSink::new();
-        try_modgemm_with_metrics(
-            1.0,
-            Op::NoTrans,
-            a.view(),
-            Op::NoTrans,
-            b.view(),
-            0.0,
-            c.view_mut(),
-            &cfg,
-            &mut ctx,
-            &mut sink,
-        )
-        .unwrap();
+        GemmPlan::try_new(n, n, n, &cfg)
+            .unwrap()
+            .try_execute_with_metrics(
+                1.0,
+                Op::NoTrans,
+                a.view(),
+                Op::NoTrans,
+                b.view(),
+                0.0,
+                c.view_mut(),
+                &mut ctx,
+                &mut sink,
+            )
+            .unwrap();
         let m = sink.into_metrics();
         assert_eq!(m.problem, Some((n, n, n)));
         // conventional_flops(m,k,n) = 2·m·k·n, so summed across plans it
@@ -176,10 +174,9 @@ fn noop_and_collecting_runs_are_bit_identical() {
     let n = 97;
     let a: Matrix<f64> = random_matrix(n, n, 31);
     let b: Matrix<f64> = random_matrix(n, n, 32);
-    let cfg = ModgemmConfig::default();
+    let plan = GemmPlan::try_new(n, n, n, &ModgemmConfig::default()).unwrap();
     let mut c_noop: Matrix<f64> = Matrix::zeros(n, n);
-    let mut ctx = GemmContext::new();
-    try_modgemm_with_ctx(
+    plan.try_execute(
         0.5,
         Op::NoTrans,
         a.view(),
@@ -187,15 +184,13 @@ fn noop_and_collecting_runs_are_bit_identical() {
         b.view(),
         0.25,
         c_noop.view_mut(),
-        &cfg,
-        &mut ctx,
+        &mut GemmContext::new(),
     )
     .unwrap();
 
     let mut c_inst: Matrix<f64> = Matrix::zeros(n, n);
-    let mut ctx = GemmContext::new();
     let mut sink = CollectingSink::new();
-    try_modgemm_with_metrics(
+    plan.try_execute_with_metrics(
         0.5,
         Op::NoTrans,
         a.view(),
@@ -203,8 +198,7 @@ fn noop_and_collecting_runs_are_bit_identical() {
         b.view(),
         0.25,
         c_inst.view_mut(),
-        &cfg,
-        &mut ctx,
+        &mut GemmContext::new(),
         &mut sink,
     )
     .unwrap();

@@ -4,7 +4,7 @@
 //! Expected shape: ~15% for small matrices, falling to ~5% for large ones
 //! (conversion is O(n²) against O(n^2.8) compute).
 
-use modgemm_core::{modgemm_timed, GemmBreakdown, ModgemmConfig};
+use modgemm_core::{GemmBreakdown, GemmContext, GemmPlan, ModgemmConfig};
 use modgemm_experiments::{ms, protocol, Cli, JsonArtifact, Table};
 use modgemm_mat::gen::random_problem;
 use modgemm_mat::{Matrix, Op};
@@ -31,17 +31,22 @@ fn main() {
         // Take the breakdown of the repetition with the minimal total,
         // mirroring the §4 protocol.
         let mut best: Option<GemmBreakdown> = None;
+        // Each rep plans and allocates afresh, as a one-shot call does.
         for _ in 0..protocol::OUTER_REPS {
-            let bd = modgemm_timed(
-                1.0,
-                Op::NoTrans,
-                a.view(),
-                Op::NoTrans,
-                b.view(),
-                0.0,
-                c.view_mut(),
-                &cfg,
-            );
+            let bd = GemmPlan::try_new(n, n, n, &cfg)
+                .and_then(|plan| {
+                    plan.try_execute(
+                        1.0,
+                        Op::NoTrans,
+                        a.view(),
+                        Op::NoTrans,
+                        b.view(),
+                        0.0,
+                        c.view_mut(),
+                        &mut GemmContext::new(),
+                    )
+                })
+                .expect("valid config");
             std::hint::black_box(c.as_slice());
             best = Some(match best {
                 None => bd,

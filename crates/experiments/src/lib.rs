@@ -9,7 +9,11 @@
 
 use std::time::{Duration, Instant};
 
-pub mod json;
+// The JSON layer lives in `modgemm-core`. This re-export keeps the
+// `modgemm_experiments::json` path alive only for the end-to-end benchmark
+// harness (`e2ebench/`), which imports it by that name; new code imports
+// `modgemm_core::json`.
+pub use modgemm_core::json;
 
 pub mod protocol {
     //! The paper's §4 timing protocol: "For matrices less than 500 we

@@ -57,18 +57,20 @@ fn main() {
         ctx.try_reserve_for(n, n, n, &cfg).expect("reserve under budget");
         let mut c: Matrix<f64> = Matrix::zeros(n, n);
         let t0 = std::time::Instant::now();
-        try_modgemm_with_ctx(
-            1.0,
-            Op::NoTrans,
-            a.view(),
-            Op::NoTrans,
-            b.view(),
-            0.0,
-            c.view_mut(),
-            &cfg,
-            &mut ctx,
-        )
-        .expect("budgeted multiply");
+        GemmPlan::try_new(n, n, n, &cfg)
+            .and_then(|plan| {
+                plan.try_execute(
+                    1.0,
+                    Op::NoTrans,
+                    a.view(),
+                    Op::NoTrans,
+                    b.view(),
+                    0.0,
+                    c.view_mut(),
+                    &mut ctx,
+                )
+            })
+            .expect("budgeted multiply");
         let dt = t0.elapsed();
         let max_err = c
             .as_slice()

@@ -8,10 +8,10 @@
 //! ```
 
 use modgemm::core::verify::verify_product;
-use modgemm::core::{modgemm_with_ctx, GemmContext, ModgemmConfig};
+use modgemm::core::{GemmContext, GemmPlan, ModgemmConfig};
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::io::{load_matrix, save_matrix};
-use modgemm::mat::{Matrix, Op};
+use modgemm::mat::Matrix;
 
 fn main() {
     let dir = std::env::temp_dir().join("modgemm-pipeline");
@@ -35,17 +35,8 @@ fn main() {
 
     let mut c: Matrix<f64> = Matrix::zeros(n, n);
     let t0 = std::time::Instant::now();
-    modgemm_with_ctx(
-        1.0,
-        Op::NoTrans,
-        a.view(),
-        Op::NoTrans,
-        b.view(),
-        0.0,
-        c.view_mut(),
-        &cfg,
-        &mut ctx,
-    );
+    let plan = GemmPlan::try_new(n, n, n, &cfg).expect("valid config");
+    plan.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
     let t_mul = t0.elapsed();
 
     let t1 = std::time::Instant::now();

@@ -31,6 +31,28 @@ fn prelude_exposes_configuration_types() {
     let mut ctx: GemmContext<f64> = GemmContext::new();
     ctx.reserve_for(64, 64, 64, &cfg);
     assert!(ctx.footprint() > 0);
+
+    // Context reuse, the conversion/compute breakdown and metrics all go
+    // through a compiled plan.
+    let a: Matrix<f64> = Matrix::from_fn(64, 64, |i, j| (i + j) as f64);
+    let mut c: Matrix<f64> = Matrix::zeros(64, 64);
+    let plan: GemmPlan<f64> = GemmPlan::try_new(64, 64, 64, &cfg).unwrap();
+    let mut sink = CollectingSink::new();
+    let bd = plan
+        .try_execute_with_metrics(
+            1.0,
+            Op::NoTrans,
+            a.view(),
+            Op::NoTrans,
+            a.view(),
+            0.0,
+            c.view_mut(),
+            &mut ctx,
+            &mut sink,
+        )
+        .unwrap();
+    assert!(bd.total() >= bd.compute);
+    assert_eq!(sink.into_metrics().plan_executions, 1);
 }
 
 #[test]
