@@ -99,10 +99,10 @@ pub fn blas_wrap<S: Scalar>(
 
 /// One Winograd division step over column-major views with even
 /// dimensions. `recurse(a, b, c)` computes the half-size overwrite
-/// products. The step order is the canonical 22-step linearization
-/// (`modgemm_core::schedule::WINOGRAD_SCHEDULE`), with the C quadrants as
-/// product scratch — legal because an exact even split never aliases —
-/// and four per-level temporaries.
+/// products. The step order is DGEFMM's own 22-step linearization, with
+/// the C quadrants as product scratch — legal because an exact even
+/// split never aliases — and four per-level temporaries (`ts`, `tt`,
+/// `tp`, `tq`).
 ///
 /// Shared by DGEFMM (recursing into the peeling core) and the
 /// Bailey-style fixed-unfolding code (recursing a fixed number of
@@ -134,7 +134,7 @@ pub fn winograd_step_views<S: Scalar>(
 
     sub_view(ts.view_mut(), a11, a21); // S3 = A11 − A21
     sub_view(tt.view_mut(), b22, b12); // T3 = B22 − B12
-    recurse(ts.view(), tt.view(), tp.view_mut()); // P5 → TP
+    recurse(ts.view(), tt.view(), tp.view_mut()); // P5 → tp
     add_view(ts.view_mut(), a21, a22); // S1 = A21 + A22
     sub_view(tt.view_mut(), b12, b11); // T1 = B12 − B11
     recurse(ts.view(), tt.view(), c22.reborrow()); // P3 → C22
@@ -145,14 +145,14 @@ pub fn winograd_step_views<S: Scalar>(
     recurse(ts.view(), b22, c12.reborrow()); // P6 → C12
     rsub_assign_view(tt.view_mut(), b21); // T4 = B21 − T2
     recurse(a22, tt.view(), c21.reborrow()); // P7 → C21
-    recurse(a11, b11, tq.view_mut()); // P1 → TQ
+    recurse(a11, b11, tq.view_mut()); // P1 → tq
     add_assign_view(c11.reborrow(), tq.view()); // U2 = P4 + P1
     add_assign_view(c12.reborrow(), c22.as_ref()); // P6 + P3
     add_assign_view(c12.reborrow(), c11.as_ref()); // U7 → C12 done
     add_assign_view(c11.reborrow(), tp.view()); // U3 = U2 + P5
     add_assign_view(c21.reborrow(), c11.as_ref()); // U4 → C21 done
     add_assign_view(c22.reborrow(), c11.as_ref()); // U5 → C22 done
-    recurse(a12, b21, tp.view_mut()); // P2 → TP
+    recurse(a12, b21, tp.view_mut()); // P2 → tp
     add_view(c11, tq.view(), tp.view()); // U1 = P1 + P2 → C11 done
 }
 

@@ -117,11 +117,11 @@ pub fn dgemmw_core_with<S: Scalar>(
     let mut tp: Matrix<S> = Matrix::zeros(m1, n1);
     let mut tq: Matrix<S> = Matrix::zeros(m1, n1);
 
-    // The canonical 22-step linearization, with R-slots playing the role
-    // of the C quadrants.
+    // DGEFMM's four-temporary 22-step linearization, with R-slots
+    // playing the role of the C quadrants.
     sub_view(ts.view_mut(), a11, a21); // S3
     sub_view(tt.view_mut(), b22, b12); // T3
-    dgemmw_core_with(ts.view(), tt.view(), tp.view_mut(), trunc, kernel); // P5 → TP
+    dgemmw_core_with(ts.view(), tt.view(), tp.view_mut(), trunc, kernel); // P5 → tp
     add_view(ts.view_mut(), a21, a22); // S1
     sub_view(tt.view_mut(), b12, b11); // T1
     dgemmw_core_with(ts.view(), tt.view(), r22.view_mut(), trunc, kernel); // P3 → R22
@@ -132,14 +132,14 @@ pub fn dgemmw_core_with<S: Scalar>(
     dgemmw_core_with(ts.view(), b22, r12.view_mut(), trunc, kernel); // P6 → R12
     rsub_assign_view(tt.view_mut(), b21); // T4
     dgemmw_core_with(a22, tt.view(), r21.view_mut(), trunc, kernel); // P7 → R21
-    dgemmw_core_with(a11, b11, tq.view_mut(), trunc, kernel); // P1 → TQ
+    dgemmw_core_with(a11, b11, tq.view_mut(), trunc, kernel); // P1 → tq
     add_assign_view(r11.view_mut(), tq.view()); // U2
     add_assign_view(r12.view_mut(), r22.view()); // P6 + P3
     add_assign_view(r12.view_mut(), r11.view()); // U7 → R12 done
     add_assign_view(r11.view_mut(), tp.view()); // U3
     add_assign_view(r21.view_mut(), r11.view()); // U4 → R21 done
     add_assign_view(r22.view_mut(), r11.view()); // U5 → R22 done
-    dgemmw_core_with(a12, b21, tp.view_mut(), trunc, kernel); // P2 → TP
+    dgemmw_core_with(a12, b21, tp.view_mut(), trunc, kernel); // P2 → tp
     add_view(r11.view_mut(), tq.view(), tp.view()); // U1 → R11 done
 
     // Write the quadrant results out. Overlapped rows/columns are written

@@ -58,7 +58,7 @@ fn instrumented<S: Scalar, K: MetricsSink>(
         depth: strassen_levels,
         strassen_levels,
         fused_levels: 0,
-        schedule: modgemm_core::schedule::Schedule::Standard,
+        schedule: None,
         flops,
         conventional_flops: flops,
     });

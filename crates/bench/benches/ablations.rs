@@ -4,9 +4,8 @@
 //! * Strassen handover threshold (`strassen_min`),
 //! * Morton-order conventional recursion vs column-major blocked kernel,
 //! * serial vs parallel product evaluation,
-//! * Winograd (15 adds) vs original Strassen (18 adds) schedules,
 //! * per-call allocation vs reused [`modgemm_core::GemmContext`],
-//! * the Boyer et al. schedule memory tiers (standard/low-mem/in-place),
+//! * the Boyer et al. schedule memory tiers (low-mem/in-place),
 //! * f64 vs f32 element type.
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
@@ -144,36 +143,6 @@ fn bench_parallel(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_variant(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_variant");
-    let n = 512;
-    let (a, b, _) = random_problem::<f64>(n, n, n, 42);
-    let mut cm: Matrix<f64> = Matrix::zeros(n, n);
-    g.throughput(Throughput::Elements(2 * (n as u64).pow(3)));
-    for (label, variant) in [
-        ("winograd_15adds", modgemm_core::Variant::Winograd),
-        ("strassen_18adds", modgemm_core::Variant::Strassen),
-    ] {
-        let cfg = ModgemmConfig { variant, ..ModgemmConfig::paper() };
-        g.bench_function(BenchmarkId::new(label, n), |bch| {
-            bch.iter(|| {
-                modgemm(
-                    1.0,
-                    Op::NoTrans,
-                    a.view(),
-                    Op::NoTrans,
-                    b.view(),
-                    0.0,
-                    cm.view_mut(),
-                    &cfg,
-                );
-                black_box(cm.as_slice());
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_context_reuse(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_context_reuse");
     let n = 512;
@@ -286,7 +255,6 @@ fn main() {
     bench_strassen_min(&mut c);
     bench_morton_conventional(&mut c);
     bench_parallel(&mut c);
-    bench_variant(&mut c);
     bench_context_reuse(&mut c);
     bench_schedule_sweep(&mut c);
     bench_precision(&mut c);

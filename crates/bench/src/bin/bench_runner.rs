@@ -41,18 +41,18 @@
 //! executor at fixed worker counts on n = 1024, so multi-core scaling of
 //! the pooled executor is tracked case-by-case (the `threads_1` case is
 //! the serial-degradation control).
-//! The schedule sweep (`schedule_{standard,lowmem,inplace}_512`) pins
-//! each Boyer et al. memory tier on the packed kernel with one fused
-//! level, isolating the schedule axis; the budget sweep
+//! The schedule sweep (`schedule_{lowmem,inplace}_512`) pins each Boyer
+//! et al. memory tier on the packed kernel with one fused level,
+//! isolating the schedule axis; the budget sweep
 //! (`budget_sweep_1024_{full,half,quarter,eighth}`) runs the default
 //! configuration under an unbounded budget and 1/2, 1/4, 1/8 of the
-//! standard schedule's full-depth workspace, charting what the
-//! degradation ladder preserves as the budget shrinks. The schedule gate
-//! pair (`sched_gate_512_{inplace,standard}`) runs both tiers under one
-//! budget sized to exactly the in-place tier's full-depth arena; the
+//! default plan's full-depth workspace, charting what the degradation
+//! ladder preserves as the budget shrinks. The schedule gate pair
+//! (`sched_gate_512_{inplace,lowmem}`) runs both tiers under one budget
+//! sized to exactly the in-place tier's full-depth arena; the
 //! `gate-schedule` subcommand turns it into CI's assertion that the
 //! in-place schedule at full Strassen depth is no slower than the
-//! depth-capped standard schedule at the same budget.
+//! depth-capped low-mem schedule at the same budget.
 //! The `service_mixed_256_513` case drives the [`GemmService`] front-end
 //! with mixed 256/513 traffic from two client threads; its `secs_*` are
 //! per-repetition wall times, its GFLOP/s the throughput of the completed
@@ -206,7 +206,7 @@ fn suite_cases(
         let cfg = ModgemmConfig { parallel_depth: 2, threads: t, ..ModgemmConfig::default() };
         cases.push(case(&format!("threads_{t}_1024"), 1024, Algo::Modgemm(cfg)));
     }
-    // The schedule sweep: the three Boyer et al. memory tiers at n = 512
+    // The schedule sweep: the two Boyer et al. memory tiers at n = 512
     // with the packed kernel and one fused level pinned, so staged
     // levels exist and only the schedule axis varies. The tiers compute
     // identical products from shrinking workspaces; the sweep tracks
@@ -222,27 +222,27 @@ fn suite_cases(
         cases.push(case(&format!("schedule_{tag}_512"), 512, Algo::Modgemm(cfg)));
     }
     // The budget sweep: the default configuration at n = 1024 under an
-    // unbounded budget and 1/2, 1/4, 1/8 of the standard schedule's
+    // unbounded budget and 1/2, 1/4, 1/8 of the default plan's
     // full-depth workspace. The degradation ladder absorbs the pressure
     // (schedule tier first, then the fused level, then parallel/recursion
-    // depth),
-    // so the four cases chart throughput versus admitted workspace.
-    let std_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(1024, 1024, 1024, &base)
+    // depth), so the four cases chart throughput versus admitted
+    // workspace.
+    let full_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(1024, 1024, 1024, &base)
         .expect("valid config")
         .arena_len()
         * std::mem::size_of::<f64>();
     for (tag, budget) in [
         ("full", modgemm_core::MemoryBudget::Unlimited),
-        ("half", modgemm_core::MemoryBudget::MaxWorkspaceBytes(std_ws_bytes / 2)),
-        ("quarter", modgemm_core::MemoryBudget::MaxWorkspaceBytes(std_ws_bytes / 4)),
-        ("eighth", modgemm_core::MemoryBudget::MaxWorkspaceBytes(std_ws_bytes / 8)),
+        ("half", modgemm_core::MemoryBudget::MaxWorkspaceBytes(full_ws_bytes / 2)),
+        ("quarter", modgemm_core::MemoryBudget::MaxWorkspaceBytes(full_ws_bytes / 4)),
+        ("eighth", modgemm_core::MemoryBudget::MaxWorkspaceBytes(full_ws_bytes / 8)),
     ] {
         let cfg = ModgemmConfig { memory_budget: budget, ..ModgemmConfig::default() };
         cases.push(case(&format!("budget_sweep_1024_{tag}"), 1024, Algo::Modgemm(cfg)));
     }
     // The schedule gate pair: one budget sized to exactly the in-place
     // tier's full-depth workspace at n = 512 (packed kernel). Pinned
-    // in-place keeps full Strassen depth inside it; pinned standard
+    // in-place keeps full Strassen depth inside it; pinned low-mem
     // cannot fit at any fuse depth and must shed recursion levels. The
     // `gate-schedule` subcommand asserts the in-place side's min-time
     // GFLOP/s is no worse — i.e. the memory tier beats depth loss.
@@ -256,7 +256,7 @@ fn suite_cases(
         .expect("valid config")
         .arena_len()
         * std::mem::size_of::<f64>();
-    for sched in [modgemm_core::Schedule::InPlace, modgemm_core::Schedule::Standard] {
+    for sched in [modgemm_core::Schedule::InPlace, modgemm_core::Schedule::LowMem] {
         let cfg = ModgemmConfig {
             leaf_kernel: KernelKind::Packed,
             memory_budget: modgemm_core::MemoryBudget::MaxWorkspaceBytes(ip_ws_bytes),
@@ -894,12 +894,12 @@ const GATES: [Gate; 4] = [
     },
     // Both cases run under one budget sized to the in-place tier's
     // full-depth arena: in-place keeps full Strassen depth, pinned
-    // standard must shed recursion levels. The memory-policy ladder's
+    // low-mem must shed recursion levels. The memory-policy ladder's
     // premise is that a cheaper schedule beats a shallower recursion.
     Gate {
         cmd: "gate-schedule",
-        pairs: &[("sched_gate_512_standard", "sched_gate_512_inplace")],
-        failure: "in-place min-time GFLOP/s below the depth-capped standard schedule at the \
+        pairs: &[("sched_gate_512_lowmem", "sched_gate_512_inplace")],
+        failure: "in-place min-time GFLOP/s below the depth-capped low-mem schedule at the \
                   same budget",
     },
     // The default configuration must never fall back below the paper's

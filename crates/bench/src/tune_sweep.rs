@@ -120,14 +120,11 @@ pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
     // The whole-batch in-flight window only matters to the batch DAG,
     // which needs a multi-worker pool — so the axis is swept only for
     // parallel candidates (0 keeps the auto-derived window).
-    // The schedule-tier axis (standard / low-mem / in-place): the frugal
-    // tiers trade arena adds for a smaller working set, which can win
+    // The schedule-tier axis (low-mem / in-place): the in-place tier
+    // trades restoring adds for a smaller working set, which can win
     // outright when the shrunken workspace stays cache-resident — so the
-    // tuner measures them rather than reserving them for tight budgets.
-    let schedules: &[modgemm_core::Schedule] = match suite {
-        Suite::Smoke => &[modgemm_core::Schedule::Standard, modgemm_core::Schedule::InPlace],
-        Suite::Full => &modgemm_core::Schedule::ALL,
-    };
+    // tuner measures it rather than reserving it for tight budgets.
+    let schedules = &modgemm_core::Schedule::ALL;
     let batch_windows: &[usize] = match suite {
         Suite::Smoke => &[0, 2],
         Suite::Full => &[0, 2, 4],
@@ -152,9 +149,6 @@ pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
     let mut kernels = vec![KernelKind::Auto, KernelKind::Blocked];
     if has_vector_unit() {
         kernels.push(KernelKind::Packed);
-    }
-    if suite == Suite::Full {
-        kernels.push(KernelKind::Micro);
     }
     let parallel: &[(usize, usize)] =
         if std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1) > 1 {

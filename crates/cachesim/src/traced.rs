@@ -422,8 +422,10 @@ fn t_morton_mul(
     t_morton_mul_add(a, b, c, l, ctx);
 }
 
-/// Traced Strassen node (mirrors `modgemm_core::exec::node`: the 22-step
-/// schedule with the same single-arena workspace address discipline).
+/// Traced Strassen node (mirrors the plan interpreter's staged level,
+/// `modgemm_core::plan::exec_levels_raw`, under the default low-mem tier:
+/// the 22 steps of `WINOGRAD_LOWMEM_SCHEDULE` with the same single-arena
+/// workspace address discipline).
 fn t_strassen_node(
     a: &Flat<'_>,
     b: &Flat<'_>,
@@ -451,44 +453,41 @@ fn t_strassen_node(
     let [mut c11, mut c12, mut c21, mut c22] = c.reborrow().split4();
 
     // Workspace temporaries: storage is local, addresses mirror the fast
-    // executor's single-arena layout [TS | TT | TP | TQ | child...].
+    // executor's single-arena layout [TS | TT | TP | child...].
     let ts_base = ws_base;
     let tt_base = ts_base + qa as u64 * ELEM_SIZE;
     let tp_base = tt_base + qb as u64 * ELEM_SIZE;
-    let tq_base = tp_base + qc as u64 * ELEM_SIZE;
-    let child_ws = tq_base + qc as u64 * ELEM_SIZE;
+    let child_ws = tp_base + qc as u64 * ELEM_SIZE;
     let mut ts_v = vec![0.0f64; qa];
     let mut tt_v = vec![0.0f64; qb];
     let mut tp_v = vec![0.0f64; qc];
-    let mut tq_v = vec![0.0f64; qc];
     let mut ts = FlatMut { d: &mut ts_v, base: ts_base };
     let mut tt = FlatMut { d: &mut tt_v, base: tt_base };
     let mut tp = FlatMut { d: &mut tp_v, base: tp_base };
-    let mut tq = FlatMut { d: &mut tq_v, base: tq_base };
 
-    // The 22-step schedule (see modgemm_core::schedule).
+    // The low-mem schedule (see modgemm_core::schedule).
     t_zip(&mut ts, &a11, &a21, ctx, f_sub); // S3
     t_zip(&mut tt, &b22, &b12, ctx, f_sub); // T3
-    t_strassen_node(&ts.as_flat(), &tt.as_flat(), &mut tp, ch, child_ws, ctx, policy); // P5
+    t_strassen_node(&ts.as_flat(), &tt.as_flat(), &mut c21, ch, child_ws, ctx, policy); // P5
     t_zip(&mut ts, &a21, &a22, ctx, f_add); // S1
     t_zip(&mut tt, &b12, &b11, ctx, f_sub); // T1
     t_strassen_node(&ts.as_flat(), &tt.as_flat(), &mut c22, ch, child_ws, ctx, policy); // P3
     t_zip_assign(&mut ts, &a11, ctx, f_sub); // S2 = S1 − A11
     t_zip_assign(&mut tt, &b22, ctx, f_rsub); // T2 = B22 − T1
-    t_strassen_node(&ts.as_flat(), &tt.as_flat(), &mut c11, ch, child_ws, ctx, policy); // P4
+    t_strassen_node(&ts.as_flat(), &tt.as_flat(), &mut c12, ch, child_ws, ctx, policy); // P4
     t_zip_assign(&mut ts, &a12, ctx, f_rsub); // S4 = A12 − S2
-    t_strassen_node(&ts.as_flat(), &b22, &mut c12, ch, child_ws, ctx, policy); // P6
-    t_zip_assign(&mut tt, &b21, ctx, f_rsub); // T4 = B21 − T2
-    t_strassen_node(&a22, &tt.as_flat(), &mut c21, ch, child_ws, ctx, policy); // P7
-    t_strassen_node(&a11, &b11, &mut tq, ch, child_ws, ctx, policy); // P1
-    t_zip_assign(&mut c11, &tq.as_flat(), ctx, f_add); // U2
-    t_zip_assign(&mut c12, &c22.as_flat(), ctx, f_add); // P6 + P3
+    t_strassen_node(&ts.as_flat(), &b22, &mut c11, ch, child_ws, ctx, policy); // P6
+    t_strassen_node(&a11, &b11, &mut tp, ch, child_ws, ctx, policy); // P1
+    t_zip_assign(&mut c12, &tp.as_flat(), ctx, f_add); // U2 = P1 + P4
+    t_zip_assign(&mut c21, &c12.as_flat(), ctx, f_add); // U3 = U2 + P5
+    t_zip_assign(&mut c12, &c22.as_flat(), ctx, f_add); // U6 = U2 + P3
     t_zip_assign(&mut c12, &c11.as_flat(), ctx, f_add); // U7 → C12 done
-    t_zip_assign(&mut c11, &tp.as_flat(), ctx, f_add); // U3
+    t_zip_assign(&mut c22, &c21.as_flat(), ctx, f_add); // U5 → C22 done
+    t_zip_assign(&mut tt, &b21, ctx, f_rsub); // T4 = B21 − T2
+    t_strassen_node(&a22, &tt.as_flat(), &mut c11, ch, child_ws, ctx, policy); // P7
     t_zip_assign(&mut c21, &c11.as_flat(), ctx, f_add); // U4 → C21 done
-    t_zip_assign(&mut c22, &c11.as_flat(), ctx, f_add); // U5 → C22 done
-    t_strassen_node(&a12, &b21, &mut tp, ch, child_ws, ctx, policy); // P2
-    t_zip(&mut c11, &tq.as_flat(), &tp.as_flat(), ctx, f_add); // U1 → C11 done
+    t_strassen_node(&a12, &b21, &mut c11, ch, child_ws, ctx, policy); // P2
+    t_zip_assign(&mut c11, &tp.as_flat(), ctx, f_add); // U1 → C11 done
 }
 
 /// Traced column-major → Morton pack (mirrors `morton::convert::to_morton`
@@ -584,11 +583,6 @@ fn traced_modgemm_with(
     assert_eq!(b.rows(), k);
     let plan = cfg.plan(m, k, n).expect("traced modgemm requires a jointly feasible tiling");
     let layouts = modgemm_core::layouts_of(&plan);
-    assert_eq!(
-        cfg.variant,
-        modgemm_core::schedule::Variant::Winograd,
-        "the traced executor implements the paper's Winograd variant only"
-    );
     let policy = ExecPolicy { strassen_min: cfg.strassen_min, ..Default::default() };
 
     // Address map mirrors the fast path's allocation order: the two

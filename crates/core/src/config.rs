@@ -35,7 +35,7 @@ impl Default for Truncation {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MemoryBudget {
     /// No cap (the paper's setting): full-depth Strassen workspace,
-    /// roughly `(mk + kn + 2mn)/3` elements.
+    /// roughly `(mk + kn + mn)/3` elements.
     #[default]
     Unlimited,
     /// At most this many **bytes** of Strassen workspace. The recursion
@@ -85,20 +85,17 @@ pub enum FuseDepth {
 /// scheduling axis.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SchedulePolicy {
-    /// Start at the standard (fastest, most-temporary) schedule and let
-    /// the memory-budget ladder degrade the tier — standard → low-mem →
-    /// in-place — *before* it touches fuse depth, parallel depth,
-    /// recursion depth, or kernel choice. With an unlimited budget this
-    /// reproduces the paper's schedule exactly.
+    /// Start at the low-memory schedule and let the memory-budget ladder
+    /// degrade the tier — low-mem → in-place — *before* it touches fuse
+    /// depth, parallel depth, recursion depth, or kernel choice. With an
+    /// unlimited budget every staged level runs Winograd's 7 multiplies
+    /// and 15 additions on three temporaries.
     #[default]
     Auto,
     /// Pin exactly this tier (for ablation, benchmarking, or when the
     /// caller knows the smaller footprint keeps the working set
     /// cache-resident). The ladder neither climbs past nor starts below
-    /// it. Only [`crate::schedule::Variant::Winograd`] has the low-mem
-    /// and in-place linearizations; pinning a non-standard tier with the
-    /// Strassen variant is rejected by [`ModgemmConfig::validate`].
-    /// `modgemm_premorton` borrows its operands shared, cannot run the
+    /// it. `modgemm_premorton` borrows its operands shared, cannot run the
     /// input-overwriting tier, and so clamps a pinned `InPlace` to
     /// low-mem; every other entry point runs it.
     Fixed(crate::schedule::Schedule),
@@ -149,8 +146,6 @@ pub enum VerifyMode {
 pub struct ModgemmConfig {
     /// Leaf tile selection policy.
     pub truncation: Truncation,
-    /// Which §2 recursion to run (Winograd by default, like the paper).
-    pub variant: crate::schedule::Variant,
     /// Hand over to the conventional Morton recursion once
     /// `min(m, k, n) ≤ strassen_min`. `0` (default) reproduces the paper:
     /// Strassen at every quadrant division.
@@ -204,7 +199,7 @@ pub struct ModgemmConfig {
     pub tuning: crate::tune::TuningMode,
     /// Which memory tier of the recursion-step linearization plans run
     /// (see [`SchedulePolicy`] and [`crate::schedule::Schedule`]).
-    /// `Auto` (default) starts at the standard schedule and lets the
+    /// `Auto` (default) starts at the low-memory schedule and lets the
     /// memory-budget ladder degrade the tier before any speed-bearing
     /// knob; `Fixed` pins a tier for ablation.
     pub schedule: SchedulePolicy,
@@ -223,7 +218,6 @@ impl Default for ModgemmConfig {
     fn default() -> Self {
         Self {
             truncation: Truncation::default(),
-            variant: crate::schedule::Variant::Winograd,
             strassen_min: 0,
             parallel_depth: 0,
             threads: 0,
@@ -287,16 +281,6 @@ impl ModgemmConfig {
                         crate::fuse::max_fuse!(),
                         " fused level"
                     ),
-                });
-            }
-        }
-        if let SchedulePolicy::Fixed(s) = self.schedule {
-            if s != crate::schedule::Schedule::Standard
-                && self.variant == crate::schedule::Variant::Strassen
-            {
-                return Err(GemmError::InvalidConfig {
-                    reason: "the Strassen variant has only the standard schedule; \
-                             low-mem/in-place tiers are Winograd linearizations",
                 });
             }
         }
@@ -414,7 +398,7 @@ mod tests {
         }
         for s in crate::schedule::Schedule::ALL {
             let c = ModgemmConfig { schedule: SchedulePolicy::Fixed(s), ..Default::default() };
-            assert!(c.validate().is_ok(), "Fixed({s:?}) on Winograd");
+            assert!(c.validate().is_ok(), "Fixed({s:?})");
         }
     }
 
@@ -435,16 +419,6 @@ mod tests {
                 ..Default::default()
             },
             ModgemmConfig { fuse_depth: FuseDepth::Fixed(3), ..Default::default() },
-            ModgemmConfig {
-                variant: crate::schedule::Variant::Strassen,
-                schedule: SchedulePolicy::Fixed(crate::schedule::Schedule::LowMem),
-                ..Default::default()
-            },
-            ModgemmConfig {
-                variant: crate::schedule::Variant::Strassen,
-                schedule: SchedulePolicy::Fixed(crate::schedule::Schedule::InPlace),
-                ..Default::default()
-            },
         ];
         for cfg in bad {
             assert!(

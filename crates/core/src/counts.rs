@@ -26,15 +26,14 @@ pub fn strassen_flops(layouts: NodeLayouts, policy: ExecPolicy) -> u64 {
         return conventional_flops(m, k, n);
     }
     // Per level: the schedule's A/B/C-shaped additions (one flop per
-    // element) plus 7 recursive multiplies. Fused subtrees always run
-    // the standard linearization (the fold into packing/epilogue keeps
-    // the standard 4+4+7 add structure); only *staged* levels interpret
-    // the policy's schedule tier, whose in-place variant spends extra
-    // restoring additions on the operands.
+    // element) plus 7 recursive multiplies. Fused subtrees are counted
+    // with Winograd's 4+4+7 additions (the low-mem tier's); only *staged*
+    // levels interpret the policy's schedule tier, whose in-place
+    // linearization spends extra restoring additions on the operands.
     let steps = if fused_levels(layouts, policy) == strassen_levels(layouts, policy) {
-        crate::schedule::steps_for(policy.variant, Schedule::Standard)
+        Schedule::LowMem.steps()
     } else {
-        policy.steps()
+        policy.schedule.steps()
     };
     let ops = crate::schedule::count_ops(steps);
     let adds = ops.adds_a as u64 * layouts.a.quadrant_len() as u64
@@ -48,11 +47,9 @@ pub fn strassen_flops(layouts: NodeLayouts, policy: ExecPolicy) -> u64 {
 /// Strassen-Winograd*), in elements, for a node whose quadrants hold
 /// `qa`/`qb`/`qc` elements:
 ///
-/// * [`Schedule::Standard`] — `qa + qb + 2·qc`: one S operand slot, one
-///   T operand slot, and two product slots (P, Q).
-/// * [`Schedule::LowMem`]   — `qa + qb + qc`: the Q slot is scheduled
-///   away by accumulating partial U-sums in the `C` quadrants; inputs
-///   stay read-only.
+/// * [`Schedule::LowMem`]   — `qa + qb + qc`: one S operand slot, one T
+///   operand slot and one product slot; partial U-sums accumulate in the
+///   `C` quadrants, and the inputs stay read-only.
 /// * [`Schedule::InPlace`]  — `qc`: one product slot only; S/T operands
 ///   are formed by overwriting the `A`/`B` quadrants and restored by
 ///   inverse additions before the node completes.
@@ -99,7 +96,7 @@ pub fn staged_levels(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
 /// products, and every remaining conventional Morton level spawns 8.
 pub fn leaf_muls(layouts: NodeLayouts, policy: ExecPolicy) -> u64 {
     if layouts.uses_strassen(policy) {
-        let ops = crate::schedule::count_ops(policy.variant.schedule());
+        let ops = crate::schedule::count_ops(policy.schedule.steps());
         ops.muls as u64 * leaf_muls(layouts.child(), policy)
     } else {
         8u64.pow(layouts.a.depth as u32)
@@ -270,12 +267,12 @@ mod tests {
         assert_eq!(fused_levels(l, conv), 0);
 
         // The fused arena closed form, pinned against the workspace
-        // model: each fused level removes its 4-slot staged footprint
+        // model: each fused level removes its 3-slot staged footprint
         // while leaf_muls / packed_bytes are unchanged (fused packing
         // writes one combined panel per leaf product — no double-count).
         let packed = ExecPolicy { kernel: KernelKind::Packed, ..Default::default() };
         let fused1 = ExecPolicy { fuse: 1, ..packed };
-        let innermost_slots = 4 * square(4, 1).a.quadrant_len();
+        let innermost_slots = 3 * square(4, 1).a.quadrant_len();
         assert_eq!(
             crate::exec::workspace_len(l, fused1),
             crate::exec::workspace_len(l, packed) - innermost_slots
@@ -310,32 +307,30 @@ mod tests {
     #[test]
     fn schedule_tiers_change_add_counts_and_extra_memory() {
         let l = square(4, 1); // one staged level, 4×4 quadrants (qa = qb = qc = 16)
-        let std = ExecPolicy::default();
-        let lowmem = ExecPolicy { schedule: Schedule::LowMem, ..std };
-        let inplace = ExecPolicy { schedule: Schedule::InPlace, ..std };
+        let lowmem = ExecPolicy::default();
+        assert_eq!(lowmem.schedule, Schedule::LowMem);
+        let inplace = ExecPolicy { schedule: Schedule::InPlace, ..lowmem };
 
-        // Standard and LowMem perform the same 15 adds; InPlace spends
-        // 9 + 8 + 7 = 24 (the restoring additions) — still 7 multiplies.
+        // LowMem performs Winograd's 15 adds; InPlace spends 9 + 8 + 7 =
+        // 24 (the restoring additions) — still 7 multiplies.
         let leaf = conventional_flops(4, 4, 4);
-        assert_eq!(strassen_flops(l, std), 15 * 16 + 7 * leaf);
         assert_eq!(strassen_flops(l, lowmem), 15 * 16 + 7 * leaf);
         assert_eq!(strassen_flops(l, inplace), 24 * 16 + 7 * leaf);
 
-        // Per-level extra-memory closed forms: qa+qb+2qc / qa+qb+qc / qc.
-        assert_eq!(schedule_level_extra_elems(Schedule::Standard, l), 4 * 16);
+        // Per-level extra-memory closed forms: qa+qb+qc / qc.
         assert_eq!(schedule_level_extra_elems(Schedule::LowMem, l), 3 * 16);
         assert_eq!(schedule_level_extra_elems(Schedule::InPlace, l), 16);
 
-        // Fused levels always run the standard fold: with every level
-        // fused, the tier no longer changes the flop count.
-        let fused_all = ExecPolicy { fuse: 1, ..std };
+        // Fused levels are counted with Winograd's additions: with every
+        // level fused, the tier no longer changes the flop count.
+        let fused_all = ExecPolicy { fuse: 1, ..lowmem };
         let fused_all_ip = ExecPolicy { fuse: 1, ..inplace };
         assert_eq!(fused_levels(l, fused_all), 1);
         assert_eq!(strassen_flops(l, fused_all_ip), strassen_flops(l, fused_all));
         // With one staged + one fused level, only the staged level pays
         // the in-place surcharge: (24 − 15) · qc of the outer level.
         let l2 = square(4, 2);
-        let half = ExecPolicy { fuse: 1, ..std };
+        let half = ExecPolicy { fuse: 1, ..lowmem };
         let half_ip = ExecPolicy { fuse: 1, ..inplace };
         let outer_q = l2.c.quadrant_len() as u64;
         assert_eq!(strassen_flops(l2, half_ip), strassen_flops(l2, half) + 9 * outer_q);

@@ -14,11 +14,11 @@
 //! closed-form workspace model with its memory-budget ladder, and the
 //! conventional Morton recursion below the truncation point. The
 //! Strassen recursion itself runs from a compiled [`mod@crate::plan`]: it
-//! interprets the selected variant's schedule
-//! ([`crate::schedule::WINOGRAD_SCHEDULE`] by default); the four C
+//! interprets the policy's schedule tier
+//! ([`crate::schedule::WINOGRAD_LOWMEM_SCHEDULE`] by default); the four C
 //! quadrants serve as product scratch (sound because Morton quadrants
-//! never alias), plus up to four workspace temporaries per level
-//! (`TS`, `TT`, `TP`, `TQ`). Workspace is allocated once, sized by
+//! never alias), plus up to three workspace temporaries per level
+//! (`TS`, `TT`, `TP`). Workspace is allocated once, sized by
 //! [`workspace_len`], and consumed stack-wise down the recursion.
 
 use modgemm_mat::view::{MatMut, MatRef};
@@ -26,11 +26,11 @@ use modgemm_mat::{KernelKind, LeafKernel, Scalar};
 use modgemm_morton::MortonLayout;
 
 use crate::error::{GemmError, Operand};
-use crate::schedule::{Schedule, Step, Variant};
+use crate::schedule::Schedule;
 
 /// Controls where the Strassen recursion hands over to the conventional
-/// algorithm, which §2 schedule it runs, and which leaf kernel multiplies
-/// the truncated tiles.
+/// algorithm, which memory tier of the Winograd step it runs, and which
+/// leaf kernel multiplies the truncated tiles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// Apply the Strassen step only while `min(m, k, n)` of the current
@@ -38,8 +38,6 @@ pub struct ExecPolicy {
     /// recursion ([`morton_mul_add_with_ws`]) takes over. `0` reproduces the paper:
     /// Strassen at every quadrant division down to single tiles.
     pub strassen_min: usize,
-    /// Winograd (the paper's choice) or original Strassen recurrences.
-    pub variant: Variant,
     /// Leaf multiply kernel ([`KernelKind::Blocked`] by default, matching
     /// the paper's blocked vendor-BLAS stand-in).
     pub kernel: KernelKind,
@@ -51,43 +49,13 @@ pub struct ExecPolicy {
     /// pipeline.
     pub fuse: usize,
     /// Memory tier of the staged recursion step's linearization (Boyer et
-    /// al.): [`Schedule::Standard`], [`Schedule::LowMem`] or
-    /// [`Schedule::InPlace`]. Only the Winograd recurrences have
-    /// low-memory linearizations; under [`Variant::Strassen`] every tier
-    /// behaves as `Standard` (see [`ExecPolicy::sched`]).
+    /// al.): [`Schedule::LowMem`] or [`Schedule::InPlace`].
     pub schedule: Schedule,
 }
 
 impl Default for ExecPolicy {
     fn default() -> Self {
-        Self {
-            strassen_min: 0,
-            variant: Variant::Winograd,
-            kernel: KernelKind::Blocked,
-            fuse: 0,
-            schedule: Schedule::Standard,
-        }
-    }
-}
-
-impl ExecPolicy {
-    /// The *effective* schedule tier: [`Variant::Strassen`] has a single
-    /// linearization, so it normalizes every requested tier to
-    /// `Standard`. All memory models and executors consult this, never
-    /// the raw field.
-    #[inline]
-    pub fn sched(&self) -> Schedule {
-        if self.variant == Variant::Strassen {
-            Schedule::Standard
-        } else {
-            self.schedule
-        }
-    }
-
-    /// The step sequence interpreted at staged levels of this policy.
-    #[inline]
-    pub fn steps(&self) -> &'static [Step] {
-        crate::schedule::steps_for(self.variant, self.sched())
+        Self { strassen_min: 0, kernel: KernelKind::Blocked, fuse: 0, schedule: Schedule::LowMem }
     }
 }
 
@@ -183,11 +151,11 @@ pub fn fused_tail_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
 
 /// Workspace (in elements) the serial schedule interpreter needs for
 /// `layouts` under `policy`: the schedule tier's per-level temporary slots
-/// ([`Schedule::level_temp_elems`] — `|TS| + |TT| + |TP| + |TQ|` for the
-/// standard tier, `|TS| + |TT| + |TP|` for low-mem, `|TP|` alone for
-/// in-place), summed down the recursion (children run sequentially, so
-/// one child workspace suffices) — roughly `(mk + kn + 2mn)/3` elements
-/// for the standard tier — plus one [`fused_tail_len`] slot at the tail:
+/// ([`Schedule::level_temp_elems`] — `|TS| + |TT| + |TP|` for low-mem,
+/// `|TP|` alone for in-place), summed down the recursion (children run
+/// sequentially, so one child workspace suffices) — roughly
+/// `(mk + kn + mn)/3` elements for the low-mem tier — plus one
+/// [`fused_tail_len`] slot at the tail:
 /// the [`leaf_pack_len`] panel buffers of the (sequential) leaf
 /// multiplies when no levels fuse, or the fused-leaf working set when
 /// [`ExecPolicy::fuse`] absorbs the innermost levels. Fused levels
@@ -201,7 +169,7 @@ pub fn workspace_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
     if !staged_step(layouts, policy) {
         return fused_tail_len(layouts, policy);
     }
-    let per_level = policy.sched().level_temp_elems(
+    let per_level = policy.schedule.level_temp_elems(
         layouts.a.quadrant_len(),
         layouts.b.quadrant_len(),
         layouts.c.quadrant_len(),
@@ -215,8 +183,8 @@ pub fn workspace_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
 ///
 /// The ladder degrades in preference order:
 ///
-/// 1. **Degrade the schedule tier** (standard → low-mem → in-place, up
-///    to `max_sched`). A cheaper Boyer et al. linearization shrinks
+/// 1. **Degrade the schedule tier** (low-mem → in-place, when
+///    `max_sched` permits). The in-place Boyer et al. linearization shrinks
 ///    every staged level's temporaries while keeping the full Strassen
 ///    arithmetic, the fused level, the parallel shape, *and* the
 ///    kernel — the paper's memory/speed trade at its cheapest.
@@ -255,25 +223,14 @@ pub fn budget_capped_policy_with_tier_cap(
     if workspace_len(layouts, base) <= max_ws_elems {
         return base;
     }
-    // Rung 1: degrade the schedule tier before anything else. Only the
-    // Winograd recurrences have the extra linearizations.
-    let mut deepest_sched = base.schedule;
-    if base.variant == Variant::Winograd {
-        for sched in Schedule::ALL {
-            if sched <= base.schedule || sched > max_sched {
-                continue;
-            }
-            deepest_sched = sched;
-            let policy = ExecPolicy { schedule: sched, ..base };
-            if workspace_len(layouts, policy) <= max_ws_elems {
-                return policy;
-            }
-        }
-    }
-    // Rungs 2+ degrade from the most memory-frugal schedule the caller
-    // permits: keeping the cheap tier while the level fuses and depth drops
+    // Rung 1: degrade the schedule tier before anything else. Rungs 2+
+    // degrade from the most memory-frugal schedule the caller permits:
+    // keeping the cheap tier while the level fuses and depth drops
     // preserves the most Strassen arithmetic per byte.
-    let base = ExecPolicy { schedule: deepest_sched, ..base };
+    let base = ExecPolicy { schedule: base.schedule.max(max_sched), ..base };
+    if workspace_len(layouts, base) <= max_ws_elems {
+        return base;
+    }
     // Rung 2: fuse the innermost level before sacrificing depth.
     let fuse =
         base.fuse.max(crate::fuse::MAX_FUSE.min(crate::counts::strassen_levels(layouts, base)));
@@ -409,7 +366,7 @@ mod tests {
         let tp = TiledPlan::new::<S>(layouts, policy, &cfg);
         let mut ws = vec![S::ZERO; tp.arena_len];
         // Both operand borrows: only the in-place tier needs exclusive ones.
-        let ops = if policy.sched().overwrites_inputs() {
+        let ops = if policy.schedule.overwrites_inputs() {
             Operands::Exclusive(a, b)
         } else {
             Operands::Shared(a, b)
@@ -530,38 +487,30 @@ mod tests {
     #[test]
     fn workspace_len_closed_form_sanity() {
         // One Strassen level on an 8x8 of 4x4 tiles: qa=qb=qc=16, so
-        // 16+16+32 = 64; children are leaves → 0.
+        // 16+16+16 = 48; children are leaves → 0.
         let l = MortonLayout::new(4, 4, 1);
         let layouts = NodeLayouts::new(l, l, l);
-        assert_eq!(workspace_len(layouts, ExecPolicy::default()), 64);
-        // Two levels: 256-quadrants... level 1: qa=qb=qc=64 → 256 total
-        // per-level = 64*4 = 256; plus child level 64.
+        assert_eq!(workspace_len(layouts, ExecPolicy::default()), 48);
+        // Two levels: level 0 has qa=qb=qc=64 → 3*64 = 192; plus the
+        // child level's 3*16 = 48.
         let l2 = MortonLayout::new(4, 4, 2);
         let layouts2 = NodeLayouts::new(l2, l2, l2);
-        assert_eq!(workspace_len(layouts2, ExecPolicy::default()), 4 * 64 + 64);
+        assert_eq!(workspace_len(layouts2, ExecPolicy::default()), 3 * 64 + 3 * 16);
     }
 
     #[test]
     fn workspace_len_per_schedule_tier_closed_forms() {
-        // Depth 1, q = 16: standard 4q, low-mem 3q, in-place q.
+        // Depth 1, q = 16: low-mem 3q, in-place q.
         let l = MortonLayout::new(4, 4, 1);
         let layouts = NodeLayouts::new(l, l, l);
         let tier = |s| ExecPolicy { schedule: s, ..Default::default() };
-        assert_eq!(workspace_len(layouts, tier(Schedule::Standard)), 64);
         assert_eq!(workspace_len(layouts, tier(Schedule::LowMem)), 48);
         assert_eq!(workspace_len(layouts, tier(Schedule::InPlace)), 16);
         // Depth 2: the per-level slots sum down the recursion.
         let l2 = MortonLayout::new(4, 4, 2);
         let layouts2 = NodeLayouts::new(l2, l2, l2);
-        assert_eq!(workspace_len(layouts2, tier(Schedule::Standard)), 4 * 64 + 4 * 16);
         assert_eq!(workspace_len(layouts2, tier(Schedule::LowMem)), 3 * 64 + 3 * 16);
         assert_eq!(workspace_len(layouts2, tier(Schedule::InPlace)), 64 + 16);
-        // The Strassen variant normalizes every tier to Standard.
-        for s in Schedule::ALL {
-            let p = ExecPolicy { variant: Variant::Strassen, schedule: s, ..Default::default() };
-            assert_eq!(p.sched(), Schedule::Standard);
-            assert_eq!(workspace_len(layouts2, p), 4 * 64 + 4 * 16);
-        }
     }
 
     #[test]
@@ -694,9 +643,8 @@ mod tests {
         // kernel's fused leaf needs more than that slot frees).
         let base = ExecPolicy { kernel: KernelKind::Packed, ..Default::default() };
         let full = workspace_len(layouts, base);
-        let lowmem = workspace_len(layouts, ExecPolicy { schedule: Schedule::LowMem, ..base });
         let inplace = workspace_len(layouts, ExecPolicy { schedule: Schedule::InPlace, ..base });
-        assert!(0 < inplace && inplace < lowmem && lowmem < full);
+        assert!(0 < inplace && inplace < full);
 
         // Unlimited budget: the base policy unchanged.
         assert_eq!(budget_capped_policy(layouts, base, usize::MAX), base);
@@ -705,8 +653,6 @@ mod tests {
         // One element short of full: the first rung degrades the
         // schedule tier — depth, fuse, and kernel all survive.
         let capped = budget_capped_policy(layouts, base, full - 1);
-        assert_eq!(capped, ExecPolicy { schedule: Schedule::LowMem, ..base }, "schedule rung");
-        let capped = budget_capped_policy(layouts, base, lowmem - 1);
         assert_eq!(capped, ExecPolicy { schedule: Schedule::InPlace, ..base }, "schedule rung");
 
         // Below the in-place footprint the ladder fuses the innermost
@@ -760,34 +706,26 @@ mod tests {
     }
 
     #[test]
-    fn strassen_variant_skips_the_schedule_rung() {
-        let l = MortonLayout::new(4, 4, 3);
-        let layouts = NodeLayouts::new(l, l, l);
-        let base = ExecPolicy { variant: Variant::Strassen, ..Default::default() };
-        let full = workspace_len(layouts, base);
-        let capped = budget_capped_policy(layouts, base, full - 1);
-        // No low-memory linearization exists for the original Strassen
-        // recurrences: the first effective rung is the fuse climb.
-        assert_eq!(capped.schedule, Schedule::Standard);
-        assert!(capped.fuse > base.fuse || capped.strassen_min > base.strassen_min);
-    }
-
-    #[test]
     fn fused_policies_shrink_the_workspace() {
-        // Strictly smaller arena than the staged plan at the same
-        // recursion depth, for every fuse >= 1 (acceptance criterion).
+        // A packed fused leaf reuses the packing slot, so fusing gives a
+        // strictly smaller arena than the staged plan at the same
+        // recursion depth. A non-packing kernel's fused leaf materializes
+        // the combined A, B and one product tile — exactly the
+        // qa + qb + qc the staged low-mem level held — so it is never
+        // larger.
+        let l = MortonLayout::new(8, 8, 3);
+        let layouts = NodeLayouts::new(l, l, l);
         for kernel in [KernelKind::Blocked, KernelKind::Packed] {
-            let l = MortonLayout::new(8, 8, 3);
-            let layouts = NodeLayouts::new(l, l, l);
             let staged = ExecPolicy { kernel, ..Default::default() };
-            let mut prev = workspace_len(layouts, staged);
-            for fuse in 1..=crate::fuse::MAX_FUSE {
-                let ws = workspace_len(layouts, ExecPolicy { fuse, ..staged });
-                assert!(ws < prev, "{kernel} fuse {fuse}: {ws} >= {prev}");
-                prev = ws;
+            let prev = workspace_len(layouts, staged);
+            let ws = workspace_len(layouts, ExecPolicy { fuse: crate::fuse::MAX_FUSE, ..staged });
+            if kernel == KernelKind::Packed {
+                assert!(ws < prev, "{kernel}: {ws} >= {prev}");
+            } else {
+                assert_eq!(ws, prev, "{kernel}");
             }
         }
-        // The closed form: the fused level removes its qa+qb+2qc staged
+        // The closed form: the fused level removes its qa+qb+qc staged
         // slots; a fused Packed terminal reuses the same packing slot.
         let l = MortonLayout::new(8, 8, 2);
         let layouts = NodeLayouts::new(l, l, l);
@@ -795,7 +733,7 @@ mod tests {
         let q = l.quadrant_len();
         let staged_slots = |levels: usize| -> usize {
             // Level j of the recursion has quadrant_len q / 4^j.
-            (0..levels).map(|j| 4 * (q >> (2 * j))).sum()
+            (0..levels).map(|j| 3 * (q >> (2 * j))).sum()
         };
         assert_eq!(
             workspace_len(layouts, ExecPolicy { fuse: 1, ..packed }),
@@ -819,17 +757,16 @@ mod tests {
         let base = ExecPolicy { kernel: KernelKind::Packed, ..Default::default() };
 
         // A budget that one fused level would satisfy is *also*
-        // satisfied by the cheaper low-mem tier — the schedule rung wins
+        // satisfied by the cheaper in-place tier — the schedule rung wins
         // and the fuse (and everything else) survives untouched.
         let one_fused = workspace_len(layouts, ExecPolicy { fuse: 1, ..base });
-        let lowmem = workspace_len(layouts, ExecPolicy { schedule: Schedule::LowMem, ..base });
-        assert!(lowmem <= one_fused, "low-mem beats one fused level on this shape");
+        let inplace = workspace_len(layouts, ExecPolicy { schedule: Schedule::InPlace, ..base });
+        assert!(inplace <= one_fused, "in-place beats one fused level on this shape");
         let capped = budget_capped_policy(layouts, base, one_fused);
-        assert_eq!(capped, ExecPolicy { schedule: Schedule::LowMem, ..base }, "schedule rung");
+        assert_eq!(capped, ExecPolicy { schedule: Schedule::InPlace, ..base }, "schedule rung");
 
         // Once even the in-place tier overflows, the fuse rung fires —
         // on the in-place tier, with depth intact.
-        let inplace = workspace_len(layouts, ExecPolicy { schedule: Schedule::InPlace, ..base });
         let capped = budget_capped_policy(layouts, base, inplace - 1);
         assert_eq!(capped.schedule, Schedule::InPlace, "fuse rung keeps the tier");
         assert!(capped.fuse > base.fuse, "fuse rung");
@@ -859,34 +796,16 @@ mod tests {
     }
 
     #[test]
-    fn original_strassen_variant_is_exact() {
-        let policy = ExecPolicy { variant: Variant::Strassen, ..Default::default() };
-        let a: Matrix<i64> = random_matrix(24, 24, 40);
-        let b: Matrix<i64> = random_matrix(24, 24, 41);
-        let got = run(&a, &b, 3, 3, 3, 3, policy);
-        assert_eq!(got, naive_product(&a, &b));
-        // Rectangular tiles + padding through the original schedule.
-        let a: Matrix<i64> = random_matrix(19, 11, 42);
-        let b: Matrix<i64> = random_matrix(11, 27, 43);
-        let got = run(&a, &b, 5, 3, 7, 2, policy);
-        assert_eq!(got, naive_product(&a, &b));
-    }
-
-    #[test]
     fn variants_agree_on_floats_within_tolerance() {
+        // The two linearizations of the Winograd step: the in-place tier
+        // reassociates (its restores perturb the operands within
+        // rounding), so on floats the tiers agree within tolerance.
         let a: Matrix<f64> = random_matrix(40, 40, 50);
         let b: Matrix<f64> = random_matrix(40, 40, 51);
-        let w = run(&a, &b, 5, 5, 5, 3, ExecPolicy::default());
-        let s = run(
-            &a,
-            &b,
-            5,
-            5,
-            5,
-            3,
-            ExecPolicy { variant: Variant::Strassen, ..Default::default() },
-        );
-        assert_matrix_eq(w.view(), s.view(), 40);
+        let tier = |schedule| ExecPolicy { schedule, ..Default::default() };
+        let lm = run(&a, &b, 5, 5, 5, 3, tier(Schedule::LowMem));
+        let ip = run(&a, &b, 5, 5, 5, 3, tier(Schedule::InPlace));
+        assert_matrix_eq(lm.view(), ip.view(), 40);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! with BLIS*).
 //!
 //! The staged executor materializes every Winograd pre-add (`S`/`T`) and
-//! post-merge (`TP`/`TQ`) as arena temporaries before touching the leaf
+//! post-merge product (`TP`) as arena temporaries before touching the leaf
 //! kernel. This module runs the *innermost* Strassen level with no such
 //! temporaries at all:
 //!

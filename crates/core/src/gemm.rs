@@ -31,7 +31,7 @@ use crate::exec::{budget_capped_policy_with_tier_cap, ExecPolicy, NodeLayouts};
 use crate::metrics::{MetricsSink, NoopSink};
 use crate::plan::{effective_par_depth, parallel_slab_len, GemmPlan, Operands, TiledPlan};
 use crate::pool::resolve_threads;
-use crate::schedule::{Schedule, Variant};
+use crate::schedule::Schedule;
 
 pub use crate::error::GemmError;
 
@@ -137,12 +137,37 @@ impl<S: Scalar> MortonMatrix<S> {
 }
 
 /// Layouts implied by a [`JointTiling`].
+///
+/// # Panics
+/// When the tiling is too deep or too large for the Morton address
+/// arithmetic (plan construction reports that as
+/// [`GemmError::Allocation`]).
+#[track_caller]
 pub fn layouts_of(plan: &JointTiling) -> NodeLayouts {
-    NodeLayouts::new(
-        MortonLayout::new(plan.m.tile, plan.k.tile, plan.depth),
-        MortonLayout::new(plan.k.tile, plan.n.tile, plan.depth),
-        MortonLayout::new(plan.m.tile, plan.n.tile, plan.depth),
-    )
+    match try_layouts_of(plan) {
+        Ok(layouts) => layouts,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// [`layouts_of`] for plan construction: a tiling too deep or too large
+/// for the Morton address arithmetic fails as [`GemmError::Allocation`]
+/// (its element count saturated at `usize::MAX`) instead of panicking.
+pub(crate) fn try_layouts_of(plan: &JointTiling) -> Result<NodeLayouts, GemmError> {
+    let layout = |rows: usize, cols: usize| MortonLayout::try_new(rows, cols, plan.depth);
+    let (a, b, c) = (
+        layout(plan.m.tile, plan.k.tile),
+        layout(plan.k.tile, plan.n.tile),
+        layout(plan.m.tile, plan.n.tile),
+    );
+    match (a, b, c) {
+        (Some(a), Some(b), Some(c))
+            if a.len().checked_add(b.len()).and_then(|ab| ab.checked_add(c.len())).is_some() =>
+        {
+            Ok(NodeLayouts::new(a, b, c))
+        }
+        _ => Err(GemmError::Allocation { elements: usize::MAX }),
+    }
 }
 
 /// `C ← α·op(A)·op(B) + β·C` — the paper's MODGEMM with the Level-3 BLAS
@@ -256,7 +281,7 @@ pub(crate) fn buffer_needs<S: Scalar>(
     // (plan compilation will surface the typed error).
     let cfg = &crate::tune::effective_config(cfg, m, k, n).map(|(c, _)| c).unwrap_or(*cfg);
     let plan = cfg.plan(m, k, n)?;
-    let layouts = layouts_of(&plan);
+    let layouts = try_layouts_of(&plan).ok()?;
     let policy = capped_policy::<S>(layouts, cfg);
     // Mirror plan arena sizing exactly: the DAG slab at the budget-capped
     // depth when the pool runs it (never smaller than the serial arena),
@@ -437,8 +462,8 @@ pub(crate) fn scale_in_place<S: Scalar>(beta: S, c: &mut MatMut<'_, S>) {
 }
 
 /// The execution policy `cfg` implies for a node of `layouts`, with the
-/// memory budget applied: the schedule tier degrades first (standard →
-/// low-mem → in-place), then fuse depth climbs, then recursion depth
+/// memory budget applied: the schedule tier degrades first (low-mem →
+/// in-place), then fuse depth climbs, then recursion depth
 /// degrades toward the conventional path until the workspace fits.
 pub(crate) fn capped_policy<S: Scalar>(layouts: NodeLayouts, cfg: &ModgemmConfig) -> ExecPolicy {
     capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::InPlace)
@@ -458,19 +483,13 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     let (tm, tk, tn) = (layouts.a.tile_rows, layouts.a.tile_cols, layouts.b.tile_cols);
     let kernel = cfg.leaf_kernel.resolve(tm, tk, tn);
     // A Fixed schedule pins the tier (the ladder neither climbs past it
-    // nor starts below it); Auto starts at standard and lets the budget
+    // nor starts below it); Auto starts at low-mem and lets the budget
     // ladder walk down to `cap`.
     let (sched0, max_sched) = match cfg.schedule {
-        SchedulePolicy::Auto => (Schedule::Standard, cap),
+        SchedulePolicy::Auto => (Schedule::LowMem, cap),
         SchedulePolicy::Fixed(s) => (s.min(cap), s.min(cap)),
     };
-    let mut base = ExecPolicy {
-        strassen_min: cfg.strassen_min,
-        variant: cfg.variant,
-        kernel,
-        fuse: 0,
-        schedule: sched0,
-    };
+    let mut base = ExecPolicy { strassen_min: cfg.strassen_min, kernel, fuse: 0, schedule: sched0 };
     // Auto fuses only when the plan resolved to the packed kernel (the
     // combined packs and scatter epilogue are its bandwidth win), at the
     // one level the fused table covers ([`crate::fuse::MAX_FUSE`]);
@@ -496,7 +515,7 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     // parallel run multiplies workspace across concurrent subtrees.
     // When the slab at the requested DAG depth doesn't fit, a cheaper
     // schedule tier is tried first (it shrinks every leaf subtree's
-    // arena share while keeping all the arithmetic), then fusing the
+    // arena share while keeping all seven products), then fusing the
     // innermost level (fuse 0 → 1), before
     // [`crate::plan::effective_par_depth`] sacrifices a DAG level.
     // The climb stops as soon as degrading stops buying DAG depth, so
@@ -517,9 +536,6 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
                     break 'climb;
                 }
                 if sched < policy.schedule || sched > max_sched {
-                    continue;
-                }
-                if sched != policy.schedule && policy.variant != Variant::Winograd {
                     continue;
                 }
                 if (fuse, sched) == (policy.fuse, policy.schedule) {
@@ -1190,17 +1206,6 @@ mod tests {
         ctx.shrink_to(0, 10, 10, &cfg);
         assert_eq!(ctx.footprint(), 0);
         assert_eq!(ctx.workspace_footprint(), 0);
-    }
-
-    #[test]
-    fn strassen_variant_through_full_interface() {
-        let cfg =
-            ModgemmConfig { variant: crate::schedule::Variant::Strassen, ..Default::default() };
-        let a: Matrix<i64> = random_matrix(100, 100, 1);
-        let b: Matrix<i64> = random_matrix(100, 100, 2);
-        let mut c: Matrix<i64> = Matrix::zeros(100, 100);
-        modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0, c.view_mut(), &cfg);
-        assert_eq!(c, naive_product(&a, &b));
     }
 
     #[test]

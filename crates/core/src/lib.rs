@@ -81,7 +81,7 @@ pub use pool::{
     resolve_threads, try_resolve_threads, CancelToken, ThreadPool, MODGEMM_THREADS_ENV,
 };
 pub use rect::{classify, Shape};
-pub use schedule::{Schedule, Variant};
+pub use schedule::Schedule;
 pub use service::{GemmRequest, GemmService, GemmTicket, ServiceConfig};
 pub use tune::{
     profile_path, ProfileEntry, TunedChoice, TuningMode, TuningProfile, MODGEMM_PROFILE_ENV,

@@ -44,9 +44,11 @@ pub struct PlanFacts {
     /// post-merges in the scatter epilogue, no S/T arena slots
     /// ([`crate::fuse`]). Always ≤ [`Self::strassen_levels`].
     pub fused_levels: usize,
-    /// The *effective* schedule tier the staged levels interpret
-    /// ([`crate::exec::ExecPolicy::sched`] — Boyer et al. memory tiers).
-    pub schedule: Schedule,
+    /// The schedule tier the staged levels interpret
+    /// ([`crate::exec::ExecPolicy::schedule`] — Boyer et al. memory
+    /// tiers); `None` for executors that run no MODGEMM tier (the
+    /// instrumented baselines).
+    pub schedule: Option<Schedule>,
     /// Modeled flops the executor performs
     /// ([`crate::counts::strassen_flops`] — exact, see its tests).
     pub flops: u64,
@@ -475,7 +477,7 @@ impl MetricsSink for CollectingSink {
         m.fused_levels = m.fused_levels.max(facts.fused_levels);
         m.flops += facts.flops;
         m.conventional_flops += facts.conventional_flops;
-        m.schedule_selected = Some(facts.schedule);
+        m.schedule_selected = facts.schedule;
         let (pm, pk, pn) = facts.padded;
         m.padded_volume += pm as u128 * pk as u128 * pn as u128;
     }
@@ -575,7 +577,7 @@ mod tests {
             depth: 2,
             strassen_levels: 2,
             fused_levels: 1,
-            schedule: Schedule::Standard,
+            schedule: None,
             flops: 100,
             conventional_flops: 200,
         });
@@ -584,7 +586,7 @@ mod tests {
             depth: 1,
             strassen_levels: 1,
             fused_levels: 0,
-            schedule: Schedule::LowMem, // last wins
+            schedule: Some(Schedule::LowMem), // last wins
             flops: 10,
             conventional_flops: 20,
         });

@@ -8,12 +8,12 @@
 //!
 //! * the truncation-point search result (or the verdict that the problem
 //!   must be split, §3.5);
-//! * the budget-capped [`ExecPolicy`] — truncation, schedule variant, and
+//! * the budget-capped [`ExecPolicy`] — truncation, schedule tier, and
 //!   leaf kernel ([`modgemm_mat::KernelKind`]) are all plan-time choices;
 //! * the per-level schedule, flattened into a [`LevelPlan`] list (one
-//!   entry per Strassen level, each pointing at the variant's step list);
+//!   entry per Strassen level, each pointing at the tier's step list);
 //! * a single workspace **arena** with precomputed slot offsets — the
-//!   `TS/TT/TP/TQ` temporaries of every level laid out back to back, so
+//!   `TS/TT/TP` temporaries of every level laid out back to back, so
 //!   execution carves slices instead of allocating.
 //!
 //! [`GemmPlan::execute`] then runs the compiled recipe against a
@@ -46,12 +46,12 @@ use crate::exec::{
     workspace_len, ExecPolicy, NodeLayouts,
 };
 use crate::gemm::{
-    capped_policy, has_non_finite, layouts_of, scale_in_place, GemmBreakdown, GemmContext,
+    capped_policy, has_non_finite, scale_in_place, try_layouts_of, GemmBreakdown, GemmContext,
 };
 use crate::metrics::{MetricsSink, NoopSink, PlanFacts};
 use crate::pool::{resolve_threads, BatchInput, CancelToken, ItemIo};
 use crate::rect;
-use crate::schedule::{ASlot, AddKind, BSlot, Schedule, Step, Variant};
+use crate::schedule::{ASlot, AddKind, BSlot, Step};
 use crate::verify::verify_gemm;
 
 /// Upper bound on Strassen levels a plan can hold in stack storage.
@@ -70,8 +70,8 @@ const MAX_VERIFY_ROUNDS: u32 = 64;
 ///
 /// A level's arena slot holds its temporaries back to back at
 /// `arena_offset` — which temporaries depends on the schedule tier:
-/// standard carves `TS` (`qa` elements), `TT` (`qb`), `TP` (`qc`) and
-/// `TQ` (`qc`); low-mem drops `TQ`; in-place keeps only `TP`. The child
+/// low-mem carves `TS` (`qa` elements), `TT` (`qb`) and `TP` (`qc`);
+/// in-place keeps only `TP`. The child
 /// level's slot follows immediately, so the whole recursion consumes one
 /// contiguous arena of [`workspace_len`] elements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,19 +80,17 @@ pub struct LevelPlan {
     pub qa: usize,
     /// Elements of one `B` quadrant at this level (the `TT` slot size).
     pub qb: usize,
-    /// Elements of one `C` quadrant at this level (the `TP`/`TQ` slot
-    /// size, each).
+    /// Elements of one `C` quadrant at this level (the `TP` slot size).
     pub qc: usize,
     /// Total elements of this level's arena slot
     /// ([`crate::schedule::Schedule::level_temp_elems`] of the policy's
-    /// tier: `qa + qb + 2·qc` standard, `qa + qb + qc` low-mem, `qc`
-    /// in-place).
+    /// tier: `qa + qb + qc` low-mem, `qc` in-place).
     pub slot_len: usize,
     /// Offset of this level's slot from the arena start (prefix sum of
     /// the shallower levels' `slot_len`s).
     pub arena_offset: usize,
     /// The linearized schedule this level interprets
-    /// ([`crate::schedule::steps_for`] of the policy's variant and tier).
+    /// ([`crate::schedule::Schedule::steps`] of the policy's tier).
     pub steps: &'static [Step],
 }
 
@@ -123,15 +121,16 @@ pub(crate) fn fill_levels(
     let mut count = 0usize;
     while staged_step(l, policy) {
         let (qa, qb, qc) = (l.a.quadrant_len(), l.b.quadrant_len(), l.c.quadrant_len());
-        // Tier-dependent slot: standard `qa+qb+2qc`, low-mem `qa+qb+qc`,
-        // in-place `qc` (see [`crate::counts::schedule_level_extra_elems`]).
-        let slot_len = policy.sched().level_temp_elems(qa, qb, qc);
+        // Tier-dependent slot: low-mem `qa+qb+qc`, in-place `qc` (see
+        // [`crate::counts::schedule_level_extra_elems`]).
+        let slot_len = policy.schedule.level_temp_elems(qa, qb, qc);
         debug_assert_eq!(
             workspace_len(l, policy),
             slot_len + workspace_len(l.child(), policy),
             "arena slot at level {count} disagrees with the workspace model"
         );
-        out[count] = LevelPlan { qa, qb, qc, slot_len, arena_offset: off, steps: policy.steps() };
+        out[count] =
+            LevelPlan { qa, qb, qc, slot_len, arena_offset: off, steps: policy.schedule.steps() };
         off += slot_len;
         count += 1;
         l = l.child();
@@ -151,8 +150,8 @@ pub(crate) fn fill_levels(
 
 /// The schedule interpreter: executes `levels[li..]` over the Morton
 /// buffers, carving each level's temporaries from the front of `arena`
-/// (which temporaries the schedule tier decides: `TS/TT/TP/TQ` standard,
-/// `TS/TT/TP` low-mem, `TP` in-place) and handing the tail to the
+/// (which temporaries the schedule tier decides: `TS/TT/TP` low-mem, `TP`
+/// in-place) and handing the tail to the
 /// recursion. Past the last flattened level the terminal takes over: the
 /// fused executor ([`crate::fuse::fused_mul_with_ws`]) when
 /// [`ExecPolicy::fuse`] covers the remaining Strassen level, else the
@@ -175,7 +174,7 @@ pub(crate) fn fill_levels(
 /// `a` and `b` must point to the node's full Morton operand buffers
 /// (`layouts.a.len()` / `layouts.b.len()` elements), valid for reads for
 /// the duration of the call, with no other access to them while it runs.
-/// When `policy.sched().overwrites_inputs()` they must also be valid for
+/// When `policy.schedule.overwrites_inputs()` they must also be valid for
 /// writes (the in-place schedule writes and then restores the quadrants);
 /// non-overwriting tiers never write through them, so shared borrows cast
 /// to `*mut` are sound for those.
@@ -227,29 +226,25 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
     let (qa, qb, qc) =
         (layouts.a.quadrant_len(), layouts.b.quadrant_len(), layouts.c.quadrant_len());
     debug_assert_eq!((lp.qa, lp.qb, lp.qc), (qa, qb, qc), "level plan drifted from the layouts");
-    let sched = policy.sched();
+    let sched = policy.schedule;
 
     let (c11, rest) = c.split_at_mut(qc);
     let (c12, rest) = rest.split_at_mut(qc);
     let (c21, c22) = rest.split_at_mut(qc);
 
-    // Tier-dependent carving: the tiers below standard simply omit slots
-    // their schedules never reference (asserted per step below). The
-    // final split doubles as the high-water-mark check — a tier whose
-    // closed form over- or under-counted the slot would leave `tq` the
-    // wrong length.
+    // Tier-dependent carving: the in-place tier simply omits the slots
+    // its schedule never references (asserted per step below). The
+    // carving doubles as the high-water-mark check — a tier whose closed
+    // form over- or under-counted the slot fails here.
     let (this_ws, child_ws) = arena.split_at_mut(lp.slot_len);
     let (ts_len, tt_len) = if sched.overwrites_inputs() { (0, 0) } else { (qa, qb) };
-    let tq_len = if sched == Schedule::Standard { qc } else { 0 };
-    let (ts, rest_ws) = this_ws.split_at_mut(ts_len);
-    let (tt, rest_ws) = rest_ws.split_at_mut(tt_len);
-    let (tp, tq) = rest_ws.split_at_mut(qc);
     debug_assert_eq!(
-        ts_len + tt_len + qc + tq.len(),
+        ts_len + tt_len + qc,
         lp.slot_len,
         "schedule tier {sched:?}: closed-form slot length disagrees with the carving"
     );
-    debug_assert_eq!(tq.len(), tq_len, "TQ carving drifted from the tier model");
+    let (ts, rest_ws) = this_ws.split_at_mut(ts_len);
+    let (tt, tp) = rest_ws.split_at_mut(tt_len);
 
     // Raw tables of the pairwise-disjoint slot buffers, indexed by
     // `ASlot::index()` / `BSlot::index()` / `CSlot::index()`. Access goes
@@ -272,13 +267,12 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
         unsafe { (b.add(3 * qb), qb) },
         (tt.as_mut_ptr(), tt_len),
     ];
-    let mut cslots: [(*mut S, usize); 6] = [
+    let mut cslots: [(*mut S, usize); 5] = [
         (c11.as_mut_ptr(), qc),
         (c12.as_mut_ptr(), qc),
         (c21.as_mut_ptr(), qc),
         (c22.as_mut_ptr(), qc),
         (tp.as_mut_ptr(), qc),
-        (tq.as_mut_ptr(), tq_len),
     ];
 
     // SAFETY helpers: the table buffers are pairwise disjoint (quadrants
@@ -633,7 +627,7 @@ impl DagBuilder {
         // S/T temporaries are safe either way: each has exactly one
         // reader. Non-overwriting tiers keep the original (wider)
         // parallelism.
-        let overwrites = self.policy.sched().overwrites_inputs();
+        let overwrites = self.policy.schedule.overwrites_inputs();
         let (raw_a, raw_b) = if overwrites { (Some(spre), Some(tpre)) } else { (a_ready, b_ready) };
 
         // The seven products with the same placement as the scoped-thread
@@ -704,7 +698,7 @@ impl DagBuilder {
 /// `P5` of `qc`), then seven child slabs; at the serial handover, one
 /// [`workspace_len`] arena per subtree.
 pub fn parallel_slab_len(layouts: NodeLayouts, policy: ExecPolicy, par_depth: usize) -> usize {
-    if par_depth == 0 || !staged_step(layouts, policy) || policy.variant != Variant::Winograd {
+    if par_depth == 0 || !staged_step(layouts, policy) {
         return workspace_len(layouts, policy);
     }
     let per_node =
@@ -733,7 +727,7 @@ pub(crate) fn effective_par_depth<S: Scalar>(
     if cfg.parallel_depth == 0 || threads < 2 {
         return 0;
     }
-    if policy.variant != Variant::Winograd || !staged_step(layouts, policy) {
+    if !staged_step(layouts, policy) {
         return 0;
     }
     let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
@@ -774,8 +768,8 @@ pub(crate) struct TiledPlan {
     pub(crate) threads: usize,
     /// Parallel recursion levels the task DAG lowers
     /// ([`effective_par_depth`]); `0` when a single GEMM runs serially
-    /// (`parallel_depth == 0`, one thread, a non-Winograd schedule, or a
-    /// budget that only admits the serial arena).
+    /// (`parallel_depth == 0`, one thread, no staged level, or a budget
+    /// that only admits the serial arena).
     pub(crate) par_depth: usize,
     pub(crate) facts: PlanFacts,
 }
@@ -801,7 +795,7 @@ impl TiledPlan {
             depth: layouts.a.depth,
             strassen_levels: crate::counts::strassen_levels(layouts, policy),
             fused_levels: fused_levels(layouts, policy),
-            schedule: policy.sched(),
+            schedule: Some(policy.schedule),
             flops: crate::counts::strassen_flops(layouts, policy),
             conventional_flops: crate::counts::conventional_flops(pm, pk, pn),
         };
@@ -836,7 +830,7 @@ impl TiledPlan {
             Operands::Shared(a, b) => {
                 // A shared borrow must never be written through.
                 assert!(
-                    !self.policy.sched().overwrites_inputs(),
+                    !self.policy.schedule.overwrites_inputs(),
                     "the in-place schedule needs exclusive operands"
                 );
                 (a.as_ptr().cast_mut(), b.as_ptr().cast_mut(), a.len(), b.len())
@@ -930,10 +924,12 @@ impl<S: Scalar> GemmPlan<S> {
             // in `try_execute_with_metrics` handle them.
             None
         } else {
-            eff.plan(m, k, n).map(|tiling| {
-                let layouts = layouts_of(&tiling);
-                TiledPlan::new::<S>(layouts, capped_policy::<S>(layouts, &eff), &eff)
-            })
+            eff.plan(m, k, n)
+                .map(|tiling| {
+                    let layouts = try_layouts_of(&tiling)?;
+                    Ok(TiledPlan::new::<S>(layouts, capped_policy::<S>(layouts, &eff), &eff))
+                })
+                .transpose()?
         };
         let dag =
             strategy.as_ref().filter(|tp| tp.par_depth > 0).and_then(|tp| build_dag(tp, 1, 1));
@@ -1011,10 +1007,11 @@ impl<S: Scalar> GemmPlan<S> {
 
     /// Memory tier of the recursion-step linearization the compiled plan
     /// runs (see [`crate::schedule::Schedule`] and the budget ladder in
-    /// [`crate::config::SchedulePolicy`]). `Standard` for split,
-    /// degenerate, or fully conventional plans.
+    /// [`crate::config::SchedulePolicy`]). The starting tier,
+    /// [`crate::schedule::Schedule::LowMem`], for split or degenerate
+    /// plans.
     pub fn schedule(&self) -> crate::schedule::Schedule {
-        self.strategy.as_ref().map_or(crate::schedule::Schedule::Standard, |tp| tp.facts.schedule)
+        self.strategy.as_ref().map(|tp| tp.policy.schedule).unwrap_or_default()
     }
 
     /// Task count of the compiled parallel DAG (conversion and unpack
@@ -1387,6 +1384,7 @@ mod tests {
     use crate::config::Truncation;
     use crate::gemm::modgemm;
     use crate::metrics::CollectingSink;
+    use crate::schedule::Schedule;
     use modgemm_mat::gen::random_matrix;
     use modgemm_mat::naive::naive_product;
     use modgemm_mat::KernelKind;
@@ -1417,7 +1415,6 @@ mod tests {
                     // Spell out the per-tier closed forms rather than
                     // round-tripping through level_temp_elems.
                     let expect = match sched {
-                        Schedule::Standard => qa + qb + 2 * qc,
                         Schedule::LowMem => qa + qb + qc,
                         Schedule::InPlace => qc,
                     };
@@ -1427,7 +1424,7 @@ mod tests {
                         crate::counts::schedule_level_extra_elems(sched, node),
                         "{sched:?}: counts closed form drifted from the arena"
                     );
-                    assert_eq!(lp.steps, crate::schedule::steps_for(policy.variant, sched));
+                    assert_eq!(lp.steps, sched.steps());
                     off += lp.slot_len;
                     node = node.child();
                 }
@@ -1446,10 +1443,7 @@ mod tests {
         let layouts = NodeLayouts::new(l, l, l);
         let ip = ExecPolicy { schedule: Schedule::InPlace, ..ExecPolicy::default() };
         assert_eq!(workspace_len(layouts, ip), 336);
-        let std = ExecPolicy::default();
-        let lm = ExecPolicy { schedule: Schedule::LowMem, ..ExecPolicy::default() };
-        assert_eq!(workspace_len(layouts, std), 1344);
-        assert_eq!(workspace_len(layouts, lm), 1008);
+        assert_eq!(workspace_len(layouts, ExecPolicy::default()), 1008);
     }
 
     #[test]
@@ -1558,7 +1552,7 @@ mod tests {
             threads: 0,
             fuse_depth: crate::fuse::MAX_FUSE,
             batch_window: 0,
-            schedule: Schedule::Standard,
+            schedule: Schedule::LowMem,
         };
         let cfg = ModgemmConfig {
             leaf_kernel: KernelKind::Auto,
@@ -1773,13 +1767,13 @@ mod tests {
     #[test]
     fn budget_ladder_schedule_then_fuse_then_par_depth_then_recursion_then_kernel() {
         // The full degradation ladder, pinned end to end: schedule tier
-        // (standard → low-mem → in-place) → fuse 0 → 1 → par-depth →
-        // recursion depth → kernel. The schedule rungs come first because
-        // they are free in arithmetic: every tier multiplies the same
-        // seven products, only the temporary-buffer linearization
-        // changes. Speed-bearing knobs (fusion layout, DAG width,
-        // Strassen depth, the packed kernel) are sacrificed only after
-        // the cheapest tier still doesn't fit.
+        // (low-mem → in-place) → fuse 0 → 1 → par-depth → recursion
+        // depth → kernel. The schedule rung comes first because it is
+        // free in multiplications: both tiers multiply the same seven
+        // products, only the temporary-buffer linearization changes.
+        // Speed-bearing knobs (fusion layout, DAG width, Strassen depth,
+        // the packed kernel) are sacrificed only after the cheapest tier
+        // still doesn't fit.
         let cfg0 = ModgemmConfig {
             truncation: Truncation::Fixed(32),
             leaf_kernel: KernelKind::Packed,
@@ -1791,27 +1785,25 @@ mod tests {
         // 256 = 32·2^3: three Strassen levels, all staged (Fixed(0)
         // starts the fuse rung at zero); the parallel DAG takes the top
         // two, so each leaf subtree keeps one staged level whose
-        // temporaries the tier rungs shrink and the fuse rung removes.
+        // temporaries the tier rung shrinks and the fuse rung removes.
         let (m, k, n) = (256usize, 256usize, 256usize);
         let l = MortonLayout::new(32, 32, 3);
         let layouts = NodeLayouts::new(l, l, l);
         let policy0 = crate::gemm::capped_policy::<f64>(layouts, &cfg0);
         assert_eq!(policy0.fuse, 0, "Fixed(0) keeps every level staged");
-        assert_eq!(policy0.schedule, Schedule::Standard, "unlimited budget keeps standard");
+        assert_eq!(policy0.schedule, Schedule::LowMem, "unlimited budget keeps low-mem");
         let at =
             |schedule: Schedule, fuse: usize| crate::exec::ExecPolicy { schedule, fuse, ..policy0 };
         let slab2 = |p| crate::plan::parallel_slab_len(layouts, p, 2);
-        let slab2_lm = slab2(at(Schedule::LowMem, 0));
         let slab2_ip = slab2(at(Schedule::InPlace, 0));
-        let slab2_f1 = slab2(at(Schedule::Standard, 1));
-        let slab1_std = crate::plan::parallel_slab_len(layouts, policy0, 1);
+        let slab2_f1 = slab2(at(Schedule::LowMem, 1));
+        let slab1_lm = crate::plan::parallel_slab_len(layouts, policy0, 1);
         let ws_ip = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 0));
         let ws_ip_f1 = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 1));
-        assert!(slab2_lm < slab2(policy0), "low-mem must shrink the DAG slab");
-        assert!(slab2_ip < slab2_lm, "in-place must shrink it further");
-        assert!(slab2_f1 < slab2_ip, "fusing the last staged level beats every tier's slab");
-        assert!(slab1_std < slab2_f1, "one DAG level must cost less than two at any tier");
-        assert!(ws_ip < slab1_std, "serial in-place is the cheapest full-depth shape");
+        assert!(slab2_ip < slab2(policy0), "in-place must shrink the DAG slab");
+        assert!(slab2_f1 < slab2_ip, "fusing the last staged level beats both tiers' slabs");
+        assert!(slab1_lm < slab2_f1, "one DAG level must cost less than two at any tier");
+        assert!(ws_ip < slab1_lm, "serial in-place is the cheapest full-depth shape");
 
         let budgeted = |bytes: usize| ModgemmConfig {
             memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(bytes),
@@ -1821,79 +1813,70 @@ mod tests {
             (p.parallel_depth(), p.strassen_levels(), p.fused_levels(), p.schedule())
         };
 
-        // Rung 0 — unlimited: parallel, full depth, standard schedule.
+        // Rung 0 — unlimited: parallel, full depth, low-mem schedule.
         let free: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg0).unwrap();
         assert_eq!(
             facts(&free),
-            (2, 3, 0, Schedule::Standard),
+            (2, 3, 0, Schedule::LowMem),
             "rung 0 (unlimited budget): nothing may degrade"
         );
 
-        // Rung 1 — the depth-2 slab no longer fits at standard but does
-        // at low-mem: the schedule tier degrades FIRST, before fuse
-        // depth, par-depth, recursion depth, or the kernel.
-        let lowmem: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_lm * 8)).unwrap();
-        assert_eq!(
-            facts(&lowmem),
-            (2, 3, 0, Schedule::LowMem),
-            "rung 1 (schedule → low-mem): tier drops before any speed-bearing knob"
-        );
-
-        // Rung 2 — only the in-place depth-2 slab fits: the tier walks
-        // down again, still before fuse/par-depth/recursion/kernel.
+        // Rung 1 — the depth-2 slab no longer fits at low-mem but does
+        // in place: the schedule tier degrades FIRST, before fuse depth,
+        // par-depth, recursion depth, or the kernel.
         let inplace: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_ip * 8)).unwrap();
         assert_eq!(
             facts(&inplace),
             (2, 3, 0, Schedule::InPlace),
-            "rung 2 (schedule → in-place): tier exhausts before fuse depth moves"
+            "rung 1 (schedule → in-place): tier drops before any speed-bearing knob"
         );
 
-        // Rung 3 — no tier fits with every level staged: only now does
-        // the innermost level fuse (0 → 1). (Then no staged levels
+        // Rung 2 — neither tier fits with every level staged: only now
+        // does the innermost level fuse (0 → 1). (Then no staged levels
         // remain below the DAG, so the slab is tier-independent and the
-        // climb keeps the fastest schedule that fits — standard.)
+        // climb keeps the input-preserving schedule — low-mem.)
         let fused: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_f1 * 8)).unwrap();
         assert_eq!(
             facts(&fused),
-            (2, 3, 1, Schedule::Standard),
-            "rung 3 (fuse depth): fusion deepens only after the schedule rungs"
+            (2, 3, 1, Schedule::LowMem),
+            "rung 2 (fuse depth): fusion deepens only after the schedule rung"
         );
 
-        // Rung 4 — no (schedule, fuse) combination buys back DAG depth
+        // Rung 3 — no (schedule, fuse) combination buys back DAG depth
         // 2: worker parallelism is sacrificed, and with the slab
-        // pressure gone the plan keeps the fastest schedule.
-        let par1: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab1_std * 8)).unwrap();
+        // pressure gone the plan keeps the starting schedule.
+        let par1: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab1_lm * 8)).unwrap();
         assert_eq!(
             facts(&par1),
-            (1, 3, 0, Schedule::Standard),
-            "rung 4 (par-depth): DAG width drops only after schedule and fuse climbs fail"
+            (1, 3, 0, Schedule::LowMem),
+            "rung 3 (par-depth): DAG width drops only after schedule and fuse climbs fail"
         );
 
-        // Rung 5 — the acceptance rung: a budget that fits only the
-        // serial in-place workspace. The schedule-only ladder keeps full
-        // Strassen depth AND the packed kernel, where the old ladder
-        // (schedule capped at standard) had to sacrifice recursion depth.
+        // Rung 4 — the acceptance rung: a budget that fits only the
+        // serial in-place workspace. The schedule rung keeps full
+        // Strassen depth AND the packed kernel, where a ladder capped at
+        // low-mem has to sacrifice recursion depth.
         let serial: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(ws_ip * 8)).unwrap();
         assert_eq!(
             facts(&serial),
             (0, 3, 0, Schedule::InPlace),
-            "rung 5 (serial in-place): full depth survives on the cheapest tier"
+            "rung 4 (serial in-place): full depth survives on the cheapest tier"
         );
         let serial_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(ws_ip * 8));
-        assert_eq!(serial_policy.kernel, KernelKind::Packed, "kernel survives the schedule rungs");
-        let old_ladder = crate::exec::budget_capped_policy_with_tier_cap(
+        assert_eq!(serial_policy.kernel, KernelKind::Packed, "kernel survives the schedule rung");
+        let capped_at_lowmem = crate::exec::budget_capped_policy_with_tier_cap(
             layouts,
             policy0,
             ws_ip,
-            Schedule::Standard,
+            Schedule::LowMem,
         );
         assert!(
-            crate::counts::strassen_levels(layouts, old_ladder) < 3
-                || old_ladder.kernel != KernelKind::Packed,
-            "without the schedule rungs this budget forced a depth or kernel loss"
+            crate::counts::strassen_levels(layouts, capped_at_lowmem) < 3
+                || capped_at_lowmem.kernel != KernelKind::Packed,
+            "without the schedule rung this budget forced a depth or kernel loss"
         );
 
-        // Rung 6 — below every tier's full-depth workspace: recursion
+        // Rung 5 — below every tier's full-depth workspace: recursion
         // depth is sacrificed next, on the cheapest tier, with the
         // kernel still packed.
         let shallow_cfg = budgeted(ws_ip_f1 * 8 - 8);
@@ -1901,44 +1884,43 @@ mod tests {
         assert_eq!(
             shallow_policy.kernel,
             KernelKind::Packed,
-            "rung 6 (recursion depth): kernel survives the depth rung"
+            "rung 5 (recursion depth): kernel survives the depth rung"
         );
         let shallow: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &shallow_cfg).unwrap();
         assert!(
             shallow.strassen_levels() < 3,
-            "rung 6 (recursion depth): depth must drop below every tier's workspace"
+            "rung 5 (recursion depth): depth must drop below every tier's workspace"
         );
 
-        // Rung 7 — a budget nothing packed fits in: the kernel itself is
+        // Rung 6 — a budget nothing packed fits in: the kernel itself is
         // swapped for the workspace-free blocked fallback, last.
         let floor_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(1));
-        assert_eq!(floor_policy.kernel, KernelKind::Blocked, "rung 7 (kernel): the last rung");
+        assert_eq!(floor_policy.kernel, KernelKind::Blocked, "rung 6 (kernel): the last rung");
         let floor: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(1)).unwrap();
         assert_eq!((floor.strassen_levels(), floor.fused_levels()), (0, 0));
 
         // Every rung still multiplies correctly — including the pooled
-        // in-place DAG (rung 2) and the serial in-place executor
-        // (rung 5).
+        // in-place DAG (rung 1) and the serial in-place executor
+        // (rung 4).
         let a: Matrix<f64> = random_matrix(m, k, 43);
         let b: Matrix<f64> = random_matrix(k, n, 44);
         let expect = modgemm_mat::naive::naive_product(&a, &b);
         let mut ctx = GemmContext::new();
-        for (rung, plan) in
-            [&free, &lowmem, &inplace, &fused, &par1, &serial, &shallow, &floor].iter().enumerate()
-        {
+        for plan in [&free, &inplace, &fused, &par1, &serial, &shallow, &floor] {
             let mut c: Matrix<f64> = Matrix::zeros(m, n);
             plan.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
             modgemm_mat::norms::assert_matrix_eq(c.view(), expect.view(), k);
-            let _ = rung;
         }
     }
 
     #[test]
     fn quarter_budget_at_513_keeps_in_place_and_one_fused_level() {
         // A blas_budget shape: 513³ under a quarter of the unbudgeted
-        // plan's arena. The ladder walks the tier down to in-place,
-        // fuses the innermost level and drops one Strassen level (of
-        // four) to fit; the product stays bitwise the unbudgeted one.
+        // (low-mem) plan's arena. That is less than one top-level C
+        // quadrant, the in-place tier's smallest staged slot, so no level
+        // can stage: the ladder walks the tier down to in-place, fuses
+        // the innermost level and drops the levels below the top one to
+        // fit. The product stays bitwise the unbudgeted one.
         let (m, k, n) = (513usize, 513usize, 513usize);
         let cfg = ModgemmConfig { leaf_kernel: KernelKind::Packed, ..Default::default() };
         let free: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
@@ -1951,7 +1933,9 @@ mod tests {
         let quarter: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg_q).unwrap();
         assert_eq!(quarter.schedule(), Schedule::InPlace);
         assert_eq!(quarter.fused_levels(), 1);
-        assert_eq!(quarter.strassen_levels(), 3);
+        assert_eq!(quarter.strassen_levels(), 1);
+        let top_quadrant = (528 / 2) * (528 / 2); // 513 pads to 33 << 4
+        assert!(budget / 8 < top_quadrant, "a quarter of the arena stages no level");
         assert!(quarter.arena_len() * 8 <= budget, "{} > {budget}", quarter.arena_len() * 8);
 
         let a: Matrix<i64> = random_matrix(m, k, 51);
@@ -2038,20 +2022,22 @@ mod tests {
     }
 
     #[test]
-    fn micro_kernel_plans_stay_correct() {
-        let cfg = ModgemmConfig { leaf_kernel: KernelKind::Micro, ..Default::default() };
+    fn naive_kernel_plans_stay_correct() {
+        // The test-oracle kernel and the paper's kernel, through a plan
+        // and through the one-shot entry.
         let (m, k, n) = (96usize, 64usize, 80usize);
         let a: Matrix<i64> = random_matrix(m, k, 30);
         let b: Matrix<i64> = random_matrix(k, n, 31);
-        let p: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
-        let mut ctx = GemmContext::new();
-        let mut c: Matrix<i64> = Matrix::zeros(m, n);
-        p.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
-        assert_eq!(c, naive_product(&a, &b));
-
-        let naive_cfg = ModgemmConfig { leaf_kernel: KernelKind::Naive, ..Default::default() };
-        let mut c2: Matrix<i64> = Matrix::zeros(m, n);
-        modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0, c2.view_mut(), &naive_cfg);
-        assert_eq!(c2, naive_product(&a, &b));
+        for leaf_kernel in [KernelKind::Naive, KernelKind::Blocked] {
+            let cfg = ModgemmConfig { leaf_kernel, ..Default::default() };
+            let p: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
+            let mut ctx = GemmContext::new();
+            let mut c: Matrix<i64> = Matrix::zeros(m, n);
+            p.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
+            assert_eq!(c, naive_product(&a, &b), "{leaf_kernel}");
+            let mut c2: Matrix<i64> = Matrix::zeros(m, n);
+            modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0, c2.view_mut(), &cfg);
+            assert_eq!(c2, naive_product(&a, &b), "{leaf_kernel}");
+        }
     }
 }

@@ -875,15 +875,17 @@ impl<S: Scalar> GraphJob<S> {
                 let p_base = node.slab_off + 4 * qa + 4 * qb;
                 let p1 = self.slab.get(p_base, qc);
                 let p2 = self.slab.get(p_base + qc, qc);
-                let p5 = self.slab.get(p_base + 2 * qc, qc);
-                // The serial schedule's combination suffix, verbatim —
-                // this is what keeps pooled results bitwise identical.
+                let p5 = self.slab.get_mut(p_base + 2 * qc, qc);
+                // The serial schedules' combinations, association for
+                // association (every sum is `x + y` or `y + x`, equal in
+                // IEEE arithmetic) — this is what keeps pooled results
+                // bitwise identical to both tiers.
                 add_assign_flat(c11, p1); // U2 = P1 + P4
-                add_assign_flat(c12, c22); // P6 + P3
-                add_assign_flat(c12, c11); // U7 = U2 + P3 + P6  → C12 done
-                add_assign_flat(c11, p5); // U3 = U2 + P5
-                add_assign_flat(c21, c11); // U4 = U3 + P7       → C21 done
-                add_assign_flat(c22, c11); // U5 = U3 + P3       → C22 done
+                add_assign_flat(p5, c11); // U3 = U2 + P5
+                add_assign_flat(c11, c22); // U6 = U2 + P3
+                add_assign_flat(c12, c11); // U7 = U6 + P6       → C12 done
+                add_assign_flat(c22, p5); // U5 = U3 + P3        → C22 done
+                add_assign_flat(c21, p5); // U4 = U3 + P7        → C21 done
                 add_flat(c11, p1, p2); // U1 = P1 + P2           → C11 done
                 if node.level == 0 {
                     // The item's root task: it still owns the whole result

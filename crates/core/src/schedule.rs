@@ -21,22 +21,21 @@
 //! ```
 //!
 //! 7 multiplications and 15 additions — the minimum for a quadrant-based
-//! recursive algorithm. The step sequence below is a low-memory
-//! *linearization* of these recurrences using one `S`-shaped temporary
-//! (`TS`), one `T`-shaped temporary (`TT`), two product-shaped temporaries
-//! (`TP`, `TQ`), and the four `C` quadrants themselves as product
-//! scratch. It is legal to use `C` quadrants as scratch only when they do
-//! not alias each other — true for Morton storage (quadrants are disjoint
-//! contiguous buffer quarters) and for dynamic peeling (exact even split),
-//! but *not* for dynamic overlap, which is why DGEMMW uses a different
-//! executor.
+//! recursive algorithm. The step sequences below are *linearizations* of
+//! these recurrences in two memory tiers (Boyer/Dumas/Pernet/Zhou): the
+//! low-memory tier uses one `S`-shaped temporary (`TS`), one `T`-shaped
+//! temporary (`TT`), one product-shaped temporary (`TP`) and the four `C`
+//! quadrants themselves as product scratch; the in-place tier keeps only
+//! `TP` and forms the S/T operands in the input quadrants, restoring them
+//! afterwards. It is legal to use `C` quadrants as scratch only when they
+//! do not alias each other — true for Morton storage (quadrants are
+//! disjoint contiguous buffer quarters).
 //!
-//! Keeping the schedule as data gives one source of truth interpreted by
-//! three executors: the fast Morton executor in [`crate::exec`], the
-//! column-major view executor used by DGEFMM, and the address-tracing
-//! executor in `modgemm-cachesim`. A test in this module *proves* the
-//! schedule correct by symbolic interpretation over exact integer
-//! matrices.
+//! Keeping the schedule as data gives one source of truth for the Morton
+//! executor in [`crate::plan`]; the address-tracing mirror in
+//! `modgemm-cachesim` follows the low-memory order step for step. A test
+//! in this module *proves* each schedule correct by symbolic
+//! interpretation over exact integer matrices.
 
 /// Operand slots shaped like a quadrant of `A` (`m/2 × k/2`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,14 +106,12 @@ pub enum CSlot {
     C21,
     /// SE quadrant of C.
     C22,
-    /// First product-shaped temporary.
+    /// The product-shaped temporary.
     TP,
-    /// Second product-shaped temporary.
-    TQ,
 }
 
 impl CSlot {
-    /// Index into a six-element slot table `[C11, C12, C21, C22, TP, TQ]`.
+    /// Index into a five-element slot table `[C11, C12, C21, C22, TP]`.
     #[inline]
     pub fn index(self) -> usize {
         match self {
@@ -123,7 +120,6 @@ impl CSlot {
             CSlot::C21 => 2,
             CSlot::C22 => 3,
             CSlot::TP => 4,
-            CSlot::TQ => 5,
         }
     }
 }
@@ -190,112 +186,12 @@ use BSlot::*;
 use CSlot::*;
 use Step::*;
 
-/// The canonical low-memory Winograd schedule: 7 multiplies, 15 additions.
-///
-/// Product placement: `P5→TP, P3→C22, P4→C11, P6→C12, P7→C21, P1→TQ,
-/// P2→TP` (TP is reused once P5 has been consumed).
-pub const WINOGRAD_SCHEDULE: [Step; 22] = [
-    // S3 = A11 − A21, T3 = B22 − B12, P5 = S3·T3 → TP
-    AddA { dst: TS, lhs: A11, rhs: A21, kind: AddKind::Sub },
-    AddB { dst: TT, lhs: B22, rhs: B12, kind: AddKind::Sub },
-    Mul { a: TS, b: TT, dst: TP },
-    // S1 = A21 + A22, T1 = B12 − B11, P3 = S1·T1 → C22
-    AddA { dst: TS, lhs: A21, rhs: A22, kind: AddKind::Add },
-    AddB { dst: TT, lhs: B12, rhs: B11, kind: AddKind::Sub },
-    Mul { a: TS, b: TT, dst: C22 },
-    // S2 = S1 − A11, T2 = B22 − T1, P4 = S2·T2 → C11
-    AddA { dst: TS, lhs: TS, rhs: A11, kind: AddKind::Sub },
-    AddB { dst: TT, lhs: B22, rhs: TT, kind: AddKind::Sub },
-    Mul { a: TS, b: TT, dst: C11 },
-    // S4 = A12 − S2, P6 = S4·B22 → C12
-    AddA { dst: TS, lhs: A12, rhs: TS, kind: AddKind::Sub },
-    Mul { a: TS, b: B22, dst: C12 },
-    // T4 = B21 − T2, P7 = A22·T4 → C21
-    AddB { dst: TT, lhs: B21, rhs: TT, kind: AddKind::Sub },
-    Mul { a: A22, b: TT, dst: C21 },
-    // P1 = A11·B11 → TQ
-    Mul { a: A11, b: B11, dst: TQ },
-    // U2 = P1 + P4 → C11
-    AddC { dst: C11, lhs: C11, rhs: TQ, kind: AddKind::Add },
-    // C12 = U7 = U2 + P3 + P6   (C12 holds P6, C22 holds P3)
-    AddC { dst: C12, lhs: C12, rhs: C22, kind: AddKind::Add },
-    AddC { dst: C12, lhs: C12, rhs: C11, kind: AddKind::Add },
-    // U3 = U2 + P5 → C11
-    AddC { dst: C11, lhs: C11, rhs: TP, kind: AddKind::Add },
-    // C21 = U4 = U3 + P7
-    AddC { dst: C21, lhs: C21, rhs: C11, kind: AddKind::Add },
-    // C22 = U5 = U3 + P3
-    AddC { dst: C22, lhs: C22, rhs: C11, kind: AddKind::Add },
-    // P2 = A12·B21 → TP (TP free), C11 = U1 = P1 + P2
-    Mul { a: A12, b: B21, dst: TP },
-    AddC { dst: C11, lhs: TQ, rhs: TP, kind: AddKind::Add },
-];
-
-/// The original Strassen schedule (the paper's §2, equation block after
-/// (1)): 7 multiplications and 18 additions. Kept for the
-/// Winograd-vs-Strassen ablation; the Winograd variant saves three
-/// additions by reusing common subexpressions, at the price of longer
-/// dependence chains ("worse locality of reference unless special
-/// attention is given", §2).
-///
-/// ```text
-/// P1 = (A11+A22)(B11+B22)   C11 = P1 + P4 − P5 + P7
-/// P2 = (A21+A22)·B11        C12 = P3 + P5
-/// P3 = A11·(B12−B22)        C21 = P2 + P4
-/// P4 = A22·(B21−B11)        C22 = P1 + P3 − P2 + P6
-/// P5 = (A11+A12)·B22
-/// P6 = (A21−A11)(B11+B12)
-/// P7 = (A12−A22)(B21+B22)
-/// ```
-///
-/// Product placement: `P1→TP, P2→C21, P3→TQ, P6→C22, P5→C12, P4→C11,
-/// P7→TQ` (TQ is reused once P3 has been consumed).
-pub const STRASSEN_SCHEDULE: [Step; 25] = [
-    // P1 = (A11+A22)(B11+B22) → TP
-    AddA { dst: TS, lhs: A11, rhs: A22, kind: AddKind::Add },
-    AddB { dst: TT, lhs: B11, rhs: B22, kind: AddKind::Add },
-    Mul { a: TS, b: TT, dst: TP },
-    // P2 = (A21+A22)·B11 → C21
-    AddA { dst: TS, lhs: A21, rhs: A22, kind: AddKind::Add },
-    Mul { a: TS, b: B11, dst: C21 },
-    // P3 = A11·(B12−B22) → TQ
-    AddB { dst: TT, lhs: B12, rhs: B22, kind: AddKind::Sub },
-    Mul { a: A11, b: TT, dst: TQ },
-    // P6 = (A21−A11)(B11+B12) → C22
-    AddA { dst: TS, lhs: A21, rhs: A11, kind: AddKind::Sub },
-    AddB { dst: TT, lhs: B11, rhs: B12, kind: AddKind::Add },
-    Mul { a: TS, b: TT, dst: C22 },
-    // C22 = P6 − P2 + P3 + P1
-    AddC { dst: C22, lhs: C22, rhs: C21, kind: AddKind::Sub },
-    AddC { dst: C22, lhs: C22, rhs: TQ, kind: AddKind::Add },
-    AddC { dst: C22, lhs: C22, rhs: TP, kind: AddKind::Add },
-    // P5 = (A11+A12)·B22 → C12
-    AddA { dst: TS, lhs: A11, rhs: A12, kind: AddKind::Add },
-    Mul { a: TS, b: B22, dst: C12 },
-    // P4 = A22·(B21−B11) → C11
-    AddB { dst: TT, lhs: B21, rhs: B11, kind: AddKind::Sub },
-    Mul { a: A22, b: TT, dst: C11 },
-    // C21 = P2 + P4
-    AddC { dst: C21, lhs: C21, rhs: C11, kind: AddKind::Add },
-    // C11 = P4 − P5 + P1   (P7 added below)
-    AddC { dst: C11, lhs: C11, rhs: C12, kind: AddKind::Sub },
-    AddC { dst: C11, lhs: C11, rhs: TP, kind: AddKind::Add },
-    // C12 = P5 + P3
-    AddC { dst: C12, lhs: C12, rhs: TQ, kind: AddKind::Add },
-    // P7 = (A12−A22)(B21+B22) → TQ (P3 consumed)
-    AddA { dst: TS, lhs: A12, rhs: A22, kind: AddKind::Sub },
-    AddB { dst: TT, lhs: B21, rhs: B22, kind: AddKind::Add },
-    Mul { a: TS, b: TT, dst: TQ },
-    // C11 += P7
-    AddC { dst: C11, lhs: C11, rhs: TQ, kind: AddKind::Add },
-];
-
 /// Boyer/Dumas/Pernet/Zhou low-memory Winograd schedule (*Memory
 /// efficient scheduling of Strassen-Winograd's matrix multiplication
-/// algorithm*): 7 multiplies, 15 additions — the same arithmetic as the
-/// canonical schedule — but only *three* temporaries (`TS`, `TT`, `TP`)
-/// instead of four. The per-level extra footprint drops from
-/// `qa + qb + 2·qc` to `qa + qb + qc` while the inputs stay read-only.
+/// algorithm*): 7 multiplies, 15 additions — the same arithmetic as a
+/// four-temporary linearization — but only *three* temporaries (`TS`,
+/// `TT`, `TP`): the per-level extra footprint is `qa + qb + qc`, and the
+/// inputs stay read-only. The starting tier of every plan.
 ///
 /// Product placement: `P5→C21, P3→C22, P4→C12, P6→C11, P1→TP, P7→C11,
 /// P2→C11` (C11 is recycled twice, each time after its previous tenant
@@ -402,40 +298,17 @@ pub const WINOGRAD_INPLACE_SCHEDULE: [Step; 31] = [
     AddC { dst: C11, lhs: C11, rhs: TP, kind: AddKind::Add },
 ];
 
-/// Which of the two §2 recursion schedules to run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Variant {
-    /// Winograd's variant: 7 multiplies, 15 additions (the paper's
-    /// implementation choice).
-    #[default]
-    Winograd,
-    /// Strassen's original construction: 7 multiplies, 18 additions.
-    Strassen,
-}
-
-impl Variant {
-    /// The linearized schedule for this variant.
-    pub fn schedule(self) -> &'static [Step] {
-        match self {
-            Variant::Winograd => &WINOGRAD_SCHEDULE,
-            Variant::Strassen => &STRASSEN_SCHEDULE,
-        }
-    }
-}
-
 /// Memory tier of the recursion-step linearization (Boyer et al.'s
-/// scheduling axis, orthogonal to [`Variant`]). Ordered from most to
-/// least extra memory — the degradation ladder walks it top to bottom
-/// *before* touching fuse depth, parallel depth, recursion depth, or
-/// kernel choice.
+/// scheduling axis). Ordered from more to less extra memory — the
+/// degradation ladder takes the one step low-mem → in-place *before*
+/// touching fuse depth, parallel depth, recursion depth, or kernel
+/// choice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Schedule {
-    /// The canonical four-temporary schedule (`TS`, `TT`, `TP`, `TQ`):
-    /// per-level extra footprint `qa + qb + 2·qc`.
-    #[default]
-    Standard,
     /// [`WINOGRAD_LOWMEM_SCHEDULE`]: three temporaries, inputs
-    /// preserved, per-level extra footprint `qa + qb + qc`.
+    /// preserved, per-level extra footprint `qa + qb + qc`. The starting
+    /// tier of every plan.
+    #[default]
     LowMem,
     /// [`WINOGRAD_INPLACE_SCHEDULE`]: one temporary, inputs overwritten
     /// but restored, per-level extra footprint `qc`.
@@ -445,7 +318,15 @@ pub enum Schedule {
 impl Schedule {
     /// Every tier, ordered from most to least extra memory (ladder
     /// order).
-    pub const ALL: [Schedule; 3] = [Schedule::Standard, Schedule::LowMem, Schedule::InPlace];
+    pub const ALL: [Schedule; 2] = [Schedule::LowMem, Schedule::InPlace];
+
+    /// The step sequence this tier interprets at each staged level.
+    pub fn steps(self) -> &'static [Step] {
+        match self {
+            Schedule::LowMem => &WINOGRAD_LOWMEM_SCHEDULE,
+            Schedule::InPlace => &WINOGRAD_INPLACE_SCHEDULE,
+        }
+    }
 
     /// Whether this tier's schedule writes (and then restores) the A/B
     /// input quadrants — i.e. the executor needs mutable operand views.
@@ -457,16 +338,14 @@ impl Schedule {
     /// temporaries occupy, given the level's A/B/C quadrant lengths.
     pub fn level_temp_elems(self, qa: usize, qb: usize, qc: usize) -> usize {
         match self {
-            Schedule::Standard => qa + qb + 2 * qc, // TS + TT + TP + TQ
-            Schedule::LowMem => qa + qb + qc,       // TS + TT + TP
-            Schedule::InPlace => qc,                // TP only
+            Schedule::LowMem => qa + qb + qc, // TS + TT + TP
+            Schedule::InPlace => qc,          // TP only
         }
     }
 
     /// Canonical lower-case name (tune-profile and config vocabulary).
     pub fn name(self) -> &'static str {
         match self {
-            Schedule::Standard => "standard",
             Schedule::LowMem => "low-mem",
             Schedule::InPlace => "in-place",
         }
@@ -484,26 +363,10 @@ impl std::str::FromStr for Schedule {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "standard" => Ok(Schedule::Standard),
             "low-mem" | "lowmem" => Ok(Schedule::LowMem),
             "in-place" | "inplace" => Ok(Schedule::InPlace),
-            other => {
-                Err(format!("unknown schedule {other:?} (expected standard, low-mem, or in-place)"))
-            }
+            other => Err(format!("unknown schedule {other:?} (expected low-mem or in-place)")),
         }
-    }
-}
-
-/// The step sequence for a `(variant, schedule)` pair. Only the Winograd
-/// recurrences have low-memory linearizations; [`Variant::Strassen`] is
-/// an ablation-only variant and normalizes every tier to its single
-/// schedule (the planner never degrades its tier).
-pub fn steps_for(variant: Variant, schedule: Schedule) -> &'static [Step] {
-    match (variant, schedule) {
-        (Variant::Strassen, _) => &STRASSEN_SCHEDULE,
-        (Variant::Winograd, Schedule::Standard) => &WINOGRAD_SCHEDULE,
-        (Variant::Winograd, Schedule::LowMem) => &WINOGRAD_LOWMEM_SCHEDULE,
-        (Variant::Winograd, Schedule::InPlace) => &WINOGRAD_INPLACE_SCHEDULE,
     }
 }
 
@@ -548,14 +411,9 @@ mod tests {
     use modgemm_mat::naive::naive_product;
     use modgemm_mat::Matrix;
 
-    /// Every implemented `(variant, schedule)` pair with its steps.
-    fn all_pairs() -> [(Variant, Schedule, &'static [Step]); 4] {
-        [
-            (Variant::Winograd, Schedule::Standard, &WINOGRAD_SCHEDULE),
-            (Variant::Winograd, Schedule::LowMem, &WINOGRAD_LOWMEM_SCHEDULE),
-            (Variant::Winograd, Schedule::InPlace, &WINOGRAD_INPLACE_SCHEDULE),
-            (Variant::Strassen, Schedule::Standard, &STRASSEN_SCHEDULE),
-        ]
+    /// Every schedule tier with its steps.
+    fn all_pairs() -> [(Schedule, &'static [Step]); 2] {
+        Schedule::ALL.map(|s| (s, s.steps()))
     }
 
     fn a_slot_index(slot: ASlot) -> usize {
@@ -582,7 +440,7 @@ mod tests {
             Matrix::from_fn(r, c, |ii, jj| x.get(i + ii, j + jj))
         };
         // Writable slot tables: [A11, A12, A21, A22, TS] / [B11, B12,
-        // B21, B22, TT] / [C11, C12, C21, C22, TP, TQ].
+        // B21, B22, TT] / [C11, C12, C21, C22, TP].
         let mut asl = [
             sub(a, 0, 0, m2, k2),
             sub(a, 0, k2, m2, k2),
@@ -599,7 +457,7 @@ mod tests {
             Matrix::zeros(k2, n2),
         ];
         let originals_b = bsl[..4].to_vec();
-        let mut cs: Vec<Matrix<i64>> = (0..6).map(|_| Matrix::zeros(m2, n2)).collect();
+        let mut cs: Vec<Matrix<i64>> = (0..5).map(|_| Matrix::zeros(m2, n2)).collect();
 
         let combine = |l: &Matrix<i64>, r: &Matrix<i64>, kind: AddKind| {
             Matrix::from_fn(l.rows(), l.cols(), |i, j| match kind {
@@ -650,19 +508,12 @@ mod tests {
 
     #[test]
     fn winograd_schedule_computes_exact_product() {
+        // The starting tier, on square, rectangular and minimal shapes.
+        let steps = Schedule::default().steps();
         for (m, k, n, seed) in [(4, 4, 4, 1), (8, 6, 10, 2), (2, 2, 2, 3), (6, 12, 4, 4)] {
             let a: Matrix<i64> = random_matrix(m, k, seed);
             let b: Matrix<i64> = random_matrix(k, n, seed + 100);
-            assert_eq!(interpret(&WINOGRAD_SCHEDULE, &a, &b), naive_product(&a, &b), "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn strassen_schedule_computes_exact_product() {
-        for (m, k, n, seed) in [(4, 4, 4, 1), (8, 6, 10, 2), (2, 2, 2, 3), (6, 12, 4, 4)] {
-            let a: Matrix<i64> = random_matrix(m, k, seed);
-            let b: Matrix<i64> = random_matrix(k, n, seed + 100);
-            assert_eq!(interpret(&STRASSEN_SCHEDULE, &a, &b), naive_product(&a, &b), "{m}x{k}x{n}");
+            assert_eq!(interpret(steps, &a, &b), naive_product(&a, &b), "{m}x{k}x{n}");
         }
     }
 
@@ -682,41 +533,17 @@ mod tests {
 
     #[test]
     fn op_counts_match_the_literature() {
-        let w = count_ops(&WINOGRAD_SCHEDULE);
-        assert_eq!(w.muls, 7, "Winograd uses exactly 7 multiplications");
-        assert_eq!(w.adds(), 15, "Winograd uses exactly 15 additions");
-        assert_eq!((w.adds_a, w.adds_b, w.adds_c), (4, 4, 7));
-
-        let s = count_ops(&STRASSEN_SCHEDULE);
-        assert_eq!(s.muls, 7, "Strassen uses exactly 7 multiplications");
-        assert_eq!(s.adds(), 18, "original Strassen uses 18 additions");
-        assert_eq!((s.adds_a, s.adds_b, s.adds_c), (5, 5, 8));
-
-        // The low-memory tier costs no extra arithmetic; the in-place
-        // tier pays 9 extra additions for the restores (Boyer et al.).
-        let lm = count_ops(&WINOGRAD_LOWMEM_SCHEDULE);
+        // The low-memory tier is Winograd's 7 multiplies and 15 additions;
+        // the in-place tier pays 9 extra additions for the restores
+        // (Boyer et al.).
+        let lm = count_ops(Schedule::LowMem.steps());
         assert_eq!((lm.muls, lm.adds()), (7, 15));
         assert_eq!((lm.adds_a, lm.adds_b, lm.adds_c), (4, 4, 7));
-        let ip = count_ops(&WINOGRAD_INPLACE_SCHEDULE);
+        assert_eq!(Schedule::LowMem.steps().len(), 22);
+        let ip = count_ops(Schedule::InPlace.steps());
         assert_eq!((ip.muls, ip.adds()), (7, 24));
         assert_eq!((ip.adds_a, ip.adds_b, ip.adds_c), (9, 8, 7));
-    }
-
-    #[test]
-    fn variant_selects_schedule() {
-        assert_eq!(Variant::default(), Variant::Winograd);
-        assert_eq!(Variant::Winograd.schedule().len(), 22);
-        assert_eq!(Variant::Strassen.schedule().len(), 25);
-    }
-
-    #[test]
-    fn steps_for_normalizes_strassen_variant() {
-        for s in Schedule::ALL {
-            assert_eq!(steps_for(Variant::Strassen, s).len(), 25);
-        }
-        assert_eq!(steps_for(Variant::Winograd, Schedule::Standard).len(), 22);
-        assert_eq!(steps_for(Variant::Winograd, Schedule::LowMem).len(), 22);
-        assert_eq!(steps_for(Variant::Winograd, Schedule::InPlace).len(), 31);
+        assert_eq!(Schedule::InPlace.steps().len(), 31);
     }
 
     #[test]
@@ -726,47 +553,35 @@ mod tests {
             assert_eq!(format!("{s}").parse::<Schedule>(), Ok(s));
         }
         assert!("bogus".parse::<Schedule>().is_err());
-        assert_eq!(Schedule::default(), Schedule::Standard);
+        assert!("standard".parse::<Schedule>().is_err(), "the four-temporary tier is gone");
+        assert_eq!(Schedule::default(), Schedule::LowMem);
     }
 
     #[test]
     fn temp_footprints_strictly_decrease_down_the_ladder() {
         // qa/qb/qc deliberately distinct so a transposed term would fail.
         let (qa, qb, qc) = (6, 10, 15);
-        assert_eq!(Schedule::Standard.level_temp_elems(qa, qb, qc), qa + qb + 2 * qc);
         assert_eq!(Schedule::LowMem.level_temp_elems(qa, qb, qc), qa + qb + qc);
         assert_eq!(Schedule::InPlace.level_temp_elems(qa, qb, qc), qc);
-        assert!(!Schedule::Standard.overwrites_inputs());
         assert!(!Schedule::LowMem.overwrites_inputs());
         assert!(Schedule::InPlace.overwrites_inputs());
     }
 
     #[test]
     fn non_overwriting_schedules_only_write_temporaries() {
-        // Standard and low-mem tiers must never touch an input quadrant
-        // (shared-reference executors rely on this); low-mem must also
-        // never reference TQ (its footprint claims only three temps),
-        // and in-place must never reference TS/TT/TQ (only TP).
-        for (v, s, steps) in all_pairs() {
+        // The low-mem tier must never touch an input quadrant
+        // (shared-reference executors rely on this), and in-place must
+        // never reference TS/TT (only TP).
+        for (s, steps) in all_pairs() {
             for &step in steps {
                 match step {
                     Step::AddA { dst, .. } if !s.overwrites_inputs() => {
-                        assert_eq!(dst, ASlot::TS, "{v:?}/{s:?} writes an A quadrant");
+                        assert_eq!(dst, ASlot::TS, "{s:?} writes an A quadrant");
                     }
                     Step::AddB { dst, .. } if !s.overwrites_inputs() => {
-                        assert_eq!(dst, BSlot::TT, "{v:?}/{s:?} writes a B quadrant");
+                        assert_eq!(dst, BSlot::TT, "{s:?} writes a B quadrant");
                     }
                     _ => {}
-                }
-                if s == Schedule::LowMem {
-                    if let Step::AddC { dst, lhs, rhs, .. } = step {
-                        for c in [dst, lhs, rhs] {
-                            assert_ne!(c, CSlot::TQ, "low-mem references TQ");
-                        }
-                    }
-                    if let Step::Mul { dst, .. } = step {
-                        assert_ne!(dst, CSlot::TQ, "low-mem references TQ");
-                    }
                 }
                 if s == Schedule::InPlace {
                     if let Step::AddA { dst, lhs, rhs, .. } = step {
@@ -779,15 +594,9 @@ mod tests {
                             assert_ne!(b, BSlot::TT, "in-place references TT");
                         }
                     }
-                    if let Step::Mul { a, b, dst } = step {
+                    if let Step::Mul { a, b, .. } = step {
                         assert_ne!(a, ASlot::TS, "in-place references TS");
                         assert_ne!(b, BSlot::TT, "in-place references TT");
-                        assert_ne!(dst, CSlot::TQ, "in-place references TQ");
-                    }
-                    if let Step::AddC { dst, lhs, rhs, .. } = step {
-                        for c in [dst, lhs, rhs] {
-                            assert_ne!(c, CSlot::TQ, "in-place references TQ");
-                        }
                     }
                 }
             }
@@ -818,7 +627,7 @@ mod tests {
     #[test]
     fn every_c_quadrant_is_written() {
         use std::collections::HashSet;
-        for (v, sched, steps) in all_pairs() {
+        for (sched, steps) in all_pairs() {
             let mut written: HashSet<usize> = HashSet::new();
             for s in steps {
                 match s {
@@ -829,7 +638,7 @@ mod tests {
                 }
             }
             for q in 0..4 {
-                assert!(written.contains(&q), "{v:?}/{sched:?}: C quadrant {q} never written");
+                assert!(written.contains(&q), "{sched:?}: C quadrant {q} never written");
             }
         }
     }
@@ -838,14 +647,14 @@ mod tests {
     fn muls_overwrite_before_c_quadrants_are_read() {
         // Every C slot must be written (by a Mul) before it is first read
         // by an AddC — the executor relies on never reading stale C.
-        for (v, sched, steps) in all_pairs() {
-            let mut written = [false; 6];
+        for (sched, steps) in all_pairs() {
+            let mut written = [false; 5];
             for &s in steps {
                 match s {
                     Step::Mul { dst, .. } => written[dst.index()] = true,
                     Step::AddC { dst, lhs, rhs, .. } => {
-                        assert!(written[lhs.index()], "{v:?}/{sched:?}: AddC reads {lhs:?}");
-                        assert!(written[rhs.index()], "{v:?}/{sched:?}: AddC reads {rhs:?}");
+                        assert!(written[lhs.index()], "{sched:?}: AddC reads {lhs:?}");
+                        assert!(written[rhs.index()], "{sched:?}: AddC reads {rhs:?}");
                         written[dst.index()] = true;
                     }
                     _ => {}
@@ -859,7 +668,7 @@ mod tests {
         // A Mul's destination is C-shaped while its operands are A- or
         // B-shaped, so aliasing is impossible by construction; this guards
         // against future schedule edits introducing illegal slot usage.
-        for (_, _, steps) in all_pairs() {
+        for (_, steps) in all_pairs() {
             for s in steps {
                 if let Step::Mul { a, b, .. } = s {
                     assert!(matches!(
@@ -879,12 +688,12 @@ mod tests {
     fn addc_never_fully_aliases() {
         // dst == lhs == rhs would be `x = x ± x`, which the executor's
         // assign forms do not support.
-        for (v, sched, steps) in all_pairs() {
+        for (sched, steps) in all_pairs() {
             for s in steps {
                 if let Step::AddC { dst, lhs, rhs, .. } = s {
                     assert!(
                         !(dst.index() == lhs.index() && dst.index() == rhs.index()),
-                        "{v:?}/{sched:?}: fully aliased AddC"
+                        "{sched:?}: fully aliased AddC"
                     );
                 }
             }

@@ -124,8 +124,7 @@ pub struct TunedChoice {
     /// frugal tier fastest when the shrunken working set stays
     /// cache-resident. Applied only while the configuration leaves
     /// [`ModgemmConfig::schedule`] at
-    /// [`crate::config::SchedulePolicy::Auto`] and the variant has the
-    /// tier (Winograd; standard applies everywhere).
+    /// [`crate::config::SchedulePolicy::Auto`].
     pub schedule: crate::schedule::Schedule,
 }
 
@@ -142,7 +141,7 @@ impl TunedChoice {
             threads: 0,
             fuse_depth: 0,
             batch_window: 0,
-            schedule: crate::schedule::Schedule::Standard,
+            schedule: crate::schedule::Schedule::LowMem,
         }
     }
 
@@ -176,10 +175,7 @@ impl TunedChoice {
         if cfg.batch_window == 0 {
             eff.batch_window = self.batch_window;
         }
-        if cfg.schedule == crate::config::SchedulePolicy::Auto
-            && (self.schedule == crate::schedule::Schedule::Standard
-                || cfg.variant == crate::schedule::Variant::Winograd)
-        {
+        if cfg.schedule == crate::config::SchedulePolicy::Auto {
             eff.schedule = crate::config::SchedulePolicy::Fixed(self.schedule);
         }
         eff
@@ -614,7 +610,7 @@ mod tests {
                         threads: 1,
                         fuse_depth: 1,
                         batch_window: 0,
-                        schedule: crate::schedule::Schedule::Standard,
+                        schedule: crate::schedule::Schedule::LowMem,
                     },
                     score: 3.5,
                 },
@@ -669,24 +665,24 @@ mod tests {
             // Entry with an inverted tile range.
             "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":64,\
              \"tile_max\":16,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"standard\",\
+             \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
              \"score\":1.0}]}"
                 .into(),
             // Unknown kernel name.
             "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
              \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"turbo\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"standard\",\
+             \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
              \"score\":1.0}]}"
                 .into(),
             // Entry missing the v2 fuse_depth field.
             "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
              \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"batch_window\":0,\"schedule\":\"standard\",\"score\":1.0}]}"
+             \"threads\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\"score\":1.0}]}"
                 .into(),
             // Entry missing the v3 batch_window field.
             "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
              \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":0,\"schedule\":\"standard\",\"score\":1.0}]}"
+             \"threads\":0,\"fuse_depth\":0,\"schedule\":\"low-mem\",\"score\":1.0}]}"
                 .into(),
             // Entry missing the v4 schedule field.
             "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
@@ -702,7 +698,7 @@ mod tests {
             // Entry recording a fuse depth beyond MAX_FUSE.
             "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
              \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":2,\"batch_window\":0,\"schedule\":\"standard\",\
+             \"threads\":0,\"fuse_depth\":2,\"batch_window\":0,\"schedule\":\"low-mem\",\
              \"score\":1.0}]}"
                 .into(),
             // Nesting far past the parser's depth cap.
@@ -712,7 +708,7 @@ mod tests {
         // negative, past 2^53) and a non-finite score.
         let entry = "{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\"tile_max\":64,\
                      \"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-                     \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"standard\",\
+                     \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
                      \"score\":1.0}";
         for (field, value) in [
             ("\"m\":8", "\"m\":64.9"),
@@ -732,6 +728,16 @@ mod tests {
         // The unedited template entry loads.
         let good = format!("{{\"schema_version\": 4, \"entries\": [{entry}]}}");
         assert!(TuningProfile::from_json_str(&good).is_ok());
+        // An entry naming the deleted four-temporary tier fails as an
+        // unknown tier; it is never mapped onto a surviving one.
+        let standard = good.replace("\"low-mem\"", "\"standard\"");
+        assert_ne!(standard, good);
+        assert_eq!(
+            TuningProfile::from_json_str(&standard),
+            Err(GemmError::InvalidConfig {
+                reason: "tuning profile entry names an unknown schedule tier"
+            })
+        );
         // Truncate the valid serialization at many byte offsets: every
         // prefix must fail typed (or parse, only for the degenerate
         // full-length case, which the loop excludes).
@@ -834,12 +840,6 @@ mod tests {
             crate::config::SchedulePolicy::Fixed(crate::schedule::Schedule::LowMem),
             "Auto schedule consults the profile"
         );
-        // A recorded frugal tier never reaches the Strassen variant
-        // (which has only the standard linearization).
-        let strassen =
-            ModgemmConfig { variant: crate::schedule::Variant::Strassen, ..Default::default() };
-        let eff = choice.apply_to(&strassen, 256, 256, 256);
-        assert_eq!(eff.schedule, crate::config::SchedulePolicy::Auto);
         assert!(eff.validate().is_ok(), "profile application must never create an invalid config");
 
         // An explicitly pinned Blocked kernel (the paper's) wins.
@@ -852,7 +852,7 @@ mod tests {
             strassen_min: 7,
             parallel_depth: 1,
             threads: 2,
-            leaf_kernel: KernelKind::Micro,
+            leaf_kernel: KernelKind::Naive,
             fuse_depth: FuseDepth::Fixed(0),
             batch_window: 3,
             ..Default::default()
@@ -862,7 +862,7 @@ mod tests {
         assert_eq!(eff.strassen_min, 7);
         assert_eq!(eff.parallel_depth, 1);
         assert_eq!(eff.threads, 2);
-        assert_eq!(eff.leaf_kernel, KernelKind::Micro);
+        assert_eq!(eff.leaf_kernel, KernelKind::Naive);
         assert_eq!(eff.fuse_depth, FuseDepth::Fixed(0), "explicit fuse_depth wins");
         assert_eq!(eff.batch_window, 3, "explicit batch_window wins");
         let pinned_sched = ModgemmConfig {

@@ -18,7 +18,7 @@ fn temp_dir() -> std::path::PathBuf {
     dir
 }
 
-/// A minimal valid profile naming an unmistakable choice: Micro kernel,
+/// A minimal valid profile naming an unmistakable choice: Naive kernel,
 /// strassen_min 48 — values no static heuristic would pick.
 fn marker_profile_json() -> String {
     r#"{
@@ -28,9 +28,9 @@ fn marker_profile_json() -> String {
   "objective": "min-time",
   "entries": [
     {"m": 96, "k": 96, "n": 96, "tile_min": 16, "tile_max": 64,
-     "strassen_min": 48, "kernel": "micro", "parallel_depth": 0,
+     "strassen_min": 48, "kernel": "naive", "parallel_depth": 0,
      "threads": 0, "fuse_depth": 0, "batch_window": 0,
-     "schedule": "standard", "score": 1.0}
+     "schedule": "low-mem", "score": 1.0}
   ]
 }"#
     .to_string()
@@ -76,7 +76,7 @@ fn corrupt_profile_files_fail_typed_and_the_global_snapshot_is_sticky() {
     let loaded = tune::global_profile().expect("valid env-pointed profile must load");
     let profile = loaded.expect("an existing file is Some");
     assert_eq!(profile.entries.len(), 1);
-    assert_eq!(profile.entries[0].choice.kernel, KernelKind::Micro);
+    assert_eq!(profile.entries[0].choice.kernel, KernelKind::Naive);
 
     let (m, k, n) = (96usize, 96usize, 96usize);
     let tuned_cfg = ModgemmConfig {

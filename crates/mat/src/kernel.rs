@@ -8,17 +8,12 @@
 //! executor, the parallel executor, and the four baseline codes, so every
 //! executor multiplies leaves through the same interface.
 //!
-//! Four kernel objects are provided:
+//! Three kernel objects are provided:
 //!
 //! * [`Naive`] — the textbook triple loop ([`naive_gemm`]). The oracle;
 //!   useful to isolate kernel effects from schedule effects.
 //! * [`Blocked`] — the cache-blocked, register-tiled kernel
 //!   ([`blocked_mul_add`]). The default, matching the paper's setup.
-//! * [`Micro`] — an unrolled column-major axpy kernel: for each column of
-//!   `C` it streams columns of `A` scaled by one element of `B`, with the
-//!   row loop unrolled by four. No cache blocking at all — it isolates
-//!   what register-level unrolling alone buys, the counterpoint to
-//!   [`Blocked`]'s `MC/KC/NC` loop nest.
 //! * [`Packed`] — the Goto/BLIS-style packed kernel ([`crate::pack`]):
 //!   copies A and B into MR/NR panel buffers, then drives one runtime-
 //!   dispatched register-tile microkernel body ([`crate::simd`]) over
@@ -98,54 +93,6 @@ impl<S: Scalar> LeafKernel<S> for Blocked {
     }
 }
 
-/// An unrolled column-major axpy kernel: `C[:, j] += A[:, p] · B[p, j]`
-/// with the row loop unrolled by four. Deliberately has **no** cache
-/// blocking — it streams whole columns — so comparing it against
-/// [`Blocked`] separates register-tiling gains from cache-blocking gains.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct Micro;
-
-impl<S: Scalar> LeafKernel<S> for Micro {
-    #[track_caller]
-    fn mul_add(&self, a: MatRef<'_, S>, b: MatRef<'_, S>, mut c: MatMut<'_, S>) {
-        let (m, k) = a.dims();
-        let (kb, n) = b.dims();
-        assert_eq!(k, kb, "inner dimension mismatch");
-        assert_eq!(c.dims(), (m, n), "output dimension mismatch");
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        let (lda, ldb, ldc) = (a.ld(), b.ld(), c.ld());
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        for j in 0..n {
-            // SAFETY: all offsets stay within the validated windows of
-            // a (m×k, stride lda), b (k×n, stride ldb), c (m×n, stride
-            // ldc); the dimension asserts above establish the bounds.
-            unsafe {
-                let cj = cp.add(j * ldc);
-                for p in 0..k {
-                    let bpj = *bp.add(p + j * ldb);
-                    let acol = ap.add(p * lda);
-                    let mut i = 0;
-                    while i + 4 <= m {
-                        *cj.add(i) += *acol.add(i) * bpj;
-                        *cj.add(i + 1) += *acol.add(i + 1) * bpj;
-                        *cj.add(i + 2) += *acol.add(i + 2) * bpj;
-                        *cj.add(i + 3) += *acol.add(i + 3) * bpj;
-                        i += 4;
-                    }
-                    while i < m {
-                        *cj.add(i) += *acol.add(i) * bpj;
-                        i += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The Goto/BLIS-style packed kernel: operands are copied into MR/NR
 /// panel buffers ([`crate::pack`]) and multiplied by a register-tile
 /// microkernel, vectorized when the host supports it ([`crate::simd`]).
@@ -177,7 +124,7 @@ impl<S: Scalar> LeafKernel<S> for Packed {
 }
 
 /// Plan-time kernel selector: a plain enum (so configurations stay `Copy`
-/// and comparable) that dispatches to the four kernel objects.
+/// and comparable) that dispatches to the three kernel objects.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// The triple-loop reference kernel ([`Naive`]).
@@ -187,8 +134,6 @@ pub enum KernelKind {
     /// library's default configuration selects [`KernelKind::Auto`]).
     #[default]
     Blocked,
-    /// The unrolled column-major axpy kernel ([`Micro`]).
-    Micro,
     /// The packed-panel SIMD kernel ([`Packed`]).
     Packed,
     /// Resolve to [`KernelKind::Packed`] or [`KernelKind::Blocked`] at
@@ -199,13 +144,8 @@ pub enum KernelKind {
 
 impl KernelKind {
     /// Every selectable kind, in declaration order (handy for sweeps).
-    pub const ALL: [KernelKind; 5] = [
-        KernelKind::Naive,
-        KernelKind::Blocked,
-        KernelKind::Micro,
-        KernelKind::Packed,
-        KernelKind::Auto,
-    ];
+    pub const ALL: [KernelKind; 4] =
+        [KernelKind::Naive, KernelKind::Blocked, KernelKind::Packed, KernelKind::Auto];
 
     /// Resolves [`KernelKind::Auto`] for an `m × k × n` leaf multiply;
     /// every concrete kind passes through unchanged. `Auto` picks
@@ -288,7 +228,6 @@ impl fmt::Display for KernelKind {
         f.write_str(match self {
             KernelKind::Naive => "naive",
             KernelKind::Blocked => "blocked",
-            KernelKind::Micro => "micro",
             KernelKind::Packed => "packed",
             KernelKind::Auto => "auto",
         })
@@ -303,7 +242,7 @@ pub struct ParseKernelKindError {
 
 impl fmt::Display for ParseKernelKindError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown kernel {:?} (expected naive|blocked|micro|packed|auto)", self.got)
+        write!(f, "unknown kernel {:?} (expected naive|blocked|packed|auto)", self.got)
     }
 }
 
@@ -327,7 +266,6 @@ impl<S: Scalar> LeafKernel<S> for KernelKind {
         match self {
             KernelKind::Naive => Naive.mul_add(a, b, c),
             KernelKind::Blocked => Blocked.mul_add(a, b, c),
-            KernelKind::Micro => Micro.mul_add(a, b, c),
             KernelKind::Packed => Packed.mul_add(a, b, c),
             KernelKind::Auto => {
                 let (m, k) = a.dims();
@@ -356,7 +294,7 @@ mod tests {
     use crate::norms::assert_matrix_eq;
     use crate::Matrix;
 
-    const KINDS: [KernelKind; 5] = KernelKind::ALL;
+    const KINDS: [KernelKind; 4] = KernelKind::ALL;
 
     #[test]
     fn all_kernels_are_exact_on_integers() {
@@ -476,7 +414,7 @@ mod tests {
         // Leaves below the register tile never auto-select Packed.
         assert_eq!(KernelKind::Auto.resolve(4, 64, 64), KernelKind::Blocked);
         // Concrete kinds pass through and only Packed needs workspace.
-        for kind in [KernelKind::Naive, KernelKind::Blocked, KernelKind::Micro] {
+        for kind in [KernelKind::Naive, KernelKind::Blocked] {
             assert_eq!(kind.resolve(64, 64, 64), kind);
             assert_eq!(kind.pack_len(64, 64, 64), 0);
         }
@@ -487,16 +425,15 @@ mod tests {
     fn resolve_with_hint_only_sways_auto() {
         // Auto takes the hint…
         assert_eq!(
-            KernelKind::Auto.resolve_with_hint(Some(KernelKind::Micro), 64, 64, 64),
-            KernelKind::Micro
+            KernelKind::Auto.resolve_with_hint(Some(KernelKind::Naive), 64, 64, 64),
+            KernelKind::Naive
         );
         // …and a hinted Auto still resolves to something concrete.
         let hinted_auto = KernelKind::Auto.resolve_with_hint(Some(KernelKind::Auto), 64, 64, 64);
         assert!(matches!(hinted_auto, KernelKind::Packed | KernelKind::Blocked));
         // Concrete kinds ignore the hint entirely.
-        for kind in [KernelKind::Naive, KernelKind::Blocked, KernelKind::Micro, KernelKind::Packed]
-        {
-            assert_eq!(kind.resolve_with_hint(Some(KernelKind::Naive), 64, 64, 64), kind);
+        for kind in [KernelKind::Naive, KernelKind::Blocked, KernelKind::Packed] {
+            assert_eq!(kind.resolve_with_hint(Some(KernelKind::Blocked), 64, 64, 64), kind);
         }
         // No hint degenerates to plain resolve.
         assert_eq!(
@@ -519,10 +456,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "inner dimension")]
-    fn micro_rejects_mismatched_inner_dims() {
+    fn blocked_rejects_mismatched_inner_dims() {
         let a: Matrix<f64> = Matrix::zeros(3, 4);
         let b: Matrix<f64> = Matrix::zeros(5, 2);
         let mut c: Matrix<f64> = Matrix::zeros(3, 2);
-        Micro.mul_add(a.view(), b.view(), c.view_mut());
+        Blocked.mul_add(a.view(), b.view(), c.view_mut());
     }
 }

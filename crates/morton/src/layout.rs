@@ -22,13 +22,26 @@ pub struct MortonLayout {
     pub depth: usize,
 }
 
+/// Deepest recursion a layout may describe.
+const MAX_DEPTH: usize = 28;
+
 impl MortonLayout {
     /// Creates a layout; tiles must be non-empty.
     #[track_caller]
     pub fn new(tile_rows: usize, tile_cols: usize, depth: usize) -> Self {
         assert!(tile_rows > 0 && tile_cols > 0, "empty tile");
-        assert!(depth <= 28, "depth {depth} unreasonably large");
+        assert!(depth <= MAX_DEPTH, "depth {depth} unreasonably large");
         Self { tile_rows, tile_cols, depth }
+    }
+
+    /// [`Self::new`] returning `None` instead of panicking, and also when
+    /// the buffer length ([`Self::len`]) overflows `usize`.
+    pub fn try_new(tile_rows: usize, tile_cols: usize, depth: usize) -> Option<Self> {
+        if tile_rows == 0 || tile_cols == 0 || depth > MAX_DEPTH {
+            return None;
+        }
+        tile_rows.checked_mul(tile_cols)?.checked_mul(1usize.checked_shl(2 * depth as u32)?)?;
+        Some(Self { tile_rows, tile_cols, depth })
     }
 
     /// Total rows of the padded matrix (`tile_rows · 2^depth`).

@@ -148,11 +148,15 @@ pub struct JointTiling {
 }
 
 impl JointTiling {
-    /// Total extra elements across the padded A, B, and C.
+    /// Total extra elements across the padded A, B, and C, saturating at
+    /// `usize::MAX` for volumes no buffer could hold.
     pub fn padded_volume_overhead(&self, m: usize, k: usize, n: usize) -> usize {
-        (self.m.padded * self.k.padded - m * k)
-            + (self.k.padded * self.n.padded - k * n)
-            + (self.m.padded * self.n.padded - m * n)
+        let extra = |p: usize, q: usize, x: usize, y: usize| {
+            p.saturating_mul(q).saturating_sub(x.saturating_mul(y))
+        };
+        extra(self.m.padded, self.k.padded, m, k)
+            .saturating_add(extra(self.k.padded, self.n.padded, k, n))
+            .saturating_add(extra(self.m.padded, self.n.padded, m, n))
     }
 }
 

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use modgemm_core::{
         modgemm, modgemm_premorton, try_modgemm, BatchPlan, CollectingSink, ExecMetrics,
         GemmContext, GemmError, GemmPlan, MemoryBudget, MetricsSink, ModgemmConfig, MortonMatrix,
-        NonFinitePolicy, NoopSink, Operand, StridedBatch, Truncation, Variant, VerifyMode,
+        NonFinitePolicy, NoopSink, Operand, StridedBatch, Truncation, VerifyMode,
     };
     pub use modgemm_mat::{KernelKind, LeafKernel, MatMut, MatRef, Matrix, Op, Scalar};
     pub use modgemm_morton::{MortonLayout, TileRange};

@@ -20,7 +20,6 @@ fn prelude_covers_the_typical_call() {
 fn prelude_exposes_configuration_types() {
     let cfg = ModgemmConfig {
         truncation: Truncation::MinPadding(TileRange::new(8, 32)),
-        variant: Variant::Strassen,
         ..ModgemmConfig::paper()
     };
     assert!(cfg.plan(100, 100, 100).is_some());

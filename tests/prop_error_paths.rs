@@ -11,8 +11,8 @@
 
 use modgemm::core::blas::{try_dgemm, try_gemm, try_gemm_batch};
 use modgemm::core::{
-    try_modgemm, GemmError, MemoryBudget, ModgemmConfig, NonFinitePolicy, Operand, Truncation,
-    VerifyMode,
+    try_modgemm, GemmError, GemmPlan, MemoryBudget, ModgemmConfig, NonFinitePolicy, Operand,
+    Truncation, VerifyMode,
 };
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::naive::naive_gemm;
@@ -297,4 +297,23 @@ proptest! {
         )
         .is_ok());
     }
+}
+
+/// Shapes whose Morton layouts overflow the address arithmetic fail at
+/// plan construction with a typed allocation error, never a panic: a
+/// joint tiling too deep for a layout, and a fixed tile whose element
+/// count wraps `usize`.
+#[test]
+fn layout_overflow_fails_typed() {
+    let huge = 1usize << 40;
+    let plan = GemmPlan::<f64>::try_new(huge, huge, huge, &ModgemmConfig::default());
+    assert!(matches!(plan, Err(GemmError::Allocation { .. })), "{plan:?}");
+
+    let a: Matrix<f64> = random_matrix(10, 10, 1);
+    let b: Matrix<f64> = random_matrix(10, 10, 2);
+    let mut c: Matrix<f64> = Matrix::zeros(10, 10);
+    let cfg = ModgemmConfig { truncation: Truncation::Fixed(1 << 32), ..ModgemmConfig::default() };
+    let got =
+        try_modgemm(1.0, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0.0, c.view_mut(), &cfg);
+    assert!(matches!(got, Err(GemmError::Allocation { .. })), "{got:?}");
 }

@@ -4,7 +4,7 @@
 //! planned `modgemm` interface only ever uses planner-chosen shapes;
 //! these reach the rest of the space).
 
-use modgemm::core::{modgemm_premorton, ModgemmConfig, MortonMatrix, Variant};
+use modgemm::core::{modgemm_premorton, ModgemmConfig, MortonMatrix};
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::naive::naive_product;
 use modgemm::mat::{Matrix, Op};
@@ -40,7 +40,6 @@ proptest! {
         pad_k in 0usize..3,
         pad_n in 0usize..3,
         strassen_min in prop_oneof![Just(0usize), Just(8), Just(usize::MAX)],
-        winograd in any::<bool>(),
         seed in 0u64..1000,
     ) {
         // Logical sizes at most the padded sizes, shrunk a little to
@@ -53,11 +52,7 @@ proptest! {
         let a: Matrix<i64> = random_matrix(m, k, seed);
         let b: Matrix<i64> = random_matrix(k, n, seed + 1);
         // The paper configuration: Blocked leaves, fully staged.
-        let cfg = ModgemmConfig {
-            strassen_min,
-            variant: if winograd { Variant::Winograd } else { Variant::Strassen },
-            ..ModgemmConfig::paper()
-        };
+        let cfg = ModgemmConfig { strassen_min, ..ModgemmConfig::paper() };
         let got = run_exec(&a, &b, tm, tk, tn, depth, &cfg);
         prop_assert_eq!(got, naive_product(&a, &b));
     }

@@ -1,14 +1,13 @@
-//! Property tests for the Boyer et al. schedule tiers (standard /
-//! low-mem / in-place): the tier changes *where temporaries live*, never
-//! *what is computed*. On integer scalars every tier must be
-//! **bit-identical** to the standard schedule — the low-mem
-//! linearization reorders nothing arithmetic, and the in-place
-//! schedule's operand-restoring add chains are exact on `i64` (adds and
-//! subtracts cancel exactly; only floats see rounding perturbation).
+//! Property tests for the Boyer et al. schedule tiers (low-mem /
+//! in-place): the tier changes *where temporaries live*, never *what is
+//! computed*. On integer scalars every tier must be **bit-identical** to
+//! the naive product — the in-place schedule's operand-restoring add
+//! chains are exact on `i64` (adds and subtracts cancel exactly; only
+//! floats see rounding perturbation).
 //!
-//! Covered here, per the PR checklist:
+//! Covered here:
 //! * every tier × every leaf kernel × fuse depths × thread counts
-//!   {1, 2, 7} × ragged shapes, bit-identical to standard on `i64`;
+//!   {1, 2, 7} × ragged shapes, bit-identical to `naive_gemm` on `i64`;
 //! * warm-context re-execution stays allocation-free on every tier, and
 //!   the measured peak workspace equals the planned arena exactly (the
 //!   closed-form `counts` model);
@@ -21,6 +20,7 @@ use modgemm::core::{
     SchedulePolicy, Truncation,
 };
 use modgemm::mat::gen::random_matrix;
+use modgemm::mat::naive::naive_product;
 use modgemm::mat::{KernelKind, Matrix, Op};
 use modgemm::morton::TileRange;
 use proptest::prelude::*;
@@ -65,10 +65,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Every schedule tier, pinned through the public config, is
-    /// bit-identical to the standard schedule on `i64` across ragged
-    /// shapes, leaf kernels, fuse depths, and thread counts — and every
-    /// warm re-execution is allocation-free with a measured peak
-    /// workspace exactly equal to the planned arena.
+    /// bit-identical to `naive_gemm` on `i64` across ragged shapes, leaf
+    /// kernels, fuse depths, and thread counts — and every warm
+    /// re-execution is allocation-free with a measured peak workspace
+    /// exactly equal to the planned arena.
     #[test]
     fn every_tier_is_bitwise_standard_on_i64(
         m in 1usize..72,
@@ -91,14 +91,16 @@ proptest! {
             ..ModgemmConfig::paper()
         };
 
-        let (c_std, _, _) = run_planned(&base, m, k, n, &a, &b).unwrap();
+        let expect = naive_product(&a, &b);
+        let (c_auto, _, _) = run_planned(&base, m, k, n, &a, &b).unwrap();
+        prop_assert_eq!(&c_auto, &expect, "the Auto tier must be exact");
 
         for sched in Schedule::ALL {
             let cfg = ModgemmConfig { schedule: SchedulePolicy::Fixed(sched), ..base };
             let (c, plan, sink) = run_planned(&cfg, m, k, n, &a, &b).unwrap();
             prop_assert_eq!(
-                &c, &c_std,
-                "tier {:?} kernel {:?} fuse {} par_depth {} threads {} must be bitwise standard",
+                &c, &expect,
+                "tier {:?} kernel {:?} fuse {} par_depth {} threads {} must be bitwise naive",
                 sched, base.leaf_kernel, fuse, par_depth, THREADS[threads_ix]
             );
             prop_assert_eq!(
@@ -126,7 +128,7 @@ proptest! {
     }
 
     /// The one-shot `try_modgemm` pipeline (a throwaway plan per call)
-    /// runs every pinned tier; each must match the standard product
+    /// runs every pinned tier; each must match the naive product
     /// exactly.
     #[test]
     fn shared_reference_pipeline_runs_the_borrowable_tiers(
@@ -141,23 +143,20 @@ proptest! {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
             ..ModgemmConfig::paper()
         };
-        let mut c_std: Matrix<i64> = Matrix::zeros(m, n);
+        let expect = naive_product(&a, &b);
+        let mut c_auto: Matrix<i64> = Matrix::zeros(m, n);
         modgemm::core::try_modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-            c_std.view_mut(), &base).unwrap();
-        for sched in [Schedule::Standard, Schedule::LowMem] {
+            c_auto.view_mut(), &base).unwrap();
+        prop_assert_eq!(&c_auto, &expect, "the Auto tier must be exact");
+        // The plan owns its packed operands, so a pinned in-place tier
+        // runs as pinned and still computes the exact product.
+        for sched in Schedule::ALL {
             let cfg = ModgemmConfig { schedule: SchedulePolicy::Fixed(sched), ..base };
             let mut c: Matrix<i64> = Matrix::zeros(m, n);
             modgemm::core::try_modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
                 c.view_mut(), &cfg).unwrap();
-            prop_assert_eq!(&c, &c_std, "one-shot tier {:?} must be bitwise standard", sched);
+            prop_assert_eq!(&c, &expect, "one-shot tier {:?} must be bitwise naive", sched);
         }
-        // The plan owns its packed operands, so a pinned in-place tier
-        // runs as pinned and still computes the exact product.
-        let cfg = ModgemmConfig { schedule: SchedulePolicy::Fixed(Schedule::InPlace), ..base };
-        let mut c: Matrix<i64> = Matrix::zeros(m, n);
-        modgemm::core::try_modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-            c.view_mut(), &cfg).unwrap();
-        prop_assert_eq!(&c, &c_std, "clamped in-place pin must still be exact");
     }
 }
 
@@ -218,18 +217,25 @@ proptest! {
 }
 
 /// One deterministic anchor so a broken harness assumption fails loudly:
-/// the three tiers pin distinct arena sizes for the same plan, ordered
-/// standard > low-mem > in-place.
+/// the two tiers pin distinct arena sizes for the same plan, ordered
+/// low-mem > in-place, and an unbudgeted `Auto` plan starts at low-mem.
 #[test]
 fn tiers_order_the_planned_arena() {
-    let mk = |sched| {
-        let cfg = ModgemmConfig {
-            truncation: Truncation::Fixed(16),
-            schedule: SchedulePolicy::Fixed(sched),
-            ..ModgemmConfig::paper()
-        };
-        GemmPlan::<i64>::try_new(256, 256, 256, &cfg).unwrap().arena_len()
+    let mk = |schedule| {
+        let cfg =
+            ModgemmConfig { truncation: Truncation::Fixed(16), schedule, ..ModgemmConfig::paper() };
+        let plan = GemmPlan::<i64>::try_new(256, 256, 256, &cfg).unwrap();
+        (plan.schedule(), plan.arena_len())
     };
-    let (std_len, lm, ip) = (mk(Schedule::Standard), mk(Schedule::LowMem), mk(Schedule::InPlace));
-    assert!(std_len > lm && lm > ip, "arena must shrink per tier: {std_len} > {lm} > {ip}");
+    let (lm, ip) = (Schedule::LowMem, Schedule::InPlace);
+    let (auto, lm_len, ip_len) = (
+        mk(SchedulePolicy::Auto),
+        mk(SchedulePolicy::Fixed(lm)).1,
+        mk(SchedulePolicy::Fixed(ip)).1,
+    );
+    assert_eq!(auto, (lm, lm_len), "Auto starts the ladder at low-mem");
+    assert!(lm_len > ip_len, "arena must shrink per tier: {lm_len} > {ip_len}");
+    // Square operands and the Blocked kernel (no packing tail): low-mem
+    // holds qa + qb + qc = 3q per staged level, in-place q.
+    assert_eq!(lm_len, 3 * ip_len);
 }

@@ -47,7 +47,7 @@ fn decode_mode(
             batch_window: selector % 4,
             // The schedule-tier axis rides the same draw: every tier is
             // bit-identical on integers, so a tuned pin must be too.
-            schedule: modgemm::core::Schedule::ALL[selector % 3],
+            schedule: modgemm::core::Schedule::ALL[selector % modgemm::core::Schedule::ALL.len()],
         }),
     }
 }
@@ -134,15 +134,13 @@ proptest! {
         m in 8usize..40,
         k in 8usize..40,
         n in 8usize..40,
-        kernel_sel in 0usize..4,
-        forced_kernel_sel in 0usize..4,
+        kernel_sel in 0usize..3,
+        forced_kernel_sel in 0usize..3,
         seed in 0u64..1000,
     ) {
         // Concrete kinds only (Auto is the delegating posture).
-        let pinned = [KernelKind::Naive, KernelKind::Blocked, KernelKind::Micro,
-                      KernelKind::Packed][kernel_sel];
-        let forced = [KernelKind::Naive, KernelKind::Blocked, KernelKind::Micro,
-                      KernelKind::Packed][forced_kernel_sel];
+        let pinned = [KernelKind::Naive, KernelKind::Blocked, KernelKind::Packed][kernel_sel];
+        let forced = [KernelKind::Naive, KernelKind::Blocked, KernelKind::Packed][forced_kernel_sel];
         let choice = TunedChoice {
             kernel: forced,
             strassen_min: 64,
