@@ -10,15 +10,20 @@
 //! bench_runner gate-batch REPORT [--threshold 0.05]
 //! bench_runner gate-schedule REPORT [--threshold 0.05]
 //! bench_runner gate-default REPORT [--threshold 0.05]
+//! bench_runner gate-team REPORT [--threshold 0.05]
 //! ```
 //!
 //! The declared suite covers the paper's axes: GEMM at 256 (power of
 //! two), 513 and 1025 (worst-case padding, 33-wide leaves) under the
-//! default configuration, plus `modgemm_513_paper` and
-//! `modgemm_1025_paper` under [`ModgemmConfig::paper`] (the staged
-//! `Blocked` pipeline), which the `gate-default` subcommand turns into
-//! CI's assertion that the default never falls back below the paper's
-//! kernel on min-time GFLOP/s, a truncation sweep
+//! default configuration, plus `modgemm_{513,1025}_serial` (the default
+//! on one thread) and `modgemm_513_paper` and `modgemm_1025_paper` under
+//! [`ModgemmConfig::paper`] (the staged `Blocked` pipeline, also one
+//! thread). The `gate-default` subcommand turns the `_serial`/`_paper`
+//! pairs into CI's assertion that the default never falls back below the
+//! paper's kernel on min-time GFLOP/s, and `gate-team` turns the
+//! default/`_serial` pairs into the assertion that running the default
+//! as a team of the resolved workers never loses to one thread (a
+//! tautology on a one-core runner, like `gate-batch`). A truncation sweep
 //! (`strassen_min` 16/64), conversion cost (Morton pack/unpack fraction),
 //! parallel speedup (`parallel_depth 2`), plan amortization (a
 //! `GemmPlan` built once and executed 32 times per repetition, the
@@ -61,9 +66,10 @@
 //! Batch cases count the flops of every item in the timed batch.
 //! `--kernel <naive|blocked|micro|packed|auto>` forces that leaf kernel
 //! into every MODGEMM case and restricts the sweep to it — the quick way
-//! to A/B one kernel. `--threads <n>` likewise forces the pool worker
-//! count into every MODGEMM case (the `threads_*` sweep keeps its
-//! declared counts). `--tuning profile` sets `TuningMode::Profile` on
+//! to A/B one kernel. `--threads <n>` sets the worker count (the team
+//! size, or the DAG's workers where a case asks for `parallel_depth`) of
+//! every MODGEMM case that resolves it automatically; cases that pin a
+//! count — the `threads_*` sweep and the one-thread controls — keep it. `--tuning profile` sets `TuningMode::Profile` on
 //! every MODGEMM/plan-reuse case so plan selection consults the loaded
 //! tuning profile (`MODGEMM_PROFILE` / `~/.cache/modgemm/profile.json`,
 //! recorded by `modgemm-tune`); the default `Auto` leaf kernel lets the
@@ -157,14 +163,19 @@ fn suite_cases(
     tunable_only: bool,
 ) -> Vec<Case> {
     let base = ModgemmConfig::default();
+    // One worker: the controls that keep the thread axis out of a
+    // comparison (`gate-default`, `gate-fused`, `gate-schedule`).
+    let serial = ModgemmConfig { threads: 1, ..base };
     let trunc = |strassen_min| ModgemmConfig { strassen_min, ..ModgemmConfig::default() };
     let par = ModgemmConfig { parallel_depth: 2, ..ModgemmConfig::default() };
     let case = |name: &str, n, algo| Case { name: name.to_string(), n, algo };
     let mut cases = vec![
         case("modgemm_256", 256, Algo::Modgemm(base)),
         case("modgemm_513", 513, Algo::Modgemm(base)),
+        case("modgemm_513_serial", 513, Algo::Modgemm(serial)),
         case("modgemm_513_paper", 513, Algo::Modgemm(ModgemmConfig::paper())),
         case("modgemm_1025", 1025, Algo::Modgemm(base)),
+        case("modgemm_1025_serial", 1025, Algo::Modgemm(serial)),
         case("modgemm_1025_paper", 1025, Algo::Modgemm(ModgemmConfig::paper())),
         case(SCORE_REFERENCE_CASE, 256, Algo::Conventional),
         case("modgemm_256_trunc16", 256, Algo::Modgemm(trunc(16))),
@@ -188,14 +199,14 @@ fn suite_cases(
     // `Auto` fuses on a packing kernel). 513 pads to 33-wide leaves with
     // ragged edge tiles, the sizes fusion is for; at 512 every leaf is
     // whole 8×4 tiles and the two sides barely differ. Same schedule,
-    // same kernel — only the fusion axis varies, and the `gate-fused`
-    // subcommand asserts the fused case's min-time GFLOP/s does not
-    // fall below the staged case's.
+    // same kernel, one thread — only the fusion axis varies, and the
+    // `gate-fused` subcommand asserts the fused case's min-time GFLOP/s
+    // does not fall below the staged case's.
     for (suffix, fuse) in [("staged", 0usize), ("fused", modgemm_core::fuse::MAX_FUSE)] {
         let cfg = ModgemmConfig {
             leaf_kernel: KernelKind::Packed,
             fuse_depth: modgemm_core::FuseDepth::Fixed(fuse),
-            ..ModgemmConfig::default()
+            ..serial
         };
         cases.push(case(&format!("fused_vs_staged_513_{suffix}"), 513, Algo::Modgemm(cfg)));
     }
@@ -245,23 +256,29 @@ fn suite_cases(
     // in-place keeps full Strassen depth inside it; pinned low-mem
     // cannot fit at any fuse depth and must shed recursion levels. The
     // `gate-schedule` subcommand asserts the in-place side's min-time
-    // GFLOP/s is no worse — i.e. the memory tier beats depth loss.
+    // GFLOP/s is no worse — i.e. the memory tier beats depth loss. One
+    // thread, so the two budgets' team sizes cannot differ.
     let ip_full_depth = ModgemmConfig {
         leaf_kernel: KernelKind::Packed,
         fuse_depth: modgemm_core::FuseDepth::Fixed(modgemm_core::fuse::MAX_FUSE),
         schedule: modgemm_core::SchedulePolicy::Fixed(modgemm_core::Schedule::InPlace),
         ..ModgemmConfig::default()
     };
-    let ip_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(512, 512, 512, &ip_full_depth)
-        .expect("valid config")
-        .arena_len()
+    let ip_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(
+        512,
+        512,
+        512,
+        &ModgemmConfig { threads: 1, ..ip_full_depth },
+    )
+    .expect("valid config")
+    .arena_len()
         * std::mem::size_of::<f64>();
     for sched in [modgemm_core::Schedule::InPlace, modgemm_core::Schedule::LowMem] {
         let cfg = ModgemmConfig {
             leaf_kernel: KernelKind::Packed,
             memory_budget: modgemm_core::MemoryBudget::MaxWorkspaceBytes(ip_ws_bytes),
             schedule: modgemm_core::SchedulePolicy::Fixed(sched),
-            ..ModgemmConfig::default()
+            ..serial
         };
         let tag = sched.name().replace('-', "");
         cases.push(case(&format!("sched_gate_512_{tag}"), 512, Algo::Modgemm(cfg)));
@@ -279,11 +296,11 @@ fn suite_cases(
     // traffic: per-request latency distribution plus admission behaviour.
     cases.push(case("service_mixed_256_513", 513, Algo::Service { requests: 8, clients: 2 }));
     // --kernel also forces the leaf kernel into every MODGEMM case so the
-    // whole report reflects one kernel choice; --threads does the same
-    // for the pool worker count (sweep cases keep their declared counts).
+    // whole report reflects one kernel choice; --threads sets the worker
+    // count of every case that resolves it automatically (the sweep and
+    // the one-thread controls keep their declared counts).
     if kernel.is_some() || threads.is_some() {
         for c in &mut cases {
-            let sweep_case = c.name.starts_with("threads_");
             match &mut c.algo {
                 Algo::Modgemm(cfg)
                 | Algo::PlanReuse { cfg, .. }
@@ -292,11 +309,8 @@ fn suite_cases(
                     if let Some(k) = kernel {
                         cfg.leaf_kernel = k;
                     }
-                    if let (Some(t), false) = (threads, sweep_case) {
+                    if let (Some(t), 0) = (threads, cfg.threads) {
                         cfg.threads = t;
-                        if cfg.parallel_depth == 0 {
-                            cfg.parallel_depth = 2;
-                        }
                     }
                 }
                 Algo::Conventional | Algo::Service { .. } => {}
@@ -872,7 +886,7 @@ struct Gate {
     failure: &'static str,
 }
 
-const GATES: [Gate; 4] = [
+const GATES: [Gate; 5] = [
     // Operand fusion must never cost throughput versus the staged
     // schedule it replaces.
     Gate {
@@ -904,11 +918,23 @@ const GATES: [Gate; 4] = [
     },
     // The default configuration must never fall back below the paper's
     // staged Blocked pipeline, including at the padding worst cases whose
-    // 33-wide leaves end in ragged register tiles.
+    // 33-wide leaves end in ragged register tiles. Both sides run one
+    // thread, so the gate compares kernels and schedules only.
     Gate {
         cmd: "gate-default",
-        pairs: &[("modgemm_513_paper", "modgemm_513"), ("modgemm_1025_paper", "modgemm_1025")],
+        pairs: &[
+            ("modgemm_513_paper", "modgemm_513_serial"),
+            ("modgemm_1025_paper", "modgemm_1025_serial"),
+        ],
         failure: "default-config min-time GFLOP/s below the paper configuration",
+    },
+    // Running the default as a team of the resolved workers must never
+    // lose to the same plan on one thread. On a one-core runner the team
+    // is one rank and both sides run the identical serial walk.
+    Gate {
+        cmd: "gate-team",
+        pairs: &[("modgemm_513_serial", "modgemm_513"), ("modgemm_1025_serial", "modgemm_1025")],
+        failure: "team min-time GFLOP/s below the one-thread run",
     },
 ];
 
@@ -1000,7 +1026,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage: bench_runner [--quick] [--out PATH] [--kernel naive|blocked|micro|packed|auto] [--threads N] [--tuning off|profile] [--tunable-only]\n       \
          bench_runner compare OLD NEW [--threshold 0.25] [--metric gflops|score]\n       \
-         bench_runner gate-fused|gate-batch|gate-schedule|gate-default REPORT [--threshold 0.05]"
+         bench_runner gate-fused|gate-batch|gate-schedule|gate-default|gate-team REPORT [--threshold 0.05]"
     );
     ExitCode::from(2)
 }
@@ -1093,9 +1119,9 @@ mod tests {
         let verdict = |default: f64, at_1025: bool| {
             let (d513, d1025) = if at_1025 { (20.0, default) } else { (default, 20.0) };
             let r = report(&[
-                ("modgemm_513", d513),
+                ("modgemm_513_serial", d513),
                 ("modgemm_513_paper", 10.0),
-                ("modgemm_1025", d1025),
+                ("modgemm_1025_serial", d1025),
                 ("modgemm_1025_paper", 10.0),
             ]);
             let lines = check_gate(gate, &r, 0.05).unwrap();
@@ -1107,7 +1133,39 @@ mod tests {
             assert!(verdict(9.6, at_1025), "inside the 5% noise floor passes");
             assert!(!verdict(9.0, at_1025), "a default slower than the paper config fails");
         }
-        let missing = report(&[("modgemm_513", 20.0), ("modgemm_513_paper", 10.0)]);
+        let missing = report(&[("modgemm_513_serial", 20.0), ("modgemm_513_paper", 10.0)]);
         assert!(check_gate(gate, &missing, 0.05).is_err(), "a missing 1025 pair is an error");
+    }
+
+    #[test]
+    fn gate_team_compares_the_default_against_one_thread() {
+        let gate = GATES.iter().find(|g| g.cmd == "gate-team").unwrap();
+        let verdict = |team: f64| {
+            let r = report(&[
+                ("modgemm_513", team),
+                ("modgemm_513_serial", 10.0),
+                ("modgemm_1025", 20.0),
+                ("modgemm_1025_serial", 10.0),
+            ]);
+            check_gate(gate, &r, 0.05).unwrap().iter().all(|(_, ok)| *ok)
+        };
+        assert!(verdict(15.0), "a faster team passes");
+        assert!(verdict(9.6), "inside the 5% noise floor passes");
+        assert!(!verdict(9.0), "a team slower than one thread fails");
+    }
+
+    #[test]
+    fn threads_flag_sets_only_auto_resolved_cases() {
+        let cases = suite_cases(None, Some(3), false, false);
+        let threads_of = |name: &str| match &cases.iter().find(|c| c.name == name).unwrap().algo {
+            Algo::Modgemm(cfg) => (cfg.threads, cfg.parallel_depth),
+            _ => unreachable!(),
+        };
+        assert_eq!(threads_of("modgemm_513"), (3, 0), "--threads sets the team, not a DAG");
+        assert_eq!(threads_of("modgemm_513_serial"), (1, 0));
+        assert_eq!(threads_of("modgemm_513_paper"), (1, 0));
+        assert_eq!(threads_of("fused_vs_staged_513_fused").0, 1);
+        assert_eq!(threads_of("sched_gate_512_inplace").0, 1);
+        assert_eq!(threads_of("threads_8_1024"), (8, 2));
     }
 }

@@ -151,13 +151,19 @@ pub struct ModgemmConfig {
     /// Strassen at every quadrant division.
     pub strassen_min: usize,
     /// Evaluate the seven products of the top `parallel_depth` recursion
-    /// levels on separate threads (`0` = serial, the paper's setting).
+    /// levels as separate tasks of the pool's task DAG. `0` (default)
+    /// runs one interpreter on a team of [`Self::threads`] workers that
+    /// split every step by output, in the serial arena plus one small
+    /// leaf buffer per worker; `≥ 1` trades a larger slab
+    /// ([`crate::plan::parallel_slab_len`]) for coarser tasks.
     pub parallel_depth: usize,
-    /// Worker count for the work-stealing pool (calling thread included).
+    /// Worker count for the pool (calling thread included): the team
+    /// size of a single GEMM above a small-problem crossover, the DAG's
+    /// workers with `parallel_depth > 0`, and the batch DAG's workers.
     /// `0` (default) resolves via the `MODGEMM_THREADS` environment
     /// variable, falling back to `std::thread::available_parallelism`
-    /// (see [`crate::pool::resolve_threads`]). Takes effect only when
-    /// `parallel_depth > 0`; a resolved count of 1 runs serially.
+    /// (see [`crate::pool::resolve_threads`]); a resolved count of 1
+    /// runs serially. Results are bitwise the same at every count.
     pub threads: usize,
     /// Cap on the Strassen workspace; recursion depth degrades to fit.
     pub memory_budget: MemoryBudget,
@@ -238,11 +244,12 @@ impl ModgemmConfig {
     /// The configuration used for the paper's headline experiments: the
     /// default with the leaf kernel pinned to `Blocked`, so `FuseDepth::Auto`
     /// resolves to zero fused levels and every Strassen level runs the
-    /// staged schedule the paper describes. The figure drivers and the
-    /// cache-simulator mirror in `modgemm-cachesim` run it;
-    /// [`Self::default`] is the measured fast path.
+    /// staged schedule the paper describes, on one thread (the paper's
+    /// single-CPU setting). The figure drivers and the cache-simulator
+    /// mirror in `modgemm-cachesim` run it; [`Self::default`] is the
+    /// measured fast path.
     pub fn paper() -> Self {
-        Self { leaf_kernel: modgemm_mat::KernelKind::Blocked, ..Self::default() }
+        Self { leaf_kernel: modgemm_mat::KernelKind::Blocked, threads: 1, ..Self::default() }
     }
 
     /// Checks the configuration for self-contradictions. Every `try_*`
@@ -320,12 +327,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_keeps_the_paper_tiling_and_serial_execution() {
+    fn default_keeps_the_paper_tiling_and_resolves_threads() {
+        // The default runs a team of the resolved workers (no task DAG);
+        // the paper configuration pins the single-CPU setting.
         let c = ModgemmConfig::default();
         assert_eq!(c.truncation, Truncation::MinPadding(TileRange::PAPER));
         assert_eq!(c.strassen_min, 0);
         assert_eq!(c.parallel_depth, 0);
         assert_eq!(c.threads, 0); // 0 = auto (MODGEMM_THREADS / CPU count)
+        assert_eq!(ModgemmConfig::paper().threads, 1);
     }
 
     #[test]
@@ -383,7 +393,10 @@ mod tests {
     #[test]
     fn paper_policies_preserve_paper_behavior() {
         let c = ModgemmConfig::paper();
-        assert_eq!(c, ModgemmConfig { leaf_kernel: c.leaf_kernel, ..ModgemmConfig::default() });
+        assert_eq!(
+            c,
+            ModgemmConfig { leaf_kernel: c.leaf_kernel, threads: 1, ..ModgemmConfig::default() }
+        );
         assert_eq!(c.memory_budget, MemoryBudget::Unlimited);
         assert_eq!(c.non_finite, NonFinitePolicy::Propagate);
         assert_eq!(c.verify, VerifyMode::Off);

@@ -26,6 +26,7 @@ use modgemm_mat::{KernelKind, LeafKernel, Scalar};
 use modgemm_morton::MortonLayout;
 
 use crate::error::{GemmError, Operand};
+use crate::pool::Rank;
 use crate::schedule::Schedule;
 
 /// Controls where the Strassen recursion hands over to the conventional
@@ -269,6 +270,83 @@ fn tile_ref<'t, S: Scalar>(buf: &'t [S], l: &MortonLayout) -> MatRef<'t, S> {
     MatRef::from_slice(buf, l.tile_rows, l.tile_cols, l.tile_rows)
 }
 
+/// `(A quadrant, B quadrant, C quadrant)` of the eight conventional
+/// quadrant products, in the operand-reuse order of Frens & Wise
+/// (PPoPP'97): consecutive products share an `A` or a `B` operand.
+/// Quadrant indices: 0 = NW (11), 1 = NE (12), 2 = SW (21), 3 = SE (22).
+pub(crate) const CONV_STEPS: [(usize, usize, usize); 8] =
+    [(0, 0, 0), (0, 1, 1), (1, 3, 1), (1, 2, 0), (3, 2, 2), (3, 3, 3), (2, 1, 3), (2, 0, 2)];
+
+/// One team rank's part of a terminal subtree — the conventional
+/// recursion below the last staged level, fused or not
+/// ([`terminal_share`]): the C sub-quadrants `lo..hi`, numbered in Morton
+/// order `levels` levels below the conventional root (the terminal node,
+/// or each fused product's quadrant). Each rank runs its sub-quadrants'
+/// leaf products in the serial order on its own terminal tail, so a
+/// team's result is bitwise the serial one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Share {
+    levels: u32,
+    lo: usize,
+    hi: usize,
+}
+
+impl Share {
+    /// The whole terminal: the serial run's share.
+    pub(crate) const ALL: Share = Share { levels: 0, lo: 0, hi: 1 };
+    /// Nothing (a rank the split leaves idle).
+    const NONE: Share = Share { levels: 0, lo: 0, hi: 0 };
+
+    /// Whether C sub-quadrant `pos`, `depth` levels below the
+    /// conventional root, holds any of this share.
+    pub(crate) fn covers(self, depth: u32, pos: usize) -> bool {
+        if depth > self.levels {
+            return true;
+        }
+        let span = 1usize << (2 * (self.levels - depth));
+        pos * span < self.hi && self.lo < (pos + 1) * span
+    }
+}
+
+/// How a team splits the terminal subtree at `layouts`: with
+/// conventional levels below the terminal's root, by C sub-quadrant, at
+/// the fewest levels that divide among the ranks within 25 %. A terminal
+/// that is a single leaf per product runs on rank 0: splitting one leaf
+/// between cores costs more in cross-core traffic than it saves (the team
+/// pairs whole leaf products at the deepest staged level instead, see
+/// [`crate::plan`]).
+pub(crate) fn terminal_share(layouts: NodeLayouts, policy: ExecPolicy, rank: Rank<'_>) -> Share {
+    if rank.size == 1 {
+        return Share::ALL;
+    }
+    let fused = fused_levels(layouts, policy) > 0;
+    let conv_depth = layouts.a.depth - usize::from(fused);
+    if conv_depth == 0 {
+        return if rank.id == 0 { Share::ALL } else { Share::NONE };
+    }
+    let quads = |levels: usize| 1usize << (2 * levels);
+    let mut levels = 1;
+    while levels < conv_depth
+        && 4 * quads(levels).div_ceil(rank.size) * rank.size > 5 * quads(levels)
+    {
+        levels += 1;
+    }
+    let r = rank.units(quads(levels));
+    Share { levels: levels as u32, lo: r.start, hi: r.end }
+}
+
+/// Zeroes `share` of the C buffer at `c`, laid out as `l` (the
+/// conventional root's C layout).
+///
+/// # Safety
+/// `c` is valid for writes of `l.len()` elements, and no other thread
+/// accesses this share meanwhile.
+pub(crate) unsafe fn zero_share<S: Scalar>(c: *mut S, l: &MortonLayout, share: Share) {
+    let span = l.len() >> (2 * share.levels);
+    let len = (share.hi - share.lo) * span;
+    core::slice::from_raw_parts_mut(c.add(share.lo * span), len).fill(S::ZERO);
+}
+
 /// `C += A·B` by quadrant recursion over Morton buffers with an explicit
 /// leaf kernel, on a caller-provided leaf packing workspace — the form
 /// the plan interpreter calls with the arena's tail slot and its
@@ -278,8 +356,9 @@ fn tile_ref<'t, S: Scalar>(buf: &'t [S], l: &MortonLayout) -> MatRef<'t, S> {
 /// sequentially, so one slot is reused by every leaf of the subtree.
 ///
 /// The eight recursive calls follow the operand-reuse ordering of Frens &
-/// Wise (PPoPP'97): consecutive calls share either an `A` or a `B`
-/// operand, improving cache reuse of the just-touched subtree.
+/// Wise (PPoPP'97) (`CONV_STEPS`): consecutive calls share either an
+/// `A` or a `B` operand, improving cache reuse of the just-touched
+/// subtree.
 pub fn morton_mul_add_with_ws<S: Scalar>(
     a: &[S],
     b: &[S],
@@ -288,37 +367,82 @@ pub fn morton_mul_add_with_ws<S: Scalar>(
     kernel: KernelKind,
     ws: &mut [S],
 ) {
+    debug_assert_eq!(c.len(), layouts.c.len());
+    // SAFETY: `c` is an exclusive borrow of the whole C buffer.
+    unsafe { morton_mul_add_share(a, b, c.as_mut_ptr(), layouts, kernel, ws, Share::ALL, 0, 0) }
+}
+
+/// One rank's part of `C = A·B` by the conventional Morton recursion:
+/// zeroes its share of `c`, then adds its share of every leaf product in
+/// the serial order.
+///
+/// # Safety
+/// `c` is valid for writes of `layouts.c.len()` elements; no other
+/// thread accesses this rank's share of it, or writes `a`/`b`, meanwhile.
+pub(crate) unsafe fn morton_mul_share<S: Scalar>(
+    a: &[S],
+    b: &[S],
+    c: *mut S,
+    layouts: NodeLayouts,
+    kernel: KernelKind,
+    ws: &mut [S],
+    share: Share,
+) {
+    zero_share(c, &layouts.c, share);
+    if share.covers(0, 0) {
+        morton_mul_add_share(a, b, c, layouts, kernel, ws, share, 0, 0);
+    }
+}
+
+/// The recursion of [`morton_mul_add_with_ws`] over the C sub-quadrant
+/// `pos`, `depth` levels below the root, skipping what `share` excludes.
+///
+/// # Safety
+/// As [`morton_mul_share`], for the node's C buffer at `c`.
+#[allow(clippy::too_many_arguments)]
+unsafe fn morton_mul_add_share<S: Scalar>(
+    a: &[S],
+    b: &[S],
+    c: *mut S,
+    layouts: NodeLayouts,
+    kernel: KernelKind,
+    ws: &mut [S],
+    share: Share,
+    depth: u32,
+    pos: usize,
+) {
     debug_assert_eq!(a.len(), layouts.a.len());
     debug_assert_eq!(b.len(), layouts.b.len());
-    debug_assert_eq!(c.len(), layouts.c.len());
 
     if layouts.a.depth == 0 {
         let av = tile_ref(a, &layouts.a);
         let bv = tile_ref(b, &layouts.b);
-        let cv =
-            MatMut::from_slice(c, layouts.c.tile_rows, layouts.c.tile_cols, layouts.c.tile_rows);
-        kernel.mul_add_in(av, bv, cv, ws);
+        let tm = layouts.c.tile_rows;
+        // The whole tile belongs to this rank.
+        let cs = core::slice::from_raw_parts_mut(c, layouts.c.len());
+        kernel.mul_add_in(av, bv, MatMut::from_slice(cs, tm, layouts.c.tile_cols, tm), ws);
         return;
     }
 
     let ch = layouts.child();
     let (qa, qb, qc) =
         (layouts.a.quadrant_len(), layouts.b.quadrant_len(), layouts.c.quadrant_len());
-    let aq = |i: usize| &a[i * qa..(i + 1) * qa];
-    let bq = |i: usize| &b[i * qb..(i + 1) * qb];
-    let (c11, rest) = c.split_at_mut(qc);
-    let (c12, rest) = rest.split_at_mut(qc);
-    let (c21, c22) = rest.split_at_mut(qc);
-
-    // Quadrant indices: 0 = NW(11), 1 = NE(12), 2 = SW(21), 3 = SE(22).
-    morton_mul_add_with_ws(aq(0), bq(0), c11, ch, kernel, ws); // C11 += A11·B11
-    morton_mul_add_with_ws(aq(0), bq(1), c12, ch, kernel, ws); // C12 += A11·B12
-    morton_mul_add_with_ws(aq(1), bq(3), c12, ch, kernel, ws); // C12 += A12·B22
-    morton_mul_add_with_ws(aq(1), bq(2), c11, ch, kernel, ws); // C11 += A12·B21
-    morton_mul_add_with_ws(aq(3), bq(2), c21, ch, kernel, ws); // C21 += A22·B21
-    morton_mul_add_with_ws(aq(3), bq(3), c22, ch, kernel, ws); // C22 += A22·B22
-    morton_mul_add_with_ws(aq(2), bq(1), c22, ch, kernel, ws); // C22 += A21·B12
-    morton_mul_add_with_ws(aq(2), bq(0), c21, ch, kernel, ws); // C21 += A21·B11
+    for (ia, ib, ic) in CONV_STEPS {
+        let p = pos * 4 + ic;
+        if share.covers(depth + 1, p) {
+            morton_mul_add_share(
+                &a[ia * qa..(ia + 1) * qa],
+                &b[ib * qb..(ib + 1) * qb],
+                c.add(ic * qc),
+                ch,
+                kernel,
+                ws,
+                share,
+                depth + 1,
+                p,
+            );
+        }
+    }
 }
 
 /// Validates the three Morton buffer lengths against `layouts`.
@@ -364,7 +488,7 @@ mod tests {
     ) -> Result<(), GemmError> {
         let cfg = ModgemmConfig { threads: 1, ..ModgemmConfig::paper() };
         let tp = TiledPlan::new::<S>(layouts, policy, &cfg);
-        let mut ws = vec![S::ZERO; tp.arena_len];
+        let mut ws = vec![S::ZERO; tp.ws_len()];
         // Both operand borrows: only the in-place tier needs exclusive ones.
         let ops = if policy.schedule.overwrites_inputs() {
             Operands::Exclusive(a, b)

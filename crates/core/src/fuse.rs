@@ -40,11 +40,12 @@
 //! [`modgemm_mat::KernelKind`] executes fused plans correctly.
 
 use modgemm_mat::addsub::{add_assign_flat, sub_assign_flat};
-use modgemm_mat::pack::packed_mul_scatter_in;
 use modgemm_mat::view::{MatMut, MatRef};
 use modgemm_mat::{KernelKind, LeafKernel, Scalar};
 
-use crate::exec::NodeLayouts;
+use modgemm_mat::pack::packed_mul_scatter_in;
+
+use crate::exec::{zero_share, NodeLayouts, Share, CONV_STEPS};
 
 /// [`MAX_FUSE`] as a literal token, so messages can quote the limit
 /// through `concat!` instead of restating it.
@@ -141,18 +142,44 @@ pub fn fused_mul_with_ws<S: Scalar>(
     kernel: KernelKind,
     ws: &mut [S],
 ) {
+    debug_assert_eq!(c.len(), layouts.c.len());
+    // SAFETY: `c` is an exclusive borrow of the whole C buffer.
+    unsafe { fused_mul_share(a, b, c.as_mut_ptr(), layouts, kernel, ws, Share::ALL) }
+}
+
+/// One team rank's part of [`fused_mul_with_ws`]: zeroes its share of
+/// every C quadrant, then runs the seven products restricted to that
+/// share ([`crate::exec::terminal_share`]), each output element's
+/// contributions in the serial order.
+///
+/// # Safety
+/// `c` is valid for writes of `layouts.c.len()` elements; no other
+/// thread accesses this rank's share of it, or writes `a`/`b`, meanwhile.
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn fused_mul_share<S: Scalar>(
+    a: &[S],
+    b: &[S],
+    c: *mut S,
+    layouts: NodeLayouts,
+    kernel: KernelKind,
+    ws: &mut [S],
+    share: Share,
+) {
     assert!(layouts.a.depth >= 1, "a fused level needs layout depth >= 1");
     debug_assert_eq!(a.len(), layouts.a.len());
     debug_assert_eq!(b.len(), layouts.b.len());
-    debug_assert_eq!(c.len(), layouts.c.len());
-    c.fill(S::ZERO);
     let kernel = kernel.resolve(layouts.a.tile_rows, layouts.a.tile_cols, layouts.b.tile_cols);
     let (qa, qb, qc) =
         (layouts.a.quadrant_len(), layouts.b.quadrant_len(), layouts.c.quadrant_len());
     let ch = layouts.child();
-    for (ta, tb, tc) in TABLE {
-        let (ac, bc, cc) = (Combo::of(ta, qa), Combo::of(tb, qb), Combo::of(tc, qc));
-        fused_mul_add_rec(a, b, c, ac, bc, cc, ch, kernel, ws);
+    for q in 0..4 {
+        zero_share(c.add(q * qc), &ch.c, share);
+    }
+    if share.covers(0, 0) {
+        for (ta, tb, tc) in TABLE {
+            let (ac, bc, cc) = (Combo::of(ta, qa), Combo::of(tb, qb), Combo::of(tc, qc));
+            fused_mul_add_rec(a, b, c, ac, bc, cc, ch, kernel, ws, share, 0, 0);
+        }
     }
 }
 
@@ -160,18 +187,26 @@ pub fn fused_mul_with_ws<S: Scalar>(
 /// recursion applied to all combo terms in lockstep — quadrant selection
 /// distributes over the sums, so every term (and destination) shifts by
 /// the same quadrant offset. The eight calls keep the Frens-Wise
-/// operand-reuse ordering of [`crate::exec::morton_mul_add_with_ws`].
+/// operand-reuse ordering of [`crate::exec::morton_mul_add_with_ws`];
+/// `pos` is the destinations' C sub-quadrant `depth` levels below the
+/// fused level, and sub-quadrants outside `share` are skipped.
+///
+/// # Safety
+/// As [`fused_mul_share`].
 #[allow(clippy::too_many_arguments)]
-fn fused_mul_add_rec<S: Scalar>(
+unsafe fn fused_mul_add_rec<S: Scalar>(
     a: &[S],
     b: &[S],
-    c: &mut [S],
+    c: *mut S,
     ac: Combo,
     bc: Combo,
     cc: Combo,
     l: NodeLayouts,
     kernel: KernelKind,
     ws: &mut [S],
+    share: Share,
+    depth: u32,
+    pos: usize,
 ) {
     if l.a.depth == 0 {
         fused_leaf(a, b, c, ac, bc, cc, l, kernel, ws);
@@ -179,32 +214,38 @@ fn fused_mul_add_rec<S: Scalar>(
     }
     let ch = l.child();
     let (qa, qb, qc) = (l.a.quadrant_len(), l.b.quadrant_len(), l.c.quadrant_len());
-    // (A-quadrant, B-quadrant, C-quadrant) of the eight conventional
-    // products, in Frens-Wise order.
-    const STEPS: [(usize, usize, usize); 8] =
-        [(0, 0, 0), (0, 1, 1), (1, 3, 1), (1, 2, 0), (3, 2, 2), (3, 3, 3), (2, 1, 3), (2, 0, 2)];
-    for (ia, ib, ic) in STEPS {
-        fused_mul_add_rec(
-            a,
-            b,
-            c,
-            ac.shift(ia * qa),
-            bc.shift(ib * qb),
-            cc.shift(ic * qc),
-            ch,
-            kernel,
-            ws,
-        );
+    for (ia, ib, ic) in CONV_STEPS {
+        let p = pos * 4 + ic;
+        if share.covers(depth + 1, p) {
+            fused_mul_add_rec(
+                a,
+                b,
+                c,
+                ac.shift(ia * qa),
+                bc.shift(ib * qb),
+                cc.shift(ic * qc),
+                ch,
+                kernel,
+                ws,
+                share,
+                depth + 1,
+                p,
+            );
+        }
     }
 }
 
 /// One fused leaf product: combined operands → one tile multiply →
-/// ± scatter into every destination tile.
+/// ± scatter into every destination tile (whole tiles of the rank's
+/// share).
+///
+/// # Safety
+/// As [`fused_mul_share`].
 #[allow(clippy::too_many_arguments)]
-fn fused_leaf<S: Scalar>(
+unsafe fn fused_leaf<S: Scalar>(
     a: &[S],
     b: &[S],
-    c: &mut [S],
+    c: *mut S,
     ac: Combo,
     bc: Combo,
     cc: Combo,
@@ -217,7 +258,6 @@ fn fused_leaf<S: Scalar>(
     let nc = cc.n as usize;
     if cfg!(debug_assertions) {
         for i in 0..nc {
-            debug_assert!(cc.off[i] + lc <= c.len());
             for j in i + 1..nc {
                 debug_assert_ne!(cc.off[i], cc.off[j], "aliasing scatter destinations");
             }
@@ -233,16 +273,13 @@ fn fused_leaf<S: Scalar>(
             (MatRef::from_slice(&b[bc.off[t]..bc.off[t] + lb], tk, tn, tk), bc.neg[t])
         });
         // Destination tiles are distinct leaf tiles of the Morton C
-        // buffer (asserted above), so the reborrows are pairwise
-        // disjoint; unused array entries get promoted empty slices, so
-        // no live pointer is ever duplicated.
-        let cptr = c.as_mut_ptr();
+        // buffer (asserted above) inside this rank's share, so the
+        // reborrows are pairwise disjoint and no other rank touches them;
+        // unused array entries get promoted empty slices, so no live
+        // pointer is ever duplicated.
         let mut dests: [(&mut [S], bool); MAX_TERMS] = core::array::from_fn(|i| {
             if i < nc {
-                // SAFETY: cc.off[i] + lc <= c.len() and the dest tiles
-                // are pairwise disjoint (distinct tile offsets, tile
-                // length apart by Morton layout).
-                (unsafe { core::slice::from_raw_parts_mut(cptr.add(cc.off[i]), lc) }, cc.neg[i])
+                (core::slice::from_raw_parts_mut(c.add(cc.off[i]), lc), cc.neg[i])
             } else {
                 (&mut [][..], false)
             }
@@ -263,7 +300,8 @@ fn fused_leaf<S: Scalar>(
     let cv = MatMut::from_slice(c_tmp, tm, tn, tm);
     kernel.mul_add_in(av, bv, cv, &mut []);
     for i in 0..nc {
-        let dst = &mut c[cc.off[i]..cc.off[i] + lc];
+        // The rank owns this whole destination tile.
+        let dst = core::slice::from_raw_parts_mut(c.add(cc.off[i]), lc);
         if cc.neg[i] {
             sub_assign_flat(dst, c_tmp);
         } else {

@@ -27,9 +27,12 @@ use modgemm_morton::MortonLayout;
 
 use crate::config::{ModgemmConfig, SchedulePolicy};
 use crate::error::try_grow;
-use crate::exec::{budget_capped_policy_with_tier_cap, ExecPolicy, NodeLayouts};
+use crate::exec::{budget_capped_policy_with_tier_cap, workspace_len, ExecPolicy, NodeLayouts};
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::plan::{effective_par_depth, parallel_slab_len, GemmPlan, Operands, TiledPlan};
+use crate::plan::{
+    effective_par_depth, parallel_slab_len, team_size, terminal_tail_len, GemmPlan, Operands,
+    TiledPlan,
+};
 use crate::pool::resolve_threads;
 use crate::schedule::Schedule;
 
@@ -284,12 +287,18 @@ pub(crate) fn buffer_needs<S: Scalar>(
     let layouts = try_layouts_of(&plan).ok()?;
     let policy = capped_policy::<S>(layouts, cfg);
     // Mirror plan arena sizing exactly: the DAG slab at the budget-capped
-    // depth when the pool runs it (never smaller than the serial arena),
-    // the serial arena otherwise.
+    // depth when the pool runs a DAG (never smaller than the serial
+    // arena), else the serial arena plus the team's extra terminal tails
+    // and paired temporaries.
     let threads = resolve_threads(cfg.threads);
     let depth = effective_par_depth::<S>(layouts, policy, cfg, threads);
     let (a, b, c) = (layouts.a.len(), layouts.b.len(), layouts.c.len());
-    let ws = parallel_slab_len(layouts, policy, depth);
+    let ws = if depth > 0 {
+        parallel_slab_len(layouts, policy, depth)
+    } else {
+        let (team, paired) = team_size::<S>(layouts, policy, cfg, threads);
+        workspace_len(layouts, policy) + (team - 1) * terminal_tail_len(layouts, policy) + paired
+    };
     if batch < 2 || threads < 2 {
         return Some((a, b, c, ws));
     }
@@ -557,9 +566,10 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
 /// skipping all conversion. Computes `C ← A·B` (α = 1, β = 0).
 ///
 /// Compiles the compute stage for the operands' own layouts under `cfg`
-/// and runs it on the serial interpreter whatever the worker count: with
-/// operands already in Morton order there is no conversion for a task
-/// DAG to overlap.
+/// and runs it on the interpreter — as a team like any single GEMM, or
+/// serially with `parallel_depth > 0`, which lowers no task DAG here: with
+/// operands already in Morton order there is no conversion for one to
+/// overlap.
 /// `A` and `B` are borrowed shared, so the schedule ladder (and a pinned
 /// `SchedulePolicy::Fixed(Schedule::InPlace)`) stops at
 /// [`Schedule::LowMem`]: this entry never writes its operands.
@@ -583,7 +593,7 @@ pub fn modgemm_premorton<S: Scalar>(
     let layouts = NodeLayouts::new(a.layout, b.layout, c.layout);
     let policy = capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::LowMem);
     let tp = TiledPlan::new::<S>(layouts, policy, cfg);
-    let mut ws = vec![S::ZERO; tp.arena_len];
+    let mut ws = vec![S::ZERO; tp.ws_len()];
     let ops = Operands::Shared(&a.buf, &b.buf);
     if let Err(e) = tp.run(ops, &mut c.buf, &mut ws, None, &mut NoopSink) {
         panic!("{e}");

@@ -34,9 +34,11 @@
 //!   recursion below the truncation point.
 //!
 //! Every entry point reaches the Strassen recursion through one compiled
-//! compute stage in [`mod@plan`]: the serial schedule interpreter or, with
-//! `parallel_depth > 0`, the task DAG of [`batch`] on the work-stealing
-//! [`pool`] — a pooled single GEMM is a batch of one.
+//! compute stage in [`mod@plan`]: the schedule interpreter, run by a
+//! team of the resolved workers on the [`pool`] (one worker for small
+//! problems or `threads: 1`) or, with `parallel_depth > 0`, the task DAG
+//! of [`batch`] on the work-stealing pool — a DAG-run single GEMM is a
+//! batch of one.
 //!
 //! The Winograd recursion step itself lives in [`schedule`] *as data*,
 //! shared by this crate's executor, the DGEFMM baseline, and the

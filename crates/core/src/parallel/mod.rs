@@ -1,10 +1,12 @@
-//! A pooled single GEMM runs as a task DAG of one item: Morton conversion
-//! chunks, the compute subtree over the top `parallel_depth` Strassen
-//! levels, and α/β unpack chunks. It must produce the serial
-//! interpreter's product **bit for bit** (same products, same kernels,
-//! same associativity; only the evaluation order across independent
-//! buffers changes), at any worker count and on a context whose buffers
-//! hold sentinels.
+//! A pooled single GEMM runs either as a team walking the one
+//! interpreter (the default, `parallel_depth: 0`) or, with an explicit
+//! `parallel_depth`, as a task DAG of one item: Morton conversion chunks,
+//! the compute subtree over the top `parallel_depth` Strassen levels, and
+//! α/β unpack chunks. Either way it must produce the serial interpreter's
+//! product **bit for bit** (same products, same kernels, same
+//! associativity; only the evaluation order across independent buffers
+//! changes), at any worker count and on a context whose buffers hold
+//! sentinels.
 
 mod tests {
     use crate::config::{FuseDepth, ModgemmConfig, SchedulePolicy, Truncation};
@@ -340,5 +342,100 @@ mod tests {
         // worker count well above one level's task count.
         let c_pool = run_dirty(&plan(n, n, n, &cfg(4, 2, 16)), &a, &b, i64::MIN, i64::MAX);
         assert_eq!(c_pool, c);
+    }
+    /// `C ← α·A·B + β·C` through `cfg` at every team size, each run on a
+    /// context whose Morton buffers and arena hold `dirt`, against the
+    /// one-thread run. Checks that each plan's team is the worker count.
+    fn team_case<S: Scalar>(
+        (m, k, n): (usize, usize, usize),
+        cfg: ModgemmConfig,
+        (alpha, beta): (S, S),
+        dirt: S,
+    ) {
+        let a: Matrix<S> = random_matrix(m, k, 91);
+        let b: Matrix<S> = random_matrix(k, n, 92);
+        let c0: Matrix<S> = random_matrix(m, n, 93);
+        let run = |threads: usize| {
+            let p = plan::<S>(m, k, n, &ModgemmConfig { threads, ..cfg });
+            assert_eq!(p.tiled().map(|tp| tp.team), Some(threads), "{m}x{k}x{n} {cfg:?}");
+            let mut ctx = GemmContext::new();
+            soil(&mut ctx, &p, dirt, dirt);
+            let mut c = c0.clone();
+            let (va, vb) = (a.view(), b.view());
+            p.try_execute(alpha, Op::NoTrans, va, Op::NoTrans, vb, beta, c.view_mut(), &mut ctx)
+                .unwrap();
+            c
+        };
+        let c_ser = run(1);
+        for threads in [2, 3, 4, 7] {
+            assert!(run(threads) == c_ser, "{m}x{k}x{n} threads = {threads} {cfg:?}");
+        }
+    }
+
+    #[test]
+    fn team_is_bitwise_serial_at_every_team_size() {
+        // Both tiers (the planned path owns its Morton buffers, so the
+        // in-place tier runs there), both fuse depths and every concrete
+        // kernel, on 33-wide ragged leaves: 513³ for the packed kernel,
+        // 264³ for the other two, and a rectangle whose Strassen recursion
+        // stops above the leaves (`strassen_min`), so conventional levels
+        // sit below the terminal and the team splits it by C
+        // sub-quadrant.
+        let tiers = [SchedulePolicy::Auto, SchedulePolicy::Fixed(Schedule::InPlace)]
+            .map(|schedule| ModgemmConfig { schedule, ..ModgemmConfig::default() });
+        for (t, base) in tiers.into_iter().enumerate() {
+            for fuse in [0, 1] {
+                let at = |leaf_kernel| ModgemmConfig {
+                    leaf_kernel,
+                    fuse_depth: FuseDepth::Fixed(fuse),
+                    ..base
+                };
+                let packed = at(KernelKind::Packed);
+                team_case((513, 513, 513), packed, (1.5f64, -0.5), f64::NAN);
+                team_case((513, 513, 513), packed, (3i64, -2), i64::MIN);
+                // The non-packing kernels alternate the scalar by tier.
+                for kernel in [KernelKind::Blocked, KernelKind::Naive] {
+                    if t == 0 {
+                        team_case((264, 264, 264), at(kernel), (1.5f64, -0.5), f64::NAN);
+                    } else {
+                        team_case((264, 264, 264), at(kernel), (3i64, -2), i64::MIN);
+                    }
+                }
+                let cut = ModgemmConfig { strassen_min: 100, ..at(KernelKind::Packed) };
+                team_case((330, 200, 270), cut, (1.5f64, -0.5), f64::NAN);
+                let cut = ModgemmConfig { strassen_min: 100, ..at(KernelKind::Blocked) };
+                team_case((330, 200, 270), cut, (3i64, -2), i64::MIN);
+            }
+        }
+    }
+
+    #[test]
+    fn team_arena_is_the_serial_arena_plus_leaf_buffers() {
+        // The team's only memory beyond the serial arena: one terminal
+        // tail per extra rank and the deepest staged level's second
+        // temporaries (low-mem tier only), carved after the arena.
+        let cfg =
+            |threads, memory_budget| ModgemmConfig { threads, memory_budget, ..Default::default() };
+        let unlimited = crate::config::MemoryBudget::Unlimited;
+        let one = plan::<f64>(1000, 1000, 1000, &cfg(1, unlimited));
+        let tp1 = one.tiled().unwrap();
+        assert_eq!(tp1.ws_len(), one.arena_len());
+        let paired = crate::plan::paired_len(tp1.layouts, tp1.policy);
+        assert!(paired > 0);
+        for threads in [2usize, 4] {
+            let p = plan::<f64>(1000, 1000, 1000, &cfg(threads, unlimited));
+            let tp = p.tiled().unwrap();
+            assert_eq!((tp.policy, tp.team, p.arena_len()), (tp1.policy, threads, one.arena_len()));
+            assert_eq!(tp.ws_len(), one.arena_len() + (threads - 1) * tp.tail_len + paired);
+        }
+        // Under a budget the team shrinks before any Strassen level goes.
+        let budget =
+            |elems: usize| cfg(4, crate::config::MemoryBudget::MaxWorkspaceBytes(elems * 8));
+        let p = plan::<f64>(1000, 1000, 1000, &budget(one.arena_len()));
+        assert_eq!((p.tiled().unwrap().team, p.strassen_levels()), (1, one.strassen_levels()));
+        let two = one.arena_len() + tp1.tail_len + paired;
+        let p = plan::<f64>(1000, 1000, 1000, &budget(two));
+        assert_eq!((p.tiled().unwrap().team, p.strassen_levels()), (2, one.strassen_levels()));
+        assert_eq!(p.tiled().unwrap().ws_len(), two);
     }
 }

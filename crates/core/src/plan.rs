@@ -24,10 +24,12 @@
 //! throwaway plan per call, and [`crate::gemm::modgemm_premorton`]
 //! compiles only the compute stage (`TiledPlan`), so every path runs the
 //! same interpreter (`exec_levels_raw`) and produces bit-identical
-//! results. A plan that runs on the pool holds a whole-batch task DAG
-//! ([`crate::batch`]) for a batch of one, whose conversion chunks,
-//! compute tasks and α/β unpack chunks run as one dependency-counted
-//! graph.
+//! results — on one thread, or on a team of pool workers that split
+//! every step by output (`pool::run_team`). A plan with an
+//! explicit `parallel_depth` holds a whole-batch task DAG
+//! ([`crate::batch`]) for a batch of one instead, whose conversion
+//! chunks, compute tasks and α/β unpack chunks run as one
+//! dependency-counted graph.
 
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
@@ -36,20 +38,20 @@ use modgemm_mat::addsub::{add_assign_flat, add_flat, rsub_assign_flat, sub_assig
 use modgemm_mat::naive::naive_gemm;
 use modgemm_mat::view::{MatMut, MatRef, Op};
 use modgemm_mat::{Matrix, Scalar};
-use modgemm_morton::convert::{from_morton, from_morton_axpby, to_morton};
+use modgemm_morton::{pack_tile_range, unpack_tile_cols_raw};
 
 use crate::batch::{build_dag, BatchDag};
 use crate::config::{ModgemmConfig, NonFinitePolicy, VerifyMode};
 use crate::error::{try_grow, try_zeroed_vec, GemmError, Operand};
 use crate::exec::{
-    check_buffers, fused_levels, fused_tail_len, morton_mul_add_with_ws, staged_step,
+    check_buffers, fused_levels, fused_tail_len, morton_mul_share, staged_step, terminal_share,
     workspace_len, ExecPolicy, NodeLayouts,
 };
 use crate::gemm::{
     capped_policy, has_non_finite, scale_in_place, try_layouts_of, GemmBreakdown, GemmContext,
 };
 use crate::metrics::{MetricsSink, NoopSink, PlanFacts};
-use crate::pool::{resolve_threads, BatchInput, CancelToken, ItemIo};
+use crate::pool::{resolve_threads, run_team, BatchInput, CancelToken, ItemIo, Rank};
 use crate::rect;
 use crate::schedule::{ASlot, AddKind, BSlot, Step};
 use crate::verify::verify_gemm;
@@ -148,77 +150,206 @@ pub(crate) fn fill_levels(
     count
 }
 
-/// The schedule interpreter: executes `levels[li..]` over the Morton
-/// buffers, carving each level's temporaries from the front of `arena`
-/// (which temporaries the schedule tier decides: `TS/TT/TP` low-mem, `TP`
-/// in-place) and handing the tail to the
-/// recursion. Past the last flattened level the terminal takes over: the
-/// fused executor ([`crate::fuse::fused_mul_with_ws`]) when
-/// [`ExecPolicy::fuse`] covers the remaining Strassen level, else the
-/// conventional Morton recursion with the plan's leaf kernel — what
-/// remains of the arena at that point is exactly the [`fused_tail_len`]
-/// tail (the packing slot or the fused leaf working set; non-packing
-/// staged kernels ignore it).
+/// What every level of one rank's interpreter walk shares: the level
+/// list, the policy, the rank, and the rank's own terminal tail.
+pub(crate) struct Walk<'w, S> {
+    pub levels: &'w [LevelPlan],
+    pub policy: ExecPolicy,
+    pub rank: Rank<'w>,
+    /// This rank's terminal tail slot ([`fused_tail_len`] elements of the
+    /// terminal node): rank 0's is the arena's own tail, every other
+    /// rank's one of the extra tails after the serial arena.
+    pub tail: *mut S,
+    pub tail_len: usize,
+    /// The second `TS`/`TT`/`TP` temporaries of the deepest staged level
+    /// when the team runs it on [`PAIRED_LOWMEM`]; null otherwise.
+    pub paired: *mut S,
+}
+
+/// One step of [`PAIRED_LOWMEM`]: an add `dst = lhs ± rhs` over a
+/// six-entry slot table of one shape (`0..4` the quadrants 11, 12, 21,
+/// 22; `4` and `5` the two temporaries), or a group of products
+/// `(A slot, B slot, C slot)` that run at once, one rank each.
+#[derive(Clone, Copy, Debug)]
+enum PairStep {
+    A(usize, usize, usize, AddKind),
+    B(usize, usize, usize, AddKind),
+    C(usize, usize, usize, AddKind),
+    Muls(&'static [(usize, usize, usize)]),
+}
+
+/// The low-mem Winograd step ([`crate::schedule::WINOGRAD_LOWMEM_SCHEDULE`])
+/// re-linearized for a team at the deepest staged level, where every
+/// product is a terminal: with a second temporary of each shape, six of
+/// the seven products run two at a time, each on one rank with its own
+/// terminal tail, instead of every rank splitting every small leaf. Each
+/// sum and product has the low-mem table's operands in the same order,
+/// so the result is bitwise the serial one.
+const PAIRED_LOWMEM: [PairStep; 19] = {
+    use AddKind::{Add, Sub};
+    use PairStep::*;
+    const P5_P3: [(usize, usize, usize); 2] = [(4, 4, 2), (5, 5, 3)];
+    const P4_P6: [(usize, usize, usize); 2] = [(4, 4, 1), (5, 3, 0)];
+    const P1_P7: [(usize, usize, usize); 2] = [(0, 0, 4), (3, 5, 5)];
+    const P2: [(usize, usize, usize); 1] = [(1, 2, 0)];
+    [
+        A(4, 0, 2, Sub), // S3 = A11 − A21
+        B(4, 3, 1, Sub), // T3 = B22 − B12
+        A(5, 2, 3, Add), // S1 = A21 + A22
+        B(5, 1, 0, Sub), // T1 = B12 − B11
+        Muls(&P5_P3),    // P5 = S3·T3 → C21, P3 = S1·T1 → C22
+        A(4, 5, 0, Sub), // S2 = S1 − A11
+        B(4, 3, 5, Sub), // T2 = B22 − T1
+        A(5, 1, 4, Sub), // S4 = A12 − S2
+        B(5, 2, 4, Sub), // T4 = B21 − T2
+        Muls(&P4_P6),    // P4 = S2·T2 → C12, P6 = S4·B22 → C11
+        Muls(&P1_P7),    // P1 = A11·B11 → TP, P7 = A22·T4 → TP2
+        C(1, 4, 1, Add), // U2 = P1 + P4
+        C(2, 1, 2, Add), // U3 = U2 + P5
+        C(1, 1, 3, Add), // U6 = U2 + P3, then C12 = U7 = U6 + P6
+        C(1, 1, 0, Add),
+        C(3, 2, 3, Add), // C22 = U5 = U3 + P3
+        C(2, 2, 5, Add), // C21 = U4 = U3 + P7
+        Muls(&P2),       // P2 = A12·B21 → C11, on the whole team
+        C(0, 4, 0, Add), // C11 = U1 = P1 + P2
+    ]
+};
+
+/// Dispatches one `dst = lhs ± rhs` over elements `r` of three slots
+/// of a table with the aliasing discipline the schedules are tested
+/// to respect: `d == l` and `d == r` take the assign forms (one
+/// mutable reference), disjoint indices take the three-slice forms.
 ///
-/// `arena` must be exactly the remaining levels' combined slot length
-/// plus the terminal tail (callers pass
-/// `workspace_len(layouts, policy)` at the root).
+/// # Safety
+/// The table buffers are pairwise disjoint (quadrants of one allocation
+/// plus workspace ranges), and no other rank touches elements `range` of
+/// any slot of this kind during the step.
+unsafe fn add_step<S: Scalar, const N: usize>(
+    t: &[(*mut S, usize); N],
+    d: usize,
+    l: usize,
+    r: usize,
+    kind: AddKind,
+    range: core::ops::Range<usize>,
+) {
+    debug_assert!(!(d == l && d == r), "fully-aliased addition");
+    let len = range.end - range.start;
+    let slot = |i: usize| {
+        debug_assert!(range.end <= t[i].1);
+        t[i].0.add(range.start)
+    };
+    let dst_s = core::slice::from_raw_parts_mut(slot(d), len);
+    if d == l {
+        let rhs_s = core::slice::from_raw_parts(slot(r), len);
+        match kind {
+            AddKind::Add => add_assign_flat(dst_s, rhs_s),
+            AddKind::Sub => sub_assign_flat(dst_s, rhs_s),
+        }
+    } else if d == r {
+        let lhs_s = core::slice::from_raw_parts(slot(l), len);
+        match kind {
+            AddKind::Add => add_assign_flat(dst_s, lhs_s),
+            AddKind::Sub => rsub_assign_flat(dst_s, lhs_s),
+        }
+    } else {
+        let lhs_s = core::slice::from_raw_parts(slot(l), len);
+        let rhs_s = core::slice::from_raw_parts(slot(r), len);
+        match kind {
+            AddKind::Add => add_flat(dst_s, lhs_s, rhs_s),
+            AddKind::Sub => sub_flat(dst_s, lhs_s, rhs_s),
+        }
+    }
+}
+
+/// The schedule interpreter: executes `levels[li..]` over the Morton
+/// buffers, carving each level's temporaries from the front of the
+/// arena (which temporaries the schedule tier decides: `TS/TT/TP`
+/// low-mem, `TP` in-place) and handing the rest to the recursion. Past
+/// the last flattened level the terminal takes over: the fused executor
+/// ([`crate::fuse::fused_mul_share`]) when [`ExecPolicy::fuse`] covers
+/// the remaining Strassen level, else the conventional Morton recursion
+/// with the plan's leaf kernel, on the rank's [`Walk::tail`] (the
+/// packing slot or the fused leaf working set; non-packing staged
+/// kernels ignore it).
+///
+/// Every rank of a team ([`crate::pool::run_team`]) walks the same
+/// steps over the same buffers and arena. Each add step does the rank's
+/// aligned element range ([`Rank::share`]) of its slots — every slot of
+/// a kind has one length, so consecutive adds need no barrier — and each
+/// terminal does the rank's [`crate::exec::terminal_share`]. A barrier
+/// goes before every `Mul` that follows an add and after every `Mul`, so
+/// the walk is entered and left with every rank synchronized. Each
+/// output element sees the serial operations in the serial order: a
+/// team's result is bitwise the serial one.
+///
+/// `arena_len` must be exactly the remaining levels' combined slot
+/// length plus the terminal tail (callers pass `workspace_len(layouts,
+/// policy)` at the root).
 ///
 /// Returns the measured peak arena occupancy in elements — this level's
 /// slot plus the deepest child's peak (the terminal claims its whole
-/// tail). Debug builds assert it equals the closed-form model at every
-/// level, so a schedule whose footprint expression under-counts fails
-/// loudly instead of silently overlapping slots.
+/// tail) — or the team's first error ([`Rank::sync`]). Debug builds
+/// assert the peak equals the closed-form model at every level, so a
+/// schedule whose footprint expression under-counts fails loudly
+/// instead of silently overlapping slots.
 ///
 /// # Safety
 /// `a` and `b` must point to the node's full Morton operand buffers
-/// (`layouts.a.len()` / `layouts.b.len()` elements), valid for reads for
-/// the duration of the call, with no other access to them while it runs.
-/// When `policy.schedule.overwrites_inputs()` they must also be valid for
-/// writes (the in-place schedule writes and then restores the quadrants);
-/// non-overwriting tiers never write through them, so shared borrows cast
-/// to `*mut` are sound for those.
+/// (`layouts.a.len()` / `layouts.b.len()` elements), `c` to its C buffer
+/// and `arena` to `arena_len` elements, all valid for the duration of
+/// the call and accessed by nothing but this team's walk. When
+/// `policy.schedule.overwrites_inputs()` `a`/`b` must also be valid for
+/// writes (the in-place schedule writes and then restores the
+/// quadrants); non-overwriting tiers never write through them, so shared
+/// borrows cast to `*mut` are sound for those. [`Walk::tail`] is this
+/// rank's alone.
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
+    walk: &Walk<'_, S>,
     a: *mut S,
     b: *mut S,
-    c: &mut [S],
+    c: *mut S,
     layouts: NodeLayouts,
-    levels: &[LevelPlan],
     li: usize,
-    arena: &mut [S],
-    policy: ExecPolicy,
+    arena: *mut S,
+    arena_len: usize,
     sink: &mut K,
-) -> usize {
+) -> Result<usize, GemmError> {
+    let (levels, policy, rank) = (walk.levels, walk.policy, walk.rank);
     debug_assert_eq!(
-        arena.len(),
+        arena_len,
         levels[li..].iter().map(|l| l.slot_len).sum::<usize>() + fused_tail_len(layouts, policy),
         "arena does not match the remaining levels' slots plus the terminal tail"
     );
     if li == levels.len() {
         debug_assert!(!staged_step(layouts, policy), "levels list ended early");
+        debug_assert_eq!(walk.tail_len, arena_len, "tail slot drifted from the terminal");
         // SAFETY (caller contract): `a`/`b` cover the node's operand
-        // buffers and nothing else touches them during the call; the
-        // terminal only reads them.
+        // buffers and the team only reads them here; the tail is this
+        // rank's own.
         let av = unsafe { core::slice::from_raw_parts(a as *const S, layouts.a.len()) };
         let bv = unsafe { core::slice::from_raw_parts(b as *const S, layouts.b.len()) };
+        let tail = unsafe { core::slice::from_raw_parts_mut(walk.tail, walk.tail_len) };
+        let share = terminal_share(layouts, policy, rank);
         let fused = fused_levels(layouts, policy) > 0;
-        let run = |c: &mut [S], arena: &mut [S]| {
+        let t0 = K::ENABLED.then(Instant::now);
+        // SAFETY: the share is this rank's alone (terminal_share splits
+        // disjointly), and the team entered synchronized.
+        unsafe {
             if fused {
-                crate::fuse::fused_mul_with_ws(av, bv, c, layouts, policy.kernel, arena);
+                crate::fuse::fused_mul_share(av, bv, c, layouts, policy.kernel, tail, share);
             } else {
-                c.fill(S::ZERO);
-                morton_mul_add_with_ws(av, bv, c, layouts, policy.kernel, arena);
+                morton_mul_share(av, bv, c, layouts, policy.kernel, tail, share);
             }
-        };
-        if K::ENABLED {
-            let t0 = Instant::now();
-            run(c, arena);
-            sink.record_level_time(li, t0.elapsed());
-        } else {
-            run(c, arena);
         }
-        return arena.len();
+        rank.sync()?;
+        if let Some(t0) = t0 {
+            sink.record_level_time(li, t0.elapsed());
+        }
+        return Ok(arena_len);
+    }
+    if li + 1 == levels.len() && !walk.paired.is_null() {
+        return unsafe { exec_paired_node(walk, a, b, c, layouts, li, arena, arena_len, sink) };
     }
     let lp = &levels[li];
 
@@ -228,110 +359,44 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
     debug_assert_eq!((lp.qa, lp.qb, lp.qc), (qa, qb, qc), "level plan drifted from the layouts");
     let sched = policy.schedule;
 
-    let (c11, rest) = c.split_at_mut(qc);
-    let (c12, rest) = rest.split_at_mut(qc);
-    let (c21, c22) = rest.split_at_mut(qc);
-
     // Tier-dependent carving: the in-place tier simply omits the slots
     // its schedule never references (asserted per step below). The
     // carving doubles as the high-water-mark check — a tier whose closed
     // form over- or under-counted the slot fails here.
-    let (this_ws, child_ws) = arena.split_at_mut(lp.slot_len);
+    debug_assert!(lp.slot_len <= arena_len);
     let (ts_len, tt_len) = if sched.overwrites_inputs() { (0, 0) } else { (qa, qb) };
     debug_assert_eq!(
         ts_len + tt_len + qc,
         lp.slot_len,
         "schedule tier {sched:?}: closed-form slot length disagrees with the carving"
     );
-    let (ts, rest_ws) = this_ws.split_at_mut(ts_len);
-    let (tt, tp) = rest_ws.split_at_mut(tt_len);
+    // SAFETY (caller contract): the arena holds this level's slot
+    // followed by the child's arena.
+    let (ts, tt, tp, child_ws) =
+        unsafe { (arena, arena.add(ts_len), arena.add(ts_len + tt_len), arena.add(lp.slot_len)) };
+    let child_len = arena_len - lp.slot_len;
 
     // Raw tables of the pairwise-disjoint slot buffers, indexed by
-    // `ASlot::index()` / `BSlot::index()` / `CSlot::index()`. Access goes
-    // exclusively through these tables below; the named locals are not
-    // used again. Slots a tier does not materialize carry length 0 and
-    // are never referenced by its schedule.
-    let mut aslots: [(*mut S, usize); 5] = [
-        (a, qa),
-        // SAFETY (caller contract): `a` spans all four quadrants.
-        unsafe { (a.add(qa), qa) },
-        unsafe { (a.add(2 * qa), qa) },
-        unsafe { (a.add(3 * qa), qa) },
-        (ts.as_mut_ptr(), ts_len),
-    ];
-    let mut bslots: [(*mut S, usize); 5] = [
-        (b, qb),
-        // SAFETY (caller contract): `b` spans all four quadrants.
-        unsafe { (b.add(qb), qb) },
-        unsafe { (b.add(2 * qb), qb) },
-        unsafe { (b.add(3 * qb), qb) },
-        (tt.as_mut_ptr(), tt_len),
-    ];
-    let mut cslots: [(*mut S, usize); 5] = [
-        (c11.as_mut_ptr(), qc),
-        (c12.as_mut_ptr(), qc),
-        (c21.as_mut_ptr(), qc),
-        (c22.as_mut_ptr(), qc),
-        (tp.as_mut_ptr(), qc),
-    ];
-
-    // SAFETY helpers: the table buffers are pairwise disjoint (quadrants
-    // of one allocation plus `&mut` workspace reborrows), so creating one
-    // mutable and up to two shared slices is sound as long as the indices
-    // differ — which every call site checks. A mutable slice over an
-    // input-quadrant entry is only ever created under the in-place tier,
-    // whose entry points hold exclusive operand borrows.
-    unsafe fn slot_mut<'x, S, const N: usize>(
-        t: &mut [(*mut S, usize); N],
-        i: usize,
-    ) -> &'x mut [S] {
-        core::slice::from_raw_parts_mut(t[i].0, t[i].1)
-    }
-    unsafe fn slot_ref<'x, S, const N: usize>(t: &[(*mut S, usize); N], i: usize) -> &'x [S] {
-        core::slice::from_raw_parts(t[i].0 as *const S, t[i].1)
-    }
-
-    /// Dispatches one `dst = lhs ± rhs` over a slot table with the
-    /// aliasing discipline the schedules are tested to respect: `d == l`
-    /// and `d == r` take the assign forms (one mutable reference),
-    /// disjoint indices take the three-slice forms.
-    unsafe fn add_step<S: Scalar, const N: usize>(
-        t: &mut [(*mut S, usize); N],
-        d: usize,
-        l: usize,
-        r: usize,
-        kind: AddKind,
-    ) {
-        debug_assert!(!(d == l && d == r), "fully-aliased addition");
-        if d == l {
-            let dst_s = slot_mut(t, d);
-            let rhs_s = slot_ref(t, r);
-            match kind {
-                AddKind::Add => add_assign_flat(dst_s, rhs_s),
-                AddKind::Sub => sub_assign_flat(dst_s, rhs_s),
-            }
-        } else if d == r {
-            let dst_s = slot_mut(t, d);
-            let lhs_s = slot_ref(t, l);
-            match kind {
-                AddKind::Add => add_assign_flat(dst_s, lhs_s),
-                AddKind::Sub => rsub_assign_flat(dst_s, lhs_s),
-            }
-        } else {
-            let dst_s = slot_mut(t, d);
-            let lhs_s = slot_ref(t, l);
-            let rhs_s = slot_ref(t, r);
-            match kind {
-                AddKind::Add => add_flat(dst_s, lhs_s, rhs_s),
-                AddKind::Sub => sub_flat(dst_s, lhs_s, rhs_s),
-            }
-        }
-    }
+    // `ASlot::index()` / `BSlot::index()` / `CSlot::index()`. Slots a
+    // tier does not materialize carry length 0 and are never referenced
+    // by its schedule.
+    // SAFETY (caller contract): `a`, `b` and `c` span all four quadrants.
+    let aslots: [(*mut S, usize); 5] = unsafe {
+        [(a, qa), (a.add(qa), qa), (a.add(2 * qa), qa), (a.add(3 * qa), qa), (ts, ts_len)]
+    };
+    let bslots: [(*mut S, usize); 5] = unsafe {
+        [(b, qb), (b.add(qb), qb), (b.add(2 * qb), qb), (b.add(3 * qb), qb), (tt, tt_len)]
+    };
+    let cslots: [(*mut S, usize); 5] =
+        unsafe { [(c, qc), (c.add(qc), qc), (c.add(2 * qc), qc), (c.add(3 * qc), qc), (tp, qc)] };
 
     // Exclusive per-level time: the additions of this level's schedule
     // (the recursive multiplies attribute their own time to `li + 1`).
     let mut add_time = Duration::ZERO;
     let mut child_peak = 0usize;
+    // The team entered synchronized; an add step leaves it unsynchronized
+    // until the barrier before the next `Mul`.
+    let mut synced = true;
     for &step in lp.steps {
         let t0 = if K::ENABLED && !matches!(step, Step::Mul { .. }) {
             Some(Instant::now())
@@ -351,7 +416,8 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
                 );
                 // SAFETY: disjoint slots per the table invariant; the
                 // schedules alias only via the assign forms.
-                unsafe { add_step(&mut aslots, d, l, r, kind) }
+                unsafe { add_step(&aslots, d, l, r, kind, rank.share(qa)) }
+                synced = false;
             }
             Step::AddB { dst, lhs, rhs, kind } => {
                 let (d, l, r) = (dst.index(), lhs.index(), rhs.index());
@@ -364,7 +430,8 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
                     "AddB references a slot this tier does not materialize"
                 );
                 // SAFETY: as for AddA.
-                unsafe { add_step(&mut bslots, d, l, r, kind) }
+                unsafe { add_step(&bslots, d, l, r, kind, rank.share(qb)) }
+                synced = false;
             }
             Step::AddC { dst, lhs, rhs, kind } => {
                 let (d, l, r) = (dst.index(), lhs.index(), rhs.index());
@@ -373,7 +440,8 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
                     "AddC references a slot this tier does not materialize"
                 );
                 // SAFETY: as for AddA.
-                unsafe { add_step(&mut cslots, d, l, r, kind) }
+                unsafe { add_step(&cslots, d, l, r, kind, rank.share(qc)) }
+                synced = false;
             }
             Step::Mul { a: sa, b: sb, dst } => {
                 let (ai, bi) = (sa.index(), sb.index());
@@ -381,25 +449,28 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
                     aslots[ai].1 == qa && bslots[bi].1 == qb && cslots[dst.index()].1 == qc,
                     "Mul references a slot this tier does not materialize"
                 );
-                // SAFETY: the destination is disjoint from every possible
-                // operand (A/B buffers and the TS/TT workspace ranges).
-                let cd = unsafe { slot_mut(&mut cslots, dst.index()) };
-                // The child may overwrite (and restore) its own operand
-                // view under the in-place tier, so it gets raw pointers —
-                // under non-overwriting tiers it only reads them.
+                if !synced {
+                    rank.sync()?;
+                }
+                // The destination is disjoint from every possible operand
+                // (A/B buffers and the TS/TT workspace ranges). The child
+                // may overwrite (and restore) its own operand view under
+                // the in-place tier, so it gets raw pointers — under
+                // non-overwriting tiers it only reads them.
                 let peak = unsafe {
                     exec_levels_raw(
+                        walk,
                         aslots[ai].0,
                         bslots[bi].0,
-                        cd,
+                        cslots[dst.index()].0,
                         ch,
-                        levels,
                         li + 1,
                         child_ws,
-                        policy,
+                        child_len,
                         sink,
                     )
-                };
+                }?;
+                synced = true;
                 child_peak = child_peak.max(peak);
             }
         }
@@ -407,10 +478,92 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
             add_time += t0.elapsed();
         }
     }
+    if !synced {
+        rank.sync()?;
+    }
     if K::ENABLED {
         sink.record_level_time(li, add_time);
     }
-    lp.slot_len + child_peak
+    Ok(lp.slot_len + child_peak)
+}
+
+/// The deepest staged level on [`PAIRED_LOWMEM`], the path a team with
+/// [`Walk::paired`] set takes there. Adds split by element range as in
+/// [`exec_levels_raw`]. A two-product group runs product `j` on rank `j`
+/// alone, on that rank's own terminal tail, while any further ranks wait
+/// at the group's closing barrier; the one-product group runs on the
+/// whole team.
+///
+/// # Safety
+/// As [`exec_levels_raw`]; [`Walk::paired`] holds `qa + qb + qc`
+/// elements no one else touches, and every rank's tail is its own.
+#[allow(clippy::too_many_arguments)]
+unsafe fn exec_paired_node<S: Scalar, K: MetricsSink>(
+    walk: &Walk<'_, S>,
+    a: *mut S,
+    b: *mut S,
+    c: *mut S,
+    layouts: NodeLayouts,
+    li: usize,
+    arena: *mut S,
+    arena_len: usize,
+    sink: &mut K,
+) -> Result<usize, GemmError> {
+    let (lp, rank) = (&walk.levels[li], walk.rank);
+    let ch = layouts.child();
+    let (qa, qb, qc) = (lp.qa, lp.qb, lp.qc);
+    debug_assert!(!walk.policy.schedule.overwrites_inputs(), "pairing needs the low-mem slots");
+    debug_assert_eq!(lp.slot_len, qa + qb + qc);
+    let (ts, tt, tp) = (arena, arena.add(qa), arena.add(qa + qb));
+    let (ts2, tt2, tp2) = (walk.paired, walk.paired.add(qa), walk.paired.add(qa + qb));
+    let (child_ws, child_len) = (arena.add(lp.slot_len), arena_len - lp.slot_len);
+    let table = |base: *mut S, q: usize, t: *mut S, t2: *mut S| {
+        [(base, q), (base.add(q), q), (base.add(2 * q), q), (base.add(3 * q), q), (t, q), (t2, q)]
+    };
+    let (aslots, bslots, cslots) =
+        (table(a, qa, ts, ts2), table(b, qb, tt, tt2), table(c, qc, tp, tp2));
+    let solo = Walk {
+        levels: walk.levels,
+        policy: walk.policy,
+        rank: Rank::SOLO,
+        tail: walk.tail,
+        tail_len: walk.tail_len,
+        paired: core::ptr::null_mut(),
+    };
+    let mut add_time = Duration::ZERO;
+    let mut child_peak = 0usize;
+    let mut synced = true;
+    for step in PAIRED_LOWMEM {
+        let t0 = (K::ENABLED && !matches!(step, PairStep::Muls(_))).then(Instant::now);
+        match step {
+            PairStep::A(d, l, r, kind) => add_step(&aslots, d, l, r, kind, rank.share(qa)),
+            PairStep::B(d, l, r, kind) => add_step(&bslots, d, l, r, kind, rank.share(qb)),
+            PairStep::C(d, l, r, kind) => add_step(&cslots, d, l, r, kind, rank.share(qc)),
+            PairStep::Muls(group) => {
+                if !synced {
+                    rank.sync()?;
+                }
+                if let Some(&(ai, bi, ci)) = group.get(rank.id) {
+                    let (a, b, c) = (aslots[ai].0, bslots[bi].0, cslots[ci].0);
+                    let peak =
+                        exec_levels_raw(&solo, a, b, c, ch, li + 1, child_ws, child_len, sink)?;
+                    child_peak = child_peak.max(peak);
+                }
+                rank.sync()?;
+            }
+        }
+        synced = matches!(step, PairStep::Muls(_));
+        if let Some(t0) = t0 {
+            add_time += t0.elapsed();
+        }
+    }
+    if !synced {
+        rank.sync()?;
+    }
+    if K::ENABLED {
+        sink.record_level_time(li, add_time);
+    }
+    Ok(lp.slot_len + child_peak)
 }
 
 // ---------------------------------------------------------------------------
@@ -707,7 +860,8 @@ pub fn parallel_slab_len(layouts: NodeLayouts, policy: ExecPolicy, par_depth: us
 }
 
 /// The parallel DAG depth a plan will actually execute with under `cfg`
-/// on `threads` resolved workers — `0` means "run serially".
+/// on `threads` resolved workers — `0` means no task DAG (the
+/// interpreter runs, as a team or serially).
 ///
 /// This is where the memory budget meets the parallel slab: the serial
 /// recursion depth was already budget-capped by
@@ -746,28 +900,119 @@ pub(crate) fn effective_par_depth<S: Scalar>(
 pub(crate) enum Operands<'x, S> {
     /// Shared borrows, for plans whose schedule never writes A or B.
     Shared(&'x [S], &'x [S]),
-    /// Exclusive borrows, legal for every schedule tier.
+    /// Exclusive borrows, legal for every schedule tier (planned
+    /// execution packs into the context's own buffers instead).
+    #[cfg(test)]
     Exclusive(&'x mut [S], &'x mut [S]),
 }
 
+/// Padded `m·k·n` volume up to which a single GEMM runs serially even
+/// when two or more workers resolve. On a 2-vCPU host the team breaks
+/// even near 128³ and wins from 160³; the crossover sits at 256³ so that
+/// small-problem traffic never starts the pool, whose first use leaves a
+/// few long-lived allocations in the middle of the heap (see
+/// EXPERIMENTS.md, "Team execution").
+const SERIAL_MAX_VOLUME: usize = 256 * 256 * 256;
+
+/// Terminal tail (elements) of `layouts` under `policy`: the
+/// [`fused_tail_len`] of the node where the staged levels end — the
+/// per-rank working set a team member needs of its own.
+pub(crate) fn terminal_tail_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
+    let mut l = layouts;
+    while staged_step(l, policy) {
+        l = l.child();
+    }
+    fused_tail_len(l, policy)
+}
+
+/// Elements of the second temporaries [`PAIRED_LOWMEM`] needs: the
+/// deepest staged level's low-mem slot, or 0 when no level stages or the
+/// tier overwrites its inputs (the in-place tier keeps its one-slot
+/// schedule, walked step by step).
+pub(crate) fn paired_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
+    if policy.schedule.overwrites_inputs() || !staged_step(layouts, policy) {
+        return 0;
+    }
+    let mut l = layouts;
+    while staged_step(l.child(), policy) {
+        l = l.child();
+    }
+    policy.schedule.level_temp_elems(l.a.quadrant_len(), l.b.quadrant_len(), l.c.quadrant_len())
+}
+
+/// How a single GEMM's team runs ([`crate::pool::run_team`]):
+/// `(ranks, paired)`. The ranks are the resolved `threads` when the
+/// config leaves `parallel_depth` at 0 and the padded problem exceeds
+/// [`SERIAL_MAX_VOLUME`], else 1 (serial). A team needs one terminal tail
+/// per rank past the first, plus `paired` elements for the deepest
+/// level's second temporaries; under a memory budget the team shrinks —
+/// before any Strassen level is shed — until that arena fits.
+pub(crate) fn team_size<S: Scalar>(
+    layouts: NodeLayouts,
+    policy: ExecPolicy,
+    cfg: &ModgemmConfig,
+    threads: usize,
+) -> (usize, usize) {
+    let (m, k, n) = layouts.dims();
+    if cfg.parallel_depth > 0 || threads < 2 || m * k * n <= SERIAL_MAX_VOLUME {
+        return (1, 0);
+    }
+    let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
+    let (serial, tail) = (workspace_len(layouts, policy), terminal_tail_len(layouts, policy));
+    let paired = paired_len(layouts, policy);
+    let mut team = threads;
+    while team > 1 && serial + (team - 1) * tail + paired > budget {
+        team -= 1;
+    }
+    if team > 1 {
+        (team, paired)
+    } else {
+        (1, 0)
+    }
+}
+
+/// Raw buffer pointers shared by a team's ranks. Each rank touches only
+/// its share of each buffer between barriers ([`exec_levels_raw`]).
+struct TeamBufs<S> {
+    a: *mut S,
+    b: *mut S,
+    c: *mut S,
+    ws: *mut S,
+}
+
+// SAFETY: see the struct docs — access is split by rank and ordered by
+// the team barrier.
+unsafe impl<S: Send> Send for TeamBufs<S> {}
+unsafe impl<S: Sync> Sync for TeamBufs<S> {}
+
 /// The compiled compute stage of a tiled (non-split) problem: the fixed
-/// layout tree, budget-capped policy, flattened level list, the serial
-/// arena size, and the DAG depth the pool runs it at. [`TiledPlan::run`]
-/// is the serial path from Morton buffers to the interpreter; pooled
-/// plans lower a task DAG from these fields
+/// layout tree, budget-capped policy, flattened level list, the arena
+/// size, and how the pool runs it — a team of ranks over the one
+/// interpreter, or (with an explicit `parallel_depth`) a task DAG.
+/// [`TiledPlan::run`] is the path from Morton buffers to the
+/// interpreter; DAG plans lower from these fields
 /// ([`crate::batch::build_dag`]).
 #[derive(Clone, Debug)]
 pub(crate) struct TiledPlan {
     pub(crate) layouts: NodeLayouts,
     pub(crate) policy: ExecPolicy,
     pub(crate) levels: Vec<LevelPlan>,
-    /// Serial workspace arena, in elements ([`workspace_len`]).
+    /// The interpreter's workspace arena, in elements ([`workspace_len`]).
+    /// A team carves [`Self::team_len`] more after it.
     pub(crate) arena_len: usize,
     /// Resolved worker count ([`crate::pool::resolve_threads`] at plan
     /// time).
     pub(crate) threads: usize,
+    /// Ranks of the team that runs the interpreter ([`team_size`]); 1 =
+    /// serial.
+    pub(crate) team: usize,
+    /// One rank's terminal tail ([`terminal_tail_len`]).
+    pub(crate) tail_len: usize,
+    /// Second temporaries of the deepest staged level, after the tails
+    /// ([`PAIRED_LOWMEM`]); 0 for a serial plan.
+    pub(crate) paired_len: usize,
     /// Parallel recursion levels the task DAG lowers
-    /// ([`effective_par_depth`]); `0` when a single GEMM runs serially
+    /// ([`effective_par_depth`]); `0` when a single GEMM runs as a team
     /// (`parallel_depth == 0`, one thread, no staged level, or a budget
     /// that only admits the serial arena).
     pub(crate) par_depth: usize,
@@ -777,8 +1022,8 @@ pub(crate) struct TiledPlan {
 impl TiledPlan {
     /// Compiles the compute stage for `layouts` under `policy` (already
     /// budget-capped and tier-capped by the caller): flattens the staged
-    /// levels, sizes the serial arena, and fixes the DAG depth `cfg`'s
-    /// budget admits.
+    /// levels, sizes the arena, and fixes the team size and DAG depth
+    /// `cfg`'s budget admits.
     pub(crate) fn new<S: Scalar>(
         layouts: NodeLayouts,
         policy: ExecPolicy,
@@ -789,6 +1034,8 @@ impl TiledPlan {
         levels.truncate(count);
         let threads = resolve_threads(cfg.threads);
         let par_depth = effective_par_depth::<S>(layouts, policy, cfg, threads);
+        let (team, paired_len) = team_size::<S>(layouts, policy, cfg, threads);
+        let tail_len = terminal_tail_len(layouts, policy);
         let (pm, pk, pn) = layouts.dims();
         let facts = PlanFacts {
             padded: (pm, pk, pn),
@@ -805,19 +1052,58 @@ impl TiledPlan {
             levels,
             arena_len: workspace_len(layouts, policy),
             threads,
+            team,
+            tail_len,
+            paired_len,
             par_depth,
             facts,
         }
     }
 
-    /// The serial compute stage: `C = A·B` over Morton buffers on the
-    /// schedule interpreter. `ws` must hold at least `arena_len`
-    /// elements; its contents are clobbered and need not be zeroed.
+    /// One rank's walk of the compute stage over the team's buffers
+    /// (`ws` holds [`Self::ws_len`] elements): the interpreter on the
+    /// shared serial arena, with the rank's own terminal tail. Returns
+    /// the measured serial-arena peak.
+    ///
+    /// SAFETY: as [`exec_levels_raw`], with every rank of `rank`'s team
+    /// walking the same buffers; `rank.size <= self.team`.
+    unsafe fn walk<S: Scalar, K: MetricsSink>(
+        &self,
+        bufs: &TeamBufs<S>,
+        rank: Rank<'_>,
+        sink: &mut K,
+    ) -> Result<usize, GemmError> {
+        debug_assert!(rank.size <= self.team, "team larger than its planned arena");
+        let serial = self.arena_len;
+        let tail = if rank.id == 0 {
+            bufs.ws.add(serial - self.tail_len)
+        } else {
+            bufs.ws.add(serial + (rank.id - 1) * self.tail_len)
+        };
+        let walk = Walk {
+            levels: &self.levels,
+            policy: self.policy,
+            rank,
+            tail,
+            tail_len: self.tail_len,
+            paired: if rank.size > 1 && self.paired_len > 0 {
+                bufs.ws.add(serial + (self.team - 1) * self.tail_len)
+            } else {
+                core::ptr::null_mut()
+            },
+        };
+        exec_levels_raw(&walk, bufs.a, bufs.b, bufs.c, self.layouts, 0, bufs.ws, serial, sink)
+    }
+
+    /// The compute stage: `C = A·B` over Morton buffers on the schedule
+    /// interpreter, run by the plan's team. `ws` must hold at least
+    /// [`Self::ws_len`] elements; its contents are clobbered and need not
+    /// be zeroed.
     ///
     /// Reports the plan facts, the workspace reservation and its measured
-    /// occupancy, the kernel, packing traffic and per-level times through
-    /// `sink`. The interpreter is not interruptible mid-recursion: it
-    /// checks `cancel` once, before computing.
+    /// occupancy, the kernel, packing traffic, per-level times and (for a
+    /// team) the pool counters through `sink`. `cancel` is checked once
+    /// before computing and, on a team, at every barrier.
     pub(crate) fn run<S: Scalar, K: MetricsSink>(
         &self,
         operands: Operands<'_, S>,
@@ -835,36 +1121,76 @@ impl TiledPlan {
                 );
                 (a.as_ptr().cast_mut(), b.as_ptr().cast_mut(), a.len(), b.len())
             }
+            #[cfg(test)]
             Operands::Exclusive(a, b) => (a.as_mut_ptr(), b.as_mut_ptr(), a.len(), b.len()),
         };
         check_buffers(a_len, b_len, c.len(), self.layouts)?;
-        let elem = core::mem::size_of::<S>();
-        if K::ENABLED {
-            sink.record_plan(self.facts);
-            sink.record_workspace(self.arena_len, self.arena_len * elem);
-            // Auto was resolved at plan time; the stored kind is concrete.
-            sink.record_kernel(self.policy.kernel);
-            sink.record_bytes_packed(crate::counts::packed_bytes(self.layouts, self.policy, elem));
-        }
+        self.record_facts::<S, K>(sink);
         if let Some(token) = cancel {
             token.check()?;
         }
-        let arena = &mut ws[..self.arena_len];
+        let ws = &mut ws[..self.ws_len()];
         // SAFETY: `a`/`b` span the full operand buffers (checked above)
         // and stay borrowed, unaliased, for the call. They carry
         // write-capable provenance whenever the schedule overwrites its
         // inputs: the `Shared` arm rejected that case.
-        let peak = unsafe {
-            exec_levels_raw(a, b, c, self.layouts, &self.levels, 0, arena, self.policy, sink)
-        };
+        let bufs = TeamBufs { a, b, c: c.as_mut_ptr(), ws: ws.as_mut_ptr() };
+        let (peak, stats) = run_team(
+            self.team,
+            cancel,
+            K::ENABLED,
+            |rank| unsafe { self.walk(&bufs, rank, sink) },
+            &|rank| unsafe { self.walk(&bufs, rank, &mut NoopSink).map(drop) },
+        );
+        self.record_team::<S, K>(peak?, stats, sink);
+        Ok(())
+    }
+
+    /// What the team carves after the interpreter's arena: one terminal
+    /// tail per rank past the first, and the paired temporaries.
+    pub(crate) fn team_len(&self) -> usize {
+        (self.team - 1) * self.tail_len + self.paired_len
+    }
+
+    /// Workspace an execution carves from the context: the interpreter's
+    /// arena plus [`Self::team_len`].
+    pub(crate) fn ws_len(&self) -> usize {
+        self.arena_len + self.team_len()
+    }
+
+    fn record_facts<S: Scalar, K: MetricsSink>(&self, sink: &mut K) {
+        if K::ENABLED {
+            let elem = core::mem::size_of::<S>();
+            sink.record_plan(self.facts);
+            sink.record_workspace(self.ws_len(), self.ws_len() * elem);
+            // Auto was resolved at plan time; the stored kind is concrete.
+            sink.record_kernel(self.policy.kernel);
+            sink.record_bytes_packed(crate::counts::packed_bytes(self.layouts, self.policy, elem));
+        }
+    }
+
+    /// Reports the arena a finished team run occupied (the serial peak
+    /// plus one tail per helper rank and the paired temporaries) and its
+    /// pool counters.
+    fn record_team<S: Scalar, K: MetricsSink>(
+        &self,
+        peak: usize,
+        stats: Option<crate::metrics::PoolStats>,
+        sink: &mut K,
+    ) {
         debug_assert_eq!(
             peak, self.arena_len,
             "measured peak workspace disagrees with the planned arena"
         );
         if K::ENABLED {
-            sink.record_workspace_used(peak, peak * elem);
+            let ranks = stats.map_or(1, |s| s.workers);
+            let paired = if ranks > 1 { self.paired_len } else { 0 };
+            let used = peak + (ranks - 1) * self.tail_len + paired;
+            sink.record_workspace_used(used, used * core::mem::size_of::<S>());
+            if let Some(stats) = stats {
+                sink.record_pool(stats);
+            }
         }
-        Ok(())
     }
 }
 
@@ -962,9 +1288,12 @@ impl<S: Scalar> GemmPlan<S> {
         self.strategy.is_none() && self.m > 0 && self.k > 0 && self.n > 0
     }
 
-    /// Elements of the workspace arena an execution will carve from the
-    /// context: the serial arena, or the task DAG's slab when
-    /// `parallel_depth > 0`. Zero for split or degenerate plans.
+    /// Elements of the interpreter's workspace arena, or of the task
+    /// DAG's slab when `parallel_depth > 0`. Zero for split or degenerate
+    /// plans. A team of `W` workers carves `W − 1` leaf-sized terminal
+    /// buffers and one more set of deepest-level temporaries after the
+    /// arena; they count toward the [`crate::MemoryBudget`] (the team
+    /// shrinks to fit) and the service's admission estimate.
     pub fn arena_len(&self) -> usize {
         match (&self.dag, &self.strategy) {
             (Some(dag), _) => dag.slab_len(),
@@ -1018,8 +1347,9 @@ impl<S: Scalar> GemmPlan<S> {
     /// chunks included) — the cooperative cancellation granularity: a
     /// [`CancelToken`] is observed at every task-dequeue boundary, so a
     /// cancel or deadline expiry is noticed within one task's work. `0`
-    /// when the plan executes serially (the serial interpreter checks the
-    /// token once, before computing).
+    /// when the plan runs the interpreter instead, whose team checks the
+    /// token before computing and at every barrier (a team of one: once,
+    /// before computing).
     pub fn parallel_tasks(&self) -> usize {
         self.dag.as_ref().map_or(0, BatchDag::tasks)
     }
@@ -1296,12 +1626,14 @@ impl<S: Scalar> GemmPlan<S> {
         Ok(bd)
     }
 
-    /// The tiled fast path. A pooled plan runs its task DAG on a
-    /// one-entry item table (conversion chunks, compute, α/β unpack
-    /// chunks), reporting the DAG's wall time as `compute`; a serial plan
-    /// packs, runs the interpreter, and unpacks. All buffers come from
-    /// `ctx`; any growth is recorded as temp allocations, so a warm
-    /// context records none — the allocation-free hot path.
+    /// The tiled fast path. A DAG plan runs its task DAG on a one-entry
+    /// item table (conversion chunks, compute, α/β unpack chunks),
+    /// reporting the DAG's wall time as `compute`; otherwise the plan's
+    /// team ([`run_rank`] on every rank; one rank when serial) packs,
+    /// runs the interpreter, and unpacks, rank 0 timing the stages. All
+    /// buffers come from `ctx`; any growth is recorded as temp
+    /// allocations, so a warm context records none — the allocation-free
+    /// hot path.
     #[allow(clippy::too_many_arguments)]
     fn execute_tiled<K: MetricsSink>(
         &self,
@@ -1347,35 +1679,115 @@ impl<S: Scalar> GemmPlan<S> {
             return Ok(GemmBreakdown { compute: t0.elapsed(), ..GemmBreakdown::default() });
         }
         let layouts = tp.layouts;
-        let old_lens = ctx.lens();
-
-        let t0 = Instant::now();
-        let abuf = try_grow(&mut ctx.a_buf, layouts.a.len())?;
-        let bbuf = try_grow(&mut ctx.b_buf, layouts.b.len())?;
-        to_morton(a, op_a, &layouts.a, abuf);
-        to_morton(b, op_b, &layouts.b, bbuf);
-        let convert_in = t0.elapsed();
-
-        let t1 = Instant::now();
-        let cbuf = try_grow(&mut ctx.c_buf, layouts.c.len())?;
-        let ws = try_grow(&mut ctx.ws, tp.arena_len)?;
-        // The context owns its packed buffers, so every tier may run.
-        tp.run(Operands::Exclusive(abuf, bbuf), cbuf, ws, cancel, sink)?;
-        let compute = t1.elapsed();
-        ctx.record_growth(old_lens, sink);
-
-        crate::faults::maybe_poison(&mut ctx.c_buf[..layouts.c.len()]);
-        let cbuf = &ctx.c_buf[..layouts.c.len()];
-        let t2 = Instant::now();
-        if alpha == S::ONE && beta == S::ZERO {
-            from_morton(cbuf, &layouts.c, c);
-        } else {
-            from_morton_axpby(cbuf, &layouts.c, alpha, beta, c.reborrow());
+        if tp.team > 1 {
+            // Start the pool before this call's buffers exist: its
+            // long-lived allocations then sit below them in the heap
+            // instead of above, where they would keep the freed buffers
+            // from returning to the OS.
+            crate::pool::ThreadPool::global(tp.team);
         }
-        let convert_out = t2.elapsed();
-
-        Ok(GemmBreakdown { convert_in, compute, convert_out })
+        let old_lens = ctx.lens();
+        let t0 = Instant::now();
+        try_grow(&mut ctx.a_buf, layouts.a.len())?;
+        try_grow(&mut ctx.b_buf, layouts.b.len())?;
+        try_grow(&mut ctx.c_buf, layouts.c.len())?;
+        try_grow(&mut ctx.ws, tp.ws_len())?;
+        let alloc = t0.elapsed();
+        ctx.record_growth(old_lens, sink);
+        tp.record_facts::<S, K>(sink);
+        if let Some(token) = cancel {
+            token.check()?;
+        }
+        // The context owns its packed buffers, so every tier may run.
+        let bufs = TeamBufs {
+            a: ctx.a_buf.as_mut_ptr(),
+            b: ctx.b_buf.as_mut_ptr(),
+            c: ctx.c_buf.as_mut_ptr(),
+            ws: ctx.ws.as_mut_ptr(),
+        };
+        let (m, n) = c.dims();
+        let io = TeamIo { a, op_a, b, op_b, c: c.as_mut_ptr(), ldc: c.ld(), m, n, alpha, beta };
+        let mut bd = GemmBreakdown::default();
+        let (peak, stats) = run_team(
+            tp.team,
+            cancel,
+            K::ENABLED,
+            // SAFETY: the buffers were grown to the plan's sizes above and
+            // stay borrowed for the call; `c` is an exclusive borrow of
+            // the validated output, so it aliases neither `a` nor `b`.
+            |rank| unsafe { run_rank(tp, &io, &bufs, rank, sink, Some(&mut bd)) },
+            &|rank| unsafe { run_rank(tp, &io, &bufs, rank, &mut NoopSink, None).map(drop) },
+        );
+        tp.record_team::<S, K>(peak?, stats, sink);
+        bd.convert_in += alloc;
+        Ok(bd)
     }
+}
+
+/// The caller's operands and output of a team run, as the ranks see
+/// them.
+struct TeamIo<'x, S> {
+    a: MatRef<'x, S>,
+    op_a: Op,
+    b: MatRef<'x, S>,
+    op_b: Op,
+    /// The `m × n` output, leading dimension `ldc`.
+    c: *mut S,
+    ldc: usize,
+    m: usize,
+    n: usize,
+    alpha: S,
+    beta: S,
+}
+
+// SAFETY: `a`/`b` are shared views; each rank writes only its own tile
+// columns of `c`.
+unsafe impl<S: Sync> Sync for TeamIo<'_, S> {}
+
+/// One rank's whole tiled execution: its tile range of the Morton
+/// conversion of A and B, every step of the interpreter
+/// ([`TiledPlan::walk`]), and its tile columns of the α/β unpack, with a
+/// barrier between stages. Rank 0 passes `times` to get the stage
+/// breakdown. Returns the serial-arena peak.
+///
+/// SAFETY: as [`TiledPlan::walk`]; `bufs` hold the plan's Morton
+/// buffers and arena, and `io` the validated caller views of its shape.
+unsafe fn run_rank<S: Scalar, K: MetricsSink>(
+    tp: &TiledPlan,
+    io: &TeamIo<'_, S>,
+    bufs: &TeamBufs<S>,
+    rank: Rank<'_>,
+    sink: &mut K,
+    times: Option<&mut GemmBreakdown>,
+) -> Result<usize, GemmError> {
+    let layouts = tp.layouts;
+    let t0 = Instant::now();
+    for (src, op, layout, buf) in
+        [(io.a, io.op_a, &layouts.a, bufs.a), (io.b, io.op_b, &layouts.b, bufs.b)]
+    {
+        let tile = layout.tile_len();
+        let r = rank.units(layout.len() / tile);
+        let dst = core::slice::from_raw_parts_mut(buf.add(r.start * tile), r.len() * tile);
+        pack_tile_range(src, op, layout, dst, r.start, r.end);
+    }
+    rank.sync()?;
+    let t1 = Instant::now();
+    let peak = tp.walk(bufs, rank, sink)?;
+    if cfg!(feature = "failpoints") {
+        if rank.id == 0 {
+            crate::faults::maybe_poison(core::slice::from_raw_parts_mut(bufs.c, layouts.c.len()));
+        }
+        rank.sync()?;
+    }
+    let t2 = Instant::now();
+    let cbuf = core::slice::from_raw_parts(bufs.c, layouts.c.len());
+    let r = rank.units(layouts.c.grid());
+    let (m, n) = (io.m, io.n);
+    unpack_tile_cols_raw(cbuf, &layouts.c, io.alpha, io.beta, io.c, io.ldc, m, n, r.start, r.end);
+    if let Some(bd) = times {
+        *bd = GemmBreakdown { convert_in: t1 - t0, compute: t2 - t1, convert_out: t2.elapsed() };
+    }
+    Ok(peak)
 }
 
 #[cfg(test)]

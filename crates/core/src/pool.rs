@@ -8,8 +8,15 @@
 //! parked on a condvar between jobs, and reused across `execute()` calls
 //! and whole [`crate::blas::try_gemm_batch`] batches.
 //!
-//! Jobs are whole task DAGs compiled by [`crate::batch`]'s lowering (a
-//! pooled single GEMM is a batch of one): every Morton conversion chunk,
+//! The pool runs two kinds of job. A **team** job (`run_team`) runs one
+//! closure on ranks `0..W` that meet at a spin-then-park barrier: a
+//! pooled single GEMM walks the one schedule interpreter on every rank,
+//! each rank doing a disjoint output share of every step, so it needs no
+//! memory beyond the serial arena (see `Rank`).
+//!
+//! A **graph** job runs a task DAG compiled by [`crate::batch`]'s
+//! lowering (whole batches, and single GEMMs with an explicit
+//! `parallel_depth`): every Morton conversion chunk,
 //! every S/T pre-addition pass, every one of the seven quadrant products
 //! at *every* parallel recursion level, every post-addition merge pass,
 //! and every α/β unpack chunk is a dependency-counted task. Workers pull
@@ -20,9 +27,12 @@
 //! Design notes:
 //!
 //! * **One job at a time.** The pool runs a single job slot (the
-//!   OpenBLAS discipline): concurrent submitters serialize at the slot.
-//!   The submitting thread participates as worker 0, so `threads = n`
-//!   means `n` CPUs working: `n − 1` pool threads plus the caller.
+//!   OpenBLAS discipline): concurrent graph submitters serialize at the
+//!   slot, while a team submitter that finds it busy runs as a team of
+//!   one instead of waiting (so a plan executed from inside a DAG task,
+//!   or beside another caller, never blocks on the slot). The submitting
+//!   thread participates as worker 0, so `threads = n` means `n` CPUs
+//!   working: `n − 1` pool threads plus the caller.
 //! * **No allocation on workers.** The mutable run state (dependency
 //!   counters, deques, metric shards) lives in a [`PoolScratch`] owned
 //!   by the caller's [`crate::GemmContext`] and is reset — not
@@ -40,6 +50,7 @@
 //!   hand-rolled Chase-Lev deque would not be.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -51,8 +62,10 @@ use modgemm_morton::{pack_tile_range, unpack_tile_cols_raw};
 
 use crate::error::{panic_message, GemmError};
 use crate::exec::{ExecPolicy, NodeLayouts};
-use crate::metrics::{MetricsSink, PoolStats};
-use crate::plan::{exec_levels_raw, BatchChunk, LevelPlan, Place, TaskGraph, TaskKind, MAX_LEVELS};
+use crate::metrics::{MetricsSink, NoopSink, PoolStats};
+use crate::plan::{
+    exec_levels_raw, BatchChunk, LevelPlan, Place, TaskGraph, TaskKind, Walk, MAX_LEVELS,
+};
 
 /// Environment variable consulted when [`crate::ModgemmConfig::threads`]
 /// is `0`: a positive integer fixes the worker count, anything else
@@ -295,6 +308,9 @@ pub struct ThreadPool {
     /// rather than failing the GEMM: the submitting thread always works
     /// too, so even zero spawned threads still makes progress).
     spawned: usize,
+    /// The pool's one team job, reset and republished by every team run
+    /// ([`run_team`]) so a run allocates nothing.
+    team: Arc<TeamJob>,
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -321,7 +337,7 @@ impl ThreadPool {
                 spawned += 1;
             }
         }
-        Arc::new(ThreadPool { shared, spawned })
+        Arc::new(ThreadPool { shared, spawned, team: Arc::new(TeamJob::new()) })
     }
 
     /// The process-wide pool serving jobs of `threads` workers. Pools
@@ -355,15 +371,48 @@ impl ThreadPool {
             while slot.job.is_some() {
                 slot = self.shared.job_cv.wait(slot).unwrap_or_else(|p| p.into_inner());
             }
-            slot.job = Some(Arc::clone(&job));
-            slot.seq = slot.seq.wrapping_add(1);
+            Self::publish(&mut slot, &job);
             self.shared.job_cv.notify_all();
         }
         job.work(0);
         job.quiesce();
+        self.retire(&job);
+    }
+
+    /// Publishes the pool's team job for a run of `size` ranks if the
+    /// slot is free, resetting it first (no worker touches it while the
+    /// slot is empty); `None` when another job holds the slot.
+    ///
+    /// SAFETY: `help` must stay valid until the team job quiesced.
+    unsafe fn try_start_team(
+        &self,
+        size: usize,
+        cancel: Option<&CancelToken>,
+        timed: bool,
+        help: *const HelpFn<'static>,
+    ) -> Option<Arc<dyn Job>> {
         let mut slot = lock(&self.shared.slot);
-        let finished = matches!(&slot.job, Some(cur) if Arc::ptr_eq(cur, &job));
-        if finished {
+        if slot.job.is_some() {
+            return None;
+        }
+        self.team.reset(size, cancel, timed, help);
+        let job: Arc<dyn Job> = self.team.clone();
+        Self::publish(&mut slot, &job);
+        self.shared.job_cv.notify_all();
+        Some(job)
+    }
+
+    fn publish(slot: &mut JobSlot, job: &Arc<dyn Job>) {
+        slot.job = Some(Arc::clone(job));
+        slot.seq = slot.seq.wrapping_add(1);
+    }
+
+    /// Clears the slot after `job` quiesced, waking queued submitters.
+    /// Only the submitter clears it, so every worker sees a team job
+    /// until all of its ranks have run.
+    fn retire(&self, job: &Arc<dyn Job>) {
+        let mut slot = lock(&self.shared.slot);
+        if matches!(&slot.job, Some(cur) if Arc::ptr_eq(cur, job)) {
             slot.job = None;
             self.shared.job_cv.notify_all();
         }
@@ -371,30 +420,23 @@ impl ThreadPool {
 }
 
 /// The parked-worker loop: wait for a fresh job seq, contribute to it,
-/// clear the slot when done, park again.
+/// park again.
 fn worker_main(shared: Arc<PoolShared>, worker: usize) {
     let mut last_seq = 0u64;
     loop {
-        let (job, seq) = {
+        let job = {
             let mut slot = lock(&shared.slot);
             loop {
                 if let Some(j) = &slot.job {
                     if slot.seq != last_seq {
-                        break (Arc::clone(j), slot.seq);
+                        last_seq = slot.seq;
+                        break Arc::clone(j);
                     }
                 }
                 slot = shared.job_cv.wait(slot).unwrap_or_else(|p| p.into_inner());
             }
         };
-        last_seq = seq;
         job.work(worker);
-        // First thread done clears the slot so the next submit can land;
-        // the seq guard keeps a slow worker from clearing a newer job.
-        let mut slot = lock(&shared.slot);
-        if slot.seq == seq && slot.job.is_some() {
-            slot.job = None;
-            shared.job_cv.notify_all();
-        }
     }
 }
 
@@ -898,18 +940,34 @@ impl<S: Scalar> GraphJob<S> {
                 let b = self.src_ptr(&self.b, node.b, layouts.b.len());
                 let c = self.dst(node.c, layouts.c.len());
                 let ws = self.slab.get_mut(node.slab_off, node.ws_len);
-                let levels = self.levels.get(0, self.levels.len);
                 let li = node.level as usize;
-                if self.metrics_on {
+                // A serial subtree: the team of one, whose terminal tail
+                // is its own arena's tail.
+                let tail_len = crate::plan::terminal_tail_len(layouts, self.policy);
+                let tail_at = ws.len() - tail_len;
+                let walk = Walk {
+                    levels: self.levels.get(0, self.levels.len),
+                    policy: self.policy,
+                    rank: Rank::SOLO,
+                    tail: ws[tail_at..].as_mut_ptr(),
+                    tail_len,
+                    paired: core::ptr::null_mut(),
+                };
+                let (c, ws_len, ws) = (c.as_mut_ptr(), ws.len(), ws.as_mut_ptr());
+                let run = if self.metrics_on {
                     let mut sink = ShardLevelSink { level_nanos: &mut shard.level_nanos };
-                    exec_levels_raw(a, b, c, layouts, levels, li, ws, self.policy, &mut sink);
+                    exec_levels_raw(&walk, a, b, c, layouts, li, ws, ws_len, &mut sink)
                 } else {
-                    let mut sink = crate::metrics::NoopSink;
-                    exec_levels_raw(a, b, c, layouts, levels, li, ws, self.policy, &mut sink);
-                }
+                    exec_levels_raw(&walk, a, b, c, layouts, li, ws, ws_len, &mut NoopSink)
+                };
+                // A team of one never fails a barrier.
+                debug_assert!(run.is_ok());
                 if li == 0 {
                     // A whole item as one Leaf: poison as Post does.
-                    crate::faults::maybe_poison(c);
+                    crate::faults::maybe_poison(core::slice::from_raw_parts_mut(
+                        c,
+                        layouts.c.len(),
+                    ));
                 }
             }
             TaskKind::ConvertA | TaskKind::ConvertB | TaskKind::Unpack | TaskKind::Gate => {
@@ -1218,6 +1276,346 @@ pub(crate) fn run_graph<S: Scalar, K: MetricsSink>(
     })
 }
 
+// ---------------------------------------------------------------------------
+// The team job
+// ---------------------------------------------------------------------------
+
+/// Element alignment of [`Rank::share`] boundaries: 8 elements keep two
+/// ranks' `f64` ranges on separate 64-byte cache lines.
+const SHARE_ALIGN: usize = 8;
+
+/// Busy-wait iterations a rank spins at a barrier before it yields: a
+/// partner running on another core is usually a few microseconds behind.
+/// Teams larger than the machine's parallelism skip the spin.
+const SPIN_ITERS: u32 = 1 << 7;
+
+/// `yield_now` rounds a rank tries after spinning and before it parks on
+/// the condvar. A partner the scheduler put on the same core gets that
+/// core at once, where spinning would hold it: with 4096 spins and 16
+/// yields, one run in four of forty one-shot 513³ calls on a 2-vCPU host
+/// started at 3–4 GFLOP/s instead of 11–13. With no partner there a round
+/// costs one syscall.
+const YIELD_ITERS: u32 = 1 << 8;
+
+/// One member of a team run ([`run_team`]): its index, the team size, and
+/// the barrier the members meet at. The team of one, [`Rank::SOLO`], is
+/// the serial path: every share is the whole range and [`Rank::sync`] is
+/// free.
+#[derive(Clone, Copy)]
+pub(crate) struct Rank<'t> {
+    /// `0..size`; rank 0 is the submitting thread.
+    pub id: usize,
+    pub size: usize,
+    barrier: Option<&'t TeamBarrier>,
+}
+
+impl Rank<'_> {
+    /// The team of one.
+    pub const SOLO: Rank<'static> = Rank { id: 0, size: 1, barrier: None };
+
+    /// Waits until every rank has arrived. Returns the run's first error —
+    /// a cancel or deadline the last arriver observed, or a rank's panic
+    /// or error — at this and every later barrier, so all ranks unwind
+    /// together.
+    pub fn sync(&self) -> Result<(), GemmError> {
+        self.barrier.map_or(Ok(()), TeamBarrier::wait)
+    }
+
+    /// This rank's part of `0..len`: contiguous ranges cut at multiples
+    /// of [`SHARE_ALIGN`] elements, the last rank taking the remainder.
+    pub fn share(&self, len: usize) -> Range<usize> {
+        if self.size == 1 {
+            return 0..len;
+        }
+        let chunk = len.div_ceil(self.size).next_multiple_of(SHARE_ALIGN);
+        let lo = (self.id * chunk).min(len);
+        lo..(lo + chunk).min(len)
+    }
+
+    /// This rank's part of `0..n` indivisible units, balanced to within
+    /// one unit.
+    pub fn units(&self, n: usize) -> Range<usize> {
+        if self.size == 1 {
+            return 0..n;
+        }
+        self.id * n / self.size..(self.id + 1) * n / self.size
+    }
+}
+
+/// A reusable generation barrier that spins, then yields, then parks,
+/// and carries the run's sticky failure: once set, every wait returns it.
+/// Its per-run fields are reset by [`TeamJob::reset`] while no rank uses
+/// it.
+struct TeamBarrier {
+    size: AtomicUsize,
+    /// [`SPIN_ITERS`], or 0 for a team larger than the machine.
+    spins: AtomicU32,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    /// Ranks parked on `cv` (read by the releaser to skip the lock when
+    /// nobody sleeps).
+    parked: AtomicUsize,
+    failed: AtomicBool,
+    error: Mutex<Option<GemmError>>,
+    /// Checked once per barrier, by the last arriver.
+    cancel: Mutex<Option<CancelToken>>,
+    /// Summed barrier wait over all ranks, when `timed`.
+    idle_nanos: AtomicU64,
+    timed: AtomicBool,
+    sleep: Mutex<()>,
+    cv: Condvar,
+}
+
+impl TeamBarrier {
+    fn error(&self) -> Option<GemmError> {
+        lock(&self.error).clone()
+    }
+
+    fn status(&self) -> Result<(), GemmError> {
+        if self.failed.load(Ordering::Acquire) {
+            Err(self.error().expect("a failed barrier holds its error"))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Records the run's failure (first writer wins) and wakes every
+    /// waiting rank.
+    fn fail(&self, e: GemmError) {
+        {
+            let mut slot = lock(&self.error);
+            if slot.is_none() {
+                *slot = Some(e);
+            }
+        }
+        self.failed.store(true, Ordering::SeqCst);
+        self.wake();
+    }
+
+    fn wake(&self) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            drop(lock(&self.sleep));
+            self.cv.notify_all();
+        }
+    }
+
+    fn released(&self, generation: usize) -> bool {
+        self.generation.load(Ordering::SeqCst) != generation || self.failed.load(Ordering::SeqCst)
+    }
+
+    fn wait(&self) -> Result<(), GemmError> {
+        self.status()?;
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.size.load(Ordering::Relaxed) {
+            if let Some(Err(e)) = lock(&self.cancel).as_ref().map(CancelToken::check) {
+                self.fail(e);
+            }
+            // The reset is ordered before the release, so a rank that sees
+            // the new generation also counts from zero at the next barrier.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.fetch_add(1, Ordering::SeqCst);
+            self.wake();
+            return self.status();
+        }
+        let timed = self.timed.load(Ordering::Relaxed);
+        let t0 = timed.then(Instant::now);
+        let spin = self.spins.load(Ordering::Relaxed);
+        let mut spins = 0;
+        while !self.released(generation) {
+            if spins < spin + YIELD_ITERS {
+                if spins < spin {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+                spins += 1;
+                continue;
+            }
+            let mut guard = lock(&self.sleep);
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            while !self.released(generation) {
+                guard = self.cv.wait(guard).unwrap_or_else(|p| p.into_inner());
+            }
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+        }
+        if let Some(t0) = t0 {
+            self.idle_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+        self.status()
+    }
+}
+
+/// The body helper ranks run; [`TeamJob`] stores it with the borrow
+/// lifetime erased to `'static` (see [`run_team`]).
+type HelpFn<'a> = dyn Fn(Rank<'_>) -> Result<(), GemmError> + Sync + 'a;
+
+/// A pool's team job: ranks `1..size` run `help` on pool workers while
+/// the submitter runs rank 0. One per pool, reset for every run, so a
+/// team run allocates nothing (a per-run job freed by whichever thread
+/// dropped it last would hand pool threads a malloc arena of their own).
+struct TeamJob {
+    /// The run's helper body. SAFETY CONTRACT: written by
+    /// [`TeamJob::reset`] only while the pool's slot is empty; valid
+    /// until [`run_team`] returns, which it does only after
+    /// [`Job::quiesce`].
+    help: std::cell::UnsafeCell<*const HelpFn<'static>>,
+    barrier: TeamBarrier,
+    /// Helper ranks that have finished.
+    done: Mutex<usize>,
+    done_cv: Condvar,
+}
+
+// SAFETY: `help` is a `Sync` closure the submitter keeps alive until the
+// job quiesced, and is written only while no worker can see the job;
+// everything else is Sync by construction.
+unsafe impl Send for TeamJob {}
+unsafe impl Sync for TeamJob {}
+
+impl TeamJob {
+    fn new() -> Self {
+        let nothing: &HelpFn<'static> = &|_| Ok(());
+        TeamJob {
+            help: std::cell::UnsafeCell::new(nothing),
+            barrier: TeamBarrier {
+                size: AtomicUsize::new(1),
+                spins: AtomicU32::new(0),
+                arrived: AtomicUsize::new(0),
+                generation: AtomicUsize::new(0),
+                parked: AtomicUsize::new(0),
+                failed: AtomicBool::new(false),
+                error: Mutex::new(None),
+                cancel: Mutex::new(None),
+                idle_nanos: AtomicU64::new(0),
+                timed: AtomicBool::new(false),
+                sleep: Mutex::new(()),
+                cv: Condvar::new(),
+            },
+            done: Mutex::new(0),
+            done_cv: Condvar::new(),
+        }
+    }
+
+    /// Prepares the job for a run of `size` ranks.
+    ///
+    /// SAFETY: the caller holds the pool's empty slot (no worker can be
+    /// inside the job) and keeps `help` valid until the run quiesced.
+    unsafe fn reset(
+        &self,
+        size: usize,
+        cancel: Option<&CancelToken>,
+        timed: bool,
+        help: *const HelpFn<'static>,
+    ) {
+        *self.help.get() = help;
+        let b = &self.barrier;
+        b.size.store(size, Ordering::Relaxed);
+        b.spins.store(if size <= auto_threads() { SPIN_ITERS } else { 0 }, Ordering::Relaxed);
+        b.arrived.store(0, Ordering::Relaxed);
+        b.failed.store(false, Ordering::Relaxed);
+        *lock(&b.error) = None;
+        *lock(&b.cancel) = cancel.cloned();
+        b.idle_nanos.store(0, Ordering::Relaxed);
+        b.timed.store(timed, Ordering::Relaxed);
+        *lock(&self.done) = 0;
+    }
+
+    fn size(&self) -> usize {
+        self.barrier.size.load(Ordering::Relaxed)
+    }
+}
+
+impl Job for TeamJob {
+    fn work(&self, worker: usize) {
+        let size = self.size();
+        if worker == 0 || worker >= size {
+            return;
+        }
+        let rank = Rank { id: worker, size, barrier: Some(&self.barrier) };
+        let body = catch_unwind(AssertUnwindSafe(|| {
+            // Failpoints (no-ops unless the `failpoints` feature armed
+            // them): a panicking helper poisons the barrier exactly like
+            // a real one.
+            crate::faults::maybe_worker_panic();
+            crate::faults::maybe_latency();
+            // SAFETY: the submitter keeps `help` alive until quiesce, and
+            // set it before publishing the job this worker took.
+            unsafe { (**self.help.get())(rank) }
+        }));
+        match body {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => self.barrier.fail(e),
+            Err(payload) => self
+                .barrier
+                .fail(GemmError::WorkerPanic { message: panic_message(payload.as_ref()) }),
+        }
+        *lock(&self.done) += 1;
+        self.done_cv.notify_all();
+    }
+
+    fn quiesce(&self) {
+        let mut done = lock(&self.done);
+        while *done + 1 < self.size() {
+            done = self.done_cv.wait(done).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+}
+
+/// Runs one closure as a team of up to `size` ranks on the global pool
+/// for `size` workers: `lead` on the calling thread as rank 0, `help` on
+/// ranks `1..size`. Every rank walks the same code and meets the others
+/// at [`Rank::sync`]; the team shrinks to one (`lead` alone, with
+/// [`Rank::SOLO`]) when `size < 2`, when the pool spawned no helper, or
+/// when another job holds the pool's slot — a concurrent caller or the
+/// pool job this call runs inside.
+///
+/// `cancel` is checked at every barrier by its last arriver. A panic or
+/// error on any rank fails the barrier, so the others return at their
+/// next sync; the run's first error is returned, panics as
+/// [`GemmError::WorkerPanic`]. The [`PoolStats`] (`None` for a team of
+/// one) count the ranks and, when `timed`, their summed barrier wait.
+pub(crate) fn run_team<R>(
+    size: usize,
+    cancel: Option<&CancelToken>,
+    timed: bool,
+    lead: impl FnOnce(Rank<'_>) -> Result<R, GemmError>,
+    help: &HelpFn<'_>,
+) -> (Result<R, GemmError>, Option<PoolStats>) {
+    let pool = (size >= 2).then(|| ThreadPool::global(size));
+    let size = pool.as_ref().map_or(1, |p| size.min(p.spawned + 1));
+    let Some(pool) = pool.filter(|_| size >= 2) else {
+        return (lead(Rank::SOLO), None);
+    };
+    // SAFETY: only the lifetime is erased; `help` outlives the run
+    // because this function quiesces the job before returning.
+    let help: *const HelpFn<'static> = unsafe { std::mem::transmute(help) };
+    let Some(job) = (unsafe { pool.try_start_team(size, cancel, timed, help) }) else {
+        return (lead(Rank::SOLO), None);
+    };
+    let team = &pool.team;
+    let rank = Rank { id: 0, size, barrier: Some(&team.barrier) };
+    let out = match catch_unwind(AssertUnwindSafe(|| lead(rank))) {
+        Ok(out) => out,
+        Err(payload) => Err(GemmError::WorkerPanic { message: panic_message(payload.as_ref()) }),
+    };
+    if let Err(e) = &out {
+        // Release helpers waiting for rank 0 at a barrier.
+        team.barrier.fail(e.clone());
+    }
+    team.quiesce();
+    let stats = PoolStats {
+        workers: size,
+        tasks_executed: 0,
+        steals: 0,
+        idle: Duration::from_nanos(team.barrier.idle_nanos.load(Ordering::Relaxed)),
+    };
+    let out = match team.barrier.error() {
+        Some(e) => Err(e),
+        None => out,
+    };
+    pool.retire(&job);
+    (out, Some(stats))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1281,5 +1679,100 @@ mod tests {
 
         let now = CancelToken::cancelling_after(0);
         assert_eq!(now.check(), Err(GemmError::Cancelled));
+    }
+    // The team tests use pool sizes no other test in this binary uses, so
+    // a concurrently running test never holds their pool's slot.
+
+    #[test]
+    fn team_ranks_meet_at_every_barrier() {
+        // Each rank bumps a shared counter between barriers; after every
+        // barrier every rank sees all bumps of the phase.
+        let hits = AtomicUsize::new(0);
+        let body = |rank: Rank<'_>| {
+            for phase in 1..=50 {
+                hits.fetch_add(1, Ordering::SeqCst);
+                rank.sync()?;
+                assert_eq!(hits.load(Ordering::SeqCst), phase * rank.size);
+                rank.sync()?;
+            }
+            Ok(())
+        };
+        let (out, stats) = run_team(5, None, true, body, &body);
+        out.unwrap();
+        let stats = stats.expect("a free pool runs the whole team");
+        assert_eq!(stats.workers, 5);
+    }
+
+    #[test]
+    fn a_busy_pool_runs_the_caller_as_a_team_of_one() {
+        // A team started from inside another team's rank finds the pool's
+        // slot taken (by the outer job) and runs alone instead of waiting
+        // on itself.
+        let inner = |rank: Rank<'_>| -> Result<usize, GemmError> {
+            let (out, stats) = run_team(6, None, false, |r| Ok(r.size), &|_| Ok(()));
+            assert!(stats.is_none(), "the nested team must run alone");
+            rank.sync()?;
+            out
+        };
+        let (out, stats) = run_team(6, None, false, inner, &|rank| inner(rank).map(drop));
+        assert_eq!(out, Ok(1));
+        assert_eq!(stats.map(|s| s.workers), Some(6));
+    }
+
+    #[test]
+    fn a_failing_rank_stops_every_rank_and_leaves_the_pool_usable() {
+        // A panicking rank fails the run on every rank.
+        let (out, _) = run_team(
+            8,
+            None,
+            false,
+            |rank| {
+                for _ in 0..10 {
+                    rank.sync()?;
+                }
+                Ok(())
+            },
+            &|rank| {
+                rank.sync()?;
+                panic!("rank {} failed", rank.id)
+            },
+        );
+        assert!(matches!(out, Err(GemmError::WorkerPanic { .. })), "{out:?}");
+        let (out, _) = run_team(8, None, false, |rank| rank.sync(), &|rank| rank.sync());
+        assert_eq!(out, Ok(()));
+
+        // The third barrier's last arriver trips the token; every rank
+        // returns the error from that barrier on.
+        let token = CancelToken::cancelling_after(2);
+        let body = |rank: Rank<'_>| {
+            for phase in 0..10 {
+                if let Err(e) = rank.sync() {
+                    assert_eq!(phase, 2);
+                    return Err(e);
+                }
+            }
+            Ok(())
+        };
+        let (out, _) = run_team(8, Some(&token), false, body, &|rank| body(rank));
+        assert_eq!(out, Err(GemmError::Cancelled));
+    }
+
+    #[test]
+    fn shares_tile_the_range() {
+        for size in [1usize, 2, 3, 7] {
+            for len in [0usize, 5, 64, 1089, 4356] {
+                let mut next = 0;
+                for id in 0..size {
+                    let r = Rank { id, size, barrier: None }.share(len);
+                    assert_eq!(r.start, next.min(len));
+                    assert!(r.start % SHARE_ALIGN == 0 || r.start == len);
+                    next = r.end;
+                }
+                assert_eq!(next, len);
+                let units: usize =
+                    (0..size).map(|id| Rank { id, size, barrier: None }.units(len).len()).sum();
+                assert_eq!(units, len);
+            }
+        }
     }
 }

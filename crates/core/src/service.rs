@@ -778,7 +778,7 @@ impl<S: Scalar + 'static> GemmService<S> {
         if k != kb {
             return Err(GemmError::InnerDimMismatch { a_cols: k, b_rows: kb });
         }
-        let cfg = req.config.unwrap_or(shared.cfg.gemm);
+        let cfg = team_config(req.config.unwrap_or(shared.cfg.gemm), shared.cfg.dispatchers);
 
         // 2. Plan dedupe: one compilation per (shape, config) burst.
         let (plan, _hit) = lock(&shared.cache).get_or_build(m, k, n, &cfg)?;
@@ -811,6 +811,20 @@ impl<S: Scalar + 'static> GemmService<S> {
             &mut NoopSink,
         )?;
         Ok(c)
+    }
+}
+
+/// The configuration one request runs under: a single GEMM's team gets
+/// `threads / dispatchers` workers (at least one), so dispatchers running
+/// side by side never oversubscribe the cores. Configs with an explicit
+/// `parallel_depth` keep their task DAG's worker count, and a malformed
+/// `MODGEMM_THREADS` is left for plan compilation to report.
+fn team_config(cfg: ModgemmConfig, dispatchers: usize) -> ModgemmConfig {
+    match crate::pool::try_resolve_threads(cfg.threads) {
+        Ok(threads) if cfg.parallel_depth == 0 => {
+            ModgemmConfig { threads: (threads / dispatchers.max(1)).max(1), ..cfg }
+        }
+        _ => cfg,
     }
 }
 
