@@ -3,7 +3,7 @@
 //! * dynamic vs fixed truncation point (the paper's central claim),
 //! * Strassen handover threshold (`strassen_min`),
 //! * Morton-order conventional recursion vs column-major blocked kernel,
-//! * serial vs parallel product evaluation,
+//! * serial vs team execution (`threads`),
 //! * per-call allocation vs reused [`modgemm_core::GemmContext`],
 //! * the Boyer et al. schedule memory tiers (low-mem/in-place),
 //! * f64 vs f32 element type.
@@ -122,9 +122,9 @@ fn bench_parallel(c: &mut Criterion) {
     let (a, b, _) = random_problem::<f64>(n, n, n, 42);
     let mut cm: Matrix<f64> = Matrix::zeros(n, n);
     g.throughput(Throughput::Elements(2 * (n as u64).pow(3)));
-    for depth in [0usize, 1, 2] {
-        let cfg = ModgemmConfig { parallel_depth: depth, ..ModgemmConfig::paper() };
-        g.bench_with_input(BenchmarkId::new("parallel_depth", depth), &depth, |bch, _| {
+    for threads in [1usize, 2, 4] {
+        let cfg = ModgemmConfig { threads, ..ModgemmConfig::paper() };
+        g.bench_with_input(BenchmarkId::new("threads", threads), &threads, |bch, _| {
             bch.iter(|| {
                 modgemm(
                     1.0,

@@ -25,7 +25,7 @@
 //! as a team of the resolved workers never loses to one thread (a
 //! tautology on a one-core runner, like `gate-batch`). A truncation sweep
 //! (`strassen_min` 16/64), conversion cost (Morton pack/unpack fraction),
-//! parallel speedup (`parallel_depth 2`), plan amortization (a
+//! plan amortization (a
 //! `GemmPlan` built once and executed 32 times per repetition, the
 //! amortized counterpart of the one-shot cases at the same sizes), and a
 //! leaf-kernel sweep (`kernel_<name>_512` for every [`KernelKind`] at
@@ -42,10 +42,10 @@
 //! turns each pair into CI's batched ≥ serial-loop assertion on
 //! min-time GFLOP/s (meaningful on multi-core runners — on one core the
 //! batched path degrades to the same serial loop by design).
-//! A thread sweep (`threads_{1,2,4,8}_1024`) runs the work-stealing DAG
-//! executor at fixed worker counts on n = 1024, so multi-core scaling of
-//! the pooled executor is tracked case-by-case (the `threads_1` case is
-//! the serial-degradation control).
+//! A team-size sweep (`threads_{1,2,4,8}_1024`) runs the default
+//! configuration as a team of fixed size on n = 1024, so multi-core
+//! scaling of the team is tracked case-by-case (the `threads_1` case is
+//! the serial control).
 //! The schedule sweep (`schedule_{lowmem,inplace}_512`) pins each Boyer
 //! et al. memory tier on the packed kernel with one fused level,
 //! isolating the schedule axis; the budget sweep
@@ -67,8 +67,8 @@
 //! `--kernel <naive|blocked|micro|packed|auto>` forces that leaf kernel
 //! into every MODGEMM case and restricts the sweep to it — the quick way
 //! to A/B one kernel. `--threads <n>` sets the worker count (the team
-//! size, or the DAG's workers where a case asks for `parallel_depth`) of
-//! every MODGEMM case that resolves it automatically; cases that pin a
+//! size, or the batch DAG's workers) of every MODGEMM case that resolves
+//! it automatically; cases that pin a
 //! count — the `threads_*` sweep and the one-thread controls — keep it. `--tuning profile` sets `TuningMode::Profile` on
 //! every MODGEMM/plan-reuse case so plan selection consults the loaded
 //! tuning profile (`MODGEMM_PROFILE` / `~/.cache/modgemm/profile.json`,
@@ -167,7 +167,6 @@ fn suite_cases(
     // comparison (`gate-default`, `gate-fused`, `gate-schedule`).
     let serial = ModgemmConfig { threads: 1, ..base };
     let trunc = |strassen_min| ModgemmConfig { strassen_min, ..ModgemmConfig::default() };
-    let par = ModgemmConfig { parallel_depth: 2, ..ModgemmConfig::default() };
     let case = |name: &str, n, algo| Case { name: name.to_string(), n, algo };
     let mut cases = vec![
         case("modgemm_256", 256, Algo::Modgemm(base)),
@@ -181,7 +180,6 @@ fn suite_cases(
         case("modgemm_256_trunc16", 256, Algo::Modgemm(trunc(16))),
         case("modgemm_256_trunc64", 256, Algo::Modgemm(trunc(64))),
         case("modgemm_513_conversion", 513, Algo::Modgemm(base)),
-        case("modgemm_256_par2", 256, Algo::Modgemm(par)),
         case("plan_reuse_256", 256, Algo::PlanReuse { cfg: base, execs: 32 }),
         case("plan_reuse_513", 513, Algo::PlanReuse { cfg: base, execs: 32 }),
     ];
@@ -210,11 +208,11 @@ fn suite_cases(
         };
         cases.push(case(&format!("fused_vs_staged_513_{suffix}"), 513, Algo::Modgemm(cfg)));
     }
-    // The thread sweep: the pooled DAG executor at fixed worker counts,
-    // n = 1024, parallel_depth 2. `threads_1` degrades to the serial
-    // executor and anchors the scaling curve.
+    // The team-size sweep: the default configuration as a team of fixed
+    // size, n = 1024. `threads_1` is the serial interpreter and anchors
+    // the scaling curve.
     for t in [1usize, 2, 4, 8] {
-        let cfg = ModgemmConfig { parallel_depth: 2, threads: t, ..ModgemmConfig::default() };
+        let cfg = ModgemmConfig { threads: t, ..ModgemmConfig::default() };
         cases.push(case(&format!("threads_{t}_1024"), 1024, Algo::Modgemm(cfg)));
     }
     // The schedule sweep: the two Boyer et al. memory tiers at n = 512
@@ -235,9 +233,9 @@ fn suite_cases(
     // The budget sweep: the default configuration at n = 1024 under an
     // unbounded budget and 1/2, 1/4, 1/8 of the default plan's
     // full-depth workspace. The degradation ladder absorbs the pressure
-    // (schedule tier first, then the fused level, then parallel/recursion
-    // depth), so the four cases chart throughput versus admitted
-    // workspace.
+    // (schedule tier first, then the fused level, the team, then
+    // recursion depth), so the four cases chart throughput versus
+    // admitted workspace.
     let full_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(1024, 1024, 1024, &base)
         .expect("valid config")
         .arena_len()
@@ -285,12 +283,13 @@ fn suite_cases(
     }
     // The whole-batch scheduling pairs: many small same-shape multiplies
     // (64³ × 64 — the shape batching exists for) and a few mid-size ones
-    // (256³ × 8), batched through one task DAG versus the per-item loop.
-    // parallel_depth 2 with auto worker resolution: on one core the DAG
-    // is unavailable and both sides run the identical serial loop.
+    // (256³ × 8), batched through one task DAG versus the per-item loop,
+    // both under the default configuration with auto worker resolution:
+    // on one core the DAG is unavailable and both sides run the
+    // identical serial loop.
     for (name, bn, items) in [("batch_64x64x64_n64", 64usize, 64usize), ("batch_256_n8", 256, 8)] {
-        cases.push(case(name, bn, Algo::Batch { cfg: par, items }));
-        cases.push(case(&format!("{name}_serial"), bn, Algo::BatchSerial { cfg: par, items }));
+        cases.push(case(name, bn, Algo::Batch { cfg: base, items }));
+        cases.push(case(&format!("{name}_serial"), bn, Algo::BatchSerial { cfg: base, items }));
     }
     // The service front-end under mixed power-of-two / worst-case-padding
     // traffic: per-request latency distribution plus admission behaviour.
@@ -895,9 +894,12 @@ const GATES: [Gate; 5] = [
         failure: "fused min-time GFLOP/s below staged",
     },
     // Lowering the whole batch into one task DAG must never lose to
-    // looping the per-item plan. On a one-core runner both sides run the
-    // identical serial loop (the DAG needs ≥ 2 workers), so the gate
-    // passes trivially there and bites on multi-core runners.
+    // looping the per-item plan. The loop side's 64³ and 256³ items fall
+    // under the team crossover (256³), so each runs on one thread while
+    // the DAG spreads items across workers. On a one-core runner both
+    // sides run the identical serial loop (the DAG needs ≥ 2 workers),
+    // so the gate passes trivially there and bites on multi-core
+    // runners.
     Gate {
         cmd: "gate-batch",
         pairs: &[
@@ -1081,7 +1083,7 @@ mod tests {
     #[test]
     fn batch_cases_count_every_item_flops() {
         let (n, items) = (16usize, 4usize);
-        let cfg = ModgemmConfig { parallel_depth: 2, ..ModgemmConfig::default() };
+        let cfg = ModgemmConfig::default();
         for batched in [true, false] {
             let run = run_batch_case(&cfg, n, items, 1, batched);
             assert_eq!(run.flops, (items as u64 * conventional_flops(n, n, n)) as f64);
@@ -1158,14 +1160,14 @@ mod tests {
     fn threads_flag_sets_only_auto_resolved_cases() {
         let cases = suite_cases(None, Some(3), false, false);
         let threads_of = |name: &str| match &cases.iter().find(|c| c.name == name).unwrap().algo {
-            Algo::Modgemm(cfg) => (cfg.threads, cfg.parallel_depth),
+            Algo::Modgemm(cfg) => cfg.threads,
             _ => unreachable!(),
         };
-        assert_eq!(threads_of("modgemm_513"), (3, 0), "--threads sets the team, not a DAG");
-        assert_eq!(threads_of("modgemm_513_serial"), (1, 0));
-        assert_eq!(threads_of("modgemm_513_paper"), (1, 0));
-        assert_eq!(threads_of("fused_vs_staged_513_fused").0, 1);
-        assert_eq!(threads_of("sched_gate_512_inplace").0, 1);
-        assert_eq!(threads_of("threads_8_1024"), (8, 2));
+        assert_eq!(threads_of("modgemm_513"), 3, "--threads sets the team");
+        assert_eq!(threads_of("modgemm_513_serial"), 1);
+        assert_eq!(threads_of("modgemm_513_paper"), 1);
+        assert_eq!(threads_of("fused_vs_staged_513_fused"), 1);
+        assert_eq!(threads_of("sched_gate_512_inplace"), 1);
+        assert_eq!(threads_of("threads_8_1024"), 8, "the sweep keeps its team size");
     }
 }

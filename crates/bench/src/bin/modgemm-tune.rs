@@ -77,13 +77,12 @@ fn main() -> ExitCode {
             format!("{score:.2} GFLOP/s")
         };
         eprintln!(
-            "  n={n} tiles={}..{} strassen_min={} kernel={} par={} threads={} batch_window={}: \
+            "  n={n} tiles={}..{} strassen_min={} kernel={} threads={} batch_window={}: \
              {value}{marker}",
             choice.tile_min,
             choice.tile_max,
             choice.strassen_min,
             choice.kernel,
-            choice.parallel_depth,
             choice.threads,
             choice.batch_window,
         );
@@ -108,7 +107,7 @@ fn main() -> ExitCode {
     eprintln!("modgemm-tune: wrote {} ({} entries)", path.display(), profile.entries.len());
     for e in &profile.entries {
         eprintln!(
-            "  {}x{}x{} -> tiles={}..{} strassen_min={} kernel={} par={} threads={} \
+            "  {}x{}x{} -> tiles={}..{} strassen_min={} kernel={} threads={} \
              batch_window={} (score {:.2})",
             e.m,
             e.k,
@@ -117,7 +116,6 @@ fn main() -> ExitCode {
             e.choice.tile_max,
             e.choice.strassen_min,
             e.choice.kernel,
-            e.choice.parallel_depth,
             e.choice.threads,
             e.choice.batch_window,
             e.score,

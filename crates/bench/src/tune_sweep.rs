@@ -2,7 +2,7 @@
 //!
 //! For each problem size the sweep enumerates candidate operating points
 //! — truncation tile range, `strassen_min` (the Strassen-depth knob),
-//! leaf [`KernelKind`], the parallel-DAG/thread axis, and (for parallel
+//! leaf [`KernelKind`], the thread axis, and (for multi-worker
 //! candidates) the whole-batch `batch_window` axis, timed through a
 //! small [`BatchPlan`] workload — drives each
 //! through the same plan/execute machinery `bench_runner` times (a plan
@@ -103,7 +103,8 @@ impl SweepOptions {
 /// The candidate operating points for one sweep, in evaluation order.
 /// The first candidate is always [`TunedChoice::baseline`]-equivalent
 /// (paper truncation range, no depth cap, `Auto` kernel resolution,
-/// serial, unfused), so ties and near-ties keep the untuned behaviour.
+/// auto-resolved threads, unfused), so ties and near-ties keep the
+/// untuned behaviour.
 pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
     let tile_ranges: &[(usize, usize)] = match suite {
         Suite::Smoke => &[(16, 64)],
@@ -119,7 +120,8 @@ pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
     };
     // The whole-batch in-flight window only matters to the batch DAG,
     // which needs a multi-worker pool — so the axis is swept only for
-    // parallel candidates (0 keeps the auto-derived window).
+    // candidates that may resolve several workers (0 keeps the
+    // auto-derived window).
     // The schedule-tier axis (low-mem / in-place): the in-place tier
     // trades restoring adds for a smaller working set, which can win
     // outright when the shrunken workspace stays cache-resident — so the
@@ -150,22 +152,22 @@ pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
     if has_vector_unit() {
         kernels.push(KernelKind::Packed);
     }
-    let parallel: &[(usize, usize)] =
+    let threads_axis: &[usize] =
         if std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1) > 1 {
-            // (parallel_depth, threads): serial, and the 2-level DAG with
-            // auto-resolved workers.
-            &[(0, 0), (2, 0)]
+            // Auto-resolved workers (a team above the crossover, the
+            // batch DAG's workers), and one thread.
+            &[0, 1]
         } else {
-            &[(0, 0)]
+            &[0]
         };
     let mut out = Vec::new();
     for &(tile_min, tile_max) in tile_ranges {
         for &strassen_min in strassen_mins {
             for &kernel in &kernels {
-                for &(parallel_depth, threads) in parallel {
+                for &threads in threads_axis {
                     for &fuse_depth in fuse_depths {
                         for &batch_window in batch_windows {
-                            if batch_window > 0 && parallel_depth == 0 {
+                            if batch_window > 0 && threads == 1 {
                                 continue;
                             }
                             for &schedule in schedules {
@@ -174,7 +176,6 @@ pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
                                     tile_max,
                                     strassen_min,
                                     kernel,
-                                    parallel_depth,
                                     threads,
                                     fuse_depth,
                                     batch_window,
@@ -380,7 +381,6 @@ mod tests {
         // The cachesim grid only varies schedule knobs.
         for c in candidates(Suite::Full, true) {
             assert_eq!(c.kernel, KernelKind::Auto);
-            assert_eq!(c.parallel_depth, 0);
             assert_eq!(c.threads, 0);
         }
     }

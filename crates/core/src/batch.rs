@@ -13,26 +13,25 @@
 //!
 //! ```text
 //! ConvertA chunks ─┐
-//!                  ├─► item compute subtree ─► Unpack chunks ─► done gate
+//!                  ├─► item compute (one task) ─► Unpack chunks ─► done gate
 //! ConvertB chunks ─┘
 //! ```
 //!
 //! and the subgraphs share nothing except the *window slots* they cycle
 //! through, so item `i+1`'s conversion chunks fill worker deques while
 //! item `i` is still multiplying — conversion/compute overlap falls out
-//! of ordinary work stealing instead of a bespoke pipeline. This is the
-//! only task-DAG lowering: a pooled single [`GemmPlan`] holds the DAG of
-//! a batch of one (window 1), so its conversion and unpack chunks run on
-//! the pool alongside its compute tasks.
+//! of ordinary work stealing instead of a bespoke pipeline. Parallelism
+//! is across items: each item's compute runs the serial interpreter in
+//! its own arena slot. (A single GEMM parallelizes inside its one
+//! interpreter instead, as a team — see [`crate::plan`].)
 //!
 //! Memory is admitted by an in-flight **window** `w`, not by the batch
-//! size: the arenas hold `w` slots of `(A, B, C, slab)` (closed form in
+//! size: the arenas hold `w` slots of `(A, B, C, arena)` (closed form in
 //! [`crate::counts::batch_slot_elems`]) and item `i`'s first task depends
 //! on the *done gate* of item `i − w` (its slot's previous occupant), so
 //! a [`crate::config::MemoryBudget`] caps `w` toward 1 — concurrency
-//! degrades before recursion depth does, the same degradation order the
-//! parallel slab uses. `ModgemmConfig::batch_window = 0` auto-sizes the
-//! window from the resolved worker count.
+//! degrades before recursion depth does. `ModgemmConfig::batch_window = 0`
+//! auto-sizes the window from the resolved worker count.
 
 use core::mem::size_of;
 
@@ -44,9 +43,7 @@ use crate::error::{try_grow, GemmError, Operand};
 use crate::exec::{ExecPolicy, NodeLayouts};
 use crate::gemm::GemmContext;
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::plan::{
-    BatchChunk, DagBuilder, GemmPlan, LevelPlan, Place, TaskGraph, TaskKind, TiledPlan,
-};
+use crate::plan::{BatchChunk, DagBuilder, GemmPlan, LevelPlan, TaskGraph, TaskKind, TiledPlan};
 use crate::pool::{run_graph, BatchGeom, BatchInput, CancelToken, ItemIo};
 
 /// Target elements per conversion/epilogue chunk task. Small enough that
@@ -90,24 +87,24 @@ pub struct StridedBatch<'x, S> {
 }
 
 /// A compiled task DAG over `items` same-shape GEMMs and its window
-/// geometry — only built for a tiled plan on ≥ 2 workers. [`BatchPlan`]
-/// builds one for ≥ 2 items (fewer gain nothing from overlap and take the
-/// serial per-item loop); a pooled [`GemmPlan`] builds one for a single
-/// item with window 1.
+/// geometry — only built by [`BatchPlan`] for a tiled plan on ≥ 2
+/// workers and ≥ 2 items (fewer gain nothing from overlap and take the
+/// per-item loop).
 #[derive(Clone, Debug)]
 pub(crate) struct BatchDag {
     graph: TaskGraph,
     levels: Vec<LevelPlan>,
-    level_layouts: Vec<NodeLayouts>,
+    layouts: NodeLayouts,
     policy: ExecPolicy,
     threads: usize,
     items: usize,
     window: usize,
-    /// Per-window-slot arena spans, in elements.
+    /// Per-window-slot arena spans, in elements: the packed operands,
+    /// the packed result, and the item's interpreter arena.
     slot_a: usize,
     slot_b: usize,
     slot_c: usize,
-    slot_slab: usize,
+    slot_ws: usize,
 }
 
 impl BatchDag {
@@ -117,13 +114,13 @@ impl BatchDag {
     }
 
     /// Workspace elements the DAG carves from the context: `window`
-    /// slot slabs.
-    pub(crate) fn slab_len(&self) -> usize {
-        self.window * self.slot_slab
+    /// item arenas.
+    pub(crate) fn ws_len(&self) -> usize {
+        self.window * self.slot_ws
     }
 
     /// Runs the DAG on the pool: grows the context's packed arenas and
-    /// slab to `window` slots, converts, multiplies and unpacks every
+    /// workspace to `window` slots, converts, multiplies and unpacks every
     /// item of `input` (`dims` is the logical `m × k × n`), and reports
     /// the executor's facts through `sink` — the per-item plan facts,
     /// workspace reservation and use, kernel, packing traffic, per-level
@@ -152,7 +149,7 @@ impl BatchDag {
         sink: &mut K,
     ) -> Result<(), GemmError> {
         let w = self.window;
-        let slab = self.slab_len();
+        let ws_len = self.ws_len();
         let elem = size_of::<S>();
         if K::ENABLED {
             // One plan-facts record per item: aggregate flop/padding
@@ -160,17 +157,22 @@ impl BatchDag {
             for _ in 0..self.items {
                 sink.record_plan(tp.facts);
             }
-            sink.record_workspace(slab, slab * elem);
+            sink.record_workspace(ws_len, ws_len * elem);
             sink.record_kernel(self.policy.kernel);
             sink.record_bytes_packed(
                 crate::counts::packed_bytes(tp.layouts, self.policy, elem) * self.items as u64,
             );
         }
+        // Start the pool before this call's buffers exist: its long-lived
+        // allocations then sit below them in the heap instead of above,
+        // where they would keep the freed buffers from returning to the
+        // OS.
+        crate::pool::ThreadPool::global(self.threads);
         let old_lens = ctx.lens();
         let a_arena = try_grow(&mut ctx.a_buf, w * self.slot_a)?;
         let b_arena = try_grow(&mut ctx.b_buf, w * self.slot_b)?;
         let c_arena = try_grow(&mut ctx.c_buf, w * self.slot_c)?;
-        let ws = try_grow(&mut ctx.ws, slab)?;
+        let ws = try_grow(&mut ctx.ws, ws_len)?;
         let geom = BatchGeom {
             m,
             k,
@@ -180,11 +182,12 @@ impl BatchDag {
             slot_a: self.slot_a,
             slot_b: self.slot_b,
             slot_c: self.slot_c,
+            slot_ws: self.slot_ws,
         };
         let (convert_nanos, overlap_nanos) = run_graph(
             &self.graph,
             &self.levels,
-            &self.level_layouts,
+            self.layouts,
             self.policy,
             self.threads,
             input,
@@ -201,8 +204,8 @@ impl BatchDag {
         )?;
         if K::ENABLED {
             ctx.record_growth(old_lens, sink);
-            // The DAG partitions its whole slab by construction.
-            sink.record_workspace_used(slab, slab * elem);
+            // The DAG partitions its whole workspace by construction.
+            sink.record_workspace_used(ws_len, ws_len * elem);
             let fraction =
                 if convert_nanos == 0 { 0.0 } else { overlap_nanos as f64 / convert_nanos as f64 };
             sink.record_batch(self.items, w, fraction);
@@ -515,7 +518,7 @@ impl<S: Scalar> BatchPlan<S> {
             sink.record_problem(m, k, n);
             sink.record_tuning(self.item.profile_hit());
             // One planned-execution record per batch.
-            sink.record_plan_execution((dag.slab_len() * size_of::<S>()) as u64);
+            sink.record_plan_execution((dag.ws_len() * size_of::<S>()) as u64);
         }
         dag.run(tp, (m, k, n), op_a, op_b, alpha, beta, input, ctx, cancel, sink)
     }
@@ -523,12 +526,12 @@ impl<S: Scalar> BatchPlan<S> {
 
 /// The in-flight window: requested (or `2·threads` capped to the batch
 /// when auto), then budget-capped so `w` slots of packed operands plus
-/// slab fit the [`crate::config::MemoryBudget`] — window admission
+/// arena fit the [`crate::config::MemoryBudget`] — window admission
 /// degrades toward 1 before the item plan loses recursion depth.
 fn resolve_window<S: Scalar>(eff: &ModgemmConfig, tp: &TiledPlan, batch: usize) -> usize {
     let requested = if eff.batch_window > 0 { eff.batch_window } else { (2 * tp.threads).max(2) };
     let requested = requested.min(batch.max(1));
-    let per_slot = crate::counts::batch_slot_elems(tp.layouts, tp.policy, tp.par_depth);
+    let per_slot = crate::counts::batch_slot_elems(tp.layouts, tp.policy);
     crate::counts::batch_window_cap(
         requested,
         per_slot,
@@ -572,25 +575,21 @@ fn convert_gate(
         let chunk = BatchChunk { item, slot, r0: r0 as u32, r1: r1 as u32 };
         parts.push(Some(b.chunk_task(kind, chunk, &[after])));
     }
-    match parts[..] {
-        [Some(only)] => only,
-        _ => b.task(TaskKind::Gate, 0, &parts),
-    }
+    b.join(&parts)
 }
 
 /// Lowers `batch` items of `tp` with an in-flight `window` into one task
-/// DAG whose item compute subtrees take `tp.par_depth` parallel levels
-/// (0 = each item is one `Leaf` task), or `None` on a single worker.
+/// DAG where each item's compute is one `Leaf` task, or `None` on a
+/// single worker.
 pub(crate) fn build_dag(tp: &TiledPlan, batch: usize, window: usize) -> Option<BatchDag> {
     if tp.threads < 2 {
         return None;
     }
     let layouts = tp.layouts;
-    let depth = tp.par_depth;
     let slot_a = layouts.a.len();
     let slot_b = layouts.b.len();
     let slot_c = layouts.c.len();
-    let slot_slab = crate::plan::parallel_slab_len(layouts, tp.policy, depth);
+    let slot_ws = tp.arena_len;
     let tiles_a = slot_a / layouts.a.tile_len();
     let tiles_b = slot_b / layouts.b.tile_len();
     let grid_c = layouts.c.grid();
@@ -598,7 +597,7 @@ pub(crate) fn build_dag(tp: &TiledPlan, batch: usize, window: usize) -> Option<B
     let cb = chunk_count(slot_b, tiles_b, tp.threads);
     let cu = chunk_count(slot_c, grid_c, tp.threads);
 
-    let mut b = DagBuilder::new(tp.policy);
+    let mut b = DagBuilder::default();
     // Window admission is encoded as edges: the first task of item `i`
     // depends on the done gate of item `i − w` (its slot's previous
     // occupant), so at most `w` items have live arena slots and the
@@ -611,44 +610,22 @@ pub(crate) fn build_dag(tp: &TiledPlan, batch: usize, window: usize) -> Option<B
             convert_gate(&mut b, TaskKind::ConvertA, i as u32, slot as u32, tiles_a, ca, after);
         let b_gate =
             convert_gate(&mut b, TaskKind::ConvertB, i as u32, slot as u32, tiles_b, cb, after);
-        // The item's compute subtree is the ordinary single-GEMM
-        // lowering, re-based onto its window slot: operand/output places
-        // at `slot · span` and the slab share at `slot · slot_slab`.
-        let root = b.build_node(
-            layouts,
-            0,
-            depth,
-            Place { in_slab: false, off: slot * slot_a },
-            Place { in_slab: false, off: slot * slot_b },
-            Place { in_slab: false, off: slot * slot_c },
-            slot * slot_slab,
-            Some(a_gate),
-            Some(b_gate),
-        );
+        // The item's compute: the serial interpreter on its window
+        // slot's operands, result and arena.
+        let whole = BatchChunk { item: i as u32, slot: slot as u32, r0: 0, r1: 0 };
+        let leaf = b.chunk_task(TaskKind::Leaf, whole, &[Some(a_gate), Some(b_gate)]);
         let mut parts: Vec<Option<u32>> = Vec::with_capacity(cu);
         for (r0, r1) in ranges(grid_c, cu) {
             let chunk =
                 BatchChunk { item: i as u32, slot: slot as u32, r0: r0 as u32, r1: r1 as u32 };
-            parts.push(Some(b.chunk_task(TaskKind::Unpack, chunk, &[Some(root)])));
+            parts.push(Some(b.chunk_task(TaskKind::Unpack, chunk, &[Some(leaf)])));
         }
-        let done = match parts[..] {
-            [Some(only)] => only,
-            _ => b.task(TaskKind::Gate, 0, &parts),
-        };
-        prev_done[slot] = Some(done);
-    }
-    let mut graph = b.finish();
-    graph.slab_len = window * slot_slab;
-    // Layouts per DAG level, indexed by `NodeDesc::level`.
-    let mut level_layouts = vec![layouts];
-    for _ in 0..depth {
-        let l = *level_layouts.last().expect("non-empty");
-        level_layouts.push(l.child());
+        prev_done[slot] = Some(b.join(&parts));
     }
     Some(BatchDag {
-        graph,
+        graph: b.finish(),
         levels: tp.levels.clone(),
-        level_layouts,
+        layouts,
         policy: tp.policy,
         threads: tp.threads,
         items: batch,
@@ -656,7 +633,7 @@ pub(crate) fn build_dag(tp: &TiledPlan, batch: usize, window: usize) -> Option<B
         slot_a,
         slot_b,
         slot_c,
-        slot_slab,
+        slot_ws,
     })
 }
 

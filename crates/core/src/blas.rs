@@ -289,8 +289,9 @@ pub fn try_gemm_batch<S: Scalar>(
 /// Batched GEMM: applies the same `(α, β)` to a sequence of independent
 /// `m × k × n` problems given as contiguous column-major buffers,
 /// reusing one [`crate::GemmContext`] across the batch so packing and
-/// workspace memory is allocated once. Entries run sequentially;
-/// intra-problem parallelism comes from `cfg.parallel_depth`.
+/// workspace memory is allocated once. Entries run sequentially; each
+/// entry above the team crossover runs as a team of `cfg.threads`
+/// workers.
 ///
 /// # Panics
 /// On the conditions [`try_gemm_batch`] reports as errors.

@@ -63,10 +63,8 @@ pub enum FuseDepth {
     /// tile (the combined-pack path is a bandwidth win only when the
     /// panels feed a packing kernel): the one level
     /// ([`crate::fuse::MAX_FUSE`]) that never loses to the staged
-    /// schedule, unless a requested [`ModgemmConfig::parallel_depth`]
-    /// needs it staged for the task DAG (decided from the config alone,
-    /// so the fused level, and the float bits, do not depend on the
-    /// resolved thread count).
+    /// schedule (decided from the config alone, so the fused level, and
+    /// the float bits, do not depend on the resolved thread count).
     /// Plans that resolve to a non-packing kernel stay staged; fusing
     /// them takes `Fixed(1)`, a tuning profile, or memory-budget
     /// pressure.
@@ -87,7 +85,7 @@ pub enum FuseDepth {
 pub enum SchedulePolicy {
     /// Start at the low-memory schedule and let the memory-budget ladder
     /// degrade the tier — low-mem → in-place — *before* it touches fuse
-    /// depth, parallel depth, recursion depth, or kernel choice. With an
+    /// depth, team size, recursion depth, or kernel choice. With an
     /// unlimited budget every staged level runs Winograd's 7 multiplies
     /// and 15 additions on three temporaries.
     #[default]
@@ -150,16 +148,11 @@ pub struct ModgemmConfig {
     /// `min(m, k, n) ≤ strassen_min`. `0` (default) reproduces the paper:
     /// Strassen at every quadrant division.
     pub strassen_min: usize,
-    /// Evaluate the seven products of the top `parallel_depth` recursion
-    /// levels as separate tasks of the pool's task DAG. `0` (default)
-    /// runs one interpreter on a team of [`Self::threads`] workers that
-    /// split every step by output, in the serial arena plus one small
-    /// leaf buffer per worker; `≥ 1` trades a larger slab
-    /// ([`crate::plan::parallel_slab_len`]) for coarser tasks.
-    pub parallel_depth: usize,
     /// Worker count for the pool (calling thread included): the team
-    /// size of a single GEMM above a small-problem crossover, the DAG's
-    /// workers with `parallel_depth > 0`, and the batch DAG's workers.
+    /// size of a single GEMM above a small-problem crossover (the team
+    /// walks one interpreter and splits every step by output, in the
+    /// serial arena plus one small leaf buffer per worker), and the
+    /// batch DAG's workers.
     /// `0` (default) resolves via the `MODGEMM_THREADS` environment
     /// variable, falling back to `std::thread::available_parallelism`
     /// (see [`crate::pool::resolve_threads`]); a resolved count of 1
@@ -211,7 +204,7 @@ pub struct ModgemmConfig {
     pub schedule: SchedulePolicy,
     /// In-flight window of the whole-batch DAG executor
     /// ([`crate::BatchPlan`]): how many batch items' packed operand /
-    /// result / slab slots are resident at once. `0` (default) sizes the
+    /// result / arena slots are resident at once. `0` (default) sizes the
     /// window automatically from the resolved thread count; any window
     /// (explicit or auto) is then capped by [`Self::memory_budget`] so
     /// `window · per-item` footprint fits, degrading toward 1 before the
@@ -225,7 +218,6 @@ impl Default for ModgemmConfig {
         Self {
             truncation: Truncation::default(),
             strassen_min: 0,
-            parallel_depth: 0,
             threads: 0,
             memory_budget: MemoryBudget::Unlimited,
             non_finite: NonFinitePolicy::Propagate,
@@ -328,12 +320,11 @@ mod tests {
 
     #[test]
     fn default_keeps_the_paper_tiling_and_resolves_threads() {
-        // The default runs a team of the resolved workers (no task DAG);
-        // the paper configuration pins the single-CPU setting.
+        // The default runs a team of the resolved workers; the paper
+        // configuration pins the single-CPU setting.
         let c = ModgemmConfig::default();
         assert_eq!(c.truncation, Truncation::MinPadding(TileRange::PAPER));
         assert_eq!(c.strassen_min, 0);
-        assert_eq!(c.parallel_depth, 0);
         assert_eq!(c.threads, 0); // 0 = auto (MODGEMM_THREADS / CPU count)
         assert_eq!(ModgemmConfig::paper().threads, 1);
     }

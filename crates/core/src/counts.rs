@@ -119,16 +119,14 @@ pub fn packed_bytes(layouts: NodeLayouts, policy: ExecPolicy, elem_bytes: usize)
 
 /// Elements one batch item's in-flight window slot occupies across the
 /// whole-batch DAG executor's arenas: packed A + packed B + Morton C
-/// plus the item's compute slab ([`crate::plan::parallel_slab_len`]
-/// at `item_depth`, which equals the serial [`crate::exec::workspace_len`]
-/// when `item_depth == 0`). The batch arena closed form is then simply
-/// `window · batch_slot_elems` — admitting *w* items' workspaces instead
-/// of `batch · workspace`.
-pub fn batch_slot_elems(layouts: NodeLayouts, policy: ExecPolicy, item_depth: usize) -> usize {
+/// plus the item's serial arena ([`crate::exec::workspace_len`]). The
+/// batch arena closed form is then simply `window · batch_slot_elems` —
+/// admitting *w* items' workspaces instead of `batch · workspace`.
+pub fn batch_slot_elems(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
     layouts.a.len()
         + layouts.b.len()
         + layouts.c.len()
-        + crate::plan::parallel_slab_len(layouts, policy, item_depth)
+        + crate::exec::workspace_len(layouts, policy)
 }
 
 /// The [`crate::config::MemoryBudget`]-driven in-flight window: the
@@ -285,15 +283,10 @@ mod tests {
     fn batch_slot_and_window_closed_forms() {
         let l = square(4, 3);
         let p = ExecPolicy::default();
-        // item_depth 0: the slot is the three Morton buffers plus the
-        // serial arena.
+        // The slot is the three Morton buffers plus the serial arena.
         let serial = crate::exec::workspace_len(l, p);
-        let slot0 = batch_slot_elems(l, p, 0);
+        let slot0 = batch_slot_elems(l, p);
         assert_eq!(slot0, 3 * l.a.len() + serial);
-        // A deeper item DAG swaps the serial arena for the parallel slab.
-        let slot1 = batch_slot_elems(l, p, 1);
-        assert_eq!(slot1, 3 * l.a.len() + crate::plan::parallel_slab_len(l, p, 1));
-        assert!(slot1 > slot0);
 
         // Window capping: unlimited admits the request, a tight budget
         // degrades toward 1 but never to 0.

@@ -191,11 +191,11 @@ pub enum GemmError {
     },
     /// The request's deadline passed before the result was produced —
     /// either while queued (rejected before any allocation) or mid-flight
-    /// (the task DAG was drained cooperatively).
+    /// (the team or the batch's task DAG stopped cooperatively).
     DeadlineExceeded,
     /// The request was cancelled by its caller (via
-    /// [`crate::pool::CancelToken::cancel`]); the in-flight task DAG was
-    /// drained cooperatively and the context remains reusable.
+    /// [`crate::pool::CancelToken::cancel`]); the in-flight team or task
+    /// DAG stopped cooperatively and the context remains reusable.
     Cancelled,
     /// The service is shutting down and rejects new submissions; requests
     /// still queued when the drain could not run also resolve to this.

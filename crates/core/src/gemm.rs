@@ -29,10 +29,7 @@ use crate::config::{ModgemmConfig, SchedulePolicy};
 use crate::error::try_grow;
 use crate::exec::{budget_capped_policy_with_tier_cap, workspace_len, ExecPolicy, NodeLayouts};
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::plan::{
-    effective_par_depth, parallel_slab_len, team_size, terminal_tail_len, GemmPlan, Operands,
-    TiledPlan,
-};
+use crate::plan::{team_size, terminal_tail_len, GemmPlan, Operands, TiledPlan};
 use crate::pool::resolve_threads;
 use crate::schedule::Schedule;
 
@@ -245,7 +242,8 @@ pub fn try_modgemm<S: Scalar>(
 
 /// Reusable buffers for repeated MODGEMM calls: the two Morton operand
 /// buffers, the Morton result buffer, and the Strassen workspace arena
-/// (which doubles as the per-worker slab pool of the parallel executor).
+/// (which also holds a team's per-rank tails and a batch's per-item
+/// arenas).
 /// Amortizes the four allocations of [`modgemm`] across calls of any
 /// (not necessarily identical) shapes — buffers only ever grow during
 /// execution; [`Self::shrink_to`] releases memory explicitly.
@@ -265,8 +263,8 @@ pub struct GemmContext<S> {
 /// executions of an `m × k × n` problem under `cfg` will carve from a
 /// context, or `None` for degenerate or split problems (which size
 /// themselves per sub-product). A single GEMM (`batch = 1`) carves one
-/// set — the serial arena, or the task DAG's slab when it runs on the
-/// pool; a whole-batch DAG carves `window` slots of each. The service
+/// set — the serial arena plus its team's extras; a whole-batch DAG
+/// carves `window` slots of each. The service
 /// front-end uses this as its admission-time memory estimate.
 pub(crate) fn buffer_needs<S: Scalar>(
     m: usize,
@@ -286,19 +284,13 @@ pub(crate) fn buffer_needs<S: Scalar>(
     let plan = cfg.plan(m, k, n)?;
     let layouts = try_layouts_of(&plan).ok()?;
     let policy = capped_policy::<S>(layouts, cfg);
-    // Mirror plan arena sizing exactly: the DAG slab at the budget-capped
-    // depth when the pool runs a DAG (never smaller than the serial
-    // arena), else the serial arena plus the team's extra terminal tails
-    // and paired temporaries.
+    // Mirror plan arena sizing exactly: the serial arena plus the team's
+    // extra terminal tails and paired temporaries.
     let threads = resolve_threads(cfg.threads);
-    let depth = effective_par_depth::<S>(layouts, policy, cfg, threads);
     let (a, b, c) = (layouts.a.len(), layouts.b.len(), layouts.c.len());
-    let ws = if depth > 0 {
-        parallel_slab_len(layouts, policy, depth)
-    } else {
-        let (team, paired) = team_size::<S>(layouts, policy, cfg, threads);
-        workspace_len(layouts, policy) + (team - 1) * terminal_tail_len(layouts, policy) + paired
-    };
+    let (team, paired) = team_size::<S>(layouts, policy, cfg, threads);
+    let ws =
+        workspace_len(layouts, policy) + (team - 1) * terminal_tail_len(layouts, policy) + paired;
     if batch < 2 || threads < 2 {
         return Some((a, b, c, ws));
     }
@@ -335,7 +327,7 @@ impl<S: Scalar> GemmContext<S> {
     /// Fallible [`Self::reserve_for`]: surfaces allocation failure as
     /// [`GemmError::Allocation`]. Sizing honors the configured memory
     /// budget and parallelism, matching what execution will actually use
-    /// (the parallel executor's worker slabs included).
+    /// (a team's per-rank tails included).
     pub fn try_reserve_for(
         &mut self,
         m: usize,
@@ -377,9 +369,9 @@ impl<S: Scalar> GemmContext<S> {
     /// Elements held by the Strassen workspace arena alone — the part of
     /// [`Self::footprint`] that [`crate::config::MemoryBudget`] caps (the
     /// three Morton conversion buffers are sized by the operands and are
-    /// not subject to the budget). The task DAG's slab lives here too and
-    /// stays within the budget: a plan steps its DAG depth down until the
-    /// slab fits, and runs serially when no DAG level does.
+    /// not subject to the budget). A team's terminal tails live here too
+    /// and stay within the budget: a plan shrinks its team until they
+    /// fit, and runs serially when no helper rank does.
     pub fn workspace_footprint(&self) -> usize {
         self.ws.capacity()
     }
@@ -473,7 +465,8 @@ pub(crate) fn scale_in_place<S: Scalar>(beta: S, c: &mut MatMut<'_, S>) {
 /// The execution policy `cfg` implies for a node of `layouts`, with the
 /// memory budget applied: the schedule tier degrades first (low-mem →
 /// in-place), then fuse depth climbs, then recursion depth
-/// degrades toward the conventional path until the workspace fits.
+/// degrades toward the conventional path until the workspace fits. The
+/// team is sized from what the budget leaves over ([`team_size`]).
 pub(crate) fn capped_policy<S: Scalar>(layouts: NodeLayouts, cfg: &ModgemmConfig) -> ExecPolicy {
     capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::InPlace)
 }
@@ -502,74 +495,28 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     // Auto fuses only when the plan resolved to the packed kernel (the
     // combined packs and scatter epilogue are its bandwidth win), at the
     // one level the fused table covers ([`crate::fuse::MAX_FUSE`]);
-    // Fixed pins the level count on any kernel. Auto leaves staged the
-    // levels a requested `parallel_depth` lowers to the DAG; the rule
-    // reads the config, never the resolved thread count, so float bits
-    // match at every `MODGEMM_THREADS`.
-    // Clamped to the levels the recursion actually takes so plan facts
-    // stay honest.
+    // Fixed pins the level count on any kernel. The rule reads the
+    // config, never the resolved thread count, so float bits match at
+    // every `MODGEMM_THREADS`. Clamped to the levels the recursion
+    // actually takes so plan facts stay honest.
     let levels = crate::counts::strassen_levels(layouts, base);
     base.fuse = match cfg.fuse_depth {
         crate::config::FuseDepth::Auto if kernel == modgemm_mat::KernelKind::Packed => {
-            crate::fuse::MAX_FUSE.min(levels.saturating_sub(cfg.parallel_depth))
+            crate::fuse::MAX_FUSE
         }
         crate::config::FuseDepth::Auto => 0,
         crate::config::FuseDepth::Fixed(n) => n.min(crate::fuse::MAX_FUSE),
     }
     .min(levels);
     let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
-    let mut policy = budget_capped_policy_with_tier_cap(layouts, base, budget, max_sched);
-    // Schedule-and-fuse before par-depth: the serial ladder above only
-    // degrades when the *serial* workspace is over budget, but a
-    // parallel run multiplies workspace across concurrent subtrees.
-    // When the slab at the requested DAG depth doesn't fit, a cheaper
-    // schedule tier is tried first (it shrinks every leaf subtree's
-    // arena share while keeping all seven products), then fusing the
-    // innermost level (fuse 0 → 1), before
-    // [`crate::plan::effective_par_depth`] sacrifices a DAG level.
-    // The climb stops as soon as degrading stops buying DAG depth, so
-    // an unconstrained budget never over-degrades.
-    if cfg.parallel_depth > 0 && resolve_threads(cfg.threads) >= 2 {
-        let depth_at = |p: ExecPolicy| {
-            let mut d = cfg.parallel_depth.min(crate::counts::staged_levels(layouts, p));
-            while d > 0 && parallel_slab_len(layouts, p, d) > budget {
-                d -= 1;
-            }
-            d
-        };
-        let max_fuse = crate::fuse::MAX_FUSE.min(crate::counts::strassen_levels(layouts, policy));
-        let mut best_depth = depth_at(policy);
-        'climb: for fuse in policy.fuse..=max_fuse {
-            for sched in Schedule::ALL {
-                if best_depth >= cfg.parallel_depth {
-                    break 'climb;
-                }
-                if sched < policy.schedule || sched > max_sched {
-                    continue;
-                }
-                if (fuse, sched) == (policy.fuse, policy.schedule) {
-                    continue; // the incumbent, already measured
-                }
-                let cand = ExecPolicy { fuse, schedule: sched, ..policy };
-                let d = depth_at(cand);
-                if d > best_depth {
-                    policy = cand;
-                    best_depth = d;
-                }
-            }
-        }
-    }
-    policy
+    budget_capped_policy_with_tier_cap(layouts, base, budget, max_sched)
 }
 
 /// Figure 8 mode: multiply operands that are *already* in Morton order,
 /// skipping all conversion. Computes `C ← A·B` (α = 1, β = 0).
 ///
 /// Compiles the compute stage for the operands' own layouts under `cfg`
-/// and runs it on the interpreter — as a team like any single GEMM, or
-/// serially with `parallel_depth > 0`, which lowers no task DAG here: with
-/// operands already in Morton order there is no conversion for one to
-/// overlap.
+/// and runs it on the interpreter, as a team like any single GEMM.
 /// `A` and `B` are borrowed shared, so the schedule ladder (and a pinned
 /// `SchedulePolicy::Fixed(Schedule::InPlace)`) stops at
 /// [`Schedule::LowMem`]: this entry never writes its operands.
@@ -1101,15 +1048,14 @@ mod tests {
 
     #[test]
     fn reservation_covers_pooled_single_and_batch_dags() {
-        // One sizing rule: a reserved context runs both the batch of one
-        // a pooled GemmPlan holds and a window-1 whole-batch DAG without
-        // growing.
-        let (n, items) = (256usize, 4usize);
-        let cfg =
-            ModgemmConfig { parallel_depth: 1, threads: 2, batch_window: 1, ..Default::default() };
+        // One sizing rule: a reserved context runs both a single GEMM's
+        // team (300 pads above the team crossover) and a window-1
+        // whole-batch DAG without growing.
+        let (n, items) = (300usize, 3usize);
+        let cfg = ModgemmConfig { threads: 2, batch_window: 1, ..Default::default() };
         let plan = GemmPlan::<f64>::try_new(n, n, n, &cfg).unwrap();
         let batch = crate::batch::BatchPlan::<f64>::try_new(n, n, n, items, &cfg).unwrap();
-        assert!(plan.parallel_tasks() > 0 && batch.parallel_tasks() > 0);
+        assert!(plan.tiled().unwrap().team == 2 && batch.parallel_tasks() > 0);
         let mut ctx = GemmContext::<f64>::new();
         ctx.try_reserve_for(n, n, n, &cfg).unwrap();
         let reserved = ctx.footprint();
@@ -1147,7 +1093,7 @@ mod tests {
         batch.try_execute_with_metrics(&desc, c.as_mut_slice(), &mut ctx, &mut sink).unwrap();
         assert_eq!(sink.metrics.temp_allocations, 0, "reserved context must not grow");
         assert_eq!(ctx.footprint(), reserved);
-        assert_eq!(sink.metrics.batch_items, 1 + items as u64);
+        assert_eq!(sink.metrics.batch_items, items as u64);
     }
 
     #[test]
@@ -1219,37 +1165,34 @@ mod tests {
     }
 
     #[test]
-    fn auto_fuse_leaves_the_requested_dag_levels_staged() {
-        // Packed 48×48 leaves: Auto fuses MAX_FUSE levels unless the
-        // requested parallel depth needs them staged, whatever the
-        // thread count resolves to.
-        let fused_at = |depth: usize, parallel_depth: usize, threads: usize| {
+    fn auto_fuse_ignores_the_thread_count() {
+        // Packed 48×48 leaves: Auto fuses MAX_FUSE levels at every depth
+        // and whatever the thread count resolves to, so the float bits
+        // do not depend on it.
+        let fused_at = |depth: usize, threads: usize| {
             let l = modgemm_morton::MortonLayout::new(48, 48, depth);
             let cfg = ModgemmConfig {
                 leaf_kernel: modgemm_mat::KernelKind::Packed,
-                parallel_depth,
                 threads,
                 ..ModgemmConfig::default()
             };
             capped_policy::<f64>(NodeLayouts::new(l, l, l), &cfg).fuse
         };
-        for threads in [1, 4] {
-            assert_eq!(fused_at(1, 0, threads), crate::fuse::MAX_FUSE);
-            assert_eq!(fused_at(1, 1, threads), 0, "the one level feeds the DAG");
-            assert_eq!(fused_at(1, 2, threads), 0);
-            assert_eq!(fused_at(3, 2, threads), crate::fuse::MAX_FUSE);
-            assert_eq!(fused_at(2, 2, threads), 0);
+        for threads in [0, 1, 4] {
+            for depth in 1..4 {
+                assert_eq!(fused_at(depth, threads), crate::fuse::MAX_FUSE, "depth {depth}");
+            }
         }
     }
 
     #[test]
     fn parallel_config_matches_serial() {
-        let n = 200;
+        // 300 pads above the team crossover: the default runs a team of
+        // the machine's workers, the serial side one thread.
+        let n = 300;
         let (a, b, _): (Matrix<f64>, _, _) = random_problem(n, n, n, 120);
-        // Like with like: the serial side requests the same DAG depth on
-        // one worker, so both plans fuse and stage the same levels.
-        let serial = ModgemmConfig { parallel_depth: 2, threads: 1, ..Default::default() };
-        let par = ModgemmConfig { parallel_depth: 2, ..Default::default() };
+        let serial = ModgemmConfig { threads: 1, ..Default::default() };
+        let par = ModgemmConfig::default();
         let mut c1: Matrix<f64> = Matrix::zeros(n, n);
         let mut c2: Matrix<f64> = Matrix::zeros(n, n);
         modgemm(1.0, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0.0, c1.view_mut(), &serial);

@@ -36,9 +36,9 @@
 //! Every entry point reaches the Strassen recursion through one compiled
 //! compute stage in [`mod@plan`]: the schedule interpreter, run by a
 //! team of the resolved workers on the [`pool`] (one worker for small
-//! problems or `threads: 1`) or, with `parallel_depth > 0`, the task DAG
-//! of [`batch`] on the work-stealing pool — a DAG-run single GEMM is a
-//! batch of one.
+//! problems or `threads: 1`). A whole batch runs as the task DAG of
+//! [`batch`] on the work-stealing pool, each item's compute one serial
+//! interpreter walk.
 //!
 //! The Winograd recursion step itself lives in [`schedule`] *as data*,
 //! shared by this crate's executor, the DGEFMM baseline, and the
@@ -78,7 +78,7 @@ pub use metrics::{
     CacheTotals, CollectingSink, ExecMetrics, MetricsSink, NoopSink, PlanFacts, PoolStats,
     ServiceStats,
 };
-pub use plan::{parallel_slab_len, GemmPlan, LevelPlan};
+pub use plan::{GemmPlan, LevelPlan};
 pub use pool::{
     resolve_threads, try_resolve_threads, CancelToken, ThreadPool, MODGEMM_THREADS_ENV,
 };

@@ -205,9 +205,8 @@ pub trait MetricsSink {
     }
 
     /// `count` temporary buffers totalling `elems` elements (`bytes`
-    /// bytes) were allocated outside the pre-reserved workspace (the
-    /// parallel executor's self-allocated slab, cold [`crate::GemmContext`]
-    /// buffer growth, internal scratch, …). A planned execution on a warm
+    /// bytes) were allocated outside the pre-reserved workspace (cold
+    /// [`crate::GemmContext`] buffer growth, internal scratch, …). A planned execution on a warm
     /// context records nothing here — that is the "allocation-free hot
     /// path" acceptance criterion (`temp_alloc_bytes == 0`).
     fn record_temp_allocs(&mut self, count: u64, elems: u64, bytes: u64) {

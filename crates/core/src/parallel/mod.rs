@@ -1,20 +1,20 @@
-//! A pooled single GEMM runs either as a team walking the one
-//! interpreter (the default, `parallel_depth: 0`) or, with an explicit
-//! `parallel_depth`, as a task DAG of one item: Morton conversion chunks,
-//! the compute subtree over the top `parallel_depth` Strassen levels, and
-//! α/β unpack chunks. Either way it must produce the serial interpreter's
+//! A pooled single GEMM runs as a team walking the one interpreter,
+//! each rank doing a disjoint output share of every step; a batch runs as
+//! a task DAG whose items each run the serial interpreter in their own
+//! window slot. Either way it must produce the serial interpreter's
 //! product **bit for bit** (same products, same kernels, same
 //! associativity; only the evaluation order across independent buffers
 //! changes), at any worker count and on a context whose buffers hold
 //! sentinels.
 
 mod tests {
+    use crate::batch::{BatchPlan, StridedBatch};
     use crate::config::{FuseDepth, ModgemmConfig, SchedulePolicy, Truncation};
     use crate::error::GemmError;
-    use crate::exec::{workspace_len, ExecPolicy, NodeLayouts};
-    use crate::gemm::{capped_policy, layouts_of, GemmContext};
+    use crate::exec::{ExecPolicy, NodeLayouts};
+    use crate::gemm::{layouts_of, GemmContext};
     use crate::metrics::{CollectingSink, MetricsSink, NoopSink};
-    use crate::plan::{parallel_slab_len, GemmPlan};
+    use crate::plan::GemmPlan;
     use crate::schedule::Schedule;
     use modgemm_mat::gen::random_matrix;
     use modgemm_mat::naive::naive_product;
@@ -23,19 +23,21 @@ mod tests {
     use modgemm_morton::convert::to_morton;
     use modgemm_morton::{MortonLayout, TileRange};
 
-    /// The paper's fully staged pipeline on exact-fit `tile` leaves: an
+    /// The paper's fully staged pipeline on exact-fit `tile` leaves (an
     /// `n = tile << depth` problem recurses `depth` levels with no
-    /// padding, and its top `par_depth` levels run on `threads` workers
-    /// (`0` = the machine default).
-    fn cfg(tile: usize, par_depth: usize, threads: usize) -> ModgemmConfig {
+    /// padding) on `threads` workers (`0` = the machine default).
+    fn cfg(tile: usize, threads: usize) -> ModgemmConfig {
         ModgemmConfig {
             truncation: Truncation::Fixed(tile),
             fuse_depth: FuseDepth::Fixed(0),
-            parallel_depth: par_depth,
             threads,
             ..ModgemmConfig::paper()
         }
     }
+
+    /// 320 = 40 << 3: three exact-fit levels, above the team crossover.
+    const TEAM_N: usize = 320;
+    const TEAM_TILE: usize = 40;
 
     fn plan<S: Scalar>(m: usize, k: usize, n: usize, cfg: &ModgemmConfig) -> GemmPlan<S> {
         GemmPlan::try_new(m, k, n, cfg).unwrap()
@@ -43,7 +45,7 @@ mod tests {
 
     /// Grows `ctx` to what `plan` carves and fills the packed operand and
     /// result buffers with `c_dirt` and the workspace with `ws_dirt`: a
-    /// Morton C tile the DAG never writes, or a temporary read before its
+    /// Morton C tile no rank writes, or a temporary read before its
     /// producer ran, leaves a sentinel-sized error behind.
     fn soil<S: Scalar>(ctx: &mut GemmContext<S>, plan: &GemmPlan<S>, c_dirt: S, ws_dirt: S) {
         let (m, k, n) = plan.dims();
@@ -97,57 +99,84 @@ mod tests {
         NodeLayouts::new(l, l, l)
     }
 
-    fn run_par(n: usize, tile: usize, depth: usize, par_depth: usize, seed: u64) {
-        assert_eq!(n, tile << depth);
-        let a: Matrix<f64> = random_matrix(n, n, seed);
-        let b: Matrix<f64> = random_matrix(n, n, seed + 1);
-        let c_ser = run_dirty(&plan(n, n, n, &cfg(tile, par_depth, 1)), &a, &b, 0.0, 0.0);
+    /// `items` products `C_i = A_i·B_i` of one `m × k × n` shape through a
+    /// [`BatchPlan`] under `cfg` (the task DAG), on a context whose packed
+    /// window slots and item arenas all hold `dirt`. Returns the outputs
+    /// side by side as one `m × (items·n)` matrix.
+    fn run_batch<S: Scalar>(
+        (m, k, n): (usize, usize, usize),
+        items: usize,
+        cfg: &ModgemmConfig,
+        a: &Matrix<S>,
+        b: &Matrix<S>,
+        dirt: S,
+    ) -> Matrix<S> {
+        let bplan: BatchPlan<S> = BatchPlan::try_new(m, k, n, items, cfg).unwrap();
+        assert!(bplan.parallel_tasks() > 0, "{m}x{k}x{n} {cfg:?} must run the batch DAG");
+        let tp = bplan.item_plan().tiled().unwrap();
+        let w = bplan.window();
+        let mut ctx = GemmContext::new();
+        ctx.a_buf = vec![dirt; w * tp.layouts.a.len()];
+        ctx.b_buf = vec![dirt; w * tp.layouts.b.len()];
+        ctx.c_buf = vec![dirt; w * tp.layouts.c.len()];
+        ctx.ws = vec![dirt; w * tp.arena_len];
+        let mut c = Matrix::from_fn(m, items * n, |_, _| dirt);
+        let desc = StridedBatch {
+            alpha: S::ONE,
+            op_a: Op::NoTrans,
+            a: a.as_slice(),
+            lda: m,
+            stride_a: m * k,
+            op_b: Op::NoTrans,
+            b: b.as_slice(),
+            ldb: k,
+            stride_b: k * n,
+            beta: S::ZERO,
+            ldc: m,
+            stride_c: m * n,
+        };
+        bplan.try_execute(&desc, c.as_mut_slice(), &mut ctx).unwrap();
+        c
+    }
 
-        // The pooled DAG at several explicit worker counts, on a dirty
-        // context, must be bitwise identical whatever the machine's own
-        // parallelism.
-        for threads in [2, 3, 7] {
-            let p = plan(n, n, n, &cfg(tile, par_depth, threads));
-            assert_eq!(p.parallel_depth() > 0, par_depth > 0, "threads = {threads}");
-            assert_eq!(p.parallel_tasks() > 0, par_depth > 0, "threads = {threads}");
-            let c_pool = run_dirty(&p, &a, &b, f64::NAN, f64::NAN);
-            assert_eq!(c_pool, c_ser, "n = {n} par_depth = {par_depth} threads = {threads}");
+    /// [`run_batch`] at several worker counts against the serial per-item
+    /// products of `cfg` on one thread, item by item.
+    fn batch_case<S: Scalar>(
+        (m, k, n): (usize, usize, usize),
+        cfg: ModgemmConfig,
+        threads: &[usize],
+        dirt: S,
+    ) {
+        let items = 3;
+        let a: Matrix<S> = random_matrix(m, items * k, 81);
+        let b: Matrix<S> = random_matrix(k, items * n, 82);
+        let serial = plan::<S>(m, k, n, &ModgemmConfig { threads: 1, ..cfg });
+        let mut want = Matrix::zeros(m, items * n);
+        for i in 0..items {
+            let ai = Matrix::from_fn(m, k, |r, c| a.get(r, i * k + c));
+            let bi = Matrix::from_fn(k, n, |r, c| b.get(r, i * n + c));
+            let ci = run_dirty(&serial, &ai, &bi, S::ZERO, S::ZERO);
+            want.view_mut().submatrix_mut(0, i * n, m, n).copy_from(ci.view());
         }
-        modgemm_mat::norms::assert_matrix_eq(c_ser.view(), naive_product(&a, &b).view(), n);
-    }
-
-    #[test]
-    fn one_parallel_level() {
-        run_par(64, 8, 3, 1, 1);
-    }
-
-    #[test]
-    fn two_parallel_levels() {
-        run_par(96, 12, 3, 2, 2);
-    }
-
-    #[test]
-    fn par_depth_exceeding_recursion_depth() {
-        run_par(32, 8, 2, 5, 3);
-    }
-
-    #[test]
-    fn par_depth_zero_is_serial() {
-        run_par(32, 8, 2, 0, 4);
+        for &t in threads {
+            let got =
+                run_batch((m, k, n), items, &ModgemmConfig { threads: t, ..cfg }, &a, &b, dirt);
+            assert!(got == want, "{m}x{k}x{n} threads = {t} {cfg:?}");
+        }
     }
 
     #[test]
     fn parallel_packed_kernel_matches_serial_and_reports_it() {
-        let n = 64; // 16 << 2
+        let n = TEAM_N;
         let packed =
-            |threads| ModgemmConfig { leaf_kernel: KernelKind::Packed, ..cfg(16, 1, threads) };
+            |threads| ModgemmConfig { leaf_kernel: KernelKind::Packed, ..cfg(TEAM_TILE, threads) };
         let a: Matrix<f64> = random_matrix(n, n, 51);
         let b: Matrix<f64> = random_matrix(n, n, 52);
 
-        // Each worker's slab share carries its own packing slot, so the
-        // pooled run must be bitwise identical to the serial one.
+        // Each rank packs into its own terminal tail, so the team run must
+        // be bitwise identical to the serial one.
         let pooled = plan(n, n, n, &packed(2));
-        assert_eq!(pooled.parallel_depth(), 1);
+        assert_eq!(pooled.tiled().unwrap().team, 2);
         let mut ctx = GemmContext::new();
         soil(&mut ctx, &pooled, f64::NAN, f64::NAN);
         let mut sink = CollectingSink::new();
@@ -158,67 +187,65 @@ mod tests {
         let m = sink.into_metrics();
         let policy = ExecPolicy { kernel: KernelKind::Packed, ..Default::default() };
         assert_eq!(m.kernel_selected, Some(KernelKind::Packed));
-        assert_eq!(m.bytes_packed, crate::counts::packed_bytes(square(16, 2), policy, 8));
+        assert_eq!(m.bytes_packed, crate::counts::packed_bytes(square(TEAM_TILE, 3), policy, 8));
         assert!(m.bytes_packed > 0);
-        assert!(m.pool.is_some(), "the pooled run reports pool counters");
     }
 
     #[test]
     fn pooled_parallel_with_fused_leaves_matches_staged_serial() {
-        // Depth 3 with fuse 1 leaves two *staged* levels, both lowered to
-        // the DAG (par-depth 2); each Leaf task then runs a fused
-        // subtree. The
-        // pooled run must agree bit-for-bit (i64) with both the serial
-        // fused plan and the fully staged oracle, at every worker count —
-        // this is the test the TSan job drives to race-check fused
-        // execution under real concurrency.
-        let n = 64; // 8 << 3
-        let staged = |par_depth, threads| ModgemmConfig {
-            leaf_kernel: KernelKind::Packed,
-            ..cfg(8, par_depth, threads)
-        };
-        let fused = |par_depth, threads| ModgemmConfig {
+        // Depth 3 with fuse 1 leaves two *staged* levels above one fused
+        // level. A team walks the staged levels with every rank, then
+        // runs its share of the fused terminal; a batch's item tasks run
+        // the whole fused plan on workers. Both must agree bit-for-bit
+        // (i64) with the serial fused plan and the fully staged oracle at
+        // every worker count — this is the test the TSan job drives to
+        // race-check fused execution under real concurrency.
+        let staged =
+            |tile, threads| ModgemmConfig { leaf_kernel: KernelKind::Packed, ..cfg(tile, threads) };
+        let fused = |tile, threads| ModgemmConfig {
             fuse_depth: FuseDepth::Fixed(1),
-            ..staged(par_depth, threads)
+            ..staged(tile, threads)
         };
+        let n = TEAM_N;
         let a: Matrix<i64> = random_matrix(n, n, 61);
         let b: Matrix<i64> = random_matrix(n, n, 62);
-        let c_oracle = run_dirty(&plan(n, n, n, &staged(0, 1)), &a, &b, 0, 0);
-        let c_fused = run_dirty(&plan(n, n, n, &fused(0, 1)), &a, &b, 0, 0);
+        let c_oracle = run_dirty(&plan(n, n, n, &staged(TEAM_TILE, 1)), &a, &b, 0, 0);
+        let c_fused = run_dirty(&plan(n, n, n, &fused(TEAM_TILE, 1)), &a, &b, 0, 0);
         assert_eq!(c_fused, c_oracle, "serial fused vs staged oracle");
-
         for threads in [2, 4] {
-            let p = plan(n, n, n, &fused(2, threads));
-            assert_eq!((p.parallel_depth(), p.fused_levels()), (2, 1));
+            let p = plan(n, n, n, &fused(TEAM_TILE, threads));
+            assert_eq!((p.tiled().unwrap().team, p.fused_levels()), (threads, 1));
             let c_pool = run_dirty(&p, &a, &b, i64::MAX, i64::MAX);
-            assert_eq!(c_pool, c_oracle, "threads = {threads}");
+            assert_eq!(c_pool, c_oracle, "team of {threads}");
         }
+        // 64 = 8 << 3 on the batch DAG.
+        batch_case((64, 64, 64), fused(8, 1), &[2, 4], i64::MAX);
     }
 
     #[test]
     fn every_tier_pooled_is_bitwise_serial_and_restores_inputs() {
-        // The in-place tier's leaf subtrees write and then restore their
-        // packed A/B quadrants while sibling tasks run; the DAG's SPre/TPre
-        // edges must order every other reader first.
-        let n = 32; // 4 << 3
+        // The in-place tier writes and then restores its packed A/B
+        // quadrants: a team's ranks each write their share of them, and
+        // a batch's items each write their own window slot's.
+        let n = TEAM_N;
         let a: Matrix<i64> = random_matrix(n, n, 71);
         let b: Matrix<i64> = random_matrix(n, n, 72);
         let expect = naive_product(&a, &b);
         for schedule in Schedule::ALL {
-            let tier = |threads| ModgemmConfig {
+            let tier = |tile, threads| ModgemmConfig {
                 schedule: SchedulePolicy::Fixed(schedule),
-                ..cfg(4, 2, threads)
+                ..cfg(tile, threads)
             };
-            let layouts = layouts_of(&tier(1).plan(n, n, n).unwrap());
+            let layouts = layouts_of(&tier(TEAM_TILE, 1).plan(n, n, n).unwrap());
             let mut ab = vec![0; layouts.a.len()];
             let mut bb = vec![0; layouts.b.len()];
             to_morton(a.view(), Op::NoTrans, &layouts.a, &mut ab);
             to_morton(b.view(), Op::NoTrans, &layouts.b, &mut bb);
-            let c_ser = run_dirty(&plan(n, n, n, &tier(1)), &a, &b, 0, 0);
+            let c_ser = run_dirty(&plan(n, n, n, &tier(TEAM_TILE, 1)), &a, &b, 0, 0);
             assert_eq!(c_ser, expect, "{schedule}");
             for threads in [2, 5] {
-                let p = plan(n, n, n, &tier(threads));
-                assert_eq!((p.parallel_depth(), p.schedule()), (2, schedule));
+                let p = plan(n, n, n, &tier(TEAM_TILE, threads));
+                assert_eq!((p.tiled().unwrap().team, p.schedule()), (threads, schedule));
                 let mut ctx = GemmContext::new();
                 soil(&mut ctx, &p, i64::MIN, i64::MAX);
                 let c = exec(&p, &a, &b, &mut ctx, i64::MIN, &mut NoopSink).unwrap();
@@ -228,121 +255,99 @@ mod tests {
                     "{schedule}: packed operands not restored"
                 );
             }
+            // 32 = 4 << 3 on the batch DAG.
+            batch_case((32, 32, 32), tier(4, 1), &[2, 5], i64::MIN);
         }
     }
 
     #[test]
     fn every_kernel_pooled_on_dirty_buffers_is_bitwise_serial() {
-        // Morton C (and the packed operands) start as i64::MIN and the
-        // slab as i64::MAX on every pooled run: a C quadrant the DAG
-        // never writes, or a temporary read before its producer ran,
-        // leaves a sentinel-sized error behind. The ragged shape pads,
-        // so its convert chunks must zero the pad.
-        let ragged = ModgemmConfig {
-            truncation: Truncation::MinPadding(TileRange::new(3, 6)),
-            ..cfg(1, 2, 1)
-        };
-        for ((m, k, n), base) in
-            [((32, 32, 32), cfg(4, 2, 1)), ((20, 20, 20), cfg(5, 1, 1)), ((11, 19, 14), ragged)]
+        // The batch DAG's packed window slots, results and item arenas
+        // start as i64::MIN on every run: a C tile no task writes, or a
+        // temporary read before its producer ran, leaves a
+        // sentinel-sized error behind. The ragged shape pads, so its
+        // convert chunks must zero the pad. (The team's counterpart is
+        // `team_is_bitwise_serial_at_every_team_size`.)
+        let ragged =
+            ModgemmConfig { truncation: Truncation::MinPadding(TileRange::new(3, 6)), ..cfg(1, 1) };
+        for (shape, base) in
+            [((32, 32, 32), cfg(4, 1)), ((20, 20, 20), cfg(5, 1)), ((11, 19, 14), ragged)]
         {
-            let a: Matrix<i64> = random_matrix(m, k, 81);
-            let b: Matrix<i64> = random_matrix(k, n, 82);
             for kernel in KernelKind::ALL {
-                let at = |threads| ModgemmConfig { leaf_kernel: kernel, threads, ..base };
-                let c_ser = run_dirty(&plan(m, k, n, &at(1)), &a, &b, 0, 0);
-                assert_eq!(c_ser, naive_product(&a, &b), "{kernel:?} {m}x{k}x{n}");
-                for threads in [2, 3, 7] {
-                    let p = plan(m, k, n, &at(threads));
-                    assert!(p.parallel_depth() > 0, "{kernel:?} {m}x{k}x{n}");
-                    let c_pool = run_dirty(&p, &a, &b, i64::MIN, i64::MAX);
-                    assert_eq!(c_pool, c_ser, "{kernel:?} {m}x{k}x{n} threads = {threads}");
-                }
+                let at = ModgemmConfig { leaf_kernel: kernel, ..base };
+                batch_case(shape, at, &[2, 3, 7], i64::MIN);
             }
         }
     }
 
     #[test]
     fn try_parallel_reports_buffer_mismatch() {
-        // A pooled plan takes only operands of its own shape, rejected
+        // A team plan takes only operands of its own shape, rejected
         // typed before any buffer or output is touched.
-        let p = plan::<f64>(16, 16, 16, &cfg(4, 1, 2));
-        assert!(p.parallel_depth() > 0);
+        let n = TEAM_N;
+        let p = plan::<f64>(n, n, n, &cfg(TEAM_TILE, 2));
+        assert_eq!(p.tiled().unwrap().team, 2);
         let mut ctx = GemmContext::new();
-        let a: Matrix<f64> = Matrix::zeros(16, 16);
-        let b: Matrix<f64> = Matrix::zeros(19, 16);
+        let a: Matrix<f64> = Matrix::zeros(n, n);
+        let b: Matrix<f64> = Matrix::zeros(19, n);
         assert_eq!(
             exec(&p, &a, &b, &mut ctx, f64::NAN, &mut NoopSink),
-            Err(GemmError::InnerDimMismatch { a_cols: 16, b_rows: 19 })
+            Err(GemmError::InnerDimMismatch { a_cols: n, b_rows: 19 })
         );
         let small: Matrix<f64> = Matrix::zeros(8, 8);
         assert_eq!(
             exec(&p, &small, &small, &mut ctx, f64::NAN, &mut NoopSink),
-            Err(GemmError::PlanShapeMismatch { planned: (16, 16, 16), got: (8, 8, 8) })
+            Err(GemmError::PlanShapeMismatch { planned: (n, n, n), got: (8, 8, 8) })
         );
         assert_eq!(ctx.footprint(), 0, "a rejected call must not size the context");
     }
 
     #[test]
     fn dirty_oversized_slab_matches_a_clean_one() {
-        let n = 32; // 8 << 2
-        let p = plan::<f64>(n, n, n, &cfg(8, 1, 2));
-        let layouts = square(8, 2);
-        let policy = capped_policy::<f64>(layouts, p.config());
-        assert_eq!(p.arena_len(), parallel_slab_len(layouts, policy, 1));
+        let n = TEAM_N;
+        let p = plan::<f64>(n, n, n, &cfg(TEAM_TILE, 2));
+        let tp = p.tiled().unwrap();
+        assert!(tp.team == 2 && tp.ws_len() > p.arena_len(), "the team carves tails");
         let a: Matrix<f64> = random_matrix(n, n, 41);
         let b: Matrix<f64> = random_matrix(n, n, 42);
         let clean = exec(&p, &a, &b, &mut GemmContext::new(), 0.0, &mut NoopSink).unwrap();
 
-        // Every temporary is fully written before it is read, so a dirty,
-        // oversized slab gives the bitwise result.
+        // Every temporary and tail is fully written before it is read, so
+        // a dirty, oversized workspace gives the bitwise result.
         let mut ctx = GemmContext::new();
         soil(&mut ctx, &p, f64::NAN, f64::NAN);
-        ctx.ws = vec![f64::NAN; p.arena_len() + 13];
+        ctx.ws = vec![f64::NAN; tp.ws_len() + 13];
         assert_eq!(exec(&p, &a, &b, &mut ctx, f64::NAN, &mut NoopSink).unwrap(), clean);
-    }
-
-    #[test]
-    fn slab_model_matches_legacy_temp_total() {
-        // The slab is exactly the sum the old per-node `vec!` temporaries
-        // added up to: 4qa + 4qb + 3qc per parallel Winograd level, times 7
-        // per child, plus one serial workspace per handover subtree.
-        let l = MortonLayout::new(8, 8, 3);
-        let layouts = NodeLayouts::new(l, l, l);
-        let policy = ExecPolicy::default();
-        let (qa, qb, qc) = (l.quadrant_len(), l.quadrant_len(), l.quadrant_len());
-        let per_node = 4 * qa + 4 * qb + 3 * qc;
-        let child = layouts.child();
-        let expect = per_node + 7 * (workspace_len(child, policy));
-        assert_eq!(parallel_slab_len(layouts, policy, 1), expect);
-        // Handover cases degenerate to the serial workspace.
-        assert_eq!(parallel_slab_len(layouts, policy, 0), workspace_len(layouts, policy));
     }
 
     #[test]
     fn try_parallel_succeeds_and_matches_serial() {
         // The machine-default worker count (`MODGEMM_THREADS` or the CPU
-        // count): pooled when it resolves to two or more, serial otherwise.
-        let n = 32; // 8 << 2
+        // count): a team when it resolves to two or more, serial
+        // otherwise.
+        let n = TEAM_N;
         let a: Matrix<f64> = random_matrix(n, n, 21);
         let b: Matrix<f64> = random_matrix(n, n, 22);
-        let c_par = run_dirty(&plan(n, n, n, &cfg(8, 1, 0)), &a, &b, f64::NAN, f64::NAN);
-        let c_ser = run_dirty(&plan(n, n, n, &cfg(8, 1, 1)), &a, &b, 0.0, 0.0);
+        let c_par = run_dirty(&plan(n, n, n, &cfg(TEAM_TILE, 0)), &a, &b, f64::NAN, f64::NAN);
+        let c_ser = run_dirty(&plan(n, n, n, &cfg(TEAM_TILE, 1)), &a, &b, 0.0, 0.0);
         assert_eq!(c_par, c_ser);
     }
 
     #[test]
     fn integers_stay_exact_in_parallel() {
-        let n = 32; // 4 << 3
+        let n = TEAM_N;
         let a: Matrix<i64> = random_matrix(n, n, 9);
         let b: Matrix<i64> = random_matrix(n, n, 10);
-        let c = run_dirty(&plan(n, n, n, &cfg(4, 2, 0)), &a, &b, i64::MIN, i64::MAX);
+        let c = run_dirty(&plan(n, n, n, &cfg(TEAM_TILE, 0)), &a, &b, i64::MIN, i64::MAX);
         assert_eq!(c, naive_product(&a, &b));
 
-        // Pooled DAG execution stays exact (and bitwise serial-equal) at a
-        // worker count well above one level's task count.
-        let c_pool = run_dirty(&plan(n, n, n, &cfg(4, 2, 16)), &a, &b, i64::MIN, i64::MAX);
-        assert_eq!(c_pool, c);
+        // A team of eight on a machine with fewer cores stays exact, and
+        // so does a batch DAG with more workers than its tasks need.
+        let c_team = run_dirty(&plan(n, n, n, &cfg(TEAM_TILE, 8)), &a, &b, i64::MIN, i64::MAX);
+        assert_eq!(c_team, c);
+        batch_case((32, 32, 32), cfg(4, 1), &[16], i64::MIN);
     }
+
     /// `C ← α·A·B + β·C` through `cfg` at every team size, each run on a
     /// context whose Morton buffers and arena hold `dirt`, against the
     /// one-thread run. Checks that each plan's team is the worker count.

@@ -25,11 +25,8 @@
 //! compiles only the compute stage (`TiledPlan`), so every path runs the
 //! same interpreter (`exec_levels_raw`) and produces bit-identical
 //! results — on one thread, or on a team of pool workers that split
-//! every step by output (`pool::run_team`). A plan with an
-//! explicit `parallel_depth` holds a whole-batch task DAG
-//! ([`crate::batch`]) for a batch of one instead, whose conversion
-//! chunks, compute tasks and α/β unpack chunks run as one
-//! dependency-counted graph.
+//! every step by output (`pool::run_team`). Only a batch lowers to a
+//! task DAG ([`crate::batch`]), where each item's compute is one task.
 
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
@@ -40,7 +37,6 @@ use modgemm_mat::view::{MatMut, MatRef, Op};
 use modgemm_mat::{Matrix, Scalar};
 use modgemm_morton::{pack_tile_range, unpack_tile_cols_raw};
 
-use crate::batch::{build_dag, BatchDag};
 use crate::config::{ModgemmConfig, NonFinitePolicy, VerifyMode};
 use crate::error::{try_grow, try_zeroed_vec, GemmError, Operand};
 use crate::exec::{
@@ -51,7 +47,7 @@ use crate::gemm::{
     capped_policy, has_non_finite, scale_in_place, try_layouts_of, GemmBreakdown, GemmContext,
 };
 use crate::metrics::{MetricsSink, NoopSink, PlanFacts};
-use crate::pool::{resolve_threads, run_team, BatchInput, CancelToken, ItemIo, Rank};
+use crate::pool::{resolve_threads, run_team, CancelToken, Rank};
 use crate::rect;
 use crate::schedule::{ASlot, AddKind, BSlot, Step};
 use crate::verify::verify_gemm;
@@ -570,36 +566,16 @@ unsafe fn exec_paired_node<S: Scalar, K: MetricsSink>(
 // Task-DAG lowering (the compile side of the work-stealing executor)
 // ---------------------------------------------------------------------------
 
-/// Where a task operand or destination region lives: in the parallel
-/// slab (`in_slab`) or at `off` in the corresponding Morton-packed
-/// operand buffer (A regions resolve against the packed A buffer, B
-/// against B, C against C).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Place {
-    /// `true`: `off` indexes the slab; `false`: the operand's buffer.
-    pub in_slab: bool,
-    /// Element offset of the region start.
-    pub off: usize,
-}
-
-/// The task flavors of the lowered DAG ([`crate::batch`]). The first four
-/// are the compute tasks of one GEMM's Winograd recursion; the last four
-/// make conversion and epilogue work ordinary dependency-counted tasks
-/// that overlap with compute.
+/// The task flavors of the lowered batch DAG ([`crate::batch`]): one
+/// compute task per item, plus conversion and epilogue work as ordinary
+/// dependency-counted tasks that overlap with compute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TaskKind {
-    /// `S1..S4` operand pre-additions of one Winograd node.
-    SPre,
-    /// `T1..T4` operand pre-additions of one Winograd node.
-    TPre,
-    /// The node's combination suffix (the `U` passes), gated on all
-    /// seven product completions.
-    Post,
-    /// A serial subtree at the handover depth: `exec_levels_raw` on the
-    /// subtree's own slab share.
+    /// One item's whole compute stage: the serial interpreter
+    /// (`exec_levels_raw`) on the item's window slot and arena share.
     Leaf,
     /// Pack a Morton tile range of one item's A operand into its window
-    /// slot. `TaskDesc::node` indexes [`TaskGraph::chunks`].
+    /// slot.
     ConvertA,
     /// Pack a Morton tile range of one item's B operand.
     ConvertB,
@@ -612,10 +588,10 @@ pub(crate) enum TaskKind {
     Gate,
 }
 
-/// One unit of conversion/epilogue work: a contiguous range of one
-/// item's tiles (pack) or tile columns (unpack), bound to the window
-/// slot the item occupies. Referenced by the conversion [`TaskKind`]s
-/// through `TaskDesc::node`.
+/// One unit of work: a contiguous range of one item's tiles (pack) or
+/// tile columns (unpack), or its whole compute (`Leaf`), bound to the
+/// window slot the item occupies. Referenced by every [`TaskKind`] but
+/// `Gate` through `TaskDesc::chunk`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BatchChunk {
     /// Batch item index.
@@ -623,7 +599,7 @@ pub(crate) struct BatchChunk {
     /// In-flight window slot (`item % window`).
     pub slot: u32,
     /// Half-open unit range: Morton tile indices for `ConvertA`/
-    /// `ConvertB`, tile-column indices for `Unpack`, `0..0` for `Gate`.
+    /// `ConvertB`, tile-column indices for `Unpack`, `0..0` for `Leaf`.
     pub r0: u32,
     pub r1: u32,
 }
@@ -632,9 +608,8 @@ pub(crate) struct BatchChunk {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TaskDesc {
     pub kind: TaskKind,
-    /// Index into [`TaskGraph::nodes`] for compute kinds, into
-    /// [`TaskGraph::chunks`] for the conversion kinds.
-    pub node: u32,
+    /// Index into [`TaskGraph::chunks`] (unused by `Gate`).
+    pub chunk: u32,
     /// Tasks that must complete before this one may run (the refcount
     /// the executor counts down).
     pub dep_count: u32,
@@ -643,79 +618,53 @@ pub(crate) struct TaskDesc {
     pub dep_len: u32,
 }
 
-/// One node of the parallel recursion: operand/destination regions plus
-/// this node's slab share.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct NodeDesc {
-    /// Recursion level (= DAG depth); indexes the per-level layouts.
-    pub level: u32,
-    pub a: Place,
-    pub b: Place,
-    pub c: Place,
-    /// Expanded nodes: start of the node's `S/T/P` temporaries (children
-    /// slabs follow). Leaves: start of the subtree's serial arena.
-    pub slab_off: usize,
-    /// Leaves: the serial arena length ([`workspace_len`] of the
-    /// subtree). Unused (0) for expanded nodes.
-    pub ws_len: usize,
-}
-
 /// A batch of GEMMs lowered into dependency-counted tasks: conversion
-/// chunks, every parallel recursion level of each item's flattened
-/// schedule, and unpack chunks — the unit the work-stealing pool
-/// executes. Compiled once at plan time; execution only resets
-/// refcounts.
+/// chunks, one compute task per item, and unpack chunks — the unit the
+/// work-stealing pool executes. Compiled once at plan time; execution
+/// only resets refcounts.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TaskGraph {
     pub tasks: Vec<TaskDesc>,
-    pub nodes: Vec<NodeDesc>,
     /// Flat dependents array, indexed via `TaskDesc::{dep_start,dep_len}`.
     pub dependents: Vec<u32>,
     /// Tasks with no dependencies, in deterministic (DFS) order.
     pub roots: Vec<u32>,
-    /// Slab elements the graph's places span (`window ·`
-    /// [`parallel_slab_len`]).
-    pub slab_len: usize,
-    /// Conversion/epilogue work units, indexed by conversion-kind tasks'
-    /// `node` field.
+    /// Work units, indexed by every task's `chunk` field but `Gate`'s.
     pub chunks: Vec<BatchChunk>,
 }
 
+#[derive(Default)]
 pub(crate) struct DagBuilder {
-    /// `(kind, node, dep_count)` per task; edges resolved in `finish`.
+    /// `(kind, chunk, dep_count)` per task; edges resolved in `finish`.
     tasks: Vec<(TaskKind, u32, u32)>,
-    nodes: Vec<NodeDesc>,
     chunks: Vec<BatchChunk>,
     /// `(task, dependent)` edges.
     edges: Vec<(u32, u32)>,
-    policy: ExecPolicy,
 }
 
 impl DagBuilder {
-    pub(crate) fn new(policy: ExecPolicy) -> Self {
-        DagBuilder {
-            tasks: Vec::new(),
-            nodes: Vec::new(),
-            chunks: Vec::new(),
-            edges: Vec::new(),
-            policy,
+    /// The task that completes once every task in `parts` has: the
+    /// single part itself, or a zero-work join (`Gate`).
+    pub(crate) fn join(&mut self, parts: &[Option<u32>]) -> u32 {
+        match parts {
+            [Some(only)] => *only,
+            _ => self.task(TaskKind::Gate, 0, parts),
         }
     }
 
-    pub(crate) fn task(&mut self, kind: TaskKind, node: u32, deps: &[Option<u32>]) -> u32 {
+    fn task(&mut self, kind: TaskKind, chunk: u32, deps: &[Option<u32>]) -> u32 {
         let id = self.tasks.len() as u32;
         let mut count = 0;
         for &dep in deps.iter().flatten() {
             self.edges.push((dep, id));
             count += 1;
         }
-        self.tasks.push((kind, node, count));
+        self.tasks.push((kind, chunk, count));
         id
     }
 
-    /// A conversion-kind task over work unit `chunk` (same dependency
-    /// semantics as [`Self::task`], but `node` indexes
-    /// [`TaskGraph::chunks`]).
+    /// A task of `kind` over work unit `chunk`, run once every task in
+    /// `deps` has completed (`None` entries are skipped).
     pub(crate) fn chunk_task(
         &mut self,
         kind: TaskKind,
@@ -725,82 +674,6 @@ impl DagBuilder {
         let id = self.chunks.len() as u32;
         self.chunks.push(chunk);
         self.task(kind, id, deps)
-    }
-
-    /// Lowers the subtree at `layouts` with `rem` parallel levels left.
-    /// `a_ready`/`b_ready` gate the operand regions (the item's convert
-    /// gates at the root); returns the task whose completion means the
-    /// subtree's `c` region holds its product.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_node(
-        &mut self,
-        layouts: NodeLayouts,
-        level: u32,
-        rem: usize,
-        a: Place,
-        b: Place,
-        c: Place,
-        slab_off: usize,
-        a_ready: Option<u32>,
-        b_ready: Option<u32>,
-    ) -> u32 {
-        if rem == 0 || !staged_step(layouts, self.policy) {
-            let ws_len = workspace_len(layouts, self.policy);
-            let node = self.nodes.len() as u32;
-            self.nodes.push(NodeDesc { level, a, b, c, slab_off, ws_len });
-            return self.task(TaskKind::Leaf, node, &[a_ready, b_ready]);
-        }
-        let ch = layouts.child();
-        let (qa, qb, qc) =
-            (layouts.a.quadrant_len(), layouts.b.quadrant_len(), layouts.c.quadrant_len());
-        let node = self.nodes.len() as u32;
-        self.nodes.push(NodeDesc { level, a, b, c, slab_off, ws_len: 0 });
-        let spre = self.task(TaskKind::SPre, node, &[a_ready]);
-        let tpre = self.task(TaskKind::TPre, node, &[b_ready]);
-
-        // Slab carving, byte-identical to the closed-form
-        // [`parallel_slab_len`] model: s1..s4, t1..t4, p1/p2/p5, then the
-        // seven child slabs in product order.
-        let per_node = 4 * qa + 4 * qb + 3 * qc;
-        let child_len = parallel_slab_len(ch, self.policy, rem - 1);
-        let slab = |off: usize| Place { in_slab: true, off };
-        let sq = |i: usize| slab(slab_off + i * qa);
-        let tq = |i: usize| slab(slab_off + 4 * qa + i * qb);
-        let pq = |i: usize| slab(slab_off + 4 * qa + 4 * qb + i * qc);
-        let aq = |i: usize| Place { in_slab: a.in_slab, off: a.off + i * qa };
-        let bq = |i: usize| Place { in_slab: b.in_slab, off: b.off + i * qb };
-        let cq = |i: usize| Place { in_slab: c.in_slab, off: c.off + i * qc };
-        let wj = |j: usize| slab_off + per_node + j * child_len;
-
-        // Under the in-place tier a *leaf* child's serial subtree writes
-        // (and restores) its raw operand quadrants mid-flight, so any
-        // child reading a raw A/B quadrant must additionally wait for the
-        // other reader of those quadrants — this node's own SPre/TPre
-        // pre-adds — before it may start scribbling on them. The slab
-        // S/T temporaries are safe either way: each has exactly one
-        // reader. Non-overwriting tiers keep the original (wider)
-        // parallelism.
-        let overwrites = self.policy.schedule.overwrites_inputs();
-        let (raw_a, raw_b) = if overwrites { (Some(spre), Some(tpre)) } else { (a_ready, b_ready) };
-
-        // The seven products with the same placement as the scoped-thread
-        // executor had (P1/P2/P5 into slab temporaries, the rest straight
-        // into the C quadrants), each gated on exactly the tasks that
-        // write — or, in-place, also read — its operands.
-        let children = [
-            (aq(0), bq(0), pq(0), raw_a, raw_b),           // P1 = A11·B11
-            (aq(1), bq(2), pq(1), raw_a, raw_b),           // P2 = A12·B21
-            (sq(0), tq(0), cq(3), Some(spre), Some(tpre)), // P3 = S1·T1 → C22
-            (sq(1), tq(1), cq(0), Some(spre), Some(tpre)), // P4 = S2·T2 → C11
-            (sq(2), tq(2), pq(2), Some(spre), Some(tpre)), // P5 = S3·T3
-            (sq(3), bq(3), cq(1), Some(spre), raw_b),      // P6 = S4·B22 → C12
-            (aq(3), tq(3), cq(2), raw_a, Some(tpre)),      // P7 = A22·T4 → C21
-        ];
-        let mut products = [None; 7];
-        for (j, (ca, cb, cc, ra, rb)) in children.into_iter().enumerate() {
-            products[j] = Some(self.build_node(ch, level + 1, rem - 1, ca, cb, cc, wj(j), ra, rb));
-        }
-        self.task(TaskKind::Post, node, &products)
     }
 
     pub(crate) fn finish(self) -> TaskGraph {
@@ -826,9 +699,9 @@ impl DagBuilder {
             .tasks
             .iter()
             .enumerate()
-            .map(|(i, &(kind, node, dep_count))| TaskDesc {
+            .map(|(i, &(kind, chunk, dep_count))| TaskDesc {
                 kind,
-                node,
+                chunk,
                 dep_count,
                 dep_start: starts[i],
                 dep_len: dep_lens[i],
@@ -840,58 +713,8 @@ impl DagBuilder {
             .filter(|(_, t)| t.dep_count == 0)
             .map(|(i, _)| i as u32)
             .collect();
-        TaskGraph { tasks, nodes: self.nodes, dependents, roots, slab_len: 0, chunks: self.chunks }
+        TaskGraph { tasks, dependents, roots, chunks: self.chunks }
     }
-}
-
-/// Closed-form size (in elements) of the slab the task DAG carves for a
-/// node of `layouts` under `policy` with `par_depth` parallel levels: per
-/// parallel Winograd level, 8 operand temporaries (`S1..S4` of `qa`
-/// elements, `T1..T4` of `qb`) plus 3 product temporaries (`P1`, `P2`,
-/// `P5` of `qc`), then seven child slabs; at the serial handover, one
-/// [`workspace_len`] arena per subtree.
-pub fn parallel_slab_len(layouts: NodeLayouts, policy: ExecPolicy, par_depth: usize) -> usize {
-    if par_depth == 0 || !staged_step(layouts, policy) {
-        return workspace_len(layouts, policy);
-    }
-    let per_node =
-        4 * layouts.a.quadrant_len() + 4 * layouts.b.quadrant_len() + 3 * layouts.c.quadrant_len();
-    per_node + 7 * parallel_slab_len(layouts.child(), policy, par_depth - 1)
-}
-
-/// The parallel DAG depth a plan will actually execute with under `cfg`
-/// on `threads` resolved workers — `0` means no task DAG (the
-/// interpreter runs, as a team or serially).
-///
-/// This is where the memory budget meets the parallel slab: the serial
-/// recursion depth was already budget-capped by
-/// [`crate::exec::budget_capped_policy`] against [`workspace_len`], but
-/// parallel execution multiplies workspace across concurrent subtrees
-/// ([`parallel_slab_len`]). A tight budget therefore caps the *DAG
-/// depth* (worker parallelism) first, stepping `par_depth` down until
-/// the slab fits, and only falls back to fully-serial execution — never
-/// to a shallower Strassen recursion — when even one parallel level is
-/// too big.
-pub(crate) fn effective_par_depth<S: Scalar>(
-    layouts: NodeLayouts,
-    policy: ExecPolicy,
-    cfg: &ModgemmConfig,
-    threads: usize,
-) -> usize {
-    if cfg.parallel_depth == 0 || threads < 2 {
-        return 0;
-    }
-    if !staged_step(layouts, policy) {
-        return 0;
-    }
-    let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
-    // Only the *staged* levels lower to DAG nodes: a fused subtree runs
-    // sequentially inside its Leaf task.
-    let mut depth = cfg.parallel_depth.min(crate::counts::staged_levels(layouts, policy));
-    while depth > 0 && parallel_slab_len(layouts, policy, depth) > budget {
-        depth -= 1;
-    }
-    depth
 }
 
 /// The A/B Morton operands of a [`TiledPlan::run`]. The borrow kind
@@ -942,11 +765,11 @@ pub(crate) fn paired_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
 
 /// How a single GEMM's team runs ([`crate::pool::run_team`]):
 /// `(ranks, paired)`. The ranks are the resolved `threads` when the
-/// config leaves `parallel_depth` at 0 and the padded problem exceeds
-/// [`SERIAL_MAX_VOLUME`], else 1 (serial). A team needs one terminal tail
-/// per rank past the first, plus `paired` elements for the deepest
-/// level's second temporaries; under a memory budget the team shrinks —
-/// before any Strassen level is shed — until that arena fits.
+/// padded problem exceeds [`SERIAL_MAX_VOLUME`], else 1 (serial). A
+/// team needs one terminal tail per rank past the first, plus `paired`
+/// elements for the deepest level's second temporaries; under a memory
+/// budget the team shrinks — before any Strassen level is shed — until
+/// that arena fits.
 pub(crate) fn team_size<S: Scalar>(
     layouts: NodeLayouts,
     policy: ExecPolicy,
@@ -954,7 +777,7 @@ pub(crate) fn team_size<S: Scalar>(
     threads: usize,
 ) -> (usize, usize) {
     let (m, k, n) = layouts.dims();
-    if cfg.parallel_depth > 0 || threads < 2 || m * k * n <= SERIAL_MAX_VOLUME {
+    if threads < 2 || m * k * n <= SERIAL_MAX_VOLUME {
         return (1, 0);
     }
     let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
@@ -987,10 +810,9 @@ unsafe impl<S: Sync> Sync for TeamBufs<S> {}
 
 /// The compiled compute stage of a tiled (non-split) problem: the fixed
 /// layout tree, budget-capped policy, flattened level list, the arena
-/// size, and how the pool runs it — a team of ranks over the one
-/// interpreter, or (with an explicit `parallel_depth`) a task DAG.
+/// size, and the team of ranks that runs the one interpreter.
 /// [`TiledPlan::run`] is the path from Morton buffers to the
-/// interpreter; DAG plans lower from these fields
+/// interpreter; batch DAGs lower from these fields
 /// ([`crate::batch::build_dag`]).
 #[derive(Clone, Debug)]
 pub(crate) struct TiledPlan {
@@ -1011,19 +833,14 @@ pub(crate) struct TiledPlan {
     /// Second temporaries of the deepest staged level, after the tails
     /// ([`PAIRED_LOWMEM`]); 0 for a serial plan.
     pub(crate) paired_len: usize,
-    /// Parallel recursion levels the task DAG lowers
-    /// ([`effective_par_depth`]); `0` when a single GEMM runs as a team
-    /// (`parallel_depth == 0`, one thread, no staged level, or a budget
-    /// that only admits the serial arena).
-    pub(crate) par_depth: usize,
     pub(crate) facts: PlanFacts,
 }
 
 impl TiledPlan {
     /// Compiles the compute stage for `layouts` under `policy` (already
     /// budget-capped and tier-capped by the caller): flattens the staged
-    /// levels, sizes the arena, and fixes the team size and DAG depth
-    /// `cfg`'s budget admits.
+    /// levels, sizes the arena, and fixes the team size `cfg`'s budget
+    /// admits.
     pub(crate) fn new<S: Scalar>(
         layouts: NodeLayouts,
         policy: ExecPolicy,
@@ -1033,7 +850,6 @@ impl TiledPlan {
         let count = fill_levels(&mut levels, layouts, policy);
         levels.truncate(count);
         let threads = resolve_threads(cfg.threads);
-        let par_depth = effective_par_depth::<S>(layouts, policy, cfg, threads);
         let (team, paired_len) = team_size::<S>(layouts, policy, cfg, threads);
         let tail_len = terminal_tail_len(layouts, policy);
         let (pm, pk, pn) = layouts.dims();
@@ -1055,7 +871,6 @@ impl TiledPlan {
             team,
             tail_len,
             paired_len,
-            par_depth,
             facts,
         }
     }
@@ -1215,9 +1030,6 @@ pub struct GemmPlan<S> {
     /// rectangular for a joint tiling; execution then early-outs or runs
     /// the §3.5 submatrix split (each sub-product planning itself).
     strategy: Option<TiledPlan>,
-    /// The pooled task DAG, a batch of one: present when the strategy's
-    /// DAG depth is at least 1 (which implies two or more workers).
-    dag: Option<BatchDag>,
     /// True when a tuning profile (or forced choice) drove plan
     /// selection — reported through [`MetricsSink::record_tuning`] on
     /// every execution.
@@ -1229,7 +1041,7 @@ impl<S: Scalar> GemmPlan<S> {
     /// Builds a plan for an `m × k × n` problem under `cfg` — the plan
     /// half of the plan/execute split: validates `cfg`, runs the
     /// truncation-point search, and compiles the layout tree, flattened
-    /// schedule, arena offsets and, for a pooled plan, the task DAG.
+    /// schedule, arena offsets and team size.
     pub fn try_new(m: usize, k: usize, n: usize, cfg: &ModgemmConfig) -> Result<Self, GemmError> {
         cfg.validate()?;
         // Tuning resolves here, at the single plan-compilation choke
@@ -1257,9 +1069,7 @@ impl<S: Scalar> GemmPlan<S> {
                 })
                 .transpose()?
         };
-        let dag =
-            strategy.as_ref().filter(|tp| tp.par_depth > 0).and_then(|tp| build_dag(tp, 1, 1));
-        Ok(Self { m, k, n, cfg: *cfg, strategy, dag, profile_hit, _marker: PhantomData })
+        Ok(Self { m, k, n, cfg: *cfg, strategy, profile_hit, _marker: PhantomData })
     }
 
     /// True when a tuning profile entry (or a
@@ -1288,27 +1098,13 @@ impl<S: Scalar> GemmPlan<S> {
         self.strategy.is_none() && self.m > 0 && self.k > 0 && self.n > 0
     }
 
-    /// Elements of the interpreter's workspace arena, or of the task
-    /// DAG's slab when `parallel_depth > 0`. Zero for split or degenerate
-    /// plans. A team of `W` workers carves `W − 1` leaf-sized terminal
-    /// buffers and one more set of deepest-level temporaries after the
-    /// arena; they count toward the [`crate::MemoryBudget`] (the team
-    /// shrinks to fit) and the service's admission estimate.
+    /// Elements of the interpreter's workspace arena. Zero for split or
+    /// degenerate plans. A team of `W` workers carves `W − 1` leaf-sized
+    /// terminal buffers and one more set of deepest-level temporaries
+    /// after the arena; they count toward the [`crate::MemoryBudget`]
+    /// (the team shrinks to fit) and the service's admission estimate.
     pub fn arena_len(&self) -> usize {
-        match (&self.dag, &self.strategy) {
-            (Some(dag), _) => dag.slab_len(),
-            (None, Some(tp)) => tp.arena_len,
-            (None, None) => 0,
-        }
-    }
-
-    /// Effective parallel recursion depth the compiled plan will execute
-    /// with — `0` when execution is serial. May be lower than the
-    /// configured [`crate::ModgemmConfig::parallel_depth`] when the
-    /// memory budget caps the parallel slab (worker parallelism degrades
-    /// before recursion depth does) or when only one thread is resolved.
-    pub fn parallel_depth(&self) -> usize {
-        self.strategy.as_ref().map_or(0, |tp| tp.par_depth)
+        self.strategy.as_ref().map_or(0, |tp| tp.arena_len)
     }
 
     /// Worker count the plan resolved at compile time
@@ -1341,17 +1137,6 @@ impl<S: Scalar> GemmPlan<S> {
     /// plans.
     pub fn schedule(&self) -> crate::schedule::Schedule {
         self.strategy.as_ref().map(|tp| tp.policy.schedule).unwrap_or_default()
-    }
-
-    /// Task count of the compiled parallel DAG (conversion and unpack
-    /// chunks included) — the cooperative cancellation granularity: a
-    /// [`CancelToken`] is observed at every task-dequeue boundary, so a
-    /// cancel or deadline expiry is noticed within one task's work. `0`
-    /// when the plan runs the interpreter instead, whose team checks the
-    /// token before computing and at every barrier (a team of one: once,
-    /// before computing).
-    pub fn parallel_tasks(&self) -> usize {
-        self.dag.as_ref().map_or(0, BatchDag::tasks)
     }
 
     fn arena_bytes(&self) -> u64 {
@@ -1429,13 +1214,13 @@ impl<S: Scalar> GemmPlan<S> {
     ///
     /// The token is checked once up front (an already-cancelled token or
     /// an already-expired deadline is rejected *before any allocation or
-    /// packing*) and then at every task-dequeue boundary of the parallel
-    /// DAG, so an in-flight cancel is observed within roughly one task's
-    /// work. On [`GemmError::Cancelled`] / [`GemmError::DeadlineExceeded`]
-    /// the DAG drains fully before returning — no task is left running —
-    /// and `ctx` remains warm and reusable: the next execute on it is
-    /// allocation-free and correct. Output `c` contents are unspecified
-    /// after a cancelled call.
+    /// packing*), once more before computing, and, on a team, at every
+    /// barrier, so an in-flight cancel is observed within one step of the
+    /// interpreter. On [`GemmError::Cancelled`] /
+    /// [`GemmError::DeadlineExceeded`] every rank has left the team before
+    /// the call returns, and `ctx` remains warm and reusable: the next
+    /// execute on it is allocation-free and correct. Output `c` contents
+    /// are unspecified after a cancelled call.
     #[allow(clippy::too_many_arguments)]
     pub fn try_execute_cancellable_with_metrics<K: MetricsSink>(
         &self,
@@ -1626,11 +1411,9 @@ impl<S: Scalar> GemmPlan<S> {
         Ok(bd)
     }
 
-    /// The tiled fast path. A DAG plan runs its task DAG on a one-entry
-    /// item table (conversion chunks, compute, α/β unpack chunks),
-    /// reporting the DAG's wall time as `compute`; otherwise the plan's
-    /// team ([`run_rank`] on every rank; one rank when serial) packs,
-    /// runs the interpreter, and unpacks, rank 0 timing the stages. All
+    /// The tiled fast path: the plan's team ([`run_rank`] on every rank;
+    /// one rank when serial) packs, runs the interpreter, and unpacks,
+    /// rank 0 timing the stages. All
     /// buffers come from `ctx`; any growth is recorded as temp
     /// allocations, so a warm context records none — the allocation-free
     /// hot path.
@@ -1649,35 +1432,6 @@ impl<S: Scalar> GemmPlan<S> {
         cancel: Option<&CancelToken>,
         sink: &mut K,
     ) -> Result<GemmBreakdown, GemmError> {
-        if let Some(dag) = &self.dag {
-            let item = [ItemIo {
-                a: a.as_ptr(),
-                lda: a.ld(),
-                b: b.as_ptr(),
-                ldb: b.ld(),
-                c: c.as_mut_ptr(),
-                ldc: c.ld(),
-            }];
-            let t0 = Instant::now();
-            // SAFETY: the views are the validated operands of this plan's
-            // shape, borrowed for the whole call; `c` is an exclusive
-            // borrow, so it aliases neither `a` nor `b`.
-            unsafe {
-                dag.run(
-                    tp,
-                    self.dims(),
-                    op_a,
-                    op_b,
-                    alpha,
-                    beta,
-                    BatchInput::Items(&item),
-                    ctx,
-                    cancel,
-                    sink,
-                )
-            }?;
-            return Ok(GemmBreakdown { compute: t0.elapsed(), ..GemmBreakdown::default() });
-        }
         let layouts = tp.layouts;
         if tp.team > 1 {
             // Start the pool before this call's buffers exist: its
@@ -1960,7 +1714,6 @@ mod tests {
             tile_max: 64,
             strassen_min: 32,
             kernel: KernelKind::Packed,
-            parallel_depth: 0,
             threads: 0,
             fuse_depth: crate::fuse::MAX_FUSE,
             batch_window: 0,
@@ -2011,12 +1764,13 @@ mod tests {
     #[test]
     fn warm_parallel_execution_is_allocation_free_too() {
         // threads = 0 resolves from the machine (may degrade to serial on
-        // one core); threads = 3 forces the pooled DAG executor whatever
-        // the machine's own parallelism — both must keep the warm hot
-        // path allocation-free.
-        for threads in [0usize, 3] {
-            let cfg = ModgemmConfig { parallel_depth: 2, threads, ..Default::default() };
-            let (m, k, n) = (96usize, 96usize, 96usize);
+        // one core); threads = 6 forces a team of six whatever the
+        // machine's own parallelism — both must keep the warm hot path
+        // allocation-free. 300 pads to 304 > 256, above the team
+        // crossover.
+        for threads in [0usize, 6] {
+            let cfg = ModgemmConfig { threads, ..Default::default() };
+            let (m, k, n) = (300usize, 300usize, 300usize);
             let a: Matrix<f64> = random_matrix(m, k, 7);
             let b: Matrix<f64> = random_matrix(k, n, 8);
             let p: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
@@ -2038,13 +1792,12 @@ mod tests {
             .unwrap();
             assert_eq!(
                 warm.metrics.temp_alloc_bytes, 0,
-                "threads = {threads}: parallel slab must come from the context"
+                "threads = {threads}: the team's tails must come from the context"
             );
-            if threads == 3 {
-                assert!(p.parallel_depth() >= 1, "explicit threads must engage the DAG");
-                let pool = warm.metrics.pool.expect("pooled run must report pool counters");
-                assert_eq!(pool.workers, 3);
-                assert!(pool.tasks_executed > 0);
+            if threads == 6 {
+                assert_eq!(p.tiled().unwrap().team, 6, "explicit threads must engage the team");
+                let pool = warm.metrics.pool.expect("a team run must report pool counters");
+                assert_eq!(pool.workers, 6);
             }
 
             // And the result still matches the serial one-shot path of the
@@ -2066,12 +1819,10 @@ mod tests {
 
     #[test]
     fn serial_and_pooled_runs_report_identical_plan_facts() {
-        // The old parallel instrumentation was "coarser than serial":
-        // whole-run wall time booked against level 0 and no per-level
-        // split. Pin the fix: a serial and a pooled execution of the same
-        // problem report identical plans_built / flop / level counts, and
-        // both report per-level wall times.
-        let (m, k, n) = (128usize, 128usize, 128usize);
+        // A serial and a team execution of the same problem report
+        // identical plans_built / flop / level counts, and both report
+        // per-level wall times (the team's rank 0 walks every level).
+        let (m, k, n) = (300usize, 300usize, 300usize);
         let a: Matrix<f64> = random_matrix(m, k, 31);
         let b: Matrix<f64> = random_matrix(k, n, 32);
         let run = |cfg: &ModgemmConfig| {
@@ -2094,192 +1845,110 @@ mod tests {
             .unwrap();
             (sink.into_metrics(), c)
         };
-        let pooled_cfg = ModgemmConfig { parallel_depth: 2, threads: 4, ..Default::default() };
+        let pooled_cfg = ModgemmConfig { threads: 5, ..Default::default() };
         let (serial, c_serial) = run(&ModgemmConfig { threads: 1, ..pooled_cfg });
         let (pooled, c_pooled) = run(&pooled_cfg);
 
-        assert_eq!(c_serial, c_pooled, "pooled result must be bitwise serial");
+        assert_eq!(c_serial, c_pooled, "team result must be bitwise serial");
         assert_eq!(pooled.plans_built, serial.plans_built);
         assert_eq!(pooled.plans, serial.plans);
         assert_eq!(pooled.flops, serial.flops);
         assert_eq!(pooled.conventional_flops, serial.conventional_flops);
         assert_eq!(pooled.strassen_levels, serial.strassen_levels);
         assert_eq!(pooled.depth, serial.depth);
-        // Both executors attribute wall time to recursion levels now.
         assert!(serial.level_time_total() > Duration::ZERO);
         assert!(pooled.level_time_total() > Duration::ZERO);
         assert!(
             pooled.level_times.iter().filter(|t| **t > Duration::ZERO).count() > 1,
-            "pooled run must report a per-level split, not one coarse bucket: {:?}",
+            "a team run must report a per-level split, not one coarse bucket: {:?}",
             pooled.level_times
         );
         assert!(serial.pool.is_none(), "serial runs report no pool counters");
-        let pool = pooled.pool.expect("pooled runs report pool counters");
-        assert_eq!(pool.workers, 4);
-        assert!(pool.tasks_executed > 0);
+        let pool = pooled.pool.expect("team runs report pool counters");
+        assert_eq!(pool.workers, 5);
     }
 
     #[test]
-    fn tight_budget_caps_parallel_depth_before_recursion_depth() {
-        // The budget bugfix: a budget that admits the serial workspace but
-        // not the depth-2 parallel slab must degrade *worker parallelism*
-        // (DAG depth 2 → 1), leaving the Strassen recursion at full depth.
-        let cfg0 = ModgemmConfig {
-            truncation: Truncation::Fixed(16),
-            parallel_depth: 2,
-            threads: 4,
-            ..Default::default()
-        };
-        let (m, k, n) = (128usize, 128usize, 128usize);
-        let free: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg0).unwrap();
-        assert_eq!(free.parallel_depth(), 2, "unlimited budget keeps the configured depth");
-        let full_levels = free.strassen_levels();
-        assert!(full_levels >= 2);
-
-        // Squeeze the budget to exactly the depth-1 slab.
-        let slab1 = {
-            let l = MortonLayout::new(16, 16, 3); // 128 = 16·2^3
-            let layouts = NodeLayouts::new(l, l, l);
-            let policy = crate::gemm::capped_policy::<f64>(layouts, &cfg0);
-            crate::plan::parallel_slab_len(layouts, policy, 1)
-        };
-        let cfg1 = ModgemmConfig {
-            memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(slab1 * 8),
-            ..cfg0
-        };
-        let capped: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg1).unwrap();
-        assert_eq!(capped.parallel_depth(), 1, "budget must cap the DAG depth first");
-        assert_eq!(
-            capped.strassen_levels(),
-            full_levels,
-            "recursion depth must survive the parallel-slab cap"
-        );
-        assert!(capped.arena_len() * 8 <= slab1 * 8, "reserved arena must respect the budget");
-
-        // The capped plan still produces the bitwise-serial product.
-        let a: Matrix<f64> = random_matrix(m, k, 33);
-        let b: Matrix<f64> = random_matrix(k, n, 34);
-        let mut ctx = GemmContext::new();
-        let mut c: Matrix<f64> = Matrix::zeros(m, n);
-        capped.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
-        let mut serial: Matrix<f64> = Matrix::zeros(m, n);
-        modgemm(
-            1.0,
-            Op::NoTrans,
-            a.view(),
-            Op::NoTrans,
-            b.view(),
-            0.0,
-            serial.view_mut(),
-            &ModgemmConfig { truncation: Truncation::Fixed(16), ..Default::default() },
-        );
-        assert_eq!(c, serial);
-    }
-
-    #[test]
-    fn budget_ladder_schedule_then_fuse_then_par_depth_then_recursion_then_kernel() {
+    fn budget_ladder_schedule_then_fuse_then_team_then_recursion_then_kernel() {
         // The full degradation ladder, pinned end to end: schedule tier
-        // (low-mem → in-place) → fuse 0 → 1 → par-depth → recursion
-        // depth → kernel. The schedule rung comes first because it is
-        // free in multiplications: both tiers multiply the same seven
-        // products, only the temporary-buffer linearization changes.
-        // Speed-bearing knobs (fusion layout, DAG width, Strassen depth,
-        // the packed kernel) are sacrificed only after the cheapest tier
-        // still doesn't fit.
+        // (low-mem → in-place) → fuse 0 → 1 → team → recursion depth →
+        // kernel. The schedule and fuse rungs size the serial arena
+        // ([`crate::exec::budget_capped_policy_with_tier_cap`]); the team
+        // then takes what the budget leaves over, one terminal tail per
+        // helper rank plus the paired temporaries ([`team_size`]), and
+        // shrinks to one before a Strassen level goes. The schedule rung
+        // comes first because it is free in multiplications: both tiers
+        // multiply the same seven products.
         let cfg0 = ModgemmConfig {
-            truncation: Truncation::Fixed(32),
+            truncation: Truncation::Fixed(40),
             leaf_kernel: KernelKind::Packed,
             fuse_depth: crate::config::FuseDepth::Fixed(0),
-            parallel_depth: 2,
             threads: 4,
             ..Default::default()
         };
-        // 256 = 32·2^3: three Strassen levels, all staged (Fixed(0)
-        // starts the fuse rung at zero); the parallel DAG takes the top
-        // two, so each leaf subtree keeps one staged level whose
-        // temporaries the tier rung shrinks and the fuse rung removes.
-        let (m, k, n) = (256usize, 256usize, 256usize);
-        let l = MortonLayout::new(32, 32, 3);
+        // 320 = 40·2^3: three Strassen levels, all staged (Fixed(0)
+        // starts the fuse rung at zero), and above the team crossover.
+        let (m, k, n) = (320usize, 320usize, 320usize);
+        let l = MortonLayout::new(40, 40, 3);
         let layouts = NodeLayouts::new(l, l, l);
         let policy0 = crate::gemm::capped_policy::<f64>(layouts, &cfg0);
         assert_eq!(policy0.fuse, 0, "Fixed(0) keeps every level staged");
         assert_eq!(policy0.schedule, Schedule::LowMem, "unlimited budget keeps low-mem");
         let at =
             |schedule: Schedule, fuse: usize| crate::exec::ExecPolicy { schedule, fuse, ..policy0 };
-        let slab2 = |p| crate::plan::parallel_slab_len(layouts, p, 2);
-        let slab2_ip = slab2(at(Schedule::InPlace, 0));
-        let slab2_f1 = slab2(at(Schedule::LowMem, 1));
-        let slab1_lm = crate::plan::parallel_slab_len(layouts, policy0, 1);
-        let ws_ip = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 0));
-        let ws_ip_f1 = crate::exec::workspace_len(layouts, at(Schedule::InPlace, 1));
-        assert!(slab2_ip < slab2(policy0), "in-place must shrink the DAG slab");
-        assert!(slab2_f1 < slab2_ip, "fusing the last staged level beats both tiers' slabs");
-        assert!(slab1_lm < slab2_f1, "one DAG level must cost less than two at any tier");
-        assert!(ws_ip < slab1_lm, "serial in-place is the cheapest full-depth shape");
+        let ws = |p| workspace_len(layouts, p);
+        // The arena of a team of `w` ranks: the serial arena, one tail per
+        // helper rank, and (low-mem only) the paired temporaries.
+        let team_ws =
+            |p, w: usize| ws(p) + (w - 1) * terminal_tail_len(layouts, p) + paired_len(layouts, p);
+        let team = |p| team_ws(p, 4);
+        let (ip, ip_f1) = (at(Schedule::InPlace, 0), at(Schedule::InPlace, 1));
+        assert!(team(ip) < ws(policy0), "in-place with a team beats serial low-mem");
+        assert!(ws(ip_f1) < ws(ip), "fusing shrinks the in-place arena");
+        assert!(ws(ip_f1) < team(ip_f1), "the team costs memory beyond the serial arena");
 
         let budgeted = |bytes: usize| ModgemmConfig {
             memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(bytes),
             ..cfg0
         };
         let facts = |p: &GemmPlan<f64>| {
-            (p.parallel_depth(), p.strassen_levels(), p.fused_levels(), p.schedule())
+            let tp = p.tiled().unwrap();
+            (tp.team, p.strassen_levels(), p.fused_levels(), p.schedule())
         };
 
-        // Rung 0 — unlimited: parallel, full depth, low-mem schedule.
+        // Rung 0 — unlimited: a full team, full depth, low-mem schedule.
         let free: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg0).unwrap();
-        assert_eq!(
-            facts(&free),
-            (2, 3, 0, Schedule::LowMem),
-            "rung 0 (unlimited budget): nothing may degrade"
-        );
+        assert_eq!(facts(&free), (4, 3, 0, Schedule::LowMem), "rung 0: nothing degrades");
 
-        // Rung 1 — the depth-2 slab no longer fits at low-mem but does
-        // in place: the schedule tier degrades FIRST, before fuse depth,
-        // par-depth, recursion depth, or the kernel.
-        let inplace: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_ip * 8)).unwrap();
-        assert_eq!(
-            facts(&inplace),
-            (2, 3, 0, Schedule::InPlace),
-            "rung 1 (schedule → in-place): tier drops before any speed-bearing knob"
-        );
+        // Rung 1 — the low-mem arena no longer fits but the in-place one
+        // and its team do: the schedule tier degrades FIRST.
+        let inplace: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(team(ip) * 8)).unwrap();
+        assert_eq!(facts(&inplace), (4, 3, 0, Schedule::InPlace), "rung 1 (schedule → in-place)");
 
-        // Rung 2 — neither tier fits with every level staged: only now
-        // does the innermost level fuse (0 → 1). (Then no staged levels
-        // remain below the DAG, so the slab is tier-independent and the
-        // climb keeps the input-preserving schedule — low-mem.)
-        let fused: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab2_f1 * 8)).unwrap();
-        assert_eq!(
-            facts(&fused),
-            (2, 3, 1, Schedule::LowMem),
-            "rung 2 (fuse depth): fusion deepens only after the schedule rung"
-        );
+        // Rung 2 — no tier fits with every level staged: only now does
+        // the innermost level fuse (0 → 1). The team keeps every rank
+        // whose tail fits in what the fused arena leaves over.
+        let b2 = ws(ip) - 1;
+        let fused: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(b2 * 8)).unwrap();
+        let ranks = (1..=4).rev().find(|&w| team_ws(ip_f1, w) <= b2).unwrap();
+        assert_eq!(facts(&fused), (ranks, 3, 1, Schedule::InPlace), "rung 2 (fuse depth)");
 
-        // Rung 3 — no (schedule, fuse) combination buys back DAG depth
-        // 2: worker parallelism is sacrificed, and with the slab
-        // pressure gone the plan keeps the starting schedule.
-        let par1: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(slab1_lm * 8)).unwrap();
-        assert_eq!(
-            facts(&par1),
-            (1, 3, 0, Schedule::LowMem),
-            "rung 3 (par-depth): DAG width drops only after schedule and fuse climbs fail"
-        );
+        // Rung 3 — the cheapest full-depth arena fits but its team does
+        // not: the team shrinks to one, and the plan keeps every level.
+        let solo: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(ws(ip_f1) * 8)).unwrap();
+        assert_eq!(facts(&solo), (1, 3, 1, Schedule::InPlace), "rung 3 (team)");
+        assert_eq!(solo.tiled().unwrap().ws_len(), ws(ip_f1), "a team of one is the arena");
 
-        // Rung 4 — the acceptance rung: a budget that fits only the
-        // serial in-place workspace. The schedule rung keeps full
-        // Strassen depth AND the packed kernel, where a ladder capped at
-        // low-mem has to sacrifice recursion depth.
-        let serial: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(ws_ip * 8)).unwrap();
-        assert_eq!(
-            facts(&serial),
-            (0, 3, 0, Schedule::InPlace),
-            "rung 4 (serial in-place): full depth survives on the cheapest tier"
-        );
-        let serial_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(ws_ip * 8));
+        // The schedule rung keeps full Strassen depth AND the packed
+        // kernel at the serial in-place staged arena, where a ladder
+        // capped at low-mem has to sacrifice recursion depth.
+        let serial_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(ws(ip) * 8));
+        assert_eq!((serial_policy.schedule, serial_policy.fuse), (Schedule::InPlace, 0));
         assert_eq!(serial_policy.kernel, KernelKind::Packed, "kernel survives the schedule rung");
         let capped_at_lowmem = crate::exec::budget_capped_policy_with_tier_cap(
             layouts,
             policy0,
-            ws_ip,
+            ws(ip),
             Schedule::LowMem,
         );
         assert!(
@@ -2288,37 +1957,29 @@ mod tests {
             "without the schedule rung this budget forced a depth or kernel loss"
         );
 
-        // Rung 5 — below every tier's full-depth workspace: recursion
+        // Rung 4 — below every tier's full-depth workspace: recursion
         // depth is sacrificed next, on the cheapest tier, with the
         // kernel still packed.
-        let shallow_cfg = budgeted(ws_ip_f1 * 8 - 8);
+        let shallow_cfg = budgeted(ws(ip_f1) * 8 - 8);
         let shallow_policy = crate::gemm::capped_policy::<f64>(layouts, &shallow_cfg);
-        assert_eq!(
-            shallow_policy.kernel,
-            KernelKind::Packed,
-            "rung 5 (recursion depth): kernel survives the depth rung"
-        );
+        assert_eq!(shallow_policy.kernel, KernelKind::Packed, "rung 4: kernel survives");
         let shallow: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &shallow_cfg).unwrap();
-        assert!(
-            shallow.strassen_levels() < 3,
-            "rung 5 (recursion depth): depth must drop below every tier's workspace"
-        );
+        assert!(shallow.strassen_levels() < 3, "rung 4 (recursion depth)");
 
-        // Rung 6 — a budget nothing packed fits in: the kernel itself is
+        // Rung 5 — a budget nothing packed fits in: the kernel itself is
         // swapped for the workspace-free blocked fallback, last.
         let floor_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(1));
-        assert_eq!(floor_policy.kernel, KernelKind::Blocked, "rung 6 (kernel): the last rung");
+        assert_eq!(floor_policy.kernel, KernelKind::Blocked, "rung 5 (kernel): the last rung");
         let floor: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(1)).unwrap();
         assert_eq!((floor.strassen_levels(), floor.fused_levels()), (0, 0));
 
-        // Every rung still multiplies correctly — including the pooled
-        // in-place DAG (rung 1) and the serial in-place executor
-        // (rung 4).
+        // Every rung still multiplies correctly — including the in-place
+        // team (rung 1) and the team of one (rung 3).
         let a: Matrix<f64> = random_matrix(m, k, 43);
         let b: Matrix<f64> = random_matrix(k, n, 44);
         let expect = modgemm_mat::naive::naive_product(&a, &b);
         let mut ctx = GemmContext::new();
-        for plan in [&free, &inplace, &fused, &par1, &serial, &shallow, &floor] {
+        for plan in [&free, &inplace, &fused, &solo, &shallow, &floor] {
             let mut c: Matrix<f64> = Matrix::zeros(m, n);
             plan.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
             modgemm_mat::norms::assert_matrix_eq(c.view(), expect.view(), k);

@@ -14,15 +14,12 @@
 //! each rank doing a disjoint output share of every step, so it needs no
 //! memory beyond the serial arena (see `Rank`).
 //!
-//! A **graph** job runs a task DAG compiled by [`crate::batch`]'s
-//! lowering (whole batches, and single GEMMs with an explicit
-//! `parallel_depth`): every Morton conversion chunk,
-//! every S/T pre-addition pass, every one of the seven quadrant products
-//! at *every* parallel recursion level, every post-addition merge pass,
-//! and every α/β unpack chunk is a dependency-counted task. Workers pull
-//! from their own LIFO deque and steal FIFO from siblings, so sibling
-//! subtrees overlap across all levels instead of capping out at
-//! seven-way parallelism.
+//! A **graph** job runs a whole-batch task DAG compiled by
+//! [`crate::batch`]'s lowering: every Morton conversion chunk, every
+//! item's compute (one serial interpreter walk) and every α/β unpack
+//! chunk is a dependency-counted task. Workers pull from their own LIFO
+//! deque and steal FIFO from siblings, so one item's conversion overlaps
+//! another's compute.
 //!
 //! Design notes:
 //!
@@ -36,15 +33,16 @@
 //! * **No allocation on workers.** The mutable run state (dependency
 //!   counters, deques, metric shards) lives in a [`PoolScratch`] owned
 //!   by the caller's [`crate::GemmContext`] and is reset — not
-//!   reallocated — per run; task bodies carve slices out of the plan's
-//!   slab exactly like the serial executor does.
+//!   reallocated — per run; each compute task carves its item's arena
+//!   slot out of the context's workspace exactly like the serial
+//!   executor does.
 //! * **Panic containment.** Task bodies run under `catch_unwind`; the
 //!   first panic cancels the remaining task bodies (the completion
 //!   cascade still drains, so the join never hangs) and surfaces as
 //!   [`GemmError::WorkerPanic`], preserving the `try_*` totality
 //!   discipline.
-//! * **Mutex-protected deques.** Tasks are quadrant products and whole
-//!   add passes — microseconds to milliseconds each — so an uncontended
+//! * **Mutex-protected deques.** Tasks are whole item products and
+//!   conversion chunks — microseconds to milliseconds each — so an uncontended
 //!   lock per pop is noise. The simple protocol is straightforwardly
 //!   data-race-free (and ThreadSanitizer-checked in CI), which a
 //!   hand-rolled Chase-Lev deque would not be.
@@ -56,16 +54,13 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use modgemm_mat::addsub::{add_assign_flat, add_flat, sub_flat};
 use modgemm_mat::{MatRef, Op, Scalar};
 use modgemm_morton::{pack_tile_range, unpack_tile_cols_raw};
 
 use crate::error::{panic_message, GemmError};
 use crate::exec::{ExecPolicy, NodeLayouts};
 use crate::metrics::{MetricsSink, NoopSink, PoolStats};
-use crate::plan::{
-    exec_levels_raw, BatchChunk, LevelPlan, Place, TaskGraph, TaskKind, Walk, MAX_LEVELS,
-};
+use crate::plan::{exec_levels_raw, BatchChunk, LevelPlan, TaskGraph, TaskKind, Walk, MAX_LEVELS};
 
 /// Environment variable consulted when [`crate::ModgemmConfig::threads`]
 /// is `0`: a positive integer fixes the worker count, anything else
@@ -150,12 +145,12 @@ struct CancelInner {
     trip_after: AtomicI64,
 }
 
-/// A shareable cancellation handle threaded through
-/// `run_graph`: workers consult it at every task-dequeue
+/// A shareable cancellation handle threaded through `run_graph` and
+/// `run_team`: a batch DAG's workers consult it at every task-dequeue
 /// boundary, so an expired deadline or a caller-side [`cancel`] drains
 /// the in-flight task DAG (reusing the first-panic cancellation cascade —
 /// the join never hangs, the [`PoolScratch`] stays reusable) within one
-/// task granularity.
+/// task granularity; a team's last arriver at every barrier consults it.
 ///
 /// Clones share the same state. The token is also consulted on the
 /// serial execution path at coarser (whole-schedule) granularity.
@@ -599,7 +594,7 @@ impl<T> RawViewMut<T> {
 
 /// Per-item operand/output pointers of one batched GEMM — the
 /// [`crate::service::GemmService`] feeds gathered (non-strided) batches
-/// through this table, and a pooled single GEMM is a one-entry table.
+/// through this table.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ItemIo<S> {
     pub a: *const S,
@@ -682,7 +677,7 @@ impl<S> BatchInputRaw<S> {
 
 /// The fixed per-item geometry of a batch DAG: every item shares one
 /// problem shape, transposes, and window-slot strides (elements per slot
-/// in the packed A/B/C arenas).
+/// in the packed A/B/C arenas and the workspace).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BatchGeom {
     pub m: usize,
@@ -693,6 +688,7 @@ pub(crate) struct BatchGeom {
     pub slot_a: usize,
     pub slot_b: usize,
     pub slot_c: usize,
+    pub slot_ws: usize,
 }
 
 /// The item I/O of a [`GraphJob`]: how the conversion/epilogue task
@@ -727,11 +723,11 @@ struct BatchIo<S> {
 struct GraphJob<S> {
     graph: RawView<TaskGraph>,
     levels: RawView<LevelPlan>,
-    level_layouts: RawView<NodeLayouts>,
+    layouts: NodeLayouts,
     a: RawView<S>,
     b: RawView<S>,
     c: RawViewMut<S>,
-    slab: RawViewMut<S>,
+    ws: RawViewMut<S>,
     deps: RawView<AtomicU32>,
     queues: RawView<Mutex<VecDeque<u32>>>,
     shards: RawView<ShardCell>,
@@ -765,7 +761,7 @@ unsafe impl<S: Scalar> Send for GraphJob<S> {}
 unsafe impl<S: Scalar> Sync for GraphJob<S> {}
 
 /// Sink that books the serial executor's per-level times into a worker
-/// shard, so pooled leaf tasks report the same per-level wall-time
+/// shard, so pooled compute tasks report the same per-level wall-time
 /// vocabulary as the serial path (summed across workers at the merge).
 struct ShardLevelSink<'a> {
     level_nanos: &'a mut [u64; MAX_LEVELS + 1],
@@ -781,44 +777,6 @@ impl<S: Scalar> GraphJob<S> {
     fn graph(&self) -> &TaskGraph {
         // SAFETY: the graph outlives the run (RawView contract).
         unsafe { self.graph.get(0, 1) }.first().expect("graph view")
-    }
-
-    /// Resolves an operand place against its base buffer or the slab.
-    /// SAFETY: region disjointness per the DAG's edges.
-    unsafe fn src<'a>(&'a self, base: &'a RawView<S>, p: Place, len: usize) -> &'a [S] {
-        if p.in_slab {
-            self.slab.get(p.off, len)
-        } else {
-            base.get(p.off, len)
-        }
-    }
-
-    /// Resolves an operand place to a raw pointer for
-    /// [`exec_levels_raw`]. The `*mut` cast is only ever written through
-    /// when the policy runs the in-place schedule; the operand views
-    /// derive from [`run_graph`]'s exclusive arena borrows, so they are
-    /// write-capable, as slab regions are.
-    ///
-    /// SAFETY: region disjointness per the DAG's edges.
-    unsafe fn src_ptr(&self, base: &RawView<S>, p: Place, len: usize) -> *mut S {
-        if p.in_slab {
-            debug_assert!(p.off + len <= self.slab.len);
-            self.slab.ptr.add(p.off)
-        } else {
-            debug_assert!(p.off + len <= base.len);
-            base.ptr.add(p.off) as *mut S
-        }
-    }
-
-    /// SAFETY: as [`RawViewMut::get_mut`] — the DAG's edges guarantee no
-    /// other task holds this region while the caller writes it.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn dst(&self, p: Place, len: usize) -> &mut [S] {
-        if p.in_slab {
-            self.slab.get_mut(p.off, len)
-        } else {
-            self.c.get_mut(p.off, len)
-        }
     }
 
     fn enqueue(&self, task: u32, worker: usize) {
@@ -871,109 +829,49 @@ impl<S: Scalar> GraphJob<S> {
         let graph = self.graph();
         let task = graph.tasks[task_ix as usize];
         match task.kind {
-            // Conversion kinds index `graph.chunks`, not `graph.nodes`.
-            TaskKind::Gate => return,
-            TaskKind::ConvertA | TaskKind::ConvertB | TaskKind::Unpack => {
-                return self.run_batch_chunk(task.kind, graph.chunks[task.node as usize]);
-            }
-            _ => {}
+            TaskKind::Gate => {}
+            TaskKind::Leaf => self.run_item(graph.chunks[task.chunk as usize].slot as usize, shard),
+            _ => self.run_batch_chunk(task.kind, graph.chunks[task.chunk as usize]),
         }
-        let node = graph.nodes[task.node as usize];
-        let layouts = self.level_layouts.get(0, self.level_layouts.len)[node.level as usize];
-        let (qa, qb, qc) =
-            (layouts.a.quadrant_len(), layouts.b.quadrant_len(), layouts.c.quadrant_len());
-        match task.kind {
-            TaskKind::SPre => {
-                let a = self.src(&self.a, node.a, 4 * qa);
-                let (a11, a12, a21, a22) =
-                    (&a[..qa], &a[qa..2 * qa], &a[2 * qa..3 * qa], &a[3 * qa..]);
-                let s = self.slab.get_mut(node.slab_off, 4 * qa);
-                let (s1, rest) = s.split_at_mut(qa);
-                let (s2, rest) = rest.split_at_mut(qa);
-                let (s3, s4) = rest.split_at_mut(qa);
-                add_flat(s1, a21, a22); // S1 = A21 + A22
-                sub_flat(s2, s1, a11); // S2 = S1 − A11
-                sub_flat(s3, a11, a21); // S3 = A11 − A21
-                sub_flat(s4, a12, s2); // S4 = A12 − S2
-            }
-            TaskKind::TPre => {
-                let b = self.src(&self.b, node.b, 4 * qb);
-                let (b11, b12, b21, b22) =
-                    (&b[..qb], &b[qb..2 * qb], &b[2 * qb..3 * qb], &b[3 * qb..]);
-                let t = self.slab.get_mut(node.slab_off + 4 * qa, 4 * qb);
-                let (t1, rest) = t.split_at_mut(qb);
-                let (t2, rest) = rest.split_at_mut(qb);
-                let (t3, t4) = rest.split_at_mut(qb);
-                sub_flat(t1, b12, b11); // T1 = B12 − B11
-                sub_flat(t2, b22, t1); // T2 = B22 − T1
-                sub_flat(t3, b22, b12); // T3 = B22 − B12
-                sub_flat(t4, b21, t2); // T4 = B21 − T2
-            }
-            TaskKind::Post => {
-                let c = self.dst(node.c, 4 * qc);
-                let (c11, rest) = c.split_at_mut(qc);
-                let (c12, rest) = rest.split_at_mut(qc);
-                let (c21, c22) = rest.split_at_mut(qc);
-                let p_base = node.slab_off + 4 * qa + 4 * qb;
-                let p1 = self.slab.get(p_base, qc);
-                let p2 = self.slab.get(p_base + qc, qc);
-                let p5 = self.slab.get_mut(p_base + 2 * qc, qc);
-                // The serial schedules' combinations, association for
-                // association (every sum is `x + y` or `y + x`, equal in
-                // IEEE arithmetic) — this is what keeps pooled results
-                // bitwise identical to both tiers.
-                add_assign_flat(c11, p1); // U2 = P1 + P4
-                add_assign_flat(p5, c11); // U3 = U2 + P5
-                add_assign_flat(c11, c22); // U6 = U2 + P3
-                add_assign_flat(c12, c11); // U7 = U6 + P6       → C12 done
-                add_assign_flat(c22, p5); // U5 = U3 + P3        → C22 done
-                add_assign_flat(c21, p5); // U4 = U3 + P7        → C21 done
-                add_flat(c11, p1, p2); // U1 = P1 + P2           → C11 done
-                if node.level == 0 {
-                    // The item's root task: it still owns the whole result
-                    // that its Unpack chunks are about to read.
-                    crate::faults::maybe_poison(c);
-                }
-            }
-            TaskKind::Leaf => {
-                let a = self.src_ptr(&self.a, node.a, layouts.a.len());
-                let b = self.src_ptr(&self.b, node.b, layouts.b.len());
-                let c = self.dst(node.c, layouts.c.len());
-                let ws = self.slab.get_mut(node.slab_off, node.ws_len);
-                let li = node.level as usize;
-                // A serial subtree: the team of one, whose terminal tail
-                // is its own arena's tail.
-                let tail_len = crate::plan::terminal_tail_len(layouts, self.policy);
-                let tail_at = ws.len() - tail_len;
-                let walk = Walk {
-                    levels: self.levels.get(0, self.levels.len),
-                    policy: self.policy,
-                    rank: Rank::SOLO,
-                    tail: ws[tail_at..].as_mut_ptr(),
-                    tail_len,
-                    paired: core::ptr::null_mut(),
-                };
-                let (c, ws_len, ws) = (c.as_mut_ptr(), ws.len(), ws.as_mut_ptr());
-                let run = if self.metrics_on {
-                    let mut sink = ShardLevelSink { level_nanos: &mut shard.level_nanos };
-                    exec_levels_raw(&walk, a, b, c, layouts, li, ws, ws_len, &mut sink)
-                } else {
-                    exec_levels_raw(&walk, a, b, c, layouts, li, ws, ws_len, &mut NoopSink)
-                };
-                // A team of one never fails a barrier.
-                debug_assert!(run.is_ok());
-                if li == 0 {
-                    // A whole item as one Leaf: poison as Post does.
-                    crate::faults::maybe_poison(core::slice::from_raw_parts_mut(
-                        c,
-                        layouts.c.len(),
-                    ));
-                }
-            }
-            TaskKind::ConvertA | TaskKind::ConvertB | TaskKind::Unpack | TaskKind::Gate => {
-                unreachable!("conversion kinds dispatched before the node lookup")
-            }
-        }
+    }
+
+    /// One item's whole compute: the serial interpreter, a team of one,
+    /// over window slot `slot`'s packed operands, result and arena (whose
+    /// tail is the terminal's). Level times book into `shard`.
+    ///
+    /// SAFETY: as [`Self::run_body`] — the item's convert gates completed,
+    /// and its unpack chunks and the slot's next occupant wait for this
+    /// task.
+    unsafe fn run_item(&self, slot: usize, shard: &mut WorkerShard) {
+        let (layouts, g) = (self.layouts, self.io.geom);
+        // The operand views derive from `run_graph`'s exclusive arena
+        // borrows, so they are write-capable; only the in-place schedule
+        // writes (and restores) them.
+        debug_assert!((slot + 1) * g.slot_a <= self.a.len && (slot + 1) * g.slot_b <= self.b.len);
+        let a = self.a.ptr.add(slot * g.slot_a).cast_mut();
+        let b = self.b.ptr.add(slot * g.slot_b).cast_mut();
+        let c = self.c.get_mut(slot * g.slot_c, layouts.c.len()).as_mut_ptr();
+        let (ws, ws_len) = (self.ws.get_mut(slot * g.slot_ws, g.slot_ws).as_mut_ptr(), g.slot_ws);
+        let tail_len = crate::plan::terminal_tail_len(layouts, self.policy);
+        let walk = Walk {
+            levels: self.levels.get(0, self.levels.len),
+            policy: self.policy,
+            rank: Rank::SOLO,
+            tail: ws.add(ws_len - tail_len),
+            tail_len,
+            paired: core::ptr::null_mut(),
+        };
+        let run = if self.metrics_on {
+            let mut sink = ShardLevelSink { level_nanos: &mut shard.level_nanos };
+            exec_levels_raw(&walk, a, b, c, layouts, 0, ws, ws_len, &mut sink)
+        } else {
+            exec_levels_raw(&walk, a, b, c, layouts, 0, ws, ws_len, &mut NoopSink)
+        };
+        // A team of one never fails a barrier.
+        debug_assert!(run.is_ok());
+        // The item's Morton result is complete and its unpack chunks are
+        // about to read it.
+        crate::faults::maybe_poison(core::slice::from_raw_parts_mut(c, layouts.c.len()));
     }
 
     /// Runs one conversion/epilogue chunk.
@@ -986,7 +884,7 @@ impl<S: Scalar> GraphJob<S> {
     /// range of the item's C output (items' C windows are disjoint).
     unsafe fn run_batch_chunk(&self, kind: TaskKind, chunk: BatchChunk) {
         let io = &self.io;
-        let root = self.level_layouts.get(0, self.level_layouts.len)[0];
+        let root = self.layouts;
         let g = io.geom;
         let (item, slot) = (chunk.item as usize, chunk.slot as usize);
         let (r0, r1) = (chunk.r0 as usize, chunk.r1 as usize);
@@ -1033,15 +931,13 @@ impl<S: Scalar> GraphJob<S> {
             }
         }
         if !self.cancelled.load(Ordering::Relaxed) {
-            // Add-pass timing books into the per-level shard; conversion
-            // kinds never index `graph.nodes`, so they are excluded here
-            // and accounted through the overlap counters instead.
+            // Compute tasks book their level times through the shard;
+            // conversion chunks are accounted through the overlap
+            // counters.
             let metrics = self.metrics_on;
-            let timed =
-                metrics && matches!(task.kind, TaskKind::SPre | TaskKind::TPre | TaskKind::Post);
             let is_chunk =
                 matches!(task.kind, TaskKind::ConvertA | TaskKind::ConvertB | TaskKind::Unpack);
-            let is_compute = !is_chunk && task.kind != TaskKind::Gate;
+            let is_compute = task.kind == TaskKind::Leaf;
             let io = &self.io;
             if metrics && is_compute {
                 io.active_compute.fetch_add(1, Ordering::Relaxed);
@@ -1051,7 +947,7 @@ impl<S: Scalar> GraphJob<S> {
             // that started mid-chunk).
             let compute_at_start =
                 metrics && is_chunk && io.active_compute.load(Ordering::Relaxed) > 0;
-            let t0 = if timed || (metrics && is_chunk) { Some(Instant::now()) } else { None };
+            let t0 = (metrics && is_chunk).then(Instant::now);
             // SAFETY: `task_ix` was popped from a deque exactly once and
             // its dependency count reached zero.
             let body = catch_unwind(AssertUnwindSafe(|| unsafe { self.run_body(task_ix, shard) }));
@@ -1060,14 +956,9 @@ impl<S: Scalar> GraphJob<S> {
             }
             if let Some(t0) = t0 {
                 let nanos = t0.elapsed().as_nanos() as u64;
-                if timed {
-                    let level = graph.nodes[task.node as usize].level as usize;
-                    shard.level_nanos[level.min(MAX_LEVELS)] += nanos;
-                } else {
-                    io.convert_nanos.fetch_add(nanos, Ordering::Relaxed);
-                    if compute_at_start || io.active_compute.load(Ordering::Relaxed) > 0 {
-                        io.overlap_nanos.fetch_add(nanos, Ordering::Relaxed);
-                    }
+                io.convert_nanos.fetch_add(nanos, Ordering::Relaxed);
+                if compute_at_start || io.active_compute.load(Ordering::Relaxed) > 0 {
+                    io.overlap_nanos.fetch_add(nanos, Ordering::Relaxed);
                 }
             }
             if let Err(payload) = body {
@@ -1167,12 +1058,13 @@ fn merge_shards<K: MetricsSink>(scratch: &mut PoolScratch, threads: usize, sink:
     sink.record_pool(stats);
 }
 
-/// Executes a compiled [`TaskGraph`] ([`crate::batch`]'s lowering; a
-/// pooled single GEMM is a batch of one) on the global pool for `threads`
-/// workers: per-item conversion, compute, and epilogue tasks all drain
-/// through one dependency-counted DAG, so conversion of item *k+1*
-/// overlaps with compute of item *k*. The packed A/B/C arenas and the
-/// slab hold `window` slots; `input` resolves each item's column-major
+/// Executes a compiled [`TaskGraph`] ([`crate::batch`]'s lowering) on
+/// the global pool for `threads` workers: per-item conversion, compute,
+/// and epilogue tasks all drain through one dependency-counted DAG, so
+/// conversion of item *k+1* overlaps with compute of item *k*. The packed
+/// A/B/C arenas and the workspace hold `window` slots of `geom`'s sizes,
+/// each item's compute running the interpreter over `levels` and
+/// `layouts` under `policy`; `input` resolves each item's column-major
 /// operands. `scratch` is reset in place (zero allocations on a warm
 /// scratch apart from the job handle itself), and the per-worker metric
 /// shards merge into `sink` after the join: per-level wall times (summed
@@ -1185,7 +1077,7 @@ fn merge_shards<K: MetricsSink>(scratch: &mut PoolScratch, threads: usize, sink:
 pub(crate) fn run_graph<S: Scalar, K: MetricsSink>(
     graph: &TaskGraph,
     levels: &[LevelPlan],
-    level_layouts: &[NodeLayouts],
+    layouts: NodeLayouts,
     policy: ExecPolicy,
     threads: usize,
     input: BatchInput<'_, S>,
@@ -1195,13 +1087,12 @@ pub(crate) fn run_graph<S: Scalar, K: MetricsSink>(
     arena_a: &mut [S],
     arena_b: &mut [S],
     arena_c: &mut [S],
-    slab: &mut [S],
+    ws: &mut [S],
     scratch: &mut PoolScratch,
     cancel: Option<&CancelToken>,
     sink: &mut K,
 ) -> Result<(u64, u64), GemmError> {
     debug_assert!(threads >= 2, "threads < 2 must take the serial path");
-    debug_assert!(graph.slab_len <= slab.len(), "slab smaller than the graph's model");
     scratch.reset(graph, threads);
     // The packed operand arenas are read by compute tasks (through the
     // job's `a`/`b` views) *and* written by convert tasks (through the
@@ -1231,11 +1122,11 @@ pub(crate) fn run_graph<S: Scalar, K: MetricsSink>(
     let job: Arc<GraphJob<S>> = Arc::new(GraphJob {
         graph: RawView { ptr: graph, len: 1 },
         levels: RawView::new(levels),
-        level_layouts: RawView::new(level_layouts),
+        layouts,
         a,
         b,
         c: RawViewMut::new(arena_c),
-        slab: RawViewMut::new(slab),
+        ws: RawViewMut::new(ws),
         deps: RawView { ptr: scratch.deps.as_ptr(), len: scratch.deps.len() },
         queues: RawView { ptr: scratch.queues.as_ptr(), len: scratch.queues.len() },
         shards: RawView { ptr: scratch.shards.as_ptr(), len: scratch.shards.len() },

@@ -22,10 +22,10 @@
 //!   requests compiles once and executes many times.
 //! * **Deadlines & cancellation** — every request carries a
 //!   [`CancelToken`]; dispatchers check it before any allocation
-//!   (an already-expired deadline never touches memory) and the parallel
-//!   executor observes it at every task-dequeue boundary, draining the
-//!   in-flight DAG into [`GemmError::DeadlineExceeded`] /
-//!   [`GemmError::Cancelled`] within roughly one task's work. The
+//!   (an already-expired deadline never touches memory) and execution
+//!   observes it at every barrier of a team, draining the in-flight run
+//!   into [`GemmError::DeadlineExceeded`] / [`GemmError::Cancelled`]
+//!   within roughly one step of the interpreter. The
 //!   dispatcher's context stays warm and reusable afterward.
 //! * **Graceful shutdown** — [`GemmService::shutdown`] (also run on
 //!   drop) rejects new submissions with [`GemmError::ShuttingDown`],
@@ -146,7 +146,7 @@ impl<S: Scalar> GemmRequest<S> {
     /// Sets an absolute deadline: the request fails with
     /// [`GemmError::DeadlineExceeded`] once `deadline` passes — before
     /// any allocation when it is already expired at dispatch, or by
-    /// draining the in-flight DAG when it expires mid-execution.
+    /// stopping the in-flight run when it expires mid-execution.
     pub fn deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
@@ -217,8 +217,9 @@ impl<S> GemmTicket<S> {
 
     /// Requests cooperative cancellation: a queued request resolves
     /// [`GemmError::Cancelled`] before touching memory; an in-flight one
-    /// drains its task DAG and resolves within roughly one task's work
-    /// (it may still resolve `Ok` if it won the race to completion).
+    /// stops at its team's next barrier and resolves within roughly one
+    /// interpreter step (it may still resolve `Ok` if it won the race to
+    /// completion).
     pub fn cancel(&self) {
         self.shared.cancel.cancel();
     }
@@ -816,15 +817,12 @@ impl<S: Scalar + 'static> GemmService<S> {
 
 /// The configuration one request runs under: a single GEMM's team gets
 /// `threads / dispatchers` workers (at least one), so dispatchers running
-/// side by side never oversubscribe the cores. Configs with an explicit
-/// `parallel_depth` keep their task DAG's worker count, and a malformed
+/// side by side never oversubscribe the cores. A malformed
 /// `MODGEMM_THREADS` is left for plan compilation to report.
 fn team_config(cfg: ModgemmConfig, dispatchers: usize) -> ModgemmConfig {
     match crate::pool::try_resolve_threads(cfg.threads) {
-        Ok(threads) if cfg.parallel_depth == 0 => {
-            ModgemmConfig { threads: (threads / dispatchers.max(1)).max(1), ..cfg }
-        }
-        _ => cfg,
+        Ok(threads) => ModgemmConfig { threads: (threads / dispatchers.max(1)).max(1), ..cfg },
+        Err(_) => cfg,
     }
 }
 
@@ -995,13 +993,16 @@ mod tests {
 
     #[test]
     fn service_cancel_resolves_and_leaves_service_usable() {
-        let par = ModgemmConfig { parallel_depth: 1, threads: 2, ..ModgemmConfig::default() };
+        // One dispatcher keeps both workers: 300 pads above the team
+        // crossover, so the request runs as a team of two.
+        let par = ModgemmConfig { threads: 2, ..ModgemmConfig::default() };
         let mut svc = GemmService::<f64>::start(ServiceConfig {
             dispatchers: 1,
             gemm: par,
             ..ServiceConfig::default()
         });
-        let ticket = svc.submit(GemmRequest::new(filled(96, 96, 1), filled(96, 96, 2))).unwrap();
+        let ticket =
+            svc.submit(GemmRequest::new(filled(300, 300, 1), filled(300, 300, 2))).unwrap();
         ticket.cancel();
         // Cancellation races completion; both outcomes are legal, but the
         // ticket must resolve either way.

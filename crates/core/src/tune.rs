@@ -34,8 +34,7 @@
 //! * `strassen_min` — only while the config holds the default `0`;
 //! * `leaf_kernel` — only for [`KernelKind::Auto`] (delegated selection
 //!   is Auto's whole purpose; a pinned concrete kernel wins);
-//! * `parallel_depth` / `threads` — only while the config holds the
-//!   default `0` (auto);
+//! * `threads` — only while the config holds the default `0` (auto);
 //! * `fuse_depth` — only while the config holds the default
 //!   [`FuseDepth::Auto`]; an explicit `Fixed(n)` wins.
 //! * `batch_window` — only while the config holds the default `0`
@@ -75,9 +74,12 @@ use crate::json::{self, Value};
 /// version 4 the `schedule` knob (the memory tier of the recursion-step
 /// linearization) to every entry, and an older profile's recorded
 /// winners were measured without those axes, so silently defaulting the
-/// missing field would misrepresent the measurement. Re-running
-/// `modgemm-tune` regenerates a current-schema profile.
-pub const PROFILE_SCHEMA_VERSION: u64 = 4;
+/// missing field would misrepresent the measurement. Version 5 dropped
+/// the parallel-depth knob (the breadth-first task DAG it selected is
+/// gone), so a version-4 winner may name an operating point nothing can
+/// run any more. Re-running `modgemm-tune` regenerates a current-schema
+/// profile.
+pub const PROFILE_SCHEMA_VERSION: u64 = 5;
 
 /// Environment variable overriding the profile location (takes
 /// precedence over the `~/.cache/modgemm/profile.json` default).
@@ -106,8 +108,6 @@ pub struct TunedChoice {
     /// Leaf kernel to run ([`KernelKind`]; concrete kinds only in
     /// recorded profiles).
     pub kernel: KernelKind,
-    /// Parallel DAG depth (`0` = serial).
-    pub parallel_depth: usize,
     /// Pool worker count (`0` = resolve from the environment).
     pub threads: usize,
     /// Fused Strassen levels to pin ([`FuseDepth::Fixed`]), at most
@@ -137,7 +137,6 @@ impl TunedChoice {
             tile_max: TileRange::PAPER.max,
             strassen_min: 0,
             kernel: KernelKind::Auto,
-            parallel_depth: 0,
             threads: 0,
             fuse_depth: 0,
             batch_window: 0,
@@ -162,9 +161,6 @@ impl TunedChoice {
         }
         if cfg.leaf_kernel == KernelKind::Auto {
             eff.leaf_kernel = KernelKind::Auto.resolve_with_hint(Some(self.kernel), m, k, n);
-        }
-        if cfg.parallel_depth == 0 {
-            eff.parallel_depth = self.parallel_depth;
         }
         if cfg.threads == 0 {
             eff.threads = self.threads;
@@ -332,7 +328,6 @@ impl TuningProfile {
                     tile_max,
                     strassen_min: lerp(lo.choice.strassen_min, hi.choice.strassen_min),
                     kernel: near.choice.kernel,
-                    parallel_depth: near.choice.parallel_depth,
                     threads: near.choice.threads,
                     fuse_depth: near.choice.fuse_depth,
                     batch_window: near.choice.batch_window,
@@ -359,7 +354,6 @@ impl TuningProfile {
                     .with("tile_max", e.choice.tile_max)
                     .with("strassen_min", e.choice.strassen_min)
                     .with("kernel", e.choice.kernel.to_string())
-                    .with("parallel_depth", e.choice.parallel_depth)
                     .with("threads", e.choice.threads)
                     .with("fuse_depth", e.choice.fuse_depth)
                     .with("batch_window", e.choice.batch_window)
@@ -437,7 +431,6 @@ impl TuningProfile {
                     tile_max: u("tile_max")?,
                     strassen_min: u("strassen_min")?,
                     kernel,
-                    parallel_depth: u("parallel_depth")?,
                     threads: u("threads")?,
                     fuse_depth: u("fuse_depth")?,
                     batch_window: u("batch_window")?,
@@ -606,7 +599,6 @@ mod tests {
                         tile_max: 64,
                         strassen_min: 0,
                         kernel: KernelKind::Packed,
-                        parallel_depth: 0,
                         threads: 1,
                         fuse_depth: 1,
                         batch_window: 0,
@@ -623,7 +615,6 @@ mod tests {
                         tile_max: 64,
                         strassen_min: 64,
                         kernel: KernelKind::Blocked,
-                        parallel_depth: 2,
                         threads: 4,
                         fuse_depth: 0,
                         batch_window: 4,
@@ -660,55 +651,47 @@ mod tests {
             "{\"schema_version\": \"one\", \"entries\": []}".into(),
             "{\"entries\": []}".into(),
             format!("{full}trailing"),
-            "{\"schema_version\": 4, \"entries\": [{\"m\": 0}]}".into(),
-            "{\"schema_version\": 4, \"entries\": [7]}".into(),
+            "{\"schema_version\": 5, \"entries\": [{\"m\": 0}]}".into(),
+            "{\"schema_version\": 5, \"entries\": [7]}".into(),
             // Entry with an inverted tile range.
-            "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":64,\
-             \"tile_max\":16,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
+            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":64,\
+             \"tile_max\":16,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
              \"score\":1.0}]}"
                 .into(),
             // Unknown kernel name.
-            "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"turbo\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
+            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"turbo\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
              \"score\":1.0}]}"
                 .into(),
             // Entry missing the v2 fuse_depth field.
-            "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\"score\":1.0}]}"
+            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\"score\":1.0}]}"
                 .into(),
             // Entry missing the v3 batch_window field.
-            "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":0,\"schedule\":\"low-mem\",\"score\":1.0}]}"
+            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"schedule\":\"low-mem\",\"score\":1.0}]}"
                 .into(),
             // Entry missing the v4 schedule field.
-            "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"score\":1.0}]}"
+            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"score\":1.0}]}"
                 .into(),
             // Entry naming an unknown schedule tier.
-            "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"psychic\",\
+            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"psychic\",\
              \"score\":1.0}]}"
                 .into(),
             // Entry recording a fuse depth beyond MAX_FUSE.
-            "{\"schema_version\": 4, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-             \"threads\":0,\"fuse_depth\":2,\"batch_window\":0,\"schedule\":\"low-mem\",\
+            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":2,\"batch_window\":0,\"schedule\":\"low-mem\",\
              \"score\":1.0}]}"
                 .into(),
             // Nesting far past the parser's depth cap.
-            format!("{{\"schema_version\": 4, \"entries\": {}", "[".repeat(200_000)),
+            format!("{{\"schema_version\": 5, \"entries\": {}", "[".repeat(200_000)),
         ];
         // Entry numbers out of range for their usize fields (fractional,
         // negative, past 2^53) and a non-finite score.
         let entry = "{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\"tile_max\":64,\
-                     \"strassen_min\":0,\"kernel\":\"blocked\",\"parallel_depth\":0,\
-                     \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
+                     \"strassen_min\":0,\"kernel\":\"blocked\",        \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
                      \"score\":1.0}";
         for (field, value) in [
             ("\"m\":8", "\"m\":64.9"),
@@ -717,17 +700,25 @@ mod tests {
             ("\"fuse_depth\":0", "\"fuse_depth\":-1"),
             ("\"tile_max\":64", "\"tile_max\":1e30"),
             ("\"threads\":0", "\"threads\":1e30"),
-            ("\"parallel_depth\":0", "\"parallel_depth\":1e30"),
             ("\"strassen_min\":0", "\"strassen_min\":1e30"),
             ("\"score\":1.0", "\"score\":1e999"),
         ] {
             let edited = entry.replacen(field, value, 1);
             assert_ne!(edited, entry, "{field} must occur in the template entry");
-            bad.push(format!("{{\"schema_version\": 4, \"entries\": [{edited}]}}"));
+            bad.push(format!("{{\"schema_version\": 5, \"entries\": [{edited}]}}"));
         }
         // The unedited template entry loads.
-        let good = format!("{{\"schema_version\": 4, \"entries\": [{entry}]}}");
+        let good = format!("{{\"schema_version\": 5, \"entries\": [{entry}]}}");
         assert!(TuningProfile::from_json_str(&good).is_ok());
+        // The same entry in a version-4 file is refused as outdated.
+        let v4 = good.replace("\"schema_version\": 5", "\"schema_version\": 4");
+        assert_eq!(
+            TuningProfile::from_json_str(&v4),
+            Err(GemmError::InvalidConfig {
+                reason: "tuning profile schema version is outdated; re-run modgemm-tune to record \
+                         a current profile"
+            })
+        );
         // An entry naming the deleted four-temporary tier fails as an
         // unknown tier; it is never mapped onto a surviving one.
         let standard = good.replace("\"low-mem\"", "\"standard\"");
@@ -773,12 +764,14 @@ mod tests {
     fn outdated_schema_version_fails_typed() {
         // Version 1 predates the fuse_depth knob, version 2 the
         // batch_window knob, and version 3 the schedule knob: their
-        // recorded winners were measured without those axes, so all are
+        // recorded winners were measured without those axes. Version 4
+        // may name a parallel depth nothing runs any more. All are
         // refused typed rather than silently defaulted.
         for text in [
             "{\"schema_version\": 1, \"entries\": []}",
             "{\"schema_version\": 2, \"entries\": []}",
             "{\"schema_version\": 3, \"entries\": []}",
+            "{\"schema_version\": 4, \"entries\": []}",
         ] {
             match TuningProfile::from_json_str(text) {
                 Err(GemmError::InvalidConfig { reason }) => {
@@ -818,7 +811,6 @@ mod tests {
             tile_max: 32,
             strassen_min: 48,
             kernel: KernelKind::Packed,
-            parallel_depth: 2,
             threads: 4,
             fuse_depth: 1,
             batch_window: 6,
@@ -830,7 +822,6 @@ mod tests {
         let eff = choice.apply_to(&d, 256, 256, 256);
         assert_eq!(eff.truncation, Truncation::MinPadding(TileRange { min: 8, max: 32 }));
         assert_eq!(eff.strassen_min, 48);
-        assert_eq!(eff.parallel_depth, 2);
         assert_eq!(eff.threads, 4);
         assert_eq!(eff.leaf_kernel, KernelKind::Packed, "the Auto default takes the hint");
         assert_eq!(eff.fuse_depth, FuseDepth::Fixed(1), "Auto fuse_depth consults the profile");
@@ -850,7 +841,6 @@ mod tests {
         let pinned = ModgemmConfig {
             truncation: Truncation::Fixed(16),
             strassen_min: 7,
-            parallel_depth: 1,
             threads: 2,
             leaf_kernel: KernelKind::Naive,
             fuse_depth: FuseDepth::Fixed(0),
@@ -860,7 +850,6 @@ mod tests {
         let eff = choice.apply_to(&pinned, 256, 256, 256);
         assert_eq!(eff.truncation, Truncation::Fixed(16));
         assert_eq!(eff.strassen_min, 7);
-        assert_eq!(eff.parallel_depth, 1);
         assert_eq!(eff.threads, 2);
         assert_eq!(eff.leaf_kernel, KernelKind::Naive);
         assert_eq!(eff.fuse_depth, FuseDepth::Fixed(0), "explicit fuse_depth wins");

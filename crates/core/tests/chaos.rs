@@ -49,12 +49,15 @@ fn chaos_soak_every_request_resolves_typed() {
         FaultSpec { latency: Duration::from_micros(300), ..FaultSpec::one_in(31, 44) },
     );
 
-    // Parallel plans (so the DAG sites run; `threads: 0` keeps the CI
-    // MODGEMM_THREADS matrix meaningful) under a finite memory budget.
-    let gemm = ModgemmConfig { parallel_depth: 1, ..ModgemmConfig::default() };
+    // Pooled execution under a finite memory budget, with `threads: 0`
+    // keeping the CI MODGEMM_THREADS matrix meaningful: coalesced
+    // same-shape requests run the batch DAG on the resolved workers, and
+    // each dispatcher's share of them (`threads / 2`) runs the 260³
+    // requests as a team, so the fault sites fire on both paths.
+    let gemm = ModgemmConfig::default();
     let svc = Arc::new(GemmService::<f64>::start(ServiceConfig {
         queue_capacity: 32,
-        dispatchers: 4,
+        dispatchers: 2,
         memory_budget: MemoryBudget::MaxWorkspaceBytes(64 << 20),
         plan_cache_capacity: 16,
         gemm,
@@ -69,8 +72,8 @@ fn chaos_soak_every_request_resolves_typed() {
                 for i in 0..REQUESTS_PER_CLIENT {
                     // A small shape vocabulary (the service's plan cache
                     // is sized for repeating traffic) spanning padded and
-                    // ragged cases.
-                    let dim = [17, 32, 48, 65][((ci + i) % 4) as usize];
+                    // ragged cases and one shape above the team crossover.
+                    let dim = [17, 32, 48, 65, 17, 32, 48, 260][((ci + i) % 8) as usize];
                     let mut req = GemmRequest::new(
                         filled(dim, dim, ci * 1000 + i),
                         filled(dim, dim, ci * 2000 + i),

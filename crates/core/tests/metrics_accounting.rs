@@ -22,12 +22,11 @@ fn layouts(tile: usize, depth: usize) -> NodeLayouts {
 /// A plan over exact-fit `tile` leaves of an `n × n × n` problem, with the
 /// paper's staged Blocked pipeline: its policy is exactly
 /// `ExecPolicy { strassen_min, ..Default::default() }`. `threads > 1`
-/// lowers the top Strassen level to the pooled DAG.
+/// runs it as a team when `n³` is above the team crossover (256³).
 fn tiled_plan(n: usize, tile: usize, strassen_min: usize, threads: usize) -> GemmPlan<f64> {
     let cfg = ModgemmConfig {
         truncation: Truncation::Fixed(tile),
         strassen_min,
-        parallel_depth: 1,
         threads,
         ..ModgemmConfig::paper()
     };
@@ -59,24 +58,24 @@ fn run<K: MetricsSink>(
 
 #[test]
 fn recorded_flops_match_counts_across_policies() {
-    // 64×64 of 8×8 tiles (depth 3): deep enough that every policy below
-    // takes a different mix of Strassen and conventional levels.
-    let layouts = layouts(8, 3);
+    // 320×320 of 40×40 tiles (depth 3): deep enough that every policy
+    // below takes a different mix of Strassen and conventional levels,
+    // and above the team crossover.
+    let layouts = layouts(40, 3);
     let policies = [
         ExecPolicy::default(), // Strassen at every division
-        ExecPolicy { strassen_min: 16, ..Default::default() }, // one conventional level
-        ExecPolicy { strassen_min: 32, ..Default::default() }, // two
+        ExecPolicy { strassen_min: 80, ..Default::default() }, // one conventional level
+        ExecPolicy { strassen_min: 160, ..Default::default() }, // two
         ExecPolicy { strassen_min: 1 << 20, ..Default::default() }, // pure conventional
     ];
-    let a: Matrix<f64> = random_matrix(64, 64, 1);
-    let b: Matrix<f64> = random_matrix(64, 64, 2);
+    let a: Matrix<f64> = random_matrix(320, 320, 1);
+    let b: Matrix<f64> = random_matrix(320, 320, 2);
     for policy in policies {
-        // The serial interpreter and the pooled DAG (when the policy
-        // stages a level to lower) report the same plan facts.
+        // The serial interpreter and a team of three report the same
+        // plan facts.
         for threads in [1, 3] {
-            let plan = tiled_plan(64, 8, policy.strassen_min, threads);
-            let pooled = plan.parallel_depth() > 0;
-            assert_eq!(pooled, threads > 1 && policy.strassen_min < 64, "policy {policy:?}");
+            let plan = tiled_plan(320, 40, policy.strassen_min, threads);
+            let pooled = threads > 1;
             let mut sink = CollectingSink::new();
             run(&plan, &a, &b, &mut sink);
             let m = sink.into_metrics();
@@ -86,11 +85,15 @@ fn recorded_flops_match_counts_across_policies() {
             assert_eq!(m.flops, strassen_flops(layouts, policy), "{ctx}");
             assert_eq!(m.conventional_flops, conventional_flops(pm, pk, pn), "{ctx}");
             assert_eq!(m.strassen_levels, strassen_levels(layouts, policy), "{ctx}");
-            assert_eq!(m.peak_workspace_elems, plan.arena_len(), "{ctx}");
-            if !pooled {
-                assert_eq!(m.peak_workspace_elems, workspace_len(layouts, policy), "{ctx}");
+            // A team's ranks past the first add their terminal tails (and
+            // the low-mem paired temporaries) to the serial arena.
+            assert_eq!(plan.arena_len(), workspace_len(layouts, policy), "{ctx}");
+            if pooled {
+                assert!(m.peak_workspace_elems >= plan.arena_len(), "{ctx}");
+            } else {
+                assert_eq!(m.peak_workspace_elems, plan.arena_len(), "{ctx}");
             }
-            assert_eq!(m.pool.is_some(), pooled, "{ctx}");
+            assert_eq!(m.pool.map(|p| p.workers), pooled.then_some(threads), "{ctx}");
             // Per-level timing covers exactly the visited levels: one slot
             // per Strassen level plus the handover level (the leaf tile
             // when Strassen runs all the way down).
@@ -155,13 +158,13 @@ fn pipeline_metrics_flops_match_counts() {
 #[test]
 fn noop_and_collecting_runs_are_bit_identical() {
     // Compiled compute stage on exact-fit tiles, on the serial
-    // interpreter and on the pooled DAG. A fresh context grows its
-    // buffers, which the instrumented run reports.
-    let a: Matrix<f64> = random_matrix(64, 64, 21);
-    let b: Matrix<f64> = random_matrix(64, 64, 22);
+    // interpreter and on a team. A fresh context grows its buffers,
+    // which the instrumented run reports.
+    let a: Matrix<f64> = random_matrix(320, 320, 21);
+    let b: Matrix<f64> = random_matrix(320, 320, 22);
     for threads in [1, 2] {
-        let plan = tiled_plan(64, 8, 16, threads);
-        assert_eq!(plan.parallel_depth() > 0, threads > 1);
+        let plan = tiled_plan(320, 40, 80, threads);
+        assert_eq!(plan.threads(), threads);
         let c_noop = run(&plan, &a, &b, &mut NoopSink);
         let mut sink = CollectingSink::new();
         let c_inst = run(&plan, &a, &b, &mut sink);

@@ -22,14 +22,13 @@ fn temp_dir() -> std::path::PathBuf {
 /// strassen_min 48 — values no static heuristic would pick.
 fn marker_profile_json() -> String {
     r#"{
-  "schema_version": 4,
+  "schema_version": 5,
   "created_unix": 1754600000,
   "machine": {"os": "linux", "arch": "x86_64", "num_cpus": 2},
   "objective": "min-time",
   "entries": [
     {"m": 96, "k": 96, "n": 96, "tile_min": 16, "tile_max": 64,
-     "strassen_min": 48, "kernel": "naive", "parallel_depth": 0,
-     "threads": 0, "fuse_depth": 0, "batch_window": 0,
+     "strassen_min": 48, "kernel": "naive", "threads": 0, "fuse_depth": 0, "batch_window": 0,
      "schedule": "low-mem", "score": 1.0}
   ]
 }"#
@@ -45,11 +44,12 @@ fn corrupt_profile_files_fail_typed_and_the_global_snapshot_is_sticky() {
     let cases: &[(&str, &str)] = &[
         ("empty.json", ""),
         ("garbage.json", "\u{1}\u{2}not json"),
-        ("truncated.json", "{\"schema_version\": 4, \"entries\": [{\"m\": 96,"),
+        ("truncated.json", "{\"schema_version\": 5, \"entries\": [{\"m\": 96,"),
         ("future.json", "{\"schema_version\": 99, \"entries\": []}"),
         ("outdated.json", "{\"schema_version\": 1, \"entries\": []}"),
         ("outdated_v2.json", "{\"schema_version\": 2, \"entries\": []}"),
         ("outdated_v3.json", "{\"schema_version\": 3, \"entries\": []}"),
+        ("outdated_v4.json", "{\"schema_version\": 4, \"entries\": []}"),
         ("wrong_type.json", "[]"),
     ];
     for (name, text) in cases {

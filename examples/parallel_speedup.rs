@@ -1,7 +1,8 @@
-//! Serial vs parallel MODGEMM (the plan's task DAG on the persistent
-//! work-stealing pool) — the natural extension of the paper's future
-//! work. `ModgemmConfig::threads` (or `MODGEMM_THREADS`) picks the
-//! worker count; 0 means auto.
+//! Serial vs parallel MODGEMM (the plan's one interpreter run by a team
+//! of workers on the persistent pool, each rank doing a disjoint output
+//! share of every step) — the natural extension of the paper's future
+//! work. `ModgemmConfig::threads` (or `MODGEMM_THREADS`) picks the team
+//! size; 0 means auto.
 //!
 //! ```sh
 //! cargo run --release --example parallel_speedup
@@ -42,27 +43,18 @@ fn main() {
     let serial_cfg = ModgemmConfig::paper();
     let t_serial = time_once(&a, &b, &mut c, &serial_cfg);
     let serial_result = c.clone();
-    println!("serial          : {:>8.1} ms", t_serial.as_secs_f64() * 1e3);
+    println!("serial     : {:>8.1} ms", t_serial.as_secs_f64() * 1e3);
 
-    for depth in [1usize, 2] {
-        let cfg = ModgemmConfig { parallel_depth: depth, ..serial_cfg };
+    // The same plan as a team of workers that split every step by
+    // output (0 = auto: `MODGEMM_THREADS` or the machine's CPUs).
+    for threads in [0usize, 2, 4] {
+        let cfg = ModgemmConfig { threads, ..serial_cfg };
         let t = time_once(&a, &b, &mut c, &cfg);
-        // Same products, same kernels ⇒ bitwise identical to serial.
-        assert_eq!(c, serial_result, "parallel result must be bitwise identical");
+        // Same products, same kernels, same order per element ⇒ bitwise
+        // identical to serial.
+        assert_eq!(c, serial_result, "team result must be bitwise identical");
         println!(
-            "parallel depth {depth}: {:>8.1} ms  (speedup {:.2}x, bitwise identical)",
-            t.as_secs_f64() * 1e3,
-            t_serial.as_secs_f64() / t.as_secs_f64()
-        );
-    }
-
-    // Pin the pool to explicit worker counts (0 above = auto).
-    for threads in [1usize, 2, 4] {
-        let cfg = ModgemmConfig { parallel_depth: 2, threads, ..serial_cfg };
-        let t = time_once(&a, &b, &mut c, &cfg);
-        assert_eq!(c, serial_result, "pooled result must be bitwise identical");
-        println!(
-            "threads {threads} depth 2: {:>8.1} ms  (speedup {:.2}x, bitwise identical)",
+            "threads {threads}  : {:>8.1} ms  (speedup {:.2}x, bitwise identical)",
             t.as_secs_f64() * 1e3,
             t_serial.as_secs_f64() / t.as_secs_f64()
         );

@@ -105,7 +105,6 @@ proptest! {
         kernel_ix in 0usize..KernelKind::ALL.len(),
         fuse_sel in 0usize..3,
         threads_ix in 0usize..THREADS.len(),
-        par_depth in 1usize..3,
         pad_a in 0usize..3,
         pad_b in 0usize..3,
         pad_c in 0usize..3,
@@ -144,7 +143,6 @@ proptest! {
                 0 => FuseDepth::Auto,
                 d => FuseDepth::Fixed(d - 1),
             },
-            parallel_depth: par_depth,
             threads: THREADS[threads_ix],
             batch_window: window_knob,
             ..ModgemmConfig::paper()
@@ -189,7 +187,6 @@ proptest! {
         let cfg = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
             memory_budget: MemoryBudget::MaxWorkspaceBytes(budget_kib * 1024),
-            parallel_depth: 1,
             threads: THREADS[threads_ix],
             // Ask for the whole batch in flight; the budget must cap it.
             batch_window: batch,
@@ -249,7 +246,6 @@ proptest! {
     ) {
         let cfg = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
-            parallel_depth: 1,
             threads: 4,
             ..ModgemmConfig::paper()
         };

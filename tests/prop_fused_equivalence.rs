@@ -11,14 +11,15 @@
 //!   behind.
 //! * A fused plan executes allocation-free on a warm context, exactly
 //!   like its staged counterpart.
-//! * Cancelling a pooled fused plan at every task-dequeue index — where
-//!   each DAG leaf runs a whole fused subtree — resolves `Ok` or typed
+//! * Cancelling a fused batch DAG at every task-dequeue index — where
+//!   each item task runs a whole fused plan — resolves `Ok` or typed
 //!   `Cancelled`, never a hang, panic, or corrupted warm context.
 
 use modgemm::core::fuse::MAX_FUSE;
 use modgemm::core::plan::GemmPlan;
 use modgemm::core::{
-    try_modgemm, CancelToken, CollectingSink, FuseDepth, GemmContext, GemmError, ModgemmConfig,
+    try_modgemm, BatchPlan, CancelToken, CollectingSink, FuseDepth, GemmContext, GemmError,
+    ModgemmConfig, StridedBatch,
 };
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::view::required_len;
@@ -132,78 +133,64 @@ fn fused_plans_execute_allocation_free_on_a_warm_context() {
 
 #[test]
 fn cancel_mid_dag_covers_fused_leaf_tasks() {
-    // A pooled plan whose DAG leaves each run a fused subtree: depth 4
-    // of Strassen with the innermost level fused, one level lowered to
-    // tasks. Cancelling at every task-dequeue index must
-    // resolve Ok (cancel arrived past the last check) or typed
-    // Cancelled — and the warm context must survive for an exact,
-    // allocation-free follow-up either way.
+    // A batch DAG whose item tasks each run a whole fused plan: depth 4
+    // of Strassen with the innermost level fused. Cancelling at every
+    // task-dequeue index must resolve Ok (cancel arrived past the last
+    // check) or typed Cancelled — and the warm context must survive for
+    // an exact, allocation-free follow-up either way.
     let cfg = ModgemmConfig {
-        // 176 = 11·2^4: four Strassen levels, so three staged levels
-        // remain above the fused one and the DAG is non-trivial.
+        // 176 = 11·2^4: four Strassen levels, three staged above the
+        // fused one.
         truncation: modgemm::core::Truncation::MinPadding(modgemm::morton::TileRange::new(4, 16)),
         leaf_kernel: KernelKind::Packed,
         fuse_depth: FuseDepth::Fixed(MAX_FUSE),
-        parallel_depth: 1,
         threads: 4,
         ..Default::default()
     };
-    let (m, k, n) = (176usize, 176, 176);
-    let plan = GemmPlan::<i64>::try_new(m, k, n, &cfg).unwrap();
-    assert_eq!(plan.fused_levels(), 1, "the DAG's leaf tasks must run fused subtrees");
+    let (m, k, n, items) = (176usize, 176, 176, 2);
+    let plan = BatchPlan::<i64>::try_new(m, k, n, items, &cfg).unwrap();
+    assert_eq!(plan.item_plan().fused_levels(), 1, "the item tasks must run fused plans");
     let tasks = plan.parallel_tasks() as u64;
-    assert!(tasks > 0, "this shape must compile a parallel DAG");
+    assert!(tasks > 0, "this batch must compile a task DAG");
 
-    let a: Matrix<i64> = random_matrix(m, k, 31);
-    let b: Matrix<i64> = random_matrix(k, n, 32);
+    let a: Matrix<i64> = random_matrix(m, items * k, 31);
+    let b: Matrix<i64> = random_matrix(k, items * n, 32);
+    let desc = StridedBatch {
+        alpha: 1,
+        op_a: Op::NoTrans,
+        a: a.as_slice(),
+        lda: m,
+        stride_a: m * k,
+        op_b: Op::NoTrans,
+        b: b.as_slice(),
+        ldb: k,
+        stride_b: k * n,
+        beta: 0,
+        ldc: m,
+        stride_c: m * n,
+    };
     let mut ctx = GemmContext::new();
-    let mut c_ref: Matrix<i64> = Matrix::zeros(m, n);
-    plan.try_execute(
-        1,
-        Op::NoTrans,
-        a.view(),
-        Op::NoTrans,
-        b.view(),
-        0,
-        c_ref.view_mut(),
-        &mut ctx,
-    )
-    .unwrap();
+    let mut c_ref = vec![0i64; items * m * n];
+    plan.try_execute(&desc, &mut c_ref, &mut ctx).unwrap();
 
     for cut in 0..=tasks {
         let token = CancelToken::cancelling_after(cut);
-        let mut c: Matrix<i64> = Matrix::zeros(m, n);
+        let mut c = vec![0i64; items * m * n];
         match plan.try_execute_cancellable_with_metrics(
-            1,
-            Op::NoTrans,
-            a.view(),
-            Op::NoTrans,
-            b.view(),
-            0,
-            c.view_mut(),
+            &desc,
+            &mut c,
             &mut ctx,
             &token,
             &mut modgemm::core::NoopSink,
         ) {
-            Ok(_) => assert_eq!(c, c_ref, "completed run must be exact (cut {cut})"),
+            Ok(()) => assert_eq!(c, c_ref, "completed run must be exact (cut {cut})"),
             Err(GemmError::Cancelled) => {}
             other => panic!("unexpected outcome at cut {cut}: {other:?}"),
         }
 
-        let mut c2: Matrix<i64> = Matrix::zeros(m, n);
+        let mut c2 = vec![0i64; items * m * n];
         let mut sink = CollectingSink::new();
-        plan.try_execute_with_metrics(
-            1,
-            Op::NoTrans,
-            a.view(),
-            Op::NoTrans,
-            b.view(),
-            0,
-            c2.view_mut(),
-            &mut ctx,
-            &mut sink,
-        )
-        .unwrap();
+        plan.try_execute_with_metrics(&desc, &mut c2, &mut ctx, &mut sink).unwrap();
         assert_eq!(c2, c_ref, "follow-up after cut {cut} must be exact");
         assert_eq!(
             sink.metrics.temp_alloc_bytes, 0,

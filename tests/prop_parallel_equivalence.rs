@@ -1,8 +1,11 @@
-//! Property tests for the work-stealing DAG executor: pooled execution
-//! must be **bit-identical** to serial execution (same products, same
-//! kernels, same associativity — only the evaluation order across
-//! independent buffers differs), and worker panics must be contained as
-//! typed [`GemmError::WorkerPanic`] values, never escaping `try_*`.
+//! Property tests for the two pooled executors: a single GEMM's team
+//! (every rank walks the one interpreter, splitting each step by
+//! output) and a batch's task DAG (each item's compute one serial
+//! interpreter walk) must be **bit-identical** to serial execution (same
+//! products, same kernels, same associativity — only the evaluation
+//! order across independent buffers differs), and worker panics on
+//! either must be contained as typed [`GemmError::WorkerPanic`] values,
+//! never escaping `try_*`.
 //!
 //! Integer scalars make bit-identity checkable with plain equality: any
 //! reassociation or scheduling bug that altered a single product or
@@ -12,7 +15,8 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use modgemm::core::{
-    try_modgemm, FuseDepth, GemmContext, GemmError, GemmPlan, ModgemmConfig, Truncation,
+    try_modgemm, BatchPlan, FuseDepth, GemmContext, GemmError, GemmPlan, ModgemmConfig,
+    StridedBatch, Truncation,
 };
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::{KernelKind, Matrix, Op, Scalar};
@@ -20,9 +24,9 @@ use modgemm::morton::convert::to_morton;
 use modgemm::morton::{MortonLayout, TileRange};
 use proptest::prelude::*;
 
-/// The thread counts the ISSUE pins: serial degradation (1), fewer
-/// workers than one node's products (2, 3), exactly seven (7), and more
-/// workers than top-level tasks (16).
+/// Pinned worker counts: serial degradation (1), fewer workers than a
+/// batch's tasks (2, 3), seven (7), and more workers than the tasks of a
+/// two-item batch (16).
 const THREADS: [usize; 5] = [1, 2, 3, 7, 16];
 
 fn fill_i64(len: usize, seed: u64) -> Vec<i64> {
@@ -36,11 +40,10 @@ fn fill_i64(len: usize, seed: u64) -> Vec<i64> {
 
 /// A fully staged plan configuration with exact-fit `tile` leaves: an
 /// `n = tile << depth` problem recurses `depth` levels with no padding.
-fn tiled_cfg(tile: usize, parallel_depth: usize, threads: usize) -> ModgemmConfig {
+fn tiled_cfg(tile: usize, threads: usize) -> ModgemmConfig {
     ModgemmConfig {
         truncation: Truncation::Fixed(tile),
         fuse_depth: FuseDepth::Fixed(0),
-        parallel_depth,
         threads,
         ..ModgemmConfig::paper()
     }
@@ -67,63 +70,95 @@ fn exec<S: Scalar>(
     Ok(c)
 }
 
+/// `C_i = A_i·B_i` for the `items` square `n × n` operands laid side by
+/// side in `a` and `b` (`n × items·n` each), through a [`BatchPlan`] on
+/// `ctx`; the outputs come back side by side too.
+fn exec_batch<S: Scalar>(
+    plan: &BatchPlan<S>,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
+    ctx: &mut GemmContext<S>,
+) -> Result<Matrix<S>, GemmError> {
+    let (m, k, n) = plan.item_plan().dims();
+    let desc = StridedBatch {
+        alpha: S::ONE,
+        op_a: Op::NoTrans,
+        a: a.as_slice(),
+        lda: m,
+        stride_a: m * k,
+        op_b: Op::NoTrans,
+        b: b.as_slice(),
+        ldb: k,
+        stride_b: k * n,
+        beta: S::ZERO,
+        ldc: m,
+        stride_c: m * n,
+    };
+    let mut c = Matrix::zeros(m, plan.batch() * n);
+    plan.try_execute(&desc, c.as_mut_slice(), ctx)?;
+    Ok(c)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Compiled plans with exact-fit tiles: for every leaf kernel and
-    /// pinned thread count, the pooled DAG run equals the one-worker run
-    /// exactly on i64. Every run reuses one context, and each compared run
-    /// follows a run of the same plan on unrelated operands, so C and the
-    /// slab start out holding another product's values: a missed write to
-    /// C or a read of a temporary before it is written shows up as a
-    /// mismatch.
+    /// Compiled batch plans with exact-fit tiles: for every leaf kernel
+    /// and pinned thread count, the batch DAG equals the one-worker
+    /// per-item loop exactly on i64. Every run reuses one context, and
+    /// each compared run follows a run of the same plan on unrelated
+    /// operands, so the window slots and item arenas start out holding
+    /// another product's values: a missed write to C or a read of a
+    /// temporary before it is written shows up as a mismatch.
     #[test]
     fn pooled_dag_is_bitwise_serial_on_i64(
         tile in 2usize..6,
         depth in 1usize..4,
-        par_depth in 1usize..4,
         kernel_ix in 0usize..KernelKind::ALL.len(),
         seed in 0u64..1000,
     ) {
-        let n = tile << depth;
+        let (n, items) = (tile << depth, 2);
         let kind = KernelKind::ALL[kernel_ix];
-        let cfg = |threads| ModgemmConfig { leaf_kernel: kind, ..tiled_cfg(tile, par_depth, threads) };
-        let a = Matrix::from_vec(fill_i64(n * n, seed), n, n);
-        let b = Matrix::from_vec(fill_i64(n * n, seed + 1), n, n);
+        let cfg = |threads| ModgemmConfig { leaf_kernel: kind, ..tiled_cfg(tile, threads) };
+        let a = Matrix::from_vec(fill_i64(items * n * n, seed), n, items * n);
+        let b = Matrix::from_vec(fill_i64(items * n * n, seed + 1), n, items * n);
         // Entries in [92, 108]: every entry of their product exceeds any
         // entry |A·B| can reach, so stale values cannot pass for real ones.
-        let dirt = |s| fill_i64(n * n, s).into_iter().map(|x| x + 100).collect();
-        let dirt_a = Matrix::from_vec(dirt(seed + 100), n, n);
-        let dirt_b = Matrix::from_vec(dirt(seed + 101), n, n);
+        let dirt = |s| fill_i64(items * n * n, s).into_iter().map(|x| x + 100).collect();
+        let dirt_a = Matrix::from_vec(dirt(seed + 100), n, items * n);
+        let dirt_b = Matrix::from_vec(dirt(seed + 101), n, items * n);
         let mut ctx = GemmContext::new();
 
-        let serial = GemmPlan::<i64>::try_new(n, n, n, &cfg(1)).unwrap();
-        prop_assert_eq!(serial.parallel_depth(), 0);
-        let c_dirt = exec(&serial, &dirt_a, &dirt_b, &mut ctx).unwrap();
-        let c_ser = exec(&serial, &a, &b, &mut ctx).unwrap();
+        let serial = BatchPlan::<i64>::try_new(n, n, n, items, &cfg(1)).unwrap();
+        prop_assert_eq!(serial.parallel_tasks(), 0);
+        let c_dirt = exec_batch(&serial, &dirt_a, &dirt_b, &mut ctx).unwrap();
+        let c_ser = exec_batch(&serial, &a, &b, &mut ctx).unwrap();
 
         for threads in THREADS {
-            let plan = GemmPlan::<i64>::try_new(n, n, n, &cfg(threads)).unwrap();
-            prop_assert_eq!(plan.parallel_depth() > 0, threads > 1);
-            prop_assert_eq!(&exec(&plan, &dirt_a, &dirt_b, &mut ctx).unwrap(), &c_dirt);
-            let c_pool = exec(&plan, &a, &b, &mut ctx).unwrap();
+            let plan = BatchPlan::<i64>::try_new(n, n, n, items, &cfg(threads)).unwrap();
+            prop_assert_eq!(plan.parallel_tasks() > 0, threads > 1);
+            prop_assert_eq!(&exec_batch(&plan, &dirt_a, &dirt_b, &mut ctx).unwrap(), &c_dirt);
+            let c_pool = exec_batch(&plan, &a, &b, &mut ctx).unwrap();
             prop_assert_eq!(
                 &c_pool, &c_ser,
-                "kernel {:?} tile {} depth {} par_depth {} threads {}",
-                kind, tile, depth, par_depth, threads
+                "kernel {:?} tile {} depth {} threads {}",
+                kind, tile, depth, threads
             );
         }
     }
+}
 
-    /// Full pipeline on ragged shapes: a pooled configuration produces
-    /// the exact serial product through conversion, compute, and unpack.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Full pipeline on ragged shapes above the team crossover: a team
+    /// produces the exact serial product through conversion, compute,
+    /// and unpack.
     #[test]
     fn pooled_pipeline_matches_serial_on_ragged_i64(
-        m in 1usize..64,
-        k in 1usize..64,
-        n in 1usize..64,
-        par_depth in 1usize..3,
-        threads_ix in 0usize..THREADS.len(),
+        m in 257usize..300,
+        k in 257usize..300,
+        n in 257usize..300,
+        threads_ix in 1usize..THREADS.len(),
         seed in 0u64..1000,
     ) {
         let a: Matrix<i64> = random_matrix(m, k, seed);
@@ -137,11 +172,8 @@ proptest! {
         try_modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
             c_ser.view_mut(), &base).unwrap();
 
-        let pooled = ModgemmConfig {
-            parallel_depth: par_depth,
-            threads: THREADS[threads_ix],
-            ..base
-        };
+        let pooled = ModgemmConfig { threads: THREADS[threads_ix], ..base };
+        prop_assert_eq!(GemmPlan::<i64>::try_new(m, k, n, &pooled).unwrap().threads(), pooled.threads);
         let mut c_pool: Matrix<i64> = Matrix::zeros(m, n);
         try_modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
             c_pool.view_mut(), &pooled).unwrap();
@@ -230,10 +262,10 @@ impl Scalar for Boom {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A panicking leaf multiply inside a pool worker must surface as
-    /// `Err(WorkerPanic)` from `try_*` — no panic may cross the join, no
-    /// worker may be lost (the pool stays usable for a healthy follow-up
-    /// run at the same thread count).
+    /// A panicking leaf multiply inside a batch DAG's item task must
+    /// surface as `Err(WorkerPanic)` from `try_*` — no panic may cross
+    /// the join, no worker may be lost (the pool stays usable for a
+    /// healthy follow-up run at the same thread count).
     #[test]
     fn worker_panics_surface_as_typed_errors(
         tile in 2usize..5,
@@ -242,17 +274,20 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let threads = THREADS[threads_ix];
-        let n = tile << depth;
-        let boom = |seed| Matrix::from_vec(fill_i64(n * n, seed).into_iter().map(Boom).collect(), n, n);
-        let plan = GemmPlan::<Boom>::try_new(n, n, n, &tiled_cfg(tile, 1, threads)).unwrap();
-        prop_assert!(plan.parallel_depth() > 0, "the plan must run on the pool");
+        let (n, items) = (tile << depth, 2);
+        let boom = |seed| {
+            let vals = fill_i64(items * n * n, seed).into_iter().map(Boom).collect();
+            Matrix::from_vec(vals, n, items * n)
+        };
+        let plan = BatchPlan::<Boom>::try_new(n, n, n, items, &tiled_cfg(tile, threads)).unwrap();
+        prop_assert!(plan.parallel_tasks() > 0, "the batch must run on the pool");
         let mut ctx = GemmContext::new();
 
         // All-huge A guarantees some product's operand is still huge
         // after the pre-additions (e.g. the A11·B11 chain).
-        let a = Matrix::from_vec(vec![Boom(BOOM); n * n], n, n);
+        let a = Matrix::from_vec(vec![Boom(BOOM); items * n * n], n, items * n);
         let b = boom(seed);
-        let r = exec(&plan, &a, &b, &mut ctx);
+        let r = exec_batch(&plan, &a, &b, &mut ctx);
         prop_assert!(
             matches!(r, Err(GemmError::WorkerPanic { .. })),
             "expected WorkerPanic, got {:?}", r
@@ -261,10 +296,32 @@ proptest! {
         // The pool and the context survive the contained panic: a healthy
         // run on the same workers still matches serial bitwise.
         let a2 = boom(seed + 1);
-        let c_pool = exec(&plan, &a2, &b, &mut ctx).unwrap();
-        let serial = GemmPlan::<Boom>::try_new(n, n, n, &tiled_cfg(tile, 1, 1)).unwrap();
-        let c_ser = exec(&serial, &a2, &b, &mut GemmContext::new()).unwrap();
+        let c_pool = exec_batch(&plan, &a2, &b, &mut ctx).unwrap();
+        let serial = BatchPlan::<Boom>::try_new(n, n, n, items, &tiled_cfg(tile, 1)).unwrap();
+        let c_ser = exec_batch(&serial, &a2, &b, &mut GemmContext::new()).unwrap();
         prop_assert_eq!(c_pool, c_ser);
+    }
+}
+
+/// The team counterpart: a rank whose leaf multiply panics fails every
+/// rank's next barrier, the call returns `Err(WorkerPanic)`, and the
+/// same plan and context then compute the serial product bitwise.
+#[test]
+fn worker_panics_on_a_team_surface_as_typed_errors() {
+    // 264 = 33 << 3: above the team crossover.
+    let n = 264;
+    let boom = |seed| Matrix::from_vec(fill_i64(n * n, seed).into_iter().map(Boom).collect(), n, n);
+    let serial = GemmPlan::<Boom>::try_new(n, n, n, &tiled_cfg(33, 1)).unwrap();
+    let (a2, b) = (boom(2), boom(3));
+    let c_ser = exec(&serial, &a2, &b, &mut GemmContext::new()).unwrap();
+    for threads in [2, 3] {
+        let plan = GemmPlan::<Boom>::try_new(n, n, n, &tiled_cfg(33, threads)).unwrap();
+        assert_eq!(plan.threads(), threads);
+        let mut ctx = GemmContext::new();
+        let a = Matrix::from_vec(vec![Boom(BOOM); n * n], n, n);
+        let r = exec(&plan, &a, &b, &mut ctx);
+        assert!(matches!(r, Err(GemmError::WorkerPanic { .. })), "expected WorkerPanic, got {r:?}");
+        assert_eq!(exec(&plan, &a2, &b, &mut ctx).unwrap(), c_ser, "threads = {threads}");
     }
 }
 
@@ -282,7 +339,7 @@ fn harness_sanity() {
 }
 
 // ---------------------------------------------------------------------------
-// Cooperative cancellation: interrupting the DAG at every task index.
+// Cooperative cancellation: interrupting the batch DAG at every task index.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -300,46 +357,47 @@ proptest! {
         n in 24usize..56,
         seed in 0u64..1000,
     ) {
-        use modgemm::core::{CancelToken, CollectingSink, GemmContext, GemmPlan};
+        use modgemm::core::{CancelToken, CollectingSink, NoopSink};
 
         let cfg = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
-            parallel_depth: 1,
             threads: 4,
             ..ModgemmConfig::paper()
         };
-        let plan = GemmPlan::<i64>::try_new(m, k, n, &cfg).unwrap();
+        let plan = BatchPlan::<i64>::try_new(m, k, n, 2, &cfg).unwrap();
         let tasks = plan.parallel_tasks() as u64;
-        prop_assert!(tasks > 0, "these shapes must compile a parallel DAG");
+        prop_assert!(tasks > 0, "these shapes must compile a batch DAG");
 
-        let a: Matrix<i64> = random_matrix(m, k, seed);
-        let b: Matrix<i64> = random_matrix(k, n, seed + 7);
+        let a: Matrix<i64> = random_matrix(m, 2 * k, seed);
+        let b: Matrix<i64> = random_matrix(k, 2 * n, seed + 7);
+        let desc = StridedBatch {
+            alpha: 1, op_a: Op::NoTrans, a: a.as_slice(), lda: m, stride_a: m * k,
+            op_b: Op::NoTrans, b: b.as_slice(), ldb: k, stride_b: k * n,
+            beta: 0, ldc: m, stride_c: m * n,
+        };
         let mut ctx = GemmContext::new();
-        let mut c_ref: Matrix<i64> = Matrix::zeros(m, n);
-        plan.try_execute(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-            c_ref.view_mut(), &mut ctx).unwrap();
+        let mut c_ref = vec![0i64; 2 * m * n];
+        plan.try_execute(&desc, &mut c_ref, &mut ctx).unwrap();
 
         for cut in 0..=tasks {
             // Trip the token on its `cut`-th successful check: cut 0 is
             // the pre-flight gate, later cuts land on task-dequeue
             // boundaries across the DAG.
             let token = CancelToken::cancelling_after(cut);
-            let mut c: Matrix<i64> = Matrix::zeros(m, n);
+            let mut c = vec![0i64; 2 * m * n];
             match plan.try_execute_cancellable_with_metrics(
-                1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-                c.view_mut(), &mut ctx, &token, &mut modgemm::core::NoopSink,
+                &desc, &mut c, &mut ctx, &token, &mut NoopSink,
             ) {
-                Ok(_) => prop_assert_eq!(&c, &c_ref, "completed run must be exact (cut {})", cut),
+                Ok(()) => prop_assert_eq!(&c, &c_ref, "completed run must be exact (cut {})", cut),
                 Err(GemmError::Cancelled) => {}
                 other => prop_assert!(false, "unexpected outcome at cut {}: {:?}", cut, other),
             }
 
             // The warm follow-up execute must be allocation-free and
             // bit-identical, whatever the cancel left behind.
-            let mut c2: Matrix<i64> = Matrix::zeros(m, n);
+            let mut c2 = vec![0i64; 2 * m * n];
             let mut sink = CollectingSink::new();
-            plan.try_execute_with_metrics(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-                c2.view_mut(), &mut ctx, &mut sink).unwrap();
+            plan.try_execute_with_metrics(&desc, &mut c2, &mut ctx, &mut sink).unwrap();
             prop_assert_eq!(&c2, &c_ref, "follow-up after cut {} must be exact", cut);
             prop_assert_eq!(sink.metrics.temp_alloc_bytes, 0,
                 "follow-up after cut {} must be allocation-free", cut);

@@ -6,18 +6,23 @@
 //! floats see rounding perturbation).
 //!
 //! Covered here:
-//! * every tier × every leaf kernel × fuse depths × thread counts
-//!   {1, 2, 7} × ragged shapes, bit-identical to `naive_gemm` on `i64`;
+//! * every tier × every leaf kernel × fuse depths × ragged shapes,
+//!   bit-identical to `naive_gemm` on `i64`, for a single GEMM and for a
+//!   two-item batch DAG on {1, 2, 7} workers;
 //! * warm-context re-execution stays allocation-free on every tier, and
 //!   the measured peak workspace equals the planned arena exactly (the
 //!   closed-form `counts` model);
-//! * cooperative cancellation at every task-dequeue index of a pooled
-//!   in-place plan: typed outcome, warm exact allocation-free follow-up.
+//! * cooperative cancellation at every task-dequeue index of an in-place
+//!   batch DAG: typed outcome, warm exact allocation-free follow-up.
+//!
+//! The team a single GEMM runs above 256³ is pinned against the serial
+//! interpreter on both tiers by the core crate's
+//! `parallel::tests::team_is_bitwise_serial_at_every_team_size`.
 
 use modgemm::core::plan::GemmPlan;
 use modgemm::core::{
-    CancelToken, CollectingSink, GemmContext, GemmError, ModgemmConfig, NoopSink, Schedule,
-    SchedulePolicy, Truncation,
+    BatchPlan, CancelToken, CollectingSink, GemmContext, GemmError, ModgemmConfig, NoopSink,
+    Schedule, SchedulePolicy, StridedBatch, Truncation,
 };
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::naive::naive_product;
@@ -25,9 +30,37 @@ use modgemm::mat::{KernelKind, Matrix, Op};
 use modgemm::morton::TileRange;
 use proptest::prelude::*;
 
-/// Serial, fewer workers than one node's seven products, and exactly
-/// seven — the counts the checklist pins.
+/// Batch DAG worker counts: serial, fewer workers than tasks, and more.
 const THREADS: [usize; 3] = [1, 2, 7];
+
+/// Two items `(A, B)` and `(B', A')` of shape `m × k × n`, laid side by
+/// side, through a [`BatchPlan`] under `cfg`; returns both outputs
+/// side by side as one `m × 2n` matrix.
+fn run_pair(
+    cfg: &ModgemmConfig,
+    (m, k, n): (usize, usize, usize),
+    a2: &Matrix<i64>,
+    b2: &Matrix<i64>,
+) -> Result<Matrix<i64>, GemmError> {
+    let plan = BatchPlan::<i64>::try_new(m, k, n, 2, cfg)?;
+    let desc = StridedBatch {
+        alpha: 1,
+        op_a: Op::NoTrans,
+        a: a2.as_slice(),
+        lda: m,
+        stride_a: m * k,
+        op_b: Op::NoTrans,
+        b: b2.as_slice(),
+        ldb: k,
+        stride_b: k * n,
+        beta: 0,
+        ldc: m,
+        stride_c: m * n,
+    };
+    let mut c: Matrix<i64> = Matrix::zeros(m, 2 * n);
+    plan.try_execute(&desc, c.as_mut_slice(), &mut GemmContext::new())?;
+    Ok(c)
+}
 
 /// Runs a planned execution of `cfg` and returns the product plus the
 /// metrics of a second (warm) execution on the same context.
@@ -66,9 +99,10 @@ proptest! {
 
     /// Every schedule tier, pinned through the public config, is
     /// bit-identical to `naive_gemm` on `i64` across ragged shapes, leaf
-    /// kernels, fuse depths, and thread counts — and every warm
-    /// re-execution is allocation-free with a measured peak workspace
-    /// exactly equal to the planned arena.
+    /// kernels and fuse depths, for a single GEMM and for a two-item
+    /// batch DAG at the drawn worker count — and every warm re-execution
+    /// is allocation-free with a measured peak workspace exactly equal
+    /// to the planned arena.
     #[test]
     fn every_tier_is_bitwise_standard_on_i64(
         m in 1usize..72,
@@ -77,7 +111,6 @@ proptest! {
         kernel_ix in 0usize..KernelKind::ALL.len(),
         fuse in 0usize..2,
         threads_ix in 0usize..THREADS.len(),
-        par_depth in 0usize..3,
         seed in 0u64..1000,
     ) {
         let a: Matrix<i64> = random_matrix(m, k, seed);
@@ -86,9 +119,19 @@ proptest! {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
             leaf_kernel: KernelKind::ALL[kernel_ix],
             fuse_depth: modgemm::core::FuseDepth::Fixed(fuse),
-            parallel_depth: par_depth,
             threads: THREADS[threads_ix],
             ..ModgemmConfig::paper()
+        };
+        // The batch's second item multiplies other operands of the same
+        // shape, so a window slot read before its item's convert shows.
+        let (a_1, b_1): (Matrix<i64>, Matrix<i64>) =
+            (random_matrix(m, k, seed + 11), random_matrix(k, n, seed + 13));
+        let a2 = Matrix::from_fn(m, 2 * k, |i, j| if j < k { a.get(i, j) } else { a_1.get(i, j - k) });
+        let b2 = Matrix::from_fn(k, 2 * n, |i, j| if j < n { b.get(i, j) } else { b_1.get(i, j - n) });
+        let expect2 = {
+            let c_1 = naive_product(&a_1, &b_1);
+            let c_0 = naive_product(&a, &b);
+            Matrix::from_fn(m, 2 * n, |i, j| if j < n { c_0.get(i, j) } else { c_1.get(i, j - n) })
         };
 
         let expect = naive_product(&a, &b);
@@ -100,8 +143,13 @@ proptest! {
             let (c, plan, sink) = run_planned(&cfg, m, k, n, &a, &b).unwrap();
             prop_assert_eq!(
                 &c, &expect,
-                "tier {:?} kernel {:?} fuse {} par_depth {} threads {} must be bitwise naive",
-                sched, base.leaf_kernel, fuse, par_depth, THREADS[threads_ix]
+                "tier {:?} kernel {:?} fuse {} must be bitwise naive",
+                sched, base.leaf_kernel, fuse
+            );
+            prop_assert_eq!(
+                &run_pair(&cfg, (m, k, n), &a2, &b2).unwrap(), &expect2,
+                "batch: tier {:?} kernel {:?} fuse {} threads {} must be bitwise naive",
+                sched, base.leaf_kernel, fuse, THREADS[threads_ix]
             );
             prop_assert_eq!(
                 sink.metrics.temp_alloc_bytes, 0,
@@ -117,8 +165,8 @@ proptest! {
             }
             if plan.arena_len() > 0 {
                 // The measured peak equals the closed-form arena model
-                // exactly — for the serial interpreter the peak is the
-                // summed per-level slots, for the pooled DAG the slab.
+                // exactly: the summed per-level slots plus the terminal
+                // tail.
                 prop_assert_eq!(
                     sink.metrics.workspace_used_elems, plan.arena_len(),
                     "tier {:?}: measured peak workspace must match the planned arena", sched
@@ -163,10 +211,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Cancelling a pooled in-place plan at every task-dequeue index:
-    /// the in-place tier scribbles on its packed operand quadrants
-    /// mid-flight, so an interrupted run must never poison the context —
-    /// the warm follow-up must be allocation-free and bit-identical.
+    /// Cancelling an in-place batch DAG at every task-dequeue index:
+    /// each item task scribbles on its window slot's packed operand
+    /// quadrants mid-flight, so an interrupted run must never poison the
+    /// context — the warm follow-up must be allocation-free and
+    /// bit-identical.
     #[test]
     fn cancel_at_every_task_index_with_the_in_place_tier(
         m in 24usize..56,
@@ -176,39 +225,40 @@ proptest! {
     ) {
         let cfg = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
-            parallel_depth: 1,
             threads: 4,
             schedule: SchedulePolicy::Fixed(Schedule::InPlace),
             ..ModgemmConfig::paper()
         };
-        let plan = GemmPlan::<i64>::try_new(m, k, n, &cfg).unwrap();
+        let plan = BatchPlan::<i64>::try_new(m, k, n, 2, &cfg).unwrap();
         let tasks = plan.parallel_tasks() as u64;
-        prop_assert!(tasks > 0, "these shapes must compile a parallel DAG");
-        prop_assert_eq!(plan.schedule(), Schedule::InPlace, "the pin must survive planning");
+        prop_assert!(tasks > 0, "these shapes must compile a batch DAG");
+        prop_assert_eq!(plan.item_plan().schedule(), Schedule::InPlace, "the pin must survive planning");
 
-        let a: Matrix<i64> = random_matrix(m, k, seed);
-        let b: Matrix<i64> = random_matrix(k, n, seed + 7);
+        let a: Matrix<i64> = random_matrix(m, 2 * k, seed);
+        let b: Matrix<i64> = random_matrix(k, 2 * n, seed + 7);
+        let desc = StridedBatch {
+            alpha: 1, op_a: Op::NoTrans, a: a.as_slice(), lda: m, stride_a: m * k,
+            op_b: Op::NoTrans, b: b.as_slice(), ldb: k, stride_b: k * n,
+            beta: 0, ldc: m, stride_c: m * n,
+        };
         let mut ctx = GemmContext::new();
-        let mut c_ref: Matrix<i64> = Matrix::zeros(m, n);
-        plan.try_execute(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-            c_ref.view_mut(), &mut ctx).unwrap();
+        let mut c_ref = vec![0i64; 2 * m * n];
+        plan.try_execute(&desc, &mut c_ref, &mut ctx).unwrap();
 
         for cut in 0..=tasks {
             let token = CancelToken::cancelling_after(cut);
-            let mut c: Matrix<i64> = Matrix::zeros(m, n);
+            let mut c = vec![0i64; 2 * m * n];
             match plan.try_execute_cancellable_with_metrics(
-                1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-                c.view_mut(), &mut ctx, &token, &mut NoopSink,
+                &desc, &mut c, &mut ctx, &token, &mut NoopSink,
             ) {
-                Ok(_) => prop_assert_eq!(&c, &c_ref, "completed run must be exact (cut {})", cut),
+                Ok(()) => prop_assert_eq!(&c, &c_ref, "completed run must be exact (cut {})", cut),
                 Err(GemmError::Cancelled) => {}
                 other => prop_assert!(false, "unexpected outcome at cut {}: {:?}", cut, other),
             }
 
-            let mut c2: Matrix<i64> = Matrix::zeros(m, n);
+            let mut c2 = vec![0i64; 2 * m * n];
             let mut sink = CollectingSink::new();
-            plan.try_execute_with_metrics(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-                c2.view_mut(), &mut ctx, &mut sink).unwrap();
+            plan.try_execute_with_metrics(&desc, &mut c2, &mut ctx, &mut sink).unwrap();
             prop_assert_eq!(&c2, &c_ref, "follow-up after cut {} must be exact", cut);
             prop_assert_eq!(sink.metrics.temp_alloc_bytes, 0,
                 "follow-up after cut {} must be allocation-free", cut);

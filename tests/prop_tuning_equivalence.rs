@@ -13,7 +13,7 @@
 
 use modgemm::core::plan::GemmPlan;
 use modgemm::core::tune::{TunedChoice, TuningMode};
-use modgemm::core::{try_modgemm, GemmContext, GemmError, ModgemmConfig};
+use modgemm::core::{try_modgemm, BatchPlan, GemmContext, GemmError, ModgemmConfig, StridedBatch};
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::{KernelKind, Matrix, Op};
 use proptest::prelude::*;
@@ -29,7 +29,6 @@ fn decode_mode(
     tile_width: usize,
     strassen_min: usize,
     kernel_sel: usize,
-    parallel_depth: usize,
     threads: usize,
     fuse_depth: usize,
 ) -> TuningMode {
@@ -41,7 +40,6 @@ fn decode_mode(
             tile_max: tile_lo + tile_width,
             strassen_min,
             kernel: KernelKind::ALL[kernel_sel % KernelKind::ALL.len()],
-            parallel_depth,
             threads,
             fuse_depth,
             batch_window: selector % 4,
@@ -70,16 +68,13 @@ proptest! {
         tile_width in 4usize..20,
         strassen_min in 0usize..12,
         kernel_sel in 0usize..5,
-        parallel_depth in 0usize..3,
         threads in 0usize..4,
         fuse_depth in 0usize..4,
         auto_kernel in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        let tuning = decode_mode(
-            mode_sel, tile_lo, tile_width, strassen_min, kernel_sel, parallel_depth, threads,
-            fuse_depth,
-        );
+        let tuning =
+            decode_mode(mode_sel, tile_lo, tile_width, strassen_min, kernel_sel, threads, fuse_depth);
         // Both the delegating default (Auto, where the profile's kernel
         // choice lands) and the paper's pinned Blocked (where it must
         // not) are covered.
@@ -123,6 +118,20 @@ proptest! {
         )
         .expect("warm tuned re-execution must succeed");
         prop_assert_eq!(&c_again, &c_untuned);
+
+        // The tuned plan as a two-item batch (both items broadcast the
+        // same operands; the tuned threads and window shape the batch
+        // DAG) agrees item by item.
+        let batch = BatchPlan::from_plan(plan, 2).expect("a tuned plan must batch");
+        let desc = StridedBatch {
+            alpha, op_a: Op::NoTrans, a: a.as_slice(), lda: m, stride_a: 0,
+            op_b: Op::NoTrans, b: b.as_slice(), ldb: k, stride_b: 0,
+            beta, ldc: m, stride_c: m * n,
+        };
+        let mut c_batch = [c0.as_slice(), c0.as_slice()].concat();
+        batch.try_execute(&desc, &mut c_batch, &mut ctx).expect("tuned batch must execute");
+        prop_assert_eq!(&c_batch[..m * n], c_untuned.as_slice());
+        prop_assert_eq!(&c_batch[m * n..], c_untuned.as_slice());
     }
 
     /// Forced tuning never interferes with an explicitly pinned
