@@ -27,9 +27,9 @@ use modgemm_morton::MortonLayout;
 
 use crate::config::{ModgemmConfig, SchedulePolicy};
 use crate::error::try_grow;
-use crate::exec::{budget_capped_policy_with_tier_cap, workspace_len, ExecPolicy, NodeLayouts};
+use crate::exec::{budget_capped_policy_with_tier_cap, ExecPolicy, NodeLayouts};
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::plan::{team_size, terminal_tail_len, GemmPlan, Operands, TiledPlan};
+use crate::plan::{team_size, team_ws_len, GemmPlan, Operands, TiledPlan};
 use crate::pool::resolve_threads;
 use crate::schedule::Schedule;
 
@@ -288,9 +288,7 @@ pub(crate) fn buffer_needs<S: Scalar>(
     // extra terminal tails and paired temporaries.
     let threads = resolve_threads(cfg.threads);
     let (a, b, c) = (layouts.a.len(), layouts.b.len(), layouts.c.len());
-    let (team, paired) = team_size::<S>(layouts, policy, cfg, threads);
-    let ws =
-        workspace_len(layouts, policy) + (team - 1) * terminal_tail_len(layouts, policy) + paired;
+    let ws = team_ws_len(layouts, policy, team_size::<S>(layouts, policy, cfg, threads));
     if batch < 2 || threads < 2 {
         return Some((a, b, c, ws));
     }

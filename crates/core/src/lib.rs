@@ -31,7 +31,9 @@
 //! * [`batch::BatchPlan`] and [`service::GemmService`] — whole batches
 //!   and a queued, memory-admitted service front end.
 //! * [`exec::morton_mul_add_with_ws`] — the conventional Morton quadrant
-//!   recursion below the truncation point.
+//!   recursion below the truncation point, leaf by leaf. Planned
+//!   executions with a packing kernel run that subtree as one packed
+//!   product instead, packing each operand panel once per subtree.
 //!
 //! Every entry point reaches the Strassen recursion through one compiled
 //! compute stage in [`mod@plan`]: the schedule interpreter, run by a
@@ -63,6 +65,8 @@ pub mod schedule;
 pub mod service;
 pub mod tune;
 pub mod verify;
+
+mod terminal;
 
 pub use batch::{BatchPlan, StridedBatch};
 pub use config::{

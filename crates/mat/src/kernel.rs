@@ -99,8 +99,9 @@ impl<S: Scalar> LeafKernel<S> for Blocked {
 /// Edge tiles of a ragged leaf (e.g. 33 = 4·8 + 1 rows) run the same
 /// body into a local `MR × NR` buffer and add out only the live window,
 /// so every tile runs at the body's speed. It is the one-destination
-/// case of [`crate::pack::packed_mul_scatter_in`], the fused leaf's
-/// driver.
+/// case of [`crate::pack::packed_mul_scatter_in`], whose packing and
+/// microkernel sweep the planned executors' packed terminal also drives
+/// over whole Morton subtrees.
 ///
 /// [`LeafKernel::mul_add_in`] is the intended entry point — the planned
 /// executors hand it an arena slice, so the hot path never allocates.

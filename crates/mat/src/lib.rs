@@ -25,9 +25,10 @@
 //!   that let executors choose the leaf multiply (naive / blocked / micro /
 //!   packed, or `Auto`) at plan time instead of hard-wiring it.
 //! * [`pack`] / [`simd`] — the Goto/BLIS-style panel packing, the one
-//!   packed driver ([`pack::packed_mul_scatter_in`]) and the
-//!   runtime-dispatched SIMD microkernel bodies behind
-//!   [`kernel::Packed`] and the fused Strassen leaf. Every register tile,
+//!   packed driver ([`pack::packed_mul_scatter_in`], split into k-slice
+//!   packs and [`pack::packed_sweep`] for callers that pack once per
+//!   Morton subtree) and the runtime-dispatched SIMD microkernel bodies
+//!   behind [`kernel::Packed`] and the fused Strassen level. Every register tile,
 //!   ragged edges included, runs the host's vector body; `i64`, Miri and
 //!   hosts without SIMD run the portable body. Packing buffers are sized
 //!   in closed form ([`pack::packed_len`]) so planned executions carve

@@ -27,7 +27,11 @@
 //! 33-wide leaf) run the same body into a local `MR × NR` buffer, whose
 //! live `mb × nb` window one out-of-line helper adds to each destination.
 //! A plain `C += A·B` ([`packed_mul_add_in`]) is the driver's
-//! one-destination case.
+//! one-destination case. Callers that pack once and multiply many times
+//! use the two halves directly: [`pack_a_sum_at`] / [`pack_b_sum_at`]
+//! pack an operand as one k-slice of deeper panels (a Morton tile row or
+//! column, tile by tile), and [`packed_sweep`] runs the microkernel over
+//! packed panels.
 //!
 //! Buffer sizes ([`packed_a_len`] / [`packed_b_len`] / [`packed_len`])
 //! are closed-form in the tile dimensions and deliberately
@@ -151,6 +155,26 @@ pub fn pack_b<S: Scalar>(b: MatRef<'_, S>, buf: &mut [S]) {
 /// [`packed_a_len`].
 #[track_caller]
 pub fn pack_a_sum<S: Scalar>(terms: &[(MatRef<'_, S>, bool)], buf: &mut [S]) {
+    let k = terms.first().map_or(0, |t| t.0.cols());
+    pack_a_sum_at(terms, buf, k, 0);
+}
+
+/// [`pack_a_sum`] into rows `p0 .. p0 + k` of `kt`-deep panels: the
+/// `m × k` terms become k-slice `p0` of an `m × kt` packed operand
+/// (`buf` holds [`packed_a_len`]`(m, kt)` elements). Packing the `kt / k`
+/// column blocks of a block row this way packs the whole row once, for
+/// one microkernel sweep over `kt` — the packed Morton terminal packs a
+/// row of leaf tiles so.
+///
+/// # Panics
+/// As [`pack_a_sum`], and when `p0 + k > kt`.
+#[track_caller]
+pub fn pack_a_sum_at<S: Scalar>(
+    terms: &[(MatRef<'_, S>, bool)],
+    buf: &mut [S],
+    kt: usize,
+    p0: usize,
+) {
     assert!(
         !terms.is_empty() && terms.len() <= MAX_FUSE_TERMS,
         "pack_a_sum takes 1..={MAX_FUSE_TERMS} terms, got {}",
@@ -160,7 +184,8 @@ pub fn pack_a_sum<S: Scalar>(terms: &[(MatRef<'_, S>, bool)], buf: &mut [S]) {
     for (t, _) in terms {
         assert_eq!(t.dims(), (m, k), "pack_a_sum term shape mismatch");
     }
-    let need = packed_a_len(m, k);
+    assert!(p0 + k <= kt, "pack_a_sum k-slice {p0}+{k} exceeds panel depth {kt}");
+    let need = packed_a_len(m, kt);
     assert!(buf.len() >= need, "pack_a_sum buffer too small: {} < {need}", buf.len());
     // First term writes (so a one-term call costs a — possibly negated —
     // `pack_a`), the remaining terms accumulate; each pass keeps
@@ -169,7 +194,7 @@ pub fn pack_a_sum<S: Scalar>(terms: &[(MatRef<'_, S>, bool)], buf: &mut [S]) {
     for pi in 0..m.div_ceil(PACK_MR) {
         let i0 = pi * PACK_MR;
         let mb = PACK_MR.min(m - i0);
-        let base = pi * PACK_MR * k;
+        let base = pi * PACK_MR * kt + p0 * PACK_MR;
         for p in 0..k {
             let src = &t0.col(p)[i0..i0 + mb];
             let dst = &mut buf[base + p * PACK_MR..base + (p + 1) * PACK_MR];
@@ -187,15 +212,7 @@ pub fn pack_a_sum<S: Scalar>(terms: &[(MatRef<'_, S>, bool)], buf: &mut [S]) {
             for p in 0..k {
                 let src = &t.col(p)[i0..i0 + mb];
                 let dst = &mut buf[base + p * PACK_MR..base + p * PACK_MR + mb];
-                if neg {
-                    for (x, &v) in dst.iter_mut().zip(src) {
-                        *x -= v;
-                    }
-                } else {
-                    for (x, &v) in dst.iter_mut().zip(src) {
-                        *x += v;
-                    }
-                }
+                add_signed(dst, src, neg);
             }
         }
     }
@@ -212,6 +229,24 @@ pub fn pack_a_sum<S: Scalar>(terms: &[(MatRef<'_, S>, bool)], buf: &mut [S]) {
 /// [`packed_b_len`].
 #[track_caller]
 pub fn pack_b_sum<S: Scalar>(terms: &[(MatRef<'_, S>, bool)], buf: &mut [S]) {
+    let k = terms.first().map_or(0, |t| t.0.rows());
+    pack_b_sum_at(terms, buf, k, 0);
+}
+
+/// [`pack_b_sum`] into rows `p0 .. p0 + k` of `kt`-deep panels — the
+/// B-side twin of [`pack_a_sum_at`]: `buf` holds
+/// [`packed_b_len`]`(kt, n)` elements, and the `k × n` terms become its
+/// k-slice `p0`.
+///
+/// # Panics
+/// As [`pack_b_sum`], and when `p0 + k > kt`.
+#[track_caller]
+pub fn pack_b_sum_at<S: Scalar>(
+    terms: &[(MatRef<'_, S>, bool)],
+    buf: &mut [S],
+    kt: usize,
+    p0: usize,
+) {
     assert!(
         !terms.is_empty() && terms.len() <= MAX_FUSE_TERMS,
         "pack_b_sum takes 1..={MAX_FUSE_TERMS} terms, got {}",
@@ -221,13 +256,14 @@ pub fn pack_b_sum<S: Scalar>(terms: &[(MatRef<'_, S>, bool)], buf: &mut [S]) {
     for (t, _) in terms {
         assert_eq!(t.dims(), (k, n), "pack_b_sum term shape mismatch");
     }
-    let need = packed_b_len(k, n);
+    assert!(p0 + k <= kt, "pack_b_sum k-slice {p0}+{k} exceeds panel depth {kt}");
+    let need = packed_b_len(kt, n);
     assert!(buf.len() >= need, "pack_b_sum buffer too small: {} < {need}", buf.len());
     let (&(t0, neg0), rest) = terms.split_first().unwrap();
     for pj in 0..n.div_ceil(PACK_NR) {
         let j0 = pj * PACK_NR;
         let nb = PACK_NR.min(n - j0);
-        let base = pj * PACK_NR * k;
+        let base = pj * PACK_NR * kt + p0 * PACK_NR;
         let panel = &mut buf[base..base + PACK_NR * k];
         if nb == PACK_NR {
             // Full panel: transpose k×NR blocks column-set-at-a-time —
@@ -410,14 +446,56 @@ pub fn packed_mul_scatter_in<S: Scalar>(
     pack_a_sum(a_terms, abuf);
     pack_b_sum(b_terms, bbuf);
 
-    let body = S::packed_scatter_microkernel().unwrap_or(microkernel_scatter_generic::<S>);
-    let nd = dests.len();
     let mut dptrs = [core::ptr::null_mut::<S>(); MAX_FUSE_TERMS];
     let mut neg_mask = 0u32;
     for (i, (dest, neg)) in dests.iter_mut().enumerate() {
         dptrs[i] = dest.as_mut_ptr();
         neg_mask |= u32::from(*neg) << i;
     }
+    // SAFETY: each destination was checked to hold the m×n window with
+    // leading dimension ldc ≥ m, and the destinations are distinct
+    // exclusive borrows.
+    unsafe { packed_sweep(abuf, bbuf, m, k, n, &dptrs[..dests.len()], neg_mask, ldc) }
+}
+
+/// The microkernel sweep of [`packed_mul_scatter_in`] over operands
+/// already packed: `abuf` holds the [`pack_a`]-format panels of an
+/// `m × k` operand, `bbuf` the [`pack_b`]-format panels of a `k × n`
+/// one, and the `m × n` product is added ± into every destination. The
+/// body is the host's vector body from [`crate::simd`] when the scalar
+/// has one, else the portable [`microkernel_scatter_generic`]. Interior
+/// tiles run the body straight into the destinations; edge tiles run it
+/// into a local `MR × NR` buffer and add out only their live window.
+///
+/// Callers that pack once and sweep many times (the packed Morton
+/// terminal reuses one packed row block against every B panel of a
+/// column group) call this directly.
+///
+/// # Safety
+/// Each `dests[d]` addresses a writable column-major `m × n` window with
+/// leading dimension `ldc ≥ m` that nothing else accesses during the
+/// call, the windows are pairwise disjoint, and bit `d` of `neg_mask` is
+/// destination `d`'s sign.
+///
+/// # Panics
+/// On more than [`MAX_FUSE_TERMS`] destinations, or when `abuf` / `bbuf`
+/// are shorter than [`packed_a_len`]`(m, k)` / [`packed_b_len`]`(k, n)`.
+#[allow(clippy::too_many_arguments)]
+#[track_caller]
+pub unsafe fn packed_sweep<S: Scalar>(
+    abuf: &[S],
+    bbuf: &[S],
+    m: usize,
+    k: usize,
+    n: usize,
+    dests: &[*mut S],
+    neg_mask: u32,
+    ldc: usize,
+) {
+    assert!(dests.len() <= MAX_FUSE_TERMS, "at most {MAX_FUSE_TERMS} destinations");
+    assert!(abuf.len() >= packed_a_len(m, k) && bbuf.len() >= packed_b_len(k, n));
+    let body = S::packed_scatter_microkernel().unwrap_or(microkernel_scatter_generic::<S>);
+    let nd = dests.len();
     let mut wptrs = [core::ptr::null_mut::<S>(); MAX_FUSE_TERMS];
     for pj in 0..n.div_ceil(PACK_NR) {
         let j0 = pj * PACK_NR;
@@ -427,21 +505,18 @@ pub fn packed_mul_scatter_in<S: Scalar>(
             let i0 = pi * PACK_MR;
             let mb = PACK_MR.min(m - i0);
             let ap = abuf[pi * PACK_MR * k..].as_ptr();
-            // SAFETY: each destination was checked to hold the m×n window
-            // with leading dimension ldc ≥ m, so the tile's window at
-            // (i0, j0) — MR×NR inside, mb×nb at an edge — lies within it.
-            // The destinations are distinct exclusive borrows, the panels
-            // at `ap`/`bp` are MR·k / NR·k elements, and a vector `body`
-            // came from the runtime feature detector.
-            unsafe {
-                for (w, d) in wptrs.iter_mut().zip(&dptrs[..nd]) {
-                    *w = d.add(i0 + j0 * ldc);
-                }
-                if mb == PACK_MR && nb == PACK_NR {
-                    body(k, ap, bp, wptrs.as_ptr(), nd, neg_mask, ldc);
-                } else {
-                    edge_tile(body, k, ap, bp, &wptrs[..nd], neg_mask, ldc, mb, nb);
-                }
+            // SAFETY: the tile's window at (i0, j0) — MR×NR inside, mb×nb
+            // at an edge — lies within each destination's m×n window
+            // (caller contract), the panels at `ap`/`bp` are MR·k / NR·k
+            // elements, and a vector `body` came from the runtime feature
+            // detector.
+            for (w, d) in wptrs.iter_mut().zip(dests) {
+                *w = d.add(i0 + j0 * ldc);
+            }
+            if mb == PACK_MR && nb == PACK_NR {
+                body(k, ap, bp, wptrs.as_ptr(), nd, neg_mask, ldc);
+            } else {
+                edge_tile(body, k, ap, bp, &wptrs[..nd], neg_mask, ldc, mb, nb);
             }
         }
     }
