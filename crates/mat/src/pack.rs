@@ -22,10 +22,13 @@
 //! One driver, [`packed_mul_scatter_in`], sweeps every leaf product with
 //! one microkernel body: the host's vector body from [`crate::simd`], or
 //! the portable [`microkernel_scatter_generic`] for `i64`, under Miri and
-//! on hosts without SIMD. Interior tiles go straight into `C`. Edge tiles
-//! (the ragged last row or column panel, e.g. 13 of the 45 tiles of a
-//! 33-wide leaf) run the same body into a local `MR × NR` buffer, whose
-//! live `mb × nb` window one out-of-line helper adds to each destination.
+//! on hosts without SIMD. Where the scalar has a block body (`f64` on
+//! AVX-512F), 2×2 blocks of full panels run through it first, over the
+//! same panels and with the same bits. Interior tiles go straight into
+//! `C`. Edge tiles (the ragged last row or column panel, e.g. 13 of the
+//! 45 tiles of a 33-wide leaf) run the same body into a local `MR × NR`
+//! buffer, whose live `mb × nb` window one out-of-line helper adds to
+//! each destination.
 //! A plain `C += A·B` ([`packed_mul_add_in`]) is the driver's
 //! one-destination case. Callers that pack once and multiply many times
 //! use the two halves directly: [`pack_a_sum_at`] / [`pack_b_sum_at`]
@@ -43,7 +46,8 @@ use crate::simd::ScatterMicroKernelFn;
 use crate::view::{required_len, MatMut, MatRef};
 
 /// Rows per packed A panel — the microkernel's register-tile height.
-/// `8` fills one AVX2 register pair (or four NEON registers) of `f64`.
+/// `8` fills one AVX2 register pair, one AVX-512 register or four NEON
+/// registers of `f64`.
 pub const PACK_MR: usize = 8;
 
 /// Columns per packed B panel — the microkernel's register-tile width.
@@ -360,6 +364,37 @@ pub unsafe fn microkernel_scatter_generic<S: Scalar>(
     }
 }
 
+/// The portable block body (tests only): the `2·MR × 2·NR` block as four
+/// [`microkernel_scatter_generic`] calls at the block's panel offsets,
+/// each into its `MR × NR` quarter of every destination. It is the
+/// reference the vector block body is checked against, and it drives the
+/// sweep's block pass under Miri, where no vector body is selected.
+///
+/// # Safety
+/// The block-body contract of [`crate::simd::block_microkernel_f64`].
+#[cfg(test)]
+pub(crate) unsafe fn microkernel_block_generic<S: Scalar>(
+    k: usize,
+    a: *const S,
+    b: *const S,
+    dests: *const *mut S,
+    ndests: usize,
+    neg_mask: u32,
+    ldc: usize,
+) {
+    for (bi, bj) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+        let w: [*mut S; MAX_FUSE_TERMS] = core::array::from_fn(|d| {
+            if d < ndests {
+                (*dests.add(d)).add(bi * PACK_MR + bj * PACK_NR * ldc)
+            } else {
+                core::ptr::null_mut()
+            }
+        });
+        let (ap, bp) = (a.add(bi * PACK_MR * k), b.add(bj * PACK_NR * k));
+        microkernel_scatter_generic(k, ap, bp, w.as_ptr(), ndests, neg_mask, ldc);
+    }
+}
+
 /// Runs `body` on one edge tile and writes back only its live window.
 /// The panels are zero-padded, so the body computes the full `MR × NR`
 /// tile, here into a local buffer; the live `mb × nb` part of that
@@ -461,11 +496,19 @@ pub fn packed_mul_scatter_in<S: Scalar>(
 /// The microkernel sweep of [`packed_mul_scatter_in`] over operands
 /// already packed: `abuf` holds the [`pack_a`]-format panels of an
 /// `m × k` operand, `bbuf` the [`pack_b`]-format panels of a `k × n`
-/// one, and the `m × n` product is added ± into every destination. The
-/// body is the host's vector body from [`crate::simd`] when the scalar
-/// has one, else the portable [`microkernel_scatter_generic`]. Interior
-/// tiles run the body straight into the destinations; edge tiles run it
-/// into a local `MR × NR` buffer and add out only their live window.
+/// one, and the `m × n` product is added ± into every destination.
+///
+/// The sweep runs in two passes over the unchanged panel format. When the
+/// scalar has a block body ([`Scalar::packed_block_microkernel`]: `f64`
+/// on an AVX-512F host), 2×2 blocks of *full* panels first run through it
+/// as `2·MR × 2·NR` tiles. Every remaining tile (a leftover panel row or
+/// column, or a ragged edge) then runs the `MR × NR` body: the host's
+/// vector body from [`crate::simd`] when the scalar has one, else the
+/// portable [`microkernel_scatter_generic`]. Interior tiles run straight
+/// into the destinations; edge tiles run into a local `MR × NR` buffer
+/// and add out only their live window. Each output element is one FMA
+/// chain over `p = 0..k` added to each destination once, whichever body
+/// computes it, so the block pass changes no output bit.
 ///
 /// Callers that pack once and sweep many times (the packed Morton
 /// terminal reuses one packed row block against every B panel of a
@@ -492,31 +535,71 @@ pub unsafe fn packed_sweep<S: Scalar>(
     neg_mask: u32,
     ldc: usize,
 ) {
+    let body = S::packed_scatter_microkernel().unwrap_or(microkernel_scatter_generic::<S>);
+    sweep_with(body, S::packed_block_microkernel(), abuf, bbuf, m, k, n, dests, neg_mask, ldc);
+}
+
+/// [`packed_sweep`] with its bodies given: `block`, when present, runs
+/// every 2×2 block of full panels, and `body` every other tile.
+///
+/// # Safety
+/// As [`packed_sweep`], and `body` / `block` meet the
+/// [`ScatterMicroKernelFn`] contract on `MR × NR` / `2·MR × 2·NR` tiles.
+#[allow(clippy::too_many_arguments)]
+#[track_caller]
+unsafe fn sweep_with<S: Scalar>(
+    body: ScatterMicroKernelFn<S>,
+    block: Option<ScatterMicroKernelFn<S>>,
+    abuf: &[S],
+    bbuf: &[S],
+    m: usize,
+    k: usize,
+    n: usize,
+    dests: &[*mut S],
+    neg_mask: u32,
+    ldc: usize,
+) {
     assert!(dests.len() <= MAX_FUSE_TERMS, "at most {MAX_FUSE_TERMS} destinations");
     assert!(abuf.len() >= packed_a_len(m, k) && bbuf.len() >= packed_b_len(k, n));
-    let body = S::packed_scatter_microkernel().unwrap_or(microkernel_scatter_generic::<S>);
     let nd = dests.len();
-    let mut wptrs = [core::ptr::null_mut::<S>(); MAX_FUSE_TERMS];
+    // SAFETY (both passes): the tile's window at (i0, j0) — 2·MR×2·NR for
+    // a block, MR×NR inside, mb×nb at an edge — lies within each
+    // destination's m×n window (caller contract), the panels at `ap`/`bp`
+    // hold the MR·k / NR·k elements per panel the body reads, and a
+    // vector body came from the runtime feature detector.
+    let tile_ptrs = |i0: usize, j0: usize| -> [*mut S; MAX_FUSE_TERMS] {
+        core::array::from_fn(|d| {
+            dests.get(d).map_or(core::ptr::null_mut(), |p| p.add(i0 + j0 * ldc))
+        })
+    };
+    // Panel rows and columns covered by 2×2 blocks of full panels.
+    let (bm, bn) = match block {
+        Some(_) => (m / (2 * PACK_MR) * 2, n / (2 * PACK_NR) * 2),
+        None => (0, 0),
+    };
     for pj in 0..n.div_ceil(PACK_NR) {
         let j0 = pj * PACK_NR;
         let nb = PACK_NR.min(n - j0);
         let bp = bbuf[pj * PACK_NR * k..].as_ptr();
-        for pi in 0..m.div_ceil(PACK_MR) {
+        // Panel columns pj and pj + 1 of a block column: the first runs
+        // the column's blocks, both then run the rows below them.
+        if let Some(block) = block.filter(|_| pj < bn && pj % 2 == 0) {
+            for pi in (0..bm).step_by(2) {
+                let ap = abuf[pi * PACK_MR * k..].as_ptr();
+                let w = tile_ptrs(pi * PACK_MR, j0);
+                block(k, ap, bp, w.as_ptr(), nd, neg_mask, ldc);
+            }
+        }
+        let pi0 = if pj < bn { bm } else { 0 };
+        for pi in pi0..m.div_ceil(PACK_MR) {
             let i0 = pi * PACK_MR;
             let mb = PACK_MR.min(m - i0);
             let ap = abuf[pi * PACK_MR * k..].as_ptr();
-            // SAFETY: the tile's window at (i0, j0) — MR×NR inside, mb×nb
-            // at an edge — lies within each destination's m×n window
-            // (caller contract), the panels at `ap`/`bp` are MR·k / NR·k
-            // elements, and a vector `body` came from the runtime feature
-            // detector.
-            for (w, d) in wptrs.iter_mut().zip(dests) {
-                *w = d.add(i0 + j0 * ldc);
-            }
+            let w = tile_ptrs(i0, j0);
             if mb == PACK_MR && nb == PACK_NR {
-                body(k, ap, bp, wptrs.as_ptr(), nd, neg_mask, ldc);
+                body(k, ap, bp, w.as_ptr(), nd, neg_mask, ldc);
             } else {
-                edge_tile(body, k, ap, bp, &wptrs[..nd], neg_mask, ldc, mb, nb);
+                edge_tile(body, k, ap, bp, &w[..nd], neg_mask, ldc, mb, nb);
             }
         }
     }
@@ -838,18 +921,19 @@ mod tests {
         Matrix::from_fn(rows, cols, |i, j| S::from_f64(((i * 7 + j * 13 + seed) % 9) as f64 - 4.0))
     }
 
-    /// Every edge remainder of the register tile (`m` in 1..=2·MR+1, `n`
-    /// in 1..=2·NR+1) through `Packed::mul_add_in` on a strided `C` and
+    /// Every edge remainder of the register tile (`m` in 1..=3·MR+1, `n`
+    /// in 1..=3·NR+1) through `Packed::mul_add_in` on a strided `C` and
     /// through the scatter driver into 1..=MAX_FUSE_TERMS ± destinations,
     /// bitwise against `naive_product`. On a SIMD host this drives the
-    /// vector body on interior and edge tiles alike.
+    /// vector body on interior and edge tiles alike; with a block body
+    /// one sweep mixes 2×2 blocks, leftover single panels and ragged edges.
     fn vector_path_is_exact<S: Scalar>() {
         use crate::kernel::{LeafKernel, Packed};
         let bits = |x: S| x.to_f64().to_bits();
         let negs = [false, true, true, false];
         for k in [1, 7, 33] {
-            for m in 1..=2 * PACK_MR + 1 {
-                for n in 1..=2 * PACK_NR + 1 {
+            for m in 1..=3 * PACK_MR + 1 {
+                for n in 1..=3 * PACK_NR + 1 {
                     let a: Matrix<S> = int_valued(m, k, 1);
                     let b: Matrix<S> = int_valued(k, n, 2);
                     let p = naive_product(&a, &b);
@@ -905,6 +989,9 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "Miri forces the portable body, which edge_tile_* covers")]
     fn vector_path_is_exact_on_integer_valued_f64() {
+        if f64::packed_block_microkernel().is_none() {
+            eprintln!("block pass skipped: no f64 block body on this host (needs AVX-512F)");
+        }
         vector_path_is_exact::<f64>();
     }
 
@@ -912,6 +999,78 @@ mod tests {
     #[cfg_attr(miri, ignore = "Miri forces the portable body, which edge_tile_* covers")]
     fn vector_path_is_exact_on_integer_valued_f32() {
         vector_path_is_exact::<f32>();
+    }
+
+    /// Sweeps 2-term packed operands into two ± destinations (leading
+    /// dimension above `m`, random prefill) once with `block` and once
+    /// with `body` alone, and asserts the two results equal bit for bit.
+    fn assert_block_pass_is_tile_pass<S: Scalar>(
+        body: ScatterMicroKernelFn<S>,
+        block: ScatterMicroKernelFn<S>,
+        shapes: &[(usize, usize, usize)],
+    ) {
+        let bits = |v: &[S]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        for (s, &(m, k, n)) in shapes.iter().enumerate() {
+            let seed = 100 * s as u64;
+            let (a1, a2) = (random_matrix::<S>(m, k, seed), random_matrix::<S>(m, k, seed + 1));
+            let (b1, b2) = (random_matrix::<S>(k, n, seed + 2), random_matrix::<S>(k, n, seed + 3));
+            let mut abuf = vec![S::ZERO; packed_a_len(m, k)];
+            let mut bbuf = vec![S::ZERO; packed_b_len(k, n)];
+            pack_a_sum(&[(a1.view(), false), (a2.view(), true)], &mut abuf);
+            pack_b_sum(&[(b1.view(), true), (b2.view(), false)], &mut bbuf);
+            let ldc = m + 5;
+            let init: Vec<S> = random_matrix::<S>(ldc, 2 * n, seed + 4).as_slice().to_vec();
+            let run = |block: Option<ScatterMicroKernelFn<S>>| {
+                let mut out = init.clone();
+                let base = out.as_mut_ptr();
+                // SAFETY: the two m×n windows (ld ldc ≥ m) are the disjoint
+                // column ranges 0..n and n..2n of `out`, and the panels
+                // were packed for m×k and k×n.
+                unsafe {
+                    let dests = [base, base.add(n * ldc)];
+                    sweep_with(body, block, &abuf, &bbuf, m, k, n, &dests, 0b10, ldc);
+                }
+                out
+            };
+            assert_eq!(bits(&run(Some(block))), bits(&run(None)), "{m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri selects no vector body; the portable block test covers it")]
+    fn block_body_sweep_is_bitwise_the_tile_sweep_on_random_f64() {
+        let Some(block) = f64::packed_block_microkernel() else {
+            eprintln!("skipped: no f64 block body on this host (needs AVX-512F)");
+            return;
+        };
+        let body = f64::packed_scatter_microkernel().expect("a block host has a tile body");
+        let mut shapes = vec![(48, 320, 44), (40, 352, 40), (33, 264, 36), (64, 64, 64)];
+        for m in [8, 16, 17, 24, 32, 41] {
+            for n in [4, 8, 9, 12, 16, 21] {
+                shapes.extend([(m, 1, n), (m, 13, n)]);
+            }
+        }
+        assert_block_pass_is_tile_pass(body, block, &shapes);
+    }
+
+    #[test]
+    fn portable_block_pass_is_bitwise_the_tile_pass() {
+        // The block traversal with the portable bodies, on random floats
+        // and on integers: 33 rows are two blocks and a ragged panel row,
+        // 13 columns one block column, a full leftover column and a
+        // ragged one. Miri selects no vector body, so this is its
+        // coverage of the block pass's window arithmetic.
+        let shapes = [(33, 3, 13), (16, 2, 8), (7, 2, 5)];
+        assert_block_pass_is_tile_pass::<f64>(
+            microkernel_scatter_generic,
+            microkernel_block_generic,
+            &shapes,
+        );
+        assert_block_pass_is_tile_pass::<i64>(
+            microkernel_scatter_generic,
+            microkernel_block_generic,
+            &shapes,
+        );
     }
 
     #[test]

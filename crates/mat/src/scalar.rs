@@ -75,6 +75,15 @@ pub trait Scalar:
     fn packed_scatter_microkernel() -> Option<crate::simd::ScatterMicroKernelFn<Self>> {
         None
     }
+
+    /// The `2·MR × 2·NR` block body the packed sweep runs over 2×2 blocks
+    /// of full panels ([`crate::simd::block_microkernel_f64`]), or `None`
+    /// when every tile runs [`Self::packed_scatter_microkernel`]'s body.
+    /// Only `f64` on an AVX-512F host has one.
+    #[inline]
+    fn packed_block_microkernel() -> Option<crate::simd::ScatterMicroKernelFn<Self>> {
+        None
+    }
 }
 
 impl Scalar for f64 {
@@ -103,6 +112,11 @@ impl Scalar for f64 {
     #[inline]
     fn packed_scatter_microkernel() -> Option<crate::simd::ScatterMicroKernelFn<Self>> {
         crate::simd::scatter_microkernel_f64()
+    }
+
+    #[inline]
+    fn packed_block_microkernel() -> Option<crate::simd::ScatterMicroKernelFn<Self>> {
+        crate::simd::block_microkernel_f64()
     }
 }
 

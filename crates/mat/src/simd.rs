@@ -8,15 +8,25 @@
 //!
 //! * **x86_64** — AVX2 + FMA bodies for `f64` (`8×4` over four pairs of
 //!   256-bit accumulators) and `f32` (`8×4` over four 256-bit
-//!   accumulators), selected with [`is_x86_feature_detected!`];
+//!   accumulators), selected with [`is_x86_feature_detected!`]. With
+//!   AVX-512F as well ([`SimdLevel::Avx512f`]), `f64` also gets a *block
+//!   body* ([`block_microkernel_f64`]): a `16×8` tile in sixteen 512-bit
+//!   accumulators over a 2×2 block of the same `8 × k` A and `4 × k` B
+//!   panels. The packed format, `PACK_MR`/`PACK_NR` and every workspace
+//!   size are unchanged; the packed sweep runs 2×2 blocks of full panels
+//!   through the block body and every other tile through the `8×4` body,
+//!   with the same bits (each element is the same FMA chain over `k`).
+//!   The block body needs Rust 1.89 (stable AVX-512 intrinsics); the
+//!   build script enables it by compiler version, so older compilers
+//!   build the AVX2 bodies only;
 //! * **aarch64** — NEON bodies of the same shape, selected with
 //!   `is_aarch64_feature_detected!`;
 //! * everywhere else (and for every scalar type without a vector body,
 //!   e.g. `i64` or complex) — the portable body
 //!   [`crate::pack::microkernel_scatter_generic`].
 //!
-//! A body always computes the full `MR × NR` tile. The packed driver runs
-//! interior tiles straight into `C` and edge tiles into a local buffer
+//! A body always computes its full tile. The packed driver runs interior
+//! tiles straight into `C` and edge tiles into a local `MR × NR` buffer
 //! whose live window it then adds out, so ragged leaves run at vector
 //! speed too.
 //!
@@ -27,7 +37,9 @@
 //! Miri the detected level is forced to [`SimdLevel::None`]: the vendor
 //! intrinsics are not interpretable, and forcing the portable body means
 //! the Miri CI job checks exactly the `unsafe` packing, window and
-//! write-back code that runs on hosts without vector units.
+//! write-back code that runs on hosts without vector units. (No block
+//! body is selected there either; a test drives the sweep's block pass
+//! with a portable block body made of four `8×4` calls.)
 
 use std::sync::OnceLock;
 
@@ -68,6 +80,9 @@ pub enum SimdLevel {
     None,
     /// x86_64 with AVX2 and FMA.
     Avx2Fma,
+    /// x86_64 with AVX2, FMA and AVX-512F: the AVX2 bodies plus the
+    /// `f64` block body.
+    Avx512f,
     /// aarch64 with NEON (Advanced SIMD).
     Neon,
 }
@@ -76,6 +91,10 @@ fn detect() -> SimdLevel {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            #[cfg(modgemm_avx512)]
+            if is_x86_feature_detected!("avx512f") {
+                return SimdLevel::Avx512f;
+            }
             return SimdLevel::Avx2Fma;
         }
     }
@@ -101,7 +120,9 @@ pub fn simd_level() -> SimdLevel {
 pub fn scatter_microkernel_f64() -> Option<ScatterMicroKernelFn<f64>> {
     match simd_level() {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        SimdLevel::Avx2Fma => Some(x86::mk_scatter_f64_avx2fma as ScatterMicroKernelFn<f64>),
+        SimdLevel::Avx2Fma | SimdLevel::Avx512f => {
+            Some(x86::mk_scatter_f64_avx2fma as ScatterMicroKernelFn<f64>)
+        }
         #[cfg(all(target_arch = "aarch64", not(miri)))]
         SimdLevel::Neon => Some(neon::mk_scatter_f64_neon as ScatterMicroKernelFn<f64>),
         _ => None,
@@ -113,9 +134,29 @@ pub fn scatter_microkernel_f64() -> Option<ScatterMicroKernelFn<f64>> {
 pub fn scatter_microkernel_f32() -> Option<ScatterMicroKernelFn<f32>> {
     match simd_level() {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        SimdLevel::Avx2Fma => Some(x86::mk_scatter_f32_avx2fma as ScatterMicroKernelFn<f32>),
+        SimdLevel::Avx2Fma | SimdLevel::Avx512f => {
+            Some(x86::mk_scatter_f32_avx2fma as ScatterMicroKernelFn<f32>)
+        }
         #[cfg(all(target_arch = "aarch64", not(miri)))]
         SimdLevel::Neon => Some(neon::mk_scatter_f32_neon as ScatterMicroKernelFn<f32>),
+        _ => None,
+    }
+}
+
+/// The `f64` block body for this host, or `None` when the packed sweep
+/// runs every tile through the `MR × NR` body. A block body has the
+/// [`ScatterMicroKernelFn`] signature over a `2·MR × 2·NR` tile: it reads
+/// two consecutive A panels (the second at `a + MR·k`) and two
+/// consecutive B panels (the second at `b + NR·k`) of the unchanged
+/// packed format, so its contract is that of a plain body with `a`
+/// readable for `2·MR·k` elements, `b` for `2·NR·k`, and each destination
+/// window `2·MR × 2·NR` with `ldc ≥ 2·MR`. Each element is the same FMA
+/// chain over `p = 0..k` that the `MR × NR` body computes, so the two
+/// agree bit for bit.
+pub fn block_microkernel_f64() -> Option<ScatterMicroKernelFn<f64>> {
+    match simd_level() {
+        #[cfg(all(target_arch = "x86_64", modgemm_avx512, not(miri)))]
+        SimdLevel::Avx512f => Some(x86::mk_block_f64_avx512f as ScatterMicroKernelFn<f64>),
         _ => None,
     }
 }
@@ -133,9 +174,11 @@ mod x86 {
 
     use crate::pack::{PACK_MR, PACK_NR};
 
-    // Both kernels keep the full MR×NR tile in registers: f64 uses eight
-    // 256-bit accumulators (4 lanes × 2 per column), f32 four (8 lanes
-    // each). Loads are unaligned — panels live inside a larger arena.
+    // Every body keeps its whole tile in registers: the 8×4 f64 body uses
+    // eight 256-bit accumulators (4 lanes × 2 per column), the f32 body
+    // four (8 lanes each), the 16×8 f64 block body sixteen 512-bit ones
+    // (8 lanes × 2 per column). Loads are unaligned — panels live inside
+    // a larger arena.
 
     /// AVX2+FMA `8×4` `f64` scatter microkernel: FMA accumulation over
     /// the panels, with the epilogue writing ± into each destination
@@ -175,6 +218,60 @@ mod x86 {
                 } else {
                     _mm256_storeu_pd(cj, _mm256_add_pd(_mm256_loadu_pd(cj), lo));
                     _mm256_storeu_pd(cj.add(4), _mm256_add_pd(_mm256_loadu_pd(cj.add(4)), hi));
+                }
+            }
+        }
+    }
+
+    /// AVX-512F `16×8` `f64` block body over 2×2 panels: rows `0..8` come
+    /// from the A panel at `a`, rows `8..16` from the one at `a + MR·k`;
+    /// columns `0..4` from the B panel at `b`, columns `4..8` from the
+    /// one at `b + NR·k`. The tile lives in 16 zmm accumulators (two per
+    /// column), and the epilogue writes it ± into each destination as
+    /// [`mk_scatter_f64_avx2fma`] does. Safety contract:
+    /// [`super::block_microkernel_f64`].
+    #[cfg(modgemm_avx512)]
+    // The build script sets `modgemm_avx512` only on Rust ≥ 1.89, where
+    // these intrinsics are stable; the 1.75 MSRV never compiles this body.
+    #[allow(clippy::incompatible_msrv)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn mk_block_f64_avx512f(
+        k: usize,
+        a: *const f64,
+        b: *const f64,
+        dests: *const *mut f64,
+        ndests: usize,
+        neg_mask: u32,
+        ldc: usize,
+    ) {
+        const NB: usize = 2 * PACK_NR;
+        debug_assert_eq!((PACK_MR, PACK_NR), (8, 4));
+        let (a1, b1) = (a.add(PACK_MR * k), b.add(PACK_NR * k));
+        let mut acc_lo = [_mm512_setzero_pd(); NB];
+        let mut acc_hi = [_mm512_setzero_pd(); NB];
+        for p in 0..k {
+            let a_lo = _mm512_loadu_pd(a.add(p * PACK_MR));
+            let a_hi = _mm512_loadu_pd(a1.add(p * PACK_MR));
+            for j in 0..NB {
+                let bp = if j < PACK_NR { b.add(j) } else { b1.add(j - PACK_NR) };
+                let bj = _mm512_set1_pd(*bp.add(p * PACK_NR));
+                acc_lo[j] = _mm512_fmadd_pd(a_lo, bj, acc_lo[j]);
+                acc_hi[j] = _mm512_fmadd_pd(a_hi, bj, acc_hi[j]);
+            }
+        }
+        for d in 0..ndests {
+            let base = *dests.add(d);
+            let neg = neg_mask & (1 << d) != 0;
+            for j in 0..NB {
+                let cj = base.add(j * ldc);
+                let (lo, hi) = (acc_lo[j], acc_hi[j]);
+                let c_hi = cj.add(PACK_MR);
+                if neg {
+                    _mm512_storeu_pd(cj, _mm512_sub_pd(_mm512_loadu_pd(cj), lo));
+                    _mm512_storeu_pd(c_hi, _mm512_sub_pd(_mm512_loadu_pd(c_hi), hi));
+                } else {
+                    _mm512_storeu_pd(cj, _mm512_add_pd(_mm512_loadu_pd(cj), lo));
+                    _mm512_storeu_pd(c_hi, _mm512_add_pd(_mm512_loadu_pd(c_hi), hi));
                 }
             }
         }
@@ -310,7 +407,9 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pack::{microkernel_scatter_generic, MAX_FUSE_TERMS, PACK_MR, PACK_NR};
+    use crate::pack::{
+        microkernel_block_generic, microkernel_scatter_generic, MAX_FUSE_TERMS, PACK_MR, PACK_NR,
+    };
     use crate::scalar::Scalar;
 
     #[test]
@@ -330,52 +429,61 @@ mod tests {
         assert!(i64::packed_scatter_microkernel().is_none(), "i64 has no vector body");
     }
 
-    /// Runs the vector body `mk` and the portable body over the same
-    /// packed panels into `ndests` ± destinations (leading dimension
-    /// above MR) and asserts the results equal exactly. The operands are
-    /// multiples of 1/4 small enough that every product and partial sum
-    /// is exact in `f32` and `f64`, with or without FMA contraction.
-    fn check_against_portable<S: Scalar>(mk: ScatterMicroKernelFn<S>, ndests: usize) {
-        let ldc = PACK_MR + 3;
+    /// Runs the vector body `mk` and the portable `reference` over the
+    /// same packed panels of an `mr × nr` tile into `ndests` ±
+    /// destinations (leading dimension above `mr`) and asserts the
+    /// results equal exactly. The operands are multiples of 1/4 small
+    /// enough that every product and partial sum is exact in `f32` and
+    /// `f64`, with or without FMA contraction.
+    fn check_against_portable<S: Scalar>(
+        mk: ScatterMicroKernelFn<S>,
+        reference: ScatterMicroKernelFn<S>,
+        (mr, nr): (usize, usize),
+        ndests: usize,
+    ) {
+        let ldc = mr + 3;
         let neg = [false, true, true, false];
         let mut neg_mask = 0u32;
         for (d, &n) in neg.iter().enumerate().take(ndests) {
             neg_mask |= u32::from(n) << d;
         }
         for k in [0, 1, 2, 7, 32] {
-            let a: Vec<S> = (0..PACK_MR * k)
-                .map(|i| S::from_f64(((i * 7 + 3) % 23) as f64 / 4.0 - 2.0))
-                .collect();
-            let b: Vec<S> = (0..PACK_NR * k)
-                .map(|i| S::from_f64(((i * 5 + 1) % 19) as f64 / 4.0 - 2.0))
-                .collect();
+            let a: Vec<S> =
+                (0..mr * k).map(|i| S::from_f64(((i * 7 + 3) % 23) as f64 / 4.0 - 2.0)).collect();
+            let b: Vec<S> =
+                (0..nr * k).map(|i| S::from_f64(((i * 5 + 1) % 19) as f64 / 4.0 - 2.0)).collect();
             let init: Vec<Vec<S>> = (0..ndests)
-                .map(|d| (0..ldc * PACK_NR).map(|i| S::from_f64(((i + d) % 7) as f64)).collect())
+                .map(|d| (0..ldc * nr).map(|i| S::from_f64(((i + d) % 7) as f64)).collect())
                 .collect();
             let run = |body: ScatterMicroKernelFn<S>| {
                 let mut out = init.clone();
                 let ptrs: Vec<*mut S> = out.iter_mut().map(|d| d.as_mut_ptr()).collect();
-                // SAFETY: the panels are exactly MR·k / NR·k long, each
-                // window is MR×NR with ldc ≥ MR in its own buffer, and a
+                // SAFETY: the panels are exactly mr·k / nr·k long, each
+                // window is mr×nr with ldc ≥ mr in its own buffer, and a
                 // vector body came from a runtime selector.
                 unsafe { body(k, a.as_ptr(), b.as_ptr(), ptrs.as_ptr(), ndests, neg_mask, ldc) };
                 out
             };
-            assert_eq!(run(mk), run(microkernel_scatter_generic::<S>), "k {k}, {ndests} dests");
+            assert_eq!(run(mk), run(reference), "k {k}, {ndests} dests");
         }
+    }
+
+    /// [`check_against_portable`] on one `MR × NR` tile.
+    fn check_tile<S: Scalar>(mk: ScatterMicroKernelFn<S>, ndests: usize) {
+        check_against_portable(mk, microkernel_scatter_generic::<S>, (PACK_MR, PACK_NR), ndests);
     }
 
     #[test]
     fn vector_f64_matches_portable_reference() {
         if let Some(mk) = scatter_microkernel_f64() {
-            check_against_portable::<f64>(mk, 1);
+            check_tile::<f64>(mk, 1);
         }
     }
 
     #[test]
     fn vector_f32_matches_portable_reference() {
         if let Some(mk) = scatter_microkernel_f32() {
-            check_against_portable::<f32>(mk, 1);
+            check_tile::<f32>(mk, 1);
         }
     }
 
@@ -390,8 +498,31 @@ mod tests {
     fn vector_scatter_f64_matches_portable_reference() {
         if let Some(mk) = scatter_microkernel_f64() {
             for ndests in 2..=MAX_FUSE_TERMS {
-                check_against_portable::<f64>(mk, ndests);
+                check_tile::<f64>(mk, ndests);
             }
+        }
+    }
+
+    #[test]
+    fn block_selector_is_f64_on_avx512f_only() {
+        assert_eq!(block_microkernel_f64().is_some(), simd_level() == SimdLevel::Avx512f);
+        assert_eq!(f64::packed_block_microkernel().is_some(), block_microkernel_f64().is_some());
+        assert!(f32::packed_block_microkernel().is_none(), "f32 has no block body");
+        assert!(i64::packed_block_microkernel().is_none(), "i64 has no block body");
+    }
+
+    #[test]
+    fn avx512_block_f64_matches_portable_reference() {
+        // The 16×8 block against four portable 8×4 tiles at the block's
+        // panel offsets, into 1..=MAX_FUSE_TERMS ± destinations with
+        // ldc = 19 > 16.
+        let Some(mk) = block_microkernel_f64() else {
+            eprintln!("skipped: no f64 block body on this host (needs AVX-512F)");
+            return;
+        };
+        for ndests in 1..=MAX_FUSE_TERMS {
+            let shape = (2 * PACK_MR, 2 * PACK_NR);
+            check_against_portable::<f64>(mk, microkernel_block_generic::<f64>, shape, ndests);
         }
     }
 
@@ -399,7 +530,7 @@ mod tests {
     fn vector_scatter_f32_matches_portable_reference() {
         if let Some(mk) = scatter_microkernel_f32() {
             for ndests in 2..=MAX_FUSE_TERMS {
-                check_against_portable::<f32>(mk, ndests);
+                check_tile::<f32>(mk, ndests);
             }
         }
     }
