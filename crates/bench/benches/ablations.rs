@@ -5,7 +5,6 @@
 //! * Morton-order conventional recursion vs column-major blocked kernel,
 //! * serial vs team execution (`threads`),
 //! * per-call allocation vs reused [`modgemm_core::GemmContext`],
-//! * the Boyer et al. schedule memory tiers (low-mem/in-place),
 //! * f64 vs f32 element type.
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
@@ -173,38 +172,6 @@ fn bench_context_reuse(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_schedule_sweep(c: &mut Criterion) {
-    let mut g = c.benchmark_group("schedule_sweep");
-    // The three Boyer et al. memory tiers on the packed kernel with one
-    // fused level (so staged levels exist for the tier to act on),
-    // through a reused plan + context: the in-place tier is only
-    // reachable from planned executions that own packed operand copies,
-    // and plan reuse keeps per-call allocation out of the comparison.
-    // Same products, shrinking arenas — the sweep prices the tiers'
-    // extra O(n²) adds against their smaller, hotter workspaces.
-    let n = 512;
-    let (a, b, _) = random_problem::<f64>(n, n, n, 42);
-    let mut cm: Matrix<f64> = Matrix::zeros(n, n);
-    g.throughput(Throughput::Elements(2 * (n as u64).pow(3)));
-    for sched in modgemm_core::Schedule::ALL {
-        let cfg = ModgemmConfig {
-            leaf_kernel: modgemm_mat::KernelKind::Packed,
-            fuse_depth: modgemm_core::FuseDepth::Fixed(1),
-            schedule: modgemm_core::SchedulePolicy::Fixed(sched),
-            ..ModgemmConfig::paper()
-        };
-        let plan = modgemm_core::GemmPlan::<f64>::try_new(n, n, n, &cfg).expect("valid config");
-        let mut ctx = modgemm_core::GemmContext::new();
-        g.bench_function(BenchmarkId::new(sched.name(), n), |bch| {
-            bch.iter(|| {
-                plan.execute(a.view(), b.view(), cm.view_mut(), &mut ctx);
-                black_box(cm.as_slice());
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_precision(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_precision");
     let n = 512;
@@ -256,7 +223,6 @@ fn main() {
     bench_morton_conventional(&mut c);
     bench_parallel(&mut c);
     bench_context_reuse(&mut c);
-    bench_schedule_sweep(&mut c);
     bench_precision(&mut c);
     c.final_summary();
 }

@@ -8,7 +8,6 @@
 //!              [--threshold 0.25] [--metric gflops|score]
 //! bench_runner gate-fused REPORT [--threshold 0.05]
 //! bench_runner gate-batch REPORT [--threshold 0.05]
-//! bench_runner gate-schedule REPORT [--threshold 0.05]
 //! bench_runner gate-default REPORT [--threshold 0.05]
 //! bench_runner gate-team REPORT [--threshold 0.05]
 //! ```
@@ -46,18 +45,10 @@
 //! configuration as a team of fixed size on n = 1024, so multi-core
 //! scaling of the team is tracked case-by-case (the `threads_1` case is
 //! the serial control).
-//! The schedule sweep (`schedule_{lowmem,inplace}_512`) pins each Boyer
-//! et al. memory tier on the packed kernel with one fused level,
-//! isolating the schedule axis; the budget sweep
-//! (`budget_sweep_1024_{full,half,quarter,eighth}`) runs the default
-//! configuration under an unbounded budget and 1/2, 1/4, 1/8 of the
-//! default plan's full-depth workspace, charting what the degradation
-//! ladder preserves as the budget shrinks. The schedule gate pair
-//! (`sched_gate_512_{inplace,lowmem}`) runs both tiers under one budget
-//! sized to exactly the in-place tier's full-depth arena; the
-//! `gate-schedule` subcommand turns it into CI's assertion that the
-//! in-place schedule at full Strassen depth is no slower than the
-//! depth-capped low-mem schedule at the same budget.
+//! The budget sweep (`budget_sweep_1024_{full,half,quarter,eighth}`)
+//! runs the default configuration under an unbounded budget and 1/2,
+//! 1/4, 1/8 of the default plan's full-depth workspace, charting what the
+//! degradation ladder preserves as the budget shrinks.
 //! The `service_mixed_256_513` case drives the [`GemmService`] front-end
 //! with mixed 256/513 traffic from two client threads; its `secs_*` are
 //! per-repetition wall times, its GFLOP/s the throughput of the completed
@@ -164,7 +155,7 @@ fn suite_cases(
 ) -> Vec<Case> {
     let base = ModgemmConfig::default();
     // One worker: the controls that keep the thread axis out of a
-    // comparison (`gate-default`, `gate-fused`, `gate-schedule`).
+    // comparison (`gate-default`, `gate-fused`).
     let serial = ModgemmConfig { threads: 1, ..base };
     let trunc = |strassen_min| ModgemmConfig { strassen_min, ..ModgemmConfig::default() };
     let case = |name: &str, n, algo| Case { name: name.to_string(), n, algo };
@@ -215,27 +206,11 @@ fn suite_cases(
         let cfg = ModgemmConfig { threads: t, ..ModgemmConfig::default() };
         cases.push(case(&format!("threads_{t}_1024"), 1024, Algo::Modgemm(cfg)));
     }
-    // The schedule sweep: the two Boyer et al. memory tiers at n = 512
-    // with the packed kernel and one fused level pinned, so staged
-    // levels exist and only the schedule axis varies. The tiers compute
-    // identical products from shrinking workspaces; the sweep tracks
-    // what the smaller, hotter arenas cost (or buy) in time.
-    for sched in modgemm_core::Schedule::ALL {
-        let cfg = ModgemmConfig {
-            leaf_kernel: KernelKind::Packed,
-            fuse_depth: modgemm_core::FuseDepth::Fixed(1),
-            schedule: modgemm_core::SchedulePolicy::Fixed(sched),
-            ..ModgemmConfig::default()
-        };
-        let tag = sched.name().replace('-', "");
-        cases.push(case(&format!("schedule_{tag}_512"), 512, Algo::Modgemm(cfg)));
-    }
     // The budget sweep: the default configuration at n = 1024 under an
     // unbounded budget and 1/2, 1/4, 1/8 of the default plan's
     // full-depth workspace. The degradation ladder absorbs the pressure
-    // (schedule tier first, then the fused level, the team, then
-    // recursion depth), so the four cases chart throughput versus
-    // admitted workspace.
+    // (the fused level first, then the team, then recursion depth), so
+    // the four cases chart throughput versus admitted workspace.
     let full_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(1024, 1024, 1024, &base)
         .expect("valid config")
         .arena_len()
@@ -248,38 +223,6 @@ fn suite_cases(
     ] {
         let cfg = ModgemmConfig { memory_budget: budget, ..ModgemmConfig::default() };
         cases.push(case(&format!("budget_sweep_1024_{tag}"), 1024, Algo::Modgemm(cfg)));
-    }
-    // The schedule gate pair: one budget sized to exactly the in-place
-    // tier's full-depth workspace at n = 512 (packed kernel). Pinned
-    // in-place keeps full Strassen depth inside it; pinned low-mem
-    // cannot fit at any fuse depth and must shed recursion levels. The
-    // `gate-schedule` subcommand asserts the in-place side's min-time
-    // GFLOP/s is no worse — i.e. the memory tier beats depth loss. One
-    // thread, so the two budgets' team sizes cannot differ.
-    let ip_full_depth = ModgemmConfig {
-        leaf_kernel: KernelKind::Packed,
-        fuse_depth: modgemm_core::FuseDepth::Fixed(modgemm_core::fuse::MAX_FUSE),
-        schedule: modgemm_core::SchedulePolicy::Fixed(modgemm_core::Schedule::InPlace),
-        ..ModgemmConfig::default()
-    };
-    let ip_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(
-        512,
-        512,
-        512,
-        &ModgemmConfig { threads: 1, ..ip_full_depth },
-    )
-    .expect("valid config")
-    .arena_len()
-        * std::mem::size_of::<f64>();
-    for sched in [modgemm_core::Schedule::InPlace, modgemm_core::Schedule::LowMem] {
-        let cfg = ModgemmConfig {
-            leaf_kernel: KernelKind::Packed,
-            memory_budget: modgemm_core::MemoryBudget::MaxWorkspaceBytes(ip_ws_bytes),
-            schedule: modgemm_core::SchedulePolicy::Fixed(sched),
-            ..serial
-        };
-        let tag = sched.name().replace('-', "");
-        cases.push(case(&format!("sched_gate_512_{tag}"), 512, Algo::Modgemm(cfg)));
     }
     // The whole-batch scheduling pairs: many small same-shape multiplies
     // (64³ × 64 — the shape batching exists for) and a few mid-size ones
@@ -334,9 +277,7 @@ fn suite_cases(
             if c.name.starts_with("kernel_")
                 || c.name.starts_with("fused_vs_staged_")
                 || c.name.starts_with("batch_")
-                || c.name.starts_with("schedule_")
                 || c.name.starts_with("budget_sweep_")
-                || c.name.starts_with("sched_gate_")
                 || c.name.ends_with("_paper")
                 || kernel.is_some()
             {
@@ -366,9 +307,7 @@ fn suite_cases(
             Algo::Modgemm(_) | Algo::PlanReuse { .. } => {
                 !c.name.starts_with("kernel_")
                     && !c.name.starts_with("fused_vs_staged_")
-                    && !c.name.starts_with("schedule_")
                     && !c.name.starts_with("budget_sweep_")
-                    && !c.name.starts_with("sched_gate_")
                     && !c.name.ends_with("_paper")
             }
             Algo::Service { .. } | Algo::Batch { .. } | Algo::BatchSerial { .. } => false,
@@ -885,7 +824,7 @@ struct Gate {
     failure: &'static str,
 }
 
-const GATES: [Gate; 5] = [
+const GATES: [Gate; 4] = [
     // Operand fusion must never cost throughput versus the staged
     // schedule it replaces.
     Gate {
@@ -907,16 +846,6 @@ const GATES: [Gate; 5] = [
             ("batch_256_n8_serial", "batch_256_n8"),
         ],
         failure: "batched min-time GFLOP/s below the serial loop",
-    },
-    // Both cases run under one budget sized to the in-place tier's
-    // full-depth arena: in-place keeps full Strassen depth, pinned
-    // low-mem must shed recursion levels. The memory-policy ladder's
-    // premise is that a cheaper schedule beats a shallower recursion.
-    Gate {
-        cmd: "gate-schedule",
-        pairs: &[("sched_gate_512_lowmem", "sched_gate_512_inplace")],
-        failure: "in-place min-time GFLOP/s below the depth-capped low-mem schedule at the \
-                  same budget",
     },
     // The default configuration must never fall back below the paper's
     // staged Blocked pipeline, including at the padding worst cases whose
@@ -1028,7 +957,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage: bench_runner [--quick] [--out PATH] [--kernel naive|blocked|micro|packed|auto] [--threads N] [--tuning off|profile] [--tunable-only]\n       \
          bench_runner compare OLD NEW [--threshold 0.25] [--metric gflops|score]\n       \
-         bench_runner gate-fused|gate-batch|gate-schedule|gate-default|gate-team REPORT [--threshold 0.05]"
+         bench_runner gate-fused|gate-batch|gate-default|gate-team REPORT [--threshold 0.05]"
     );
     ExitCode::from(2)
 }
@@ -1167,7 +1096,6 @@ mod tests {
         assert_eq!(threads_of("modgemm_513_serial"), 1);
         assert_eq!(threads_of("modgemm_513_paper"), 1);
         assert_eq!(threads_of("fused_vs_staged_513_fused"), 1);
-        assert_eq!(threads_of("sched_gate_512_inplace"), 1);
         assert_eq!(threads_of("threads_8_1024"), 8, "the sweep keeps its team size");
     }
 }

@@ -122,11 +122,6 @@ pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
     // which needs a multi-worker pool — so the axis is swept only for
     // candidates that may resolve several workers (0 keeps the
     // auto-derived window).
-    // The schedule-tier axis (low-mem / in-place): the in-place tier
-    // trades restoring adds for a smaller working set, which can win
-    // outright when the shrunken workspace stays cache-resident — so the
-    // tuner measures it rather than reserving it for tight budgets.
-    let schedules = &modgemm_core::Schedule::ALL;
     let batch_windows: &[usize] = match suite {
         Suite::Smoke => &[0, 2],
         Suite::Full => &[0, 2, 4],
@@ -170,18 +165,15 @@ pub fn candidates(suite: Suite, cachesim: bool) -> Vec<TunedChoice> {
                             if batch_window > 0 && threads == 1 {
                                 continue;
                             }
-                            for &schedule in schedules {
-                                out.push(TunedChoice {
-                                    tile_min,
-                                    tile_max,
-                                    strassen_min,
-                                    kernel,
-                                    threads,
-                                    fuse_depth,
-                                    batch_window,
-                                    schedule,
-                                });
-                            }
+                            out.push(TunedChoice {
+                                tile_min,
+                                tile_max,
+                                strassen_min,
+                                kernel,
+                                threads,
+                                fuse_depth,
+                                batch_window,
+                            });
                         }
                     }
                 }
@@ -382,21 +374,6 @@ mod tests {
         for c in candidates(Suite::Full, true) {
             assert_eq!(c.kernel, KernelKind::Auto);
             assert_eq!(c.threads, 0);
-        }
-    }
-
-    #[test]
-    fn frugal_tiers_are_swept_at_the_fused_level() {
-        // Fusing the innermost level leaves the levels above it staged,
-        // so the schedule tier still matters there: both grids must
-        // offer the in-place tier with one fused level.
-        for suite in [Suite::Smoke, Suite::Full] {
-            assert!(
-                candidates(suite, false)
-                    .iter()
-                    .any(|c| c.fuse_depth == 1 && c.schedule == modgemm_core::Schedule::InPlace),
-                "{suite:?} grid lacks (fuse_depth 1, InPlace)"
-            );
         }
     }
 

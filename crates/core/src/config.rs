@@ -1,4 +1,9 @@
-//! Configuration of the MODGEMM algorithm.
+//! Configuration of the MODGEMM algorithm: truncation, kernel, fusion,
+//! workers and the memory budget. Every staged Strassen level runs the
+//! one low-memory Winograd linearization
+//! ([`crate::schedule::WINOGRAD_LOWMEM_SCHEDULE`]); the memory budget
+//! trades fusion, team size, recursion depth and kernel for workspace,
+//! never the schedule.
 
 use modgemm_morton::tiling::{choose_joint_tiling, fixed_tile_tiling, JointTiling, TileRange};
 
@@ -27,11 +32,14 @@ impl Default for Truncation {
 /// three Morton operand buffers — the axis Boyer et al. (arXiv:0707.2347)
 /// optimize schedules for.
 ///
-/// The budget degrades *gracefully*: instead of failing, the executor
-/// drops Strassen recursion levels (each dropped level hands a deeper
-/// slice of the tree to the workspace-free conventional Morton recursion)
-/// until the workspace fits. With a budget of zero the whole multiply
-/// runs conventionally and still returns the right product.
+/// The budget degrades *gracefully*: instead of failing, the plan walks
+/// a ladder until the workspace fits — fuse the innermost Strassen level,
+/// shrink the team, drop Strassen recursion levels (each dropped level
+/// hands a deeper slice of the tree to the conventional Morton
+/// recursion), and last swap the packed leaf kernel for the
+/// workspace-free blocked one ([`crate::exec::budget_capped_policy`]).
+/// With a budget of zero the whole multiply runs conventionally and still
+/// returns the right product.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MemoryBudget {
     /// No cap (the paper's setting): full-depth Strassen workspace,
@@ -76,27 +84,6 @@ pub enum FuseDepth {
     /// more. `Fixed(0)` pins the fully staged pipeline — the bit-exact
     /// oracle.
     Fixed(usize),
-}
-
-/// Which memory tier of the recursion-step linearization
-/// ([`crate::schedule::Schedule`]) plans run — the Boyer et al.
-/// scheduling axis.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedulePolicy {
-    /// Start at the low-memory schedule and let the memory-budget ladder
-    /// degrade the tier — low-mem → in-place — *before* it touches fuse
-    /// depth, team size, recursion depth, or kernel choice. With an
-    /// unlimited budget every staged level runs Winograd's 7 multiplies
-    /// and 15 additions on three temporaries.
-    #[default]
-    Auto,
-    /// Pin exactly this tier (for ablation, benchmarking, or when the
-    /// caller knows the smaller footprint keeps the working set
-    /// cache-resident). The ladder neither climbs past nor starts below
-    /// it. `modgemm_premorton` borrows its operands shared, cannot run the
-    /// input-overwriting tier, and so clamps a pinned `InPlace` to
-    /// low-mem; every other entry point runs it.
-    Fixed(crate::schedule::Schedule),
 }
 
 /// What to do when an operand contains `NaN` or `±Inf`.
@@ -196,12 +183,6 @@ pub struct ModgemmConfig {
     /// static heuristic). Part of the service plan-cache key, so tuned
     /// and untuned plans for the same shape never alias.
     pub tuning: crate::tune::TuningMode,
-    /// Which memory tier of the recursion-step linearization plans run
-    /// (see [`SchedulePolicy`] and [`crate::schedule::Schedule`]).
-    /// `Auto` (default) starts at the low-memory schedule and lets the
-    /// memory-budget ladder degrade the tier before any speed-bearing
-    /// knob; `Fixed` pins a tier for ablation.
-    pub schedule: SchedulePolicy,
     /// In-flight window of the whole-batch DAG executor
     /// ([`crate::BatchPlan`]): how many batch items' packed operand /
     /// result / arena slots are resident at once. `0` (default) sizes the
@@ -226,7 +207,6 @@ impl Default for ModgemmConfig {
             leaf_kernel: modgemm_mat::KernelKind::Auto,
             fuse_depth: FuseDepth::Auto,
             tuning: crate::tune::TuningMode::Off,
-            schedule: SchedulePolicy::Auto,
             batch_window: 0,
         }
     }
@@ -393,16 +373,11 @@ mod tests {
         assert_eq!(c.verify, VerifyMode::Off);
         assert_eq!(c.leaf_kernel, modgemm_mat::KernelKind::Blocked);
         assert_eq!(c.fuse_depth, FuseDepth::Auto);
-        assert_eq!(c.schedule, SchedulePolicy::Auto);
         assert_eq!(resolved_512(&c), (modgemm_mat::KernelKind::Blocked, 0));
         assert!(c.validate().is_ok());
         for n in 0..=crate::fuse::MAX_FUSE {
             let c = ModgemmConfig { fuse_depth: FuseDepth::Fixed(n), ..Default::default() };
             assert!(c.validate().is_ok(), "Fixed({n})");
-        }
-        for s in crate::schedule::Schedule::ALL {
-            let c = ModgemmConfig { schedule: SchedulePolicy::Fixed(s), ..Default::default() };
-            assert!(c.validate().is_ok(), "Fixed({s:?})");
         }
     }
 

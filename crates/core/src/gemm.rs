@@ -25,13 +25,12 @@ use modgemm_morton::convert::{from_morton, to_morton};
 use modgemm_morton::tiling::JointTiling;
 use modgemm_morton::MortonLayout;
 
-use crate::config::{ModgemmConfig, SchedulePolicy};
+use crate::config::ModgemmConfig;
 use crate::error::try_grow;
-use crate::exec::{budget_capped_policy_with_tier_cap, ExecPolicy, NodeLayouts};
+use crate::exec::{budget_capped_policy, ExecPolicy, NodeLayouts};
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::plan::{team_size, team_ws_len, GemmPlan, Operands, TiledPlan};
+use crate::plan::{team_size, team_ws_len, GemmPlan, TiledPlan};
 use crate::pool::resolve_threads;
-use crate::schedule::Schedule;
 
 pub use crate::error::GemmError;
 
@@ -461,35 +460,16 @@ pub(crate) fn scale_in_place<S: Scalar>(beta: S, c: &mut MatMut<'_, S>) {
 }
 
 /// The execution policy `cfg` implies for a node of `layouts`, with the
-/// memory budget applied: the schedule tier degrades first (low-mem →
-/// in-place), then fuse depth climbs, then recursion depth
-/// degrades toward the conventional path until the workspace fits. The
-/// team is sized from what the budget leaves over ([`team_size`]).
+/// memory budget applied: fuse depth climbs, then recursion depth
+/// degrades toward the conventional path, then the kernel, until the
+/// serial arena fits ([`budget_capped_policy`]). The team is sized from
+/// what the budget leaves over ([`team_size`]).
 pub(crate) fn capped_policy<S: Scalar>(layouts: NodeLayouts, cfg: &ModgemmConfig) -> ExecPolicy {
-    capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::InPlace)
-}
-
-/// [`capped_policy`] with the schedule-tier ladder clamped to `cap` —
-/// [`modgemm_premorton`], which holds its operands behind shared
-/// references, passes [`Schedule::LowMem`]; planned execution, which owns
-/// its packed Morton buffers, permits every tier.
-pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
-    layouts: NodeLayouts,
-    cfg: &ModgemmConfig,
-    cap: Schedule,
-) -> ExecPolicy {
     // Auto resolves here, once per plan: the stored policy always carries
     // a concrete kernel, so execution and arena sizing agree.
     let (tm, tk, tn) = (layouts.a.tile_rows, layouts.a.tile_cols, layouts.b.tile_cols);
     let kernel = cfg.leaf_kernel.resolve(tm, tk, tn);
-    // A Fixed schedule pins the tier (the ladder neither climbs past it
-    // nor starts below it); Auto starts at low-mem and lets the budget
-    // ladder walk down to `cap`.
-    let (sched0, max_sched) = match cfg.schedule {
-        SchedulePolicy::Auto => (Schedule::LowMem, cap),
-        SchedulePolicy::Fixed(s) => (s.min(cap), s.min(cap)),
-    };
-    let mut base = ExecPolicy { strassen_min: cfg.strassen_min, kernel, fuse: 0, schedule: sched0 };
+    let mut base = ExecPolicy { strassen_min: cfg.strassen_min, kernel, fuse: 0 };
     // Auto fuses only when the plan resolved to the packed kernel (the
     // combined packs and scatter epilogue are its bandwidth win), at the
     // one level the fused table covers ([`crate::fuse::MAX_FUSE`]);
@@ -507,7 +487,7 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
     }
     .min(levels);
     let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
-    budget_capped_policy_with_tier_cap(layouts, base, budget, max_sched)
+    budget_capped_policy(layouts, base, budget)
 }
 
 /// Figure 8 mode: multiply operands that are *already* in Morton order,
@@ -515,9 +495,7 @@ pub(crate) fn capped_policy_with_tier_cap<S: Scalar>(
 ///
 /// Compiles the compute stage for the operands' own layouts under `cfg`
 /// and runs it on the interpreter, as a team like any single GEMM.
-/// `A` and `B` are borrowed shared, so the schedule ladder (and a pinned
-/// `SchedulePolicy::Fixed(Schedule::InPlace)`) stops at
-/// [`Schedule::LowMem`]: this entry never writes its operands.
+/// `A` and `B` are borrowed shared and never written.
 ///
 /// # Panics
 /// On an invalid configuration (as [`modgemm`] does), if the layouts are
@@ -536,11 +514,9 @@ pub fn modgemm_premorton<S: Scalar>(
     assert_eq!(a.cols, b.rows, "logical inner dimensions differ");
     assert_eq!((c.rows, c.cols), (a.rows, b.cols), "C logical dims mismatch");
     let layouts = NodeLayouts::new(a.layout, b.layout, c.layout);
-    let policy = capped_policy_with_tier_cap::<S>(layouts, cfg, Schedule::LowMem);
-    let tp = TiledPlan::new::<S>(layouts, policy, cfg);
+    let tp = TiledPlan::new::<S>(layouts, capped_policy::<S>(layouts, cfg), cfg);
     let mut ws = vec![S::ZERO; tp.ws_len()];
-    let ops = Operands::Shared(&a.buf, &b.buf);
-    if let Err(e) = tp.run(ops, &mut c.buf, &mut ws, None, &mut NoopSink) {
+    if let Err(e) = tp.run(&a.buf, &b.buf, &mut c.buf, &mut ws, None, &mut NoopSink) {
         panic!("{e}");
     }
 }
@@ -744,27 +720,25 @@ mod tests {
     }
 
     #[test]
-    fn premorton_clamps_in_place_and_leaves_operands_unchanged() {
-        // Shared operands cap the schedule ladder at low-mem: a pinned
-        // in-place tier runs as low-mem and never writes A or B.
-        let tier =
-            |s| ModgemmConfig { schedule: SchedulePolicy::Fixed(s), ..ModgemmConfig::paper() };
+    fn premorton_leaves_operands_unchanged() {
+        // Shared operands are never written, and the product is bitwise
+        // the one-shot path's.
+        let cfg = ModgemmConfig::paper();
         let n = 160;
         let (a, b, _): (Matrix<f64>, _, _) = random_problem(n, n, n, 101);
-        let layouts = layouts_of(&tier(Schedule::InPlace).plan(n, n, n).unwrap());
+        let layouts = layouts_of(&cfg.plan(n, n, n).unwrap());
         let am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
         let bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
         let (a0, b0) = (am.as_slice().to_vec(), bm.as_slice().to_vec());
         let mut cm = MortonMatrix::zeros(n, n, layouts.c);
-        modgemm_premorton(&am, &bm, &mut cm, &tier(Schedule::InPlace));
+        modgemm_premorton(&am, &bm, &mut cm, &cfg);
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(am.as_slice()), bits(&a0), "A was written");
         assert_eq!(bits(bm.as_slice()), bits(&b0), "B was written");
 
-        let mut lowmem: Matrix<f64> = Matrix::zeros(n, n);
-        let cfg = tier(Schedule::LowMem);
-        modgemm(1.0, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0.0, lowmem.view_mut(), &cfg);
-        assert_eq!(bits(cm.to_matrix().as_slice()), bits(lowmem.as_slice()));
+        let mut oneshot: Matrix<f64> = Matrix::zeros(n, n);
+        modgemm(1.0, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0.0, oneshot.view_mut(), &cfg);
+        assert_eq!(bits(cm.to_matrix().as_slice()), bits(oneshot.as_slice()));
     }
 
     #[test]

@@ -69,9 +69,7 @@ pub mod verify;
 mod terminal;
 
 pub use batch::{BatchPlan, StridedBatch};
-pub use config::{
-    FuseDepth, MemoryBudget, ModgemmConfig, NonFinitePolicy, SchedulePolicy, Truncation, VerifyMode,
-};
+pub use config::{FuseDepth, MemoryBudget, ModgemmConfig, NonFinitePolicy, Truncation, VerifyMode};
 pub use error::{GemmError, Operand};
 pub use exec::{budget_capped_policy, workspace_len, ExecPolicy, NodeLayouts};
 pub use faults::{FaultSite, FaultSpec};

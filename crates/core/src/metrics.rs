@@ -44,10 +44,9 @@ pub struct PlanFacts {
     /// post-merges in the scatter epilogue, no S/T arena slots
     /// ([`crate::fuse`]). Always ≤ [`Self::strassen_levels`].
     pub fused_levels: usize,
-    /// The schedule tier the staged levels interpret
-    /// ([`crate::exec::ExecPolicy::schedule`] — Boyer et al. memory
-    /// tiers); `None` for executors that run no MODGEMM tier (the
-    /// instrumented baselines).
+    /// The schedule the staged levels interpret
+    /// ([`crate::schedule::Schedule`]); `None` for executors that run no
+    /// MODGEMM schedule (the instrumented baselines).
     pub schedule: Option<Schedule>,
     /// Modeled flops the executor performs
     /// ([`crate::counts::strassen_flops`] — exact, see its tests).
@@ -324,8 +323,8 @@ pub struct ExecMetrics {
     pub workspace_used_elems: usize,
     /// Peak measured workspace consumption in bytes.
     pub workspace_used_bytes: usize,
-    /// The effective schedule tier of the most recent plan (Boyer et
-    /// al. memory tiers; `None` until an executor reports a plan).
+    /// The schedule of the most recent plan (`None` until an executor
+    /// reports a plan).
     pub schedule_selected: Option<Schedule>,
     /// Temporary buffers allocated outside the workspace arena.
     pub temp_allocations: u64,

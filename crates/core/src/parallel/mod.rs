@@ -9,18 +9,16 @@
 
 mod tests {
     use crate::batch::{BatchPlan, StridedBatch};
-    use crate::config::{FuseDepth, ModgemmConfig, SchedulePolicy, Truncation};
+    use crate::config::{FuseDepth, ModgemmConfig, Truncation};
     use crate::error::GemmError;
     use crate::exec::{ExecPolicy, NodeLayouts};
-    use crate::gemm::{layouts_of, GemmContext};
+    use crate::gemm::GemmContext;
     use crate::metrics::{CollectingSink, MetricsSink, NoopSink};
     use crate::plan::GemmPlan;
-    use crate::schedule::Schedule;
     use modgemm_mat::gen::random_matrix;
     use modgemm_mat::naive::naive_product;
     use modgemm_mat::view::Op;
     use modgemm_mat::{KernelKind, Matrix, Scalar};
-    use modgemm_morton::convert::to_morton;
     use modgemm_morton::{MortonLayout, TileRange};
 
     /// The paper's fully staged pipeline on exact-fit `tile` leaves (an
@@ -256,44 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn every_tier_pooled_is_bitwise_serial_and_restores_inputs() {
-        // The in-place tier writes and then restores its packed A/B
-        // quadrants: a team's ranks each write their share of them, and
-        // a batch's items each write their own window slot's.
-        let n = TEAM_N;
-        let a: Matrix<i64> = random_matrix(n, n, 71);
-        let b: Matrix<i64> = random_matrix(n, n, 72);
-        let expect = naive_product(&a, &b);
-        for schedule in Schedule::ALL {
-            let tier = |tile, threads| ModgemmConfig {
-                schedule: SchedulePolicy::Fixed(schedule),
-                ..cfg(tile, threads)
-            };
-            let layouts = layouts_of(&tier(TEAM_TILE, 1).plan(n, n, n).unwrap());
-            let mut ab = vec![0; layouts.a.len()];
-            let mut bb = vec![0; layouts.b.len()];
-            to_morton(a.view(), Op::NoTrans, &layouts.a, &mut ab);
-            to_morton(b.view(), Op::NoTrans, &layouts.b, &mut bb);
-            let c_ser = run_dirty(&plan(n, n, n, &tier(TEAM_TILE, 1)), &a, &b, 0, 0);
-            assert_eq!(c_ser, expect, "{schedule}");
-            for threads in [2, 5] {
-                let p = plan(n, n, n, &tier(TEAM_TILE, threads));
-                assert_eq!((p.tiled().unwrap().team, p.schedule()), (threads, schedule));
-                let mut ctx = GemmContext::new();
-                soil(&mut ctx, &p, i64::MIN, i64::MAX);
-                let c = exec(&p, &a, &b, &mut ctx, i64::MIN, &mut NoopSink).unwrap();
-                assert_eq!(c, c_ser, "{schedule} threads = {threads}");
-                assert!(
-                    ctx.a_buf[..ab.len()] == ab[..] && ctx.b_buf[..bb.len()] == bb[..],
-                    "{schedule}: packed operands not restored"
-                );
-            }
-            // 32 = 4 << 3 on the batch DAG.
-            batch_case((32, 32, 32), tier(4, 1), &[2, 5], i64::MIN);
-        }
-    }
-
-    #[test]
     fn every_kernel_pooled_on_dirty_buffers_is_bitwise_serial() {
         // The batch DAG's packed window slots, results and item arenas
         // start as i64::MIN on every run: a C tile no task writes, or a
@@ -418,38 +378,28 @@ mod tests {
 
     #[test]
     fn team_is_bitwise_serial_at_every_team_size() {
-        // Both tiers (the planned path owns its Morton buffers, so the
-        // in-place tier runs there), both fuse depths and every concrete
-        // kernel, on 33-wide ragged leaves: 513³ for the packed kernel,
-        // 264³ for the other two, and a rectangle whose Strassen recursion
-        // stops above the leaves (`strassen_min`), so conventional levels
-        // sit below the terminal and the team splits it by C
-        // sub-quadrant.
-        let tiers = [SchedulePolicy::Auto, SchedulePolicy::Fixed(Schedule::InPlace)]
-            .map(|schedule| ModgemmConfig { schedule, ..ModgemmConfig::default() });
-        for (t, base) in tiers.into_iter().enumerate() {
-            for fuse in [0, 1] {
-                let at = |leaf_kernel| ModgemmConfig {
-                    leaf_kernel,
-                    fuse_depth: FuseDepth::Fixed(fuse),
-                    ..base
-                };
-                let packed = at(KernelKind::Packed);
-                team_case((513, 513, 513), packed, (1.5f64, -0.5), f64::NAN);
-                team_case((513, 513, 513), packed, (3i64, -2), i64::MIN);
-                // The non-packing kernels alternate the scalar by tier.
-                for kernel in [KernelKind::Blocked, KernelKind::Naive] {
-                    if t == 0 {
-                        team_case((264, 264, 264), at(kernel), (1.5f64, -0.5), f64::NAN);
-                    } else {
-                        team_case((264, 264, 264), at(kernel), (3i64, -2), i64::MIN);
-                    }
-                }
-                let cut = ModgemmConfig { strassen_min: 100, ..at(KernelKind::Packed) };
-                team_case((330, 200, 270), cut, (1.5f64, -0.5), f64::NAN);
-                let cut = ModgemmConfig { strassen_min: 100, ..at(KernelKind::Blocked) };
-                team_case((330, 200, 270), cut, (3i64, -2), i64::MIN);
+        // Both fuse depths and every concrete kernel, on 33-wide ragged
+        // leaves: 513³ for the packed kernel, 264³ for the other two, and
+        // a rectangle whose Strassen recursion stops above the leaves
+        // (`strassen_min`), so conventional levels sit below the terminal
+        // and the team splits it by C sub-quadrant.
+        for fuse in [0, 1] {
+            let at = |leaf_kernel| ModgemmConfig {
+                leaf_kernel,
+                fuse_depth: FuseDepth::Fixed(fuse),
+                ..ModgemmConfig::default()
+            };
+            let packed = at(KernelKind::Packed);
+            team_case((513, 513, 513), packed, (1.5f64, -0.5), f64::NAN);
+            team_case((513, 513, 513), packed, (3i64, -2), i64::MIN);
+            for kernel in [KernelKind::Blocked, KernelKind::Naive] {
+                team_case((264, 264, 264), at(kernel), (1.5f64, -0.5), f64::NAN);
+                team_case((264, 264, 264), at(kernel), (3i64, -2), i64::MIN);
             }
+            let cut = ModgemmConfig { strassen_min: 100, ..at(KernelKind::Packed) };
+            team_case((330, 200, 270), cut, (1.5f64, -0.5), f64::NAN);
+            let cut = ModgemmConfig { strassen_min: 100, ..at(KernelKind::Blocked) };
+            team_case((330, 200, 270), cut, (3i64, -2), i64::MIN);
         }
         // The blas_budget shape: 513³ under a quarter of the default
         // arena runs one fused level over 8 × 8 conventional tiles on the
@@ -463,7 +413,7 @@ mod tests {
     fn team_arena_is_the_serial_arena_plus_leaf_buffers() {
         // The team's only memory beyond the serial arena: one terminal
         // tail per extra rank and the deepest staged level's second
-        // temporaries (low-mem tier only), carved after the arena.
+        // temporaries, carved after the arena.
         let cfg =
             |threads, memory_budget| ModgemmConfig { threads, memory_budget, ..Default::default() };
         let unlimited = crate::config::MemoryBudget::Unlimited;

@@ -8,13 +8,16 @@
 //!
 //! * the truncation-point search result (or the verdict that the problem
 //!   must be split, §3.5);
-//! * the budget-capped [`ExecPolicy`] — truncation, schedule tier, and
+//! * the budget-capped [`ExecPolicy`] — truncation, fused level, and
 //!   leaf kernel ([`modgemm_mat::KernelKind`]) are all plan-time choices;
-//! * the per-level schedule, flattened into a [`LevelPlan`] list (one
-//!   entry per Strassen level, each pointing at the tier's step list);
+//! * the staged levels, flattened into a [`LevelPlan`] list (one entry
+//!   per staged Strassen level, each interpreting
+//!   [`crate::schedule::WINOGRAD_LOWMEM_SCHEDULE`]);
 //! * a single workspace **arena** with precomputed slot offsets — the
 //!   `TS/TT/TP` temporaries of every level laid out back to back, so
-//!   execution carves slices instead of allocating.
+//!   execution carves slices instead of allocating;
+//! * the team that runs it, sized from what the memory budget leaves
+//!   beside the arena.
 //!
 //! [`GemmPlan::execute`] then runs the compiled recipe against a
 //! [`GemmContext`]: on a warm context the hot path performs **zero** heap
@@ -50,7 +53,7 @@ use crate::gemm::{
 use crate::metrics::{MetricsSink, NoopSink, PlanFacts};
 use crate::pool::{resolve_threads, run_team, CancelToken, Rank};
 use crate::rect;
-use crate::schedule::{ASlot, AddKind, BSlot, Step};
+use crate::schedule::{ASlot, AddKind, BSlot, Schedule, Step, WINOGRAD_LOWMEM_SCHEDULE};
 use crate::terminal::Driver;
 use crate::verify::verify_gemm;
 
@@ -65,15 +68,13 @@ pub const MAX_LEVELS: usize = 64;
 /// round costs a full `O(n²)` probe.
 const MAX_VERIFY_ROUNDS: u32 = 64;
 
-/// The compiled form of one Strassen recursion level: quadrant sizes, the
-/// arena slot this level owns, and the schedule it interprets.
+/// The compiled form of one staged Strassen recursion level: quadrant
+/// sizes and the arena slot this level owns.
 ///
 /// A level's arena slot holds its temporaries back to back at
-/// `arena_offset` — which temporaries depends on the schedule tier:
-/// low-mem carves `TS` (`qa` elements), `TT` (`qb`) and `TP` (`qc`);
-/// in-place keeps only `TP`. The child
-/// level's slot follows immediately, so the whole recursion consumes one
-/// contiguous arena of [`workspace_len`] elements.
+/// `arena_offset`: `TS` (`qa` elements), `TT` (`qb`) and `TP` (`qc`). The
+/// child level's slot follows immediately, so the whole recursion
+/// consumes one contiguous arena of [`workspace_len`] elements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LevelPlan {
     /// Elements of one `A` quadrant at this level (the `TS` slot size).
@@ -82,23 +83,18 @@ pub struct LevelPlan {
     pub qb: usize,
     /// Elements of one `C` quadrant at this level (the `TP` slot size).
     pub qc: usize,
-    /// Total elements of this level's arena slot
-    /// ([`crate::schedule::Schedule::level_temp_elems`] of the policy's
-    /// tier: `qa + qb + qc` low-mem, `qc` in-place).
+    /// Total elements of this level's arena slot, `qa + qb + qc`
+    /// ([`crate::counts::staged_level_elems`]).
     pub slot_len: usize,
     /// Offset of this level's slot from the arena start (prefix sum of
     /// the shallower levels' `slot_len`s).
     pub arena_offset: usize,
-    /// The linearized schedule this level interprets
-    /// ([`crate::schedule::Schedule::steps`] of the policy's tier).
-    pub steps: &'static [Step],
 }
 
 impl LevelPlan {
     /// The all-zero placeholder used to initialize fixed-size level
     /// buffers before `fill_levels` overwrites the live prefix.
-    pub const EMPTY: LevelPlan =
-        LevelPlan { qa: 0, qb: 0, qc: 0, slot_len: 0, arena_offset: 0, steps: &[] };
+    pub const EMPTY: LevelPlan = LevelPlan { qa: 0, qb: 0, qc: 0, slot_len: 0, arena_offset: 0 };
 }
 
 /// Flattens the *staged* Strassen levels of `layouts` under `policy`
@@ -121,16 +117,13 @@ pub(crate) fn fill_levels(
     let mut count = 0usize;
     while staged_step(l, policy) {
         let (qa, qb, qc) = (l.a.quadrant_len(), l.b.quadrant_len(), l.c.quadrant_len());
-        // Tier-dependent slot: low-mem `qa+qb+qc`, in-place `qc` (see
-        // [`crate::counts::schedule_level_extra_elems`]).
-        let slot_len = policy.schedule.level_temp_elems(qa, qb, qc);
+        let slot_len = crate::counts::staged_level_elems(l);
         debug_assert_eq!(
             workspace_len(l, policy),
             slot_len + workspace_len(l.child(), policy),
             "arena slot at level {count} disagrees with the workspace model"
         );
-        out[count] =
-            LevelPlan { qa, qb, qc, slot_len, arena_offset: off, steps: policy.schedule.steps() };
+        out[count] = LevelPlan { qa, qb, qc, slot_len, arena_offset: off };
         off += slot_len;
         count += 1;
         l = l.child();
@@ -262,15 +255,14 @@ unsafe fn add_step<S: Scalar, const N: usize>(
 }
 
 /// The schedule interpreter: executes `levels[li..]` over the Morton
-/// buffers, carving each level's temporaries from the front of the
-/// arena (which temporaries the schedule tier decides: `TS/TT/TP`
-/// low-mem, `TP` in-place) and handing the rest to the recursion. Past
-/// the last flattened level the terminal takes over: the fused executor
-/// ([`crate::fuse::fused_mul_share`]) when [`ExecPolicy::fuse`] covers
-/// the remaining Strassen level, else the conventional product with the
-/// plan's leaf kernel, on the rank's [`Walk::tail`] (the packed
-/// terminal's buffers or the fused leaf working set; non-packing staged
-/// kernels ignore it).
+/// buffers, each level running [`WINOGRAD_LOWMEM_SCHEDULE`] on its
+/// `TS/TT/TP` temporaries carved from the front of the arena and handing
+/// the rest to the recursion. Past the last flattened level the terminal
+/// takes over: the fused executor ([`crate::fuse::fused_mul_share`]) when
+/// [`ExecPolicy::fuse`] covers the remaining Strassen level, else the
+/// conventional product with the plan's leaf kernel, on the rank's
+/// [`Walk::tail`] (the packed terminal's buffers or the fused leaf
+/// working set; non-packing staged kernels ignore it).
 ///
 /// Every rank of a team ([`crate::pool::run_team`]) walks the same
 /// steps over the same buffers and arena. Each add step does the rank's
@@ -297,12 +289,10 @@ unsafe fn add_step<S: Scalar, const N: usize>(
 /// `a` and `b` must point to the node's full Morton operand buffers
 /// (`layouts.a.len()` / `layouts.b.len()` elements), `c` to its C buffer
 /// and `arena` to `arena_len` elements, all valid for the duration of
-/// the call and accessed by nothing but this team's walk. When
-/// `policy.schedule.overwrites_inputs()` `a`/`b` must also be valid for
-/// writes (the in-place schedule writes and then restores the
-/// quadrants); non-overwriting tiers never write through them, so shared
-/// borrows cast to `*mut` are sound for those. [`Walk::tail`] is this
-/// rank's alone.
+/// the call and accessed by nothing but this team's walk. The schedule
+/// never writes `a` or `b` (its A- and B-shaped adds write only `TS` and
+/// `TT`), so shared borrows cast to `*mut` are sound. [`Walk::tail`] is
+/// this rank's alone.
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
     walk: &Walk<'_, S>,
@@ -358,38 +348,20 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
     let (qa, qb, qc) =
         (layouts.a.quadrant_len(), layouts.b.quadrant_len(), layouts.c.quadrant_len());
     debug_assert_eq!((lp.qa, lp.qb, lp.qc), (qa, qb, qc), "level plan drifted from the layouts");
-    let sched = policy.schedule;
-
-    // Tier-dependent carving: the in-place tier simply omits the slots
-    // its schedule never references (asserted per step below). The
-    // carving doubles as the high-water-mark check — a tier whose closed
-    // form over- or under-counted the slot fails here.
     debug_assert!(lp.slot_len <= arena_len);
-    let (ts_len, tt_len) = if sched.overwrites_inputs() { (0, 0) } else { (qa, qb) };
-    debug_assert_eq!(
-        ts_len + tt_len + qc,
-        lp.slot_len,
-        "schedule tier {sched:?}: closed-form slot length disagrees with the carving"
-    );
     // SAFETY (caller contract): the arena holds this level's slot
     // followed by the child's arena.
     let (ts, tt, tp, child_ws) =
-        unsafe { (arena, arena.add(ts_len), arena.add(ts_len + tt_len), arena.add(lp.slot_len)) };
+        unsafe { (arena, arena.add(qa), arena.add(qa + qb), arena.add(lp.slot_len)) };
     let child_len = arena_len - lp.slot_len;
 
     // Raw tables of the pairwise-disjoint slot buffers, indexed by
-    // `ASlot::index()` / `BSlot::index()` / `CSlot::index()`. Slots a
-    // tier does not materialize carry length 0 and are never referenced
-    // by its schedule.
+    // `ASlot::index()` / `BSlot::index()` / `CSlot::index()`.
     // SAFETY (caller contract): `a`, `b` and `c` span all four quadrants.
-    let aslots: [(*mut S, usize); 5] = unsafe {
-        [(a, qa), (a.add(qa), qa), (a.add(2 * qa), qa), (a.add(3 * qa), qa), (ts, ts_len)]
+    let table = |base: *mut S, q: usize, t: *mut S| unsafe {
+        [(base, q), (base.add(q), q), (base.add(2 * q), q), (base.add(3 * q), q), (t, q)]
     };
-    let bslots: [(*mut S, usize); 5] = unsafe {
-        [(b, qb), (b.add(qb), qb), (b.add(2 * qb), qb), (b.add(3 * qb), qb), (tt, tt_len)]
-    };
-    let cslots: [(*mut S, usize); 5] =
-        unsafe { [(c, qc), (c.add(qc), qc), (c.add(2 * qc), qc), (c.add(3 * qc), qc), (tp, qc)] };
+    let (aslots, bslots, cslots) = (table(a, qa, ts), table(b, qb, tt), table(c, qc, tp));
 
     // Exclusive per-level time: the additions of this level's schedule
     // (the recursive multiplies attribute their own time to `li + 1`).
@@ -398,66 +370,38 @@ pub(crate) unsafe fn exec_levels_raw<S: Scalar, K: MetricsSink>(
     // The team entered synchronized; an add step leaves it unsynchronized
     // until the barrier before the next `Mul`.
     let mut synced = true;
-    for &step in lp.steps {
-        let t0 = if K::ENABLED && !matches!(step, Step::Mul { .. }) {
-            Some(Instant::now())
-        } else {
-            None
-        };
+    for step in WINOGRAD_LOWMEM_SCHEDULE {
+        let t0 = (K::ENABLED && !matches!(step, Step::Mul { .. })).then(Instant::now);
         match step {
             Step::AddA { dst, lhs, rhs, kind } => {
+                debug_assert_eq!(dst, ASlot::TS, "the schedule writes an A quadrant");
                 let (d, l, r) = (dst.index(), lhs.index(), rhs.index());
-                debug_assert!(
-                    d == ASlot::TS.index() || sched.overwrites_inputs(),
-                    "non-overwriting tier writes an A quadrant"
-                );
-                debug_assert!(
-                    [d, l, r].iter().all(|&i| aslots[i].1 == qa),
-                    "AddA references a slot this tier does not materialize"
-                );
                 // SAFETY: disjoint slots per the table invariant; the
-                // schedules alias only via the assign forms.
+                // schedule aliases only via the assign forms.
                 unsafe { add_step(&aslots, d, l, r, kind, rank.share(qa)) }
                 synced = false;
             }
             Step::AddB { dst, lhs, rhs, kind } => {
+                debug_assert_eq!(dst, BSlot::TT, "the schedule writes a B quadrant");
                 let (d, l, r) = (dst.index(), lhs.index(), rhs.index());
-                debug_assert!(
-                    d == BSlot::TT.index() || sched.overwrites_inputs(),
-                    "non-overwriting tier writes a B quadrant"
-                );
-                debug_assert!(
-                    [d, l, r].iter().all(|&i| bslots[i].1 == qb),
-                    "AddB references a slot this tier does not materialize"
-                );
                 // SAFETY: as for AddA.
                 unsafe { add_step(&bslots, d, l, r, kind, rank.share(qb)) }
                 synced = false;
             }
             Step::AddC { dst, lhs, rhs, kind } => {
                 let (d, l, r) = (dst.index(), lhs.index(), rhs.index());
-                debug_assert!(
-                    [d, l, r].iter().all(|&i| cslots[i].1 == qc),
-                    "AddC references a slot this tier does not materialize"
-                );
                 // SAFETY: as for AddA.
                 unsafe { add_step(&cslots, d, l, r, kind, rank.share(qc)) }
                 synced = false;
             }
             Step::Mul { a: sa, b: sb, dst } => {
                 let (ai, bi) = (sa.index(), sb.index());
-                debug_assert!(
-                    aslots[ai].1 == qa && bslots[bi].1 == qb && cslots[dst.index()].1 == qc,
-                    "Mul references a slot this tier does not materialize"
-                );
                 if !synced {
                     rank.sync()?;
                 }
                 // The destination is disjoint from every possible operand
-                // (A/B buffers and the TS/TT workspace ranges). The child
-                // may overwrite (and restore) its own operand view under
-                // the in-place tier, so it gets raw pointers — under
-                // non-overwriting tiers it only reads them.
+                // (A/B buffers and the TS/TT workspace ranges); the child
+                // only reads its operands.
                 let peak = unsafe {
                     exec_levels_raw(
                         walk,
@@ -513,7 +457,6 @@ unsafe fn exec_paired_node<S: Scalar, K: MetricsSink>(
     let (lp, rank) = (&walk.levels[li], walk.rank);
     let ch = layouts.child();
     let (qa, qb, qc) = (lp.qa, lp.qb, lp.qc);
-    debug_assert!(!walk.policy.schedule.overwrites_inputs(), "pairing needs the low-mem slots");
     debug_assert_eq!(lp.slot_len, qa + qb + qc);
     let (ts, tt, tp) = (arena, arena.add(qa), arena.add(qa + qb));
     let (ts2, tt2, tp2) = (walk.paired, walk.paired.add(qa), walk.paired.add(qa + qb));
@@ -723,18 +666,6 @@ impl DagBuilder {
     }
 }
 
-/// The A/B Morton operands of a [`TiledPlan::run`]. The borrow kind
-/// carries the operand-provenance rule: only exclusive borrows may back a
-/// plan whose schedule overwrites (and restores) its inputs.
-pub(crate) enum Operands<'x, S> {
-    /// Shared borrows, for plans whose schedule never writes A or B.
-    Shared(&'x [S], &'x [S]),
-    /// Exclusive borrows, legal for every schedule tier (planned
-    /// execution packs into the context's own buffers instead).
-    #[cfg(test)]
-    Exclusive(&'x mut [S], &'x mut [S]),
-}
-
 /// Padded `m·k·n` volume up to which a single GEMM runs serially even
 /// when two or more workers resolve. On a 2-vCPU host the team breaks
 /// even near 128³ and wins from 160³; the crossover sits at 256³ so that
@@ -752,18 +683,16 @@ pub(crate) fn terminal_tail_len(layouts: NodeLayouts, policy: ExecPolicy, driver
 }
 
 /// Elements of the second temporaries [`PAIRED_LOWMEM`] needs: the
-/// deepest staged level's low-mem slot, or 0 when no level stages or the
-/// tier overwrites its inputs (the in-place tier keeps its one-slot
-/// schedule, walked step by step).
+/// deepest staged level's slot, or 0 when no level stages.
 pub(crate) fn paired_len(layouts: NodeLayouts, policy: ExecPolicy) -> usize {
-    if policy.schedule.overwrites_inputs() || !staged_step(layouts, policy) {
+    if !staged_step(layouts, policy) {
         return 0;
     }
     let mut l = layouts;
     while staged_step(l.child(), policy) {
         l = l.child();
     }
-    policy.schedule.level_temp_elems(l.a.quadrant_len(), l.b.quadrant_len(), l.c.quadrant_len())
+    crate::counts::staged_level_elems(l)
 }
 
 /// How a single GEMM's team runs ([`crate::pool::run_team`]):
@@ -912,9 +841,8 @@ pub(crate) struct TiledPlan {
 
 impl TiledPlan {
     /// Compiles the compute stage for `layouts` under `policy` (already
-    /// budget-capped and tier-capped by the caller): flattens the staged
-    /// levels, sizes the arena, and fixes the team size `cfg`'s budget
-    /// admits.
+    /// budget-capped by the caller): flattens the staged levels, sizes
+    /// the arena, and fixes the team size `cfg`'s budget admits.
     pub(crate) fn new<S: Scalar>(
         layouts: NodeLayouts,
         policy: ExecPolicy,
@@ -932,7 +860,7 @@ impl TiledPlan {
             depth: layouts.a.depth,
             strassen_levels: crate::counts::strassen_levels(layouts, policy),
             fused_levels: fused_levels(layouts, policy),
-            schedule: Some(policy.schedule),
+            schedule: Some(Schedule::LowMem),
             flops: crate::counts::strassen_flops(layouts, policy),
             conventional_flops: crate::counts::conventional_flops(pm, pk, pn),
         };
@@ -997,34 +925,23 @@ impl TiledPlan {
     /// before computing and, on a team, at every barrier.
     pub(crate) fn run<S: Scalar, K: MetricsSink>(
         &self,
-        operands: Operands<'_, S>,
+        a: &[S],
+        b: &[S],
         c: &mut [S],
         ws: &mut [S],
         cancel: Option<&CancelToken>,
         sink: &mut K,
     ) -> Result<(), GemmError> {
-        let (a, b, a_len, b_len) = match operands {
-            Operands::Shared(a, b) => {
-                // A shared borrow must never be written through.
-                assert!(
-                    !self.policy.schedule.overwrites_inputs(),
-                    "the in-place schedule needs exclusive operands"
-                );
-                (a.as_ptr().cast_mut(), b.as_ptr().cast_mut(), a.len(), b.len())
-            }
-            #[cfg(test)]
-            Operands::Exclusive(a, b) => (a.as_mut_ptr(), b.as_mut_ptr(), a.len(), b.len()),
-        };
-        check_buffers(a_len, b_len, c.len(), self.layouts)?;
+        check_buffers(a.len(), b.len(), c.len(), self.layouts)?;
         self.record_facts::<S, K>(sink);
         if let Some(token) = cancel {
             token.check()?;
         }
         let ws = &mut ws[..self.ws_len()];
         // SAFETY: `a`/`b` span the full operand buffers (checked above)
-        // and stay borrowed, unaliased, for the call. They carry
-        // write-capable provenance whenever the schedule overwrites its
-        // inputs: the `Shared` arm rejected that case.
+        // and stay borrowed for the call; the interpreter never writes
+        // through them.
+        let (a, b) = (a.as_ptr().cast_mut(), b.as_ptr().cast_mut());
         let bufs = TeamBufs { a, b, c: c.as_mut_ptr(), ws: ws.as_mut_ptr() };
         let (peak, stats) = run_team(
             self.team,
@@ -1210,15 +1127,6 @@ impl<S: Scalar> GemmPlan<S> {
     /// or fully conventional plans.
     pub fn fused_levels(&self) -> usize {
         self.strategy.as_ref().map_or(0, |tp| tp.facts.fused_levels)
-    }
-
-    /// Memory tier of the recursion-step linearization the compiled plan
-    /// runs (see [`crate::schedule::Schedule`] and the budget ladder in
-    /// [`crate::config::SchedulePolicy`]). The starting tier,
-    /// [`crate::schedule::Schedule::LowMem`], for split or degenerate
-    /// plans.
-    pub fn schedule(&self) -> crate::schedule::Schedule {
-        self.strategy.as_ref().map(|tp| tp.policy.schedule).unwrap_or_default()
     }
 
     fn arena_bytes(&self) -> u64 {
@@ -1534,7 +1442,6 @@ impl<S: Scalar> GemmPlan<S> {
         if let Some(token) = cancel {
             token.check()?;
         }
-        // The context owns its packed buffers, so every tier may run.
         let bufs = TeamBufs {
             a: ctx.a_buf.as_mut_ptr(),
             b: ctx.b_buf.as_mut_ptr(),
@@ -1632,7 +1539,6 @@ mod tests {
     use crate::config::Truncation;
     use crate::gemm::modgemm;
     use crate::metrics::CollectingSink;
-    use crate::schedule::Schedule;
     use modgemm_mat::gen::random_matrix;
     use modgemm_mat::naive::naive_product;
     use modgemm_mat::KernelKind;
@@ -1640,57 +1546,37 @@ mod tests {
 
     #[test]
     fn arena_layout_matches_closed_form_model() {
-        // Satellite check: the flattened arena and the closed-form
-        // counts/workspace model agree at every recursion level, for
-        // every schedule tier.
-        for sched in Schedule::ALL {
-            for (tile, depth, strassen_min) in
-                [(4usize, 3usize, 0usize), (4, 3, 8), (33, 4, 0), (5, 2, 1 << 20), (16, 1, 0)]
-            {
-                let l = MortonLayout::new(tile, tile, depth);
-                let layouts = NodeLayouts::new(l, l, l);
-                let policy = ExecPolicy { strassen_min, schedule: sched, ..ExecPolicy::default() };
-                let mut buf = [LevelPlan::EMPTY; MAX_LEVELS];
-                let count = fill_levels(&mut buf, layouts, policy);
-                assert_eq!(count, crate::counts::strassen_levels(layouts, policy));
+        // The flattened arena and the closed-form counts/workspace model
+        // agree at every recursion level.
+        for (tile, depth, strassen_min) in
+            [(4usize, 3usize, 0usize), (4, 3, 8), (33, 4, 0), (5, 2, 1 << 20), (16, 1, 0)]
+        {
+            let l = MortonLayout::new(tile, tile, depth);
+            let layouts = NodeLayouts::new(l, l, l);
+            let policy = ExecPolicy { strassen_min, ..ExecPolicy::default() };
+            let mut buf = [LevelPlan::EMPTY; MAX_LEVELS];
+            let count = fill_levels(&mut buf, layouts, policy);
+            assert_eq!(count, crate::counts::strassen_levels(layouts, policy));
 
-                let mut off = 0usize;
-                let mut node = layouts;
-                for lp in &buf[..count] {
-                    assert_eq!(lp.arena_offset, off, "offsets must be the prefix sums");
-                    let (qa, qb, qc) =
-                        (node.a.quadrant_len(), node.b.quadrant_len(), node.c.quadrant_len());
-                    // Spell out the per-tier closed forms rather than
-                    // round-tripping through level_temp_elems.
-                    let expect = match sched {
-                        Schedule::LowMem => qa + qb + qc,
-                        Schedule::InPlace => qc,
-                    };
-                    assert_eq!(lp.slot_len, expect, "{sched:?}");
-                    assert_eq!(
-                        lp.slot_len,
-                        crate::counts::schedule_level_extra_elems(sched, node),
-                        "{sched:?}: counts closed form drifted from the arena"
-                    );
-                    assert_eq!(lp.steps, sched.steps());
-                    off += lp.slot_len;
-                    node = node.child();
-                }
-                assert_eq!(
-                    off,
-                    workspace_len(layouts, policy),
-                    "{sched:?}: arena must equal workspace_len"
-                );
+            let mut off = 0usize;
+            let mut node = layouts;
+            for lp in &buf[..count] {
+                assert_eq!(lp.arena_offset, off, "offsets must be the prefix sums");
+                // Spell out the closed form rather than round-tripping
+                // through counts::staged_level_elems.
+                let (qa, qb, qc) =
+                    (node.a.quadrant_len(), node.b.quadrant_len(), node.c.quadrant_len());
+                assert_eq!(lp.slot_len, qa + qb + qc);
+                assert_eq!(lp.slot_len, crate::counts::staged_level_elems(node));
+                off += lp.slot_len;
+                node = node.child();
             }
+            assert_eq!(off, workspace_len(layouts, policy), "arena must equal workspace_len");
         }
-
-        // Acceptance pin: the in-place arena is *exactly* the sum of the
-        // per-level `qc` closed forms — at tile 4 / depth 3 that is
-        // 256 + 64 + 16 = 336 elements (Blocked kernel, no packing tail).
+        // At tile 4 / depth 3 the arena is 3 · (256 + 64 + 16) = 1008
+        // elements (Blocked kernel, no packing tail).
         let l = MortonLayout::new(4, 4, 3);
         let layouts = NodeLayouts::new(l, l, l);
-        let ip = ExecPolicy { schedule: Schedule::InPlace, ..ExecPolicy::default() };
-        assert_eq!(workspace_len(layouts, ip), 336);
         assert_eq!(workspace_len(layouts, ExecPolicy::default()), 1008);
     }
 
@@ -1818,7 +1704,6 @@ mod tests {
             threads: 0,
             fuse_depth: crate::fuse::MAX_FUSE,
             batch_window: 0,
-            schedule: Schedule::LowMem,
         };
         let cfg = ModgemmConfig {
             leaf_kernel: KernelKind::Auto,
@@ -1970,16 +1855,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_ladder_schedule_then_fuse_then_team_then_recursion_then_kernel() {
-        // The full degradation ladder, pinned end to end: schedule tier
-        // (low-mem → in-place) → fuse 0 → 1 → team → recursion depth →
-        // kernel. The schedule and fuse rungs size the serial arena
-        // ([`crate::exec::budget_capped_policy_with_tier_cap`]); the team
-        // then takes what the budget leaves over, one terminal tail per
-        // helper rank plus the paired temporaries ([`team_size`]), and
-        // shrinks to one before a Strassen level goes. The schedule rung
-        // comes first because it is free in multiplications: both tiers
-        // multiply the same seven products.
+    fn budget_ladder_fuse_then_team_then_recursion_then_kernel() {
+        // The full degradation ladder, pinned end to end: fuse 0 → 1 →
+        // team → recursion depth → kernel. The fuse, depth and kernel
+        // rungs size the serial arena
+        // ([`crate::exec::budget_capped_policy`]); the team then takes
+        // what the budget leaves over, one terminal tail per helper rank
+        // plus the paired temporaries ([`team_size`]), and shrinks to one
+        // before a Strassen level goes.
         let cfg0 = ModgemmConfig {
             truncation: Truncation::Fixed(40),
             leaf_kernel: KernelKind::Packed,
@@ -1994,20 +1877,15 @@ mod tests {
         let layouts = NodeLayouts::new(l, l, l);
         let policy0 = crate::gemm::capped_policy::<f64>(layouts, &cfg0);
         assert_eq!(policy0.fuse, 0, "Fixed(0) keeps every level staged");
-        assert_eq!(policy0.schedule, Schedule::LowMem, "unlimited budget keeps low-mem");
-        let at =
-            |schedule: Schedule, fuse: usize| crate::exec::ExecPolicy { schedule, fuse, ..policy0 };
+        let f1 = ExecPolicy { fuse: 1, ..policy0 };
         let ws = |p| workspace_len(layouts, p);
         // The arena of a team of `w` ranks: the serial arena, one tail per
-        // helper rank, and (low-mem only) the paired temporaries.
+        // helper rank, and the paired temporaries.
         let team_ws = |p, w: usize| {
             ws(p) + (w - 1) * terminal_tail_len(layouts, p, Driver::LEAF) + paired_len(layouts, p)
         };
-        let team = |p| team_ws(p, 4);
-        let (ip, ip_f1) = (at(Schedule::InPlace, 0), at(Schedule::InPlace, 1));
-        assert!(team(ip) < ws(policy0), "in-place with a team beats serial low-mem");
-        assert!(ws(ip_f1) < ws(ip), "fusing shrinks the in-place arena");
-        assert!(ws(ip_f1) < team(ip_f1), "the team costs memory beyond the serial arena");
+        assert!(ws(f1) < ws(policy0), "fusing shrinks the arena");
+        assert!(ws(f1) < team_ws(f1, 2), "the team costs memory beyond the serial arena");
 
         let budgeted = |bytes: usize| ModgemmConfig {
             memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(bytes),
@@ -2015,73 +1893,49 @@ mod tests {
         };
         let facts = |p: &GemmPlan<f64>| {
             let tp = p.tiled().unwrap();
-            (tp.team, p.strassen_levels(), p.fused_levels(), p.schedule())
+            (tp.team, p.strassen_levels(), p.fused_levels())
         };
 
-        // Rung 0 — unlimited: a full team, full depth, low-mem schedule.
+        // Rung 0 — unlimited: a full team, full depth, every level staged.
         let free: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg0).unwrap();
-        assert_eq!(facts(&free), (4, 3, 0, Schedule::LowMem), "rung 0: nothing degrades");
+        assert_eq!(facts(&free), (4, 3, 0), "rung 0: nothing degrades");
 
-        // Rung 1 — the low-mem arena no longer fits but the in-place one
-        // and its team do: the schedule tier degrades FIRST.
-        let inplace: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(team(ip) * 8)).unwrap();
-        assert_eq!(facts(&inplace), (4, 3, 0, Schedule::InPlace), "rung 1 (schedule → in-place)");
+        // Rung 1 — the staged arena no longer fits: the innermost level
+        // fuses (0 → 1). The team keeps every rank whose tail fits in
+        // what the fused arena leaves over.
+        let b1 = ws(policy0) - 1;
+        let fused: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(b1 * 8)).unwrap();
+        let ranks = (2..=4).rev().find(|&w| team_ws(f1, w) <= b1).unwrap_or(1);
+        assert_eq!(facts(&fused), (ranks, 3, 1), "rung 1 (fuse depth)");
 
-        // Rung 2 — no tier fits with every level staged: only now does
-        // the innermost level fuse (0 → 1). The team keeps every rank
-        // whose tail fits in what the fused arena leaves over.
-        let b2 = ws(ip) - 1;
-        let fused: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(b2 * 8)).unwrap();
-        let ranks = (1..=4).rev().find(|&w| team_ws(ip_f1, w) <= b2).unwrap();
-        assert_eq!(facts(&fused), (ranks, 3, 1, Schedule::InPlace), "rung 2 (fuse depth)");
-
-        // Rung 3 — the cheapest full-depth arena fits but its team does
+        // Rung 2 — the fused full-depth arena fits but its team does
         // not: the team shrinks to one, and the plan keeps every level.
-        let solo: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(ws(ip_f1) * 8)).unwrap();
-        assert_eq!(facts(&solo), (1, 3, 1, Schedule::InPlace), "rung 3 (team)");
-        assert_eq!(solo.tiled().unwrap().ws_len(), ws(ip_f1), "a team of one is the arena");
+        let solo: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(ws(f1) * 8)).unwrap();
+        assert_eq!(facts(&solo), (1, 3, 1), "rung 2 (team)");
+        assert_eq!(solo.tiled().unwrap().ws_len(), ws(f1), "a team of one is the arena");
 
-        // The schedule rung keeps full Strassen depth AND the packed
-        // kernel at the serial in-place staged arena, where a ladder
-        // capped at low-mem has to sacrifice recursion depth.
-        let serial_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(ws(ip) * 8));
-        assert_eq!((serial_policy.schedule, serial_policy.fuse), (Schedule::InPlace, 0));
-        assert_eq!(serial_policy.kernel, KernelKind::Packed, "kernel survives the schedule rung");
-        let capped_at_lowmem = crate::exec::budget_capped_policy_with_tier_cap(
-            layouts,
-            policy0,
-            ws(ip),
-            Schedule::LowMem,
-        );
-        assert!(
-            crate::counts::strassen_levels(layouts, capped_at_lowmem) < 3
-                || capped_at_lowmem.kernel != KernelKind::Packed,
-            "without the schedule rung this budget forced a depth or kernel loss"
-        );
-
-        // Rung 4 — below every tier's full-depth workspace: recursion
-        // depth is sacrificed next, on the cheapest tier, with the
-        // kernel still packed.
-        let shallow_cfg = budgeted(ws(ip_f1) * 8 - 8);
+        // Rung 3 — below the fused full-depth arena: recursion depth is
+        // sacrificed next, with the fuse and the packed kernel kept.
+        let shallow_cfg = budgeted(ws(f1) * 8 - 8);
         let shallow_policy = crate::gemm::capped_policy::<f64>(layouts, &shallow_cfg);
-        assert_eq!(shallow_policy.kernel, KernelKind::Packed, "rung 4: kernel survives");
+        assert_eq!(shallow_policy.kernel, KernelKind::Packed, "rung 3: kernel survives");
         let shallow: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &shallow_cfg).unwrap();
-        assert!(shallow.strassen_levels() < 3, "rung 4 (recursion depth)");
+        assert!(shallow.strassen_levels() < 3, "rung 3 (recursion depth)");
+        assert_eq!(shallow.fused_levels(), 1, "rung 3 keeps the fused level");
 
-        // Rung 5 — a budget nothing packed fits in: the kernel itself is
+        // Rung 4 — a budget nothing packed fits in: the kernel itself is
         // swapped for the workspace-free blocked fallback, last.
         let floor_policy = crate::gemm::capped_policy::<f64>(layouts, &budgeted(1));
-        assert_eq!(floor_policy.kernel, KernelKind::Blocked, "rung 5 (kernel): the last rung");
+        assert_eq!(floor_policy.kernel, KernelKind::Blocked, "rung 4 (kernel): the last rung");
         let floor: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &budgeted(1)).unwrap();
         assert_eq!((floor.strassen_levels(), floor.fused_levels()), (0, 0));
 
-        // Every rung still multiplies correctly — including the in-place
-        // team (rung 1) and the team of one (rung 3).
+        // Every rung still multiplies correctly.
         let a: Matrix<f64> = random_matrix(m, k, 43);
         let b: Matrix<f64> = random_matrix(k, n, 44);
         let expect = modgemm_mat::naive::naive_product(&a, &b);
         let mut ctx = GemmContext::new();
-        for plan in [&free, &inplace, &fused, &solo, &shallow, &floor] {
+        for plan in [&free, &fused, &solo, &shallow, &floor] {
             let mut c: Matrix<f64> = Matrix::zeros(m, n);
             plan.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
             modgemm_mat::norms::assert_matrix_eq(c.view(), expect.view(), k);
@@ -2089,46 +1943,74 @@ mod tests {
     }
 
     #[test]
-    fn quarter_budget_at_513_keeps_in_place_and_one_fused_level() {
-        // The blas_budget shapes: each under a quarter of the unbudgeted
-        // (low-mem) plan's arena. That is less than one top-level C
-        // quadrant, the in-place tier's smallest staged slot, so no level
-        // can stage: the ladder walks the tier down to in-place, fuses
-        // the innermost level and drops the levels below the top one to
-        // fit. The team of two keeps both ranks, and the arena with the
-        // helper's tail stays within the budget. The product stays
-        // bitwise the unbudgeted one (i64).
-        let shapes = [(513, 513, 513), (576, 576, 576), (640, 640, 640), (704, 704, 704)];
-        for (m, k, n) in shapes.into_iter().chain([(768, 640, 704)]) {
-            let cfg =
-                ModgemmConfig { leaf_kernel: KernelKind::Packed, threads: 2, ..Default::default() };
-            let free: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
+    fn blas_budget_plans_stay_pinned() {
+        // The blas_budget shapes, each under a quarter of the unbudgeted
+        // plan's arena. That is less than one top-level C quadrant, so
+        // no level can stage: the ladder fuses the innermost level and
+        // drops the levels below the top one. The team of two keeps both
+        // ranks, and the arena with the helper's tail stays within the
+        // budget. Pinning the arenas keeps a ladder edit from moving the
+        // benchmark's plans unnoticed. The product stays bitwise the
+        // unbudgeted one (i64, 513³).
+        let cfg =
+            ModgemmConfig { leaf_kernel: KernelKind::Packed, threads: 2, ..Default::default() };
+        for ((m, k, n), arena) in [
+            ((513, 513, 513), 29_568),
+            ((576, 576, 576), 32_256),
+            ((640, 640, 640), 38_400),
+            ((704, 704, 704), 47_872),
+            ((768, 640, 704), 57_600),
+        ] {
+            let free: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
             let budget = free.arena_len() * 8 / 4;
-            let cfg_q = ModgemmConfig {
-                memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(budget),
-                ..cfg
-            };
-            let quarter: GemmPlan<i64> = GemmPlan::try_new(m, k, n, &cfg_q).unwrap();
+            let memory_budget = crate::config::MemoryBudget::MaxWorkspaceBytes(budget);
+            let cfg_q = ModgemmConfig { memory_budget, ..cfg };
+            let quarter: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg_q).unwrap();
             let tp = quarter.tiled().unwrap();
             let shape = format!("{m}x{k}x{n}");
-            assert_eq!(quarter.schedule(), Schedule::InPlace, "{shape}");
             assert_eq!((quarter.strassen_levels(), quarter.fused_levels()), (1, 1), "{shape}");
-            assert_eq!(tp.team, 2, "{shape}");
+            assert_eq!((tp.team, quarter.arena_len()), (2, arena), "{shape}");
             let (pm, pn) = (tp.layouts.c.rows(), tp.layouts.c.cols());
             assert!(budget / 8 < (pm / 2) * (pn / 2), "{shape}: a quarter stages no level");
             assert!(tp.ws_len() * 8 <= budget, "{shape}: {} > {budget}", tp.ws_len() * 8);
-            if m > 513 {
-                continue;
+            if m == 513 {
+                assert_budgeted_product_is_unbudgeted((m, k, n), &cfg, &cfg_q);
             }
-            let a: Matrix<i64> = random_matrix(m, k, 51);
-            let b: Matrix<i64> = random_matrix(k, n, 52);
-            let mut ctx = GemmContext::new();
-            let mut c_free: Matrix<i64> = Matrix::zeros(m, n);
-            free.execute(a.view(), b.view(), c_free.view_mut(), &mut ctx);
-            let mut c_quarter: Matrix<i64> = Matrix::zeros(m, n);
-            quarter.execute(a.view(), b.view(), c_quarter.view_mut(), &mut ctx);
-            assert_eq!(c_quarter, c_free, "{shape}");
         }
+    }
+
+    /// Asserts the i64 product of `budgeted` is bitwise that of `free`.
+    fn assert_budgeted_product_is_unbudgeted(
+        (m, k, n): (usize, usize, usize),
+        free: &ModgemmConfig,
+        budgeted: &ModgemmConfig,
+    ) {
+        let a: Matrix<i64> = random_matrix(m, k, 51);
+        let b: Matrix<i64> = random_matrix(k, n, 52);
+        let mut ctx = GemmContext::new();
+        let run = |cfg: &ModgemmConfig, ctx: &mut GemmContext<i64>| {
+            let mut c: Matrix<i64> = Matrix::zeros(m, n);
+            GemmPlan::try_new(m, k, n, cfg).unwrap().execute(a.view(), b.view(), c.view_mut(), ctx);
+            c
+        };
+        assert!(run(budgeted, &mut ctx) == run(free, &mut ctx), "{m}x{k}x{n}");
+    }
+
+    #[test]
+    fn half_default_arena_at_1024_runs_one_fused_level() {
+        // Half the default arena at 1024³ no longer holds the top staged
+        // level, so the ladder fuses the one level over the packed
+        // terminal instead.
+        let n = 1024;
+        let cfg =
+            ModgemmConfig { leaf_kernel: KernelKind::Packed, threads: 2, ..Default::default() };
+        let budget = GemmPlan::<f64>::try_new(n, n, n, &cfg).unwrap().arena_len() * 8 / 2;
+        let memory_budget = crate::config::MemoryBudget::MaxWorkspaceBytes(budget);
+        let half = ModgemmConfig { memory_budget, ..cfg };
+        let p: GemmPlan<f64> = GemmPlan::try_new(n, n, n, &half).unwrap();
+        assert_eq!((p.strassen_levels(), p.fused_levels()), (1, 1));
+        assert!(p.tiled().unwrap().ws_len() * 8 <= budget);
+        assert_budgeted_product_is_unbudgeted((n, n, n), &cfg, &half);
     }
 
     #[test]

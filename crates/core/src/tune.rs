@@ -76,10 +76,11 @@ use crate::json::{self, Value};
 /// winners were measured without those axes, so silently defaulting the
 /// missing field would misrepresent the measurement. Version 5 dropped
 /// the parallel-depth knob (the breadth-first task DAG it selected is
-/// gone), so a version-4 winner may name an operating point nothing can
-/// run any more. Re-running `modgemm-tune` regenerates a current-schema
-/// profile.
-pub const PROFILE_SCHEMA_VERSION: u64 = 5;
+/// gone), and version 6 the `schedule` knob (the in-place tier it could
+/// pin is gone), so an older winner may name an operating point nothing
+/// can run any more. Re-running `modgemm-tune` regenerates a
+/// current-schema profile.
+pub const PROFILE_SCHEMA_VERSION: u64 = 6;
 
 /// Environment variable overriding the profile location (takes
 /// precedence over the `~/.cache/modgemm/profile.json` default).
@@ -119,13 +120,6 @@ pub struct TunedChoice {
     /// count and memory budget). Applied only while the configuration
     /// leaves `batch_window` at its default `0`.
     pub batch_window: usize,
-    /// Memory tier of the recursion-step linearization to pin
-    /// ([`crate::config::SchedulePolicy::Fixed`]). A tuner can find a
-    /// frugal tier fastest when the shrunken working set stays
-    /// cache-resident. Applied only while the configuration leaves
-    /// [`ModgemmConfig::schedule`] at
-    /// [`crate::config::SchedulePolicy::Auto`].
-    pub schedule: crate::schedule::Schedule,
 }
 
 impl TunedChoice {
@@ -140,7 +134,6 @@ impl TunedChoice {
             threads: 0,
             fuse_depth: 0,
             batch_window: 0,
-            schedule: crate::schedule::Schedule::LowMem,
         }
     }
 
@@ -170,9 +163,6 @@ impl TunedChoice {
         }
         if cfg.batch_window == 0 {
             eff.batch_window = self.batch_window;
-        }
-        if cfg.schedule == crate::config::SchedulePolicy::Auto {
-            eff.schedule = crate::config::SchedulePolicy::Fixed(self.schedule);
         }
         eff
     }
@@ -331,7 +321,6 @@ impl TuningProfile {
                     threads: near.choice.threads,
                     fuse_depth: near.choice.fuse_depth,
                     batch_window: near.choice.batch_window,
-                    schedule: near.choice.schedule,
                 })
             }
             (Some(e), _) | (_, Some(e)) => Some(e.choice),
@@ -357,7 +346,6 @@ impl TuningProfile {
                     .with("threads", e.choice.threads)
                     .with("fuse_depth", e.choice.fuse_depth)
                     .with("batch_window", e.choice.batch_window)
-                    .with("schedule", e.choice.schedule.name())
                     .with("score", e.score)
             })
             .collect();
@@ -434,13 +422,6 @@ impl TuningProfile {
                     threads: u("threads")?,
                     fuse_depth: u("fuse_depth")?,
                     batch_window: u("batch_window")?,
-                    schedule: e
-                        .get("schedule")
-                        .and_then(Value::as_str)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or(GemmError::InvalidConfig {
-                            reason: "tuning profile entry names an unknown schedule tier",
-                        })?,
                 },
                 score: e.get("score").and_then(Value::as_f64).unwrap_or(0.0),
             };
@@ -602,7 +583,6 @@ mod tests {
                         threads: 1,
                         fuse_depth: 1,
                         batch_window: 0,
-                        schedule: crate::schedule::Schedule::LowMem,
                     },
                     score: 3.5,
                 },
@@ -618,7 +598,6 @@ mod tests {
                         threads: 4,
                         fuse_depth: 0,
                         batch_window: 4,
-                        schedule: crate::schedule::Schedule::InPlace,
                     },
                     score: 2.9,
                 },
@@ -651,47 +630,38 @@ mod tests {
             "{\"schema_version\": \"one\", \"entries\": []}".into(),
             "{\"entries\": []}".into(),
             format!("{full}trailing"),
-            "{\"schema_version\": 5, \"entries\": [{\"m\": 0}]}".into(),
-            "{\"schema_version\": 5, \"entries\": [7]}".into(),
+            "{\"schema_version\": 6, \"entries\": [{\"m\": 0}]}".into(),
+            "{\"schema_version\": 6, \"entries\": [7]}".into(),
             // Entry with an inverted tile range.
-            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":64,\
-             \"tile_max\":16,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
+            "{\"schema_version\": 6, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":64,\
+             \"tile_max\":16,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\
              \"score\":1.0}]}"
                 .into(),
             // Unknown kernel name.
-            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"turbo\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
+            "{\"schema_version\": 6, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"turbo\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\
              \"score\":1.0}]}"
                 .into(),
             // Entry missing the v2 fuse_depth field.
-            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\"score\":1.0}]}"
+            "{\"schema_version\": 6, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"batch_window\":0,\"score\":1.0}]}"
                 .into(),
             // Entry missing the v3 batch_window field.
-            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"schedule\":\"low-mem\",\"score\":1.0}]}"
-                .into(),
-            // Entry missing the v4 schedule field.
-            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"score\":1.0}]}"
-                .into(),
-            // Entry naming an unknown schedule tier.
-            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"psychic\",\
-             \"score\":1.0}]}"
+            "{\"schema_version\": 6, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":0,\"score\":1.0}]}"
                 .into(),
             // Entry recording a fuse depth beyond MAX_FUSE.
-            "{\"schema_version\": 5, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
-             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":2,\"batch_window\":0,\"schedule\":\"low-mem\",\
+            "{\"schema_version\": 6, \"entries\": [{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\
+             \"tile_max\":64,\"strassen_min\":0,\"kernel\":\"blocked\",\"threads\":0,\"fuse_depth\":2,\"batch_window\":0,\
              \"score\":1.0}]}"
                 .into(),
             // Nesting far past the parser's depth cap.
-            format!("{{\"schema_version\": 5, \"entries\": {}", "[".repeat(200_000)),
+            format!("{{\"schema_version\": 6, \"entries\": {}", "[".repeat(200_000)),
         ];
         // Entry numbers out of range for their usize fields (fractional,
         // negative, past 2^53) and a non-finite score.
         let entry = "{\"m\":8,\"k\":8,\"n\":8,\"tile_min\":16,\"tile_max\":64,\
-                     \"strassen_min\":0,\"kernel\":\"blocked\",        \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\"schedule\":\"low-mem\",\
+                     \"strassen_min\":0,\"kernel\":\"blocked\",        \"threads\":0,\"fuse_depth\":0,\"batch_window\":0,\
                      \"score\":1.0}";
         for (field, value) in [
             ("\"m\":8", "\"m\":64.9"),
@@ -705,28 +675,21 @@ mod tests {
         ] {
             let edited = entry.replacen(field, value, 1);
             assert_ne!(edited, entry, "{field} must occur in the template entry");
-            bad.push(format!("{{\"schema_version\": 5, \"entries\": [{edited}]}}"));
+            bad.push(format!("{{\"schema_version\": 6, \"entries\": [{edited}]}}"));
         }
         // The unedited template entry loads.
-        let good = format!("{{\"schema_version\": 5, \"entries\": [{entry}]}}");
+        let good = format!("{{\"schema_version\": 6, \"entries\": [{entry}]}}");
         assert!(TuningProfile::from_json_str(&good).is_ok());
-        // The same entry in a version-4 file is refused as outdated.
-        let v4 = good.replace("\"schema_version\": 5", "\"schema_version\": 4");
+        // The same entry in a version-5 file, with the schedule key that
+        // version carried, is refused as outdated.
+        let v5 = good
+            .replace("\"schema_version\": 6", "\"schema_version\": 5")
+            .replace("\"batch_window\":0,", "\"batch_window\":0,\"schedule\":\"in-place\",");
         assert_eq!(
-            TuningProfile::from_json_str(&v4),
+            TuningProfile::from_json_str(&v5),
             Err(GemmError::InvalidConfig {
                 reason: "tuning profile schema version is outdated; re-run modgemm-tune to record \
                          a current profile"
-            })
-        );
-        // An entry naming the deleted four-temporary tier fails as an
-        // unknown tier; it is never mapped onto a surviving one.
-        let standard = good.replace("\"low-mem\"", "\"standard\"");
-        assert_ne!(standard, good);
-        assert_eq!(
-            TuningProfile::from_json_str(&standard),
-            Err(GemmError::InvalidConfig {
-                reason: "tuning profile entry names an unknown schedule tier"
             })
         );
         // Truncate the valid serialization at many byte offsets: every
@@ -762,16 +725,17 @@ mod tests {
 
     #[test]
     fn outdated_schema_version_fails_typed() {
-        // Version 1 predates the fuse_depth knob, version 2 the
-        // batch_window knob, and version 3 the schedule knob: their
-        // recorded winners were measured without those axes. Version 4
-        // may name a parallel depth nothing runs any more. All are
-        // refused typed rather than silently defaulted.
+        // Versions 1 to 3 predate the fuse_depth, batch_window and
+        // schedule knobs: their recorded winners were measured without
+        // those axes. Version 4 may name a parallel depth and version 5 a
+        // schedule tier nothing runs any more. All are refused typed
+        // rather than silently defaulted.
         for text in [
             "{\"schema_version\": 1, \"entries\": []}",
             "{\"schema_version\": 2, \"entries\": []}",
             "{\"schema_version\": 3, \"entries\": []}",
             "{\"schema_version\": 4, \"entries\": []}",
+            "{\"schema_version\": 5, \"entries\": []}",
         ] {
             match TuningProfile::from_json_str(text) {
                 Err(GemmError::InvalidConfig { reason }) => {
@@ -814,7 +778,6 @@ mod tests {
             threads: 4,
             fuse_depth: 1,
             batch_window: 6,
-            schedule: crate::schedule::Schedule::LowMem,
         };
         // Default config: every knob consults the choice, the kernel
         // included (the default kernel is Auto, which delegates).
@@ -826,11 +789,6 @@ mod tests {
         assert_eq!(eff.leaf_kernel, KernelKind::Packed, "the Auto default takes the hint");
         assert_eq!(eff.fuse_depth, FuseDepth::Fixed(1), "Auto fuse_depth consults the profile");
         assert_eq!(eff.batch_window, 6, "auto batch_window consults the profile");
-        assert_eq!(
-            eff.schedule,
-            crate::config::SchedulePolicy::Fixed(crate::schedule::Schedule::LowMem),
-            "Auto schedule consults the profile"
-        );
         assert!(eff.validate().is_ok(), "profile application must never create an invalid config");
 
         // An explicitly pinned Blocked kernel (the paper's) wins.
@@ -854,15 +812,6 @@ mod tests {
         assert_eq!(eff.leaf_kernel, KernelKind::Naive);
         assert_eq!(eff.fuse_depth, FuseDepth::Fixed(0), "explicit fuse_depth wins");
         assert_eq!(eff.batch_window, 3, "explicit batch_window wins");
-        let pinned_sched = ModgemmConfig {
-            schedule: crate::config::SchedulePolicy::Fixed(crate::schedule::Schedule::InPlace),
-            ..Default::default()
-        };
-        assert_eq!(
-            choice.apply_to(&pinned_sched, 256, 256, 256).schedule,
-            crate::config::SchedulePolicy::Fixed(crate::schedule::Schedule::InPlace),
-            "explicit schedule wins"
-        );
     }
 
     #[test]

@@ -22,14 +22,14 @@ fn temp_dir() -> std::path::PathBuf {
 /// strassen_min 48 — values no static heuristic would pick.
 fn marker_profile_json() -> String {
     r#"{
-  "schema_version": 5,
+  "schema_version": 6,
   "created_unix": 1754600000,
   "machine": {"os": "linux", "arch": "x86_64", "num_cpus": 2},
   "objective": "min-time",
   "entries": [
     {"m": 96, "k": 96, "n": 96, "tile_min": 16, "tile_max": 64,
      "strassen_min": 48, "kernel": "naive", "threads": 0, "fuse_depth": 0, "batch_window": 0,
-     "schedule": "low-mem", "score": 1.0}
+     "score": 1.0}
   ]
 }"#
     .to_string()
@@ -38,25 +38,33 @@ fn marker_profile_json() -> String {
 #[test]
 fn corrupt_profile_files_fail_typed_and_the_global_snapshot_is_sticky() {
     let dir = temp_dir();
+    let outdated_v5 = marker_profile_json()
+        .replace("\"schema_version\": 6", "\"schema_version\": 5")
+        .replace("\"score\"", "\"schedule\": \"in-place\", \"score\"");
 
     // 1. Corrupt files on disk — truncated, garbage, future schema —
     //    all load as typed InvalidConfig, never a panic.
     let cases: &[(&str, &str)] = &[
         ("empty.json", ""),
         ("garbage.json", "\u{1}\u{2}not json"),
-        ("truncated.json", "{\"schema_version\": 5, \"entries\": [{\"m\": 96,"),
+        ("truncated.json", "{\"schema_version\": 6, \"entries\": [{\"m\": 96,"),
         ("future.json", "{\"schema_version\": 99, \"entries\": []}"),
         ("outdated.json", "{\"schema_version\": 1, \"entries\": []}"),
         ("outdated_v2.json", "{\"schema_version\": 2, \"entries\": []}"),
         ("outdated_v3.json", "{\"schema_version\": 3, \"entries\": []}"),
         ("outdated_v4.json", "{\"schema_version\": 4, \"entries\": []}"),
+        // A version-5 entry may pin the deleted in-place schedule tier.
+        ("outdated_v5.json", &outdated_v5),
         ("wrong_type.json", "[]"),
     ];
     for (name, text) in cases {
         let path = dir.join(name);
         std::fs::write(&path, text).unwrap();
         match TuningProfile::load_from_path(&path) {
-            Err(GemmError::InvalidConfig { .. }) => {}
+            Err(GemmError::InvalidConfig { reason }) => assert!(
+                !name.starts_with("outdated") || reason.contains("outdated"),
+                "{name}: {reason}"
+            ),
             other => panic!("{name}: expected InvalidConfig, got {other:?}"),
         }
     }

@@ -4,7 +4,7 @@
 //! pipeline the paper describes), on the large BLAS shapes where the two
 //! pipelines differ most.
 //!
-//! On integers every kernel, fuse depth and schedule tier computes the
+//! On integers every kernel, fuse depth and memory budget computes the
 //! exact product, so the two configurations must agree bit for bit. On
 //! floats the default must stay within the same scaled-error envelope the
 //! end-to-end benchmark checks every call against: 64 ε of the entry
@@ -18,8 +18,8 @@ use modgemm::mat::{Matrix, Op, Scalar};
 
 /// `(m, k, n, op_a, op_b, quarter_budget)`: the large one-shot shapes
 /// (1025 is a padding worst case) with mixed transposes, and 513 under a
-/// quarter of the default plan's workspace arena, which runs the
-/// low-memory schedule tiers.
+/// quarter of the default plan's workspace arena, which runs one fused
+/// level over the packed terminal.
 const CASES: [(usize, usize, usize, Op, Op, bool); 6] = [
     (640, 640, 640, Op::NoTrans, Op::NoTrans, false),
     (768, 768, 768, Op::Trans, Op::NoTrans, false),

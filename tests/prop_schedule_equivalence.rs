@@ -1,28 +1,28 @@
-//! Property tests for the Boyer et al. schedule tiers (low-mem /
-//! in-place): the tier changes *where temporaries live*, never *what is
-//! computed*. On integer scalars every tier must be **bit-identical** to
-//! the naive product — the in-place schedule's operand-restoring add
-//! chains are exact on `i64` (adds and subtracts cancel exactly; only
-//! floats see rounding perturbation).
+//! Property tests for the one Winograd linearization every staged level
+//! runs ([`modgemm::core::schedule::WINOGRAD_LOWMEM_SCHEDULE`]): where
+//! its temporaries live never changes *what is computed*. On integer
+//! scalars every plan must be **bit-identical** to the naive product.
 //!
 //! Covered here:
-//! * every tier × every leaf kernel × fuse depths × ragged shapes,
-//!   bit-identical to `naive_gemm` on `i64`, for a single GEMM and for a
-//!   two-item batch DAG on {1, 2, 7} workers;
-//! * warm-context re-execution stays allocation-free on every tier, and
-//!   the measured peak workspace equals the planned arena exactly (the
-//!   closed-form `counts` model);
-//! * cooperative cancellation at every task-dequeue index of an in-place
-//!   batch DAG: typed outcome, warm exact allocation-free follow-up.
+//! * every leaf kernel × fuse depths × ragged shapes, bit-identical to
+//!   `naive_gemm` on `i64`, for a single GEMM and for a two-item batch DAG
+//!   on {1, 2, 7} workers;
+//! * warm-context re-execution stays allocation-free, and the measured
+//!   peak workspace equals the planned arena exactly (the closed-form
+//!   `counts` model);
+//! * the shared-reference entry (`modgemm_premorton`) never writes its
+//!   operands;
+//! * cooperative cancellation at every task-dequeue index of a batch
+//!   DAG: typed outcome, warm exact allocation-free follow-up.
 //!
 //! The team a single GEMM runs above 256³ is pinned against the serial
-//! interpreter on both tiers by the core crate's
+//! interpreter by the core crate's
 //! `parallel::tests::team_is_bitwise_serial_at_every_team_size`.
 
 use modgemm::core::plan::GemmPlan;
 use modgemm::core::{
-    BatchPlan, CancelToken, CollectingSink, GemmContext, GemmError, ModgemmConfig, NoopSink,
-    Schedule, SchedulePolicy, StridedBatch, Truncation,
+    layouts_of, modgemm_premorton, BatchPlan, CancelToken, CollectingSink, GemmContext, GemmError,
+    ModgemmConfig, MortonMatrix, NoopSink, Schedule, StridedBatch, Truncation,
 };
 use modgemm::mat::gen::random_matrix;
 use modgemm::mat::naive::naive_product;
@@ -97,12 +97,11 @@ fn run_planned(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Every schedule tier, pinned through the public config, is
-    /// bit-identical to `naive_gemm` on `i64` across ragged shapes, leaf
-    /// kernels and fuse depths, for a single GEMM and for a two-item
-    /// batch DAG at the drawn worker count — and every warm re-execution
-    /// is allocation-free with a measured peak workspace exactly equal
-    /// to the planned arena.
+    /// Every plan is bit-identical to `naive_gemm` on `i64` across
+    /// ragged shapes, leaf kernels and fuse depths, for a single GEMM and
+    /// for a two-item batch DAG at the drawn worker count — and every
+    /// warm re-execution is allocation-free with a measured peak
+    /// workspace exactly equal to the planned arena.
     #[test]
     fn every_tier_is_bitwise_standard_on_i64(
         m in 1usize..72,
@@ -115,7 +114,7 @@ proptest! {
     ) {
         let a: Matrix<i64> = random_matrix(m, k, seed);
         let b: Matrix<i64> = random_matrix(k, n, seed + 7);
-        let base = ModgemmConfig {
+        let cfg = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
             leaf_kernel: KernelKind::ALL[kernel_ix],
             fuse_depth: modgemm::core::FuseDepth::Fixed(fuse),
@@ -135,49 +134,36 @@ proptest! {
         };
 
         let expect = naive_product(&a, &b);
-        let (c_auto, _, _) = run_planned(&base, m, k, n, &a, &b).unwrap();
-        prop_assert_eq!(&c_auto, &expect, "the Auto tier must be exact");
-
-        for sched in Schedule::ALL {
-            let cfg = ModgemmConfig { schedule: SchedulePolicy::Fixed(sched), ..base };
-            let (c, plan, sink) = run_planned(&cfg, m, k, n, &a, &b).unwrap();
+        let (c, plan, sink) = run_planned(&cfg, m, k, n, &a, &b).unwrap();
+        prop_assert_eq!(
+            &c, &expect,
+            "kernel {:?} fuse {} must be bitwise naive", cfg.leaf_kernel, fuse
+        );
+        prop_assert_eq!(
+            &run_pair(&cfg, (m, k, n), &a2, &b2).unwrap(), &expect2,
+            "batch: kernel {:?} fuse {} threads {} must be bitwise naive",
+            cfg.leaf_kernel, fuse, THREADS[threads_ix]
+        );
+        prop_assert_eq!(
+            sink.metrics.temp_alloc_bytes, 0, "warm re-execution must be allocation-free"
+        );
+        if plan.arena_len() > 0 {
             prop_assert_eq!(
-                &c, &expect,
-                "tier {:?} kernel {:?} fuse {} must be bitwise naive",
-                sched, base.leaf_kernel, fuse
+                sink.metrics.schedule_selected, Some(Schedule::LowMem),
+                "metrics must report the executed schedule"
             );
+            // The measured peak equals the closed-form arena model
+            // exactly: the summed per-level slots plus the terminal tail.
             prop_assert_eq!(
-                &run_pair(&cfg, (m, k, n), &a2, &b2).unwrap(), &expect2,
-                "batch: tier {:?} kernel {:?} fuse {} threads {} must be bitwise naive",
-                sched, base.leaf_kernel, fuse, THREADS[threads_ix]
+                sink.metrics.workspace_used_elems, plan.arena_len(),
+                "measured peak workspace must match the planned arena"
             );
-            prop_assert_eq!(
-                sink.metrics.temp_alloc_bytes, 0,
-                "tier {:?}: warm re-execution must be allocation-free", sched
-            );
-            if plan.strassen_levels() > plan.fused_levels() {
-                // Staged levels exist, so the tier was actually run (a
-                // fully fused or conventional plan normalizes away).
-                prop_assert_eq!(
-                    sink.metrics.schedule_selected, Some(plan.schedule()),
-                    "metrics must report the executed tier"
-                );
-            }
-            if plan.arena_len() > 0 {
-                // The measured peak equals the closed-form arena model
-                // exactly: the summed per-level slots plus the terminal
-                // tail.
-                prop_assert_eq!(
-                    sink.metrics.workspace_used_elems, plan.arena_len(),
-                    "tier {:?}: measured peak workspace must match the planned arena", sched
-                );
-            }
         }
     }
 
-    /// The one-shot `try_modgemm` pipeline (a throwaway plan per call)
-    /// runs every pinned tier; each must match the naive product
-    /// exactly.
+    /// `modgemm_premorton` borrows its Morton operands shared: it must
+    /// match the naive product exactly and leave both operand buffers as
+    /// they were.
     #[test]
     fn shared_reference_pipeline_runs_the_borrowable_tiers(
         m in 1usize..48,
@@ -187,23 +173,21 @@ proptest! {
     ) {
         let a: Matrix<i64> = random_matrix(m, k, seed);
         let b: Matrix<i64> = random_matrix(k, n, seed + 3);
-        let base = ModgemmConfig {
+        let cfg = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
             ..ModgemmConfig::paper()
         };
-        let expect = naive_product(&a, &b);
-        let mut c_auto: Matrix<i64> = Matrix::zeros(m, n);
-        modgemm::core::try_modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-            c_auto.view_mut(), &base).unwrap();
-        prop_assert_eq!(&c_auto, &expect, "the Auto tier must be exact");
-        // The plan owns its packed operands, so a pinned in-place tier
-        // runs as pinned and still computes the exact product.
-        for sched in Schedule::ALL {
-            let cfg = ModgemmConfig { schedule: SchedulePolicy::Fixed(sched), ..base };
-            let mut c: Matrix<i64> = Matrix::zeros(m, n);
-            modgemm::core::try_modgemm(1, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0,
-                c.view_mut(), &cfg).unwrap();
-            prop_assert_eq!(&c, &expect, "one-shot tier {:?} must be bitwise naive", sched);
+        // Extreme rectangles have no joint tiling; the one-shot path
+        // splits those, and the pre-Morton entry has no split.
+        if let Some(tiling) = cfg.plan(m, k, n) {
+            let layouts = layouts_of(&tiling);
+            let am = MortonMatrix::pack(a.view(), Op::NoTrans, layouts.a);
+            let bm = MortonMatrix::pack(b.view(), Op::NoTrans, layouts.b);
+            let (a0, b0) = (am.as_slice().to_vec(), bm.as_slice().to_vec());
+            let mut cm = MortonMatrix::zeros(m, n, layouts.c);
+            modgemm_premorton(&am, &bm, &mut cm, &cfg);
+            prop_assert_eq!(cm.to_matrix(), naive_product(&a, &b));
+            prop_assert!(am.as_slice() == &a0[..] && bm.as_slice() == &b0[..], "operands written");
         }
     }
 }
@@ -211,13 +195,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Cancelling an in-place batch DAG at every task-dequeue index:
-    /// each item task scribbles on its window slot's packed operand
-    /// quadrants mid-flight, so an interrupted run must never poison the
-    /// context — the warm follow-up must be allocation-free and
-    /// bit-identical.
+    /// Cancelling a batch DAG at every task-dequeue index: each item
+    /// task fills its window slot's arena temporaries and Morton C
+    /// mid-flight, so an interrupted run must never poison the context —
+    /// the warm follow-up must be allocation-free and bit-identical.
     #[test]
-    fn cancel_at_every_task_index_with_the_in_place_tier(
+    fn cancel_at_every_task_index_of_a_batch_dag(
         m in 24usize..56,
         k in 24usize..56,
         n in 24usize..56,
@@ -226,13 +209,11 @@ proptest! {
         let cfg = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
             threads: 4,
-            schedule: SchedulePolicy::Fixed(Schedule::InPlace),
             ..ModgemmConfig::paper()
         };
         let plan = BatchPlan::<i64>::try_new(m, k, n, 2, &cfg).unwrap();
         let tasks = plan.parallel_tasks() as u64;
         prop_assert!(tasks > 0, "these shapes must compile a batch DAG");
-        prop_assert_eq!(plan.item_plan().schedule(), Schedule::InPlace, "the pin must survive planning");
 
         let a: Matrix<i64> = random_matrix(m, 2 * k, seed);
         let b: Matrix<i64> = random_matrix(k, 2 * n, seed + 7);
@@ -264,28 +245,4 @@ proptest! {
                 "follow-up after cut {} must be allocation-free", cut);
         }
     }
-}
-
-/// One deterministic anchor so a broken harness assumption fails loudly:
-/// the two tiers pin distinct arena sizes for the same plan, ordered
-/// low-mem > in-place, and an unbudgeted `Auto` plan starts at low-mem.
-#[test]
-fn tiers_order_the_planned_arena() {
-    let mk = |schedule| {
-        let cfg =
-            ModgemmConfig { truncation: Truncation::Fixed(16), schedule, ..ModgemmConfig::paper() };
-        let plan = GemmPlan::<i64>::try_new(256, 256, 256, &cfg).unwrap();
-        (plan.schedule(), plan.arena_len())
-    };
-    let (lm, ip) = (Schedule::LowMem, Schedule::InPlace);
-    let (auto, lm_len, ip_len) = (
-        mk(SchedulePolicy::Auto),
-        mk(SchedulePolicy::Fixed(lm)).1,
-        mk(SchedulePolicy::Fixed(ip)).1,
-    );
-    assert_eq!(auto, (lm, lm_len), "Auto starts the ladder at low-mem");
-    assert!(lm_len > ip_len, "arena must shrink per tier: {lm_len} > {ip_len}");
-    // Square operands and the Blocked kernel (no packing tail): low-mem
-    // holds qa + qb + qc = 3q per staged level, in-place q.
-    assert_eq!(lm_len, 3 * ip_len);
 }

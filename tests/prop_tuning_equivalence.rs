@@ -43,9 +43,6 @@ fn decode_mode(
             threads,
             fuse_depth,
             batch_window: selector % 4,
-            // The schedule-tier axis rides the same draw: every tier is
-            // bit-identical on integers, so a tuned pin must be too.
-            schedule: modgemm::core::Schedule::ALL[selector % modgemm::core::Schedule::ALL.len()],
         }),
     }
 }
