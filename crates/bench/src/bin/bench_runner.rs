@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! bench_runner [--quick] [--out PATH] [--kernel NAME] [--threads N]
-//!              [--tuning off|profile] [--tunable-only]
 //! bench_runner compare OLD NEW
 //!              [--threshold 0.25] [--metric gflops|score]
 //! bench_runner gate-fused REPORT [--threshold 0.05]
@@ -31,7 +30,7 @@
 //! n = 512, isolating the kernel axis from the schedule axes), and the
 //! operand-fusion pair (`fused_vs_staged_513_{staged,fused}`: the packed
 //! kernel at n = 513, whose 33-wide leaves end in ragged tiles, with
-//! `fuse_depth` 0 versus the one fused level, which the `gate-fused`
+//! `fuse_depth` `Staged` versus `Fused`, which the `gate-fused`
 //! subcommand turns into CI's fused ≥ staged assertion on min-time
 //! GFLOP/s).
 //! The whole-batch scheduling pairs (`batch_64x64x64_n64` and
@@ -60,18 +59,8 @@
 //! to A/B one kernel. `--threads <n>` sets the worker count (the team
 //! size, or the batch DAG's workers) of every MODGEMM case that resolves
 //! it automatically; cases that pin a
-//! count — the `threads_*` sweep and the one-thread controls — keep it. `--tuning profile` sets `TuningMode::Profile` on
-//! every MODGEMM/plan-reuse case so plan selection consults the loaded
-//! tuning profile (`MODGEMM_PROFILE` / `~/.cache/modgemm/profile.json`,
-//! recorded by `modgemm-tune`); the default `Auto` leaf kernel lets the
-//! profile's kernel choice take effect. The `kernel_*` sweep cases and
-//! the `_paper` control stay fully untuned — they isolate
-//! the kernel axis under the static schedule, which a profile's
-//! schedule knobs would wreck. `--tunable-only` restricts the suite to
-//! the cases a profile can steer (plus the score reference); CI's
-//! tuned-vs-untuned gate passes it to both the `--tuning off` and
-//! `--tuning profile` runs so the 5% comparison covers exactly
-//! tuning's reach. `--quick` runs the same cases with fewer
+//! count — the `threads_*` sweep and the one-thread controls — keep it.
+//! `--quick` runs the same cases with fewer
 //! repetitions and names the suite `smoke` so CI baselines stay
 //! comparable. Exit codes: 0 ok, 1 regression, 2 usage or I/O error.
 //! See EXPERIMENTS.md for the schema and baseline workflow.
@@ -147,12 +136,7 @@ enum Algo {
     },
 }
 
-fn suite_cases(
-    kernel: Option<KernelKind>,
-    threads: Option<usize>,
-    tuned: bool,
-    tunable_only: bool,
-) -> Vec<Case> {
+fn suite_cases(kernel: Option<KernelKind>, threads: Option<usize>) -> Vec<Case> {
     let base = ModgemmConfig::default();
     // One worker: the controls that keep the thread axis out of a
     // comparison (`gate-default`, `gate-fused`).
@@ -183,20 +167,17 @@ fn suite_cases(
         }
     }
     // The operand-fusion pair: the packed kernel at n = 513 with the
-    // innermost Strassen level staged (fuse_depth 0) versus fused into
-    // packing and the scatter epilogue (fuse_depth MAX_FUSE — the level
-    // `Auto` fuses on a packing kernel). 513 pads to 33-wide leaves with
+    // innermost Strassen level staged versus fused into packing and the
+    // scatter epilogue (the level `Auto` fuses on a packing kernel). 513 pads to 33-wide leaves with
     // ragged edge tiles, the sizes fusion is for; at 512 every leaf is
     // whole 8×4 tiles and the two sides barely differ. Same schedule,
     // same kernel, one thread — only the fusion axis varies, and the
     // `gate-fused` subcommand asserts the fused case's min-time GFLOP/s
     // does not fall below the staged case's.
-    for (suffix, fuse) in [("staged", 0usize), ("fused", modgemm_core::fuse::MAX_FUSE)] {
-        let cfg = ModgemmConfig {
-            leaf_kernel: KernelKind::Packed,
-            fuse_depth: modgemm_core::FuseDepth::Fixed(fuse),
-            ..serial
-        };
+    for (suffix, fuse_depth) in
+        [("staged", modgemm_core::FuseDepth::Staged), ("fused", modgemm_core::FuseDepth::Fused)]
+    {
+        let cfg = ModgemmConfig { leaf_kernel: KernelKind::Packed, fuse_depth, ..serial };
         cases.push(case(&format!("fused_vs_staged_513_{suffix}"), 513, Algo::Modgemm(cfg)));
     }
     // The team-size sweep: the default configuration as a team of fixed
@@ -258,60 +239,6 @@ fn suite_cases(
                 Algo::Conventional | Algo::Service { .. } => {}
             }
         }
-    }
-    // --tuning profile: MODGEMM cases consult the loaded profile. The
-    // kernel_* sweep (and --kernel runs) stay fully untuned: the sweep
-    // isolates the kernel axis under the *static* schedule, and a
-    // profile recorded with the winning kernel would mutate the
-    // schedule knobs (e.g. the Strassen cutoff) under every pinned
-    // kernel, wrecking the sweep's comparability — and the CI
-    // tuned-vs-untuned gate with it. Cases running the default `Auto`
-    // kernel take the profile's kernel choice.
-    if tuned {
-        for c in &mut cases {
-            // The fused_vs_staged_*, batch_* and *_paper controls isolate
-            // the fusion, batch-scheduling and default-config axes the
-            // same way kernel_* isolates the kernel axis: all stay
-            // untuned so a profile's schedule knobs cannot skew the
-            // within-pair comparison.
-            if c.name.starts_with("kernel_")
-                || c.name.starts_with("fused_vs_staged_")
-                || c.name.starts_with("batch_")
-                || c.name.starts_with("budget_sweep_")
-                || c.name.ends_with("_paper")
-                || kernel.is_some()
-            {
-                continue;
-            }
-            match &mut c.algo {
-                Algo::Modgemm(cfg) | Algo::PlanReuse { cfg, .. } => {
-                    cfg.tuning = modgemm_core::TuningMode::Profile;
-                }
-                Algo::Conventional
-                | Algo::Service { .. }
-                | Algo::Batch { .. }
-                | Algo::BatchSerial { .. } => {}
-            }
-        }
-    }
-    // --tunable-only scopes the suite to the cases a profile can steer
-    // (plus the conventional reference the score normalizes by). The CI
-    // tuned-vs-untuned gate passes it to *both* runs: the kernel_* sweep
-    // and the service case run with identical configs under either
-    // tuning mode, so including them would feed the gate nothing but
-    // run-to-run noise — and `compare` treats a case dropped from one
-    // side as a regression, so the scoping has to be symmetric.
-    if tunable_only {
-        cases.retain(|c| match &c.algo {
-            Algo::Conventional => true,
-            Algo::Modgemm(_) | Algo::PlanReuse { .. } => {
-                !c.name.starts_with("kernel_")
-                    && !c.name.starts_with("fused_vs_staged_")
-                    && !c.name.starts_with("budget_sweep_")
-                    && !c.name.ends_with("_paper")
-            }
-            Algo::Service { .. } | Algo::Batch { .. } | Algo::BatchSerial { .. } => false,
-        });
     }
     cases
 }
@@ -628,7 +555,6 @@ fn metrics_json(m: &modgemm_core::ExecMetrics) -> Value {
         .with("temp_alloc_bytes", m.temp_alloc_bytes)
         .with("plans_built", m.plans_built)
         .with("plan_executions", m.plan_executions)
-        .with("profile_hits", m.profile_hits)
         .with("arena_bytes", m.arena_bytes)
         .with("conversion_fraction", m.breakdown.conversion_fraction())
         .with(
@@ -674,16 +600,12 @@ fn run_suite(
     out: Option<String>,
     kernel: Option<KernelKind>,
     threads: Option<usize>,
-    tuned: bool,
-    tunable_only: bool,
 ) -> ExitCode {
     let suite = if quick { "smoke" } else { "full" };
     let reps = if quick { 5 } else { 9 };
-    let tuning = if tuned { "profile" } else { "off" };
-    let scope = if tunable_only { " cases=tunable-only" } else { "" };
-    eprintln!("bench_runner: suite={suite} reps={reps} tuning={tuning}{scope}");
+    eprintln!("bench_runner: suite={suite} reps={reps}");
 
-    let cases = suite_cases(kernel, threads, tuned, tunable_only);
+    let cases = suite_cases(kernel, threads);
     let mut measured = Vec::new();
     for case in &cases {
         eprint!("  {} (n={}) ... ", case.name, case.n);
@@ -955,7 +877,7 @@ fn run_gate(gate: &Gate, args: &[String]) -> ExitCode {
 fn usage(msg: &str) -> ExitCode {
     eprintln!("bench_runner: {msg}");
     eprintln!(
-        "usage: bench_runner [--quick] [--out PATH] [--kernel naive|blocked|micro|packed|auto] [--threads N] [--tuning off|profile] [--tunable-only]\n       \
+        "usage: bench_runner [--quick] [--out PATH] [--kernel naive|blocked|micro|packed|auto] [--threads N]\n       \
          bench_runner compare OLD NEW [--threshold 0.25] [--metric gflops|score]\n       \
          bench_runner gate-fused|gate-batch|gate-default|gate-team REPORT [--threshold 0.05]"
     );
@@ -974,18 +896,10 @@ fn main() -> ExitCode {
     let mut out = None;
     let mut kernel = None;
     let mut threads = None;
-    let mut tuned = false;
-    let mut tunable_only = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--tuning" => match it.next().map(String::as_str) {
-                Some("off") => tuned = false,
-                Some("profile") => tuned = true,
-                _ => return usage("--tuning needs off|profile"),
-            },
-            "--tunable-only" => tunable_only = true,
             "--out" => match it.next() {
                 Some(p) => out = Some(p.clone()),
                 None => return usage("--out needs a path"),
@@ -1002,7 +916,7 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown option {other}")),
         }
     }
-    run_suite(quick, out, kernel, threads, tuned, tunable_only)
+    run_suite(quick, out, kernel, threads)
 }
 
 #[cfg(test)]
@@ -1087,7 +1001,7 @@ mod tests {
 
     #[test]
     fn threads_flag_sets_only_auto_resolved_cases() {
-        let cases = suite_cases(None, Some(3), false, false);
+        let cases = suite_cases(None, Some(3));
         let threads_of = |name: &str| match &cases.iter().find(|c| c.name == name).unwrap().algo {
             Algo::Modgemm(cfg) => cfg.threads,
             _ => unreachable!(),

@@ -8,7 +8,6 @@
 use criterion::Criterion;
 
 pub mod report;
-pub mod tune_sweep;
 
 /// A Criterion instance tuned so the full `cargo bench --workspace` run
 /// finishes in minutes: small sample counts, short measurement windows.

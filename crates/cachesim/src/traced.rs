@@ -53,14 +53,6 @@ impl TraceReport {
         sink.record_cache(hits, self.stats.misses);
     }
 
-    /// Misses summed over every hierarchy level — the deterministic
-    /// minimization objective of `modgemm-tune --cachesim`: a scalar
-    /// that orders candidate plans by total simulated data movement,
-    /// reproducible to the last count across runs and machines.
-    pub fn total_misses(&self) -> u64 {
-        self.levels.iter().map(|s| s.misses).sum()
-    }
-
     fn from_ctx(ctx: TraceCtx, result: Matrix<f64>) -> Self {
         Self {
             stats: ctx.stats(),

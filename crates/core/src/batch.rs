@@ -128,7 +128,7 @@ impl BatchDag {
     /// workspace reservation and use, kernel, packing traffic, per-level
     /// times and pool counters, context growth, and the batch's items,
     /// window and conversion/compute overlap. The caller records the
-    /// problem, tuning and plan-execution events.
+    /// problem and plan-execution events.
     ///
     /// # Safety
     ///
@@ -263,22 +263,17 @@ impl<S: Scalar> BatchPlan<S> {
         batch: usize,
         cfg: &ModgemmConfig,
     ) -> Result<Self, GemmError> {
-        Self::from_plan(GemmPlan::try_new(m, k, n, cfg)?, batch)
+        Ok(Self::from_plan(GemmPlan::try_new(m, k, n, cfg)?, batch))
     }
 
     /// Wraps an existing item plan (e.g. one from a service plan cache)
     /// into a batch plan for `batch` items.
-    pub fn from_plan(item: GemmPlan<S>, batch: usize) -> Result<Self, GemmError> {
-        let (m, k, n) = item.dims();
-        // The window derives from the *effective* config — a tuning
-        // profile may pin `batch_window` per shape — while the plan
-        // itself stores the caller's config, same split as `GemmPlan`.
-        let (eff, _) = crate::tune::effective_config(item.config(), m, k, n)?;
+    pub fn from_plan(item: GemmPlan<S>, batch: usize) -> Self {
         let dag = item
             .tiled()
             .filter(|_| batch >= 2)
-            .and_then(|tp| build_dag(tp, batch, resolve_window::<S>(&eff, tp, batch)));
-        Ok(BatchPlan { item, batch, dag })
+            .and_then(|tp| build_dag(tp, batch, resolve_window::<S>(item.config(), tp, batch)));
+        BatchPlan { item, batch, dag }
     }
 
     /// The per-item plan the batch was compiled around.
@@ -520,7 +515,6 @@ impl<S: Scalar> BatchPlan<S> {
         let (m, k, n) = self.item.dims();
         if K::ENABLED {
             sink.record_problem(m, k, n);
-            sink.record_tuning(self.item.profile_hit());
             // One planned-execution record per batch.
             sink.record_plan_execution((dag.ws_len() * size_of::<S>()) as u64);
         }

@@ -62,28 +62,28 @@ impl MemoryBudget {
     }
 }
 
-/// How many innermost Strassen levels run *fused* — pre-adds folded into
-/// operand packing and post-merges into the microkernel scatter epilogue
-/// ([`crate::fuse`]), with no S/T arena temporaries for those levels.
+/// Whether the innermost Strassen level runs *fused* — pre-adds folded
+/// into operand packing and post-merges into the microkernel scatter
+/// epilogue ([`crate::fuse`]), with no S/T arena temporaries for that
+/// level. Only one level can fuse ([`crate::fuse::MAX_FUSE`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum FuseDepth {
     /// Fuse while the packed kernel is eligible for the planned leaf
     /// tile (the combined-pack path is a bandwidth win only when the
-    /// panels feed a packing kernel): the one level
-    /// ([`crate::fuse::MAX_FUSE`]) that never loses to the staged
-    /// schedule (decided from the config alone, so the fused level, and
-    /// the float bits, do not depend on the resolved thread count).
-    /// Plans that resolve to a non-packing kernel stay staged; fusing
-    /// them takes `Fixed(1)`, a tuning profile, or memory-budget
-    /// pressure.
+    /// panels feed a packing kernel): the one level that never loses to
+    /// the staged schedule (decided from the config alone, so the fused
+    /// level, and the float bits, do not depend on the resolved thread
+    /// count). Plans that resolve to a non-packing kernel stay staged;
+    /// fusing them takes [`FuseDepth::Fused`] or memory-budget pressure.
     #[default]
     Auto,
-    /// Exactly this many fused levels (clamped to the recursion depth
-    /// actually taken), on every kernel: `0` or `1`
-    /// ([`crate::fuse::MAX_FUSE`]); [`ModgemmConfig::validate`] rejects
-    /// more. `Fixed(0)` pins the fully staged pipeline — the bit-exact
-    /// oracle.
-    Fixed(usize),
+    /// Every Strassen level runs staged, on every kernel — the
+    /// bit-exact oracle. A memory budget may still fuse the innermost
+    /// level to fit.
+    Staged,
+    /// The innermost Strassen level runs fused on every kernel (no-op
+    /// when the plan takes no Strassen level).
+    Fused,
 }
 
 /// What to do when an operand contains `NaN` or `±Inf`.
@@ -167,22 +167,12 @@ pub struct ModgemmConfig {
     /// carved from the plan arena); `Blocked` reproduces the paper (see
     /// [`Self::paper`]).
     pub leaf_kernel: modgemm_mat::KernelKind,
-    /// How many innermost Strassen levels run fused (no S/T arena
+    /// Whether the innermost Strassen level runs fused (no S/T arena
     /// temporaries; see [`FuseDepth`] and [`crate::fuse`]). `Auto`
-    /// (default) fuses [`crate::fuse::MAX_FUSE`] level whenever
-    /// the plan resolves to the packed kernel; with a `Blocked` leaf
-    /// kernel (as in [`Self::paper`]) the pipeline stays fully staged,
-    /// preserving the paper's layout.
+    /// (default) fuses it whenever the plan resolves to the packed
+    /// kernel; with a `Blocked` leaf kernel (as in [`Self::paper`]) the
+    /// pipeline stays fully staged, preserving the paper's layout.
     pub fuse_depth: FuseDepth,
-    /// Whether plan compilation consults a measured tuning profile
-    /// (see [`crate::tune`]). `Off` (default) reproduces the static
-    /// heuristics; `Profile` consults the process-global profile loaded
-    /// from `MODGEMM_PROFILE` / `~/.cache/modgemm/profile.json`;
-    /// `Forced` pins an exact operating point. The profile only fills
-    /// knobs the config leaves at their defaults (config > profile >
-    /// static heuristic). Part of the service plan-cache key, so tuned
-    /// and untuned plans for the same shape never alias.
-    pub tuning: crate::tune::TuningMode,
     /// In-flight window of the whole-batch DAG executor
     /// ([`crate::BatchPlan`]): how many batch items' packed operand /
     /// result / arena slots are resident at once. `0` (default) sizes the
@@ -206,7 +196,6 @@ impl Default for ModgemmConfig {
             verify_retries: 1,
             leaf_kernel: modgemm_mat::KernelKind::Auto,
             fuse_depth: FuseDepth::Auto,
-            tuning: crate::tune::TuningMode::Off,
             batch_window: 0,
         }
     }
@@ -251,24 +240,6 @@ impl ModgemmConfig {
             return Err(GemmError::InvalidConfig {
                 reason: "Freivalds verification needs at least one round",
             });
-        }
-        if let FuseDepth::Fixed(n) = self.fuse_depth {
-            if n > crate::fuse::MAX_FUSE {
-                return Err(GemmError::InvalidConfig {
-                    reason: concat!(
-                        "fuse_depth exceeds the supported maximum of ",
-                        crate::fuse::max_fuse!(),
-                        " fused level"
-                    ),
-                });
-            }
-        }
-        if let crate::tune::TuningMode::Forced(choice) = self.tuning {
-            if choice.tile_min > choice.tile_max {
-                return Err(GemmError::InvalidConfig {
-                    reason: "forced tuning choice has an inverted tile range",
-                });
-            }
         }
         Ok(())
     }
@@ -375,9 +346,9 @@ mod tests {
         assert_eq!(c.fuse_depth, FuseDepth::Auto);
         assert_eq!(resolved_512(&c), (modgemm_mat::KernelKind::Blocked, 0));
         assert!(c.validate().is_ok());
-        for n in 0..=crate::fuse::MAX_FUSE {
-            let c = ModgemmConfig { fuse_depth: FuseDepth::Fixed(n), ..Default::default() };
-            assert!(c.validate().is_ok(), "Fixed({n})");
+        for fuse_depth in [FuseDepth::Auto, FuseDepth::Staged, FuseDepth::Fused] {
+            let c = ModgemmConfig { fuse_depth, ..Default::default() };
+            assert!(c.validate().is_ok(), "{fuse_depth:?}");
         }
     }
 
@@ -397,7 +368,6 @@ mod tests {
                 verify: VerifyMode::Freivalds { rounds: 0, seed: 1 },
                 ..Default::default()
             },
-            ModgemmConfig { fuse_depth: FuseDepth::Fixed(3), ..Default::default() },
         ];
         for cfg in bad {
             assert!(

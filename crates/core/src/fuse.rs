@@ -53,21 +53,12 @@ use modgemm_mat::{KernelKind, LeafKernel, Scalar};
 use crate::exec::{packs, zero_share, NodeLayouts, Share, CONV_STEPS};
 use crate::terminal::{packed_terminal, Combo, Driver};
 
-/// [`MAX_FUSE`] as a literal token, so messages can quote the limit
-/// through `concat!` instead of restating it.
-macro_rules! max_fuse {
-    () => {
-        1
-    };
-}
-pub(crate) use max_fuse;
-
 /// Maximum number of Strassen levels that run fused: the one level
 /// `TABLE` covers. Each combined pack reads at most two quadrants for
 /// the panel write it replaces a staged add *and* a plain pack with, so
 /// this level never loses to the staged schedule; it is also what
 /// [`crate::config::FuseDepth::Auto`] fuses on a packing kernel.
-pub const MAX_FUSE: usize = max_fuse!();
+pub const MAX_FUSE: usize = 1;
 
 /// Capacity of a fused operand combo: the ≤ 2 terms of a classical
 /// Strassen table entry. Matches the kernel-side bound

@@ -275,11 +275,6 @@ pub(crate) fn buffer_needs<S: Scalar>(
     if m == 0 || k == 0 || n == 0 {
         return None;
     }
-    // Apply tuning exactly as `GemmPlan::try_new` will, so the service's
-    // admission-time estimate matches what the tuned plan really carves.
-    // A profile that fails to load here falls back to the untuned sizing
-    // (plan compilation will surface the typed error).
-    let cfg = &crate::tune::effective_config(cfg, m, k, n).map(|(c, _)| c).unwrap_or(*cfg);
     let plan = cfg.plan(m, k, n)?;
     let layouts = try_layouts_of(&plan).ok()?;
     let policy = capped_policy::<S>(layouts, cfg);
@@ -473,7 +468,7 @@ pub(crate) fn capped_policy<S: Scalar>(layouts: NodeLayouts, cfg: &ModgemmConfig
     // Auto fuses only when the plan resolved to the packed kernel (the
     // combined packs and scatter epilogue are its bandwidth win), at the
     // one level the fused table covers ([`crate::fuse::MAX_FUSE`]);
-    // Fixed pins the level count on any kernel. The rule reads the
+    // Staged and Fused pin it on any kernel. The rule reads the
     // config, never the resolved thread count, so float bits match at
     // every `MODGEMM_THREADS`. Clamped to the levels the recursion
     // actually takes so plan facts stay honest.
@@ -482,8 +477,8 @@ pub(crate) fn capped_policy<S: Scalar>(layouts: NodeLayouts, cfg: &ModgemmConfig
         crate::config::FuseDepth::Auto if kernel == modgemm_mat::KernelKind::Packed => {
             crate::fuse::MAX_FUSE
         }
-        crate::config::FuseDepth::Auto => 0,
-        crate::config::FuseDepth::Fixed(n) => n.min(crate::fuse::MAX_FUSE),
+        crate::config::FuseDepth::Auto | crate::config::FuseDepth::Staged => 0,
+        crate::config::FuseDepth::Fused => crate::fuse::MAX_FUSE,
     }
     .min(levels);
     let budget = cfg.memory_budget.max_elements(core::mem::size_of::<S>());
@@ -706,10 +701,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fuse_depth")]
+    #[should_panic(expected = "Freivalds verification needs at least one round")]
     fn premorton_validates_the_config() {
         let cfg = ModgemmConfig {
-            fuse_depth: crate::config::FuseDepth::Fixed(2),
+            verify: crate::config::VerifyMode::Freivalds { rounds: 0, seed: 1 },
             ..ModgemmConfig::paper()
         };
         let layouts = layouts_of(&cfg.plan(64, 64, 64).unwrap());

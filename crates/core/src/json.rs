@@ -1,12 +1,11 @@
 //! A minimal JSON value, emitter, and parser.
 //!
 //! The build environment vendors no serde, so the workspace carries its
-//! own tiny JSON layer, shared by the tuning profile ([`crate::tune`]),
-//! the bench harness and the experiment drivers. It covers exactly what
-//! the machine-readable artifacts need: objects with ordered keys,
-//! arrays, strings, f64 numbers, booleans, and null — emitted
-//! deterministically (stable key order, shortest-roundtrip floats) and
-//! parsed back for `bench-compare` and the profile loader.
+//! own tiny JSON layer, shared by the bench harness and the experiment
+//! drivers. It covers exactly what the machine-readable artifacts need:
+//! objects with ordered keys, arrays, strings, f64 numbers, booleans,
+//! and null — emitted deterministically (stable key order,
+//! shortest-roundtrip floats) and parsed back for `bench-compare`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

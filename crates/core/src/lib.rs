@@ -63,7 +63,6 @@ pub mod pool;
 pub mod rect;
 pub mod schedule;
 pub mod service;
-pub mod tune;
 pub mod verify;
 
 mod terminal;
@@ -87,10 +86,6 @@ pub use pool::{
 pub use rect::{classify, Shape};
 pub use schedule::Schedule;
 pub use service::{GemmRequest, GemmService, GemmTicket, ServiceConfig};
-pub use tune::{
-    profile_path, ProfileEntry, TunedChoice, TuningMode, TuningProfile, MODGEMM_PROFILE_ENV,
-    PROFILE_SCHEMA_VERSION,
-};
 pub use verify::{verify_gemm, verify_product};
 
 /// Pooled-versus-serial equivalence tests of single GEMMs.

@@ -224,14 +224,6 @@ pub trait MetricsSink {
         let _ = arena_bytes;
     }
 
-    /// Whether a tuning profile entry (or forced [`crate::TunedChoice`])
-    /// drove the executed plan's selection (`true`), or the static
-    /// heuristics alone did (`false`). Recorded once per plan execution,
-    /// alongside [`MetricsSink::record_plan_execution`].
-    fn record_tuning(&mut self, profile_hit: bool) {
-        let _ = profile_hit;
-    }
-
     /// Wall time attributed exclusively to recursion level `level`
     /// (additions at Strassen nodes; the whole conventional subtree at
     /// the handover level).
@@ -339,10 +331,6 @@ pub struct ExecMetrics {
     /// Executions of prepared plans. `plan_executions / plans_built` is
     /// the amortization factor of plan reuse.
     pub plan_executions: u64,
-    /// Executions whose plan selection was driven by a tuning profile
-    /// (see [`crate::tune`]); `plan_executions - profile_hits` ran on the
-    /// static heuristics.
-    pub profile_hits: u64,
     /// Peak workspace-arena span of any executed plan, in bytes.
     pub arena_bytes: u64,
     /// Exclusive wall time per recursion level (index = level; grown on
@@ -505,12 +493,6 @@ impl MetricsSink for CollectingSink {
     fn record_plan_execution(&mut self, arena_bytes: u64) {
         self.metrics.plan_executions += 1;
         self.metrics.arena_bytes = self.metrics.arena_bytes.max(arena_bytes);
-    }
-
-    fn record_tuning(&mut self, profile_hit: bool) {
-        if profile_hit {
-            self.metrics.profile_hits += 1;
-        }
     }
 
     fn record_level_time(&mut self, level: usize, elapsed: Duration) {

@@ -27,7 +27,7 @@ mod tests {
     fn cfg(tile: usize, threads: usize) -> ModgemmConfig {
         ModgemmConfig {
             truncation: Truncation::Fixed(tile),
-            fuse_depth: FuseDepth::Fixed(0),
+            fuse_depth: FuseDepth::Staged,
             threads,
             ..ModgemmConfig::paper()
         }
@@ -233,10 +233,8 @@ mod tests {
         // race-check fused execution under real concurrency.
         let staged =
             |tile, threads| ModgemmConfig { leaf_kernel: KernelKind::Packed, ..cfg(tile, threads) };
-        let fused = |tile, threads| ModgemmConfig {
-            fuse_depth: FuseDepth::Fixed(1),
-            ..staged(tile, threads)
-        };
+        let fused =
+            |tile, threads| ModgemmConfig { fuse_depth: FuseDepth::Fused, ..staged(tile, threads) };
         let n = TEAM_N;
         let a: Matrix<i64> = random_matrix(n, n, 61);
         let b: Matrix<i64> = random_matrix(n, n, 62);
@@ -383,12 +381,9 @@ mod tests {
         // a rectangle whose Strassen recursion stops above the leaves
         // (`strassen_min`), so conventional levels sit below the terminal
         // and the team splits it by C sub-quadrant.
-        for fuse in [0, 1] {
-            let at = |leaf_kernel| ModgemmConfig {
-                leaf_kernel,
-                fuse_depth: FuseDepth::Fixed(fuse),
-                ..ModgemmConfig::default()
-            };
+        for fuse_depth in [FuseDepth::Staged, FuseDepth::Fused] {
+            let at =
+                |leaf_kernel| ModgemmConfig { leaf_kernel, fuse_depth, ..ModgemmConfig::default() };
             let packed = at(KernelKind::Packed);
             team_case((513, 513, 513), packed, (1.5f64, -0.5), f64::NAN);
             team_case((513, 513, 513), packed, (3i64, -2), i64::MIN);

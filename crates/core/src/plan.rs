@@ -1025,10 +1025,6 @@ pub struct GemmPlan<S> {
     /// rectangular for a joint tiling; execution then early-outs or runs
     /// the §3.5 submatrix split (each sub-product planning itself).
     strategy: Option<TiledPlan>,
-    /// True when a tuning profile (or forced choice) drove plan
-    /// selection — reported through [`MetricsSink::record_tuning`] on
-    /// every execution.
-    profile_hit: bool,
     _marker: PhantomData<fn() -> S>,
 }
 
@@ -1039,41 +1035,23 @@ impl<S: Scalar> GemmPlan<S> {
     /// schedule, arena offsets and team size.
     pub fn try_new(m: usize, k: usize, n: usize, cfg: &ModgemmConfig) -> Result<Self, GemmError> {
         cfg.validate()?;
-        // Tuning resolves here, at the single plan-compilation choke
-        // point: the effective configuration (config > profile > static
-        // heuristic, see `crate::tune`) drives every plan-time decision
-        // below, while the *original* config — including its
-        // `TuningMode` — is what the plan stores, so §3.5 split
-        // sub-plans re-consult the profile at their own sub-shapes. A
-        // corrupt profile file surfaces typed here, before any layout
-        // work.
-        let (eff, profile_hit) = crate::tune::effective_config(cfg, m, k, n)?;
         // Resolve workers fallibly up front so a malformed
         // `MODGEMM_THREADS` surfaces as `InvalidConfig` here instead of
         // being silently ignored deep in the executor.
-        crate::pool::try_resolve_threads(eff.threads)?;
+        crate::pool::try_resolve_threads(cfg.threads)?;
         let strategy = if m == 0 || k == 0 || n == 0 {
             // Degenerate problems never reach an executor; the early-outs
             // in `try_execute_with_metrics` handle them.
             None
         } else {
-            eff.plan(m, k, n)
+            cfg.plan(m, k, n)
                 .map(|tiling| {
                     let layouts = try_layouts_of(&tiling)?;
-                    Ok(TiledPlan::new::<S>(layouts, capped_policy::<S>(layouts, &eff), &eff))
+                    Ok(TiledPlan::new::<S>(layouts, capped_policy::<S>(layouts, cfg), cfg))
                 })
                 .transpose()?
         };
-        Ok(Self { m, k, n, cfg: *cfg, strategy, profile_hit, _marker: PhantomData })
-    }
-
-    /// True when a tuning profile entry (or a
-    /// [`crate::tune::TuningMode::Forced`] choice) drove this plan's
-    /// selection; false when the static heuristics alone did. Also
-    /// reported through [`MetricsSink::record_tuning`] on every
-    /// execution.
-    pub fn profile_hit(&self) -> bool {
-        self.profile_hit
+        Ok(Self { m, k, n, cfg: *cfg, strategy, _marker: PhantomData })
     }
 
     /// The logical problem dimensions `(m, k, n)` this plan was compiled
@@ -1265,7 +1243,6 @@ impl<S: Scalar> GemmPlan<S> {
         if K::ENABLED {
             sink.record_problem(m, k, n);
             sink.record_plan_execution(self.arena_bytes());
-            sink.record_tuning(self.profile_hit);
         }
 
         if m == 0 || n == 0 {
@@ -1689,65 +1666,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_context_stays_allocation_free_with_profile_loaded() {
-        // The tuned counterpart of the allocation-free acceptance
-        // criterion: a plan whose selection was driven by a tuning
-        // profile (Forced mode — the same application path a loaded
-        // file drives, minus the filesystem) must still execute
-        // allocation-free on a warm context, and must report the
-        // profile hit through the sink.
-        let choice = crate::tune::TunedChoice {
-            tile_min: 16,
-            tile_max: 64,
-            strassen_min: 32,
-            kernel: KernelKind::Packed,
-            threads: 0,
-            fuse_depth: crate::fuse::MAX_FUSE,
-            batch_window: 0,
-        };
-        let cfg = ModgemmConfig {
-            leaf_kernel: KernelKind::Auto,
-            tuning: crate::tune::TuningMode::Forced(choice),
-            ..Default::default()
-        };
-        let (m, k, n) = (150usize, 150usize, 150usize);
-        let a: Matrix<f64> = random_matrix(m, k, 5);
-        let b: Matrix<f64> = random_matrix(k, n, 6);
-        let p: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
-        assert!(p.profile_hit(), "a forced choice must count as a profile hit");
-        let mut ctx = GemmContext::new();
-        let mut c: Matrix<f64> = Matrix::zeros(m, n);
-        p.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
-        let mut warm = CollectingSink::new();
-        p.try_execute_with_metrics(
-            1.0,
-            Op::NoTrans,
-            a.view(),
-            Op::NoTrans,
-            b.view(),
-            0.0,
-            c.view_mut(),
-            &mut ctx,
-            &mut warm,
-        )
-        .unwrap();
-        assert_eq!(
-            warm.metrics.temp_alloc_bytes, 0,
-            "tuned warm execution must be allocation-free"
-        );
-        assert_eq!(warm.metrics.temp_allocations, 0);
-        assert_eq!(warm.metrics.profile_hits, 1, "the sink must see the profile hit");
-        assert_eq!(
-            warm.metrics.kernel_selected,
-            Some(KernelKind::Packed),
-            "the forced kernel choice must drive plan-time selection"
-        );
-        // An untuned plan of the same shape reports no hit.
-        let untuned: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &ModgemmConfig::default()).unwrap();
-        assert!(!untuned.profile_hit());
-    }
-
-    #[test]
     fn warm_parallel_execution_is_allocation_free_too() {
         // threads = 0 resolves from the machine (may degrade to serial on
         // one core); threads = 6 forces a team of six whatever the
@@ -1866,17 +1784,17 @@ mod tests {
         let cfg0 = ModgemmConfig {
             truncation: Truncation::Fixed(40),
             leaf_kernel: KernelKind::Packed,
-            fuse_depth: crate::config::FuseDepth::Fixed(0),
+            fuse_depth: crate::config::FuseDepth::Staged,
             threads: 4,
             ..Default::default()
         };
-        // 320 = 40·2^3: three Strassen levels, all staged (Fixed(0)
+        // 320 = 40·2^3: three Strassen levels, all staged (`Staged`
         // starts the fuse rung at zero), and above the team crossover.
         let (m, k, n) = (320usize, 320usize, 320usize);
         let l = MortonLayout::new(40, 40, 3);
         let layouts = NodeLayouts::new(l, l, l);
         let policy0 = crate::gemm::capped_policy::<f64>(layouts, &cfg0);
-        assert_eq!(policy0.fuse, 0, "Fixed(0) keeps every level staged");
+        assert_eq!(policy0.fuse, 0, "Staged keeps every level staged");
         let f1 = ExecPolicy { fuse: 1, ..policy0 };
         let ws = |p| workspace_len(layouts, p);
         // The arena of a team of `w` ranks: the serial arena, one tail per

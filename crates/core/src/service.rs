@@ -697,10 +697,7 @@ impl<S: Scalar + 'static> GemmService<S> {
             Ok((plan, _hit)) => plan,
             Err(e) => return Some(Err(e)),
         };
-        let bplan = match BatchPlan::from_plan((*plan).clone(), items.len()) {
-            Ok(p) => p,
-            Err(e) => return Some(Err(e)),
-        };
+        let bplan = BatchPlan::from_plan((*plan).clone(), items.len());
         if bplan.parallel_tasks() == 0 {
             return None;
         }

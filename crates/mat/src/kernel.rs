@@ -175,27 +175,6 @@ impl KernelKind {
         }
     }
 
-    /// [`KernelKind::resolve`] with an external selection hint — the hook
-    /// a tuning profile drives. Only [`KernelKind::Auto`] delegates: when
-    /// `self` is `Auto` and a hint is present, the hint is taken (itself
-    /// resolved, so a hinted `Auto` still lands on a concrete kind);
-    /// every concrete kind ignores the hint, preserving the precedence
-    /// "explicit configuration beats measured profile". With no hint this
-    /// is exactly [`KernelKind::resolve`].
-    #[must_use]
-    pub fn resolve_with_hint(
-        self,
-        hint: Option<KernelKind>,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> KernelKind {
-        match (self, hint) {
-            (KernelKind::Auto, Some(h)) => h.resolve(m, k, n),
-            _ => self.resolve(m, k, n),
-        }
-    }
-
     /// Packing workspace (elements) one `m × k × n` leaf multiply needs
     /// under this kind: [`packed_len`] for `Packed` (after resolving
     /// `Auto`), zero for every non-packing kernel. Element counts, not
@@ -420,27 +399,6 @@ mod tests {
             assert_eq!(kind.pack_len(64, 64, 64), 0);
         }
         assert_eq!(KernelKind::Packed.pack_len(9, 5, 6), crate::pack::packed_len(9, 5, 6));
-    }
-
-    #[test]
-    fn resolve_with_hint_only_sways_auto() {
-        // Auto takes the hint…
-        assert_eq!(
-            KernelKind::Auto.resolve_with_hint(Some(KernelKind::Naive), 64, 64, 64),
-            KernelKind::Naive
-        );
-        // …and a hinted Auto still resolves to something concrete.
-        let hinted_auto = KernelKind::Auto.resolve_with_hint(Some(KernelKind::Auto), 64, 64, 64);
-        assert!(matches!(hinted_auto, KernelKind::Packed | KernelKind::Blocked));
-        // Concrete kinds ignore the hint entirely.
-        for kind in [KernelKind::Naive, KernelKind::Blocked, KernelKind::Packed] {
-            assert_eq!(kind.resolve_with_hint(Some(KernelKind::Blocked), 64, 64, 64), kind);
-        }
-        // No hint degenerates to plain resolve.
-        assert_eq!(
-            KernelKind::Auto.resolve_with_hint(None, 4, 64, 64),
-            KernelKind::Auto.resolve(4, 64, 64)
-        );
     }
 
     #[test]

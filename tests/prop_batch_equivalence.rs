@@ -139,10 +139,7 @@ proptest! {
         let cfg = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
             leaf_kernel: KernelKind::ALL[kernel_ix],
-            fuse_depth: match fuse_sel {
-                0 => FuseDepth::Auto,
-                d => FuseDepth::Fixed(d - 1),
-            },
+            fuse_depth: [FuseDepth::Auto, FuseDepth::Staged, FuseDepth::Fused][fuse_sel],
             threads: THREADS[threads_ix],
             batch_window: window_knob,
             ..ModgemmConfig::paper()

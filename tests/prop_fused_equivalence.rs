@@ -45,7 +45,7 @@ proptest! {
 
     /// The i64 bit-exactness oracle across the whole fusion matrix:
     /// ragged shapes, strided operands, every kernel, the one fused
-    /// level. The staged run (`Fixed(0)`) is the reference; the
+    /// level. The staged run (`Staged`) is the reference; the
     /// padding gap in the strided output must come through untouched.
     #[test]
     fn fused_is_bit_identical_to_staged_on_i64(
@@ -83,8 +83,8 @@ proptest! {
             cb
         };
 
-        let staged = run(FuseDepth::Fixed(0));
-        let fused = run(FuseDepth::Fixed(MAX_FUSE));
+        let staged = run(FuseDepth::Staged);
+        let fused = run(FuseDepth::Fused);
         // Whole backing buffers: equality covers the product, the beta
         // blend, and the untouched sentinel rows in the ld gap at once.
         prop_assert_eq!(&fused, &staged, "kernel {}", kernel);
@@ -93,42 +93,37 @@ proptest! {
 
 #[test]
 fn fused_plans_execute_allocation_free_on_a_warm_context() {
-    for fuse in 1..=MAX_FUSE {
-        let cfg = ModgemmConfig {
-            leaf_kernel: KernelKind::Packed,
-            fuse_depth: FuseDepth::Fixed(fuse),
-            ..Default::default()
-        };
-        let (m, k, n) = (150usize, 130, 140);
-        let plan = GemmPlan::<f64>::try_new(m, k, n, &cfg).unwrap();
-        assert_eq!(plan.fused_levels(), fuse, "the plan must actually fuse");
-        let a: Matrix<f64> = random_matrix(m, k, 21);
-        let b: Matrix<f64> = random_matrix(k, n, 22);
-        let mut ctx = GemmContext::new();
-        let mut c: Matrix<f64> = Matrix::zeros(m, n);
-        plan.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
-        let mut warm = CollectingSink::new();
-        let mut c2: Matrix<f64> = Matrix::zeros(m, n);
-        plan.try_execute_with_metrics(
-            1.0,
-            Op::NoTrans,
-            a.view(),
-            Op::NoTrans,
-            b.view(),
-            0.0,
-            c2.view_mut(),
-            &mut ctx,
-            &mut warm,
-        )
-        .unwrap();
-        assert_eq!(c2, c, "warm fused re-execution must be deterministic");
-        assert_eq!(
-            warm.metrics.temp_alloc_bytes, 0,
-            "fuse {fuse}: warm fused execution must be allocation-free"
-        );
-        assert_eq!(warm.metrics.temp_allocations, 0);
-        assert_eq!(warm.metrics.fused_levels, fuse, "the sink must report the fused levels");
-    }
+    let cfg = ModgemmConfig {
+        leaf_kernel: KernelKind::Packed,
+        fuse_depth: FuseDepth::Fused,
+        ..Default::default()
+    };
+    let (m, k, n) = (150usize, 130, 140);
+    let plan = GemmPlan::<f64>::try_new(m, k, n, &cfg).unwrap();
+    assert_eq!(plan.fused_levels(), MAX_FUSE, "the plan must actually fuse");
+    let a: Matrix<f64> = random_matrix(m, k, 21);
+    let b: Matrix<f64> = random_matrix(k, n, 22);
+    let mut ctx = GemmContext::new();
+    let mut c: Matrix<f64> = Matrix::zeros(m, n);
+    plan.execute(a.view(), b.view(), c.view_mut(), &mut ctx);
+    let mut warm = CollectingSink::new();
+    let mut c2: Matrix<f64> = Matrix::zeros(m, n);
+    plan.try_execute_with_metrics(
+        1.0,
+        Op::NoTrans,
+        a.view(),
+        Op::NoTrans,
+        b.view(),
+        0.0,
+        c2.view_mut(),
+        &mut ctx,
+        &mut warm,
+    )
+    .unwrap();
+    assert_eq!(c2, c, "warm fused re-execution must be deterministic");
+    assert_eq!(warm.metrics.temp_alloc_bytes, 0, "warm fused execution must be allocation-free");
+    assert_eq!(warm.metrics.temp_allocations, 0);
+    assert_eq!(warm.metrics.fused_levels, MAX_FUSE, "the sink must report the fused levels");
 }
 
 #[test]
@@ -143,7 +138,7 @@ fn cancel_mid_dag_covers_fused_leaf_tasks() {
         // fused one.
         truncation: modgemm::core::Truncation::MinPadding(modgemm::morton::TileRange::new(4, 16)),
         leaf_kernel: KernelKind::Packed,
-        fuse_depth: FuseDepth::Fixed(MAX_FUSE),
+        fuse_depth: FuseDepth::Fused,
         threads: 4,
         ..Default::default()
     };

@@ -43,7 +43,7 @@ fn fill_i64(len: usize, seed: u64) -> Vec<i64> {
 fn tiled_cfg(tile: usize, threads: usize) -> ModgemmConfig {
     ModgemmConfig {
         truncation: Truncation::Fixed(tile),
-        fuse_depth: FuseDepth::Fixed(0),
+        fuse_depth: FuseDepth::Staged,
         threads,
         ..ModgemmConfig::paper()
     }

@@ -2,18 +2,23 @@
 //! [`GemmPlan`] must be *observationally identical* to the legacy
 //! one-shot pipeline it refactors.
 //!
-//! * For random shapes, `(α, β)` pairs, transposes, and truncation
-//!   policies, planned execution over **integer** matrices is
-//!   bit-identical to `try_modgemm` — both paths run the same flattened
-//!   schedule over the same arena layout, so even Strassen's
-//!   reassociation cannot distinguish them.
+//! * For random shapes, `(α, β)` pairs, transposes, truncation
+//!   policies, kernels, thread counts, fuse depths and batch windows,
+//!   planned execution over **integer** matrices — warm, cold, and as a
+//!   two-item [`BatchPlan`] — is bit-identical to `try_modgemm` and to
+//!   the naive oracle: a knob changes *which* plan is built, never
+//!   *what* it computes.
 //! * The `try_*` planning and execution paths never panic: mismatched
 //!   operands and degenerate dimensions all come back as `Ok` or a typed
 //!   [`GemmError`].
 
 use modgemm::core::plan::GemmPlan;
-use modgemm::core::{try_modgemm, GemmContext, GemmError, ModgemmConfig, Truncation, VerifyMode};
+use modgemm::core::{
+    try_modgemm, BatchPlan, FuseDepth, GemmContext, GemmError, ModgemmConfig, StridedBatch,
+    Truncation, VerifyMode,
+};
 use modgemm::mat::gen::random_matrix;
+use modgemm::mat::naive::naive_gemm;
 use modgemm::mat::{KernelKind, Matrix, Op};
 use modgemm::morton::TileRange;
 use proptest::prelude::*;
@@ -43,7 +48,8 @@ proptest! {
     /// Planned execution is bit-identical to the one-shot path on
     /// integer matrices, across shapes (including split-prone
     /// rectangles), scaling parameters, transposes, truncation policies,
-    /// and leaf kernels.
+    /// leaf kernels, thread counts, fuse depths and batch windows; every
+    /// result equals the one naive product.
     #[test]
     fn planned_execute_is_bit_identical_to_one_shot(
         m in 1usize..48,
@@ -58,12 +64,18 @@ proptest! {
         trunc_width in 4usize..20,
         kernel_sel in 0usize..5,
         strassen_min in 0usize..12,
+        threads in 0usize..4,
+        fuse_sel in 0usize..3,
+        batch_window in 0usize..4,
         seed in 0u64..1000,
     ) {
         let cfg = ModgemmConfig {
             truncation: decode_truncation(trunc_kind, trunc_lo, trunc_width),
             leaf_kernel: decode_kernel(kernel_sel),
             strassen_min,
+            threads,
+            fuse_depth: [FuseDepth::Auto, FuseDepth::Staged, FuseDepth::Fused][fuse_sel],
+            batch_window,
             ..Default::default()
         };
         let (ar, ac) = op_a.apply_dims(m, k);
@@ -72,9 +84,13 @@ proptest! {
         let b: Matrix<i64> = random_matrix(br, bc, seed + 1);
         let c0: Matrix<i64> = random_matrix(m, n, seed + 2);
 
+        let mut expected = c0.clone();
+        naive_gemm(alpha, op_a, a.view(), op_b, b.view(), beta, expected.view_mut());
+
         let mut c_legacy = c0.clone();
         try_modgemm(alpha, op_a, a.view(), op_b, b.view(), beta, c_legacy.view_mut(), &cfg)
             .expect("legacy path must accept well-formed operands");
+        prop_assert_eq!(&c_legacy, &expected);
 
         let plan = GemmPlan::<i64>::try_new(m, k, n, &cfg)
             .expect("planning must accept a valid configuration");
@@ -84,7 +100,7 @@ proptest! {
             alpha, op_a, a.view(), op_b, b.view(), beta, c_planned.view_mut(), &mut ctx,
         )
         .expect("planned path must accept matching operands");
-        prop_assert_eq!(&c_planned, &c_legacy);
+        prop_assert_eq!(&c_planned, &expected);
 
         // A second execution on the warm context must agree too.
         let mut c_again = c0.clone();
@@ -92,7 +108,21 @@ proptest! {
             alpha, op_a, a.view(), op_b, b.view(), beta, c_again.view_mut(), &mut ctx,
         )
         .expect("warm re-execution must succeed");
-        prop_assert_eq!(&c_again, &c_legacy);
+        prop_assert_eq!(&c_again, &expected);
+
+        // The plan as a two-item batch (both items broadcast the same
+        // operands; the threads and window shape the batch DAG) agrees
+        // item by item.
+        let batch = BatchPlan::from_plan(plan, 2);
+        let desc = StridedBatch {
+            alpha, op_a, a: a.as_slice(), lda: ar, stride_a: 0,
+            op_b, b: b.as_slice(), ldb: br, stride_b: 0,
+            beta, ldc: m, stride_c: m * n,
+        };
+        let mut c_batch = [c0.as_slice(), c0.as_slice()].concat();
+        batch.try_execute(&desc, &mut c_batch, &mut ctx).expect("batch must execute");
+        prop_assert_eq!(&c_batch[..m * n], expected.as_slice());
+        prop_assert_eq!(&c_batch[m * n..], expected.as_slice());
     }
 
     /// The `try_*` plan paths are total: wrong-shaped operands, degenerate

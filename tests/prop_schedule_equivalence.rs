@@ -117,7 +117,7 @@ proptest! {
         let cfg = ModgemmConfig {
             truncation: Truncation::MinPadding(TileRange::new(4, 16)),
             leaf_kernel: KernelKind::ALL[kernel_ix],
-            fuse_depth: modgemm::core::FuseDepth::Fixed(fuse),
+            fuse_depth: [modgemm::core::FuseDepth::Staged, modgemm::core::FuseDepth::Fused][fuse],
             threads: THREADS[threads_ix],
             ..ModgemmConfig::paper()
         };
