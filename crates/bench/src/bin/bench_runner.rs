@@ -14,11 +14,15 @@
 //! The declared suite covers the paper's axes: GEMM at 256 (power of
 //! two), 513 and 1025 (worst-case padding, 33-wide leaves) under the
 //! default configuration, plus `modgemm_{513,1025}_serial` (the default
-//! on one thread) and `modgemm_513_paper` and `modgemm_1025_paper` under
+//! on one thread), `modgemm_{513,1025}_deep_serial` (the same with the
+//! paper's `strassen_min: 0`, Strassen down to single tiles over the
+//! packed kernel: the default's shape before the crossover) and
+//! `modgemm_513_paper` and `modgemm_1025_paper` under
 //! [`ModgemmConfig::paper`] (the staged `Blocked` pipeline, also one
 //! thread). The `gate-default` subcommand turns the `_serial`/`_paper`
-//! pairs into CI's assertion that the default never falls back below the
-//! paper's kernel on min-time GFLOP/s, and `gate-team` turns the
+//! and `_serial`/`_deep_serial` pairs into CI's assertion that the
+//! default never falls back below the paper's kernel, nor below its own
+//! full-depth shape, on min-time GFLOP/s, and `gate-team` turns the
 //! default/`_serial` pairs into the assertion that running the default
 //! as a team of the resolved workers never loses to one thread (a
 //! tautology on a one-core runner, like `gate-batch`). A truncation sweep
@@ -29,8 +33,9 @@
 //! leaf-kernel sweep (`kernel_<name>_512` for every [`KernelKind`] at
 //! n = 512, isolating the kernel axis from the schedule axes), and the
 //! operand-fusion pair (`fused_vs_staged_513_{staged,fused}`: the packed
-//! kernel at n = 513, whose 33-wide leaves end in ragged tiles, with
-//! `fuse_depth` `Staged` versus `Fused`, which the `gate-fused`
+//! kernel at n = 513 and `strassen_min: 0`, whose 33-wide leaves end in
+//! ragged tiles, with `fuse_depth` `Staged` versus `Fused`, which the
+//! `gate-fused`
 //! subcommand turns into CI's fused ≥ staged assertion on min-time
 //! GFLOP/s).
 //! The whole-batch scheduling pairs (`batch_64x64x64_n64` and
@@ -46,7 +51,7 @@
 //! the serial control).
 //! The budget sweep (`budget_sweep_1024_{full,half,quarter,eighth}`)
 //! runs the default configuration under an unbounded budget and 1/2,
-//! 1/4, 1/8 of the default plan's full-depth workspace, charting what the
+//! 1/4, 1/8 of the default plan's workspace, charting what the
 //! degradation ladder preserves as the budget shrinks.
 //! The `service_mixed_256_513` case drives the [`GemmService`] front-end
 //! with mixed 256/513 traffic from two client threads; its `secs_*` are
@@ -141,15 +146,20 @@ fn suite_cases(kernel: Option<KernelKind>, threads: Option<usize>) -> Vec<Case> 
     // One worker: the controls that keep the thread axis out of a
     // comparison (`gate-default`, `gate-fused`).
     let serial = ModgemmConfig { threads: 1, ..base };
+    // The paper's truncation (Strassen down to single tiles) on the
+    // default's packed kernel and fused innermost level, one thread.
+    let deep_serial = ModgemmConfig { strassen_min: 0, ..serial };
     let trunc = |strassen_min| ModgemmConfig { strassen_min, ..ModgemmConfig::default() };
     let case = |name: &str, n, algo| Case { name: name.to_string(), n, algo };
     let mut cases = vec![
         case("modgemm_256", 256, Algo::Modgemm(base)),
         case("modgemm_513", 513, Algo::Modgemm(base)),
         case("modgemm_513_serial", 513, Algo::Modgemm(serial)),
+        case("modgemm_513_deep_serial", 513, Algo::Modgemm(deep_serial)),
         case("modgemm_513_paper", 513, Algo::Modgemm(ModgemmConfig::paper())),
         case("modgemm_1025", 1025, Algo::Modgemm(base)),
         case("modgemm_1025_serial", 1025, Algo::Modgemm(serial)),
+        case("modgemm_1025_deep_serial", 1025, Algo::Modgemm(deep_serial)),
         case("modgemm_1025_paper", 1025, Algo::Modgemm(ModgemmConfig::paper())),
         case(SCORE_REFERENCE_CASE, 256, Algo::Conventional),
         case("modgemm_256_trunc16", 256, Algo::Modgemm(trunc(16))),
@@ -168,16 +178,17 @@ fn suite_cases(kernel: Option<KernelKind>, threads: Option<usize>) -> Vec<Case> 
     }
     // The operand-fusion pair: the packed kernel at n = 513 with the
     // innermost Strassen level staged versus fused into packing and the
-    // scatter epilogue (the level `Auto` fuses on a packing kernel). 513 pads to 33-wide leaves with
-    // ragged edge tiles, the sizes fusion is for; at 512 every leaf is
-    // whole 8×4 tiles and the two sides barely differ. Same schedule,
-    // same kernel, one thread — only the fusion axis varies, and the
-    // `gate-fused` subcommand asserts the fused case's min-time GFLOP/s
-    // does not fall below the staged case's.
+    // scatter epilogue (the level `Auto` fuses on a packing kernel).
+    // `strassen_min: 0`, because the default plans no level at 513. 513
+    // pads to 33-wide leaves with ragged edge tiles, the sizes fusion is
+    // for; at 512 every leaf is whole 8×4 tiles and the two sides barely
+    // differ. Same schedule, same kernel, one thread — only the fusion
+    // axis varies, and the `gate-fused` subcommand asserts the fused
+    // case's min-time GFLOP/s does not fall below the staged case's.
     for (suffix, fuse_depth) in
         [("staged", modgemm_core::FuseDepth::Staged), ("fused", modgemm_core::FuseDepth::Fused)]
     {
-        let cfg = ModgemmConfig { leaf_kernel: KernelKind::Packed, fuse_depth, ..serial };
+        let cfg = ModgemmConfig { leaf_kernel: KernelKind::Packed, fuse_depth, ..deep_serial };
         cases.push(case(&format!("fused_vs_staged_513_{suffix}"), 513, Algo::Modgemm(cfg)));
     }
     // The team-size sweep: the default configuration as a team of fixed
@@ -189,9 +200,10 @@ fn suite_cases(kernel: Option<KernelKind>, threads: Option<usize>) -> Vec<Case> 
     }
     // The budget sweep: the default configuration at n = 1024 under an
     // unbounded budget and 1/2, 1/4, 1/8 of the default plan's
-    // full-depth workspace. The degradation ladder absorbs the pressure
-    // (the fused level first, then the team, then recursion depth), so
-    // the four cases chart throughput versus admitted workspace.
+    // workspace. The default stages no level at 1024, so the ladder
+    // absorbs the pressure with the packed terminal's driver span and B
+    // panel, then the team; the four cases chart throughput versus
+    // admitted workspace.
     let full_ws_bytes = modgemm_core::GemmPlan::<f64>::try_new(1024, 1024, 1024, &base)
         .expect("valid config")
         .arena_len()
@@ -770,16 +782,20 @@ const GATES: [Gate; 4] = [
         failure: "batched min-time GFLOP/s below the serial loop",
     },
     // The default configuration must never fall back below the paper's
-    // staged Blocked pipeline, including at the padding worst cases whose
-    // 33-wide leaves end in ragged register tiles. Both sides run one
-    // thread, so the gate compares kernels and schedules only.
+    // staged Blocked pipeline, nor below its own kernel at the paper's
+    // full Strassen depth (the default's shape before the crossover),
+    // including at the padding worst cases whose 33-wide leaves end in
+    // ragged register tiles. Both sides run one thread, so the gate
+    // compares kernels, schedules and plan shapes only.
     Gate {
         cmd: "gate-default",
         pairs: &[
             ("modgemm_513_paper", "modgemm_513_serial"),
             ("modgemm_1025_paper", "modgemm_1025_serial"),
+            ("modgemm_513_deep_serial", "modgemm_513_serial"),
+            ("modgemm_1025_deep_serial", "modgemm_1025_serial"),
         ],
-        failure: "default-config min-time GFLOP/s below the paper configuration",
+        failure: "default-config min-time GFLOP/s below the paper configuration or depth",
     },
     // Running the default as a team of the resolved workers must never
     // lose to the same plan on one thread. On a one-core runner the team
@@ -961,22 +977,29 @@ mod tests {
         let gate = GATES.iter().find(|g| g.cmd == "gate-default").unwrap();
         // Either pair may carry the candidate under test; the other one
         // is a comfortable pass.
-        let verdict = |default: f64, at_1025: bool| {
+        // The paper runs at 10 GFLOP/s and the full-depth default at 8
+        // (or the reverse), so whichever control is faster decides.
+        let verdict = |default: f64, at_1025: bool, deep: f64| {
             let (d513, d1025) = if at_1025 { (20.0, default) } else { (default, 20.0) };
+            let (p, d) = (18.0 - deep, deep);
             let r = report(&[
                 ("modgemm_513_serial", d513),
-                ("modgemm_513_paper", 10.0),
+                ("modgemm_513_paper", p),
+                ("modgemm_513_deep_serial", d),
                 ("modgemm_1025_serial", d1025),
-                ("modgemm_1025_paper", 10.0),
+                ("modgemm_1025_paper", p),
+                ("modgemm_1025_deep_serial", d),
             ]);
             let lines = check_gate(gate, &r, 0.05).unwrap();
-            assert_eq!(lines.len(), 2);
+            assert_eq!(lines.len(), 4);
             lines.iter().all(|(_, ok)| *ok)
         };
         for at_1025 in [false, true] {
-            assert!(verdict(20.0, at_1025), "faster default passes");
-            assert!(verdict(9.6, at_1025), "inside the 5% noise floor passes");
-            assert!(!verdict(9.0, at_1025), "a default slower than the paper config fails");
+            for deep in [8.0, 10.0] {
+                assert!(verdict(20.0, at_1025, deep), "faster default passes");
+                assert!(verdict(9.6, at_1025, deep), "inside the 5% noise floor passes");
+                assert!(!verdict(9.0, at_1025, deep), "a default slower than a control fails");
+            }
         }
         let missing = report(&[("modgemm_513_serial", 20.0), ("modgemm_513_paper", 10.0)]);
         assert!(check_gate(gate, &missing, 0.05).is_err(), "a missing 1025 pair is an error");
@@ -1009,6 +1032,7 @@ mod tests {
         assert_eq!(threads_of("modgemm_513"), 3, "--threads sets the team");
         assert_eq!(threads_of("modgemm_513_serial"), 1);
         assert_eq!(threads_of("modgemm_513_paper"), 1);
+        assert_eq!(threads_of("modgemm_1025_deep_serial"), 1);
         assert_eq!(threads_of("fused_vs_staged_513_fused"), 1);
         assert_eq!(threads_of("threads_8_1024"), 8, "the sweep keeps its team size");
     }

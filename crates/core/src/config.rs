@@ -9,6 +9,18 @@ use modgemm_morton::tiling::{choose_joint_tiling, fixed_tile_tiling, JointTiling
 
 use crate::error::GemmError;
 
+/// Default [`ModgemmConfig::strassen_min`]: a node runs a Strassen level
+/// only while its smallest padded dimension exceeds this. Huang et al.'s
+/// model (*Implementing Strassen's Algorithm with BLIS*) prices a level
+/// at a node of smallest dimension `d` as a saving of `d³/4` flops at the
+/// packed terminal's rate against `c·d²` extra add and pack traffic, so a
+/// level pays only above a fixed `d`. Fitted to the terminal on a
+/// two-vCPU AVX-512F host, that crossover lies at 2.2k on one and on two
+/// threads, and no level won at 1024³, 1536³ or 2048³ on either
+/// (EXPERIMENTS.md, "Default plan shape"). A constant, not a measurement
+/// at run time, so float bits depend only on the config and the shape.
+pub const STRASSEN_CROSSOVER: usize = 2048;
+
 /// How the recursion truncation point (leaf tile size) is chosen — the
 /// central knob of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,6 +87,9 @@ pub enum FuseDepth {
     /// level, and the float bits, do not depend on the resolved thread
     /// count). Plans that resolve to a non-packing kernel stay staged;
     /// fusing them takes [`FuseDepth::Fused`] or memory-budget pressure.
+    /// Under the default [`ModgemmConfig::strassen_min`] a plan takes a
+    /// level only above [`STRASSEN_CROSSOVER`], so `Auto` fuses that one
+    /// level there, or wherever a lower `strassen_min` admits levels.
     #[default]
     Auto,
     /// Every Strassen level runs staged, on every kernel — the
@@ -131,9 +146,12 @@ pub enum VerifyMode {
 pub struct ModgemmConfig {
     /// Leaf tile selection policy.
     pub truncation: Truncation,
-    /// Hand over to the conventional Morton recursion once
-    /// `min(m, k, n) ≤ strassen_min`. `0` (default) reproduces the paper:
-    /// Strassen at every quadrant division.
+    /// Hand over to the conventional Morton recursion once a node's
+    /// padded `min(m, k, n) ≤ strassen_min`. The default,
+    /// [`STRASSEN_CROSSOVER`], runs a level only where one measures
+    /// faster over the packed terminal, so a shape whose padded smallest
+    /// dimension is at most 2048 runs conventionally. `0` reproduces the
+    /// paper (see [`Self::paper`]): Strassen at every quadrant division.
     pub strassen_min: usize,
     /// Worker count for the pool (calling thread included): the team
     /// size of a single GEMM above a small-problem crossover (the team
@@ -188,7 +206,7 @@ impl Default for ModgemmConfig {
     fn default() -> Self {
         Self {
             truncation: Truncation::default(),
-            strassen_min: 0,
+            strassen_min: STRASSEN_CROSSOVER,
             threads: 0,
             memory_budget: MemoryBudget::Unlimited,
             non_finite: NonFinitePolicy::Propagate,
@@ -203,14 +221,21 @@ impl Default for ModgemmConfig {
 
 impl ModgemmConfig {
     /// The configuration used for the paper's headline experiments: the
-    /// default with the leaf kernel pinned to `Blocked`, so `FuseDepth::Auto`
-    /// resolves to zero fused levels and every Strassen level runs the
-    /// staged schedule the paper describes, on one thread (the paper's
-    /// single-CPU setting). The figure drivers and the cache-simulator
-    /// mirror in `modgemm-cachesim` run it; [`Self::default`] is the
-    /// measured fast path.
+    /// default with Strassen at every quadrant division (`strassen_min:
+    /// 0`, the paper's truncation down to single tiles) and the leaf
+    /// kernel pinned to `Blocked`, so `FuseDepth::Auto` resolves to zero
+    /// fused levels and every Strassen level runs the staged schedule the
+    /// paper describes, on one thread (the paper's single-CPU setting).
+    /// The figure drivers and the cache-simulator mirror in
+    /// `modgemm-cachesim` run it; [`Self::default`] is the measured fast
+    /// path.
     pub fn paper() -> Self {
-        Self { leaf_kernel: modgemm_mat::KernelKind::Blocked, threads: 1, ..Self::default() }
+        Self {
+            strassen_min: 0,
+            leaf_kernel: modgemm_mat::KernelKind::Blocked,
+            threads: 1,
+            ..Self::default()
+        }
     }
 
     /// Checks the configuration for self-contradictions. Every `try_*`
@@ -275,9 +300,10 @@ mod tests {
         // configuration pins the single-CPU setting.
         let c = ModgemmConfig::default();
         assert_eq!(c.truncation, Truncation::MinPadding(TileRange::PAPER));
-        assert_eq!(c.strassen_min, 0);
+        assert_eq!(c.strassen_min, STRASSEN_CROSSOVER);
         assert_eq!(c.threads, 0); // 0 = auto (MODGEMM_THREADS / CPU count)
         assert_eq!(ModgemmConfig::paper().threads, 1);
+        assert_eq!(ModgemmConfig::paper().strassen_min, 0);
     }
 
     #[test]
@@ -311,25 +337,67 @@ mod tests {
         assert!(c.plan(10000, 3, 10000).is_some());
     }
 
-    /// Plan-time `(kernel, fused levels)` of a 512³ `f64` multiply.
-    fn resolved_512(cfg: &ModgemmConfig) -> (modgemm_mat::KernelKind, usize) {
-        let layouts = crate::layouts_of(&cfg.plan(512, 512, 512).unwrap());
+    /// Plan-time `(kernel, Strassen levels, fused levels)` of an `n³`
+    /// `f64` multiply.
+    fn resolved(cfg: &ModgemmConfig, n: usize) -> (modgemm_mat::KernelKind, usize, usize) {
+        let layouts = crate::layouts_of(&cfg.plan(n, n, n).unwrap());
         let policy = crate::gemm::capped_policy::<f64>(layouts, cfg);
-        (policy.kernel, policy.fuse)
+        (policy.kernel, crate::counts::strassen_levels(layouts, policy), policy.fuse)
     }
 
     #[test]
     fn default_is_the_measured_fast_path() {
+        // The packed terminal with no Strassen level at 512³ (the levels
+        // above the crossover are
+        // `default_plans_stage_no_level_below_the_crossover`'s).
         let c = ModgemmConfig::default();
         assert_eq!(c.leaf_kernel, modgemm_mat::KernelKind::Auto);
         assert_eq!(c.fuse_depth, FuseDepth::Auto);
-        let (kernel, fused) = resolved_512(&c);
-        if modgemm_mat::simd::has_vector_unit() {
-            assert_eq!(kernel, modgemm_mat::KernelKind::Packed);
-            assert_eq!(fused, crate::fuse::MAX_FUSE);
+        let kernel = if modgemm_mat::simd::has_vector_unit() {
+            modgemm_mat::KernelKind::Packed
         } else {
-            assert_eq!((kernel, fused), (modgemm_mat::KernelKind::Blocked, 0));
+            modgemm_mat::KernelKind::Blocked
+        };
+        assert_eq!(resolved(&c, 512), (kernel, 0, 0));
+    }
+
+    #[test]
+    fn default_plans_stage_no_level_below_the_crossover() {
+        // Plans only, no execution. Every shape the end-to-end workloads
+        // run (blas_large, blas_small's ceiling, service_mixed and the
+        // batch_strided items) runs conventionally by default. A shape
+        // whose padded smallest dimension lies in (X, 2X] takes exactly
+        // one level, fused over the packed terminal, and the paper's
+        // configuration keeps Strassen down to single tiles.
+        let default = ModgemmConfig::default();
+        let levels = |cfg: &ModgemmConfig, (m, k, n): (usize, usize, usize)| {
+            let p = crate::GemmPlan::<f64>::try_new(m, k, n, cfg).unwrap();
+            (p.strassen_levels(), p.fused_levels())
+        };
+        for shape in [
+            (256, 256, 256),
+            (384, 200, 300),
+            (513, 513, 513),
+            (640, 640, 640),
+            (768, 768, 768),
+            (1000, 1000, 1000),
+            (1025, 1025, 1025),
+            (1100, 900, 1000),
+            (64, 64, 64),
+            (128, 128, 128),
+            (192, 160, 128),
+        ] {
+            assert_eq!(levels(&default, shape), (0, 0), "{shape:?}");
         }
+        let one = (3000, 3000, 3000);
+        let tiling = default.plan(one.0, one.1, one.2).unwrap();
+        let dmin = tiling.m.padded.min(tiling.k.padded).min(tiling.n.padded);
+        assert!(dmin > STRASSEN_CROSSOVER && dmin <= 2 * STRASSEN_CROSSOVER, "{dmin}");
+        let fused = usize::from(modgemm_mat::simd::has_vector_unit());
+        assert_eq!(levels(&default, one), (1, fused), "{one:?}");
+        let paper = ModgemmConfig::paper();
+        assert_eq!(levels(&paper, (513, 513, 513)), (4, 0));
+        assert_eq!(levels(&paper, (1025, 1025, 1025)), (5, 0));
     }
 
     #[test]
@@ -337,14 +405,19 @@ mod tests {
         let c = ModgemmConfig::paper();
         assert_eq!(
             c,
-            ModgemmConfig { leaf_kernel: c.leaf_kernel, threads: 1, ..ModgemmConfig::default() }
+            ModgemmConfig {
+                strassen_min: 0,
+                leaf_kernel: c.leaf_kernel,
+                threads: 1,
+                ..ModgemmConfig::default()
+            }
         );
         assert_eq!(c.memory_budget, MemoryBudget::Unlimited);
         assert_eq!(c.non_finite, NonFinitePolicy::Propagate);
         assert_eq!(c.verify, VerifyMode::Off);
         assert_eq!(c.leaf_kernel, modgemm_mat::KernelKind::Blocked);
         assert_eq!(c.fuse_depth, FuseDepth::Auto);
-        assert_eq!(resolved_512(&c), (modgemm_mat::KernelKind::Blocked, 0));
+        assert_eq!(resolved(&c, 513), (modgemm_mat::KernelKind::Blocked, 4, 0));
         assert!(c.validate().is_ok());
         for fuse_depth in [FuseDepth::Auto, FuseDepth::Staged, FuseDepth::Fused] {
             let c = ModgemmConfig { fuse_depth, ..Default::default() };

@@ -345,8 +345,8 @@ mod tests {
         // One-tile spans are the per-leaf loop: 8³ leaves, both tiles.
         let per_leaf = KernelKind::Packed.pack_len(4, 4, 4) as u64;
         assert_eq!(packed_bytes(square(4, 3), conv, (0, 1), 8), 512 * per_leaf * 8);
-        // The blas_budget shape: 513³ pads to 33 << 4, one fused level
-        // over 8 × 8 conventional tiles, 7 products.
+        // 513³ at `strassen_min: 0` under a quarter of its arena: 33 << 4,
+        // one fused level over 8 × 8 conventional tiles, 7 products.
         let l = square(33, 4);
         let budget = ExecPolicy { strassen_min: 528 >> 1, fuse: 1, ..packed };
         assert_eq!((strassen_levels(l, budget), fused_levels(l, budget)), (1, 1));

@@ -790,14 +790,16 @@ mod tests {
         let b: Matrix<f64> = random_matrix(n, n, 131);
         let expect = naive_product(&a, &b);
         // From unlimited down to zero extra bytes: always a correct
-        // product, never an error.
+        // product, never an error. `strassen_min: 0` starts the ladder
+        // from Strassen levels for it to fuse and drop.
         for budget in [
             MemoryBudget::Unlimited,
             MemoryBudget::MaxWorkspaceBytes(64 * 1024),
             MemoryBudget::MaxWorkspaceBytes(4 * 1024),
             MemoryBudget::MaxWorkspaceBytes(0),
         ] {
-            let cfg = ModgemmConfig { memory_budget: budget, ..Default::default() };
+            let cfg =
+                ModgemmConfig { strassen_min: 0, memory_budget: budget, ..Default::default() };
             let mut c: Matrix<f64> = Matrix::zeros(n, n);
             try_modgemm(1.0, Op::NoTrans, a.view(), Op::NoTrans, b.view(), 0.0, c.view_mut(), &cfg)
                 .unwrap();
@@ -1133,12 +1135,13 @@ mod tests {
 
     #[test]
     fn auto_fuse_ignores_the_thread_count() {
-        // Packed 48×48 leaves: Auto fuses MAX_FUSE levels at every depth
-        // and whatever the thread count resolves to, so the float bits
-        // do not depend on it.
+        // Packed 48×48 leaves at the paper's depth (`strassen_min: 0`):
+        // Auto fuses MAX_FUSE levels at every depth and whatever the
+        // thread count resolves to, so the float bits do not depend on it.
         let fused_at = |depth: usize, threads: usize| {
             let l = modgemm_morton::MortonLayout::new(48, 48, depth);
             let cfg = ModgemmConfig {
+                strassen_min: 0,
                 leaf_kernel: modgemm_mat::KernelKind::Packed,
                 threads,
                 ..ModgemmConfig::default()

@@ -192,10 +192,10 @@ mod tests {
         );
         assert!(m.bytes_packed > 0);
 
-        // A budget-shaped plan (513³ under a quarter of the default
-        // arena): one fused level over 8 × 8 conventional tiles on a team
-        // of two, two tile columns per packed B panel. The team reports
-        // the serial packing model of that plan.
+        // A budget-shaped plan (513³ at `strassen_min: 0` under a quarter
+        // of its arena): one fused level over 8 × 8 conventional tiles on
+        // a team of two, two tile columns per packed B panel. The team
+        // reports the serial packing model of that plan.
         let budgeted = budget_quarter_cfg(513, 2);
         let p = plan::<f64>(513, 513, 513, &budgeted);
         let tp = p.tiled().unwrap();
@@ -211,14 +211,16 @@ mod tests {
         assert!(want < per_tile / 3, "the driver packs well under a third of the per-tile loop");
     }
 
-    /// `ModgemmConfig::default()` on `threads` workers under a quarter of
-    /// the default plan's arena at `n³` — the e2e `blas_budget` sizing.
+    /// The default at the paper's depth (`strassen_min: 0`) on `threads`
+    /// workers under a quarter of that plan's arena at `n³` — the e2e
+    /// `blas_budget` sizing, over plans that take Strassen levels.
     fn budget_quarter_cfg(n: usize, threads: usize) -> ModgemmConfig {
-        let free = plan::<f64>(n, n, n, &ModgemmConfig::default()).arena_len();
+        let deep = ModgemmConfig { strassen_min: 0, ..ModgemmConfig::default() };
+        let free = plan::<f64>(n, n, n, &deep).arena_len();
         ModgemmConfig {
             memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(free * 8 / 4),
             threads,
-            ..ModgemmConfig::default()
+            ..deep
         }
     }
 
@@ -382,9 +384,14 @@ mod tests {
         // (`strassen_min`), so conventional levels sit below the terminal
         // and the team splits it by C sub-quadrant.
         for fuse_depth in [FuseDepth::Staged, FuseDepth::Fused] {
-            let at =
-                |leaf_kernel| ModgemmConfig { leaf_kernel, fuse_depth, ..ModgemmConfig::default() };
+            let at = |leaf_kernel| ModgemmConfig {
+                strassen_min: 0,
+                leaf_kernel,
+                fuse_depth,
+                ..ModgemmConfig::default()
+            };
             let packed = at(KernelKind::Packed);
+            assert_eq!(plan::<f64>(513, 513, 513, &packed).strassen_levels(), 4);
             team_case((513, 513, 513), packed, (1.5f64, -0.5), f64::NAN);
             team_case((513, 513, 513), packed, (3i64, -2), i64::MIN);
             for kernel in [KernelKind::Blocked, KernelKind::Naive] {
@@ -396,11 +403,11 @@ mod tests {
             let cut = ModgemmConfig { strassen_min: 100, ..at(KernelKind::Blocked) };
             team_case((330, 200, 270), cut, (3i64, -2), i64::MIN);
         }
-        // The blas_budget shape: 513³ under a quarter of the default
-        // arena runs one fused level over 8 × 8 conventional tiles on the
-        // packed terminal. Two ranks take two tile columns per B panel,
-        // three (the most the budget holds, also at 4 and 7 workers) one,
-        // and the one-thread run six.
+        // The blas_budget shape at the paper's depth: 513³ under a quarter
+        // of its arena runs one fused level over 8 × 8 conventional tiles
+        // on the packed terminal. Two ranks take two tile columns per B
+        // panel, three (the most the budget holds, also at 4 and 7
+        // workers) one, and the one-thread run six.
         team_case((513, 513, 513), budget_quarter_cfg(513, 0), (1.5f64, -0.5), f64::NAN);
     }
 
@@ -409,10 +416,15 @@ mod tests {
         // The team's only memory beyond the serial arena: one terminal
         // tail per extra rank and the deepest staged level's second
         // temporaries, carved after the arena.
-        let cfg =
-            |threads, memory_budget| ModgemmConfig { threads, memory_budget, ..Default::default() };
+        let cfg = |threads, memory_budget| ModgemmConfig {
+            strassen_min: 0,
+            threads,
+            memory_budget,
+            ..Default::default()
+        };
         let unlimited = crate::config::MemoryBudget::Unlimited;
         let one = plan::<f64>(1000, 1000, 1000, &cfg(1, unlimited));
+        assert!(one.strassen_levels() >= 1);
         let tp1 = one.tiled().unwrap();
         assert_eq!(tp1.ws_len(), one.arena_len());
         let paired = crate::plan::paired_len(tp1.layouts, tp1.policy);

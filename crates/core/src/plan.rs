@@ -1582,16 +1582,16 @@ mod tests {
         // execution with a reused GemmContext — for every leaf kernel,
         // including Packed (whose panel buffers must come from the plan
         // arena, never a fresh allocation) and Auto — and for a
-        // budget-shaped plan (513³ under a quarter of its default arena:
-        // one fused level over 8 × 8 tiles on a team of two, whose packed
-        // terminal widens its B panel to two tile columns).
-        let quarter =
-            GemmPlan::<f64>::try_new(513, 513, 513, &Default::default()).unwrap().arena_len() / 4;
+        // budget-shaped plan (513³ at `strassen_min: 0` under a quarter of
+        // its arena: one fused level over 8 × 8 tiles on a team of two,
+        // whose packed terminal widens its B panel to two tile columns).
+        let deep = ModgemmConfig { strassen_min: 0, ..Default::default() };
+        let quarter = GemmPlan::<f64>::try_new(513, 513, 513, &deep).unwrap().arena_len() / 4;
         let budgeted = ModgemmConfig {
             leaf_kernel: KernelKind::Packed,
             memory_budget: crate::config::MemoryBudget::MaxWorkspaceBytes(quarter * 8),
             threads: 2,
-            ..Default::default()
+            ..deep
         };
         let kernels = [KernelKind::Blocked, KernelKind::Packed, KernelKind::Auto]
             .map(|leaf_kernel| (ModgemmConfig { leaf_kernel, ..Default::default() }, 150));
@@ -1673,7 +1673,9 @@ mod tests {
         // allocation-free. 300 pads to 304 > 256, above the team
         // crossover.
         for threads in [0usize, 6] {
-            let cfg = ModgemmConfig { threads, ..Default::default() };
+            // `strassen_min: 0`, so the team also carves the paired
+            // temporaries of its staged levels.
+            let cfg = ModgemmConfig { strassen_min: 0, threads, ..Default::default() };
             let (m, k, n) = (300usize, 300usize, 300usize);
             let a: Matrix<f64> = random_matrix(m, k, 7);
             let b: Matrix<f64> = random_matrix(k, n, 8);
@@ -1725,7 +1727,8 @@ mod tests {
     fn serial_and_pooled_runs_report_identical_plan_facts() {
         // A serial and a team execution of the same problem report
         // identical plans_built / flop / level counts, and both report
-        // per-level wall times (the team's rank 0 walks every level).
+        // per-level wall times (the team's rank 0 walks every level of
+        // the paper-depth recursion, `strassen_min: 0`).
         let (m, k, n) = (300usize, 300usize, 300usize);
         let a: Matrix<f64> = random_matrix(m, k, 31);
         let b: Matrix<f64> = random_matrix(k, n, 32);
@@ -1749,7 +1752,8 @@ mod tests {
             .unwrap();
             (sink.into_metrics(), c)
         };
-        let pooled_cfg = ModgemmConfig { threads: 5, ..Default::default() };
+        let pooled_cfg = ModgemmConfig { strassen_min: 0, threads: 5, ..Default::default() };
+        assert!(GemmPlan::<f64>::try_new(m, k, n, &pooled_cfg).unwrap().strassen_levels() >= 1);
         let (serial, c_serial) = run(&ModgemmConfig { threads: 1, ..pooled_cfg });
         let (pooled, c_pooled) = run(&pooled_cfg);
 
@@ -1783,6 +1787,7 @@ mod tests {
         // before a Strassen level goes.
         let cfg0 = ModgemmConfig {
             truncation: Truncation::Fixed(40),
+            strassen_min: 0,
             leaf_kernel: KernelKind::Packed,
             fuse_depth: crate::config::FuseDepth::Staged,
             threads: 4,
@@ -1863,21 +1868,22 @@ mod tests {
     #[test]
     fn blas_budget_plans_stay_pinned() {
         // The blas_budget shapes, each under a quarter of the unbudgeted
-        // plan's arena. That is less than one top-level C quadrant, so
-        // no level can stage: the ladder fuses the innermost level and
-        // drops the levels below the top one. The team of two keeps both
-        // ranks, and the arena with the helper's tail stays within the
-        // budget. Pinning the arenas keeps a ladder edit from moving the
+        // plan's arena. The default plans stage no level, so the ladder
+        // has no level to fuse or drop: the team of two keeps both ranks
+        // and the packed terminal's driver span and B panel shrink until
+        // both ranks' slots fit the budget. That is less than one
+        // top-level C quadrant, so no level could stage either. Pinning
+        // the arenas and spans keeps a ladder edit from moving the
         // benchmark's plans unnoticed. The product stays bitwise the
         // unbudgeted one (i64, 513³).
         let cfg =
             ModgemmConfig { leaf_kernel: KernelKind::Packed, threads: 2, ..Default::default() };
-        for ((m, k, n), arena) in [
-            ((513, 513, 513), 29_568),
-            ((576, 576, 576), 32_256),
-            ((640, 640, 640), 38_400),
-            ((704, 704, 704), 47_872),
-            ((768, 640, 704), 57_600),
+        for ((m, k, n), arena, driver) in [
+            ((513, 513, 513), 20_064, (3, 1)),
+            ((576, 576, 576), 21_888, (3, 1)),
+            ((640, 640, 640), 25_600, (3, 1)),
+            ((704, 704, 704), 23_936, (2, 2)),
+            ((768, 640, 704), 21_760, (2, 2)),
         ] {
             let free: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg).unwrap();
             let budget = free.arena_len() * 8 / 4;
@@ -1886,8 +1892,9 @@ mod tests {
             let quarter: GemmPlan<f64> = GemmPlan::try_new(m, k, n, &cfg_q).unwrap();
             let tp = quarter.tiled().unwrap();
             let shape = format!("{m}x{k}x{n}");
-            assert_eq!((quarter.strassen_levels(), quarter.fused_levels()), (1, 1), "{shape}");
+            assert_eq!((quarter.strassen_levels(), quarter.fused_levels()), (0, 0), "{shape}");
             assert_eq!((tp.team, quarter.arena_len()), (2, arena), "{shape}");
+            assert_eq!(tp.driver.shape(), driver, "{shape}");
             let (pm, pn) = (tp.layouts.c.rows(), tp.layouts.c.cols());
             assert!(budget / 8 < (pm / 2) * (pn / 2), "{shape}: a quarter stages no level");
             assert!(tp.ws_len() * 8 <= budget, "{shape}: {} > {budget}", tp.ws_len() * 8);
@@ -1915,34 +1922,45 @@ mod tests {
     }
 
     #[test]
-    fn half_default_arena_at_1024_runs_one_fused_level() {
-        // Half the default arena at 1024³ no longer holds the top staged
-        // level, so the ladder fuses the one level over the packed
-        // terminal instead.
+    fn half_default_arena_at_1024_shortens_the_conventional_span() {
+        // The default plan at 1024³ stages no level: its team of two
+        // packs over a driver span of the whole 4-level tree and four
+        // tile columns per B panel. Half that arena keeps the packed
+        // kernel and both ranks; the span drops to three levels at one
+        // column. The ladder only raises `strassen_min`, so it never adds
+        // the one fused level whose arena would also fit.
         let n = 1024;
         let cfg =
             ModgemmConfig { leaf_kernel: KernelKind::Packed, threads: 2, ..Default::default() };
-        let budget = GemmPlan::<f64>::try_new(n, n, n, &cfg).unwrap().arena_len() * 8 / 2;
+        let free = GemmPlan::<f64>::try_new(n, n, n, &cfg).unwrap();
+        assert_eq!((free.strassen_levels(), free.tiled().unwrap().driver.shape()), (0, (4, 4)));
+        let budget = free.arena_len() * 8 / 2;
         let memory_budget = crate::config::MemoryBudget::MaxWorkspaceBytes(budget);
         let half = ModgemmConfig { memory_budget, ..cfg };
         let p: GemmPlan<f64> = GemmPlan::try_new(n, n, n, &half).unwrap();
-        assert_eq!((p.strassen_levels(), p.fused_levels()), (1, 1));
-        assert!(p.tiled().unwrap().ws_len() * 8 <= budget);
+        let tp = p.tiled().unwrap();
+        assert_eq!((p.strassen_levels(), p.fused_levels()), (0, 0));
+        assert_eq!((tp.team, tp.policy.kernel, tp.driver.shape()), (2, KernelKind::Packed, (3, 1)));
+        assert!(tp.ws_len() * 8 <= budget);
         assert_budgeted_product_is_unbudgeted((n, n, n), &cfg, &half);
     }
 
     #[test]
     fn span_team_and_panel_take_what_the_budget_leaves_in_turn() {
-        // 513³ under the blas_budget quarter: one fused level over 8 × 8
-        // conventional tiles of 33. The driver spans all three
-        // conventional levels (k = 264) when two ranks' slots fit; the
-        // team is sized at that span, and the packed B panel then widens
-        // by one tile column (9 504 elements) per rank while the budget
-        // leaves room. The team never shrinks for a wider panel, and the
-        // span never depends on the worker count, so every plan of one
-        // budget gives the same f64 bits.
+        // 513³ at the paper's depth (`strassen_min: 0`) under a quarter of
+        // its arena: one fused level over 8 × 8 conventional tiles of 33.
+        // The driver spans all three conventional levels (k = 264) when
+        // two ranks' slots fit; the team is sized at that span, and the
+        // packed B panel then widens by one tile column (9 504 elements)
+        // per rank while the budget leaves room. The team never shrinks
+        // for a wider panel, and the span never depends on the worker
+        // count, so every plan of one budget gives the same f64 bits.
         let n = 513;
-        let packed = ModgemmConfig { leaf_kernel: KernelKind::Packed, ..Default::default() };
+        let packed = ModgemmConfig {
+            strassen_min: 0,
+            leaf_kernel: KernelKind::Packed,
+            ..Default::default()
+        };
         let quarter = GemmPlan::<f64>::try_new(n, n, n, &packed).unwrap().arena_len() / 4;
         let at = |threads: usize, elems: usize| {
             let memory_budget = crate::config::MemoryBudget::MaxWorkspaceBytes(elems * 8);
@@ -1995,18 +2013,20 @@ mod tests {
 
     #[test]
     fn default_arenas_stay_pinned() {
-        // The default plans fuse their innermost level over single leaf
-        // tiles, so the packed terminal is one leaf product on the leaf's
-        // packing slot and their arenas are those of the per-leaf
-        // terminal (packed leaves, as `Auto` picks on a vector host).
+        // The default plans stage no Strassen level up to the crossover,
+        // so the arena is the packed terminal's slot alone: one A block
+        // and one B panel over a driver span of the whole tree (packed
+        // leaves, as `Auto` picks on a vector host). At 256³ that panel
+        // is all of B.
         let packed = ModgemmConfig { leaf_kernel: KernelKind::Packed, ..Default::default() };
         for ((m, k, n), arena) in [
-            ((640, 640, 640), 406_400),
-            ((1100, 900, 1000), 1_043_508),
+            ((640, 640, 640), 204_800),
+            ((1100, 900, 1000), 274_688),
+            ((1025, 1025, 1025), 346_368),
             ((17, 17, 17), 748),
-            ((256, 256, 256), 57_344),
-            ((513, 513, 513), 276_936),
-            ((384, 200, 300), 81_680),
+            ((256, 256, 256), 81_920),
+            ((513, 513, 513), 173_184),
+            ((384, 200, 300), 65_600),
         ] {
             let p = GemmPlan::<f64>::try_new(m, k, n, &packed).unwrap();
             assert_eq!(p.arena_len(), arena, "{m}x{k}x{n}");
@@ -2081,7 +2101,11 @@ mod tests {
 
     #[test]
     fn plan_accessors_reflect_the_compilation() {
-        let cfg = ModgemmConfig { truncation: Truncation::Fixed(32), ..Default::default() };
+        let cfg = ModgemmConfig {
+            truncation: Truncation::Fixed(32),
+            strassen_min: 0,
+            ..Default::default()
+        };
         let p: GemmPlan<f64> = GemmPlan::try_new(256, 256, 256, &cfg).unwrap();
         assert_eq!(p.dims(), (256, 256, 256));
         assert_eq!(p.config(), &cfg);

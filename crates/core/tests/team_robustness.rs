@@ -20,8 +20,11 @@ use modgemm_mat::{Matrix, Op};
 /// 33-wide ragged leaves, well above the team crossover.
 const N: usize = 513;
 
+/// The default at the paper's depth (`strassen_min: 0`): four Strassen
+/// levels, so a run passes a barrier per staged step for a cancel to
+/// trip at.
 fn cfg(threads: usize) -> ModgemmConfig {
-    ModgemmConfig { threads, ..ModgemmConfig::default() }
+    ModgemmConfig { strassen_min: 0, threads, ..ModgemmConfig::default() }
 }
 
 fn operands() -> (Matrix<f64>, Matrix<f64>) {
@@ -80,6 +83,7 @@ fn a_cancel_mid_run_stops_every_rank_and_the_context_stays_usable() {
     let ab = operands();
     let want = serial(&ab);
     let plan = GemmPlan::try_new(N, N, N, &cfg(3)).unwrap();
+    assert_eq!(plan.strassen_levels(), 4);
     let mut ctx = GemmContext::new();
     // Checks 1 and 2 are the pre-flight gates; from the third on, the
     // token trips at a barrier, mid-run.

@@ -1,11 +1,13 @@
 //! The default configuration (the measured fast path: `Auto` leaf kernel,
-//! which resolves to the packed SIMD kernel with one fused level on a
-//! vector host) against [`ModgemmConfig::paper`] (the staged `Blocked`
-//! pipeline the paper describes), on the large BLAS shapes where the two
-//! pipelines differ most.
+//! which resolves to the packed SIMD kernel on a vector host, and no
+//! Strassen level below [`modgemm::core::config::STRASSEN_CROSSOVER`])
+//! against [`ModgemmConfig::paper`] (the staged `Blocked` pipeline the
+//! paper describes, Strassen down to single tiles), on the large BLAS
+//! shapes where the two pipelines differ most.
 //!
 //! On integers every kernel, fuse depth and memory budget computes the
-//! exact product, so the two configurations must agree bit for bit. On
+//! exact product, so the two configurations must agree bit for bit, and
+//! with the conventional product. On
 //! floats the default must stay within the same scaled-error envelope the
 //! end-to-end benchmark checks every call against: 64 ε of the entry
 //! magnitude bound `k·|α|·max|A|·max|B| + |β|·max|C₀|`.
@@ -18,8 +20,9 @@ use modgemm::mat::{Matrix, Op, Scalar};
 
 /// `(m, k, n, op_a, op_b, quarter_budget)`: the large one-shot shapes
 /// (1025 is a padding worst case) with mixed transposes, and 513 under a
-/// quarter of the default plan's workspace arena, which runs one fused
-/// level over the packed terminal.
+/// quarter of the paper-depth default plan's workspace arena
+/// (`strassen_min: 0`), which runs one fused level over the packed
+/// terminal.
 const CASES: [(usize, usize, usize, Op, Op, bool); 6] = [
     (640, 640, 640, Op::NoTrans, Op::NoTrans, false),
     (768, 768, 768, Op::Trans, Op::NoTrans, false),
@@ -36,9 +39,13 @@ fn configs(m: usize, k: usize, n: usize, quarter_budget: bool) -> [ModgemmConfig
     if !quarter_budget {
         return [default, paper];
     }
-    let full = GemmPlan::<f64>::try_new(m, k, n, &default).expect("plannable shape").arena_len();
+    let deep = ModgemmConfig { strassen_min: 0, ..default };
+    let full = GemmPlan::<f64>::try_new(m, k, n, &deep).expect("plannable shape").arena_len();
     let memory_budget = MemoryBudget::MaxWorkspaceBytes(full * 8 / 4);
-    [ModgemmConfig { memory_budget, ..default }, ModgemmConfig { memory_budget, ..paper }]
+    let budgeted = ModgemmConfig { memory_budget, ..deep };
+    let plan = GemmPlan::<f64>::try_new(m, k, n, &budgeted).expect("plannable shape");
+    assert!(plan.strassen_levels() >= 1, "the quarter-budget case must run a Strassen level");
+    [budgeted, ModgemmConfig { memory_budget, ..paper }]
 }
 
 /// Column-major operands of `op(A)` (`m × k`) and `op(B)` (`k × n`) as
@@ -84,7 +91,11 @@ fn default_matches_paper_bitwise_on_i64() {
             c
         };
         let [default, paper] = configs(m, k, n, quarter);
-        assert!(run(&default) == run(&paper), "{m}x{k}x{n} {op_a:?}/{op_b:?}: default != paper");
+        let got = run(&default);
+        assert!(got == run(&paper), "{m}x{k}x{n} {op_a:?}/{op_b:?}: default != paper");
+        let mut reference = c0.clone();
+        conventional_gemm(alpha, op_a, a.view(), op_b, b.view(), beta, reference.view_mut());
+        assert!(got == reference, "{m}x{k}x{n} {op_a:?}/{op_b:?}: default != conventional");
     }
 }
 

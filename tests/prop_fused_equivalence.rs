@@ -66,8 +66,21 @@ proptest! {
         let bb = strided_buf(k, n, ldb, seed + 1);
         let c0 = strided_buf(m, n, ldc, seed + 2);
 
+        // `strassen_min: 0` keeps Strassen at every quadrant division, so
+        // every shape that tiles below its root takes a level to fuse.
+        let cfg_at = |fuse_depth| ModgemmConfig {
+            strassen_min: 0,
+            leaf_kernel: kernel,
+            fuse_depth,
+            ..Default::default()
+        };
+        let depth = cfg_at(FuseDepth::Fused).plan(m, k, n).map_or(0, |t| t.depth);
+        let levels = GemmPlan::<i64>::try_new(m, k, n, &cfg_at(FuseDepth::Fused))
+            .expect("well-formed shape must plan")
+            .strassen_levels();
+        prop_assert_eq!(levels, depth, "every level of the tiling runs Strassen");
         let run = |fuse_depth: FuseDepth| -> Vec<i64> {
-            let cfg = ModgemmConfig { leaf_kernel: kernel, fuse_depth, ..Default::default() };
+            let cfg = cfg_at(fuse_depth);
             let mut cb = c0.clone();
             try_modgemm(
                 alpha,
@@ -94,6 +107,7 @@ proptest! {
 #[test]
 fn fused_plans_execute_allocation_free_on_a_warm_context() {
     let cfg = ModgemmConfig {
+        strassen_min: 0,
         leaf_kernel: KernelKind::Packed,
         fuse_depth: FuseDepth::Fused,
         ..Default::default()
@@ -137,6 +151,7 @@ fn cancel_mid_dag_covers_fused_leaf_tasks() {
         // 176 = 11·2^4: four Strassen levels, three staged above the
         // fused one.
         truncation: modgemm::core::Truncation::MinPadding(modgemm::morton::TileRange::new(4, 16)),
+        strassen_min: 0,
         leaf_kernel: KernelKind::Packed,
         fuse_depth: FuseDepth::Fused,
         threads: 4,

@@ -23,18 +23,24 @@ use modgemm::mat::simd::ScatterMicroKernelFn;
 use modgemm::mat::{KernelKind, LeafKernel, Matrix, Op, Scalar};
 use proptest::prelude::*;
 
-/// The default configuration end to end (the packed vector kernel with
-/// one fused level on a SIMD host) on integer-valued `f64`: operands in
-/// `[-4, 4]` keep every product, Winograd sum and accumulation exact, so
-/// the result must equal the `i64` product (from the naive triple loop,
-/// which shares no code with the packed path) bit for bit. 513³ pads to
-/// 33-wide leaves and 70×58×66 fuses one level over 35×29×33 leaves, so
-/// both shapes end in ragged register tiles on every side.
+/// The default configuration end to end (the packed vector kernel on a
+/// SIMD host, conventional below the crossover) and the same at the
+/// paper's depth (`strassen_min: 0`: Strassen levels with the innermost
+/// one fused) on integer-valued `f64`: operands in `[-4, 4]` keep every
+/// product, Winograd sum and accumulation exact, so the result must
+/// equal the `i64` product (from the naive triple loop, which shares no
+/// code with the packed path) bit for bit. 513³ pads to 33-wide leaves
+/// and 70×58×66 to 35×29×33 leaves one level down, so both shapes end in
+/// ragged register tiles on every side.
 #[test]
 fn default_modgemm_is_exact_on_integer_valued_f64() {
-    let cfg = ModgemmConfig::default();
+    let default = ModgemmConfig::default();
+    let deep = ModgemmConfig { strassen_min: 0, ..default };
     let as_f64 = |x: &Matrix<i64>| Matrix::from_fn(x.rows(), x.cols(), |i, j| x.get(i, j) as f64);
-    for (m, k, n) in [(513, 513, 513), (70, 58, 66)] {
+    for ((m, k, n), cfg) in [(513, 513, 513), (70, 58, 66)]
+        .into_iter()
+        .flat_map(|shape| [(shape, default), (shape, deep)])
+    {
         let a: Matrix<i64> = random_matrix(m, k, 11);
         let b: Matrix<i64> = random_matrix(k, n, 12);
         let c0: Matrix<i64> = random_matrix(m, n, 13);
@@ -116,10 +122,10 @@ impl Scalar for TileOnly {
 }
 
 /// The block pass changes no output bit of a whole plan: the default plan
-/// at 640³ and an e2e `blas_budget`-shaped plan (513³ under a quarter of
-/// the default arena: one fused level over 8 × 8 packed tiles) on random
-/// non-integer `f64` equal the same plans run through the `8×4`-only
-/// sweep.
+/// at 640³ and a `blas_budget`-shaped plan at the paper's depth (513³ at
+/// `strassen_min: 0` under a quarter of its arena: one fused level over
+/// 8 × 8 packed tiles) on random non-integer `f64` equal the same plans
+/// run through the `8×4`-only sweep.
 #[test]
 fn block_body_changes_no_plan_output_bit() {
     if f64::packed_block_microkernel().is_none() {
@@ -127,9 +133,11 @@ fn block_body_changes_no_plan_output_bit() {
         return;
     }
     let default = ModgemmConfig::default();
-    let full = GemmPlan::<f64>::try_new(513, 513, 513, &default).unwrap().arena_len();
+    let deep = ModgemmConfig { strassen_min: 0, ..default };
+    let full = GemmPlan::<f64>::try_new(513, 513, 513, &deep).unwrap().arena_len();
     let budget =
-        ModgemmConfig { memory_budget: MemoryBudget::MaxWorkspaceBytes(full * 8 / 4), ..default };
+        ModgemmConfig { memory_budget: MemoryBudget::MaxWorkspaceBytes(full * 8 / 4), ..deep };
+    assert_eq!(GemmPlan::<f64>::try_new(513, 513, 513, &budget).unwrap().fused_levels(), 1);
     for ((m, k, n), cfg) in [((640, 640, 640), &default), ((513, 513, 513), &budget)] {
         let a: Matrix<f64> = random_matrix(m, k, 21);
         let b: Matrix<f64> = random_matrix(k, n, 22);
